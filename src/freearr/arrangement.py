@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
-from .scalars import Domain, Fraction as _Fraction, QQ, domain_of
+from .scalars import Domain, QQ, domain_of
 
 
 class ArrangementError(ValueError):
@@ -39,6 +38,10 @@ class NotEssentialError(ArrangementError):
 class UnknownLabelError(ArrangementError):
     def __init__(self, h):
         super().__init__(f"no hyperplane labeled {h}")
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed; this is a bug, not bad input."""
 
 
 def _proportional(u, v) -> bool:
@@ -74,7 +77,7 @@ class Arrangement:
 
     def lattice(self) -> "IntersectionLattice":
         if self._lattice is None:
-            self._lattice = _compute_lattice(self)
+            self._lattice = _compute_lattice(self.columns)
         return self._lattice
 
     def char_poly(self) -> "CharPoly":
@@ -95,7 +98,7 @@ def build(columns, domain: Domain | None = None) -> Arrangement:
         domain = QQ
         for c in cols:
             for x in c:
-                if not isinstance(x, (int, _Fraction)):
+                if not isinstance(x, (int, Fraction)):
                     domain = domain_of(x)
                     break
     coerced = []
@@ -106,7 +109,7 @@ def build(columns, domain: Domain | None = None) -> Arrangement:
         for x in c:
             if isinstance(x, int):
                 cc.append(domain.from_int(x))
-            elif isinstance(x, _Fraction) and not isinstance(domain.zero, _Fraction):
+            elif isinstance(x, Fraction) and not isinstance(domain.zero, Fraction):
                 cc.append(domain.from_fraction(x))
             else:
                 cc.append(x)
@@ -208,9 +211,9 @@ def _pair_table(lat: IntersectionLattice) -> dict:
     return tab[1]
 
 
-def _compute_lattice(arr: Arrangement) -> IntersectionLattice:
-    cols = arr.columns
-    n = arr.n
+def _compute_lattice(cols) -> IntersectionLattice:
+    """Rank-2 flats of the columns, over any ring with exact zero tests."""
+    n = len(cols)
     assigned = [[None] * n for _ in range(n)]
     flats = []
     for i in range(n):
@@ -432,7 +435,9 @@ def _check_iso(l1, l2, mapping) -> bool:
 def lattice_iso(l1: IntersectionLattice, l2: IntersectionLattice):
     """A hyperplane bijection inducing a lattice isomorphism, or None."""
     for mapping in _iso_backtrack(l1, l2, find_all=False):
-        assert _check_iso(l1, l2, mapping)
+        if not _check_iso(l1, l2, mapping):
+            raise InvariantError(
+                "backtracking returned a map that is not an isomorphism")
         return mapping
     return None
 
@@ -468,7 +473,10 @@ def aut_order(lat: IntersectionLattice):
                             closure.add(prod)
                             nxt.append(prod)
             frontier = nxt
-    assert len(closure) == len(auts)
+    if len(closure) != len(auts):
+        raise InvariantError(
+            f"automorphisms not closed: {len(auts)} found, "
+            f"{len(closure)} generated")
     return len(auts), generators
 
 

@@ -217,7 +217,7 @@ def _chain_lines(chain) -> list:
     return lines
 
 
-_SCALAR_ARITY = {"rat": 1, "quad": 3, "ratfunc": 2}
+_SCALAR_ARITY = {"rat": 1, "quad": 3}
 
 
 def _parse_chain(text: str) -> list:

@@ -16,8 +16,7 @@ from math import comb, gcd, lcm
 
 from . import linalg
 from .arrangement import Arrangement, build
-from .scalars import (QQ, Domain, MixedFieldError, QuadDomain, QuadElem,
-                      RatFunc, quad_field)
+from .scalars import Domain, QuadDomain, QuadElem
 
 
 class DegreeMismatchError(ValueError):
@@ -174,18 +173,10 @@ def cleared_columns(arr: Arrangement):
     """(ring ops, columns in integral ring form) for the solver engines."""
     dom = arr.domain
     if isinstance(dom, QuadDomain):
-        ops = linalg.QuadOps(dom.d)
-        cols = [_clear_quad_column(c) for c in arr.columns]
-    else:
-        first = arr.columns[0][0]
-        if isinstance(first, (int, Fraction)):
-            ops = linalg.IntOps
-            cols = [_clear_rational_column([Fraction(x) for x in c])
-                    for c in arr.columns]
-        else:
-            raise TypeError(
-                f"no integral solver engine for domain {dom.name}")
-    return ops, cols
+        return (linalg.QuadOps(dom.d),
+                [_clear_quad_column(c) for c in arr.columns])
+    return linalg.IntOps, [_clear_rational_column([Fraction(x) for x in c])
+                           for c in arr.columns]
 
 
 def _ring_add(ops, x, y):
@@ -378,11 +369,6 @@ def _det3_hpoly(m):
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
 
 
-def _field_ops_for(arr: Arrangement):
-    ops, _ = cleared_columns(arr)
-    return ops
-
-
 def _derivation_vector(deriv: Derivation, p: int, dom: Domain):
     """Coefficient vector of a degree-p derivation, for span computations."""
     assert deriv.pdeg == p
@@ -474,14 +460,22 @@ def _complement_candidates(arr: Arrangement, p: int, span_vectors,
 _VERDICT_CACHE: dict = {}
 
 
-def state_key(arr: Arrangement) -> str:
-    """Coordinate key: columns scaled to leading one, sorted; domain-tagged."""
+def _key_and_lead(arr: Arrangement):
+    """(state_key, product L of the leading entries it divides out)."""
     normed = []
+    lead_product = arr.domain.one
     for col in arr.columns:
         lead = next(x for x in col if x)
         inv = (1 / lead) if isinstance(lead, Fraction) else lead.inverse()
         normed.append(tuple(str(x * inv) for x in col))
-    return arr.domain.name + "|" + ";".join(",".join(c) for c in sorted(normed))
+        lead_product = lead_product * lead
+    key = arr.domain.name + "|" + ";".join(",".join(c) for c in sorted(normed))
+    return key, lead_product
+
+
+def state_key(arr: Arrangement) -> str:
+    """Coordinate key: columns scaled to leading one, sorted; domain-tagged."""
+    return _key_and_lead(arr)[0]
 
 
 def decide_freeness(arr: Arrangement, use_cache: bool = True):
@@ -490,14 +484,26 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
     Free only with a verified Saito identity; NotFree only by a
     non-splitting characteristic polynomial or a graded dimension mismatch;
     everything else is Inconclusive.
+
+    Arrangements equal up to column order and scaling share a cache entry.
+    They have the same derivation module, and Q differs by the ratio of the
+    leading products L, so a cached Saito constant c is returned as
+    c * L(cached) / L(caller), which satisfies the caller's own identity.
     """
-    key = state_key(arr) if use_cache else None
-    if key is not None and key in _VERDICT_CACHE:
-        return _VERDICT_CACHE[key]
-    verdict = _decide_freeness_impl(arr)
-    if key is not None:
-        _VERDICT_CACHE[key] = verdict
-    return verdict
+    if not use_cache:
+        return _decide_freeness_impl(arr)
+    key, lead = _key_and_lead(arr)
+    hit = _VERDICT_CACHE.get(key)
+    if hit is None:
+        verdict = _decide_freeness_impl(arr)
+        _VERDICT_CACHE[key] = (verdict, lead)
+        return verdict
+    verdict, cached_lead = hit
+    if not isinstance(verdict, Free) or cached_lead == lead:
+        return verdict
+    cert = verdict.certificate
+    return Free(verdict.exponents, SaitoCertificate(
+        cert.derivations, cert.constant * cached_lead / lead))
 
 
 def _decide_freeness_impl(arr: Arrangement):
@@ -571,10 +577,6 @@ def _scalar_to_text(x) -> str:
         return f"rat {x}"
     if isinstance(x, QuadElem):
         return f"quad {x.d} {x.a} {x.b}"
-    if isinstance(x, RatFunc):
-        num = ",".join(str(c) for c in x.num.coeffs)
-        den = ",".join(str(c) for c in x.den.coeffs)
-        return f"ratfunc {num or '0'} {den or '0'}"
     raise TypeError(f"cannot serialize scalar {x!r}")
 
 
@@ -584,11 +586,6 @@ def _scalar_from_text(parts):
         return Fraction(parts[1])
     if kind == "quad":
         return QuadElem(int(parts[1]), Fraction(parts[2]), Fraction(parts[3]))
-    if kind == "ratfunc":
-        from .scalars import IntPoly
-        num = IntPoly(int(c) for c in parts[1].split(","))
-        den = IntPoly(int(c) for c in parts[2].split(","))
-        return RatFunc(num, den)
     raise ValueError(f"unknown scalar tag {kind!r}")
 
 

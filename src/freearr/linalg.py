@@ -1,9 +1,10 @@
 """Exact linear algebra over the scalar domains.
 
-Two engines: a fraction-free integer engine used for the big derivation
-constraint systems (entries in Z or Z[sqrt d], kept small by per-row content
-reduction), and a generic field engine that works with any scalar elements
-supporting +, -, *, inverse and truth testing.
+One fraction-free (Bareiss) engine solves the derivation constraint systems.
+Its entries live in Z or Z[sqrt d], kept small by per-row content reduction;
+the ring is supplied as an ops object (IntOps or QuadOps).  The 3x3
+determinant and cross product helpers work over any commutative ring,
+including Z[t].
 """
 from __future__ import annotations
 
@@ -127,13 +128,13 @@ class QuadOps:
         return row
 
     def to_field(self, x):
-        return QuadElem(self.d, x[0], x[1])
+        return QuadElem._make(self.d, Fraction(x[0]), Fraction(x[1]))
 
     def field_zero(self):
-        return QuadElem(self.d, 0, 0)
+        return QuadElem._make(self.d, Fraction(0), Fraction(0))
 
     def field_one(self):
-        return QuadElem(self.d, 1, 0)
+        return QuadElem._make(self.d, Fraction(1), Fraction(0))
 
 
 def echelon(rows, ncols, ops):
@@ -209,47 +210,5 @@ def nullspace(rows, ncols, ops):
                 if v[j]:
                     s = s + row[j] * v[j]
             v[pc] = -s / row[pc] if s else ops.field_zero()
-        basis.append(v)
-    return basis
-
-
-def nullspace_field(rows, ncols, one):
-    """Generic nullspace over any field; ``one`` is the field's unit."""
-    zero = one - one
-    work = [list(r) for r in rows if any(x != zero for x in r)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][col] != zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pval = work[r][col]
-        inv = one / pval if isinstance(pval, Fraction) else pval.inverse()
-        work[r] = [x * inv for x in work[r]]
-        prow = work[r]
-        for i in range(len(work)):
-            if i == r:
-                continue
-            v = work[i][col]
-            if v != zero:
-                work[i] = [work[i][j] - v * prow[j] for j in range(ncols)]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for k, pc in enumerate(pivots):
-            v[pc] = -work[k][f]
         basis.append(v)
     return basis

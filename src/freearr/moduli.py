@@ -1,8 +1,9 @@
 """One-parameter arrangement families over Z[t].
 
 A Family is a 3xn matrix of integer polynomials in one parameter t.  Over
-the rational function field the columns define a generic arrangement; at a
-specific parameter value (rational or quadratic irrational) columns may
+Z[t] the columns define the generic lattice, since a triple of columns is
+dependent for generic t exactly when its 3x3 minor is the zero polynomial; at
+a specific parameter value (rational or quadratic irrational) columns may
 vanish, merge, or lose/gain collinearities.  The degeneracy set collects
 every parameter value where the hyperplane count drops (CountDrops) or the
 count survives but the intersection lattice changes (LatticeChanges).
@@ -15,6 +16,9 @@ from fractions import Fraction
 from .arrangement import (
     Arrangement,
     IntersectionLattice,
+    NotEssentialError,
+    _compute_lattice,
+    _has_rank3,
     build,
     lattice_iso,
 )
@@ -22,13 +26,12 @@ from .linalg import cross, det3_cols
 from .scalars import (
     IntPoly,
     QuadElem,
-    RatFunc,
     QQ,
-    QQT,
     factor_low_degree,
     poly,
     poly_gcd,
     quad_field,
+    squarefree_decompose,
 )
 
 COUNT_DROPS = "CountDrops"
@@ -94,14 +97,11 @@ def family_15() -> Family:
 BUILTIN_FAMILIES = {"paper13": family_13, "paper15": family_15}
 
 
-def generic_arrangement(f: Family) -> Arrangement:
-    """The family as an arrangement over the rational function field."""
-    cols = [tuple(RatFunc(p) for p in col) for col in f.columns]
-    return build(cols, QQT)
-
-
 def generic_lattice(f: Family) -> IntersectionLattice:
-    return generic_arrangement(f).lattice()
+    """Lattice of the family at a generic t, from minors computed in Z[t]."""
+    if not _has_rank3(f.columns):
+        raise NotEssentialError()
+    return _compute_lattice(f.columns)
 
 
 def _domain_for(omega):
@@ -184,23 +184,16 @@ class DegeneracyReport:
 def _quadratic_root(coeffs) -> QuadElem:
     """One root of c2 t^2 + c1 t + c0 (irreducible over Q) in Q(sqrt d)."""
     c0, c1, c2 = coeffs
-    disc = c1 * c1 - 4 * c0 * c2
-    import sympy
-
-    d = 1
-    square = 1
-    for prime, mult in sympy.factorint(disc).items():
-        square *= int(prime) ** (mult // 2)
-        if mult % 2:
-            d *= int(prime)
+    square, d = squarefree_decompose(c1 * c1 - 4 * c0 * c2)
     return QuadElem(d, Fraction(-c1, 2 * c2), Fraction(square, 2 * c2))
 
 
 def _candidate_polys(f: Family):
-    """Nonconstant loci where a triple becomes dependent or a pair merges."""
+    """Distinct primitive nonconstant loci where a triple becomes dependent
+    or a pair merges, in order of first appearance."""
     cols = f.columns
     n = f.n
-    out = []
+    out = {}
     for i in range(n):
         for j in range(i + 1, n):
             minors = [m for m in cross(cols[i], cols[j]) if m]
@@ -208,12 +201,12 @@ def _candidate_polys(f: Family):
             for m in minors[1:]:
                 g = poly_gcd(g, m)
             if g.degree > 0:
-                out.append(g)
+                out[g.primitive()] = None
             for k in range(j + 1, n):
                 det = det3_cols(cols[i], cols[j], cols[k])
-                if det and det.degree > 0:
-                    out.append(det)
-    return out
+                if det.degree > 0:
+                    out[det.primitive()] = None
+    return list(out)
 
 
 def degeneracy_set(f: Family) -> DegeneracyReport:

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, integer polynomials, Q(t), Q(sqrt d).
+"""Exact scalar arithmetic: rationals, integer polynomials, Q(sqrt d).
 
 Every value is immutable and every operation is a pure function, so scalars
 can be shared freely between concurrent analyses.  No floating point is used
@@ -10,6 +10,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+
+
+_ZERO = Fraction(0)
 
 
 class ZeroPolynomial(ValueError):
@@ -351,117 +354,6 @@ def factor_low_degree(p: IntPoly):
     return factors, remainder
 
 
-class RatFunc:
-    """Element of Q(t) as a reduced fraction of integer polynomials.
-
-    Canonical form: gcd(num, den) = 1 in Q[t], the integer contents of
-    numerator and denominator are coprime, and the denominator has positive
-    leading coefficient.  Equality is then componentwise.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=P_ONE):
-        if isinstance(num, int):
-            num = IntPoly((num,))
-        if isinstance(den, int):
-            den = IntPoly((den,))
-        if not den:
-            raise ZeroDivisionError("zero denominator in Q(t)")
-        if not num:
-            self.num, self.den = P_ZERO, P_ONE
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = div_exact(num, g) if divides(g, num) else num
-            den = div_exact(den, g) if divides(g, den) else den
-        cn, cd = num.content, den.content
-        c = gcd(cn, cd)
-        if den.leading < 0:
-            c = -c
-        num = IntPoly(x // c for x in num.coeffs)
-        den = IntPoly(x // c for x in den.coeffs)
-        self.num, self.den = num, den
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> RatFunc:
-        return cls(IntPoly((q.numerator,)), IntPoly((q.denominator,)))
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, IntPoly):
-            return RatFunc(other)
-        if isinstance(other, int):
-            return RatFunc(IntPoly((other,)))
-        if isinstance(other, Fraction):
-            return RatFunc.from_fraction(other)
-        return None
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
-
-    def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
-
-    def __add__(self, other) -> RatFunc:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> RatFunc:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> RatFunc:
-        return (-self) + other
-
-    def __mul__(self, other) -> RatFunc:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> RatFunc:
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero in Q(t)")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other) -> RatFunc:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other) -> RatFunc:
-        o = self._coerce(other)
-        return o * self.inverse()
-
-    def __str__(self) -> str:
-        if self.den == P_ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self})"
-
-
 class QuadElem:
     """Element a + b*sqrt(d) of the quadratic field Q(sqrt d).
 
@@ -479,6 +371,13 @@ class QuadElem:
         self.a = _as_fraction(a)
         self.b = _as_fraction(b)
 
+    @classmethod
+    def _make(cls, d: int, a: Fraction, b: Fraction) -> QuadElem:
+        """Element of a field whose d was already validated; a, b Fractions."""
+        x = object.__new__(cls)
+        x.d, x.a, x.b = d, a, b
+        return x
+
     def _coerce(self, other):
         if isinstance(other, QuadElem):
             if other.d != self.d:
@@ -486,7 +385,7 @@ class QuadElem:
                     f"cannot mix Q(sqrt {self.d}) and Q(sqrt {other.d})")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.d, other, 0)
+            return QuadElem._make(self.d, _as_fraction(other), _ZERO)
         return None
 
     def __bool__(self) -> bool:
@@ -505,13 +404,13 @@ class QuadElem:
         return hash(("QuadElem", self.d, self.a, self.b))
 
     def __neg__(self) -> QuadElem:
-        return QuadElem(self.d, -self.a, -self.b)
+        return QuadElem._make(self.d, -self.a, -self.b)
 
     def __add__(self, other) -> QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.d, self.a + o.a, self.b + o.b)
+        return QuadElem._make(self.d, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -528,14 +427,14 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.d,
-                        self.a * o.a + self.d * self.b * o.b,
-                        self.a * o.b + self.b * o.a)
+        return QuadElem._make(self.d,
+                              self.a * o.a + self.d * self.b * o.b,
+                              self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> QuadElem:
-        return QuadElem(self.d, self.a, -self.b)
+        return QuadElem._make(self.d, self.a, -self.b)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
@@ -544,7 +443,7 @@ class QuadElem:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero in a quadratic field")
-        return QuadElem(self.d, self.a / n, -self.b / n)
+        return QuadElem._make(self.d, self.a / n, -self.b / n)
 
     def __truediv__(self, other) -> QuadElem:
         o = self._coerce(other)
@@ -614,16 +513,6 @@ class RationalDomain(Domain):
         return q
 
 
-class RationalFunctionDomain(Domain):
-    name = "QQ(t)"
-
-    def from_int(self, k: int) -> RatFunc:
-        return RatFunc(IntPoly((k,)))
-
-    def from_fraction(self, q: Fraction) -> RatFunc:
-        return RatFunc.from_fraction(q)
-
-
 class QuadDomain(Domain):
     def __init__(self, d: int):
         if d in (0, 1) or not is_squarefree(d):
@@ -632,14 +521,13 @@ class QuadDomain(Domain):
         self.name = f"QQ(sqrt {d})"
 
     def from_int(self, k: int) -> QuadElem:
-        return QuadElem(self.d, k, 0)
+        return QuadElem._make(self.d, Fraction(k), _ZERO)
 
     def from_fraction(self, q: Fraction) -> QuadElem:
-        return QuadElem(self.d, q, 0)
+        return QuadElem._make(self.d, q, _ZERO)
 
 
 QQ = RationalDomain()
-QQT = RationalFunctionDomain()
 
 
 @lru_cache(maxsize=None)
@@ -651,8 +539,6 @@ def domain_of(x) -> Domain:
     """Infer the scalar domain of an element."""
     if isinstance(x, (int, Fraction)):
         return QQ
-    if isinstance(x, RatFunc):
-        return QQT
     if isinstance(x, QuadElem):
         return quad_field(x.d)
     raise TypeError(f"no scalar domain for {type(x).__name__}")

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from freearr import arrangement as am
-from freearr.scalars import QQ, poly, quad_field, QuadElem, RatFunc, QQT
+from freearr import moduli as mod
+from freearr.scalars import QQ, poly, quad_field, QuadElem
 
 from conftest import (
     boolean3,
@@ -177,6 +178,19 @@ class TestIsomorphism:
         order, _ = am.aut_order(near_pencil(5).lattice())
         assert order == 24
 
+    def test_failed_iso_check_raises(self, monkeypatch):
+        lat = boolean3().lattice()
+        monkeypatch.setattr(am, "_check_iso", lambda l1, l2, m: False)
+        with pytest.raises(am.InvariantError):
+            am.lattice_iso(lat, lat)
+
+    def test_unclosed_automorphisms_raise(self, monkeypatch):
+        identity = {1: 1, 2: 2, 3: 3}
+        monkeypatch.setattr(am, "_iso_backtrack",
+                            lambda l1, l2, find_all: iter([identity, identity]))
+        with pytest.raises(am.InvariantError):
+            am.aut_order(boolean3().lattice())
+
 
 class TestListingFormat:
     def test_round_trip(self, small_corpus):
@@ -204,11 +218,10 @@ class TestOtherDomains:
                         (F.one, r2, F.one)], F)
         assert len(arr.lattice().flats) == 6
 
-    def test_rational_function_arrangement(self):
-        t = RatFunc(poly(0, 1))
-        one = QQT.one
-        zero = QQT.zero
-        arr = am.build([(one, zero, zero), (zero, one, zero),
-                        (zero, zero, one), (one, t, one)], QQT)
-        assert len(arr.lattice().flats) == 6
-        assert arr.char_poly().exponents() is None
+    def test_generic_family_lattice(self):
+        one, zero, t = poly(1), poly(), poly(0, 1)
+        fam = mod.Family("g4", ((one, zero, zero), (zero, one, zero),
+                                (zero, zero, one), (one, t, one)))
+        lat = mod.generic_lattice(fam)
+        assert len(lat.flats) == 6
+        assert am.char_poly(lat).exponents() is None

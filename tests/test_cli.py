@@ -60,6 +60,11 @@ class TestChiAndLattice:
         assert code == 1
         assert "bad --at" in err
 
+    def test_non_squarefree_quad_at_value(self):
+        code, _, err = run("chi", "paper13", "--at", "quad 12 1 1")
+        assert code == 1
+        assert "bad --at" in err
+
     def test_unreadable_source(self):
         code, _, err = run("lattice", "/no/such/file.fam")
         assert code == 1
@@ -102,6 +107,15 @@ class TestVerifyAndIso:
         assert code == 1
         assert "not isomorphic" in out
 
+    def test_failed_invariant_exit_three(self, monkeypatch):
+        from freearr import arrangement
+
+        monkeypatch.setattr(arrangement, "_check_iso",
+                            lambda l1, l2, m: False)
+        code, _, err = run("iso", "paper13", "paper13", "--at", "3")
+        assert code == 3
+        assert "internal error" in err
+
 
 class TestInductionCommands:
     def test_indfree_13_not_if(self):
@@ -130,6 +144,13 @@ class TestInductionCommands:
         code, _, err = run("recfree", np5_file, "--replay", str(chain))
         assert code == 1
         assert "chain verification failed" in err
+
+    def test_recfree_replay_rejects_unknown_scalar_tag(self, np5_file, tmp_path):
+        chain = tmp_path / "chain.txt"
+        chain.write_text("add ratfunc 0,1 1 rat 0 rat 1\n")
+        code, _, err = run("recfree", np5_file, "--replay", str(chain))
+        assert code == 1
+        assert "bad scalar" in err
 
     def test_abe_all_labels(self):
         code, out, _ = run("abe", "paper13", "--at", "3")

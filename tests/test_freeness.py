@@ -150,6 +150,26 @@ class TestDecideFreeness:
         q = fr.defining_polynomial(near_pencil(5))
         assert det == q.scale(verdict.certificate.constant)
 
+    def test_cached_constant_fits_rescaled_input(self, a13):
+        decide_freeness(a13)
+        cols = [tuple(2 * x for x in a13.columns[0])] + list(a13.columns[1:])
+        doubled = am.build(cols, a13.domain)
+        cert = decide_freeness(doubled).certificate
+        assert cert.constant == Fraction(35, 10368)
+        assert saito_check(doubled, *cert.derivations) == cert.constant
+
+    def test_cached_constant_fits_permuted_rescaled_input(self, a15):
+        decide_freeness(a15)
+        rng = random.Random(3)
+        cols = list(a15.columns)
+        rng.shuffle(cols)
+        scales = [Fraction(rng.choice((-3, 2, 5)), rng.randint(1, 4))
+                  for _ in cols]
+        cols = [tuple(k * x for x in c) for k, c in zip(scales, cols)]
+        moved = am.build(cols, a15.domain)
+        cert = decide_freeness(moved).certificate
+        assert saito_check(moved, *cert.derivations) == cert.constant
+
     def test_certificate_round_trip(self):
         arr = near_pencil(6)
         verdict = decide_freeness(arr)

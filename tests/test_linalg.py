@@ -13,7 +13,6 @@ from freearr.linalg import (
     det3_cols,
     echelon,
     nullspace,
-    nullspace_field,
     rank,
 )
 from freearr.scalars import QuadElem
@@ -95,23 +94,6 @@ class TestQuadraticEngine:
         assert rank(rows, 2, ops) == 1
         (v,) = nullspace(rows, 2, ops)
         assert v[0] * QuadElem(2, 1, 0) + v[1] * QuadElem(2, 0, 1) == 0
-
-
-class TestFieldEngine:
-    def test_nullspace_field_matches_integer_engine(self):
-        random.seed(11)
-        for _ in range(80):
-            m = random.randint(1, 5)
-            n = random.randint(1, 5)
-            rows = [[random.randint(-4, 4) for _ in range(n)]
-                    for _ in range(m)]
-            frac_rows = [[Fraction(x) for x in r] for r in rows]
-            b1 = nullspace(rows, n, IntOps)
-            b2 = nullspace_field(frac_rows, n, Fraction(1))
-            assert len(b1) == len(b2)
-            for v in b2:
-                for row in rows:
-                    assert sum(row[j] * v[j] for j in range(n)) == 0
 
 
 class TestDeterminants:

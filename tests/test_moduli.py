@@ -151,6 +151,17 @@ class TestDegeneracySet:
             else:
                 assert spec.count == f.n and not spec.matches_generic
 
+    def test_candidates_are_distinct_primitive_polys(self):
+        cands = mod._candidate_polys(mod.family_15())
+        assert len(cands) == 24
+        assert len(set(cands)) == 24
+        assert all(p == p.primitive() for p in cands)
+
+    def test_quadratic_root_of_negative_discriminant(self):
+        root = mod._quadratic_root((1, -1, 1))
+        assert (root.d, root.a, root.b) == (-3, Fraction(1, 2), Fraction(1, 2))
+        assert IntPoly((1, -1, 1))(root) == 0
+
     def test_15_exceptional_values_give_free_1_5_9(self):
         f = mod.family_15()
         for coeffs in ((1, -3, 1), (-1, 1, 1)):

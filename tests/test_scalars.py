@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: integer polynomials, Q(t), quadratic fields."""
+"""Exact scalar arithmetic: integer polynomials, quadratic fields."""
 from fractions import Fraction
 
 import pytest
@@ -9,9 +9,7 @@ from freearr.scalars import (
     IntPoly,
     MixedFieldError,
     QQ,
-    QQT,
     QuadElem,
-    RatFunc,
     ZeroPolynomial,
     divides,
     div_exact,
@@ -23,7 +21,6 @@ from freearr.scalars import (
     rational_roots,
 )
 
-T = poly(0, 1)
 
 small_ints = st.integers(min_value=-30, max_value=30)
 fractions = st.builds(Fraction, small_ints,
@@ -123,31 +120,6 @@ class TestFactorLowDegree:
         assert rem.primitive().coeffs == (1, 1, 0, 1)
 
 
-class TestRatFunc:
-    def test_reduction_to_canonical_form(self):
-        f = RatFunc(poly(-1, 0, 1), poly(-1, 1))   # (t^2-1)/(t-1)
-        assert f == RatFunc(poly(1, 1))
-        assert RatFunc(poly(2), poly(0, 4)) == RatFunc(poly(1), poly(0, 2))
-
-    def test_field_operations(self):
-        t = RatFunc(T)
-        one = QQT.one
-        assert t * QQT.invert(t) == one
-        assert (t + one) * (t - one) == t * t - one
-
-    @given(st.builds(lambda a, b: RatFunc(poly(a, b), poly(1)),
-                     small_ints, small_ints),
-           st.builds(lambda a, b: RatFunc(poly(a), poly(b, 1)),
-                     small_ints, small_ints))
-    @settings(max_examples=40)
-    def test_field_axioms(self, f, g):
-        assert f + g == g + f
-        assert f * g == g * f
-        assert f * (g + g) == f * g + f * g
-        if g:
-            assert (f / g) * g == f
-
-
 quad_elems = st.builds(QuadElem, st.sampled_from([2, 5, -3]),
                        fractions, fractions)
 
@@ -209,4 +181,3 @@ class TestDomains:
     def test_from_int(self):
         assert QQ.from_int(3) == Fraction(3)
         assert quad_field(2).from_int(3) == QuadElem(2, 3, 0)
-        assert QQT.from_int(3) == RatFunc(poly(3))
