@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .scalars import Domain, QQ, domain_of
@@ -164,7 +165,79 @@ class IntersectionLattice:
         return tuple(sorted(len(f) for f in self.flats))
 
     def flat_of_pair(self, i: int, j: int) -> int:
-        return _pair_table(self)[(i, j) if i < j else (j, i)]
+        return self.pair_table[(i, j) if i < j else (j, i)]
+
+    @cached_property
+    def pair_table(self) -> dict:
+        """{(i, j): index of the flat through hyperplanes i < j}."""
+        d = {}
+        for idx, f in enumerate(self.flats):
+            fl = sorted(f)
+            for a in range(len(fl)):
+                for b in range(a + 1, len(fl)):
+                    d[(fl[a], fl[b])] = idx
+        return d
+
+    @cached_property
+    def canonical(self) -> str:
+        """The key of :func:`canonical_key`.
+
+        Encodes, under a lexicographically minimal hyperplane ordering, each
+        hyperplane's invariant profile followed by block labels of the pairs
+        it forms with earlier hyperplanes (blocks = rank-2 flats, labeled in
+        order of first appearance).  Minimality is found by backtracking
+        that keeps only candidates achieving the minimal next chunk.
+        """
+        n = self.n
+        tab = self.pair_table
+        prof = {h: self.hyperplane_profile(h) for h in range(1, n + 1)}
+
+        def chunk_for(cand, prefix, flat_labels):
+            labels = []
+            local = {}
+            for j in prefix:
+                f = tab[(cand, j) if cand < j else (j, cand)]
+                lab = flat_labels.get(f)
+                if lab is None:
+                    lab = local.get(f)
+                if lab is None:
+                    lab = len(flat_labels) + len(local)
+                    local[f] = lab
+                labels.append(lab)
+            return (prof[cand], tuple(labels)), local
+
+        best: list = [None]
+
+        def search(prefix, flat_labels, acc):
+            if len(prefix) == n:
+                enc = tuple(acc)
+                if best[0] is None or enc < best[0]:
+                    best[0] = enc
+                return
+            candidates = []
+            for cand in range(1, n + 1):
+                if cand in prefix:
+                    continue
+                ch, local = chunk_for(cand, prefix, flat_labels)
+                candidates.append((ch, cand, local))
+            mn = min(c[0] for c in candidates)
+            # prefix-prune against the best known complete encoding
+            pos = len(prefix)
+            if best[0] is not None:
+                trial = tuple(acc) + (mn,)
+                if trial > best[0][:pos + 1]:
+                    return
+            for ch, cand, local in candidates:
+                if ch != mn:
+                    continue
+                fl = dict(flat_labels)
+                fl.update(local)
+                acc.append(ch)
+                search(prefix + [cand], fl, acc)
+                acc.pop()
+
+        search([], {}, [])
+        return repr(best[0])
 
     def hyperplane_profile(self, h: int) -> tuple:
         """Sorted multiset of multiplicities of the flats through h."""
@@ -191,24 +264,6 @@ class IntersectionLattice:
             if s != self.n - 1:
                 raise ArrangementError(
                     f"degree identity fails at hyperplane {h}: {s} != {self.n - 1}")
-
-
-_PAIR_TABLES: dict = {}
-
-
-def _pair_table(lat: IntersectionLattice) -> dict:
-    key = id(lat)
-    tab = _PAIR_TABLES.get(key)
-    if tab is None or tab[0] is not lat:
-        d = {}
-        for idx, f in enumerate(lat.flats):
-            fl = sorted(f)
-            for a in range(len(fl)):
-                for b in range(a + 1, len(fl)):
-                    d[(fl[a], fl[b])] = idx
-        _PAIR_TABLES[key] = (lat, d)
-        tab = _PAIR_TABLES[key]
-    return tab[1]
 
 
 def _compute_lattice(cols) -> IntersectionLattice:
@@ -379,7 +434,7 @@ def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice, find_all,
     prof2 = {h: l2.hyperplane_profile(h) for h in range(1, n + 1)}
     if sorted(prof1.values()) != sorted(prof2.values()):
         return
-    t1, t2 = _pair_table(l1), _pair_table(l2)
+    t1, t2 = l1.pair_table, l2.pair_table
     # order source hyperplanes, rarest invariant first
     from collections import Counter
     cnt = Counter(prof1.values())
@@ -480,73 +535,13 @@ def aut_order(lat: IntersectionLattice):
     return len(auts), generators
 
 
-_CANON_CACHE: dict = {}
-
-
 def canonical_key(lat: IntersectionLattice) -> str:
     """Canonical string, equal for two lattices iff they are isomorphic.
 
-    Encodes, under a lexicographically minimal hyperplane ordering, each
-    hyperplane's invariant profile followed by block labels of the pairs
-    it forms with earlier hyperplanes (blocks = rank-2 flats, labeled in
-    order of first appearance).  Minimality is found by backtracking that
-    keeps only candidates achieving the minimal next chunk.
+    Computed once per lattice and held on it; see
+    :attr:`IntersectionLattice.canonical`.
     """
-    cached = _CANON_CACHE.get(id(lat))
-    if cached is not None and cached[0] is lat:
-        return cached[1]
-    n = lat.n
-    tab = _pair_table(lat)
-    prof = {h: lat.hyperplane_profile(h) for h in range(1, n + 1)}
-
-    def chunk_for(cand, prefix, flat_labels):
-        labels = []
-        local = {}
-        for j in prefix:
-            f = tab[(cand, j) if cand < j else (j, cand)]
-            lab = flat_labels.get(f)
-            if lab is None:
-                lab = local.get(f)
-            if lab is None:
-                lab = len(flat_labels) + len(local)
-                local[f] = lab
-            labels.append(lab)
-        return (prof[cand], tuple(labels)), local
-
-    best: list = [None]
-
-    def search(prefix, flat_labels, acc):
-        if len(prefix) == n:
-            enc = tuple(acc)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-            return
-        candidates = []
-        for cand in range(1, n + 1):
-            if cand in prefix:
-                continue
-            ch, local = chunk_for(cand, prefix, flat_labels)
-            candidates.append((ch, cand, local))
-        mn = min(c[0] for c in candidates)
-        # prefix-prune against the best known complete encoding
-        pos = len(prefix)
-        if best[0] is not None:
-            trial = tuple(acc) + (mn,)
-            if trial > best[0][:pos + 1]:
-                return
-        for ch, cand, local in candidates:
-            if ch != mn:
-                continue
-            fl = dict(flat_labels)
-            fl.update(local)
-            acc.append(ch)
-            search(prefix + [cand], fl, acc)
-            acc.pop()
-
-    search([], {}, [])
-    key = repr(best[0])
-    _CANON_CACHE[id(lat)] = (lat, key)
-    return key
+    return lat.canonical
 
 
 def format_lattice(lat: IntersectionLattice) -> str:

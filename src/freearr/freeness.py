@@ -2,13 +2,19 @@
 
 The derivation module is probed degree by degree: membership conditions are
 imposed on each hyperplane through a two-vector parametrization, giving an
-exact linear system whose nullspace is the graded piece.  Positive verdicts
-are certified with an explicit Saito determinant identity, negative ones by
-a non-splitting characteristic polynomial or a graded dimension mismatch.
+exact linear system whose nullspace is the graded piece.
+
+The Saito certificate comes first.  A split characteristic polynomial with
+exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
+first degree-e2 derivation outside S*theta_E, and the first degree-e3
+derivation outside S*theta_E + S*theta_2.  For a free arrangement these three
+always satisfy Saito's identity det = c*Q with c nonzero.  Negative verdicts
+carry their obstruction: a non-splitting characteristic polynomial, or, found
+by a graded dimension sweep run only after the certificate failed, the first
+degree whose dimension differs from that of a free module.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -382,23 +388,6 @@ def _derivation_vector(deriv: Derivation, p: int, dom: Domain):
     return vec
 
 
-def _euler_multiple_vectors(arr: Arrangement, p: int):
-    """Vectors of m * theta_E for all monomials m of degree p - 1."""
-    dom = arr.domain
-    mons = monomials(p)
-    nm = len(mons)
-    idx = {m: i for i, m in enumerate(mons)}
-    one = dom.one
-    out = []
-    for m in monomials(p - 1):
-        vec = [dom.zero] * (3 * nm)
-        for c in range(3):
-            mm = tuple(m[i] + (1 if i == c else 0) for i in range(3))
-            vec[c * nm + idx[mm]] = one
-        out.append(vec)
-    return out
-
-
 def _poly_multiple_vectors(deriv: Derivation, p: int, dom: Domain):
     """Vectors of m * deriv for all monomials m of degree p - deriv.pdeg."""
     mons = monomials(p)
@@ -442,19 +431,21 @@ class _FieldReducer:
         return True
 
 
-def _complement_candidates(arr: Arrangement, p: int, span_vectors,
-                           basis_vectors):
-    """Basis vectors independent of the span, reduced deterministically."""
-    red = _FieldReducer(arr.domain.zero)
-    for v in span_vectors:
-        red.add(v)
-    out = []
-    for b in basis_vectors:
-        r = red.reduce(b)
+def _first_complement(p: int, gens, basis, dom: Domain):
+    """First degree-p basis derivation outside S*gens, reduced, or None.
+
+    The reduced vector vanishes on the pivot columns of the span, so it
+    depends only on the span as a subspace, not on the vectors spanning it.
+    """
+    red = _FieldReducer(dom.zero)
+    for g in gens:
+        for v in _poly_multiple_vectors(g, p, dom):
+            red.add(v)
+    for b in basis:
+        r = red.reduce(_derivation_vector(b, p, dom))
         if any(r):
-            out.append(r)
-            red.add(r)
-    return out
+            return _vector_to_derivation(r, p)
+    return None
 
 
 _VERDICT_CACHE: dict = {}
@@ -481,9 +472,10 @@ def state_key(arr: Arrangement) -> str:
 def decide_freeness(arr: Arrangement, use_cache: bool = True):
     """Three-valued freeness decision with explicit certificates.
 
-    Free only with a verified Saito identity; NotFree only by a
-    non-splitting characteristic polynomial or a graded dimension mismatch;
-    everything else is Inconclusive.
+    Free only with a verified Saito identity, which is tried first; NotFree
+    only by a non-splitting characteristic polynomial or, when the Saito
+    identity fails, by the graded dimension mismatch that the sweep over
+    degrees 0..e3 finds as its witness; everything else is Inconclusive.
 
     Arrangements equal up to column order and scaling share a cache entry.
     They have the same derivation module, and Q differs by the ratio of the
@@ -507,67 +499,31 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
 
 
 def _decide_freeness_impl(arr: Arrangement):
-    chi = arr.char_poly()
-    exps = chi.exponents()
+    exps = arr.char_poly().exponents()
     if exps is None:
         return NotFree("ChiDoesNotSplit")
-    e1, e2, e3 = exps
-    dims = {}
-    for p in range(0, e3 + 1):
-        actual = derivation_space_dim(arr, p)
-        dims[p] = actual
-        expected = expected_graded_dim(exps, p)
-        if actual != expected:
-            return NotFree("GradedDimensionMismatch", (p, expected, actual))
-    theta_e = euler_derivation(arr)
+    _, e2, e3 = exps
     dom = arr.domain
+    theta_e = euler_derivation(arr)
     basis2 = derivation_basis(arr, e2)
-    vecs2 = [_derivation_vector(b, e2, dom) for b in basis2]
-    span2 = _euler_multiple_vectors(arr, e2)
-    cands2 = [_vector_to_derivation(v, e2)
-              for v in _complement_candidates(arr, e2, span2, vecs2)]
-    basis3 = basis2 if e3 == e2 else derivation_basis(arr, e3)
-    for th2 in cands2:
-        span3 = _euler_multiple_vectors(arr, e3)
-        span3 += _poly_multiple_vectors(th2, e3, dom)
-        vecs3 = [_derivation_vector(b, e3, dom) for b in basis3]
-        cands3 = [_vector_to_derivation(v, e3)
-                  for v in _complement_candidates(arr, e3, span3, vecs3)]
-        for th3 in cands3:
-            c = saito_check(arr, theta_e, th2, th3)
-            if c is not None:
-                cert = SaitoCertificate((theta_e, th2, th3), c)
-                return Free(exps, cert)
-    # fallback: raw basis elements, then small integer combinations
-    basis2_full = basis2
-    basis3_full = basis3
-    for th2 in basis2_full:
-        for th3 in basis3_full:
-            if e2 == e3 and th2 is th3:
-                continue
-            try:
-                c = saito_check(arr, theta_e, th2, th3)
-            except DegreeMismatchError:
-                break
-            if c is not None:
-                return Free(exps, SaitoCertificate((theta_e, th2, th3), c))
-    for th2 in _small_combinations(basis2_full, e2):
-        for th3 in _small_combinations(basis3_full, e3):
+    th2 = _first_complement(e2, (theta_e,), basis2, dom)
+    if th2 is not None:
+        basis3 = basis2 if e3 == e2 else derivation_basis(arr, e3)
+        th3 = _first_complement(e3, (theta_e, th2), basis3, dom)
+        if th3 is not None:
             c = saito_check(arr, theta_e, th2, th3)
             if c is not None:
                 return Free(exps, SaitoCertificate((theta_e, th2, th3), c))
+    # A free A passes above with its first complement pair, so all that is
+    # left is the witness: the first degree whose dimension differs from a
+    # free module's, else Inconclusive.
+    dims = {}
+    for p in range(e3 + 1):
+        dims[p] = derivation_space_dim(arr, p)
+        expected = expected_graded_dim(exps, p)
+        if dims[p] != expected:
+            return NotFree("GradedDimensionMismatch", (p, expected, dims[p]))
     return Inconclusive({"exponents": exps, "graded_dims": dims})
-
-
-def _small_combinations(basis, p, coeff_range=(1, -1, 2, -2)):
-    """Deterministic small integer pair-combinations of basis elements."""
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        for a in coeff_range:
-            for b in coeff_range:
-                polys = tuple(
-                    basis[i].polys[c].scale(a) + basis[j].polys[c].scale(b)
-                    for c in range(3))
-                yield Derivation(polys, p)
 
 
 # -- certificate serialization -------------------------------------------

@@ -161,11 +161,13 @@ _IF_CACHE: dict = {}
 def inductively_free(arr: Arrangement):
     """Certificate chain if the arrangement is inductively free, else None.
 
-    Inductive freeness only depends on the intersection lattice, so verdicts
-    are memoized on the canonical lattice key.  Each step deletes one
-    hyperplane H whose forced exponent bookkeeping [1, s-1, n-s] matches the
-    characteristic polynomial roots; by deletion-restriction the deletion
-    then automatically carries the matching [1, s-1, n-s-1].
+    The search reads only the intersection lattice: no derivation module is
+    solved.  Verdicts are memoized on the canonical lattice key.  Each step
+    deletes one hyperplane H whose forced exponent bookkeeping [1, s-1, n-s]
+    matches the characteristic polynomial roots; by deletion-restriction the
+    deletion then automatically carries the matching [1, s-1, n-s-1].  The
+    match holds exactly when s is e+1 or f+1, so whenever the obstruction of
+    quick_non_if fires, no H passes it and the search fails at once.
     """
     cert = _if_search(arr)
     return cert
@@ -180,9 +182,6 @@ def _if_search(arr: Arrangement):
     key = canonical_key(arr.lattice())
     known = _IF_CACHE.get(key)
     if known is False:
-        return None
-    if quick_non_if(arr) is not None:
-        _IF_CACHE[key] = False
         return None
     n = arr.n
     target = _multiset(exps)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arrangement import (
     Arrangement,
@@ -48,6 +49,11 @@ class Family:
     @property
     def n(self) -> int:
         return len(self.columns)
+
+    @cached_property
+    def lattice(self) -> IntersectionLattice:
+        """The generic lattice, computed once per family."""
+        return generic_lattice(self)
 
     def __post_init__(self):
         for idx, col in enumerate(self.columns, start=1):
@@ -159,7 +165,7 @@ def specialize(f: Family, omega) -> SpecializationResult:
         arr = None
     matches = False
     if arr is not None and count == f.n:
-        matches = lattice_iso(generic_lattice(f), arr.lattice()) is not None
+        matches = lattice_iso(f.lattice, arr.lattice()) is not None
     return SpecializationResult(omega, count, arr, matches, dropped, merges)
 
 

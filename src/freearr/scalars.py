@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 
 _ZERO = Fraction(0)
@@ -213,7 +213,6 @@ class IntPoly:
 
 T = IntPoly((0, 1))
 P_ONE = IntPoly((1,))
-P_ZERO = IntPoly()
 
 
 def poly(*coeffs) -> IntPoly:
@@ -243,19 +242,6 @@ def _frac_divmod(p: list[Fraction], q: list[Fraction]):
     return quo, p
 
 
-def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Exact quotient p / q in Z[t]; raises if the division is not exact."""
-    if not q:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not p:
-        return P_ZERO
-    quo, rem = _frac_divmod([Fraction(c) for c in p.coeffs],
-                            [Fraction(c) for c in q.coeffs])
-    if rem or any(f.denominator != 1 for f in quo):
-        raise ValueError(f"{q} does not divide {p} exactly")
-    return IntPoly(int(f) for f in quo)
-
-
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Primitive gcd in Q[t] with positive leading coefficient.
 
@@ -278,51 +264,6 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
         rp = IntPoly(int(f) for f in rem)  # exact by construction
         a, b = b, rp.primitive()
     return a.primitive()
-
-
-def divides(p: IntPoly, q: IntPoly) -> bool:
-    """True iff p divides q in Q[t]."""
-    if not p:
-        return not q
-    if not q:
-        return True
-    _, rem = _frac_divmod([Fraction(c) for c in q.coeffs],
-                          [Fraction(c) for c in p.coeffs])
-    return not rem
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-    return sorted(out)
-
-
-def rational_roots(p: IntPoly) -> set[Fraction]:
-    """All rational roots of p, via the rational root theorem."""
-    if not p:
-        raise ZeroPolynomial("the zero polynomial vanishes everywhere")
-    roots: set[Fraction] = set()
-    cs = list(p.primitive().coeffs)
-    k = 0
-    while cs[0] == 0:
-        cs.pop(0)
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-    pp = IntPoly(cs)
-    if pp.degree == 0:
-        return roots
-    for num in _divisors(cs[0]):
-        for den in _divisors(pp.leading):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if pp(cand) == 0:
-                    roots.add(cand)
-    return roots
 
 
 def factor_low_degree(p: IntPoly):

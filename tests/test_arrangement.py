@@ -1,4 +1,6 @@
 """Intersection lattices, characteristic polynomials, isomorphism."""
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -78,6 +80,16 @@ class TestLattice:
         for flat in lat.flats:
             labels = sorted(flat)
             assert lat.flats[lat.flat_of_pair(labels[0], labels[1])] == flat
+
+    def test_lattice_freed_after_key_and_pair_lookup(self):
+        arr = near_pencil(5)
+        lat = arr.lattice()
+        am.canonical_key(lat)
+        lat.flat_of_pair(1, 2)
+        ref = weakref.ref(lat)
+        del arr, lat
+        gc.collect()
+        assert ref() is None
 
 
 class TestCharPoly:

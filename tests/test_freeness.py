@@ -23,6 +23,7 @@ from freearr.freeness import (
     is_member,
     saito_check,
 )
+from freearr.induction import inductively_free
 from freearr.scalars import QQ
 
 from conftest import boolean3, near_pencil, rational_arrangement
@@ -143,6 +144,29 @@ class TestDecideFreeness:
             verdict = decide_freeness(near_pencil(n))
             assert isinstance(verdict, Free)
             assert verdict.exponents == (1, 1, n - 2)
+
+    def test_graded_dimension_mismatch(self):
+        arr = rational_arrangement((0, 1, 0), (1, -2, 1), (1, 0, 0),
+                                   (1, -1, 0), (0, 1, 2), (1, 1, 0),
+                                   (2, 1, 0))
+        assert arr.char_poly().exponents() == (1, 3, 3)
+        verdict = decide_freeness(arr, use_cache=False)
+        assert verdict == NotFree("GradedDimensionMismatch", (2, 3, 4))
+        assert inductively_free(arr) is None
+
+    def test_free_verdict_needs_no_dimension_sweep(self, a13, monkeypatch):
+        arrs = (a13, near_pencil(6))
+        texts = [certificate_to_text(
+            decide_freeness(arr, use_cache=False).certificate)
+            for arr in arrs]
+
+        def no_sweep(arr, p):
+            raise AssertionError("graded dimension sweep on a free input")
+
+        monkeypatch.setattr(fr, "derivation_space_dim", no_sweep)
+        for arr, text in zip(arrs, texts):
+            cert = decide_freeness(arr, use_cache=False).certificate
+            assert certificate_to_text(cert) == text
 
     def test_certificate_reverified_by_expansion(self):
         verdict = decide_freeness(near_pencil(5))

@@ -2,6 +2,7 @@
 import pytest
 
 from freearr import arrangement as am
+from freearr import induction
 from freearr.freeness import Free, decide_freeness
 from freearr.induction import (
     IFCertificate,
@@ -87,6 +88,16 @@ class TestInductivelyFree:
     def test_non_free_not_if(self):
         g4 = rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
         assert inductively_free(g4) is None
+
+    def test_search_solves_no_derivations(self, small_corpus, monkeypatch):
+        chains = [inductively_free(arr) for arr in small_corpus]
+
+        def no_solve(arr, use_cache=True):
+            raise AssertionError("freeness decided inside the IF search")
+
+        monkeypatch.setattr(induction, "decide_freeness", no_solve)
+        monkeypatch.setattr(induction, "_IF_CACHE", {})
+        assert [inductively_free(arr) for arr in small_corpus] == chains
 
     def test_if_implies_free_and_obstruction_implies_not_if(
             self, small_corpus):

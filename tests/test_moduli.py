@@ -151,6 +151,23 @@ class TestDegeneracySet:
             else:
                 assert spec.count == f.n and not spec.matches_generic
 
+    def test_generic_lattice_computed_once_per_family(self, monkeypatch):
+        calls = []
+        original = mod.generic_lattice
+
+        def counted(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(mod, "generic_lattice", counted)
+        f = mod.family_13()
+        rep = mod.degeneracy_set(f)
+        for omega in rep.rational:
+            mod.specialize(f, omega)
+        for coeffs in rep.quadratic:
+            mod.specialize(f, mod._quadratic_root(coeffs))
+        assert len(calls) == 1
+
     def test_candidates_are_distinct_primitive_polys(self):
         cands = mod._candidate_polys(mod.family_15())
         assert len(cands) == 24

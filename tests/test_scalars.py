@@ -11,14 +11,11 @@ from freearr.scalars import (
     QQ,
     QuadElem,
     ZeroPolynomial,
-    divides,
-    div_exact,
     factor_low_degree,
     parse_rational,
     poly,
     poly_gcd,
     quad_field,
-    rational_roots,
 )
 
 
@@ -71,15 +68,6 @@ class TestIntPoly:
 
 
 class TestDivisionAndGcd:
-    def test_div_exact(self):
-        p = poly(-1, 0, 1)
-        assert div_exact(p, poly(-1, 1)).coeffs == (1, 1)
-
-    def test_divides(self):
-        q = poly(1, -3, 1)
-        assert divides(q, q * poly(2, 5))
-        assert not divides(q, poly(1, 1))
-
     def test_poly_gcd_recovers_common_factor(self):
         q = poly(1, -3, 1)
         a = q * poly(1, 1)
@@ -89,10 +77,6 @@ class TestDivisionAndGcd:
 
     def test_poly_gcd_coprime(self):
         assert poly_gcd(poly(1, 1), poly(-1, 1)).degree == 0
-
-    def test_rational_roots(self):
-        p = poly(-1, 1) * poly(1, 2) * poly(1, 0, 1)
-        assert sorted(rational_roots(p)) == [Fraction(-1, 2), Fraction(1)]
 
     def test_zero_polynomial_errors(self):
         with pytest.raises(ZeroPolynomial):
