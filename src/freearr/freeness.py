@@ -176,7 +176,7 @@ def _clear_quad_column(col):
 
 
 def cleared_columns(arr: Arrangement):
-    """(ring ops, columns in integral ring form) for the solver engines."""
+    """(ring ops, columns in integral ring form) for the solver."""
     dom = arr.domain
     if isinstance(dom, QuadDomain):
         return (linalg.QuadOps(dom.d),
@@ -233,7 +233,6 @@ def _binary_form(ops, u, v, expnts, p: int):
             for b, y in enumerate(fac):
                 new[a + b] = _ring_add(ops, new[a + b], ops.mul(x, y))
         form = new
-    assert len(form) == p + 1
     return form
 
 
@@ -375,76 +374,88 @@ def _det3_hpoly(m):
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
 
 
-def _derivation_vector(deriv: Derivation, p: int, dom: Domain):
-    """Coefficient vector of a degree-p derivation, for span computations."""
-    assert deriv.pdeg == p
-    mons = monomials(p)
-    nm = len(mons)
-    vec = [dom.zero] * (3 * nm)
-    idx = {m: i for i, m in enumerate(mons)}
-    for c, poly in enumerate(deriv.polys):
-        for m, co in poly.coeffs.items():
-            vec[c * nm + idx[m]] = co
-    return vec
-
-
-def _poly_multiple_vectors(deriv: Derivation, p: int, dom: Domain):
-    """Vectors of m * deriv for all monomials m of degree p - deriv.pdeg."""
+def _derivation_vector(deriv: Derivation, p: int) -> dict:
+    """Sparse coefficient vector {index: nonzero coefficient} of a degree-p
+    derivation, for span computations."""
+    if deriv.pdeg != p:
+        raise DegreeMismatchError(
+            f"derivation of pdeg {deriv.pdeg} in a degree-{p} span")
     mons = monomials(p)
     nm = len(mons)
     idx = {m: i for i, m in enumerate(mons)}
-    out = []
-    for m in monomials(p - deriv.pdeg):
-        vec = [dom.zero] * (3 * nm)
-        for c, poly in enumerate(deriv.polys):
-            for mm, co in poly.coeffs.items():
-                key = tuple(mm[i] + m[i] for i in range(3))
-                vec[c * nm + idx[key]] = vec[c * nm + idx[key]] + co
-        out.append(vec)
-    return out
+    return {c * nm + idx[m]: co
+            for c, poly in enumerate(deriv.polys)
+            for m, co in poly.coeffs.items()}
+
+
+def _poly_multiple_vectors(deriv: Derivation, p: int):
+    """Sparse vectors of m * deriv for all monomials m of degree
+    p - deriv.pdeg."""
+    nm = len(monomials(p))
+    idx = {m: i for i, m in enumerate(monomials(p))}
+    return [{c * nm + idx[(mm[0] + m[0], mm[1] + m[1], mm[2] + m[2])]: co
+             for c, poly in enumerate(deriv.polys)
+             for mm, co in poly.coeffs.items()}
+            for m in monomials(p - deriv.pdeg)]
 
 
 class _FieldReducer:
-    """Incremental row reduction over a field, for complement extraction."""
+    """Incremental row reduction over a field, for complement extraction.
 
-    def __init__(self, zero):
-        self.zero = zero
-        self.rows = {}  # pivot index -> normalized row
+    Rows are sparse {index: nonzero value}, keyed by their pivot, the first
+    index a row holds, where the value is one.
+    """
 
-    def reduce(self, vec):
-        v = list(vec)
+    def __init__(self):
+        self.rows = {}  # pivot index -> row
+
+    def reduce(self, vec: dict) -> dict:
+        v = dict(vec)
         for piv in sorted(self.rows):
-            if v[piv]:
-                coef = v[piv]
-                row = self.rows[piv]
-                v = [a - coef * b for a, b in zip(v, row)]
+            coef = v.get(piv)
+            if coef:
+                for j, x in self.rows[piv].items():
+                    y = v.get(j)
+                    y = -coef * x if y is None else y - coef * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
         return v
 
-    def add(self, vec) -> bool:
+    def add(self, vec: dict) -> bool:
         """Reduce and absorb; returns True if the vector was independent."""
         v = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+        if not v:
             return False
+        piv = min(v)
         inv = (1 / v[piv]) if isinstance(v[piv], Fraction) else v[piv].inverse()
-        self.rows[piv] = [x * inv for x in v]
+        self.rows[piv] = {j: x * inv for j, x in v.items()}
         return True
 
 
-def _first_complement(p: int, gens, basis, dom: Domain):
-    """First degree-p basis derivation outside S*gens, reduced, or None.
+def _first_complement(p: int, theta_e: Derivation, others, basis,
+                      dom: Domain):
+    """First degree-p basis derivation outside S*theta_E + S*others,
+    reduced, or None.
 
     The reduced vector vanishes on the pivot columns of the span, so it
     depends only on the span as a subspace, not on the vectors spanning it.
+    Each m*theta_E is entered as a row as it is: its entries are ones at
+    (D1, m*x1), (D2, m*x2) and (D3, m*x3), so its pivot (D1, m*x1) is a one
+    and differs from that of every other monomial m.
     """
-    red = _FieldReducer(dom.zero)
-    for g in gens:
-        for v in _poly_multiple_vectors(g, p, dom):
+    red = _FieldReducer()
+    for v in _poly_multiple_vectors(theta_e, p):
+        red.rows[min(v)] = v
+    for g in others:
+        for v in _poly_multiple_vectors(g, p):
             red.add(v)
     for b in basis:
-        r = red.reduce(_derivation_vector(b, p, dom))
-        if any(r):
-            return _vector_to_derivation(r, p)
+        r = red.reduce(_derivation_vector(b, p))
+        if r:
+            return _vector_to_derivation(
+                [r.get(j, dom.zero) for j in range(3 * len(monomials(p)))], p)
     return None
 
 
@@ -506,10 +517,10 @@ def _decide_freeness_impl(arr: Arrangement):
     dom = arr.domain
     theta_e = euler_derivation(arr)
     basis2 = derivation_basis(arr, e2)
-    th2 = _first_complement(e2, (theta_e,), basis2, dom)
+    th2 = _first_complement(e2, theta_e, (), basis2, dom)
     if th2 is not None:
         basis3 = basis2 if e3 == e2 else derivation_basis(arr, e3)
-        th3 = _first_complement(e3, (theta_e, th2), basis3, dom)
+        th3 = _first_complement(e3, theta_e, (th2,), basis3, dom)
         if th3 is not None:
             c = saito_check(arr, theta_e, th2, th3)
             if c is not None:

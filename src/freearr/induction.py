@@ -16,6 +16,7 @@ bookkeeping compatible with deleting H is
 """
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -156,21 +157,30 @@ class IFCertificate:
 
 
 _IF_CACHE: dict = {}
+# inductively_free's answer per live lattice.  Lattices compare equal when
+# their labelled flats are equal, and the search reads only the lattice, so a
+# hit's labels are the caller's; an entry dies with its lattice.
+_IF_ANSWERS = weakref.WeakKeyDictionary()
 
 
 def inductively_free(arr: Arrangement):
     """Certificate chain if the arrangement is inductively free, else None.
 
     The search reads only the intersection lattice: no derivation module is
-    solved.  Verdicts are memoized on the canonical lattice key.  Each step
-    deletes one hyperplane H whose forced exponent bookkeeping [1, s-1, n-s]
-    matches the characteristic polynomial roots; by deletion-restriction the
+    solved.  Each answer is memoized on the lattice while it lives, and
+    failed searches on the canonical lattice key.  Each step deletes one
+    hyperplane H whose forced exponent bookkeeping [1, s-1, n-s] matches
+    the characteristic polynomial roots; by deletion-restriction the
     deletion then automatically carries the matching [1, s-1, n-s-1].  The
     match holds exactly when s is e+1 or f+1, so whenever the obstruction of
     quick_non_if fires, no H passes it and the search fails at once.
     """
-    cert = _if_search(arr)
-    return cert
+    lat = arr.lattice()
+    try:
+        return _IF_ANSWERS[lat]
+    except KeyError:
+        cert = _IF_ANSWERS[lat] = _if_search(arr)
+        return cert
 
 
 def _if_search(arr: Arrangement):

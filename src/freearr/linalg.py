@@ -1,15 +1,19 @@
 """Exact linear algebra over the scalar domains.
 
-One fraction-free (Bareiss) engine solves the derivation constraint systems.
-Its entries live in Z or Z[sqrt d], kept small by per-row content reduction;
-the ring is supplied as an ops object (IntOps or QuadOps).  The 3x3
-determinant and cross product helpers work over any commutative ring,
-including Z[t].
+The derivation constraint systems are solved by one multi-modular engine.
+Their rows live in Z or Z[sqrt d], the ring being supplied as an ops object
+(IntOps, or a QuadOps instance).  Each word-size prime of a fixed sequence
+maps the rows into F_p, where the reduced row echelon form is computed; the
+canonical nullspace basis is then recovered by Chinese remaindering and
+rational reconstruction, and returned only after it has been verified
+exactly against every row.  The 3x3 determinant and cross product helpers
+work over any commutative ring, including Z[t].
 """
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .scalars import QuadElem
 
@@ -38,6 +42,7 @@ class IntOps:
 
     zero = 0
     one = 1
+    parts = 1           # integer coordinates per ring element
 
     @staticmethod
     def is_zero(x):
@@ -46,29 +51,6 @@ class IntOps:
     @staticmethod
     def mul(x, y):
         return x * y
-
-    @staticmethod
-    def sub(x, y):
-        return x - y
-
-    @staticmethod
-    def div_exact(x, y):
-        q, r = divmod(x, y)
-        if r:
-            raise ArithmeticError("inexact integer division in elimination")
-        return q
-
-    @staticmethod
-    def reduce_row(row):
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-        if g > 1:
-            for i, x in enumerate(row):
-                row[i] = x // g
-        return row
 
     @staticmethod
     def to_field(x):
@@ -82,9 +64,36 @@ class IntOps:
     def field_one():
         return Fraction(1)
 
+    # -- the ring as the multi-modular engine sees it ----------------------
+
+    @staticmethod
+    def images(rows, p):
+        """(the rows mod p under each ring map to F_p, as sparse dicts; the
+        map from residues under those maps to residues of the integer
+        coordinates), or None when p admits no ring map."""
+        return [[{j: y for j, x in enumerate(row) if (y := x % p)}
+                 for row in rows]], _identity
+
+    @staticmethod
+    def integer_rows(rows):
+        """Integer rows that vanish on a coordinate vector exactly when
+        the given rows annihilate the vector it describes."""
+        return rows
+
+    @staticmethod
+    def from_coords(coords, den):
+        """Field elements with the given integer coordinates over den."""
+        return [Fraction(x, den) for x in coords]
+
+
+def _identity(residues):
+    return residues
+
 
 class QuadOps:
     """Ring Z[sqrt d] with elements stored as (a, b) integer pairs."""
+
+    parts = 2
 
     def __init__(self, d: int):
         self.d = d
@@ -100,33 +109,6 @@ class QuadOps:
         c, e = y
         return (a * c + self.d * b * e, a * e + b * c)
 
-    @staticmethod
-    def sub(x, y):
-        return (x[0] - y[0], x[1] - y[1])
-
-    def div_exact(self, x, y):
-        # Multiply by the conjugate, then divide by the integer norm.
-        a, b = y
-        n = a * a - self.d * b * b
-        u = self.mul(x, (a, -b))
-        qa, ra = divmod(u[0], n)
-        qb, rb = divmod(u[1], n)
-        if ra or rb:
-            raise ArithmeticError("inexact division in elimination")
-        return (qa, qb)
-
-    @staticmethod
-    def reduce_row(row):
-        g = 0
-        for a, b in row:
-            g = gcd(gcd(g, a), b)
-            if g == 1:
-                return row
-        if g > 1:
-            for i, (a, b) in enumerate(row):
-                row[i] = (a // g, b // g)
-        return row
-
     def to_field(self, x):
         return QuadElem._make(self.d, Fraction(x[0]), Fraction(x[1]))
 
@@ -136,79 +118,295 @@ class QuadOps:
     def field_one(self):
         return QuadElem._make(self.d, Fraction(1), Fraction(0))
 
+    # -- the ring as the multi-modular engine sees it ----------------------
 
-def echelon(rows, ncols, ops):
-    """Fraction-free row echelon form (Bareiss elimination).
+    def images(self, rows, p):
+        """The rows under sqrt d -> r and sqrt d -> -r, with r*r = d mod p,
+        and the map from residues x+, x- under them to those of the
+        coordinates a = (x+ + x-)/2 and b = (x+ - x-)/(2r); None when d is
+        not a nonzero square mod p."""
+        r = _sqrt_mod(self.d, p)
+        if r is None:
+            return None
+        plus = [{j: y for j, (a, b) in enumerate(row)
+                 if (y := (a + b * r) % p)} for row in rows]
+        minus = [{j: y for j, (a, b) in enumerate(row)
+                  if (y := (a - b * r) % p)} for row in rows]
+        half, inv2r = (p + 1) >> 1, pow(2 * r, -1, p)
 
-    Every entry produced at stage k is a (k+1)x(k+1) minor of the input, so
-    entry growth stays polynomial.  Returns (pivot_rows, pivot_cols).  Input
-    rows are not modified.
-    """
-    work = [ops.reduce_row(list(r)) for r in rows]
-    work = [r for r in work if any(not ops.is_zero(x) for x in r)]
-    pivots = []
-    prev = ops.one
-    r = 0
-    mul, sub, div, is_zero = ops.mul, ops.sub, ops.div_exact, ops.is_zero
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if not is_zero(work[i][col]):
-                piv = i
-                break
-        if piv is None:
+        def coords(xp, xm):
+            out = []
+            for u, v in zip(xp, xm):
+                out.append((u + v) * half % p)
+                out.append((u - v) * inv2r % p)
+            return out
+        return [plus, minus], coords
+
+    def integer_rows(self, rows):
+        """Two integer rows per row, on interleaved coordinates (a, b):
+        (x + y sqrt d)(a + b sqrt d) = (x a + d y b) + (y a + x b) sqrt d."""
+        d = self.d
+        out = []
+        for row in rows:
+            out.append([c for x, y in row for c in (x, d * y)])
+            out.append([c for x, y in row for c in (y, x)])
+        return out
+
+    def from_coords(self, coords, den):
+        d = self.d
+        return [QuadElem._make(d, Fraction(coords[i], den),
+                               Fraction(coords[i + 1], den))
+                for i in range(0, len(coords), 2)]
+
+
+# -- primes ----------------------------------------------------------------
+
+_PRIMES: list = []   # the primes below 2**62 in descending order, memoized
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3*10**24."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        pval = prow[col]
-        for i in range(r + 1, len(work)):
-            row = work[i]
-            v = row[col]
-            if is_zero(v):
-                new = [ops.zero] * (col + 1) + [
-                    div(mul(pval, row[j]), prev)
-                    for j in range(col + 1, ncols)
-                ]
-            else:
-                new = [ops.zero] * (col + 1) + [
-                    div(sub(mul(pval, row[j]), mul(v, prow[j])), prev)
-                    for j in range(col + 1, ncols)
-                ]
-            work[i] = new
-        work = work[:r + 1] + [
-            w for w in work[r + 1:] if any(not is_zero(x) for x in w)]
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The largest primes below 2**62, in descending order."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            q = (_PRIMES[-1] if _PRIMES else 2 ** 62 + 1) - 2
+            while not _is_prime(q):
+                q -= 2
+            _PRIMES.append(q)
+        yield _PRIMES[i]
+        i += 1
+
+
+def _sqrt_mod(n: int, p: int):
+    """r with r*r = n mod the odd prime p (Tonelli-Shanks), or None when n
+    is not a nonzero square mod p."""
+    n %= p
+    if n == 0 or pow(n, (p - 1) >> 1, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    z = 2
+    while pow(z, (p - 1) >> 1, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) >> 1, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+# -- the engine ------------------------------------------------------------
+
+def _rref_mod(rows, ncols: int, p: int):
+    """(pivot columns, nonzero rows) of the reduced row echelon form mod p.
+
+    Rows, in and out, are dicts {column: nonzero residue}.  Each step
+    pivots on the shortest row to limit fill-in; the pivot rows are reduced
+    against one another at the end, from the last pivot back.
+    """
+    work = [row for row in rows if row]
+    pivots, done = [], []
+    for col in range(ncols):
+        best = None
+        for i, row in enumerate(work):
+            if col in row and (best is None or len(row) < len(work[best])):
+                best = i
+        if best is None:
+            continue
+        prow = work.pop(best)
+        inv = pow(prow.pop(col), -1, p)
+        prow = {j: x * inv % p for j, x in prow.items()}
+        for row in work:
+            if col in row:
+                _eliminate(row, col, prow, p)
         pivots.append(col)
-        prev = pval
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+        done.append(prow)
+    for k in range(len(done) - 1, -1, -1):
+        row = done[k]
+        for j in range(k + 1, len(done)):
+            if pivots[j] in row:
+                _eliminate(row, pivots[j], done[j], p)
+    for col, row in zip(pivots, done):
+        row[col] = 1
+    return pivots, done
+
+
+def _eliminate(row, col: int, prow, p: int):
+    """row -= row[col] * prow mod p, prow having a one at col (not stored)."""
+    c = row.pop(col)
+    for j, y in prow.items():
+        v = (row.get(j, 0) - c * y) % p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _rational(x: int, m: int, bound: int):
+    """(n, d) with n = d*x mod m, |n| <= bound, 0 < d <= bound and
+    gcd(n, d) = 1, or None; unique when 2*bound**2 < m."""
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(residues, m: int):
+    """(numerators, one common denominator) of rationals with the given
+    residues mod m, each bounded as in _rational after scaling by the
+    denominator found so far; None when m is still too small."""
+    bound = isqrt(m >> 1)
+    den = 1
+    nums = []
+    for x in residues:
+        y = x * den % m
+        if y > bound:
+            if m - y <= bound:
+                y -= m
+            else:
+                frac = _rational(y, m, bound)
+                if frac is None:
+                    return None
+                y, d = frac
+                den *= d
+                if den > bound:
+                    return None
+                nums = [n * d for n in nums]
+        nums.append(y)
+    return nums, den
+
+
+def _annihilates(columns, nrows: int, entries) -> bool:
+    """Do the integer rows, given by their nonzero entries per column,
+    vanish on the vector with the given (column, value) entries?"""
+    acc = [0] * nrows
+    for j, w in entries:
+        for i, a in columns[j]:
+            acc[i] += a * w
+    return not any(acc)
+
+
+def _residues_mod(rows, ncols: int, ops, p: int):
+    """(pivot columns, free columns, and per free column f the coordinate
+    residues of its basis vector at the pivots before f) mod p; None when p
+    admits no ring map or the ring maps disagree on the pivots, which makes
+    p unlucky."""
+    image = ops.images(rows, p)
+    if image is None:
+        return None
+    mats, to_coords = image
+    forms = [_rref_mod(m, ncols, p) for m in mats]
+    pivots = forms[0][0]
+    if any(piv != pivots for piv, _ in forms[1:]):
+        return None
+    # Residues only at the pivots before f, so every vector has the support
+    # the proof in nullspace needs by construction.
+    pivset = set(pivots)
+    free = [f for f in range(ncols) if f not in pivset]
+    return pivots, free, [
+        to_coords(*[[-red[k].get(f, 0) % p for k in range(bisect(pivots, f))]
+                    for _, red in forms])
+        for f in free]
+
+
+def _columns(irows, width: int):
+    """The nonzero entries (row, value) of each column of integer rows."""
+    columns = [[] for _ in range(width)]
+    for i, row in enumerate(irows):
+        for j, a in enumerate(row):
+            if a:
+                columns[j].append((i, a))
+    return columns
 
 
 def rank(rows, ncols, ops) -> int:
-    return len(echelon(rows, ncols, ops)[0])
+    return ncols - len(nullspace(rows, ncols, ops))
 
 
 def nullspace(rows, ncols, ops):
     """Basis of the right nullspace, as vectors of field elements.
 
-    One basis vector per free column, with a one in that column.
+    One vector per free column f of the reduced row echelon form, with a
+    one at f, zero at the other free columns and nonzero entries only at
+    pivot columns before f: the canonical basis, which does not depend on
+    how it is computed.
+
+    Primes are ranked by (higher rank, then lexicographically smaller
+    pivot list), and residues are combined only across primes tied for the
+    best rank so far.  The reconstructed basis is returned once every
+    vector annihilates every row exactly.  That check is the proof: the
+    vectors are independent and number ncols - rank_p >= the true nullity,
+    and each vector's support (its free column f and pivot columns before
+    f) shows that f is no pivot over the field, so the pivots are the true
+    ones.  Only finitely many primes give a wrong rank or pivot list, so
+    the loop ends.
     """
-    ech, pivots = echelon(rows, ncols, ops)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    frows = [[ops.to_field(x) for x in row] for row in ech]
+    parts = ops.parts
+    best = None                 # rank key of the primes being combined
+    modulus, acc = 1, []
+    columns = None              # the exact check's integer rows, by column
+    for p in _primes():
+        found = _residues_mod(rows, ncols, ops, p)
+        if found is None:
+            continue
+        pivots, free, res = found
+        key = (-len(pivots), pivots)    # the smaller, the better the prime
+        if best is not None and key > best:
+            continue
+        if key != best:
+            best, modulus, acc = key, p, res
+        else:
+            inv = pow(modulus, -1, p)
+            acc = [[x + modulus * ((y - x) * inv % p)
+                    for x, y in zip(xs, ys)] for xs, ys in zip(acc, res)]
+            modulus *= p
+        sols = [_reconstruct(xs, modulus) for xs in acc]
+        if None in sols:
+            continue
+        if columns is None:
+            irows = ops.integer_rows(rows)
+            columns = _columns(irows, parts * ncols)
+        # den times each vector, on the coordinates of the integer rows
+        coords = [c * parts + t for c in pivots for t in range(parts)]
+        if all(_annihilates(columns, len(irows),
+                            [*zip(coords, nums), (f * parts, den)])
+               for f, (nums, den) in zip(free, sols)):
+            break
+    zero, one = ops.field_zero(), ops.field_one()
     basis = []
-    for f in free_cols:
-        v = [ops.field_zero() for _ in range(ncols)]
-        v[f] = ops.field_one()
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            row = frows[k]
-            s = ops.field_zero()
-            for j in range(pc + 1, ncols):
-                if v[j]:
-                    s = s + row[j] * v[j]
-            v[pc] = -s / row[pc] if s else ops.field_zero()
+    for f, (nums, den) in zip(free, sols):
+        v = [zero] * ncols
+        for c, x in zip(pivots, ops.from_coords(nums, den)):
+            v[c] = x
+        v[f] = one
         basis.append(v)
     return basis

@@ -113,6 +113,11 @@ class TestSaito:
             saito_check(arr, euler_derivation(arr), _diag_derivation(0),
                         _diag_derivation(1))
 
+    def test_span_vector_degree_mismatch(self):
+        arr = near_pencil(5)
+        with pytest.raises(fr.DegreeMismatchError):
+            fr._derivation_vector(euler_derivation(arr), 2)
+
 
 def _expand_determinant(cert) -> HPoly:
     """Cofactor expansion of the coefficient matrix, done independently."""

@@ -1,4 +1,6 @@
 """Addition-Deletion bookkeeping, inductive and recursive freeness."""
+import gc
+
 import pytest
 
 from freearr import arrangement as am
@@ -98,6 +100,42 @@ class TestInductivelyFree:
         monkeypatch.setattr(induction, "decide_freeness", no_solve)
         monkeypatch.setattr(induction, "_IF_CACHE", {})
         assert [inductively_free(arr) for arr in small_corpus] == chains
+
+    def test_answer_memoized_per_lattice(self, monkeypatch):
+        arr = near_pencil(6)
+        first = inductively_free(arr)
+        calls = []
+        profile = induction.restriction_profile
+
+        def counted(a, h):
+            calls.append(h)
+            return profile(a, h)
+
+        monkeypatch.setattr(induction, "restriction_profile", counted)
+        assert inductively_free(arr) is first
+        assert calls == []
+
+    def test_permuted_copy_gets_its_own_chain(self, monkeypatch):
+        cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+                (0, 1, 1), (1, 1, 1)]
+        original = inductively_free(rational_arrangement(*cols))
+        permuted = cols[3:] + cols[:3]
+        chain = inductively_free(rational_arrangement(*permuted))
+        assert chain is not None and chain != original
+        monkeypatch.setattr(induction, "_IF_CACHE", {})
+        monkeypatch.setattr(induction, "_IF_ANSWERS",
+                            type(induction._IF_ANSWERS)())
+        assert chain == inductively_free(rational_arrangement(*permuted))
+
+    def test_memo_entry_dies_with_its_lattice(self, monkeypatch):
+        monkeypatch.setattr(induction, "_IF_ANSWERS",
+                            type(induction._IF_ANSWERS)())
+        arr = near_pencil(5)
+        inductively_free(arr)
+        assert len(induction._IF_ANSWERS) == 1
+        del arr
+        gc.collect()
+        assert len(induction._IF_ANSWERS) == 0
 
     def test_if_implies_free_and_obstruction_implies_not_if(
             self, small_corpus):

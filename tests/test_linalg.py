@@ -1,21 +1,27 @@
-"""Fraction-free exact linear algebra."""
+"""Exact linear algebra: the multi-modular nullspace engine, whose answers
+are verified exactly, against plain field elimination."""
+import hashlib
 import random
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freearr import freeness, linalg, moduli
 from freearr.linalg import (
     IntOps,
     QuadOps,
     cross,
     det3,
     det3_cols,
-    echelon,
     nullspace,
     rank,
 )
 from freearr.scalars import QuadElem
+
+# The engine's first prime: the largest prime below 2**62.
+P0 = sympy.prevprime(2 ** 62)
 
 
 def fraction_rank(rows, ncols):
@@ -35,8 +41,45 @@ def fraction_rank(rows, ncols):
     return r
 
 
+def rref_nullspace(rows, ncols):
+    """Canonical nullspace basis by Gauss-Jordan over the field of the
+    entries (Fraction or QuadElem): one vector per free column f, with a one
+    at f and minus the reduced entries of column f at the pivots."""
+    work = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        lead = work[r][col]
+        work[r] = [x / lead for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for k, c in enumerate(pivots):
+            v[c] = -work[k][f]
+        basis.append(v)
+    return basis, pivots
+
+
 matrices = st.lists(
     st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=6),
+    min_size=1, max_size=6).filter(
+        lambda rows: len({len(r) for r in rows}) == 1)
+wide_entries = st.integers(min_value=-5, max_value=5) | st.sampled_from(
+    [2 ** 64 + 13, -(2 ** 65) - 1, 3 * 2 ** 70, P0, -2 * P0])
+wide_matrices = st.lists(
+    st.lists(wide_entries, min_size=1, max_size=6),
     min_size=1, max_size=6).filter(
         lambda rows: len({len(r) for r in rows}) == 1)
 
@@ -59,13 +102,45 @@ class TestIntegerEngine:
                 assert sum(Fraction(row[j]) * v[j]
                            for j in range(ncols)) == 0
 
-    def test_echelon_is_upper_triangular(self):
-        rows = [[2, 4, 1], [1, 2, 3], [0, 1, 1]]
-        ech, pivots = echelon(rows, 3, IntOps)
-        for k, col in enumerate(pivots):
-            assert ech[k][col] != 0
-            for j in range(col):
-                assert ech[k][j] == 0
+    @given(wide_matrices)
+    @settings(max_examples=150)
+    def test_canonical_basis_matches_rref_oracle(self, rows):
+        ncols = len(rows[0])
+        basis = nullspace(rows, ncols, IntOps)
+        expected, pivots = rref_nullspace(
+            [[Fraction(x) for x in r] for r in rows], ncols)
+        assert basis == expected
+        free = [c for c in range(ncols) if c not in pivots]
+        for f, v in zip(free, basis):
+            assert all(isinstance(x, Fraction) for x in v)
+            assert v[f] == 1
+            assert all(not v[g] for g in free if g != f)
+            assert all(not v[c] for c in pivots if c > f)
+
+    def test_unlucky_first_prime(self):
+        # Mod the first prime the row is (0, 1): wrong pivot, wrong answer.
+        assert nullspace([[P0, 1]], 2, IntOps) == [[Fraction(-1, P0), 1]]
+        assert rank([[P0, 1], [2 * P0, 2]], 2, IntOps) == 1
+
+    def test_worse_prime_is_skipped(self, monkeypatch):
+        # -1/P1 needs three primes.  Mod P1 the pivot moves to column 1, a
+        # worse prime, which must neither restart nor join the combination.
+        p1 = sympy.prevprime(P0)
+        tried = []
+        residues = linalg._residues_mod
+
+        def counted(rows, ncols, ops, p):
+            tried.append(p)
+            return residues(rows, ncols, ops, p)
+
+        monkeypatch.setattr(linalg, "_residues_mod", counted)
+        assert nullspace([[p1, 1]], 2, IntOps) == [[Fraction(-1, p1), 1]]
+        assert tried[:2] == [P0, p1] and len(tried) == 4
+
+    def test_empty_and_zero_systems(self):
+        assert nullspace([], 2, IntOps) == [[1, 0], [0, 1]]
+        assert nullspace([[0, 0]], 2, IntOps) == [[1, 0], [0, 1]]
+        assert nullspace([], 0, IntOps) == []
 
 
 class TestQuadraticEngine:
@@ -94,6 +169,47 @@ class TestQuadraticEngine:
         assert rank(rows, 2, ops) == 1
         (v,) = nullspace(rows, 2, ops)
         assert v[0] * QuadElem(2, 1, 0) + v[1] * QuadElem(2, 0, 1) == 0
+
+    @staticmethod
+    def _against_oracle(d, seed, count=60):
+        rng = random.Random(seed)
+        ops = QuadOps(d)
+        for _ in range(count):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[(rng.randint(-3, 3), rng.randint(-3, 3))
+                     for _ in range(n)] for _ in range(m)]
+            if m > 2:
+                rows.append([ops.mul(x, (1, 1)) for x in rows[0]])
+            expected, _ = rref_nullspace(
+                [[ops.to_field(x) for x in r] for r in rows], n)
+            basis = nullspace(rows, n, ops)
+            assert basis == expected
+            assert all(isinstance(x, QuadElem) for v in basis for x in v)
+
+    def test_gaussian_integers(self):
+        # sqrt(-1) has no square root mod primes p = 3 mod 4.
+        ops = QuadOps(-1)
+        assert nullspace([[(1, 0), (0, 1)]], 2, ops) == [
+            [QuadElem(-1, 0, -1), QuadElem(-1, 1, 0)]]
+        self._against_oracle(-1, 11)
+
+    def test_non_residue_mod_first_prime(self):
+        d = next(d for d in (2, 3, 5, 6, 7, 10, 11)
+                 if pow(d, (P0 - 1) // 2, P0) == P0 - 1)
+        self._against_oracle(d, 12)
+
+
+class TestPaperCertificate:
+    def test_paper15_sqrt5_certificate_text(self):
+        # paper15 at t = (3 + sqrt 5)/2, a root of t^2 - 3t + 1: the
+        # certificate text is fixed, whatever engine solves the systems.
+        omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+        arr = moduli.specialize(moduli.family_15(), omega).arrangement
+        verdict = freeness.decide_freeness(arr, use_cache=False)
+        assert verdict.exponents == (1, 5, 9)
+        text = freeness.certificate_to_text(verdict.certificate)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "abaacbbb5c85ce684b30e72d69b7a631974f7107eab1e0cf3bf9ac844d974c87")
 
 
 class TestDeterminants:
