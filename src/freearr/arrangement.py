@@ -7,6 +7,7 @@ lattice of a rank-3 central arrangement is captured by its rank-2 flats
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -157,9 +158,6 @@ class IntersectionLattice:
     flats: tuple
     per_hyperplane: tuple
 
-    def multiplicity(self, flat_index: int) -> int:
-        return len(self.flats[flat_index])
-
     def multiplicities(self) -> tuple:
         """Sorted multiset of flat multiplicities."""
         return tuple(sorted(len(f) for f in self.flats))
@@ -179,18 +177,29 @@ class IntersectionLattice:
         return d
 
     @cached_property
-    def canonical(self) -> str:
-        """The key of :func:`canonical_key`.
+    def profiles(self) -> tuple:
+        """``profiles[h-1]``: sorted multiplicities of the flats through h."""
+        return tuple(tuple(sorted(len(self.flats[f]) for f in incident))
+                     for incident in self.per_hyperplane)
 
-        Encodes, under a lexicographically minimal hyperplane ordering, each
-        hyperplane's invariant profile followed by block labels of the pairs
-        it forms with earlier hyperplanes (blocks = rank-2 flats, labeled in
-        order of first appearance).  Minimality is found by backtracking
-        that keeps only candidates achieving the minimal next chunk.
+    @cached_property
+    def canonical(self) -> tuple:
+        """(key of :func:`canonical_key`, |Aut|, generators of Aut).
+
+        The key encodes, under a lexicographically minimal hyperplane
+        ordering, each hyperplane's profile followed by block labels of the
+        pairs it forms with earlier hyperplanes (blocks = rank-2 flats,
+        labeled in order of first appearance).  The walk keeps only
+        candidates achieving the minimal next chunk, and of those one per
+        orbit of the automorphisms fixing the prefix: such a map carries one
+        subtree onto the other with equal encodings.  The backtracker decides
+        orbits, pinning the prefix.  Along the first path the orbits form a
+        stabilizer chain: |Aut| is the product of their sizes, and their
+        witnesses generate Aut.
         """
         n = self.n
         tab = self.pair_table
-        prof = {h: self.hyperplane_profile(h) for h in range(1, n + 1)}
+        prof = self.profiles
 
         def chunk_for(cand, prefix, flat_labels):
             labels = []
@@ -204,9 +213,11 @@ class IntersectionLattice:
                     lab = len(flat_labels) + len(local)
                     local[f] = lab
                 labels.append(lab)
-            return (prof[cand], tuple(labels)), local
+            return (prof[cand - 1], tuple(labels)), local
 
         best: list = [None]
+        order = [1]
+        generators = []
 
         def search(prefix, flat_labels, acc):
             if len(prefix) == n:
@@ -227,9 +238,29 @@ class IntersectionLattice:
                 trial = tuple(acc) + (mn,)
                 if trial > best[0][:pos + 1]:
                     return
+            pinned = [(h, h) for h in prefix]
+            reps = []
+            witnesses = []
             for ch, cand, local in candidates:
                 if ch != mn:
                     continue
+                for i, (_, rep, _) in enumerate(reps):
+                    w = _iso_backtrack(self, self, pinned + [(rep, cand)])
+                    if w is not None:
+                        if not _check_iso(self, self, w):
+                            raise InvariantError(
+                                "backtracking returned a map that is not "
+                                "an automorphism")
+                        if i == 0:
+                            witnesses.append(w)
+                        break
+                else:
+                    reps.append((ch, cand, local))
+            if best[0] is None:  # on the first path
+                order[0] *= len(witnesses) + 1
+                generators.extend(tuple(w[h] for h in range(1, n + 1))
+                                  for w in witnesses)
+            for ch, cand, local in reps:
                 fl = dict(flat_labels)
                 fl.update(local)
                 acc.append(ch)
@@ -237,11 +268,11 @@ class IntersectionLattice:
                 acc.pop()
 
         search([], {}, [])
-        return repr(best[0])
+        return repr(best[0]), order[0], tuple(generators)
 
     def hyperplane_profile(self, h: int) -> tuple:
         """Sorted multiset of multiplicities of the flats through h."""
-        return tuple(sorted(len(self.flats[f]) for f in self.per_hyperplane[h - 1]))
+        return self.profiles[h - 1]
 
     def validate(self):
         seen = {}
@@ -388,8 +419,7 @@ def restriction_profile(arr: Arrangement, h: int):
     """(|A^H|, multiset of flat multiplicities along H)."""
     if not 1 <= h <= arr.n:
         raise UnknownLabelError(h)
-    lat = arr.lattice()
-    mults = tuple(sorted(len(lat.flats[f]) for f in lat.per_hyperplane[h - 1]))
+    mults = arr.lattice().profiles[h - 1]
     return len(mults), mults
 
 
@@ -418,27 +448,25 @@ def deletion_is_essential(arr: Arrangement, h: int) -> bool:
     return _has_rank3(cols)
 
 
-def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice, find_all,
-                   fixed_first=False):
-    """Backtracking hyperplane-bijection search between two lattices.
+def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice,
+                   fixed=()):
+    """First hyperplane bijection inducing a lattice isomorphism, or None.
 
-    Yields mappings as dicts.  Prunes with per-hyperplane invariants and
-    incremental pair/flat consistency.
+    The (h, g) pairs of ``fixed`` come first in the order and are mapped as
+    given.  Prunes with hyperplane profiles and incremental pair/flat
+    consistency.
     """
-    if l1.n != l2.n or len(l1.flats) != len(l2.flats):
-        return
-    if l1.multiplicities() != l2.multiplicities():
-        return
+    prof1, prof2 = l1.profiles, l2.profiles
+    # equal profile multisets imply equal n and flat multiplicities
+    if l1 is not l2 and sorted(prof1) != sorted(prof2):
+        return None
     n = l1.n
-    prof1 = {h: l1.hyperplane_profile(h) for h in range(1, n + 1)}
-    prof2 = {h: l2.hyperplane_profile(h) for h in range(1, n + 1)}
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return
     t1, t2 = l1.pair_table, l2.pair_table
-    # order source hyperplanes, rarest invariant first
-    from collections import Counter
-    cnt = Counter(prof1.values())
-    order = sorted(range(1, n + 1), key=lambda h: (cnt[prof1[h]], h))
+    # order source hyperplanes: pinned ones first, then rarest profile first
+    cnt = Counter(prof1)
+    pins = dict(fixed)
+    order = list(pins) + sorted((h for h in range(1, n + 1) if h not in pins),
+                                key=lambda h: (cnt[prof1[h - 1]], h))
     mapping = {}
     used = set()
     flat_map = {}
@@ -446,11 +474,10 @@ def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice, find_all,
 
     def extend(pos):
         if pos == n:
-            yield dict(mapping)
-            return
+            return True
         h = order[pos]
-        for cand in range(1, n + 1):
-            if cand in used or prof2[cand] != prof1[h]:
+        for cand in (pins[h],) if h in pins else range(1, n + 1):
+            if cand in used or prof2[cand - 1] != prof1[h - 1]:
                 continue
             new_flats = []
             ok = True
@@ -473,66 +500,38 @@ def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice, find_all,
             if ok:
                 mapping[h] = cand
                 used.add(cand)
-                yield from extend(pos + 1)
+                if extend(pos + 1):
+                    return True
                 del mapping[h]
                 used.discard(cand)
             for f1 in new_flats:
                 del flat_map_rev[flat_map.pop(f1)]
+        return False
 
-    yield from extend(0)
+    return mapping if extend(0) else None
 
 
 def _check_iso(l1, l2, mapping) -> bool:
-    image = {frozenset(mapping[h] for h in f) for f in l1.flats}
+    image = {frozenset(map(mapping.__getitem__, f)) for f in l1.flats}
     return image == set(l2.flats)
 
 
 def lattice_iso(l1: IntersectionLattice, l2: IntersectionLattice):
     """A hyperplane bijection inducing a lattice isomorphism, or None."""
-    for mapping in _iso_backtrack(l1, l2, find_all=False):
-        if not _check_iso(l1, l2, mapping):
-            raise InvariantError(
-                "backtracking returned a map that is not an isomorphism")
-        return mapping
-    return None
-
-
-def _perm_tuple(mapping, n):
-    return tuple(mapping[h] for h in range(1, n + 1))
-
-
-def _compose(p, q):
-    # (p o q)(i) = p[q[i]]
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    mapping = _iso_backtrack(l1, l2)
+    if mapping is not None and not _check_iso(l1, l2, mapping):
+        raise InvariantError(
+            "backtracking returned a map that is not an isomorphism")
+    return mapping
 
 
 def aut_order(lat: IntersectionLattice):
-    """(order of Aut, generator permutations as 1-based tuples)."""
-    auts = []
-    for mapping in _iso_backtrack(lat, lat, find_all=True):
-        auts.append(_perm_tuple(mapping, lat.n))
-    identity = tuple(range(1, lat.n + 1))
-    generators = []
-    closure = {identity}
-    for a in sorted(auts):
-        if a in closure:
-            continue
-        generators.append(a)
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in list(closure):
-                    for prod in (_compose(g, h), _compose(h, g)):
-                        if prod not in closure:
-                            closure.add(prod)
-                            nxt.append(prod)
-            frontier = nxt
-    if len(closure) != len(auts):
-        raise InvariantError(
-            f"automorphisms not closed: {len(auts)} found, "
-            f"{len(closure)} generated")
-    return len(auts), generators
+    """(order of Aut, generator permutations as 1-based tuples).
+
+    Read from the canonical walk; see :attr:`IntersectionLattice.canonical`.
+    """
+    _, order, generators = lat.canonical
+    return order, list(generators)
 
 
 def canonical_key(lat: IntersectionLattice) -> str:
@@ -541,7 +540,7 @@ def canonical_key(lat: IntersectionLattice) -> str:
     Computed once per lattice and held on it; see
     :attr:`IntersectionLattice.canonical`.
     """
-    return lat.canonical
+    return lat.canonical[0]
 
 
 def format_lattice(lat: IntersectionLattice) -> str:

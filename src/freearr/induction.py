@@ -156,7 +156,8 @@ class IFCertificate:
     base: str
 
 
-_IF_CACHE: dict = {}
+# Canonical keys of the lattices whose IF search failed.
+_IF_CACHE: set = set()
 # inductively_free's answer per live lattice.  Lattices compare equal when
 # their labelled flats are equal, and the search reads only the lattice, so a
 # hit's labels are the caller's; an entry dies with its lattice.
@@ -190,8 +191,7 @@ def _if_search(arr: Arrangement):
     if arr.n == 3:
         return IFCertificate((), "triangle")
     key = canonical_key(arr.lattice())
-    known = _IF_CACHE.get(key)
-    if known is False:
+    if key in _IF_CACHE:
         return None
     n = arr.n
     target = _multiset(exps)
@@ -203,15 +203,13 @@ def _if_search(arr: Arrangement):
             sub, _ = delete(arr, h)
             sub_cert = _if_search(sub)
             if sub_cert is not None:
-                _IF_CACHE[key] = True
                 step = IFStep(n, h, target, s)
                 return IFCertificate((step,) + sub_cert.steps, sub_cert.base)
         elif s == n - 1:
             # The deletion is a pencil of n-1 hyperplanes: free with
             # exponents [0, 1, n-2], and A is the near-pencil [1, 1, n-2].
-            _IF_CACHE[key] = True
             return IFCertificate((IFStep(n, h, target, s),), "pencil")
-    _IF_CACHE[key] = False
+    _IF_CACHE.add(key)
     return None
 
 

@@ -1,7 +1,10 @@
 """Intersection lattices, characteristic polynomials, isomorphism."""
 import gc
+import random
 import weakref
 from fractions import Fraction
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -163,8 +166,6 @@ class TestDeleteRestrict:
 
 class TestIsomorphism:
     def test_permuted_columns_are_isomorphic(self, small_corpus):
-        import random
-
         rng = random.Random(5)
         for arr in small_corpus[:10]:
             perm = list(range(arr.n))
@@ -196,12 +197,58 @@ class TestIsomorphism:
         with pytest.raises(am.InvariantError):
             am.lattice_iso(lat, lat)
 
-    def test_unclosed_automorphisms_raise(self, monkeypatch):
-        identity = {1: 1, 2: 2, 3: 3}
-        monkeypatch.setattr(am, "_iso_backtrack",
-                            lambda l1, l2, find_all: iter([identity, identity]))
+    def test_rejected_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(am, "_check_iso", lambda l1, l2, m: False)
         with pytest.raises(am.InvariantError):
             am.aut_order(boolean3().lattice())
+
+    def test_aut_order_matches_brute_force(self, small_corpus):
+        arrs = [a for a in small_corpus if a.n <= 7]
+        arrs += [boolean3()] + [near_pencil(n) for n in range(5, 8)]
+        # cuts of the 13 lines with normals in {-1, 0, 1}^3: walks with
+        # several orbits per node, on and off the first path
+        b13 = [v for v in product((-1, 0, 1), repeat=3)
+               if any(v) and next(x for x in v if x) > 0]
+        rng = random.Random(1)
+        for _ in range(30):
+            try:
+                arrs.append(rational_arrangement(
+                    *rng.sample(b13, rng.randint(6, 7))))
+            except am.NotEssentialError:
+                pass
+        for arr in arrs:
+            lat = arr.lattice()
+            labels = range(1, lat.n + 1)
+            auts = {p for p in permutations(labels)
+                    if am._check_iso(lat, lat, dict(zip(labels, p)))}
+            order, gens = am.aut_order(lat)
+            assert order == len(auts)
+            # the witnesses generate the whole group
+            group = {tuple(labels)}
+            frontier = list(group)
+            while frontier:
+                p = frontier.pop()
+                for g in gens:
+                    q = tuple(g[h - 1] for h in p)
+                    if q not in group:
+                        group.add(q)
+                        frontier.append(q)
+            assert group == auts
+
+    def test_keys_equal_exactly_when_isomorphic(self, small_corpus):
+        lats = [arr.lattice() for arr in small_corpus]
+        for i, l1 in enumerate(lats):
+            for l2 in lats[i:]:
+                same = am.canonical_key(l1) == am.canonical_key(l2)
+                assert same == (am.lattice_iso(l1, l2) is not None)
+
+    def test_generic_lines_symmetric_group(self):
+        cols = [(1, k, k * k) for k in range(10)]
+        lat = rational_arrangement(*cols).lattice()
+        assert am.aut_order(lat)[0] == factorial(10)
+        random.Random(10).shuffle(cols)
+        shuffled = rational_arrangement(*cols).lattice()
+        assert am.canonical_key(shuffled) == am.canonical_key(lat)
 
 
 class TestListingFormat:

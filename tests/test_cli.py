@@ -12,6 +12,7 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
 BOOLEAN_FAMILY = "1; 0; 0\n0; 1; 0\n0; 0; 1\n"
 NEAR_PENCIL5_FAMILY = "1; 0; 0\n0; 1; 0\n1; -1; 0\n1; -2; 0\n0; 0; 1\n"
+GENERIC8_FAMILY = "".join(f"1; {k}; {k * k}\n" for k in range(8))
 
 
 def run(*args):
@@ -195,6 +196,15 @@ class TestReport:
         assert payload["recursively_free"]["verdict"] == "NotRF"
         assert payload["recursively_free"]["sound"] is True
         assert payload["aut_order"] == 18
+
+    def test_generic_lines_aut(self, tmp_path):
+        p = tmp_path / "generic8.fam"
+        p.write_text(GENERIC8_FAMILY)
+        code, out, _ = run("aut", str(p))
+        assert (code, out) == (0, "40320\n")
+        code, out, _ = run("report", str(p), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["aut_order"] == 40320
 
     def test_text_format(self, np5_file):
         code, out, _ = run("report", np5_file)

@@ -98,7 +98,7 @@ class TestInductivelyFree:
             raise AssertionError("freeness decided inside the IF search")
 
         monkeypatch.setattr(induction, "decide_freeness", no_solve)
-        monkeypatch.setattr(induction, "_IF_CACHE", {})
+        monkeypatch.setattr(induction, "_IF_CACHE", set())
         assert [inductively_free(arr) for arr in small_corpus] == chains
 
     def test_answer_memoized_per_lattice(self, monkeypatch):
@@ -122,7 +122,7 @@ class TestInductivelyFree:
         permuted = cols[3:] + cols[:3]
         chain = inductively_free(rational_arrangement(*permuted))
         assert chain is not None and chain != original
-        monkeypatch.setattr(induction, "_IF_CACHE", {})
+        monkeypatch.setattr(induction, "_IF_CACHE", set())
         monkeypatch.setattr(induction, "_IF_ANSWERS",
                             type(induction._IF_ANSWERS)())
         assert chain == inductively_free(rational_arrangement(*permuted))
