@@ -459,6 +459,8 @@ def _first_complement(p: int, theta_e: Derivation, others, basis,
     return None
 
 
+# Verdicts by state_key, oldest evicted first once the bound is reached.
+_VERDICT_CACHE_SIZE = 4096
 _VERDICT_CACHE: dict = {}
 
 
@@ -492,6 +494,7 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
     They have the same derivation module, and Q differs by the ratio of the
     leading products L, so a cached Saito constant c is returned as
     c * L(cached) / L(caller), which satisfies the caller's own identity.
+    The cache keeps the latest _VERDICT_CACHE_SIZE verdicts.
     """
     if not use_cache:
         return _decide_freeness_impl(arr)
@@ -499,6 +502,8 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
     hit = _VERDICT_CACHE.get(key)
     if hit is None:
         verdict = _decide_freeness_impl(arr)
+        if len(_VERDICT_CACHE) >= _VERDICT_CACHE_SIZE:
+            del _VERDICT_CACHE[next(iter(_VERDICT_CACHE))]
         _VERDICT_CACHE[key] = (verdict, lead)
         return verdict
     verdict, cached_lead = hit

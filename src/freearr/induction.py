@@ -314,13 +314,6 @@ def _addition_targets(n: int, exps: tuple):
         if _multiset((1, m - 1, n - m)) == target))
 
 
-def _rf_state_key(arr: Arrangement) -> tuple:
-    # Lattice key AND coordinates: freeness is not known to be
-    # combinatorial (Terao's problem), so coordinate-distinct states with
-    # equal lattices are kept distinct.
-    return (canonical_key(arr.lattice()), state_key(arr))
-
-
 def recursively_free(arr: Arrangement, max_n: int,
                      max_states: int = 10000) -> RFSearchReport:
     """Bounded bidirectional search for a recursive-freeness chain.
@@ -333,7 +326,9 @@ def recursively_free(arr: Arrangement, max_n: int,
     """
     if max_n < arr.n:
         raise ValueError(f"max_n = {max_n} is below |A| = {arr.n}")
-    start_key = _rf_state_key(arr)
+    # States are keyed by coordinates, not by lattice: freeness is not known
+    # to be combinatorial (Terao's problem).
+    start_key = state_key(arr)
     seen = {start_key}
     parents: dict = {start_key: None}
     queue = deque([(arr, start_key)])
@@ -377,7 +372,7 @@ def recursively_free(arr: Arrangement, max_n: int,
                           # already accepted by the IF test above
             sub, _ = delete(state, h)
             deletion_moves += 1
-            sub_key = _rf_state_key(sub)
+            sub_key = state_key(sub)
             if sub_key not in seen:
                 seen.add(sub_key)
                 parents[sub_key] = (key, Move("delete", (h,)))
@@ -392,7 +387,7 @@ def recursively_free(arr: Arrangement, max_n: int,
                 all_complete = all_complete and complete
                 for cov in cands:
                     grown = build(list(state.columns) + [cov], state.domain)
-                    g_key = _rf_state_key(grown)
+                    g_key = state_key(grown)
                     if g_key not in seen:
                         seen.add(g_key)
                         move = Move("add", tuple(cov))

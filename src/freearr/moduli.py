@@ -4,9 +4,20 @@ A Family is a 3xn matrix of integer polynomials in one parameter t.  Over
 Z[t] the columns define the generic lattice, since a triple of columns is
 dependent for generic t exactly when its 3x3 minor is the zero polynomial; at
 a specific parameter value (rational or quadratic irrational) columns may
-vanish, merge, or lose/gain collinearities.  The degeneracy set collects
+vanish, merge, or become newly dependent.  The degeneracy set collects
 every parameter value where the hyperplane count drops (CountDrops) or the
 count survives but the intersection lattice changes (LatticeChanges).
+
+It is read off the minors by divisibility, without specializing the family.
+A minor g in Z[t] vanishes at a root of an irreducible q exactly when q
+divides g.  If q divides the gcd of a pair's cross-product minors, that pair
+vanishes or merges there: CountDrops.  Otherwise q divides a triple
+determinant that is not identically zero, and every column stays nonzero
+and distinct.  Every generically dependent triple stays dependent, so the
+specialized partition of pairs into flats is a coarsening of the generic
+one, and the new dependent triple merges generic flats: there are strictly
+fewer flats (or the rank falls below 3), so the lattice cannot be
+isomorphic to the generic one: LatticeChanges.
 """
 from __future__ import annotations
 
@@ -175,8 +186,8 @@ class DegeneracyReport:
 
     rational maps Fraction -> tag; quadratic maps the coefficient tuple of a
     primitive irreducible quadratic in Z[t] (ascending) -> tag; unresolved
-    lists coefficient tuples of irreducible factors of degree >= 3 that the
-    factorizer does not split.
+    lists, per candidate locus, the coefficient tuple of the product of its
+    irreducible factors of degree >= 3, which are not classified.
     """
 
     rational: dict
@@ -194,9 +205,10 @@ def _quadratic_root(coeffs) -> QuadElem:
     return QuadElem(d, Fraction(-c1, 2 * c2), Fraction(square, 2 * c2))
 
 
-def _candidate_polys(f: Family):
-    """Distinct primitive nonconstant loci where a triple becomes dependent
-    or a pair merges, in order of first appearance."""
+def _candidate_polys(f: Family) -> dict:
+    """Distinct primitive nonconstant loci where a pair merges or a triple
+    becomes dependent, in order of first appearance.  Each maps to True when
+    it is the gcd of some pair's cross-product minors."""
     cols = f.columns
     n = f.n
     out = {}
@@ -207,56 +219,42 @@ def _candidate_polys(f: Family):
             for m in minors[1:]:
                 g = poly_gcd(g, m)
             if g.degree > 0:
-                out[g.primitive()] = None
+                out[g.primitive()] = True
             for k in range(j + 1, n):
                 det = det3_cols(cols[i], cols[j], cols[k])
                 if det.degree > 0:
-                    out[det.primitive()] = None
-    return list(out)
+                    out.setdefault(det.primitive(), False)
+    return out
 
 
 def degeneracy_set(f: Family) -> DegeneracyReport:
-    """Compute and behaviorally verify the exceptional set Z.
+    """Classify the exceptional set Z by divisibility in Z[t].
 
-    Candidate values come from vanishing loci of column-triple determinants
-    and pair-proportionality minors; each candidate is then actually
-    specialized, and values whose specialization still matches the generic
-    lattice with full count are discarded (the vanishing minor was spurious,
-    e.g. a triple that is already dependent generically).
+    Every irreducible factor q of degree <= 2 of a candidate locus is in Z:
+    CountDrops if q divides the gcd of some pair's cross-product minors,
+    LatticeChanges otherwise, since q then divides a triple determinant
+    that is not identically zero and that new dependent triple merges
+    generic flats (see the module docstring).  No arrangement or lattice is
+    built.
     """
-    rational_candidates = set()
-    quadratic_candidates = set()
+    tags = {}
     unresolved = set()
-    for p in _candidate_polys(f):
+    for p, is_pair in _candidate_polys(f).items():
         factors, remainder = factor_low_degree(p)
         for q, _mult in factors:
-            if q.degree == 1:
-                a, b = q.coeffs
-                rational_candidates.add(Fraction(-a, b))
-            else:
-                quadratic_candidates.add(q.coeffs)
+            if is_pair or q not in tags:
+                tags[q] = COUNT_DROPS if is_pair else LATTICE_CHANGES
         if remainder.degree > 0:
             unresolved.add(remainder.primitive().coeffs)
     rational = {}
-    for omega in rational_candidates:
-        tag = _classify(f, omega)
-        if tag is not None:
-            rational[omega] = tag
     quadratic = {}
-    for coeffs in quadratic_candidates:
-        tag = _classify(f, _quadratic_root(coeffs))
-        if tag is not None:
-            quadratic[coeffs] = tag
+    for q, tag in tags.items():
+        if q.degree == 1:
+            a, b = q.coeffs
+            rational[Fraction(-a, b)] = tag
+        else:
+            quadratic[q.coeffs] = tag
     return DegeneracyReport(rational, quadratic, tuple(sorted(unresolved)))
-
-
-def _classify(f: Family, omega):
-    spec = specialize(f, omega)
-    if spec.count < f.n:
-        return COUNT_DROPS
-    if not spec.matches_generic:
-        return LATTICE_CHANGES
-    return None
 
 
 def vL_membership(f: Family, lattice: IntersectionLattice, omega) -> bool:

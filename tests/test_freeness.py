@@ -199,6 +199,21 @@ class TestDecideFreeness:
         cert = decide_freeness(moved).certificate
         assert saito_check(moved, *cert.derivations) == cert.constant
 
+    def test_verdict_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(fr, "_VERDICT_CACHE_SIZE", 3)
+        monkeypatch.setattr(fr, "_VERDICT_CACHE", {})
+        arrs = [near_pencil(n) for n in (4, 5, 6, 7)]
+        first = decide_freeness(arrs[0])
+        for arr in arrs[1:]:
+            decide_freeness(arr)
+            assert len(fr._VERDICT_CACHE) <= 3
+        assert fr.state_key(arrs[0]) not in fr._VERDICT_CACHE
+        again = decide_freeness(arrs[0])
+        assert len(fr._VERDICT_CACHE) == 3
+        assert again.exponents == first.exponents
+        assert certificate_to_text(again.certificate) == \
+            certificate_to_text(first.certificate)
+
     def test_certificate_round_trip(self):
         arr = near_pencil(6)
         verdict = decide_freeness(arr)

@@ -1,4 +1,5 @@
 """One-parameter families, specialization, degeneracy sets."""
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from freearr import arrangement as am
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
-from freearr.scalars import IntPoly, QuadElem, poly
+from freearr.scalars import IntPoly, QuadElem, factor_low_degree, poly
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
@@ -97,8 +98,18 @@ class TestSpecialize:
         assert spec.matches_generic
 
 
+@pytest.fixture
+def no_specialization(monkeypatch):
+    """Make building a specialized arrangement or lattice fail."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the family was specialized")
+
+    for name in ("specialize", "build", "lattice_iso"):
+        monkeypatch.setattr(mod, name, forbidden)
+
+
 class TestDegeneracySet:
-    def test_13_family(self):
+    def test_13_family(self, no_specialization):
         rep = mod.degeneracy_set(mod.family_13())
         assert rep.rational == {
             Fraction(-1): mod.LATTICE_CHANGES,
@@ -110,7 +121,7 @@ class TestDegeneracySet:
         assert rep.quadratic == {(1, -1, 1): mod.COUNT_DROPS}
         assert rep.unresolved == ()
 
-    def test_15_family(self):
+    def test_15_family(self, no_specialization):
         rep = mod.degeneracy_set(mod.family_15())
         assert rep.rational == {
             Fraction(0): mod.COUNT_DROPS,
@@ -188,6 +199,76 @@ class TestDegeneracySet:
             verdict = decide_freeness(spec.arrangement)
             assert isinstance(verdict, Free)
             assert verdict.exponents == (1, 5, 9)
+
+
+def specialized_degeneracies(f):
+    """Reference classification: specialize the family at one root of every
+    irreducible factor of degree <= 2 of a candidate locus and compare the
+    count and the lattice with the generic ones."""
+    rational, quadratic = {}, {}
+    for p in mod._candidate_polys(f):
+        for q, _mult in factor_low_degree(p)[0]:
+            if q.degree == 1:
+                target, key = rational, Fraction(-q.coeffs[0], q.coeffs[1])
+                spec = mod.specialize(f, key)
+            else:
+                target, key = quadratic, q.coeffs
+                spec = mod.specialize(f, mod._quadratic_root(key))
+            if spec.count < f.n:
+                target[key] = mod.COUNT_DROPS
+            elif not spec.matches_generic:
+                target[key] = mod.LATTICE_CHANGES
+    return rational, quadratic
+
+
+def random_family(rng):
+    """5-7 columns with entries in [-2, 2]; one or two of them depend on t
+    with entries of degree <= 2.  None if the columns are not a family of
+    rank 3."""
+    n = rng.randint(5, 7)
+    moving = set(rng.sample(range(n), rng.randint(1, 2)))
+    cols = []
+    for i in range(n):
+        if i in moving:
+            col = tuple(IntPoly(rng.randint(-2, 2) for _ in range(3))
+                        for _ in range(3))
+        else:
+            col = tuple(poly(rng.randint(-2, 2)) for _ in range(3))
+        cols.append(col)
+    try:
+        f = mod.Family("random", tuple(cols))
+        f.lattice  # raises NotEssentialError below rank 3
+    except (ValueError, am.NotEssentialError):
+        return None
+    return f
+
+
+class TestDivisibilityClassification:
+    def test_matches_specialization_on_random_families(self):
+        rng = random.Random(20261018)
+        checked = 0
+        seen = set()
+        while checked < 24:
+            f = random_family(rng)
+            if f is None:
+                continue
+            checked += 1
+            rep = mod.degeneracy_set(f)
+            assert (rep.rational, rep.quadratic) == \
+                specialized_degeneracies(f), mod.format_family(f)
+            seen |= {("rational", tag) for tag in rep.rational.values()}
+            seen |= {("quadratic", tag) for tag in rep.quadratic.values()}
+        assert len(seen) == 4
+
+    def test_irreducible_cubic_is_unresolved(self):
+        # the coordinate triangle and (t^3 - 2, 1, 1): the only triple
+        # determinant that depends on t is t^3 - 2
+        f = mod.parse_family_text(
+            "1; 0; 0\n0; 1; 0\n0; 0; 1\n-2 0 0 1; 1; 1\n")
+        assert list(mod._candidate_polys(f)) == [poly(-2, 0, 0, 1)]
+        rep = mod.degeneracy_set(f)
+        assert rep.unresolved == ((-2, 0, 0, 1),)
+        assert rep.rational == {} and rep.quadratic == {}
 
 
 class TestVLMembership:
