@@ -83,7 +83,8 @@ class Arrangement:
         return self._lattice
 
     def char_poly(self) -> "CharPoly":
-        return char_poly(self.lattice())
+        lat = self.lattice()
+        return char_poly(lat.n, lat.flats)
 
     def __repr__(self):
         return f"<Arrangement n={self.n} over {self.domain.name}>"
@@ -403,14 +404,14 @@ def _isqrt_exact(n: int):
     return s if s * s == n else None
 
 
-def char_poly(lat: IntersectionLattice) -> CharPoly:
-    """Characteristic polynomial from Mobius values on the lattice.
+def char_poly(n: int, flats) -> CharPoly:
+    """Characteristic polynomial of n hyperplanes with these rank-2 flats.
 
-    mu(V) = 1, mu(H) = -1, mu(X) = m_X - 1 for rank-2 flats; the value at
-    the center is forced by the zero-sum over the lattice, giving chi(1)=0.
+    Mobius values: mu(V) = 1, mu(H) = -1, mu(X) = m_X - 1 for rank-2 flats;
+    the value at the center is forced by the zero-sum over the lattice,
+    giving chi(1)=0.
     """
-    n = lat.n
-    a = sum(len(f) - 1 for f in lat.flats)
+    a = sum(len(f) - 1 for f in flats)
     mu0 = -(1 - n + a)
     return CharPoly((mu0, a, -n, 1))
 

@@ -22,6 +22,7 @@ from . import __version__
 from .arrangement import (
     ArrangementError,
     aut_order,
+    deletion_is_essential,
     format_lattice,
     lattice_iso,
     parse_lattice_listing,
@@ -47,7 +48,6 @@ from .moduli import (
     BUILTIN_FAMILIES,
     Family,
     degeneracy_set,
-    generic_lattice,
     parse_family_text,
     specialize,
 )
@@ -381,8 +381,6 @@ def abe(source, at, label):
     _, _, spec = _arrangement_for(source, at)
     arr = spec.arrangement
     labels = [label] if label is not None else list(range(1, arr.n + 1))
-    from .arrangement import deletion_is_essential
-
     for h in labels:
         if not deletion_is_essential(arr, h):
             _echo(f"h={h}: deletion not essential, skipped")

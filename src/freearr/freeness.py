@@ -406,7 +406,8 @@ class _FieldReducer:
     index a row holds, where the value is one.
     """
 
-    def __init__(self):
+    def __init__(self, dom: Domain):
+        self.dom = dom
         self.rows = {}  # pivot index -> row
 
     def reduce(self, vec: dict) -> dict:
@@ -429,7 +430,7 @@ class _FieldReducer:
         if not v:
             return False
         piv = min(v)
-        inv = (1 / v[piv]) if isinstance(v[piv], Fraction) else v[piv].inverse()
+        inv = self.dom.invert(v[piv])
         self.rows[piv] = {j: x * inv for j, x in v.items()}
         return True
 
@@ -445,7 +446,7 @@ def _first_complement(p: int, theta_e: Derivation, others, basis,
     (D1, m*x1), (D2, m*x2) and (D3, m*x3), so its pivot (D1, m*x1) is a one
     and differs from that of every other monomial m.
     """
-    red = _FieldReducer()
+    red = _FieldReducer(dom)
     for v in _poly_multiple_vectors(theta_e, p):
         red.rows[min(v)] = v
     for g in others:
@@ -470,7 +471,7 @@ def _key_and_lead(arr: Arrangement):
     lead_product = arr.domain.one
     for col in arr.columns:
         lead = next(x for x in col if x)
-        inv = (1 / lead) if isinstance(lead, Fraction) else lead.inverse()
+        inv = arr.domain.invert(lead)
         normed.append(tuple(str(x * inv) for x in col))
         lead_product = lead_product * lead
     key = arr.domain.name + "|" + ";".join(",".join(c) for c in sorted(normed))

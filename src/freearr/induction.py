@@ -1,8 +1,8 @@
 """Inductive and recursive freeness of rank-3 arrangements.
 
 Addition-Deletion bookkeeping for triples (A, A\\H, A^H), the quick
-restriction-size obstruction to inductive freeness, a memoized decision
-procedure for inductive freeness with certificate chains, a bounded
+restriction-size obstruction to inductive freeness, a search for inductive
+freeness over the intersection lattice with certificate chains, a bounded
 bidirectional search refuting recursive freeness, and the deletion-pair
 consistency check (a common root of the reduced characteristic polynomials
 forces both members of the pair to be free).
@@ -16,15 +16,13 @@ bookkeeping compatible with deleting H is
 """
 from __future__ import annotations
 
-import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .arrangement import (
     Arrangement,
-    NotEssentialError,
     build,
-    canonical_key,
+    char_poly,
     delete,
     deletion_is_essential,
     restriction_profile,
@@ -81,11 +79,9 @@ def triple_check(arr: Arrangement, h: int) -> TripleVerdict:
     """Evaluate the Addition-Deletion statements for the triple at h.
 
     Raises TheoremViolationError if exactly two of the three statements
-    hold, which the theorem forbids.
+    hold, which the theorem forbids, and NotEssentialError if deleting h
+    drops the rank below 3.
     """
-    if not deletion_is_essential(arr, h):
-        raise NotEssentialError(
-            f"deleting hyperplane {h} drops the rank below 3")
     n = arr.n
     s, _ = restriction_profile(arr, h)
     cand = _multiset((1, s - 1, n - s))
@@ -156,61 +152,56 @@ class IFCertificate:
     base: str
 
 
-# Canonical keys of the lattices whose IF search failed.
-_IF_CACHE: set = set()
-# inductively_free's answer per live lattice.  Lattices compare equal when
-# their labelled flats are equal, and the search reads only the lattice, so a
-# hit's labels are the caller's; an entry dies with its lattice.
-_IF_ANSWERS = weakref.WeakKeyDictionary()
-
-
 def inductively_free(arr: Arrangement):
     """Certificate chain if the arrangement is inductively free, else None.
 
-    The search reads only the intersection lattice: no derivation module is
-    solved.  Each answer is memoized on the lattice while it lives, and
-    failed searches on the canonical lattice key.  Each step deletes one
+    Inductive freeness depends only on the intersection lattice, so the
+    search reads the lattice of arr once and never builds a deletion: a
+    node is the set of surviving labels, and its rank-2 flats are the
+    lattice's flats cut down to that set, where they keep at least two
+    members.  No derivation module is solved.  Each step deletes one
     hyperplane H whose forced exponent bookkeeping [1, s-1, n-s] matches
     the characteristic polynomial roots; by deletion-restriction the
     deletion then automatically carries the matching [1, s-1, n-s-1].  The
     match holds exactly when s is e+1 or f+1, so whenever the obstruction of
-    quick_non_if fires, no H passes it and the search fails at once.
+    quick_non_if fires, no H passes it and the search fails at once.  Nodes
+    whose search failed are remembered for the rest of this call only.
     """
-    lat = arr.lattice()
-    try:
-        return _IF_ANSWERS[lat]
-    except KeyError:
-        cert = _IF_ANSWERS[lat] = _if_search(arr)
-        return cert
+    flats = arr.lattice().flats
+    failed = set()
 
+    def search(live: frozenset):
+        if live in failed:
+            return None
+        n = len(live)
+        node = [x for x in (f & live for f in flats) if len(x) > 1]
+        exps = char_poly(n, node).exponents()
+        if exps is None:
+            return None
+        if n == 3:
+            return IFCertificate((), "triangle")
+        target = _multiset(exps)
+        sizes = Counter(h for x in node for h in x)
+        # the deletion of H has rank < 3 exactly when the other n-1 lie in
+        # one flat; two such flats would share n-2 >= 2 members
+        axis = next((x for x in node if len(x) == n - 1), None)
+        # label is H's number in this node, as delete() would renumber it
+        for label, h in enumerate(sorted(live), start=1):
+            s = sizes[h]
+            if _multiset((1, s - 1, n - s)) != target:
+                continue
+            step = IFStep(n, label, target, s)
+            if axis is not None and h not in axis:
+                # The deletion is a pencil of n-1 hyperplanes: free with
+                # exponents [0, 1, n-2], and A is the near-pencil [1, 1, n-2].
+                return IFCertificate((step,), "pencil")
+            sub = search(live - {h})
+            if sub is not None:
+                return IFCertificate((step,) + sub.steps, sub.base)
+        failed.add(live)
+        return None
 
-def _if_search(arr: Arrangement):
-    exps = arr.char_poly().exponents()
-    if exps is None:
-        return None
-    if arr.n == 3:
-        return IFCertificate((), "triangle")
-    key = canonical_key(arr.lattice())
-    if key in _IF_CACHE:
-        return None
-    n = arr.n
-    target = _multiset(exps)
-    for h in range(1, n + 1):
-        s, _ = restriction_profile(arr, h)
-        if _multiset((1, s - 1, n - s)) != target:
-            continue
-        if deletion_is_essential(arr, h):
-            sub, _ = delete(arr, h)
-            sub_cert = _if_search(sub)
-            if sub_cert is not None:
-                step = IFStep(n, h, target, s)
-                return IFCertificate((step,) + sub_cert.steps, sub_cert.base)
-        elif s == n - 1:
-            # The deletion is a pencil of n-1 hyperplanes: free with
-            # exponents [0, 1, n-2], and A is the near-pencil [1, 1, n-2].
-            return IFCertificate((IFStep(n, h, target, s),), "pencil")
-    _IF_CACHE.add(key)
-    return None
+    return search(frozenset(arr.labels()))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +457,6 @@ def abe_pair_check(arr: Arrangement, h: int) -> PairCheck:
     chi/(x-1).  When they share a root, both members of the pair must be
     free; a Violated result would falsify the implementation.
     """
-    if not deletion_is_essential(arr, h):
-        raise NotEssentialError(
-            f"deleting hyperplane {h} drops the rank below 3")
     sub, _ = delete(arr, h)
     c1, b1, _ = arr.char_poly().reduced()
     c2, b2, _ = sub.char_poly().reduced()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .arrangement import (
     Arrangement,
@@ -60,11 +59,6 @@ class Family:
     @property
     def n(self) -> int:
         return len(self.columns)
-
-    @cached_property
-    def lattice(self) -> IntersectionLattice:
-        """The generic lattice, computed once per family."""
-        return generic_lattice(self)
 
     def __post_init__(self):
         for idx, col in enumerate(self.columns, start=1):
@@ -140,7 +134,6 @@ class SpecializationResult:
     omega: object
     count: int                    # |A_omega| after drops and merges
     arrangement: Arrangement | None   # None when the rank falls below 3
-    matches_generic: bool         # full count and lattice isomorphic
     dropped: tuple                # 1-based labels of vanished columns
     merges: tuple                 # tuples of 1-based labels that coincide
 
@@ -148,8 +141,9 @@ class SpecializationResult:
 def specialize(f: Family, omega) -> SpecializationResult:
     """Evaluate every column at omega and build the specialized arrangement.
 
-    Degenerate outcomes (vanishing or merging columns, changed lattices)
-    are reported as data, never as errors.
+    Degenerate outcomes (vanishing or merging columns, rank below 3) are
+    reported as data, never as errors.  Whether the lattice is still the
+    generic one is asked by vL_membership.
     """
     omega = _as_scalar(omega)
     dom = _domain_for(omega)
@@ -174,10 +168,7 @@ def specialize(f: Family, omega) -> SpecializationResult:
         arr = build(kept_cols, dom)
     except ValueError:
         arr = None
-    matches = False
-    if arr is not None and count == f.n:
-        matches = lattice_iso(f.lattice, arr.lattice()) is not None
-    return SpecializationResult(omega, count, arr, matches, dropped, merges)
+    return SpecializationResult(omega, count, arr, dropped, merges)
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,11 @@ def test_criterion_05_degeneracy_set_of_the_13_line_family(f13):
     }
     assert rep.quadratic == {(1, -1, 1): mod.COUNT_DROPS}
     assert rep.unresolved == ()
+    generic = mod.generic_lattice(f13)
     for omega in (Fraction(-1), Fraction(1, 2), Fraction(2)):
         spec = mod.specialize(f13, omega)
-        assert spec.count == 13 and not spec.matches_generic
+        assert spec.count == 13
+        assert not mod.vL_membership(f13, generic, omega)
         verdict = decide_freeness(spec.arrangement)
         assert isinstance(verdict, Free)
         assert verdict.exponents == (1, 5, 7)
@@ -137,14 +139,15 @@ def test_criterion_08_degeneracy_set_of_the_15_line_family(f15):
     # two published constants for this family are refuted by exact
     # recomputation: t = -1 gives a lattice isomorphic to the generic one,
     # and the roots 3/2 +- sqrt(2) of 4t^2 - 12t + 1 are not exceptional
-    assert mod.specialize(f15, -1).matches_generic
-    assert mod.specialize(
-        f15, QuadElem(2, Fraction(3, 2), 1)).matches_generic
+    generic = mod.generic_lattice(f15)
+    assert mod.vL_membership(f15, generic, -1)
+    assert mod.vL_membership(f15, generic, QuadElem(2, Fraction(3, 2), 1))
     for coeffs in ((1, -3, 1), (-1, 1, 1)):
         root = mod._quadratic_root(coeffs)
         assert root.d == 5
         spec = mod.specialize(f15, root)
-        assert spec.count == 15 and not spec.matches_generic
+        assert spec.count == 15
+        assert not mod.vL_membership(f15, generic, root)
         verdict = decide_freeness(spec.arrangement)
         assert isinstance(verdict, Free)
         assert verdict.exponents == (1, 5, 9)

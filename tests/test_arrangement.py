@@ -283,4 +283,4 @@ class TestOtherDomains:
                                 (zero, zero, one), (one, t, one)))
         lat = mod.generic_lattice(fam)
         assert len(lat.flats) == 6
-        assert am.char_poly(lat).exponents() is None
+        assert am.char_poly(lat.n, lat.flats).exponents() is None

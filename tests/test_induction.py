@@ -1,6 +1,4 @@
 """Addition-Deletion bookkeeping, inductive and recursive freeness."""
-import gc
-
 import pytest
 
 from freearr import arrangement as am
@@ -8,6 +6,7 @@ from freearr import induction
 from freearr.freeness import Free, decide_freeness
 from freearr.induction import (
     IFCertificate,
+    IFStep,
     Move,
     PairCheck,
     TheoremViolationError,
@@ -21,6 +20,37 @@ from freearr.induction import (
 )
 
 from conftest import boolean3, near_pencil, rational_arrangement
+
+
+def grid(k: int) -> am.Arrangement:
+    """The 4k lines x3, x1 - a x3, x2 - b x3 (0 <= a, b < k) and
+    x1 - x2 - c x3 (|c| < k); free and inductively free."""
+    cols = ([(0, 0, 1)] + [(1, 0, -a) for a in range(k)]
+            + [(0, 1, -b) for b in range(k)]
+            + [(1, -1, -c) for c in range(1 - k, k)])
+    return rational_arrangement(*cols)
+
+
+def deletion_search(arr):
+    """Reference IF search that builds every deletion: the first chain in
+    label order, as inductively_free must find it."""
+    exps = arr.char_poly().exponents()
+    if exps is None:
+        return None
+    if arr.n == 3:
+        return IFCertificate((), "triangle")
+    n, target = arr.n, tuple(sorted(exps))
+    for h in arr.labels():
+        s, _ = am.restriction_profile(arr, h)
+        if tuple(sorted((1, s - 1, n - s))) != target:
+            continue
+        step = IFStep(n, h, target, s)
+        if not am.deletion_is_essential(arr, h):
+            return IFCertificate((step,), "pencil")
+        sub = deletion_search(am.delete(arr, h)[0])
+        if sub is not None:
+            return IFCertificate((step,) + sub.steps, sub.base)
+    return None
 
 
 class TestTripleCheck:
@@ -42,8 +72,11 @@ class TestTripleCheck:
         assert v.full_holds is False
 
     def test_non_essential_deletion_rejected(self):
-        with pytest.raises(am.NotEssentialError):
-            triple_check(near_pencil(4), 4)
+        # 4 is the transversal of the near-pencil: the rest is a pencil
+        for check in (triple_check, abe_pair_check):
+            with pytest.raises(am.NotEssentialError, match=r"^deleting "
+                               r"hyperplane 4 drops the rank below 3$"):
+                check(near_pencil(4), 4)
 
     def test_never_violates_theorem(self, small_corpus):
         for arr in small_corpus[:15]:
@@ -98,44 +131,46 @@ class TestInductivelyFree:
             raise AssertionError("freeness decided inside the IF search")
 
         monkeypatch.setattr(induction, "decide_freeness", no_solve)
-        monkeypatch.setattr(induction, "_IF_CACHE", set())
         assert [inductively_free(arr) for arr in small_corpus] == chains
 
-    def test_answer_memoized_per_lattice(self, monkeypatch):
-        arr = near_pencil(6)
-        first = inductively_free(arr)
-        calls = []
-        profile = induction.restriction_profile
+    def test_search_builds_no_deletion_or_lattice(
+            self, small_corpus, a13, a15, monkeypatch):
+        inputs = (list(small_corpus) + [near_pencil(n) for n in range(4, 9)]
+                  + [a13, a15, grid(7)])
+        # the reference search has computed every root lattice
+        expected = [deletion_search(arr) for arr in inputs]
 
-        def counted(a, h):
-            calls.append(h)
-            return profile(a, h)
+        def forbidden(*args):
+            raise AssertionError("the IF search left the root lattice")
 
-        monkeypatch.setattr(induction, "restriction_profile", counted)
-        assert inductively_free(arr) is first
-        assert calls == []
+        for module, name in ((induction, "delete"),
+                             (induction, "deletion_is_essential"),
+                             (induction, "restriction_profile"),
+                             (am, "_compute_lattice")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert [inductively_free(arr) for arr in inputs] == expected
 
-    def test_permuted_copy_gets_its_own_chain(self, monkeypatch):
+    def test_28_line_grid_is_if(self):
+        arr = grid(7)
+        cert = inductively_free(arr)
+        assert cert is not None and cert.base == "pencil"
+        assert [step.n for step in cert.steps] == list(range(28, 13, -1))
+        # the last step leaves a pencil of rank 2, which no arrangement
+        # holds: replay stops at the near-pencil before it
+        final = replay_chain(
+            arr, [Move("delete", (step.label,)) for step in cert.steps[:-1]])
+        last = cert.steps[-1]
+        assert final.n == last.n == 14 and last.restriction_size == 13
+        assert max(final.lattice().multiplicities()) == 13
+
+    def test_permuted_copy_gets_its_own_chain(self):
         cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
                 (0, 1, 1), (1, 1, 1)]
         original = inductively_free(rational_arrangement(*cols))
         permuted = cols[3:] + cols[:3]
         chain = inductively_free(rational_arrangement(*permuted))
         assert chain is not None and chain != original
-        monkeypatch.setattr(induction, "_IF_CACHE", set())
-        monkeypatch.setattr(induction, "_IF_ANSWERS",
-                            type(induction._IF_ANSWERS)())
         assert chain == inductively_free(rational_arrangement(*permuted))
-
-    def test_memo_entry_dies_with_its_lattice(self, monkeypatch):
-        monkeypatch.setattr(induction, "_IF_ANSWERS",
-                            type(induction._IF_ANSWERS)())
-        arr = near_pencil(5)
-        inductively_free(arr)
-        assert len(induction._IF_ANSWERS) == 1
-        del arr
-        gc.collect()
-        assert len(induction._IF_ANSWERS) == 0
 
     def test_if_implies_free_and_obstruction_implies_not_if(
             self, small_corpus):

@@ -60,9 +60,10 @@ class TestGenericLattices:
 
 class TestSpecialize:
     def test_13_generic_value(self, a13):
-        spec = mod.specialize(mod.family_13(), 3)
+        f = mod.family_13()
+        spec = mod.specialize(f, 3)
         assert spec.count == 13
-        assert spec.matches_generic
+        assert mod.vL_membership(f, mod.generic_lattice(f), 3)
         assert spec.dropped == ()
         assert spec.merges == ()
         assert a13.n == 13
@@ -74,9 +75,10 @@ class TestSpecialize:
         assert spec.count < 13
 
     def test_13_at_two_changes_lattice(self):
-        spec = mod.specialize(mod.family_13(), 2)
+        f = mod.family_13()
+        spec = mod.specialize(f, 2)
         assert spec.count == 13
-        assert not spec.matches_generic
+        assert not mod.vL_membership(f, mod.generic_lattice(f), 2)
 
     def test_13_at_sixth_root_merges_columns(self):
         # at a root of t^2 - t + 1, columns 11, 12 and 13 all coincide
@@ -88,14 +90,16 @@ class TestSpecialize:
     def test_15_at_golden_square_changes_lattice(self):
         # (3+sqrt5)/2 is a root of t^2 - 3t + 1
         omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-        spec = mod.specialize(mod.family_15(), omega)
+        f = mod.family_15()
+        spec = mod.specialize(f, omega)
         assert spec.count == 15
-        assert not spec.matches_generic
+        assert not mod.vL_membership(f, mod.generic_lattice(f), omega)
 
     def test_15_at_minus_one_is_generic(self):
-        spec = mod.specialize(mod.family_15(), -1)
+        f = mod.family_15()
+        spec = mod.specialize(f, -1)
         assert spec.count == 15
-        assert spec.matches_generic
+        assert mod.vL_membership(f, mod.generic_lattice(f), -1)
 
 
 @pytest.fixture
@@ -137,22 +141,25 @@ class TestDegeneracySet:
     def test_nonexceptional_samples_match_generic(self):
         f = mod.family_13()
         rep = mod.degeneracy_set(f)
+        generic = mod.generic_lattice(f)
         for k in range(3, 23):
             omega = Fraction(k, 7)
             if omega in rep.rational:
                 continue
-            assert mod.specialize(f, omega).matches_generic
+            assert mod.vL_membership(f, generic, omega)
 
     def test_classification_closure(self):
         # re-verify every reported value by direct specialization
         f = mod.family_15()
         rep = mod.degeneracy_set(f)
+        generic = mod.generic_lattice(f)
         for omega, tag in rep.rational.items():
             spec = mod.specialize(f, omega)
             if tag == mod.COUNT_DROPS:
                 assert spec.count < f.n
             else:
-                assert spec.count == f.n and not spec.matches_generic
+                assert spec.count == f.n
+                assert not mod.vL_membership(f, generic, omega)
         for coeffs, tag in rep.quadratic.items():
             root = mod._quadratic_root(coeffs)
             assert IntPoly(coeffs)(root) == 0
@@ -160,7 +167,8 @@ class TestDegeneracySet:
             if tag == mod.COUNT_DROPS:
                 assert spec.count < f.n
             else:
-                assert spec.count == f.n and not spec.matches_generic
+                assert spec.count == f.n
+                assert not mod.vL_membership(f, generic, root)
 
     def test_generic_lattice_computed_once_per_family(self, monkeypatch):
         calls = []
@@ -177,7 +185,8 @@ class TestDegeneracySet:
             mod.specialize(f, omega)
         for coeffs in rep.quadratic:
             mod.specialize(f, mod._quadratic_root(coeffs))
-        assert len(calls) == 1
+        # neither reads the generic lattice; vL_membership takes it
+        assert calls == []
 
     def test_candidates_are_distinct_primitive_polys(self):
         cands = mod._candidate_polys(mod.family_15())
@@ -206,17 +215,18 @@ def specialized_degeneracies(f):
     irreducible factor of degree <= 2 of a candidate locus and compare the
     count and the lattice with the generic ones."""
     rational, quadratic = {}, {}
+    generic = mod.generic_lattice(f)
     for p in mod._candidate_polys(f):
         for q, _mult in factor_low_degree(p)[0]:
             if q.degree == 1:
                 target, key = rational, Fraction(-q.coeffs[0], q.coeffs[1])
-                spec = mod.specialize(f, key)
+                omega = key
             else:
                 target, key = quadratic, q.coeffs
-                spec = mod.specialize(f, mod._quadratic_root(key))
-            if spec.count < f.n:
+                omega = mod._quadratic_root(key)
+            if mod.specialize(f, omega).count < f.n:
                 target[key] = mod.COUNT_DROPS
-            elif not spec.matches_generic:
+            elif not mod.vL_membership(f, generic, omega):
                 target[key] = mod.LATTICE_CHANGES
     return rational, quadratic
 
@@ -237,7 +247,7 @@ def random_family(rng):
         cols.append(col)
     try:
         f = mod.Family("random", tuple(cols))
-        f.lattice  # raises NotEssentialError below rank 3
+        mod.generic_lattice(f)  # raises NotEssentialError below rank 3
     except (ValueError, am.NotEssentialError):
         return None
     return f
@@ -302,7 +312,7 @@ class TestFamilyFormat:
         f = mod.parse_family_text("1; 0; 0\n0; 1; 0\n0; 0; 1\n")
         rep = mod.degeneracy_set(f)
         assert rep.rational == {} and rep.quadratic == {}
-        assert mod.specialize(f, 17).matches_generic
+        assert mod.vL_membership(f, mod.generic_lattice(f), 17)
 
 
 class TestMultiplicityInvariance:
