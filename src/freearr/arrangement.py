@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
 from .scalars import Domain, QQ, domain_of
@@ -298,32 +299,44 @@ class IntersectionLattice:
                     f"degree identity fails at hyperplane {h}: {s} != {self.n - 1}")
 
 
+def clear_rational_column(col) -> tuple:
+    """The primitive integer column proportional to a column of rationals."""
+    den = lcm(*(x.denominator for x in col))
+    ints = [int(x * den) for x in col]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
 def _compute_lattice(cols) -> IntersectionLattice:
-    """Rank-2 flats of the columns, over any ring with exact zero tests."""
+    """Rank-2 flats of the columns, over any ring with exact zero tests.
+
+    Rational columns are scaled to primitive integer columns first.  The
+    first pair (i, j) of a flat in lexicographic order computes p = c_i x c_j
+    once; the flat's other members all come after j, so only k > j is
+    tested, by p . c_k = 0, which needs no normalization of p in Z[t].
+    """
+    cols = [clear_rational_column(c)
+            if all(isinstance(x, (int, Fraction)) for x in c) else c
+            for c in cols]
     n = len(cols)
-    assigned = [[None] * n for _ in range(n)]
+    assigned = [[False] * n for _ in range(n)]
     flats = []
+    per_h = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if assigned[i][j] is not None:
+            if assigned[i][j]:
                 continue
-            members = [i, j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if not linalg.det3_cols(cols[i], cols[j], cols[k]):
-                    members.append(k)
-            members = sorted(set(members))
+            p0, p1, p2 = linalg.cross(cols[i], cols[j])
+            members = [i, j] + [
+                k for k, (x, y, z) in enumerate(cols[j + 1:], start=j + 1)
+                if not (p0 * x + p1 * y + p2 * z)]
             idx = len(flats)
             flats.append(frozenset(m + 1 for m in members))
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    assigned[members[a]][members[b]] = idx
-    per_h = []
-    for h in range(n):
-        incident = sorted(idx for idx, f in enumerate(flats) if h + 1 in f)
-        per_h.append(tuple(incident))
-    lat = IntersectionLattice(n, tuple(flats), tuple(per_h))
+            for a, m in enumerate(members):
+                per_h[m].append(idx)
+                for b in members[a + 1:]:
+                    assigned[m][b] = True
+    lat = IntersectionLattice(n, tuple(flats), tuple(map(tuple, per_h)))
     lat.validate()
     return lat
 

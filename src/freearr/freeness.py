@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from . import linalg
-from .arrangement import Arrangement, build
+from .arrangement import Arrangement, build, clear_rational_column
 from .scalars import Domain, QuadDomain, QuadElem
 
 
@@ -151,17 +151,6 @@ def expected_graded_dim(exponents, p: int) -> int:
     return sum(comb(p - e + 2, 2) for e in exponents if e <= p)
 
 
-def _clear_rational_column(col):
-    den = lcm(*(x.denominator for x in col)) if col else 1
-    ints = [int(x * den) for x in col]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
 def _clear_quad_column(col):
     den = 1
     for x in col:
@@ -181,8 +170,7 @@ def cleared_columns(arr: Arrangement):
     if isinstance(dom, QuadDomain):
         return (linalg.QuadOps(dom.d),
                 [_clear_quad_column(c) for c in arr.columns])
-    return linalg.IntOps, [_clear_rational_column([Fraction(x) for x in c])
-                           for c in arr.columns]
+    return linalg.IntOps, [clear_rational_column(c) for c in arr.columns]
 
 
 def _ring_add(ops, x, y):

@@ -177,8 +177,9 @@ class DegeneracyReport:
 
     rational maps Fraction -> tag; quadratic maps the coefficient tuple of a
     primitive irreducible quadratic in Z[t] (ascending) -> tag; unresolved
-    lists, per candidate locus, the coefficient tuple of the product of its
-    irreducible factors of degree >= 3, which are not classified.
+    lists the coefficient tuples of the distinct primitive irreducible
+    factors of degree >= 3 of the candidate loci, which are not classified,
+    each once, sorted by (degree, coefficients).
     """
 
     rational: dict
@@ -231,12 +232,11 @@ def degeneracy_set(f: Family) -> DegeneracyReport:
     tags = {}
     unresolved = set()
     for p, is_pair in _candidate_polys(f).items():
-        factors, remainder = factor_low_degree(p)
-        for q, _mult in factors:
+        low, high = factor_low_degree(p)
+        for q, _mult in low:
             if is_pair or q not in tags:
                 tags[q] = COUNT_DROPS if is_pair else LATTICE_CHANGES
-        if remainder.degree > 0:
-            unresolved.add(remainder.primitive().coeffs)
+        unresolved.update(q.coeffs for q, _mult in high)
     rational = {}
     quadratic = {}
     for q, tag in tags.items():
@@ -245,7 +245,8 @@ def degeneracy_set(f: Family) -> DegeneracyReport:
             rational[Fraction(-a, b)] = tag
         else:
             quadratic[q.coeffs] = tag
-    return DegeneracyReport(rational, quadratic, tuple(sorted(unresolved)))
+    unresolved = tuple(sorted(unresolved, key=lambda c: (len(c), c)))
+    return DegeneracyReport(rational, quadratic, unresolved)
 
 
 def vL_membership(f: Family, lattice: IntersectionLattice, omega) -> bool:

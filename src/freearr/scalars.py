@@ -212,7 +212,6 @@ class IntPoly:
 
 
 T = IntPoly((0, 1))
-P_ONE = IntPoly((1,))
 
 
 def poly(*coeffs) -> IntPoly:
@@ -267,12 +266,12 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def factor_low_degree(p: IntPoly):
-    """Split off irreducible factors of degree at most two.
+    """Split p into its irreducible factors, those of degree at most two apart.
 
-    Returns (factors, remainder) where factors is a list of
-    (primitive irreducible IntPoly of degree 1 or 2, multiplicity) and
-    remainder collects all irreducible factors of degree >= 3, so that
-    the product of everything equals p up to a rational constant.
+    Returns (low, high): lists of (primitive irreducible IntPoly,
+    multiplicity), low holding the factors of degree 1 or 2 and high those
+    of degree >= 3, each sorted by (degree, coefficients), so that the
+    product of everything equals p up to a rational constant.
     """
     if not p:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -281,18 +280,15 @@ def factor_low_degree(p: IntPoly):
     t = sympy.Symbol("t")
     expr = sympy.Poly(list(reversed(p.primitive().coeffs)), t)
     _, fac = expr.factor_list()
-    factors: list[tuple[IntPoly, int]] = []
-    remainder = P_ONE
+    low: list[tuple[IntPoly, int]] = []
+    high: list[tuple[IntPoly, int]] = []
     for q, mult in fac:
         qp = IntPoly(int(c) for c in reversed(q.all_coeffs())).primitive()
-        if qp.degree == 0:
-            continue
-        if qp.degree <= 2:
-            factors.append((qp, int(mult)))
-        else:
-            remainder = remainder * qp ** int(mult)
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return factors, remainder
+        if qp.degree > 0:
+            (low if qp.degree <= 2 else high).append((qp, int(mult)))
+    for factors in (low, high):
+        factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return low, high
 
 
 class QuadElem:

@@ -9,7 +9,9 @@ from math import factorial
 import pytest
 
 from freearr import arrangement as am
+from freearr import linalg
 from freearr import moduli as mod
+from freearr.linalg import det3_cols
 from freearr.scalars import QQ, poly, quad_field, QuadElem
 
 from conftest import (
@@ -284,3 +286,101 @@ class TestOtherDomains:
         lat = mod.generic_lattice(fam)
         assert len(lat.flats) == 6
         assert am.char_poly(lat.n, lat.flats).exponents() is None
+
+
+def reference_scan(cols):
+    """(flats, per_hyperplane) by the full determinant scan: each pair (i, j)
+    not yet in a flat, in lexicographic order, is tested against every
+    other column with a 3x3 determinant over the columns as given."""
+    n = len(cols)
+    covered = set()
+    flats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in covered:
+                continue
+            members = [k for k in range(n) if k in (i, j)
+                       or not det3_cols(cols[i], cols[j], cols[k])]
+            covered.update((a, b) for a in members for b in members if a < b)
+            flats.append(frozenset(m + 1 for m in members))
+    per_h = tuple(tuple(idx for idx, f in enumerate(flats) if h in f)
+                  for h in range(1, n + 1))
+    return tuple(flats), per_h
+
+
+def tt0_family():
+    """(1,0,0), (0,1,0), (t,t,0) share a point although their cross
+    products (0,0,1) and (0,0,t) differ in Z[t]."""
+    one, zero, t = poly(1), poly(), poly(0, 1)
+    return mod.Family("tt0", ((one, zero, zero), (zero, one, zero),
+                              (t, t, zero), (zero, zero, one), (one, t, one)))
+
+
+def paper_quadratic_members():
+    """paper13 at 3 + sqrt 2 and paper15 at a root of t^2 - 3t + 1."""
+    return [mod.specialize(mod.family_13(), QuadElem(2, 3, 1)).arrangement,
+            mod.specialize(mod.family_15(),
+                           mod._quadratic_root((1, -3, 1))).arrangement]
+
+
+def rescaled(arr, rng):
+    """arr with each column multiplied by a random rational of denominator
+    at least 2."""
+    cols = []
+    for c in arr.columns:
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                     rng.randint(2, 9))
+        cols.append(tuple(s * x for x in c))
+    return am.build(cols)
+
+
+class TestReferenceScan:
+    def assert_matches(self, lat, cols):
+        assert (lat.flats, lat.per_hyperplane) == reference_scan(cols)
+
+    def test_rational_corpora(self, corpus, small_corpus, a13, a15):
+        for arr in corpus + small_corpus + [a13, a15]:
+            self.assert_matches(arr.lattice(), arr.columns)
+
+    def test_rational_columns_with_denominators(self, small_corpus, a13, a15):
+        rng = random.Random(20261018)
+        for arr in small_corpus + [a13, a15]:
+            scaled = rescaled(arr, rng)
+            self.assert_matches(scaled.lattice(), scaled.columns)
+            assert scaled.lattice().flats == arr.lattice().flats
+        checked = 0
+        while checked < 40:
+            cols = [tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                          for _ in range(3))
+                    for _ in range(rng.randint(5, 12))]
+            try:
+                arr = am.build(cols)
+            except am.ArrangementError:
+                continue
+            checked += 1
+            self.assert_matches(arr.lattice(), arr.columns)
+
+    def test_quadratic_members(self):
+        for arr in paper_quadratic_members():
+            self.assert_matches(arr.lattice(), arr.columns)
+
+    def test_generic_family_lattices(self):
+        for f in (mod.family_13(), mod.family_15(), tt0_family()):
+            self.assert_matches(mod.generic_lattice(f), f.columns)
+        assert mod.generic_lattice(tt0_family()).flats[0] == {1, 2, 3}
+
+    def test_scan_computes_no_determinant(self, monkeypatch, small_corpus,
+                                          a13, a15):
+        fresh = [am.build(arr.columns, arr.domain)
+                 for arr in small_corpus + [a13, a15]]
+        fresh += paper_quadratic_members()
+        families = (mod.family_13(), mod.family_15(), tt0_family())
+
+        def no_det(*cols):
+            raise AssertionError("the lattice scan computed a determinant")
+
+        monkeypatch.setattr(linalg, "det3_cols", no_det)
+        for arr in fresh:
+            arr.lattice()
+        for f in families:
+            am._compute_lattice(f.columns)

@@ -280,6 +280,18 @@ class TestDivisibilityClassification:
         assert rep.unresolved == ((-2, 0, 0, 1),)
         assert rep.rational == {} and rep.quadratic == {}
 
+    def test_unresolved_lists_each_irreducible_factor_once(self):
+        # e1, e2, e3, ((t^3-2)(t^3-3), 1, 1), (t^3-2, 1, 2): the loci are
+        # t^3-2 and three sextics, each t^3-2 times one more cubic
+        f = mod.parse_family_text("1; 0; 0\n0; 1; 0\n0; 0; 1\n"
+                                  "6 0 0 -5 0 0 1; 1; 1\n-2 0 0 1; 1; 2\n")
+        loci = mod._candidate_polys(f)
+        assert sorted(p.degree for p in loci) == [3, 6, 6, 6]
+        rep = mod.degeneracy_set(f)
+        assert rep.unresolved == ((-7, 0, 0, 2), (-4, 0, 0, 1),
+                                  (-3, 0, 0, 1), (-2, 0, 0, 1))
+        assert rep.rational == {} and rep.quadratic == {}
+
 
 class TestVLMembership:
     def test_generic_lattice_membership(self):

@@ -86,22 +86,26 @@ class TestDivisionAndGcd:
 class TestFactorLowDegree:
     def test_irreducible_quadratics_stay_whole(self):
         for coeffs in ((1, -1, 1), (1, -12, 4), (1, -3, 1), (-1, 1, 1)):
-            factors, rem = factor_low_degree(IntPoly(coeffs))
-            assert factors == [(IntPoly(coeffs), 1)]
-            assert rem.degree == 0
+            low, high = factor_low_degree(IntPoly(coeffs))
+            assert low == [(IntPoly(coeffs), 1)]
+            assert high == []
 
     def test_splits_products(self):
         p = poly(-1, 1) * poly(-1, 1, 1) ** 2
-        factors, rem = factor_low_degree(p)
-        assert (poly(-1, 1), 1) in factors
-        assert (poly(-1, 1, 1), 2) in factors
-        assert rem.degree == 0
+        low, high = factor_low_degree(p)
+        assert (poly(-1, 1), 1) in low
+        assert (poly(-1, 1, 1), 2) in low
+        assert high == []
 
     def test_high_degree_remainder(self):
         p = poly(1, 1, 0, 1) * poly(-1, 1)  # t^3 + t + 1 is irreducible
-        factors, rem = factor_low_degree(p)
-        assert factors == [(poly(-1, 1), 1)]
-        assert rem.primitive().coeffs == (1, 1, 0, 1)
+        low, high = factor_low_degree(p)
+        assert low == [(poly(-1, 1), 1)]
+        assert high == [(poly(1, 1, 0, 1), 1)]
+        # irreducible factors of degree >= 3 come one by one, not multiplied
+        low, high = factor_low_degree(p * poly(1, 1, 0, 1) * poly(-2, 0, 0, 1))
+        assert low == [(poly(-1, 1), 1)]
+        assert high == [(poly(-2, 0, 0, 1), 1), (poly(1, 1, 0, 1), 2)]
 
 
 quad_elems = st.builds(QuadElem, st.sampled_from([2, 5, -3]),
