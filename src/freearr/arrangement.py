@@ -47,10 +47,17 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed; this is a bug, not bad input."""
 
 
-def _proportional(u, v) -> bool:
-    return (not u[0] * v[1] - u[1] * v[0]
-            and not u[0] * v[2] - u[2] * v[0]
-            and not u[1] * v[2] - u[2] * v[1])
+def normal_column(col) -> tuple:
+    """The column scaled so that its first nonzero entry is 1.
+
+    Over a field two nonzero columns are proportional exactly when their
+    normal columns are equal.  Exact for int, Fraction and QuadElem entries.
+    """
+    lead = next(x for x in col if x)
+    if lead == 1:  # already normal, as are most columns of the paper families
+        return tuple(col)
+    inv = Fraction(1) / lead
+    return tuple(x * inv for x in col)
 
 
 class Arrangement:
@@ -121,30 +128,30 @@ def build(columns, domain: Domain | None = None) -> Arrangement:
     for i, c in enumerate(coerced, start=1):
         if not any(c):
             raise ZeroColumnError(i)
-    for i in range(len(coerced)):
-        for j in range(i + 1, len(coerced)):
-            if _proportional(coerced[i], coerced[j]):
-                raise ProportionalColumnsError(i + 1, j + 1)
+    # (first label of its class, j) for every later member j of a class;
+    # the least of these is the lexicographically first proportional pair
+    first = {}
+    pairs = []
+    for j, c in enumerate(coerced, start=1):
+        i = first.setdefault(normal_column(c), j)
+        if i != j:
+            pairs.append((i, j))
+    if pairs:
+        raise ProportionalColumnsError(*min(pairs))
     if not _has_rank3(coerced):
         raise NotEssentialError()
     return Arrangement(domain, coerced)
 
 
 def _has_rank3(cols) -> bool:
-    if len(cols) < 3:
-        return False
-    c0 = cols[0]
-    for j in range(1, len(cols)):
-        if _proportional(c0, cols[j]):
-            continue
-        for k in range(1, len(cols)):
-            if k == j:
-                continue
-            if linalg.det3_cols(c0, cols[j], cols[k]):
-                return True
-        # all other columns lie in the span of c0 and cols[j]
-        return False
-    return False
+    """Rank 3 test for pairwise non-proportional columns.
+
+    Fewer than three columns have rank below 3.  Otherwise the first two
+    span a plane, and the rank is 3 exactly when some other column lies
+    outside it.
+    """
+    return len(cols) >= 3 and any(
+        linalg.det3_cols(cols[0], cols[1], c) for c in cols[2:])
 
 
 @dataclass(frozen=True)
@@ -272,10 +279,6 @@ class IntersectionLattice:
         search([], {}, [])
         return repr(best[0]), order[0], tuple(generators)
 
-    def hyperplane_profile(self, h: int) -> tuple:
-        """Sorted multiset of multiplicities of the flats through h."""
-        return self.profiles[h - 1]
-
     def validate(self):
         seen = {}
         for idx, f in enumerate(self.flats):
@@ -357,12 +360,9 @@ class CharPoly:
         For a free arrangement these are the degrees of a homogeneous
         basis of the derivation module; the cubic always has the root 1.
         """
-        c0, c1, c2, _ = self.coeffs
         if self(1) != 0:
             return None
-        # divide by (x - 1): x^2 + bx + c
-        b = c2 + 1
-        c = c1 + b
+        c, b, _ = self.reduced()
         disc = b * b - 4 * c
         if disc < 0:
             return None
@@ -377,7 +377,7 @@ class CharPoly:
 
     def reduced(self):
         """Coefficients (c, b, 1) of chi(x)/(x-1), monic quadratic."""
-        c0, c1, c2, _ = self.coeffs
+        _, c1, c2, _ = self.coeffs
         b = c2 + 1
         c = c1 + b
         return (c, b, 1)

@@ -481,14 +481,9 @@ def report(source, at, fmt, max_n, max_states):
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
-    except SystemExit:
-        raise
     except CliError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(exc.code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_VALIDATION)
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(EXIT_VALIDATION)

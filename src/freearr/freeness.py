@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from . import linalg
-from .arrangement import Arrangement, build, clear_rational_column
+from .arrangement import Arrangement, clear_rational_column, normal_column
 from .scalars import Domain, QuadDomain, QuadElem
 
 
@@ -342,7 +342,7 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
         raise DegreeMismatchError(
             f"pdeg sum {th1.pdeg + th2.pdeg + th3.pdeg} != n = {arr.n}")
     rowmat = [t.polys for t in (th1, th2, th3)]
-    det = _det3_hpoly(rowmat)
+    det = linalg.det3(rowmat)
     if not det:
         return None
     q = defining_polynomial(arr)
@@ -355,11 +355,6 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     if det == q.scale(c):
         return c
     return None
-
-
-def _det3_hpoly(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
 
 
 def _derivation_vector(deriv: Derivation, p: int) -> dict:
@@ -394,8 +389,7 @@ class _FieldReducer:
     index a row holds, where the value is one.
     """
 
-    def __init__(self, dom: Domain):
-        self.dom = dom
+    def __init__(self):
         self.rows = {}  # pivot index -> row
 
     def reduce(self, vec: dict) -> dict:
@@ -418,7 +412,7 @@ class _FieldReducer:
         if not v:
             return False
         piv = min(v)
-        inv = self.dom.invert(v[piv])
+        inv = 1 / v[piv]
         self.rows[piv] = {j: x * inv for j, x in v.items()}
         return True
 
@@ -434,7 +428,7 @@ def _first_complement(p: int, theta_e: Derivation, others, basis,
     (D1, m*x1), (D2, m*x2) and (D3, m*x3), so its pivot (D1, m*x1) is a one
     and differs from that of every other monomial m.
     """
-    red = _FieldReducer(dom)
+    red = _FieldReducer()
     for v in _poly_multiple_vectors(theta_e, p):
         red.rows[min(v)] = v
     for g in others:
@@ -455,14 +449,12 @@ _VERDICT_CACHE: dict = {}
 
 def _key_and_lead(arr: Arrangement):
     """(state_key, product L of the leading entries it divides out)."""
-    normed = []
+    normed = sorted(tuple(map(str, normal_column(col)))
+                    for col in arr.columns)
     lead_product = arr.domain.one
     for col in arr.columns:
-        lead = next(x for x in col if x)
-        inv = arr.domain.invert(lead)
-        normed.append(tuple(str(x * inv) for x in col))
-        lead_product = lead_product * lead
-    key = arr.domain.name + "|" + ";".join(",".join(c) for c in sorted(normed))
+        lead_product = lead_product * next(x for x in col if x)
+    key = arr.domain.name + "|" + ";".join(",".join(c) for c in normed)
     return key, lead_product
 
 

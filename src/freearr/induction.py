@@ -25,6 +25,7 @@ from .arrangement import (
     char_poly,
     delete,
     deletion_is_essential,
+    normal_column,
     restriction_profile,
 )
 from .freeness import Free, Inconclusive, NotFree, decide_freeness, state_key
@@ -213,12 +214,6 @@ def _flat_direction(arr: Arrangement, flat):
     return cross(arr.column(labels[0]), arr.column(labels[1]))
 
 
-def _normalize_covector(dom, vec):
-    lead = next(x for x in vec if x)
-    inv = dom.invert(lead)
-    return tuple(x * inv for x in vec)
-
-
 def candidate_additions(arr: Arrangement, targets):
     """New hyperplanes H with predicted restriction size in targets.
 
@@ -233,13 +228,11 @@ def candidate_additions(arr: Arrangement, targets):
     targets = set(targets)
     lat = arr.lattice()
     n = arr.n
-    dom = arr.domain
     if not targets:
         return [], True
     dirs = [_flat_direction(arr, flat) for flat in lat.flats]
     mults = [len(flat) for flat in lat.flats]
-    existing = {_normalize_covector(dom, arr.column(h))
-                for h in range(1, n + 1)}
+    existing = {normal_column(col) for col in arr.columns}
     seen = set()
     candidates = []
     for i in range(len(dirs)):
@@ -247,7 +240,7 @@ def candidate_additions(arr: Arrangement, targets):
             normal = cross(dirs[i], dirs[j])
             if not any(normal):
                 continue
-            normal = _normalize_covector(dom, normal)
+            normal = normal_column(normal)
             if normal in seen or normal in existing:
                 continue
             seen.add(normal)

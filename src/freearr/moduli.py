@@ -32,6 +32,7 @@ from .arrangement import (
     _has_rank3,
     build,
     lattice_iso,
+    normal_column,
 )
 from .linalg import cross, det3_cols
 from .scalars import (
@@ -149,20 +150,12 @@ def specialize(f: Family, omega) -> SpecializationResult:
     dom = _domain_for(omega)
     values = [tuple(p(omega) for p in col) for col in f.columns]
     dropped = tuple(i + 1 for i, col in enumerate(values) if not any(col))
-    groups: list[list[int]] = []
-    kept_cols = []
-    for i, col in enumerate(values):
-        if not any(col):
-            continue
-        for gi, g in enumerate(groups):
-            ref = kept_cols[gi]
-            if not any(cross(ref, col)):
-                g.append(i + 1)
-                break
-        else:
-            groups.append([i + 1])
-            kept_cols.append(col)
-    merges = tuple(tuple(g) for g in groups if len(g) > 1)
+    groups: dict = {}  # normal column -> labels, in order of first label
+    for label, col in enumerate(values, start=1):
+        if any(col):
+            groups.setdefault(normal_column(col), []).append(label)
+    kept_cols = [values[g[0] - 1] for g in groups.values()]
+    merges = tuple(tuple(g) for g in groups.values() if len(g) > 1)
     count = len(kept_cols)
     try:
         arr = build(kept_cols, dom)

@@ -70,10 +70,6 @@ class IntPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c: int) -> IntPoly:
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -179,15 +175,6 @@ class IntPoly:
             g = -g
         return IntPoly(c // g for c in self.coeffs)
 
-    def derivative(self) -> IntPoly:
-        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def shift_up(self, k: int) -> IntPoly:
-        """Multiply by t**k."""
-        if not self:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -209,9 +196,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self})"
-
-
-T = IntPoly((0, 1))
 
 
 def poly(*coeffs) -> IntPoly:
@@ -409,8 +393,8 @@ class QuadElem:
 class Domain:
     """An exact field of scalars with decidable equality.
 
-    Elements carry their own arithmetic through operator overloading plus
-    an ``inverse`` method (Fraction uses 1/x); the domain object supplies
+    Elements carry their own arithmetic through operator overloading, so
+    ``1 / x`` is the exact inverse; the domain object supplies
     construction from integers and a name used for tagging arrangements.
     """
 
@@ -429,12 +413,6 @@ class Domain:
     @property
     def one(self):
         return self.from_int(1)
-
-    def invert(self, x):
-        """Multiplicative inverse of a nonzero element."""
-        if isinstance(x, Fraction):
-            return 1 / x
-        return x.inverse()
 
     def __repr__(self):
         return f"<domain {self.name}>"

@@ -30,10 +30,29 @@ class TestBuildValidation:
     def test_proportional_columns(self):
         with pytest.raises(am.ProportionalColumnsError):
             rational_arrangement((1, 0, 0), (-2, 0, 0), (0, 0, 1))
+        # the lexicographically first pair is reported: 1 has the later
+        # duplicate 5, although the pair (2, 3) is complete first
+        with pytest.raises(am.ProportionalColumnsError,
+                           match="^columns 1 and 5 are proportional$") as exc:
+            rational_arrangement((1, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1),
+                                 (3, 0, 0))
+        assert (exc.value.i, exc.value.j) == (1, 5)
+
+    def test_proportional_columns_in_quadratic_field(self):
+        r = QuadElem(2, 0, 1)  # sqrt 2; (2, r, 0) = r * (r, 1, 0)
+        with pytest.raises(am.ProportionalColumnsError,
+                           match="^columns 2 and 4 are proportional$"):
+            am.build([(1, 0, 0), (r, 1, 0), (0, 0, 1), (2, r, 0)])
+        assert am.normal_column((2, r, 0)) == am.normal_column((r, 1, 0))
 
     def test_not_essential(self):
         with pytest.raises(am.NotEssentialError):
             rational_arrangement((1, 0, 0), (0, 1, 0), (1, 1, 0))
+
+    def test_fewer_than_three_columns_are_not_essential(self):
+        for cols in ([], [(1, 0, 0)], [(1, 0, 0), (0, 1, 0)]):
+            with pytest.raises(am.NotEssentialError):
+                am.build(cols)
 
     def test_unknown_label(self):
         with pytest.raises(am.UnknownLabelError):

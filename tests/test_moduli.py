@@ -87,6 +87,39 @@ class TestSpecialize:
         assert spec.count == 11
         assert spec.merges == ((11, 12, 13),)
 
+    def test_interleaved_merge_groups(self):
+        t = mod._T
+        f = mod.Family("interleaved", mod._cols(
+            (3, 0, 0), (0, 1, 0), (t, t, t), (1, 0, t), (t, 2, 0),
+            (0, 0, 1), (2, t, 0)))
+        spec = mod.specialize(f, 0)
+        assert spec.dropped == (3,)
+        assert spec.merges == ((1, 4, 7), (2, 5))
+        assert spec.count == 3
+        # each group keeps its first column as evaluated, unscaled
+        assert spec.arrangement.columns == ((3, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_all_columns_merge_or_vanish(self):
+        # degenerate specializations are data: one or no column left
+        t = mod._T
+        merged = mod.Family("merged", mod._cols(
+            (1, 0, 0), (1, t, 0), (1, 0, t)))
+        spec = mod.specialize(merged, 0)
+        assert (spec.arrangement, spec.count) == (None, 1)
+        assert spec.merges == ((1, 2, 3),)
+        assert not mod.vL_membership(merged, mod.generic_lattice(merged), 0)
+        vanished = mod.Family("vanished", mod._cols(
+            (t, 0, 0), (0, t, 0), (0, 0, t)))
+        spec = mod.specialize(vanished, 0)
+        assert (spec.arrangement, spec.count) == (None, 0)
+        assert spec.dropped == (1, 2, 3)
+        assert not mod.vL_membership(
+            vanished, mod.generic_lattice(vanished), 0)
+
+    def test_generic_lattice_needs_three_columns(self):
+        with pytest.raises(am.NotEssentialError):
+            mod.generic_lattice(mod.Family("one", mod._cols((1, 0, 0))))
+
     def test_15_at_golden_square_changes_lattice(self):
         # (3+sqrt5)/2 is a root of t^2 - 3t + 1
         omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))

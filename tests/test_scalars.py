@@ -56,11 +56,6 @@ class TestIntPoly:
         assert p.content == 3
         assert p.primitive().coeffs == (2, -3, 4)
 
-    def test_derivative_and_shift(self):
-        p = poly(1, 2, 3)
-        assert p.derivative().coeffs == (2, 6)
-        assert p.shift_up(2).coeffs == (0, 0, 1, 2, 3)
-
     def test_str(self):
         assert str(poly(1, -3, 1)) == "t^2 - 3*t + 1"
         assert str(poly(0, 1)) == "t"
