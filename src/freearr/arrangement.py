@@ -382,20 +382,6 @@ class CharPoly:
         c = c1 + b
         return (c, b, 1)
 
-    def __str__(self):
-        c0, c1, c2, _ = self.coeffs
-        s = "x^3"
-        for c, mono in ((c2, "x^2"), (c1, "x"), (c0, "")):
-            if c == 0:
-                continue
-            sign = " - " if c < 0 else " + "
-            mag = abs(c)
-            if mono and mag == 1:
-                s += f"{sign}{mono}"
-            else:
-                s += f"{sign}{mag}{'*' + mono if mono else ''}"
-        return s
-
     def factored_string(self):
         exps = self.exponents()
         if exps is None:

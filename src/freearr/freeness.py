@@ -88,23 +88,8 @@ class HPoly:
     def scale(self, c):
         return HPoly(self.degree, {m: c * v for m, v in self.coeffs.items()})
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[m]
-            vars_ = "*".join(
-                (f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-                for i, e in enumerate(m) if e)
-            cs = str(c)
-            if "+" in cs[1:] or "-" in cs[1:] or "/" in cs:
-                cs = f"({cs})"
-            parts.append(f"{cs}*{vars_}" if vars_ else cs)
-        return " + ".join(parts)
-
     def __repr__(self):
-        return f"HPoly({self})"
+        return f"HPoly({self.degree}, {self.coeffs!r})"
 
 
 @dataclass(frozen=True)

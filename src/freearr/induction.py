@@ -13,6 +13,9 @@ pins every candidate exponent triple: if A has n hyperplanes, the only
 bookkeeping compatible with deleting H is
 
     exp A  = [1, s-1, n-s],    exp A\\H = [1, s-1, n-s-1].
+
+Since exp A = [1, e, f] sums to n, a step fits exactly when s-1 is e or f
+(_fitting_sizes).
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ from .arrangement import (
     build,
     char_poly,
     delete,
-    deletion_is_essential,
     normal_column,
     restriction_profile,
 )
@@ -40,8 +42,15 @@ class TheoremViolationError(AssertionError):
     """
 
 
-def _multiset(values) -> tuple:
-    return tuple(sorted(values))
+def _fitting_sizes(exps) -> tuple:
+    """Restriction sizes s with [1, s-1, n-s] = exp A: sorted distinct e+1, f+1.
+
+    exps is the sorted exponent triple (1, e, f) of an essential arrangement
+    A of n = 1 + e + f hyperplanes.  The rule is the same for deleting H
+    from A (s = |A^H|) and for adding H to A (s = |(A+H)^H|, n = |A|).
+    """
+    _, e, f = exps
+    return tuple(sorted({e + 1, f + 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +79,7 @@ class TripleVerdict:
 def _statement_holds(verdict, expected: tuple):
     """Does decide_freeness confirm freeness with exactly these exponents?"""
     if isinstance(verdict, Free):
-        return _multiset(verdict.exponents) == expected
+        return verdict.exponents == expected
     if isinstance(verdict, NotFree):
         return False
     return None  # Inconclusive
@@ -85,8 +94,8 @@ def triple_check(arr: Arrangement, h: int) -> TripleVerdict:
     """
     n = arr.n
     s, _ = restriction_profile(arr, h)
-    cand = _multiset((1, s - 1, n - s))
-    cand_del = _multiset((1, s - 1, n - s - 1))
+    cand = tuple(sorted((1, s - 1, n - s)))
+    cand_del = tuple(sorted((1, s - 1, n - s - 1)))
     sub, _ = delete(arr, h)
     full = _statement_holds(decide_freeness(arr), cand)
     deleted = _statement_holds(decide_freeness(sub), cand_del)
@@ -124,9 +133,9 @@ def quick_non_if(arr: Arrangement):
     verdict = decide_freeness(arr)
     if not isinstance(verdict, Free):
         return None
-    _, e, f = _multiset(verdict.exponents)
+    fits = _fitting_sizes(verdict.exponents)
     sizes = {h: restriction_profile(arr, h)[0] for h in range(1, arr.n + 1)}
-    if any(s in (e + 1, f + 1) for s in sizes.values()):
+    if any(s in fits for s in sizes.values()):
         return None
     return sizes
 
@@ -181,17 +190,16 @@ def inductively_free(arr: Arrangement):
             return None
         if n == 3:
             return IFCertificate((), "triangle")
-        target = _multiset(exps)
+        fits = _fitting_sizes(exps)
         sizes = Counter(h for x in node for h in x)
         # the deletion of H has rank < 3 exactly when the other n-1 lie in
         # one flat; two such flats would share n-2 >= 2 members
         axis = next((x for x in node if len(x) == n - 1), None)
         # label is H's number in this node, as delete() would renumber it
         for label, h in enumerate(sorted(live), start=1):
-            s = sizes[h]
-            if _multiset((1, s - 1, n - s)) != target:
+            if sizes[h] not in fits:
                 continue
-            step = IFStep(n, label, target, s)
+            step = IFStep(n, label, exps, sizes[h])
             if axis is not None and h not in axis:
                 # The deletion is a pencil of n-1 hyperplanes: free with
                 # exponents [0, 1, n-2], and A is the near-pencil [1, 1, n-2].
@@ -209,16 +217,13 @@ def inductively_free(arr: Arrangement):
 # Candidate additions
 
 
-def _flat_direction(arr: Arrangement, flat):
-    labels = sorted(flat)
-    return cross(arr.column(labels[0]), arr.column(labels[1]))
-
-
 def candidate_additions(arr: Arrangement, targets):
     """New hyperplanes H with predicted restriction size in targets.
 
     Enumerates lines through pairs of distinct rank-2 flats (in the dual
     projective plane every flat is a point, and two points span a line).
+    One pass over the pairs maps each line's normal column to the set of
+    flats on it, since every pair of points on a line spans that line.
     The predicted size uses the counting identity
         |(A+H)^H| = n - sum over flats X contained in H of (m_X - 1).
     Returns (candidates, complete).  complete is True when
@@ -226,32 +231,23 @@ def candidate_additions(arr: Arrangement, targets):
     then contain at least two existing flats, hence lies in the enumeration.
     """
     targets = set(targets)
-    lat = arr.lattice()
-    n = arr.n
     if not targets:
         return [], True
-    dirs = [_flat_direction(arr, flat) for flat in lat.flats]
-    mults = [len(flat) for flat in lat.flats]
+    flats = arr.lattice().flats
+    points = [cross(arr.column(a), arr.column(b))
+              for a, b, *_ in map(sorted, flats)]
+    lines: dict = {}
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            # distinct flats are distinct points, so the cross is nonzero
+            lines.setdefault(normal_column(cross(p, points[j])), set()).update(
+                (i, j))
     existing = {normal_column(col) for col in arr.columns}
-    seen = set()
-    candidates = []
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            normal = cross(dirs[i], dirs[j])
-            if not any(normal):
-                continue
-            normal = normal_column(normal)
-            if normal in seen or normal in existing:
-                continue
-            seen.add(normal)
-            absorbed = sum(
-                m - 1 for d, m in zip(dirs, mults)
-                if not (normal[0] * d[0] + normal[1] * d[1]
-                        + normal[2] * d[2]))
-            if n - absorbed in targets:
-                candidates.append(normal)
-    candidates.sort(key=lambda v: tuple(str(x) for x in v))
-    complete = n - max(targets) > max(mults) - 1
+    candidates = sorted(
+        (line for line, on in lines.items() if line not in existing
+         and arr.n - sum(len(flats[k]) - 1 for k in on) in targets),
+        key=lambda v: tuple(str(x) for x in v))
+    complete = arr.n - max(targets) > max(len(flat) for flat in flats) - 1
     return candidates, complete
 
 
@@ -289,15 +285,6 @@ class RFSearchReport:
     expansions: tuple = ()
 
 
-def _addition_targets(n: int, exps: tuple):
-    """Restriction sizes m for which adding a hyperplane keeps valid
-    Addition-Deletion bookkeeping: [1, m-1, n-m] must equal exp A."""
-    target = _multiset(exps)
-    return tuple(sorted(
-        m for m in range(2, n + 1)
-        if _multiset((1, m - 1, n - m)) == target))
-
-
 def recursively_free(arr: Arrangement, max_n: int,
                      max_states: int = 10000) -> RFSearchReport:
     """Bounded bidirectional search for a recursive-freeness chain.
@@ -313,13 +300,18 @@ def recursively_free(arr: Arrangement, max_n: int,
     # States are keyed by coordinates, not by lattice: freeness is not known
     # to be combinatorial (Terao's problem).
     start_key = state_key(arr)
-    seen = {start_key}
     parents: dict = {start_key: None}
     queue = deque([(arr, start_key)])
     explored = 0
     all_complete = True
     truncated = False
     expansions = []
+
+    def push(child: Arrangement, parent_key, move: Move):
+        key = state_key(child)
+        if key not in parents:
+            parents[key] = (parent_key, move)
+            queue.append((child, key))
 
     def chain_to(key) -> tuple:
         moves = []
@@ -345,40 +337,25 @@ def recursively_free(arr: Arrangement, max_n: int,
         if exps is None:
             continue  # not free, so no chain passes through this state
         n = state.n
-        target = _multiset(exps)
+        fits = _fitting_sizes(exps)
         deletion_moves = 0
+        # every deletion here is essential: a pencil deletion would make
+        # state a near-pencil, which the IF test above has accepted
         for h in range(1, n + 1):
-            s, _ = restriction_profile(state, h)
-            if _multiset((1, s - 1, n - s)) != target:
-                continue
-            if not deletion_is_essential(state, h):
-                continue  # a pencil deletion means state is a near-pencil,
-                          # already accepted by the IF test above
-            sub, _ = delete(state, h)
-            deletion_moves += 1
-            sub_key = state_key(sub)
-            if sub_key not in seen:
-                seen.add(sub_key)
-                parents[sub_key] = (key, Move("delete", (h,)))
-                queue.append((sub, sub_key))
-        targets = _addition_targets(n, exps)
+            if restriction_profile(state, h)[0] in fits:
+                deletion_moves += 1
+                push(delete(state, h)[0], key, Move("delete", (h,)))
         cands, complete = [], True
-        if targets:
-            if n + 1 > max_n:
-                truncated = True
-            else:
-                cands, complete = candidate_additions(state, set(targets))
-                all_complete = all_complete and complete
-                for cov in cands:
-                    grown = build(list(state.columns) + [cov], state.domain)
-                    g_key = state_key(grown)
-                    if g_key not in seen:
-                        seen.add(g_key)
-                        move = Move("add", tuple(cov))
-                        parents[g_key] = (key, move)
-                        queue.append((grown, g_key))
+        if n + 1 > max_n:
+            truncated = True
+        else:
+            cands, complete = candidate_additions(state, fits)
+            all_complete = all_complete and complete
+            for cov in cands:
+                push(build(list(state.columns) + [cov], state.domain), key,
+                     Move("add", tuple(cov)))
         expansions.append(Expansion(
-            n, target, deletion_moves, targets, len(cands), complete))
+            n, exps, deletion_moves, fits, len(cands), complete))
     if truncated:
         return RFSearchReport(
             "Unknown", explored=explored,
@@ -405,24 +382,22 @@ def replay_chain(arr: Arrangement, moves) -> Arrangement:
         if exps is None:
             raise ValueError(
                 f"move {idx}: characteristic polynomial does not split")
-        n = state.n
-        target = _multiset(exps)
         if move.action == "delete":
             h = move.payload[0]
             s, _ = restriction_profile(state, h)
-            if _multiset((1, s - 1, n - s)) != target:
+            if s not in _fitting_sizes(exps):
                 raise ValueError(
                     f"move {idx}: deleting {h} breaks the exponent "
-                    f"bookkeeping (|A^H| = {s}, exponents {target})")
+                    f"bookkeeping (|A^H| = {s}, exponents {exps})")
             state, _ = delete(state, h)
         elif move.action == "add":
             grown = build(list(state.columns) + [tuple(move.payload)],
                           state.domain)
             s, _ = restriction_profile(grown, grown.n)
-            if _multiset((1, s - 1, n - s)) != target:
+            if s not in _fitting_sizes(exps):
                 raise ValueError(
                     f"move {idx}: the added hyperplane has restriction "
-                    f"size {s}, incompatible with exponents {target}")
+                    f"size {s}, incompatible with exponents {exps}")
             state = grown
         else:
             raise ValueError(f"move {idx}: unknown action {move.action!r}")

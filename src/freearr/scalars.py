@@ -203,28 +203,6 @@ def poly(*coeffs) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _frac_divmod(p: list[Fraction], q: list[Fraction]):
-    """Division with remainder on ascending Fraction coefficient lists."""
-    p = list(p)
-    dq = len(q) - 1
-    lead = q[-1]
-    quo = [Fraction(0)] * max(len(p) - dq, 0)
-    while len(p) - 1 >= dq and any(p):
-        while p and p[-1] == 0:
-            p.pop()
-        if len(p) - 1 < dq:
-            break
-        k = len(p) - 1 - dq
-        f = p[-1] / lead
-        quo[k] = f
-        for i, c in enumerate(q):
-            p[k + i] -= f * c
-        p.pop()
-    while p and p[-1] == 0:
-        p.pop()
-    return quo, p
-
-
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Primitive gcd in Q[t] with positive leading coefficient.
 
@@ -237,15 +215,20 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
         return a
     if a.degree < b.degree:
         a, b = b, a
-    # primitive pseudo-remainder sequence
+    # primitive pseudo-remainder sequence: the pseudo-remainder is a
+    # nonzero integer multiple of the remainder in Q[t], so its primitive
+    # part is the same
     while b:
-        d = a.degree - b.degree
-        r = (b.leading ** (d + 1)) * a
-        # pseudo-remainder of r by b
-        rc = [Fraction(c) for c in r.coeffs]
-        _, rem = _frac_divmod(rc, [Fraction(c) for c in b.coeffs])
-        rp = IntPoly(int(f) for f in rem)  # exact by construction
-        a, b = b, rp.primitive()
+        r = list(a.coeffs)
+        lead = b.leading
+        while len(r) > b.degree:
+            c, k = r[-1], len(r) - 1 - b.degree
+            r = [lead * x for x in r]
+            for i, x in enumerate(b.coeffs):
+                r[k + i] -= c * x
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, IntPoly(r).primitive()
     return a.primitive()
 
 

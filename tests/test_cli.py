@@ -153,6 +153,42 @@ class TestInductionCommands:
         assert code == 1
         assert "bad scalar" in err
 
+    def test_indfree_chain_lines(self):
+        code, out, _ = run("indfree", "paper13", "--at", "2")
+        assert code == 0
+        steps = [(13, 1, "1, 5, 7", 6), (12, 2, "1, 5, 6", 6),
+                 (11, 4, "1, 5, 5", 6), (10, 1, "1, 4, 5", 5),
+                 (9, 1, "1, 4, 4", 5), (8, 1, "1, 3, 4", 4),
+                 (7, 1, "1, 3, 3", 4), (6, 1, "1, 2, 3", 3),
+                 (5, 1, "1, 2, 2", 3), (4, 1, "1, 1, 2", 2)]
+        assert out == "Inductively free (base: triangle)\n" + "".join(
+            f"  n={n} delete {h} (exponents [{e}], |A^H|={s})\n"
+            for n, h, e, s in steps)
+
+    def test_recfree_15_at_minus_one_and_replay(self, tmp_path):
+        code, out, _ = run("recfree", "paper15", "--at", "-1")
+        assert code == 0
+        assert out == ("Verdict: RF\n"
+                       "States explored: 2\n"
+                       "Reason: reached an inductively free state\n"
+                       "Chain:\n"
+                       "  add rat 1 rat -1/2 rat -1/2\n")
+        chain = tmp_path / "chain.txt"
+        chain.write_text(out.split("Chain:\n", 1)[1])
+        code, out, _ = run("recfree", "paper15", "--at", "-1",
+                           "--replay", str(chain))
+        assert code == 0
+        assert out == ("Chain verified: 1 moves, final state has 16 "
+                       "hyperplanes and is inductively free\n")
+
+    def test_recfree_state_budget_exit_two(self):
+        code, out, _ = run("recfree", "paper13", "--at", "3",
+                           "--max-states", "0")
+        assert code == 2
+        assert out == ("Verdict: Unknown\n"
+                       "States explored: 0\n"
+                       "Reason: state budget 0 exhausted\n")
+
     def test_abe_all_labels(self):
         code, out, _ = run("abe", "paper13", "--at", "3")
         assert code == 0
@@ -172,6 +208,17 @@ class TestModuliCommand:
         }
         assert payload["quadratic"] == {"t^2 - t + 1": "CountDrops"}
         assert payload["unresolved"] == []
+
+    def test_text_output(self):
+        code, out, _ = run("moduli", "paper13")
+        assert code == 0
+        assert out == ("Degeneracy set of paper13 (13 columns):\n"
+                       "  t = -1: LatticeChanges\n"
+                       "  t = 0: CountDrops\n"
+                       "  t = 1/2: LatticeChanges\n"
+                       "  t = 1: CountDrops\n"
+                       "  t = 2: LatticeChanges\n"
+                       "  roots of t^2 - t + 1: CountDrops\n")
 
     def test_constant_family_rejected(self, boolean_file):
         code, _, err = run("moduli", boolean_file)

@@ -1,10 +1,14 @@
 """Addition-Deletion bookkeeping, inductive and recursive freeness."""
+from fractions import Fraction
+
 import pytest
 
 from freearr import arrangement as am
 from freearr import induction
+from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
 from freearr.induction import (
+    Expansion,
     IFCertificate,
     IFStep,
     Move,
@@ -20,6 +24,12 @@ from freearr.induction import (
 )
 
 from conftest import boolean3, near_pencil, rational_arrangement
+
+
+def braid3() -> am.Arrangement:
+    """The braid arrangement A_3: free with exponents [1, 2, 3]."""
+    return rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                (1, -1, 0), (1, 0, -1), (0, 1, -1))
 
 
 def grid(k: int) -> am.Arrangement:
@@ -85,6 +95,20 @@ class TestTripleCheck:
                     triple_check(arr, h)  # must not raise
 
 
+class TestFittingSizes:
+    def test_matches_the_bookkeeping_triple(self, small_corpus):
+        # s fits exactly when [1, s-1, n-s] is exp A, for deletions
+        # (n = |A|) and additions (s = |(A+H)^H|, n = |A|) alike
+        for arr in list(small_corpus) + [near_pencil(6), braid3()]:
+            exps = arr.char_poly().exponents()
+            if exps is None:
+                continue
+            n = arr.n
+            assert induction._fitting_sizes(exps) == tuple(
+                s for s in range(2, n + 1)
+                if tuple(sorted((1, s - 1, n - s))) == exps)
+
+
 class TestQuickNonIF:
     def test_boolean_has_no_obstruction(self):
         assert quick_non_if(boolean3()) is None
@@ -144,7 +168,6 @@ class TestInductivelyFree:
             raise AssertionError("the IF search left the root lattice")
 
         for module, name in ((induction, "delete"),
-                             (induction, "deletion_is_essential"),
                              (induction, "restriction_profile"),
                              (am, "_compute_lattice")):
             monkeypatch.setattr(module, name, forbidden)
@@ -229,6 +252,41 @@ class TestRecursivelyFree:
         assert exp.addition_candidates == 0
         assert exp.complete
         assert exp.deletion_moves == 0
+
+    def test_paper15_at_minus_one_is_rf_by_one_addition(self):
+        # t = -1 keeps the generic lattice of the 15-line family, yet one
+        # addition reaches an inductively free arrangement
+        f15 = mod.family_15()
+        assert mod.vL_membership(f15, mod.generic_lattice(f15), -1)
+        arr = mod.specialize(f15, -1).arrangement
+        rep = recursively_free(arr, max_n=16)
+        assert rep.verdict == "RF"
+        assert rep.chain == (
+            Move("add", (Fraction(1), Fraction(-1, 2), Fraction(-1, 2))),)
+        assert rep.explored == 2
+        assert rep.expansions[0] == Expansion(15, (1, 7, 7), 0, (8,), 6, True)
+        assert replay_chain(arr, rep.chain).n == 16
+
+    def test_deletion_move(self, monkeypatch):
+        # refuse inductive freeness at the root only, so that the search
+        # has to expand A_3 and reach an inductively free deletion
+        arr = braid3()
+        real = induction.inductively_free
+        monkeypatch.setattr(induction, "inductively_free",
+                            lambda state: None if state is arr else real(state))
+        rep = recursively_free(arr, max_n=7)
+        assert rep.verdict == "RF"
+        assert rep.chain == (Move("delete", (1,)),)
+        assert rep.expansions[0].deletion_moves == 6
+
+    def test_additions_blocked_by_max_n(self, a15):
+        rep = recursively_free(a15, max_n=15)
+        assert rep.verdict == "Unknown"
+        assert rep.reason == "addition moves blocked by max_n = 15"
+
+    def test_zero_state_budget(self, a13):
+        rep = recursively_free(a13, max_n=14, max_states=0)
+        assert (rep.verdict, rep.explored) == ("Unknown", 0)
 
     def test_max_n_below_n_rejected(self, a13):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 """Exact scalar arithmetic: integer polynomials, quadratic fields."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,26 @@ class TestDivisionAndGcd:
 
     def test_poly_gcd_coprime(self):
         assert poly_gcd(poly(1, 1), poly(-1, 1)).degree == 0
+
+    def test_poly_gcd_matches_sympy_on_random_products(self):
+        import sympy
+
+        t = sympy.Symbol("t")
+        rng = random.Random(20261018)
+
+        def rand(deg):
+            return IntPoly([rng.randint(-9, 9) for _ in range(deg)]
+                           + [rng.choice((-3, -2, -1, 1, 2, 3))])
+
+        def to_sympy(p):
+            return sympy.Poly(list(reversed(p.coeffs)), t)
+
+        for _ in range(300):
+            g = rand(rng.randint(0, 3))
+            a, b = g * rand(rng.randint(0, 4)), g * rand(rng.randint(0, 4))
+            expected = to_sympy(a).gcd(to_sympy(b))
+            assert poly_gcd(a, b) == IntPoly(
+                int(c) for c in reversed(expected.all_coeffs())).primitive()
 
     def test_zero_polynomial_errors(self):
         with pytest.raises(ZeroPolynomial):
