@@ -192,8 +192,8 @@ class IntersectionLattice:
                      for incident in self.per_hyperplane)
 
     @cached_property
-    def canonical(self) -> tuple:
-        """(key of :func:`canonical_key`, |Aut|, generators of Aut).
+    def canonical(self) -> str:
+        """The key of :func:`canonical_key`; the walk computes nothing else.
 
         The key encodes, under a lexicographically minimal hyperplane
         ordering, each hyperplane's profile followed by block labels of the
@@ -202,9 +202,7 @@ class IntersectionLattice:
         candidates achieving the minimal next chunk, and of those one per
         orbit of the automorphisms fixing the prefix: such a map carries one
         subtree onto the other with equal encodings.  The backtracker decides
-        orbits, pinning the prefix.  Along the first path the orbits form a
-        stabilizer chain: |Aut| is the product of their sizes, and their
-        witnesses generate Aut.
+        orbits, pinning the prefix.  |Aut| comes from :func:`aut_order`.
         """
         n = self.n
         tab = self.pair_table
@@ -225,8 +223,6 @@ class IntersectionLattice:
             return (prof[cand - 1], tuple(labels)), local
 
         best: list = [None]
-        order = [1]
-        generators = []
 
         def search(prefix, flat_labels, acc):
             if len(prefix) == n:
@@ -249,26 +245,11 @@ class IntersectionLattice:
                     return
             pinned = [(h, h) for h in prefix]
             reps = []
-            witnesses = []
             for ch, cand, local in candidates:
-                if ch != mn:
-                    continue
-                for i, (_, rep, _) in enumerate(reps):
-                    w = _iso_backtrack(self, self, pinned + [(rep, cand)])
-                    if w is not None:
-                        if not _check_iso(self, self, w):
-                            raise InvariantError(
-                                "backtracking returned a map that is not "
-                                "an automorphism")
-                        if i == 0:
-                            witnesses.append(w)
-                        break
-                else:
+                if ch == mn and not any(
+                        _iso_backtrack(self, self, pinned + [(rep, cand)])
+                        for _, rep, _ in reps):
                     reps.append((ch, cand, local))
-            if best[0] is None:  # on the first path
-                order[0] *= len(witnesses) + 1
-                generators.extend(tuple(w[h] for h in range(1, n + 1))
-                                  for w in witnesses)
             for ch, cand, local in reps:
                 fl = dict(flat_labels)
                 fl.update(local)
@@ -277,7 +258,7 @@ class IntersectionLattice:
                 acc.pop()
 
         search([], {}, [])
-        return repr(best[0]), order[0], tuple(generators)
+        return repr(best[0])
 
     def validate(self):
         seen = {}
@@ -454,7 +435,7 @@ def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice,
 
     The (h, g) pairs of ``fixed`` come first in the order and are mapped as
     given.  Prunes with hyperplane profiles and incremental pair/flat
-    consistency.
+    consistency.  Raises InvariantError if a map found fails _check_iso.
     """
     prof1, prof2 = l1.profiles, l2.profiles
     # equal profile multisets imply equal n and flat multiplicities
@@ -508,7 +489,12 @@ def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice,
                 del flat_map_rev[flat_map.pop(f1)]
         return False
 
-    return mapping if extend(0) else None
+    if not extend(0):
+        return None
+    if not _check_iso(l1, l2, mapping):
+        raise InvariantError(
+            "backtracking returned a map that is not an isomorphism")
+    return mapping
 
 
 def _check_iso(l1, l2, mapping) -> bool:
@@ -518,20 +504,25 @@ def _check_iso(l1, l2, mapping) -> bool:
 
 def lattice_iso(l1: IntersectionLattice, l2: IntersectionLattice):
     """A hyperplane bijection inducing a lattice isomorphism, or None."""
-    mapping = _iso_backtrack(l1, l2)
-    if mapping is not None and not _check_iso(l1, l2, mapping):
-        raise InvariantError(
-            "backtracking returned a map that is not an isomorphism")
-    return mapping
+    return _iso_backtrack(l1, l2)
 
 
 def aut_order(lat: IntersectionLattice):
     """(order of Aut, generator permutations as 1-based tuples).
 
-    Read from the canonical walk; see :attr:`IntersectionLattice.canonical`.
+    Orbit-stabilizer along the base 1..n: with 1..x-1 pinned, the orbit of
+    x is x and each y > x that an automorphism maps x to.  |Aut| is the
+    product of the orbit sizes, and these witnesses generate Aut.
     """
-    _, order, generators = lat.canonical
-    return order, list(generators)
+    labels = range(1, lat.n + 1)
+    order, generators = 1, []
+    for x in labels:
+        pins = [(h, h) for h in range(1, x)]
+        witnesses = [w for y in range(x + 1, lat.n + 1)
+                     if (w := _iso_backtrack(lat, lat, pins + [(x, y)]))]
+        order *= len(witnesses) + 1
+        generators += (tuple(w[h] for h in labels) for w in witnesses)
+    return order, generators
 
 
 def canonical_key(lat: IntersectionLattice) -> str:
@@ -540,7 +531,7 @@ def canonical_key(lat: IntersectionLattice) -> str:
     Computed once per lattice and held on it; see
     :attr:`IntersectionLattice.canonical`.
     """
-    return lat.canonical[0]
+    return lat.canonical
 
 
 def format_lattice(lat: IntersectionLattice) -> str:

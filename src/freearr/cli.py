@@ -303,6 +303,14 @@ def _degeneracy_payload(fam: Family) -> dict:
     }
 
 
+def _echo_degeneracy(deg: dict):
+    for value, tag in sorted(deg["rational"].items(),
+                             key=lambda kv: Fraction(kv[0])):
+        _echo(f"  t = {value}: {tag}")
+    for factor, tag in sorted(deg["quadratic"].items()):
+        _echo(f"  roots of {factor}: {tag}")
+
+
 @cli.command("moduli")
 @click.argument("source")
 @_FORMAT
@@ -316,11 +324,7 @@ def moduli_cmd(source, fmt):
         _echo(json.dumps(payload, sort_keys=True, indent=2))
         return
     _echo(f"Degeneracy set of {fam.name} ({fam.n} columns):")
-    for value, tag in sorted(payload["rational"].items(),
-                             key=lambda kv: Fraction(kv[0])):
-        _echo(f"  t = {value}: {tag}")
-    for factor, tag in sorted(payload["quadratic"].items()):
-        _echo(f"  roots of {factor}: {tag}")
+    _echo_degeneracy(payload)
     for factor in payload["unresolved"]:
         _echo(f"  unresolved factor: {factor}")
 
@@ -465,13 +469,8 @@ def report(source, at, fmt, max_n, max_states):
               f" (sound={payload['recursively_free']['sound']})")
         _echo(f"Aut order: {payload['aut_order']}")
         if "degeneracy" in payload:
-            deg = payload["degeneracy"]
             _echo("Degeneracy set:")
-            for value, tag in sorted(deg["rational"].items(),
-                                     key=lambda kv: Fraction(kv[0])):
-                _echo(f"  t = {value}: {tag}")
-            for factor, tag in sorted(deg["quadratic"].items()):
-                _echo(f"  roots of {factor}: {tag}")
+            _echo_degeneracy(payload["degeneracy"])
     inconclusive = (isinstance(verdict, Inconclusive)
                     or rf.verdict == "Unknown")
     if inconclusive:

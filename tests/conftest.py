@@ -30,6 +30,16 @@ def near_pencil(n: int) -> am.Arrangement:
     return rational_arrangement(*cols)
 
 
+# 20 integer lines with 15 triple points and a trivial automorphism group;
+# a minimal-encoding walk over their tied candidates runs for about a minute
+ASYMMETRIC20 = [
+    (-2, 3, 3), (-2, -4, 0), (-4, 1, 2), (-4, 4, 2), (1, 2, -4),
+    (3, -4, -2), (-1, -3, -1), (3, 1, 4), (1, 4, 0), (3, -3, 1),
+    (0, -4, 2), (-3, -1, 1), (4, 1, -2), (1, 0, 4), (-3, 0, 1),
+    (0, -2, -3), (-2, 0, 3), (-2, -4, -3), (4, 2, -4), (-1, 1, 0),
+]
+
+
 def whitney_char_poly(arr: am.Arrangement):
     """Independent characteristic polynomial oracle.
 

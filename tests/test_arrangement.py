@@ -15,6 +15,7 @@ from freearr.linalg import det3_cols
 from freearr.scalars import QQ, poly, quad_field, QuadElem
 
 from conftest import (
+    ASYMMETRIC20,
     boolean3,
     near_pencil,
     rational_arrangement,
@@ -185,6 +186,20 @@ class TestDeleteRestrict:
         assert mults == (2, 2, 2, 2)
 
 
+def _limit_backtracks(monkeypatch, limit):
+    """Fail the test once _iso_backtrack is called more than limit times."""
+    calls = []
+    backtrack = am._iso_backtrack
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > limit:
+            pytest.fail(f"more than {limit} backtracker calls")
+        return backtrack(*args)
+
+    monkeypatch.setattr(am, "_iso_backtrack", counted)
+
+
 class TestIsomorphism:
     def test_permuted_columns_are_isomorphic(self, small_corpus):
         rng = random.Random(5)
@@ -222,6 +237,39 @@ class TestIsomorphism:
         monkeypatch.setattr(am, "_check_iso", lambda l1, l2, m: False)
         with pytest.raises(am.InvariantError):
             am.aut_order(boolean3().lattice())
+
+    def test_failed_check_in_canonical_walk_raises(self, monkeypatch):
+        monkeypatch.setattr(am, "_check_iso", lambda l1, l2, m: False)
+        with pytest.raises(am.InvariantError):
+            am.canonical_key(boolean3().lattice())
+
+    def test_trivial_aut_in_at_most_n_choose_2_calls(self, monkeypatch):
+        lat = rational_arrangement(*ASYMMETRIC20).lattice()
+        _limit_backtracks(monkeypatch, 20 * 19 // 2)
+        assert am.aut_order(lat)[0] == 1
+
+    def test_order_four_generators_close_to_the_group(self, monkeypatch):
+        lat = rational_arrangement(
+            (-1, 4, -2), (1, 3, -3), (-4, 3, 0), (4, -1, -1), (3, 4, 4),
+            (3, 2, -2), (-1, -2, 4), (2, -4, -3), (-2, -4, 0), (-4, 0, 3),
+            (2, 2, 2), (3, -2, 1), (-3, -4, -2), (3, -1, 0),
+            (2, 0, 2)).lattice()
+        _limit_backtracks(monkeypatch, 15 * 14 // 2)
+        order, gens = am.aut_order(lat)
+        assert order == 4
+        labels = tuple(range(1, lat.n + 1))
+        group = {labels}
+        frontier = [labels]
+        while frontier:
+            p = frontier.pop()
+            for g in gens:
+                q = tuple(g[h - 1] for h in p)
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        assert len(group) == 4
+        assert all(am._check_iso(lat, lat, dict(zip(labels, p)))
+                   for p in group)
 
     def test_aut_order_matches_brute_force(self, small_corpus):
         arrs = [a for a in small_corpus if a.n <= 7]

@@ -8,6 +8,8 @@ import pytest
 
 from freearr import cli as cli_mod
 
+from conftest import ASYMMETRIC20
+
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
 BOOLEAN_FAMILY = "1; 0; 0\n0; 1; 0\n0; 0; 1\n"
@@ -252,6 +254,16 @@ class TestReport:
         code, out, _ = run("report", str(p), "--format", "json")
         assert code == 0
         assert json.loads(out)["aut_order"] == 40320
+
+    def test_trivial_aut_of_20_lines(self, tmp_path):
+        p = tmp_path / "asym20.fam"
+        p.write_text("".join("; ".join(map(str, c)) + "\n"
+                             for c in ASYMMETRIC20))
+        code, out, _ = run("aut", str(p))
+        assert (code, out) == (0, "1\n")
+        code, out, _ = run("report", str(p), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["aut_order"] == 1
 
     def test_text_format(self, np5_file):
         code, out, _ = run("report", np5_file)

@@ -334,6 +334,13 @@ class TestVLMembership:
         assert not mod.vL_membership(f, lat, 2)       # lattice changes
         assert not mod.vL_membership(f, lat, 0)       # count drops
 
+    def test_failed_iso_check_raises(self, monkeypatch):
+        f = mod.family_13()
+        lat = mod.generic_lattice(f)
+        monkeypatch.setattr(am, "_check_iso", lambda l1, l2, m: False)
+        with pytest.raises(am.InvariantError):
+            mod.vL_membership(f, lat, 3)
+
 
 class TestFamilyFormat:
     def test_round_trip(self):

@@ -38,3 +38,23 @@ def test_benchmark_traced_names_exist():
         except AttributeError:
             missing.append(f"{mod}.{fn}")
     assert missing == []
+
+
+def _attribute_reads(node, attr, scope="<module>"):
+    """Names of the innermost functions that read ``.attr``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Load)):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_reads(child, attr, scope)
+
+
+def test_only_canonical_key_reads_the_canonical_walk():
+    """The walk, canonical_key and its TRACED entry can then go together."""
+    readers = [f"{path.relative_to(SRC)}:{scope}"
+               for path in sorted(SRC.rglob("*.py"))
+               for scope in _attribute_reads(
+                   ast.parse(path.read_text(), str(path)), "canonical")]
+    assert readers == ["arrangement.py:canonical_key"]
