@@ -1,8 +1,21 @@
 """Freeness of rank-3 arrangements via exact graded linear algebra.
 
-The derivation module is probed degree by degree: membership conditions are
-imposed on each hyperplane through a two-vector parametrization, giving an
-exact linear system whose nullspace is the graded piece.
+The degree-p piece D(A)_p of the derivation module is the nullspace of an
+exact linear system M: theta(alpha) must vanish on ker(alpha) for every
+hyperplane, and a two-vector parametrization of ker(alpha) turns that into
+p + 1 rows per hyperplane over 3 * C(p+2, 2) unknowns.
+
+Only a smaller system is eliminated.  With H the first hyperplane,
+D(A)_p = S_(p-1) theta_E (+) D_H(A)_p, where D_H(A) holds the derivations
+with theta(alpha_H) = 0 (Orlik-Terao, Arrangements of Hyperplanes, section
+4).  Writing theta = f1 v1 + f2 v2, with v1 and v2 spanning ker(alpha_H),
+gives the D_H system M_H: 2 components instead of 3 and n - 1 hyperplanes
+instead of n.  Mod each prime, the vectors m * theta_E for the monomials m
+of degree p - 1 and the lifted kernel of M_H are reduced from the right to
+the canonical nullspace basis of their span.  They number
+C(p+1, 2) + nullity_p(M_H), at least nullity(M) by the direct sum, so
+linalg.nullspace still proves the reconstructed basis against every row of
+M; it is the canonical basis of M, whatever system was eliminated.
 
 The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
@@ -158,88 +171,124 @@ def cleared_columns(arr: Arrangement):
     return linalg.IntOps, [clear_rational_column(c) for c in arr.columns]
 
 
-def _ring_add(ops, x, y):
-    if ops is linalg.IntOps:
-        return x + y
-    return (x[0] + y[0], x[1] + y[1])
+def _axes(ops, alpha):
+    """(i0, j, k): i0 the first nonzero entry of alpha, j < k the others."""
+    i0 = next(i for i, a in enumerate(alpha) if not ops.is_zero(a))
+    j, k = (i for i in range(3) if i != i0)
+    return i0, j, k
 
 
-def _ring_int_mul(ops, k: int, x):
-    if ops is linalg.IntOps:
-        return k * x
-    return (k * x[0], k * x[1])
+def _hyperplane_rows(ops, alpha, pairs, p: int, width: int):
+    """The p + 1 rows, of the given width, saying that the sum of a * f_b
+    over the (b, a) in pairs vanishes on ker(alpha); f_b is the degree-p
+    polynomial whose coefficients, in monomials(p) order, start at column b.
+
+    With i0, j, k as in _axes, (x_i0, x_j, x_k) = (-alpha_j s - alpha_k r,
+    alpha_i0 s, alpha_i0 r) parametrizes ker(alpha), so x_i0^a x_j^b x_k^c
+    becomes alpha_i0^(b+c) s^b r^c (-alpha_j s - alpha_k r)^a, and only
+    the powers of one binary form are needed.  Row t holds the coefficients
+    of s^t r^(p-t).
+    """
+    i0, j, k = _axes(ops, alpha)
+    sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
+    lead = [ops.one]        # alpha_i0^e
+    form = [[ops.one]]      # (sj s + sk r)^a, coefficients by the power of s
+    for _ in range(p):
+        lead.append(ops.mul(lead[-1], alpha[i0]))
+        prev = form[-1]
+        form.append([ops.mul(prev[0], sk)]
+                    + [ops.add(ops.mul(x, sj), ops.mul(y, sk))
+                       for x, y in zip(prev, prev[1:])]
+                    + [ops.mul(prev[-1], sj)])
+    scaled = [(block, [ops.mul(scalar, x) for x in lead])
+              for block, scalar in pairs]
+    rows = [[ops.zero] * width for _ in range(p + 1)]
+    for mi, (a, b, c) in enumerate((m[i0], m[j], m[k]) for m in monomials(p)):
+        for q, y in enumerate(form[a]):
+            if not ops.is_zero(y):
+                row = rows[b + q]
+                for block, lead_b in scaled:
+                    row[block + mi] = ops.mul(lead_b[b + c], y)
+    return rows
 
 
-def _spanning_vectors(ops, alpha):
-    """Two independent integral vectors spanning ker(alpha)."""
-    pivot = next(i for i, a in enumerate(alpha) if not ops.is_zero(a))
-    others = [i for i in range(3) if i != pivot]
-    vecs = []
-    for j in others:
-        v = [ops.zero, ops.zero, ops.zero]
-        v[j] = alpha[pivot]
-        v[pivot] = _ring_int_mul(ops, -1, alpha[j])
-        vecs.append(tuple(v))
-    return vecs[0], vecs[1]
+def _constraint_rows(ops, cols, p: int):
+    """Rows of the full membership system M for degree p: theta =
+    f1 D1 + f2 D2 + f3 D3, with the coefficients of f_c at block c."""
+    nm = len(monomials(p))
+    return [row for alpha in cols
+            for row in _hyperplane_rows(
+                ops, alpha, [(c * nm, a) for c, a in enumerate(alpha)
+                             if not ops.is_zero(a)], p, 3 * nm)]
 
 
-def _binary_form(ops, u, v, expnts, p: int):
-    """Coefficients in (s, r) of prod (s*u_i + r*v_i)^e_i, length p+1."""
-    one = 1 if ops is linalg.IntOps else (1, 0)
-    form = [one]
-    for axis, e in enumerate(expnts):
-        if e == 0:
-            continue
-        ua, va = u[axis], v[axis]
-        # (ua*s + va*r)^e expanded: coeff of s^a r^(e-a) = C(e,a) ua^a va^(e-a)
-        pows_u = [one]
-        pows_v = [one]
-        for _ in range(e):
-            pows_u.append(ops.mul(pows_u[-1], ua))
-            pows_v.append(ops.mul(pows_v[-1], va))
-        fac = [_ring_int_mul(ops, comb(e, a), ops.mul(pows_u[a], pows_v[e - a]))
-               for a in range(e + 1)]
-        new = [ops.zero] * (len(form) + e)
-        for a, x in enumerate(form):
-            if ops.is_zero(x):
-                continue
-            for b, y in enumerate(fac):
-                new[a + b] = _ring_add(ops, new[a + b], ops.mul(x, y))
-        form = new
-    return form
+def _kernel_frame(ops, alpha):
+    """v1, v2 spanning ker(alpha): the directions of s and r in
+    _hyperplane_rows."""
+    i0, j, k = _axes(ops, alpha)
+    v1, v2 = [ops.zero] * 3, [ops.zero] * 3
+    v1[i0], v1[j] = ops.neg(alpha[j]), alpha[i0]
+    v2[i0], v2[k] = ops.neg(alpha[k]), alpha[i0]
+    return v1, v2
 
 
-def _constraint_matrix(arr: Arrangement, p: int):
-    """Rows of the membership system for degree p, over the integral ring."""
-    ops, cols = cleared_columns(arr)
-    mons = monomials(p)
-    nm = len(mons)
-    ncols = 3 * nm
+def _dh_rows(ops, cols, frame, p: int):
+    """Rows of the D_H system M_H for degree p, H the first hyperplane and
+    frame = (v1, v2) spanning ker(alpha_H): theta = f1 v1 + f2 v2, with f1
+    at block 0 and f2 at block nm, kills alpha_H, and on every other K,
+    theta(alpha_K) = (alpha_K . v1) f1 + (alpha_K . v2) f2."""
+    nm = len(monomials(p))
     rows = []
-    for alpha in cols:
-        u, v = _spanning_vectors(ops, alpha)
-        forms = [_binary_form(ops, u, v, m, p) for m in mons]
-        for t in range(p + 1):
-            row = [ops.zero] * ncols
-            for c in range(3):
-                ac = alpha[c]
-                if ops.is_zero(ac):
-                    continue
-                base = c * nm
-                for mi in range(nm):
-                    ft = forms[mi][t]
-                    if not ops.is_zero(ft):
-                        row[base + mi] = ops.mul(ac, ft)
-            rows.append(row)
-    return ops, rows, ncols
+    for beta in cols[1:]:
+        pairs = []
+        for block, v in zip((0, nm), frame):
+            dot = ops.zero
+            for x, y in zip(beta, v):
+                dot = ops.add(dot, ops.mul(x, y))
+            if not ops.is_zero(dot):
+                pairs.append((block, dot))
+        rows += _hyperplane_rows(ops, beta, pairs, p, 2 * nm)
+    return rows
+
+
+def _dh_kernel(ops, cols, p: int):
+    """kernel(h, q) for linalg.nullspace of the degree-p system M: the
+    vectors m * theta_E, m over the monomials of degree p - 1, then the
+    kernel of M_H mod q under the ring map h, lifted by theta = f1 v1 +
+    f2 v2.  M_H is built per call, so it is not kept through the exact
+    check."""
+    nm = len(monomials(p))
+    index = {m: i for i, m in enumerate(monomials(p))}
+    euler = [{c * nm + index[tuple(e + (i == c) for i, e in enumerate(m))]: 1
+              for c in range(3)} for m in monomials(p - 1)]
+    frame = _kernel_frame(ops, cols[0])
+
+    def kernel(h, q):
+        lift = [(h(x), h(y)) for x, y in zip(*frame)]   # (v1_c, v2_c) mod q
+        vecs = list(euler)
+        for f in linalg._kernel_mod(_dh_rows(ops, cols, frame, p), 2 * nm,
+                                    h, q):
+            theta = {}
+            for i, x in f.items():
+                block, mi = divmod(i, nm)
+                for c, v in enumerate(lift):
+                    if v[block]:
+                        j = c * nm + mi
+                        theta[j] = (theta.get(j, 0) + x * v[block]) % q
+            vecs.append({j: x for j, x in theta.items() if x})
+        return vecs
+    return kernel
 
 
 def derivation_space_dim(arr: Arrangement, p: int) -> int:
-    """Exact dimension of the degree-p graded piece of the derivation module."""
+    """Exact dimension of the degree-p graded piece of the derivation
+    module: C(p+1, 2) for S_(p-1) theta_E plus the nullity of M_H."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    ops, rows, ncols = _constraint_matrix(arr, p)
-    return ncols - linalg.rank(rows, ncols, ops)
+    ops, cols = cleared_columns(arr)
+    nm = len(monomials(p))
+    rows = _dh_rows(ops, cols, _kernel_frame(ops, cols[0]), p)
+    return comb(p + 1, 2) + 2 * nm - linalg.rank(rows, 2 * nm, ops)
 
 
 def _vector_to_derivation(vec, p: int) -> Derivation:
@@ -254,9 +303,14 @@ def _vector_to_derivation(vec, p: int) -> Derivation:
 
 
 def derivation_basis(arr: Arrangement, p: int) -> list:
-    """Basis of the degree-p graded piece, as Derivations over the field."""
-    ops, rows, ncols = _constraint_matrix(arr, p)
-    vecs = linalg.nullspace(rows, ncols, ops)
+    """Basis of the degree-p graded piece, as Derivations over the field:
+    the canonical nullspace basis of M, found by eliminating M_H."""
+    if p < 0:
+        raise ValueError("degree must be nonnegative")
+    ops, cols = cleared_columns(arr)
+    vecs = linalg.nullspace(_constraint_rows(ops, cols, p),
+                            3 * len(monomials(p)), ops,
+                            _dh_kernel(ops, cols, p))
     return [_vector_to_derivation(v, p) for v in vecs]
 
 
@@ -316,30 +370,57 @@ def defining_polynomial(arr: Arrangement) -> HPoly:
     return out
 
 
+def _cleared(polys):
+    """(den, den * polys) for den the least common denominator of their
+    coefficients, which become ints, or QuadElems with int parts; ring
+    arithmetic on either stays exact and integral."""
+    den = lcm(*(q.denominator for f in polys for x in f.coeffs.values()
+                for q in ((x.a, x.b) if isinstance(x, QuadElem) else (x,))))
+
+    def times(x):
+        if isinstance(x, QuadElem):
+            return QuadElem._make(x.d, times(x.a), times(x.b))
+        return x.numerator * (den // x.denominator)
+    return den, [HPoly(f.degree, {m: times(x) for m, x in f.coeffs.items()})
+                 for f in polys]
+
+
 def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
                 th3: Derivation):
     """Saito's criterion: det of the coefficient matrix against c * Q.
 
     Returns the nonzero constant c on success, None if the determinant is
-    not a nonzero constant multiple of Q.
+    not a nonzero constant multiple of Q.  Both sides are computed over Z
+    or Z[sqrt d]: each derivation and each defining form is scaled by the
+    least common denominator of its coefficients, det' = c' Q' is tested by
+    cross-multiplication, det'[m] Q'[m0] = Q'[m] det'[m0] for every
+    monomial m, and c = c' * (product of the form scales) / (product of the
+    derivation scales).
     """
     if th1.pdeg + th2.pdeg + th3.pdeg != arr.n:
         raise DegreeMismatchError(
             f"pdeg sum {th1.pdeg + th2.pdeg + th3.pdeg} != n = {arr.n}")
-    rowmat = [t.polys for t in (th1, th2, th3)]
+    den, rowmat = 1, []
+    for th in (th1, th2, th3):
+        k, polys = _cleared(th.polys)
+        den *= k
+        rowmat.append(polys)
     det = linalg.det3(rowmat)
     if not det:
         return None
-    q = defining_polynomial(arr)
-    # candidate constant from any monomial of Q
-    m0, qc = next(iter(q.coeffs.items()))
-    dc = det.coeffs.get(m0)
-    if dc is None or not dc:
+    scale, q = 1, HPoly(0, {(0, 0, 0): 1})
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for alpha in arr.columns:
+        k, (form,) = _cleared([HPoly(1, dict(zip(units, alpha)))])
+        scale *= k
+        q = q * form
+    m0, q0 = next(iter(q.coeffs.items()))
+    d0 = det.coeffs.get(m0)
+    if (d0 is None or det.coeffs.keys() != q.coeffs.keys()
+            or any(x * q0 != q.coeffs[m] * d0 for m, x in det.coeffs.items())):
         return None
-    c = dc / qc
-    if det == q.scale(c):
-        return c
-    return None
+    one = arr.domain.one        # one * x is the ring element x in the field
+    return one * d0 * scale / (one * q0 * den)
 
 
 def _derivation_vector(deriv: Derivation, p: int) -> dict:

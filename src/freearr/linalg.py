@@ -2,16 +2,22 @@
 
 The derivation constraint systems are solved by one multi-modular engine.
 Their rows live in Z or Z[sqrt d], the ring being supplied as an ops object
-(IntOps, or a QuadOps instance).  Each word-size prime of a fixed sequence
-maps the rows into F_p, where the reduced row echelon form is computed; the
-canonical nullspace basis is then recovered by Chinese remaindering and
-rational reconstruction, and returned only after it has been verified
-exactly against every row.  The 3x3 determinant and cross product helpers
-work over any commutative ring, including Z[t].
+(IntOps, or a QuadOps instance).  For each word-size prime of a fixed
+sequence, and each ring map into F_p, the caller supplies independent
+vectors spanning part of the kernel mod p: by default the kernel of the rows
+themselves, from their reduced row echelon form.  The vectors are reduced
+from the right, i.e. put in reduced row echelon form on reversed columns,
+which yields the canonical nullspace basis mod p.  That basis is recovered
+by Chinese remaindering and rational reconstruction, and returned only
+after it has been verified exactly against every row.  Whenever the number
+of supplied vectors is at least the true nullity, the verified basis is
+the canonical one (see nullspace).  The 3x3 determinant and cross product
+helpers work over any commutative ring, including Z[t].
 """
 from __future__ import annotations
 
 from bisect import bisect
+from functools import partial
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -49,6 +55,14 @@ class IntOps:
         return x == 0
 
     @staticmethod
+    def add(x, y):
+        return x + y
+
+    @staticmethod
+    def neg(x):
+        return -x
+
+    @staticmethod
     def mul(x, y):
         return x * y
 
@@ -67,12 +81,11 @@ class IntOps:
     # -- the ring as the multi-modular engine sees it ----------------------
 
     @staticmethod
-    def images(rows, p):
-        """(the rows mod p under each ring map to F_p, as sparse dicts; the
-        map from residues under those maps to residues of the integer
+    def maps(p):
+        """(the ring maps to F_p, each a function of one element; the map
+        from residues under those maps to residues of the integer
         coordinates), or None when p admits no ring map."""
-        return [[{j: y for j, x in enumerate(row) if (y := x % p)}
-                 for row in rows]], _identity
+        return (lambda x: x % p,), _identity
 
     @staticmethod
     def integer_rows(rows):
@@ -104,6 +117,14 @@ class QuadOps:
     def is_zero(x):
         return x == (0, 0)
 
+    @staticmethod
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    @staticmethod
+    def neg(x):
+        return (-x[0], -x[1])
+
     def mul(self, x, y):
         a, b = x
         c, e = y
@@ -120,18 +141,14 @@ class QuadOps:
 
     # -- the ring as the multi-modular engine sees it ----------------------
 
-    def images(self, rows, p):
-        """The rows under sqrt d -> r and sqrt d -> -r, with r*r = d mod p,
-        and the map from residues x+, x- under them to those of the
-        coordinates a = (x+ + x-)/2 and b = (x+ - x-)/(2r); None when d is
-        not a nonzero square mod p."""
+    def maps(self, p):
+        """sqrt d -> r and sqrt d -> -r, with r*r = d mod p, and the map from
+        residues x+, x- under them to those of the coordinates
+        a = (x+ + x-)/2 and b = (x+ - x-)/(2r); None when d is not a nonzero
+        square mod p."""
         r = _sqrt_mod(self.d, p)
         if r is None:
             return None
-        plus = [{j: y for j, (a, b) in enumerate(row)
-                 if (y := (a + b * r) % p)} for row in rows]
-        minus = [{j: y for j, (a, b) in enumerate(row)
-                  if (y := (a - b * r) % p)} for row in rows]
         half, inv2r = (p + 1) >> 1, pow(2 * r, -1, p)
 
         def coords(xp, xm):
@@ -140,7 +157,8 @@ class QuadOps:
                 out.append((u + v) * half % p)
                 out.append((u - v) * inv2r % p)
             return out
-        return [plus, minus], coords
+        return ((lambda x: (x[0] + x[1] * r) % p,
+                 lambda x: (x[0] - x[1] * r) % p), coords)
 
     def integer_rows(self, rows):
         """Two integer rows per row, on interleaved coordinates (a, b):
@@ -267,6 +285,44 @@ def _eliminate(row, col: int, prow, p: int):
             del row[j]
 
 
+def _kernel_mod(rows, ncols: int, h, p: int):
+    """The kernel mod p of the ring rows under the ring map h, as one sparse
+    vector per free column f of their reduced row echelon form: a one at f
+    and minus column f of the reduced rows at the pivots."""
+    pivots, red = _rref_mod([{j: y for j, x in enumerate(row)
+                              if x and (y := h(x))}
+                             for row in rows], ncols, p)
+    pivset = set(pivots)
+    return [{f: 1, **{c: p - row[f] for c, row in zip(pivots, red)
+                      if f in row}}
+            for f in range(ncols) if f not in pivset]
+
+
+def _reduce_right(vectors, p: int):
+    """Reduced row echelon form mod p of sparse vectors on reversed columns.
+
+    Returns {pivot: row}: each pivot is the last nonzero position of its
+    row, whose one there is not stored, and every row is zero at the other
+    pivots.  None when the vectors are dependent.  The input is not changed.
+    """
+    rows = {}
+    for vec in vectors:
+        v = dict(vec)
+        # Reduced rows are zero at the other pivots, so one pass suffices.
+        for f in [j for j in v if j in rows]:
+            _eliminate(v, f, rows[f], p)
+        if not v:
+            return None
+        f = max(v)
+        inv = pow(v.pop(f), -1, p)
+        new = {j: x * inv % p for j, x in v.items()}
+        for row in rows.values():
+            if f in row:
+                _eliminate(row, f, new, p)
+        rows[f] = new
+    return rows
+
+
 def _rational(x: int, m: int, bound: int):
     """(n, d) with n = d*x mod m, |n| <= bound, 0 < d <= bound and
     gcd(n, d) = 1, or None; unique when 2*bound**2 < m."""
@@ -315,26 +371,29 @@ def _annihilates(columns, nrows: int, entries) -> bool:
     return not any(acc)
 
 
-def _residues_mod(rows, ncols: int, ops, p: int):
+def _residues_mod(kernel, ncols: int, ops, p: int):
     """(pivot columns, free columns, and per free column f the coordinate
-    residues of its basis vector at the pivots before f) mod p; None when p
-    admits no ring map or the ring maps disagree on the pivots, which makes
-    p unlucky."""
-    image = ops.images(rows, p)
-    if image is None:
+    residues of its basis vector at the pivots before f) mod p, from the
+    vectors kernel(h, p) supplies under each ring map h; None when p admits
+    no ring map, the supplied vectors are dependent, or the ring maps
+    disagree on the free columns, which makes p unlucky."""
+    maps = ops.maps(p)
+    if maps is None:
         return None
-    mats, to_coords = image
-    forms = [_rref_mod(m, ncols, p) for m in mats]
-    pivots = forms[0][0]
-    if any(piv != pivots for piv, _ in forms[1:]):
-        return None
-    # Residues only at the pivots before f, so every vector has the support
-    # the proof in nullspace needs by construction.
-    pivset = set(pivots)
-    free = [f for f in range(ncols) if f not in pivset]
+    hs, to_coords = maps
+    forms = []
+    for h in hs:
+        form = _reduce_right(kernel(h, p), p)
+        if form is None or (forms and form.keys() != forms[0].keys()):
+            return None
+        forms.append(form)
+    free = sorted(forms[0])
+    pivots = [c for c in range(ncols) if c not in forms[0]]
+    # A reduced row is zero at the other free columns and after its own, so
+    # its residues at the pivots before f are all of it.
     return pivots, free, [
-        to_coords(*[[-red[k].get(f, 0) % p for k in range(bisect(pivots, f))]
-                    for _, red in forms])
+        to_coords(*[[form[f].get(c, 0) for c in pivots[:bisect(pivots, f)]]
+                    for form in forms])
         for f in free]
 
 
@@ -352,30 +411,43 @@ def rank(rows, ncols, ops) -> int:
     return ncols - len(nullspace(rows, ncols, ops))
 
 
-def nullspace(rows, ncols, ops):
+def nullspace(rows, ncols, ops, kernel=None):
     """Basis of the right nullspace, as vectors of field elements.
 
     One vector per free column f of the reduced row echelon form, with a
     one at f, zero at the other free columns and nonzero entries only at
-    pivot columns before f: the canonical basis, which does not depend on
-    how it is computed.
+    pivot columns before f: the canonical basis, which depends only on the
+    nullspace, not on how it is computed.
 
-    Primes are ranked by (higher rank, then lexicographically smaller
+    Per prime p and ring map h, kernel(h, p) supplies independent vectors
+    in the kernel of the rows mod p, never fewer than the nullity over the
+    field; when exactly that many, they must span the reduction mod p of
+    the integer vectors of the true nullspace, as they do for all but
+    finitely many p.  The default (_kernel_mod) is the whole kernel mod p.
+    Reducing the vectors from the right gives the canonical basis of their
+    span, whose free columns are their last nonzero positions.
+
+    Primes are ranked by (fewer vectors, then lexicographically smaller
     pivot list), and residues are combined only across primes tied for the
     best rank so far.  The reconstructed basis is returned once every
     vector annihilates every row exactly.  That check is the proof: the
-    vectors are independent and number ncols - rank_p >= the true nullity,
-    and each vector's support (its free column f and pivot columns before
-    f) shows that f is no pivot over the field, so the pivots are the true
-    ones.  Only finitely many primes give a wrong rank or pivot list, so
-    the loop ends.
+    vectors are independent and number at least the true nullity, and each
+    vector's support (its free column f and pivot columns before f) shows
+    that f is no pivot over the field, so the pivots are the true ones.
+    The loop ends: a span of the true dimension is the reduced integer
+    nullspace, which has at least as many free columns before any given
+    position as the true one, so its i-th pivot is never earlier and no
+    prime outranks the true pivots, while all but finitely many primes tie
+    with them.
     """
+    if kernel is None:
+        kernel = partial(_kernel_mod, rows, ncols)
     parts = ops.parts
     best = None                 # rank key of the primes being combined
     modulus, acc = 1, []
     columns = None              # the exact check's integer rows, by column
     for p in _primes():
-        found = _residues_mod(rows, ncols, ops, p)
+        found = _residues_mod(kernel, ncols, ops, p)
         if found is None:
             continue
         pivots, free, res = found

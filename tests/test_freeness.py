@@ -1,12 +1,16 @@
 """Derivation modules, graded dimensions, Saito certificates."""
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from freearr import arrangement as am
 from freearr import freeness as fr
+from freearr import linalg
+from freearr import moduli as mod
 from freearr.freeness import (
     Derivation,
     Free,
@@ -24,7 +28,8 @@ from freearr.freeness import (
     saito_check,
 )
 from freearr.induction import inductively_free
-from freearr.scalars import QQ
+from freearr.linalg import IntOps, QuadOps
+from freearr.scalars import QQ, QuadElem
 
 from conftest import boolean3, near_pencil, rational_arrangement
 
@@ -283,3 +288,331 @@ class TestOracleEquivalence:
                 verdict = decide_freeness(arr)
                 assert not isinstance(verdict, Inconclusive)
                 assert isinstance(verdict, Free) == brute_force_free(arr, rng)
+
+
+# -- the D_H(A) solve: rows, kernel supply, saito over the integral ring ---
+
+def _ring_int_mul(ops, k, x):
+    return k * x if ops is IntOps else (k * x[0], k * x[1])
+
+
+def _old_spanning_vectors(ops, alpha):
+    """Two integral vectors spanning ker(alpha), as the solver built them
+    before the single row builder."""
+    pivot = next(i for i, a in enumerate(alpha) if not ops.is_zero(a))
+    vecs = []
+    for j in (i for i in range(3) if i != pivot):
+        v = [ops.zero, ops.zero, ops.zero]
+        v[j] = alpha[pivot]
+        v[pivot] = _ring_int_mul(ops, -1, alpha[j])
+        vecs.append(tuple(v))
+    return vecs[0], vecs[1]
+
+
+def _old_binary_form(ops, u, v, expnts, p):
+    """Coefficients in (s, r) of prod (s*u_i + r*v_i)^e_i, by binomials."""
+    form = [ops.one]
+    for axis, e in enumerate(expnts):
+        if e == 0:
+            continue
+        ua, va = u[axis], v[axis]
+        pows_u, pows_v = [ops.one], [ops.one]
+        for _ in range(e):
+            pows_u.append(ops.mul(pows_u[-1], ua))
+            pows_v.append(ops.mul(pows_v[-1], va))
+        fac = [_ring_int_mul(ops, comb(e, a),
+                             ops.mul(pows_u[a], pows_v[e - a]))
+               for a in range(e + 1)]
+        new = [ops.zero] * (len(form) + e)
+        for a, x in enumerate(form):
+            if ops.is_zero(x):
+                continue
+            for b, y in enumerate(fac):
+                new[a + b] = ops.add(new[a + b], ops.mul(x, y))
+        form = new
+    return form
+
+
+def _old_constraint_rows(ops, cols, p):
+    """The full system M as the binomial expansion built it: the oracle."""
+    mons = fr.monomials(p)
+    nm = len(mons)
+    rows = []
+    for alpha in cols:
+        u, v = _old_spanning_vectors(ops, alpha)
+        forms = [_old_binary_form(ops, u, v, m, p) for m in mons]
+        for t in range(p + 1):
+            row = [ops.zero] * (3 * nm)
+            for c in range(3):
+                if ops.is_zero(alpha[c]):
+                    continue
+                for mi in range(nm):
+                    if not ops.is_zero(forms[mi][t]):
+                        row[c * nm + mi] = ops.mul(alpha[c], forms[mi][t])
+            rows.append(row)
+    return rows
+
+
+# Columns with a zero in each position, and none.
+INT_COLUMNS = [(0, 2, -3), (5, 0, 7), (-2, 3, 0), (0, 0, 4), (0, -3, 0),
+               (6, 0, 0), (3, -1, 2), (-4, 5, 9)]
+QUAD_COLUMNS = [((0, 0), (1, 1), (2, -1)), ((3, 1), (0, 0), (-1, 2)),
+                ((2, 0), (1, -1), (0, 0)), ((0, 0), (0, 0), (0, 1)),
+                ((1, 2), (-3, 1), (2, 5)), ((0, 1), (4, 0), (0, 0))]
+
+
+def _degrees(arr):
+    """The degrees to check: 0..e3, or 0..min(n - 2, 4) when chi does not
+    split."""
+    exps = arr.char_poly().exponents()
+    return range((exps[2] if exps else min(arr.n - 2, 4)) + 1)
+
+
+def _paper_quad_points():
+    omega5 = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    return (mod.specialize(mod.family_15(), omega5).arrangement,
+            mod.specialize(mod.family_13(), QuadElem(-1, 2, 1)).arrangement)
+
+
+class TestRowBuilder:
+    @pytest.mark.parametrize("ops,cols", [(IntOps, INT_COLUMNS),
+                                          (QuadOps(2), QUAD_COLUMNS),
+                                          (QuadOps(-3), QUAD_COLUMNS)])
+    def test_full_rows_match_binary_form_expansion(self, ops, cols):
+        for p in range(6):
+            assert fr._constraint_rows(ops, cols, p) == \
+                _old_constraint_rows(ops, cols, p)
+
+    @pytest.mark.parametrize("ops,cols", [(IntOps, INT_COLUMNS),
+                                          (QuadOps(5), QUAD_COLUMNS)])
+    def test_dh_rows_are_full_rows_on_the_frame(self, ops, cols):
+        # M_H's rows for K are M's rows for K applied to theta = f1 v1 + f2 v2
+        v1, v2 = _old_spanning_vectors(ops, cols[0])
+        assert fr._kernel_frame(ops, cols[0]) == (list(v1), list(v2))
+        for p in range(5):
+            nm = len(fr.monomials(p))
+            full = _old_constraint_rows(ops, cols, p)[p + 1:]
+            expected = []
+            for row in full:
+                out = []
+                for v in (v1, v2):
+                    for mi in range(nm):
+                        acc = ops.zero
+                        for c in range(3):
+                            acc = ops.add(acc, ops.mul(row[c * nm + mi], v[c]))
+                        out.append(acc)
+                expected.append(out)
+            assert fr._dh_rows(ops, cols, (v1, v2), p) == expected
+
+
+class TestDHSolve:
+    @staticmethod
+    def _check(arr, degrees):
+        ops, cols = fr.cleared_columns(arr)
+        for p in degrees:
+            rows = fr._constraint_rows(ops, cols, p)
+            ncols = 3 * len(fr.monomials(p))
+            kernel = fr._dh_kernel(ops, cols, p)
+            q = next(q for q in linalg._primes() if ops.maps(q) is not None)
+            # one prime: the supplied span reduces to M's own canonical basis
+            assert linalg._residues_mod(kernel, ncols, ops, q) == \
+                linalg._residues_mod(partial(linalg._kernel_mod, rows, ncols),
+                                     ncols, ops, q)
+            assert linalg.nullspace(rows, ncols, ops, kernel) == \
+                linalg.nullspace(rows, ncols, ops)
+
+    def test_basis_equals_full_nullspace_on_small_corpus(self, small_corpus):
+        for arr in small_corpus:
+            self._check(arr, _degrees(arr))
+
+    def test_basis_equals_full_nullspace_on_near_pencils(self):
+        for n in range(4, 9):
+            self._check(near_pencil(n), _degrees(near_pencil(n)))
+
+    def test_basis_equals_full_nullspace_on_paper_members(self, a13, a15):
+        for arr in (a13, a15, *_paper_quad_points()):
+            self._check(arr, _degrees(arr))
+
+    def test_full_system_is_never_eliminated(self, a13, monkeypatch):
+        widths = []
+        rref = linalg._rref_mod
+
+        def spy(rows, ncols, p):
+            widths.append(ncols)
+            return rref(rows, ncols, p)
+
+        monkeypatch.setattr(linalg, "_rref_mod", spy)
+        verdict = decide_freeness(a13, use_cache=False)
+        assert isinstance(verdict, Free) and verdict.exponents == (1, 6, 6)
+        assert widths and set(widths) == {2 * comb(8, 2)}
+
+    def test_negative_degree_raises(self):
+        for probe in (derivation_basis, derivation_space_dim):
+            with pytest.raises(ValueError, match="degree must be nonnegative"):
+                probe(boolean3(), -1)
+
+
+def _full_dim(arr, p):
+    ops, cols = fr.cleared_columns(arr)
+    ncols = 3 * len(fr.monomials(p))
+    return ncols - linalg.rank(fr._constraint_rows(ops, cols, p), ncols, ops)
+
+
+# The 70 inputs among 7-16 lines with coordinates in [-2, 2], drawn with
+# random.Random(777) (n = randint(7, 16), then columns until n distinct
+# lines, kept when chi splits, 200 kept), that are not free.  A column is
+# three digits, each coordinate plus 2.
+NONFREE_SPLIT = (
+    "003 421 431 042 101 043 242",
+    "003 232 201 214 223 203 102 041 204",
+    "312 210 221 203 230 000 212",
+    "200 411 311 032 301 022 144",
+    "400 040 041 102 132 430 223",
+    "204 202 211 401 120 230 234",
+    "321 442 220 431 312 200 310 014 343",
+    "232 022 303 414 323 343 044",
+    "322 324 304 010 121 421 220",
+    "312 423 424 124 012 221 024",
+    "122 332 320 323 310 324 421",
+    "041 224 002 210 242 200 231",
+    "401 320 000 130 224 313 134",
+    "313 441 424 124 221 420 421",
+    "041 332 330 223 004 443 303",
+    "342 332 400 022 232 032 030",
+    "012 412 200 422 002 424 212",
+    "431 000 322 114 411 244 100",
+    "142 211 220 232 204 320 040 241 210",
+    "120 022 320 004 323 024 403",
+    "021 020 022 120 212 341 124",
+    "442 102 322 010 142 201 232",
+    "034 140 003 420 014 212 113",
+    "102 433 314 323 420 341 002",
+    "422 421 423 333 214 120 424",
+    "004 142 334 333 114 221 012",
+    "413 223 021 324 024 101 020",
+    "340 101 241 304 313 022 004",
+    "431 242 014 034 341 440 302",
+    "000 344 433 204 411 004 124 133 022",
+    "320 202 211 013 220 231 203",
+    "344 223 121 021 331 422 324",
+    "032 023 122 320 420 030 120",
+    "132 204 404 412 002 142 202",
+    "321 233 021 323 102 221 421",
+    "122 302 112 042 242 420 000",
+    "341 301 014 444 123 331 203",
+    "432 104 404 413 440 322 023",
+    "133 131 220 314 403 210 423",
+    "433 122 444 100 340 200 030",
+    "113 001 330 003 340 110 210",
+    "043 320 421 002 020 220 021",
+    "331 420 122 140 441 204 131",
+    "313 434 413 322 340 431 100",
+    "201 200 042 331 221 240 230",
+    "030 433 424 303 233 010 232",
+    "342 212 241 300 230 221 231",
+    "424 413 303 232 333 201 343",
+    "014 120 202 004 034 420 041",
+    "203 211 402 210 243 220 022",
+    "210 304 214 240 241 021 232",
+    "213 224 232 214 420 014 211 042 210 203 412",
+    "103 242 010 430 133 440 422",
+    "113 344 341 123 410 302 242",
+    "223 231 440 211 124 324 321 424 023",
+    "341 224 342 142 344 343 244",
+    "201 124 313 434 212 333 303",
+    "311 234 221 041 302 310 312",
+    "442 111 114 110 320 321 113",
+    "201 042 142 032 241 122 440 242 332",
+    "234 434 310 122 320 034 102",
+    "331 141 232 414 323 224 131",
+    "000 331 102 001 223 042 110",
+    "013 330 031 004 304 044 240",
+    "210 330 042 401 123 213 141",
+    "210 202 240 140 421 230 244",
+    "340 113 403 044 022 413 213",
+    "224 012 322 131 424 420 324",
+    "044 322 034 103 232 000 101 123 331",
+    "024 200 213 201 221 301 203",
+)
+
+
+def _nonfree_split():
+    return [rational_arrangement(*(tuple(int(d) - 2 for d in col)
+                                   for col in line.split()))
+            for line in NONFREE_SPLIT]
+
+
+class TestDimensionSweep:
+    def test_dh_dim_equals_full_rank_on_small_corpus(self, small_corpus):
+        for arr in small_corpus:
+            for p in _degrees(arr):
+                assert derivation_space_dim(arr, p) == _full_dim(arr, p)
+
+    def test_dh_dim_equals_full_rank_on_nonfree_split_inputs(self):
+        arrs = _nonfree_split()
+        assert len(arrs) == 70
+        for arr in arrs:
+            verdict = decide_freeness(arr, use_cache=False)
+            assert verdict.reason == "GradedDimensionMismatch"
+            for p in _degrees(arr):
+                assert derivation_space_dim(arr, p) == _full_dim(arr, p)
+
+
+def _field_saito(arr, th1, th2, th3):
+    """Saito's identity in field arithmetic, as checked before: the oracle."""
+    det = linalg.det3([t.polys for t in (th1, th2, th3)])
+    if not det:
+        return None
+    q = fr.defining_polynomial(arr)
+    m0, qc = next(iter(q.coeffs.items()))
+    dc = det.coeffs.get(m0)
+    if not dc:
+        return None
+    c = dc / qc
+    return c if det == q.scale(c) else None
+
+
+class TestIntegralSaito:
+    def test_stray_monomial_fails(self):
+        # det = x1 x2 (2 x3 + x1/3) = 2Q plus the stray monomial x1^2 x2 / 3
+        arr = boolean3()
+        x1, x3 = (1, 0, 0), (0, 0, 1)
+        stray = Derivation((HPoly(1), HPoly(1),
+                            HPoly(1, {x3: Fraction(2), x1: Fraction(1, 3)})),
+                           1)
+        th1, th2 = _diag_derivation(0), _diag_derivation(1)
+        assert saito_check(arr, th1, th2, stray) is None
+        scaled = Derivation(tuple(f.scale(Fraction(2, 7))
+                                  for f in _diag_derivation(2).polys), 1)
+        assert saito_check(arr, th1, th2, scaled) == Fraction(2, 7)
+
+    def test_zero_determinant_fails(self):
+        arr = boolean3()
+        zero = Derivation((HPoly(1), HPoly(1), HPoly(1)), 1)
+        assert saito_check(arr, _diag_derivation(0), _diag_derivation(1),
+                           zero) is None
+
+    def test_constant_matches_field_identity(self, a13):
+        rng = random.Random(12)
+        scaled = am.build([tuple(Fraction(rng.choice((-3, 2, 5)),
+                                          rng.randint(1, 6)) * x for x in c)
+                           for c in near_pencil(6).columns], QQ)
+        quad = _paper_quad_points()[0]
+        for arr, rounds in ((scaled, 6), (a13, 6), (quad, 2)):
+            _, e2, e3 = arr.char_poly().exponents()
+            theta_e = euler_derivation(arr)
+            b2, b3 = derivation_basis(arr, e2), derivation_basis(arr, e3)
+            hits = 0
+            for _ in range(rounds):
+                th2 = _random_combination(b2, e2, rng)
+                th3 = _random_combination(b3, e3, rng)
+                c = saito_check(arr, theta_e, th2, th3)
+                assert c == _field_saito(arr, theta_e, th2, th3)
+                hits += c is not None
+                # a non-member in place of th3 breaks the identity
+                off = Derivation((th3.polys[0]
+                                  + HPoly(e3, {(e3, 0, 0): arr.domain.one}),
+                                  *th3.polys[1:]), e3)
+                assert saito_check(arr, theta_e, th2, off) == \
+                    _field_saito(arr, theta_e, th2, off)
+            assert hits

@@ -3,6 +3,8 @@ are verified exactly, against plain field elimination."""
 import hashlib
 import random
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 import sympy
 from hypothesis import given, settings
@@ -141,6 +143,50 @@ class TestIntegerEngine:
         assert nullspace([], 2, IntOps) == [[1, 0], [0, 1]]
         assert nullspace([[0, 0]], 2, IntOps) == [[1, 0], [0, 1]]
         assert nullspace([], 0, IntOps) == []
+
+
+class TestSuppliedKernel:
+    @staticmethod
+    def _scrambled(basis, rng):
+        """Integer vectors spanning the same space as the basis, each one a
+        combination of several basis vectors, so that only the reduction
+        from the right recovers the canonical basis."""
+        ints = []
+        for v in basis:
+            den = lcm(*(x.denominator for x in v))
+            ints.append([int(x * den) for x in v])
+        out = []
+        for i, v in enumerate(ints):
+            w = list(v)
+            for u in ints[i + 1:]:
+                k = rng.randint(-3, 3)
+                w = [a + k * b for a, b in zip(w, u)]
+            out.append(w)
+        rng.shuffle(out)
+        return out
+
+    def test_spanning_vectors_give_the_canonical_basis(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            m, n = rng.randint(1, 5), rng.randint(2, 8)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            basis = nullspace(rows, n, IntOps)
+            vecs = self._scrambled(basis, rng)
+
+            def kernel(h, p):
+                return [{j: y for j, x in enumerate(v) if (y := h(x))}
+                        for v in vecs]
+            p = next(linalg._primes())
+            assert linalg._residues_mod(kernel, n, IntOps, p) == \
+                linalg._residues_mod(partial(linalg._kernel_mod, rows, n),
+                                     n, IntOps, p)
+            assert nullspace(rows, n, IntOps, kernel) == basis
+
+    def test_dependent_vectors_make_the_prime_unlucky(self):
+        p = next(linalg._primes())
+        twice = [{0: 1, 1: 2}, {0: 2, 1: 4}]
+        assert linalg._reduce_right(twice, p) is None
+        assert linalg._residues_mod(lambda h, q: twice, 2, IntOps, p) is None
 
 
 class TestQuadraticEngine:
