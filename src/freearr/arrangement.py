@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
-from .scalars import Domain, QQ, domain_of
+from .scalars import Domain, InvariantError, QQ, domain_of
 
 
 class ArrangementError(ValueError):
@@ -41,10 +41,6 @@ class NotEssentialError(ArrangementError):
 class UnknownLabelError(ArrangementError):
     def __init__(self, h):
         super().__init__(f"no hyperplane labeled {h}")
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed; this is a bug, not bad input."""
 
 
 def normal_column(col) -> tuple:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from bisect import bisect
 from functools import partial
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .scalars import QuadElem
+from .scalars import InvariantError, QuadElem, _is_prime
 
 
 def det3(m):
@@ -180,25 +180,6 @@ class QuadOps:
 # -- primes ----------------------------------------------------------------
 
 _PRIMES: list = []   # the primes below 2**62 in descending order, memoized
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact below 3*10**24."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _primes():
@@ -407,6 +388,15 @@ def _columns(irows, width: int):
     return columns
 
 
+def _hadamard(irows, width: int) -> int:
+    """Bound on the absolute value of every minor of the integer rows: the
+    product of their min(#rows, width) largest norms, each rounded up (zero
+    rows left out)."""
+    norms = sorted((isqrt(s - 1) + 1 for row in irows
+                    if (s := sum(a * a for a in row))), reverse=True)
+    return prod(norms[:width])
+
+
 def rank(rows, ncols, ops) -> int:
     return ncols - len(nullspace(rows, ncols, ops))
 
@@ -439,6 +429,18 @@ def nullspace(rows, ncols, ops, kernel=None):
     position as the true one, so its i-th pivot is never earlier and no
     prime outranks the true pivots, while all but finitely many primes tie
     with them.
+
+    A wrong supplier cannot make it loop: once the primes combined at the
+    best key multiply past 2*H**2, H the Hadamard bound of the integer rows
+    (_hadamard), a failed reconstruction or exact check raises
+    InvariantError.  For a correct supplier this never fires.  A prime
+    ranks off the true pivots only if it divides the nonzero true pivot
+    minor, an integer (over Z[sqrt d], its norm) of absolute value at most
+    H, so such primes multiply to at most H.  At the true key every
+    coordinate of the basis is a quotient of two minors of the integer
+    rows (Cramer's rule), both at most H, so a modulus above 2*H**2
+    reconstructs it, and the exact check passes.  H is computed only after
+    a failure.
     """
     if kernel is None:
         kernel = partial(_kernel_mod, rows, ncols)
@@ -446,6 +448,7 @@ def nullspace(rows, ncols, ops, kernel=None):
     best = None                 # rank key of the primes being combined
     modulus, acc = 1, []
     columns = None              # the exact check's integer rows, by column
+    limit = None                # 2*H**2, set at the first failure
     for p in _primes():
         found = _residues_mod(kernel, ncols, ops, p)
         if found is None:
@@ -462,17 +465,22 @@ def nullspace(rows, ncols, ops, kernel=None):
                     for x, y in zip(xs, ys)] for xs, ys in zip(acc, res)]
             modulus *= p
         sols = [_reconstruct(xs, modulus) for xs in acc]
-        if None in sols:
-            continue
-        if columns is None:
-            irows = ops.integer_rows(rows)
-            columns = _columns(irows, parts * ncols)
-        # den times each vector, on the coordinates of the integer rows
-        coords = [c * parts + t for c in pivots for t in range(parts)]
-        if all(_annihilates(columns, len(irows),
-                            [*zip(coords, nums), (f * parts, den)])
-               for f, (nums, den) in zip(free, sols)):
-            break
+        if None not in sols:
+            if columns is None:
+                irows = ops.integer_rows(rows)
+                columns = _columns(irows, parts * ncols)
+            # den times each vector, on the coordinates of the integer rows
+            coords = [c * parts + t for c in pivots for t in range(parts)]
+            if all(_annihilates(columns, len(irows),
+                                [*zip(coords, nums), (f * parts, den)])
+                   for f, (nums, den) in zip(free, sols)):
+                break
+        if limit is None:
+            limit = 2 * _hadamard(ops.integer_rows(rows), parts * ncols) ** 2
+        if modulus > limit:
+            raise InvariantError(
+                f"the kernel vectors supplied for key {best} do not give "
+                f"the nullspace after primes multiplying past 2*H**2")
     zero, one = ops.field_zero(), ops.field_one()
     basis = []
     for f, (nums, den) in zip(free, sols):

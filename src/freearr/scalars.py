@@ -6,10 +6,12 @@ anywhere; integer coefficients are arbitrary precision.
 """
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import combinations, count
+from math import gcd, isqrt
 
 
 _ZERO = Fraction(0)
@@ -17,6 +19,10 @@ _ZERO = Fraction(0)
 
 class ZeroPolynomial(ValueError):
     """Raised when an operation requires a nonzero polynomial."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed; this is a bug, not bad input."""
 
 
 class MixedFieldError(TypeError):
@@ -232,27 +238,265 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     return a.primitive()
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3*10**24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# -- factorization in Z[t] -------------------------------------------------
+# Polynomials below are plain coefficient lists, ascending and without
+# trailing zeros; those mod p have coefficients in [0, p).
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _derivative(a: list) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _mul(a: list, b: list, p: int = 0) -> list:
+    """a * b, reduced mod p when p is given."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % p for c in out]) if p else out
+
+
+def _sub(a: list, b: list, p: int = 0) -> list:
+    """a - b, reduced mod p when p is given."""
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+           for i in range(max(len(a), len(b)))]
+    return _trim([c % p for c in out] if p else out)
+
+
+def _quotient(a: list, b: list):
+    """a / b in Z[t], or None when b does not divide a there."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + len(b) - 1], b[-1])
+        if m:
+            return None
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+    return None if any(r) else q
+
+
+def _divmod_p(a: list, b: list, p: int):
+    """(quotient, remainder) of a by b mod p."""
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = q[k] = r[-1] * inv % p
+        for i, y in enumerate(b):
+            r[k + i] = (r[k + i] - c * y) % p
+        _trim(r)
+    return q, r
+
+
+def _monic_gcd_p(a: list, b: list, p: int) -> list:
+    while b:
+        a, b = b, _divmod_p(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _pow_mod_p(a: list, e: int, m: list, p: int) -> list:
+    """a**e mod (m, p)."""
+    out, a = [1], _divmod_p(a, m, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod_p(_mul(out, a, p), m, p)[1]
+        a = _divmod_p(_mul(a, a, p), m, p)[1]
+        e >>= 1
+    return out
+
+
+def _squarefree_parts(f: list):
+    """Yun's squarefree decomposition of the primitive f: the pairs
+    (a_i, i) with a_i nonconstant, so that f is the product of the a_i**i
+    up to sign, with the a_i primitive, squarefree and pairwise coprime.
+    Every division is by a primitive divisor, hence exact in Z[t]."""
+    d = _derivative(f)
+    a = list(poly_gcd(IntPoly(f), IntPoly(d)).coeffs)
+    b, c = _quotient(f, a), _quotient(d, a)
+    out, i = [], 1
+    while len(b) > 1:
+        d = _sub(c, _derivative(b))
+        a = list(poly_gcd(IntPoly(b), IntPoly(d)).coeffs)
+        b, c = _quotient(b, a), _quotient(d, a)
+        if len(a) > 1:
+            out.append((a, i))
+        i += 1
+    return out
+
+
+def _factor_mod(f: list, p: int, rng) -> list:
+    """Monic irreducible factors of the monic squarefree f mod the odd
+    prime p: distinct-degree splitting, then Cantor-Zassenhaus."""
+    out, h, d = [], [0, 1], 0
+    while len(f) > 2 * (d + 1):
+        d += 1
+        h = _pow_mod_p(h, p, f, p)            # t**(p**d) mod f
+        g = _monic_gcd_p(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out += _split_equal_degree(g, d, p, rng)
+            f = _divmod_p(f, g, p)[0]
+            h = _divmod_p(h, f, p)[1]
+    if len(f) > 1:
+        out.append(f)
+    return out
+
+
+def _split_equal_degree(g: list, d: int, p: int, rng) -> list:
+    """The irreducible factors of the monic squarefree g mod p, all of
+    degree d: gcd(g, a**((p**d - 1)/2) - 1) for random a splits g with
+    probability about 1/2."""
+    if len(g) - 1 == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        h = _monic_gcd_p(g, _sub(_pow_mod_p(a, e, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return (_split_equal_degree(h, d, p, rng)
+                    + _split_equal_degree(_divmod_p(g, h, p)[0], d, p, rng))
+
+
+def _hensel_lift(f: list, gs: list, p: int, bound: int):
+    """(G, q): monic G_i = g_i mod p with f = lc(f) * prod G_i mod q, q the
+    first power of p above bound, for the monic factors g_i of f mod p.
+
+    Linear lifting of all factors at once: with the error
+    e = (f - lc * prod G_i) / q mod p, the corrections
+    d_i = e * s_i / lc mod g_i, where s_i = (prod_{j != i} g_j)**-1 mod g_i,
+    satisfy lc * sum_i d_i * prod_{j != i} g_j = e mod p (both sides agree
+    mod every g_i and have degree below deg f).  The g_i are irreducible,
+    so s_i is a power in the field F_p[t]/(g_i) of p**deg(g_i) elements."""
+    cofactors = []
+    for i, g in enumerate(gs):
+        rest = [1]
+        for h in gs[:i] + gs[i + 1:]:
+            rest = _mul(rest, h, p)
+        cofactors.append(_pow_mod_p(rest, p ** (len(g) - 1) - 2, g, p))
+    lc = f[-1]
+    inv_lc = pow(lc, -1, p)
+    lifted, q = [list(g) for g in gs], p
+    while q <= bound:
+        prod = [lc]
+        for g in lifted:
+            prod = _mul(prod, g)
+        e = [x // q * inv_lc % p for x in _sub(f, prod)]
+        for g, g0, s in zip(lifted, gs, cofactors):
+            for i, c in enumerate(_divmod_p(_mul(e, s, p), g0, p)[1]):
+                g[i] += q * c
+        q *= p
+    return lifted, q
+
+
+def _squarefree_mod(f: list, p: int) -> bool:
+    """Is f, of degree not lowered mod p, squarefree mod p?"""
+    fp = _trim([c % p for c in f])
+    return len(_monic_gcd_p(fp, _trim([c % p for c in _derivative(f)]),
+                            p)) == 1
+
+
+def _factor_squarefree(f: list) -> list:
+    """Irreducible factors of the primitive squarefree f (Zassenhaus).
+
+    p is the least odd prime not dividing lc(f) for which f stays
+    squarefree mod p.  The factors of f mod p are Hensel-lifted mod q > 2B,
+    B = |lc(f)| * 2**n * (floor(|f|_2) + 1).  By Mignotte's bound every
+    coefficient of a factor h of f is at most 2**n * |f|_2, so B bounds
+    those of lc(g)/lc(h) * h for every divisor g of f and factor h of g.
+    A subset S of the lifted factors is accepted when the primitive part of
+    lc(g) * prod_S G_i, in symmetric residues mod q, divides the remaining
+    cofactor g exactly; for the subset of a factor h those residues are
+    lc(g)/lc(h) * h itself, by the uniqueness of Hensel lifts.  Subsets are tried by increasing size, and the
+    cofactor shrinks only by accepted factors, so an accepted factor is
+    irreducible: a proper factor of it would divide the cofactor, lift to a
+    smaller subset bounded by the same B and have been accepted first.  When
+    no subset of at most half the remaining lifted factors is accepted, the
+    cofactor is irreducible and is the last factor.
+    """
+    if len(f) <= 2:
+        return [f]
+    p = next(p for p in count(3, 2)
+             if f[-1] % p and _is_prime(p) and _squarefree_mod(f, p))
+    inv = pow(f[-1], -1, p)
+    gs = _factor_mod([c * inv % p for c in f], p, random.Random(p))
+    if len(gs) == 1:
+        return [f]
+    bound = (2 * abs(f[-1]) * 2 ** (len(f) - 1)
+             * (isqrt(sum(c * c for c in f)) + 1))
+    lifted, q = _hensel_lift(f, gs, p, bound)
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            cand = [f[-1]]
+            for i in subset:
+                cand = _mul(cand, lifted[i])
+            cand = [c - q if c > q >> 1 else c for c in (x % q for x in cand)]
+            cand = list(IntPoly(cand).primitive().coeffs)
+            rest = _quotient(f, cand)
+            if rest is not None:
+                out.append(cand)
+                f = rest
+                lifted = [g for i, g in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    out.append(f)
+    return out
+
+
 def factor_low_degree(p: IntPoly):
     """Split p into its irreducible factors, those of degree at most two apart.
 
     Returns (low, high): lists of (primitive irreducible IntPoly,
     multiplicity), low holding the factors of degree 1 or 2 and high those
     of degree >= 3, each sorted by (degree, coefficients), so that the
-    product of everything equals p up to a rational constant.
+    product of everything equals p up to a rational constant.  The factors
+    are exact: Yun's squarefree decomposition, then Zassenhaus's
+    factorization of each squarefree part (_factor_squarefree).
     """
     if not p:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    import sympy
-
-    t = sympy.Symbol("t")
-    expr = sympy.Poly(list(reversed(p.primitive().coeffs)), t)
-    _, fac = expr.factor_list()
     low: list[tuple[IntPoly, int]] = []
     high: list[tuple[IntPoly, int]] = []
-    for q, mult in fac:
-        qp = IntPoly(int(c) for c in reversed(q.all_coeffs())).primitive()
-        if qp.degree > 0:
-            (low if qp.degree <= 2 else high).append((qp, int(mult)))
+    for part, mult in _squarefree_parts(list(p.primitive().coeffs)):
+        for q in _factor_squarefree(part):
+            (low if len(q) <= 3 else high).append((IntPoly(q), mult))
     for factors in (low, high):
         factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return low, high

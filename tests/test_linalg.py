@@ -2,10 +2,12 @@
 are verified exactly, against plain field elimination."""
 import hashlib
 import random
+import time
 from fractions import Fraction
 from functools import partial
 from math import lcm
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from freearr.linalg import (
     nullspace,
     rank,
 )
-from freearr.scalars import QuadElem
+from freearr.scalars import InvariantError, QuadElem
 
 # The engine's first prime: the largest prime below 2**62.
 P0 = sympy.prevprime(2 ** 62)
@@ -181,6 +183,16 @@ class TestSuppliedKernel:
                 linalg._residues_mod(partial(linalg._kernel_mod, rows, n),
                                      n, IntOps, p)
             assert nullspace(rows, n, IntOps, kernel) == basis
+
+    @pytest.mark.parametrize("vectors", [
+        [{0: 1}],           # off the true pivots of [1, 1]
+        [{0: 2, 1: 1}],     # at the true pivots, outside the kernel
+    ])
+    def test_wrong_vectors_raise_instead_of_looping(self, vectors):
+        start = time.perf_counter()
+        with pytest.raises(InvariantError):
+            nullspace([[1, 1]], 2, IntOps, kernel=lambda h, p: vectors)
+        assert time.perf_counter() - start < 5
 
     def test_dependent_vectors_make_the_prime_unlucky(self):
         p = next(linalg._primes())

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: integer polynomials, quadratic fields."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from freearr.scalars import (
     QQ,
     QuadElem,
     ZeroPolynomial,
+    _is_prime,
     factor_low_degree,
     parse_rational,
     poly,
@@ -99,7 +101,66 @@ class TestDivisionAndGcd:
             factor_low_degree(IntPoly(()))
 
 
+def sympy_factors(p):
+    """factor_low_degree's contract, computed by sympy."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    _, fac = sympy.Poly(list(reversed(p.primitive().coeffs)), t).factor_list()
+    low, high = [], []
+    for q, mult in fac:
+        qp = IntPoly(int(c) for c in reversed(q.all_coeffs())).primitive()
+        if qp.degree > 0:
+            (low if qp.degree <= 2 else high).append((qp, int(mult)))
+    for factors in (low, high):
+        factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return low, high
+
+
+T = poly(0, 1)
+SD4 = poly(1, 0, -10, 0, 1)        # minimal polynomial of sqrt 2 + sqrt 3
+SD8 = poly(576, 0, -960, 0, 352, 0, -40, 0, 1)     # ... + sqrt 5
+
+
 class TestFactorLowDegree:
+    def test_matches_sympy_on_random_products(self):
+        """Content, negative leading coefficients, repeated factors, and
+        leading coefficients divisible by 3, 5 and 7, the first primes the
+        factorizer would otherwise reduce by."""
+        rng = random.Random(20261018)
+        for _ in range(250):
+            p = IntPoly([rng.choice((-6, -5, -3, -2, 2, 3, 5, 7, 15, 105))])
+            for _ in range(rng.randint(0, 4)):
+                q = IntPoly([rng.randint(-1000, 1000)
+                             for _ in range(rng.randint(1, 4))]
+                            + [rng.choice((-9, -1, 1, 2, 3, 5, 7, 35, 105))])
+                p = p * q ** rng.randint(1, 3)
+            assert factor_low_degree(p) == sympy_factors(p), p
+
+    @pytest.mark.parametrize("p", [
+        T ** 4 + 1, SD4, SD8, T ** 12 - 1, T ** 32 - 1,
+        (T ** 3 - 2) * (T ** 3 - 3), SD8 * (T ** 3 - 2) ** 2,
+    ], ids=str)
+    def test_matches_sympy_on_hard_cases(self, p):
+        """Irreducible polynomials that split into many factors mod every
+        prime, and cyclotomic products with many factors."""
+        assert factor_low_degree(p) == sympy_factors(p)
+
+    def test_is_prime_matches_sympy_on_small_numbers(self):
+        import sympy
+
+        assert [n for n in range(-3, 3000) if _is_prime(n)] == \
+            list(sympy.primerange(0, 3000))
+
+    def test_constants_have_no_factors(self):
+        assert factor_low_degree(poly(-7)) == ([], [])
+        assert factor_low_degree(poly(1)) == ([], [])
+
+    def test_swinnerton_dyer_8_is_fast(self):
+        start = time.perf_counter()
+        assert factor_low_degree(SD8) == ([], [(SD8, 1)])
+        assert time.perf_counter() - start < 0.5
+
     def test_irreducible_quadratics_stay_whole(self):
         for coeffs in ((1, -1, 1), (1, -12, 4), (1, -3, 1), (-1, 1, 1)):
             low, high = factor_low_degree(IntPoly(coeffs))

@@ -1,6 +1,9 @@
 """Guards over the source of the freearr package itself."""
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -58,3 +61,26 @@ def test_only_canonical_key_reads_the_canonical_walk():
                for scope in _attribute_reads(
                    ast.parse(path.read_text(), str(path)), "canonical")]
     assert readers == ["arrangement.py:canonical_key"]
+
+
+def test_no_sympy_in_the_package():
+    """Factorization in Z[t] is in-house; sympy is a test oracle only."""
+    found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+             if "sympy" in path.read_text()]
+    assert found == []
+
+
+def test_degeneracy_sets_do_not_load_sympy():
+    code = (
+        "import sys\n"
+        "from freearr import cli, moduli\n"
+        "moduli.degeneracy_set(moduli.family_13())\n"
+        "try:\n"
+        "    cli.main(['moduli', 'paper15'])\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, 'sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.stdout.startswith("Degeneracy set of paper15"), proc.stderr
+    assert proc.stdout.endswith("exit 0 False\n")
