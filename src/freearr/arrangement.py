@@ -14,7 +14,14 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
-from .scalars import Domain, InvariantError, QQ, domain_of
+from .scalars import (
+    Domain,
+    InvariantError,
+    QQ,
+    QuadDomain,
+    QuadElem,
+    domain_of,
+)
 
 
 class ArrangementError(ValueError):
@@ -46,14 +53,63 @@ class UnknownLabelError(ArrangementError):
 def normal_column(col) -> tuple:
     """The column scaled so that its first nonzero entry is 1.
 
-    Over a field two nonzero columns are proportional exactly when their
-    normal columns are equal.  Exact for int, Fraction and QuadElem entries.
+    The form in which candidate_additions reports new columns; whether two
+    columns are the same line is asked of line_key.  Exact for int, Fraction
+    and QuadElem entries.
     """
     lead = next(x for x in col if x)
     if lead == 1:  # already normal, as are most columns of the paper families
         return tuple(col)
     inv = Fraction(1) / lead
     return tuple(x * inv for x in col)
+
+
+def ring_ops(domain: Domain):
+    """The linalg ring of the integral columns of clear_column over domain."""
+    if isinstance(domain, QuadDomain):
+        return linalg.QuadOps(domain.d)
+    return linalg.IntOps
+
+
+def clear_column(col) -> tuple:
+    """The column times the positive rational that makes it primitive integral.
+
+    Rational entries become ints.  Entries a + b sqrt d of Q(sqrt d) become
+    (a, b) pairs, elements of the ring Z[sqrt d] of linalg.QuadOps.  Line
+    keys, lattices and the derivation solver all work on these columns.
+    """
+    quad = isinstance(col[0], QuadElem)
+    parts = [y for x in col for y in (x.a, x.b)] if quad else col
+    den = lcm(*(x.denominator for x in parts))
+    ints = [x.numerator * (den // x.denominator) for x in parts]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    if quad:
+        return tuple([(ints[k], ints[k + 1]) for k in range(0, 6, 2)])
+    return tuple(ints)
+
+
+def line_key(ops, col) -> tuple:
+    """Integer key of the line of a nonzero integral column over ops.
+
+    col holds ints, or (a, b) pairs of Z[sqrt d] when ops is a QuadOps; it
+    need not be primitive.  A pair column is first multiplied by the
+    conjugate of its first nonzero entry, which makes that entry the
+    rational norm.  The key is the result as a flat integer tuple, divided
+    by its content and signed so that its first nonzero entry is positive.
+    Two columns over one field are proportional exactly when their keys are
+    equal: proportional columns differ by a nonzero rational after the
+    conjugate step, since the key of lambda * c is N(lambda) times that of c.
+    """
+    if ops.parts == 2:
+        lead = next(x for x in col if x != (0, 0))
+        conj = (lead[0], -lead[1])
+        col = [y for x in col for y in ops.mul(x, conj)]
+    g = gcd(*col)
+    if next(v for v in col if v) < 0:
+        g = -g
+    return tuple([v // g for v in col])
 
 
 class Arrangement:
@@ -109,7 +165,7 @@ def build(columns, domain: Domain | None = None) -> Arrangement:
                     domain = domain_of(x)
                     break
     coerced = []
-    for c in cols:
+    for i, c in enumerate(cols, start=1):
         if len(c) != 3:
             raise ArrangementError("columns must have exactly 3 entries")
         cc = []
@@ -118,36 +174,49 @@ def build(columns, domain: Domain | None = None) -> Arrangement:
                 cc.append(domain.from_int(x))
             elif isinstance(x, Fraction) and not isinstance(domain.zero, Fraction):
                 cc.append(domain.from_fraction(x))
-            else:
+            elif domain_of(x).name == domain.name:
                 cc.append(x)
+            else:
+                raise ArrangementError(f"column {i} mixes {domain.name} and "
+                                       f"{domain_of(x).name}")
         coerced.append(tuple(cc))
     for i, c in enumerate(coerced, start=1):
         if not any(c):
             raise ZeroColumnError(i)
-    # (first label of its class, j) for every later member j of a class;
+    ops = ring_ops(domain)
+    cleared = [clear_column(c) for c in coerced]
+    # (first label of its line, j) for every later column j of that line;
     # the least of these is the lexicographically first proportional pair
     first = {}
     pairs = []
-    for j, c in enumerate(coerced, start=1):
-        i = first.setdefault(normal_column(c), j)
+    for j, c in enumerate(cleared, start=1):
+        i = first.setdefault(line_key(ops, c), j)
         if i != j:
             pairs.append((i, j))
     if pairs:
         raise ProportionalColumnsError(*min(pairs))
-    if not _has_rank3(coerced):
+    if not _has_rank3(cleared, ops):
         raise NotEssentialError()
     return Arrangement(domain, coerced)
 
 
-def _has_rank3(cols) -> bool:
-    """Rank 3 test for pairwise non-proportional columns.
+def _has_rank3(cols, ops=linalg.IntOps) -> bool:
+    """Rank 3 test for pairwise non-proportional columns over the ring of ops.
 
     Fewer than three columns have rank below 3.  Otherwise the first two
-    span a plane, and the rank is 3 exactly when some other column lies
-    outside it.
+    span a plane with normal p = c_1 x c_2, and the rank is 3 exactly when
+    p . c is nonzero for some other column c.  The operations of IntOps are
+    Python's operators, so field and Z[t] columns need no other ops.
     """
-    return len(cols) >= 3 and any(
-        linalg.det3_cols(cols[0], cols[1], c) for c in cols[2:])
+    if len(cols) < 3:
+        return False
+    mul, add, neg = ops.mul, ops.add, ops.neg
+    (a0, a1, a2), (b0, b1, b2) = cols[0], cols[1]
+    p0 = add(mul(a1, b2), neg(mul(a2, b1)))
+    p1 = add(mul(a2, b0), neg(mul(a0, b2)))
+    p2 = add(mul(a0, b1), neg(mul(a1, b0)))
+    return any(not ops.is_zero(add(add(mul(p0, x), mul(p1, y)), mul(p2, z)))
+               for x, y, z in cols[2:])
 
 
 @dataclass(frozen=True)
@@ -279,25 +348,17 @@ class IntersectionLattice:
                     f"degree identity fails at hyperplane {h}: {s} != {self.n - 1}")
 
 
-def clear_rational_column(col) -> tuple:
-    """The primitive integer column proportional to a column of rationals."""
-    den = lcm(*(x.denominator for x in col))
-    ints = [int(x * den) for x in col]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
-
-
 def _compute_lattice(cols) -> IntersectionLattice:
     """Rank-2 flats of the columns, over any ring with exact zero tests.
 
-    Rational columns are scaled to primitive integer columns first.  The
-    first pair (i, j) of a flat in lexicographic order computes p = c_i x c_j
-    once; the flat's other members all come after j, so only k > j is
-    tested, by p . c_k = 0, which needs no normalization of p in Z[t].
+    Field columns are first cleared by clear_column: rational ones to
+    ints, those over Q(sqrt d) to QuadElems with int parts, which multiply
+    in integer arithmetic.  The first pair (i, j) of a flat in lexicographic
+    order computes p = c_i x c_j once; the flat's other members all come
+    after j, so only k > j is tested, by p . c_k = 0, which needs no
+    normalization of p in Z[t].
     """
-    cols = [clear_rational_column(c)
-            if all(isinstance(x, (int, Fraction)) for x in c) else c
-            for c in cols]
+    cols = [_lattice_column(c) for c in cols]
     n = len(cols)
     assigned = [[False] * n for _ in range(n)]
     flats = []
@@ -319,6 +380,16 @@ def _compute_lattice(cols) -> IntersectionLattice:
     lat = IntersectionLattice(n, tuple(flats), tuple(map(tuple, per_h)))
     lat.validate()
     return lat
+
+
+def _lattice_column(col):
+    """col cleared for _compute_lattice; Z[t] columns are left as they are."""
+    if isinstance(col[0], (int, Fraction)):
+        return clear_column(col)
+    if isinstance(col[0], QuadElem):
+        d = col[0].d
+        return tuple([QuadElem._make(d, a, b) for a, b in clear_column(col)])
+    return col
 
 
 @dataclass(frozen=True)

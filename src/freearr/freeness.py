@@ -31,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from . import linalg
-from .arrangement import Arrangement, clear_rational_column, normal_column
-from .scalars import Domain, QuadDomain, QuadElem
+from .arrangement import Arrangement, clear_column, line_key, ring_ops
+from .scalars import Domain, QuadElem
 
 
 class DegreeMismatchError(ValueError):
@@ -149,26 +149,9 @@ def expected_graded_dim(exponents, p: int) -> int:
     return sum(comb(p - e + 2, 2) for e in exponents if e <= p)
 
 
-def _clear_quad_column(col):
-    den = 1
-    for x in col:
-        den = lcm(den, x.a.denominator, x.b.denominator)
-    pairs = [(int(x.a * den), int(x.b * den)) for x in col]
-    g = 0
-    for a, b in pairs:
-        g = gcd(gcd(g, a), b)
-    if g > 1:
-        pairs = [(a // g, b // g) for a, b in pairs]
-    return tuple(pairs)
-
-
 def cleared_columns(arr: Arrangement):
     """(ring ops, columns in integral ring form) for the solver."""
-    dom = arr.domain
-    if isinstance(dom, QuadDomain):
-        return (linalg.QuadOps(dom.d),
-                [_clear_quad_column(c) for c in arr.columns])
-    return linalg.IntOps, [clear_rational_column(c) for c in arr.columns]
+    return ring_ops(arr.domain), [clear_column(c) for c in arr.columns]
 
 
 def _axes(ops, alpha):
@@ -515,17 +498,18 @@ _VERDICT_CACHE: dict = {}
 
 def _key_and_lead(arr: Arrangement):
     """(state_key, product L of the leading entries it divides out)."""
-    normed = sorted(tuple(map(str, normal_column(col)))
-                    for col in arr.columns)
+    ops = ring_ops(arr.domain)
+    keys = sorted(line_key(ops, clear_column(col)) for col in arr.columns)
     lead_product = arr.domain.one
     for col in arr.columns:
         lead_product = lead_product * next(x for x in col if x)
-    key = arr.domain.name + "|" + ";".join(",".join(c) for c in normed)
+    key = arr.domain.name + "|" + ";".join(",".join(map(str, k))
+                                           for k in keys)
     return key, lead_product
 
 
 def state_key(arr: Arrangement) -> str:
-    """Coordinate key: columns scaled to leading one, sorted; domain-tagged."""
+    """Coordinate key: the sorted line keys of the columns; domain-tagged."""
     return _key_and_lead(arr)[0]
 
 

@@ -26,9 +26,12 @@ from .arrangement import (
     Arrangement,
     build,
     char_poly,
+    clear_column,
     delete,
+    line_key,
     normal_column,
     restriction_profile,
+    ring_ops,
 )
 from .freeness import Free, Inconclusive, NotFree, decide_freeness, state_key
 from .linalg import cross
@@ -236,15 +239,18 @@ def candidate_additions(arr: Arrangement, targets):
     flats = arr.lattice().flats
     points = [cross(arr.column(a), arr.column(b))
               for a, b, *_ in map(sorted, flats)]
-    lines: dict = {}
+    ops = ring_ops(arr.domain)
+    lines: dict = {}  # line key -> (a column of the line, flats on it)
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
             # distinct flats are distinct points, so the cross is nonzero
-            lines.setdefault(normal_column(cross(p, points[j])), set()).update(
-                (i, j))
-    existing = {normal_column(col) for col in arr.columns}
+            line = cross(p, points[j])
+            lines.setdefault(line_key(ops, clear_column(line)),
+                             (line, set()))[1].update((i, j))
+    existing = {line_key(ops, clear_column(col)) for col in arr.columns}
     candidates = sorted(
-        (line for line, on in lines.items() if line not in existing
+        (normal_column(line) for key, (line, on) in lines.items()
+         if key not in existing
          and arr.n - sum(len(flats[k]) - 1 for k in on) in targets),
         key=lambda v: tuple(str(x) for x in v))
     complete = arr.n - max(targets) > max(len(flat) for flat in flats) - 1

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .arrangement import (
     Arrangement,
@@ -32,17 +34,17 @@ from .arrangement import (
     _has_rank3,
     build,
     lattice_iso,
-    normal_column,
+    line_key,
 )
-from .linalg import cross, det3_cols
+from .linalg import IntOps, QuadOps, cross
 from .scalars import (
     IntPoly,
     QuadElem,
-    QQ,
+    _quotient,
+    domain_of,
     factor_low_degree,
     poly,
     poly_gcd,
-    quad_field,
     squarefree_decompose,
 )
 
@@ -62,15 +64,39 @@ class Family:
         return len(self.columns)
 
     def __post_init__(self):
-        for idx, col in enumerate(self.columns, start=1):
+        # (first label of its primitive column, j) for every later column j
+        # with the same one; the least is the first proportional pair
+        first = {}
+        pairs = []
+        for j, col in enumerate(self.columns, start=1):
             if not any(col):
-                raise ValueError(f"column {idx} is identically zero")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if not any(cross(self.columns[i], self.columns[j])):
-                    raise ValueError(
-                        f"columns {i + 1} and {j + 1} are identically "
-                        "proportional")
+                raise ValueError(f"column {j} is identically zero")
+            i = first.setdefault(_primitive_column(col), j)
+            if i != j:
+                pairs.append((i, j))
+        if pairs:
+            raise ValueError("columns {} and {} are identically "
+                             "proportional".format(*min(pairs)))
+
+
+def _primitive_column(col) -> tuple:
+    """Coefficients of the nonzero column divided by the gcd of its entries
+    in Z[t], signed so that the first nonzero entry has a positive leading
+    coefficient.  Z[t] is a UFD, so two columns are proportional over Q(t)
+    exactly when these are equal."""
+    nonzero = [p for p in col if p]
+    g = min(nonzero, key=lambda p: p.degree)
+    for p in nonzero:
+        if g.degree <= 0:
+            break
+        g = poly_gcd(g, p)
+    content = gcd(*(p.content for p in nonzero))
+    if nonzero[0].leading < 0:
+        content = -content
+    if g.degree <= 0:
+        return tuple([tuple([c // content for c in p.coeffs]) for p in col])
+    return tuple([tuple([c // content for c in _quotient(p.coeffs, g.coeffs)])
+                  if p else () for p in col])
 
 
 def _cols(*columns):
@@ -116,12 +142,6 @@ def generic_lattice(f: Family) -> IntersectionLattice:
     return _compute_lattice(f.columns)
 
 
-def _domain_for(omega):
-    if isinstance(omega, QuadElem):
-        return quad_field(omega.d)
-    return QQ
-
-
 def _as_scalar(omega):
     if isinstance(omega, QuadElem):
         return omega
@@ -139,29 +159,86 @@ class SpecializationResult:
     merges: tuple                 # tuples of 1-based labels that coincide
 
 
+def _integral_images(f: Family, omega):
+    """(ops, images, dens): column i of f at omega is images[i] / dens[i].
+
+    omega is written x / y with y a positive integer and x an integer, or
+    an (a, b) pair of Z[sqrt d] when omega is in Q(sqrt d).  Each entry p
+    of a column whose largest degree is D is evaluated homogeneously, as
+    the sum of p_k x^k y^(D - k), so images[i] is an integral column over
+    ops and dens[i] = y^D.
+    """
+    quad = isinstance(omega, QuadElem)
+    if quad:
+        a, b = omega.a, omega.b
+        y = lcm(a.denominator, b.denominator)
+        ops = QuadOps(omega.d)
+        x = (a.numerator * (y // a.denominator),
+             b.numerator * (y // b.denominator))
+        y_ring = (y, 0)
+    else:
+        ops = IntOps
+        x, y = omega.numerator, omega.denominator
+        y_ring = y
+    x_pow, y_pow = [ops.one], [ops.one]
+    terms = {}  # D -> the coordinate lists of x^k y^(D - k), k = 0..D
+    images, dens = [], []
+    for col in f.columns:
+        top = max(len(p.coeffs) for p in col) - 1
+        if top not in terms:
+            while len(x_pow) <= top:
+                x_pow.append(ops.mul(x_pow[-1], x))
+                y_pow.append(ops.mul(y_pow[-1], y_ring))
+            ts = [ops.mul(x_pow[k], y_pow[top - k]) for k in range(top + 1)]
+            terms[top] = list(zip(*ts)) if quad else [ts]
+        coords = terms[top]
+        if quad:
+            images.append(tuple([(sum(map(mul, p.coeffs, coords[0])),
+                                  sum(map(mul, p.coeffs, coords[1])))
+                                 for p in col]))
+        else:
+            images.append(tuple([sum(map(mul, p.coeffs, coords[0]))
+                                 for p in col]))
+        dens.append(y ** top)
+    return ops, images, dens
+
+
+def _field_column(omega, image, den) -> tuple:
+    """The field column image / den, in the scalars of omega's domain."""
+    if isinstance(omega, QuadElem):
+        return tuple([QuadElem._make(omega.d, Fraction(a, den),
+                                     Fraction(b, den)) for a, b in image])
+    return tuple([Fraction(v, den) for v in image])
+
+
 def specialize(f: Family, omega) -> SpecializationResult:
     """Evaluate every column at omega and build the specialized arrangement.
 
+    Columns are evaluated to integral images (_integral_images), and
+    vanishing and merging are read off those, by line_key.  Each kept
+    column enters the field once, as its image over its denominator.
     Degenerate outcomes (vanishing or merging columns, rank below 3) are
     reported as data, never as errors.  Whether the lattice is still the
     generic one is asked by vL_membership.
     """
     omega = _as_scalar(omega)
-    dom = _domain_for(omega)
-    values = [tuple(p(omega) for p in col) for col in f.columns]
-    dropped = tuple(i + 1 for i, col in enumerate(values) if not any(col))
-    groups: dict = {}  # normal column -> labels, in order of first label
-    for label, col in enumerate(values, start=1):
-        if any(col):
-            groups.setdefault(normal_column(col), []).append(label)
-    kept_cols = [values[g[0] - 1] for g in groups.values()]
+    ops, images, dens = _integral_images(f, omega)
+    dropped = []
+    groups: dict = {}  # line key -> labels, in order of first label
+    for label, image in enumerate(images, start=1):
+        if all(map(ops.is_zero, image)):
+            dropped.append(label)
+        else:
+            groups.setdefault(line_key(ops, image), []).append(label)
+    kept_cols = [_field_column(omega, images[g[0] - 1], dens[g[0] - 1])
+                 for g in groups.values()]
     merges = tuple(tuple(g) for g in groups.values() if len(g) > 1)
     count = len(kept_cols)
     try:
-        arr = build(kept_cols, dom)
+        arr = build(kept_cols, domain_of(omega))
     except ValueError:
         arr = None
-    return SpecializationResult(omega, count, arr, dropped, merges)
+    return SpecializationResult(omega, count, arr, tuple(dropped), merges)
 
 
 @dataclass(frozen=True)
@@ -199,14 +276,16 @@ def _candidate_polys(f: Family) -> dict:
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            minors = [m for m in cross(cols[i], cols[j]) if m]
+            p0, p1, p2 = cross(cols[i], cols[j])
+            minors = [m for m in (p0, p1, p2) if m]
             g = minors[0]
             for m in minors[1:]:
                 g = poly_gcd(g, m)
             if g.degree > 0:
                 out[g.primitive()] = True
-            for k in range(j + 1, n):
-                det = det3_cols(cols[i], cols[j], cols[k])
+            # det(c_i, c_j, c_k) = (c_i x c_j) . c_k
+            for x, y, z in cols[j + 1:]:
+                det = p0 * x + p1 * y + p2 * z
                 if det.degree > 0:
                     out.setdefault(det.primitive(), False)
     return out

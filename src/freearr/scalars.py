@@ -521,7 +521,12 @@ class QuadElem:
 
     @classmethod
     def _make(cls, d: int, a: Fraction, b: Fraction) -> QuadElem:
-        """Element of a field whose d was already validated; a, b Fractions."""
+        """Element of a field whose d was already validated.
+
+        a and b are Fractions, or ints for an element of Z[sqrt d]: integer
+        parts keep products in integer arithmetic, and they compare and hash
+        like the equal Fractions.
+        """
         x = object.__new__(cls)
         x.d, x.a, x.b = d, a, b
         return x

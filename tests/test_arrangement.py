@@ -46,9 +46,45 @@ class TestBuildValidation:
             am.build([(1, 0, 0), (r, 1, 0), (0, 0, 1), (2, r, 0)])
         assert am.normal_column((2, r, 0)) == am.normal_column((r, 1, 0))
 
+    def test_columns_over_another_field(self):
+        r = QuadElem(5, 0, 1)
+        with pytest.raises(am.ArrangementError,
+                           match=r"^column 2 mixes QQ and QQ\(sqrt 5\)$"):
+            am.build([(1, 0, 0), (0, r, 1), (0, 0, 1)], QQ)
+        with pytest.raises(am.ArrangementError,
+                           match=r"^column \d mixes QQ\(sqrt \d\) and "):
+            am.build([(r, 0, 0), (0, 1, 0), (QuadElem(2, 0, 1), 0, 1)])
+
     def test_not_essential(self):
         with pytest.raises(am.NotEssentialError):
             rational_arrangement((1, 0, 0), (0, 1, 0), (1, 1, 0))
+
+    def test_rank_over_quadratic_fields(self):
+        """build's rank test on cleared Z[sqrt d] columns agrees with field
+        determinants, including determinants with zero rational part."""
+        for d in (2, 5, -1, -3):
+            r = QuadElem(d, 0, 1)
+            am.build([(1, 0, 0), (0, 1, 0), (0, 0, r)])       # det = sqrt d
+            am.build([(1, 0, 0), (0, 1, 0), (r, r, r + 1)])   # det = 1 + sqrt d
+            with pytest.raises(am.NotEssentialError):
+                am.build([(1, 0, 0), (0, 1, 0), (r, 1 - r, 0)])
+            rng = random.Random(d)
+            for _ in range(150):
+                third = (QuadElem(d, rng.randint(-1, 1), rng.randint(-1, 1)),
+                         QuadElem(d, rng.randint(-1, 1), rng.randint(-1, 1)),
+                         rng.choice((0, r, r + 1)))
+                cols = [(1, r, 0), (r, 0, 1), third]
+                try:
+                    am.build(cols)
+                except am.NotEssentialError:
+                    essential = False
+                except am.ArrangementError:
+                    continue
+                else:
+                    essential = True
+                assert essential == bool(det3_cols(*(
+                    tuple(QuadElem(d, x) if isinstance(x, int) else x
+                          for x in c) for c in cols))), cols
 
     def test_fewer_than_three_columns_are_not_essential(self):
         for cols in ([], [(1, 0, 0)], [(1, 0, 0), (0, 1, 0)]):
@@ -63,6 +99,80 @@ class TestBuildValidation:
         arr = boolean3()
         assert arr.domain is QQ
         assert arr.n == 3
+
+
+def key_of(col, domain):
+    return am.line_key(am.ring_ops(domain), am.clear_column(col))
+
+
+class TestLineKey:
+    """line_key equality is normal_column equality, i.e. proportionality."""
+
+    def column_pool(self, rng, d):
+        """Columns with zeros in every position, each with multiples by
+        rational and, over Q(sqrt d), irrational factors."""
+        def scalar():
+            a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if d is None:
+                return a
+            return QuadElem(d, a, Fraction(rng.randint(-2, 2),
+                                           rng.randint(1, 3)))
+
+        def nonzero():
+            while not (x := scalar()):
+                pass
+            return x
+        # two columns on every nonempty support, so zeros in every position
+        base = [tuple(nonzero() if on else 0 * nonzero() for on in support)
+                for support in product((False, True), repeat=3)
+                if any(support) for _ in range(2)]
+        pool = list(base)
+        for col in base:
+            for _ in range(2):
+                lam = scalar()
+                if lam:
+                    pool.append(tuple(lam * x for x in col))
+        return pool
+
+    @pytest.mark.parametrize("d", [None, 2, 5, -1, -3])
+    def test_key_equality_is_normal_column_equality(self, d):
+        rng = random.Random(1406 + (d or 0))
+        domain = QQ if d is None else quad_field(d)
+        pool = self.column_pool(rng, d)
+        keys = [key_of(c, domain) for c in pool]
+        normals = [am.normal_column(c) for c in pool]
+        equal = 0
+        for i in range(len(pool)):
+            for j in range(len(pool)):
+                assert (keys[i] == keys[j]) == (normals[i] == normals[j]), \
+                    (pool[i], pool[j])
+                equal += keys[i] == keys[j] and i != j
+        assert equal >= 2 * len(pool) // 3
+        assert all(isinstance(v, int) for k in keys for v in k)
+
+    @pytest.mark.parametrize("d", [2, 5, -1, -3])
+    def test_irrational_factors(self, d):
+        domain = quad_field(d)
+        r = QuadElem(d, 0, 1)
+        one = QuadElem(d, 1)
+        zero = QuadElem(d, 0)
+        # (d, r, 0) = r * (r, 1, 0): proportional only by the factor sqrt d
+        pairs = [((r, one, zero), (r * r, r, zero), True),
+                 ((zero, r + 1, one), (zero, r * r - 1, r - 1), True),
+                 ((one, zero, r), (r, zero, one), False),
+                 ((zero, zero, r + 3), (zero, zero, one), True),
+                 ((one, r, zero), (one, -r, zero), False)]
+        for u, v, same in pairs:
+            assert (key_of(u, domain) == key_of(v, domain)) is same
+            assert (am.normal_column(u) == am.normal_column(v)) is same
+
+    def test_key_is_primitive_with_positive_lead(self):
+        assert key_of((Fraction(-2, 3), 0, Fraction(4, 9)), QQ) == (3, 0, -2)
+        assert key_of((0, 0, Fraction(-5)), QQ) == (0, 0, 1)
+        r = QuadElem(5, 0, 1)
+        # (0, sqrt 5, 1 + sqrt 5) times the conjugate -sqrt 5 of its lead
+        assert key_of((r * 0, r, r + 1), quad_field(5)) == \
+            (0, 0, 5, 0, 5, 1)
 
 
 class TestLattice:

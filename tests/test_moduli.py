@@ -8,7 +8,14 @@ import pytest
 from freearr import arrangement as am
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
-from freearr.scalars import IntPoly, QuadElem, factor_low_degree, poly
+from freearr.linalg import cross, det3_cols
+from freearr.scalars import (
+    IntPoly,
+    QuadElem,
+    domain_of,
+    factor_low_degree,
+    poly,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
@@ -30,6 +37,42 @@ class TestFamilies:
     def test_validation_rejects_proportional_columns(self):
         with pytest.raises(ValueError):
             mod.Family("bad", mod._cols((1, 0, 0), (2, 0, 0)))
+
+
+    def test_proportional_pair_by_a_factor_of_t_or_minus_one(self):
+        t = mod._T
+        # 3 = t * 2 and 4 = -1 * 1: the lexicographically first pair is (1, 4)
+        with pytest.raises(ValueError, match="^columns 1 and 4 are "
+                           "identically proportional$"):
+            mod.Family("bad", mod._cols(
+                (1, t, 0), (0, 1, t), (0, t, t * t), (-1, -1 * t, 0)))
+        with pytest.raises(ValueError, match="^columns 2 and 3 are "):
+            mod.Family("bad", mod._cols(
+                (1, 0, 0), (t - 1, t, 0), (1 - t, -1 * t, 0), (0, 0, 2)))
+
+    def test_error_pair_is_the_first_by_cross_products(self):
+        """The reported pair is the first (i, j) in lexicographic order
+        whose cross product vanishes in Z[t], as n(n-1)/2 crosses find it."""
+        rng = random.Random(14)
+        t = mod._T
+        factors = (t, -1 * t, poly(-1), poly(3), 2 * t - 1, t * t + 1)
+        for _ in range(60):
+            cols = [tuple(IntPoly(rng.randint(-2, 2)
+                                  for _ in range(rng.randint(1, 2)))
+                          for _ in range(3)) for _ in range(rng.randint(3, 5))]
+            if not all(any(c) for c in cols):
+                continue
+            for _ in range(rng.randint(1, 2)):
+                q = rng.choice(factors)
+                cols.insert(rng.randint(0, len(cols)),
+                            tuple(q * x for x in rng.choice(cols)))
+            first = next((i + 1, j + 1) for i in range(len(cols))
+                         for j in range(i + 1, len(cols))
+                         if not any(cross(cols[i], cols[j])))
+            with pytest.raises(ValueError) as exc:
+                mod.Family("bad", tuple(cols))
+            assert str(exc.value) == ("columns {} and {} are identically "
+                                      "proportional".format(*first))
 
 
 class TestGenericLattices:
@@ -324,6 +367,134 @@ class TestDivisibilityClassification:
         assert rep.unresolved == ((-7, 0, 0, 2), (-4, 0, 0, 1),
                                   (-3, 0, 0, 1), (-2, 0, 0, 1))
         assert rep.rational == {} and rep.quadratic == {}
+
+
+def field_specialize(f, omega):
+    """Reference specialization in field arithmetic: every entry evaluated
+    at omega by Horner in Q or Q(sqrt d), columns grouped by normal_column,
+    the first column of each group kept as evaluated, and the rank tested
+    by field determinants.  (count, dropped, merges, domain name, columns),
+    with the domain and columns None below rank 3."""
+    omega = mod._as_scalar(omega)
+    values = [tuple(p(omega) for p in col) for col in f.columns]
+    dropped = tuple(i + 1 for i, col in enumerate(values) if not any(col))
+    groups = {}
+    for label, col in enumerate(values, start=1):
+        if any(col):
+            groups.setdefault(am.normal_column(col), []).append(label)
+    kept = [values[g[0] - 1] for g in groups.values()]
+    merges = tuple(tuple(g) for g in groups.values() if len(g) > 1)
+    if len(kept) < 3 or not any(det3_cols(kept[0], kept[1], c)
+                                for c in kept[2:]):
+        return len(kept), dropped, merges, None, None
+    return (len(kept), dropped, merges, domain_of(omega).name,
+            typed(kept))
+
+
+def typed(cols):
+    return [[(type(x).__name__, x) for x in col] for col in cols]
+
+
+def outcome(spec):
+    arr = spec.arrangement
+    if arr is None:
+        return spec.count, spec.dropped, spec.merges, None, None
+    return (spec.count, spec.dropped, spec.merges, arr.domain.name,
+            typed(arr.columns))
+
+
+def random_value(rng):
+    """A rational, or an element of Q(sqrt d) whose b may be 0."""
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if rng.random() < 0.5:
+        return rat()
+    b = rat() if rng.random() < 0.8 else Fraction(0)
+    return QuadElem(rng.choice((2, 3, 5, -1, -2, -3, 6, -7)), rat(), b)
+
+
+def degree3_family(rng):
+    """5-7 columns, one of them with entries of degree up to 3, another a
+    rational multiple of a column at some t, so that merges occur."""
+    n = rng.randint(5, 7)
+    cols = [tuple(poly(rng.randint(-2, 2)) for _ in range(3))
+            for _ in range(n - 2)]
+    cols.append(tuple(IntPoly(rng.randint(-2, 2)
+                              for _ in range(rng.randint(1, 4)))
+                      for _ in range(3)))
+    w = rng.randint(-2, 2)
+    base = rng.choice(cols[:-1])
+    cols.append(tuple(c * rng.choice((1, -2, 3)) + poly(0, 1) * rng.choice(
+        (0, 1)) - poly(w) * rng.choice((0, 1)) for c in base))
+    rng.shuffle(cols)
+    try:
+        return mod.Family("random", tuple(cols))
+    except ValueError:
+        return None
+
+
+class TestIntegralSpecialization:
+    """specialize on integral images agrees with field arithmetic."""
+
+    def assert_agrees(self, f, omega):
+        assert outcome(mod.specialize(f, omega)) == \
+            field_specialize(f, omega), (mod.format_family(f), omega)
+
+    def test_paper_families_at_reported_and_random_values(self):
+        rng = random.Random(1406)
+        for f in (mod.family_13(), mod.family_15()):
+            rep = mod.degeneracy_set(f)
+            values = list(rep.rational) + [mod._quadratic_root(q)
+                                           for q in rep.quadratic]
+            for omega in values + [random_value(rng) for _ in range(12)]:
+                self.assert_agrees(f, omega)
+
+    def test_random_families(self):
+        rng = random.Random(61540)
+        checked = 0
+        signs = set()
+        while checked < 40:
+            f = random_family(rng) if checked % 2 else degree3_family(rng)
+            if f is None:
+                continue
+            checked += 1
+            rep = mod.degeneracy_set(f)
+            values = list(rep.rational) + [mod._quadratic_root(q)
+                                           for q in rep.quadratic]
+            signs |= {omega.d < 0 for omega in values[len(rep.rational):]}
+            for omega in values + [random_value(rng) for _ in range(4)]:
+                self.assert_agrees(f, omega)
+        assert signs == {False, True}
+
+    def test_drops_merges_and_rank_loss(self):
+        # at t = +-sqrt 2 columns 5 and 6 vanish, 3 and 4 merge by the
+        # irrational factor sqrt 2, and the rest lie in the plane z = 0
+        t = mod._T
+        f = mod.Family("degenerate", mod._cols(
+            (1, 0, 0), (0, 1, 0), (1, t, 0), (t, 2, 0),
+            (t * t - 2, t * t - 2, 0), (0, 0, t * t - 2), (1, 1, t * t - 2)))
+        root = QuadElem(2, 0, 1)
+        spec = mod.specialize(f, root)
+        assert (spec.count, spec.dropped, spec.merges, spec.arrangement) \
+            == (4, (5, 6), ((3, 4),), None)
+        merged = mod.Family("merged", mod._cols(
+            (1, 0, 0), (1, t, 0), (1, 0, t)))
+        for g in (f, merged):
+            for omega in (root, -root, root + 1, QuadElem(-2, 1, 1), 0, 2,
+                          Fraction(-1, 3), QuadElem(2, 0), QuadElem(-7, 0)):
+                self.assert_agrees(g, omega)
+
+    def test_quadratic_points_with_zero_irrational_part(self):
+        f = mod.family_13()
+        for omega in (QuadElem(5, 0), QuadElem(-3, 2), QuadElem(2, 3),
+                      QuadElem(-1, Fraction(1, 2))):
+            self.assert_agrees(f, omega)
+            arr = mod.specialize(f, omega).arrangement
+            assert arr is None or arr.domain.name == f"QQ(sqrt {omega.d})"
+        # at t = 0 columns vanish and merge, over Q(sqrt 5) as over Q
+        spec = mod.specialize(f, QuadElem(5, 0))
+        assert (spec.count, spec.dropped, spec.merges) == outcome(
+            mod.specialize(f, 0))[:3]
 
 
 class TestVLMembership:

@@ -43,24 +43,26 @@ def test_benchmark_traced_names_exist():
     assert missing == []
 
 
-def _attribute_reads(node, attr, scope="<module>"):
-    """Names of the innermost functions that read ``.attr``."""
+def _reads(node, name, scope="<module>"):
+    """Names of the innermost functions that read ``name`` or ``.name``."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
-    if (isinstance(node, ast.Attribute) and node.attr == attr
-            and isinstance(node.ctx, ast.Load)):
+    if (getattr(node, "attr", getattr(node, "id", None)) == name
+            and isinstance(getattr(node, "ctx", None), ast.Load)):
         yield scope
     for child in ast.iter_child_nodes(node):
-        yield from _attribute_reads(child, attr, scope)
+        yield from _reads(child, name, scope)
+
+
+def _readers(name):
+    return [f"{path.relative_to(SRC)}:{scope}"
+            for path in sorted(SRC.rglob("*.py"))
+            for scope in _reads(ast.parse(path.read_text(), str(path)), name)]
 
 
 def test_only_canonical_key_reads_the_canonical_walk():
     """The walk, canonical_key and its TRACED entry can then go together."""
-    readers = [f"{path.relative_to(SRC)}:{scope}"
-               for path in sorted(SRC.rglob("*.py"))
-               for scope in _attribute_reads(
-                   ast.parse(path.read_text(), str(path)), "canonical")]
-    assert readers == ["arrangement.py:canonical_key"]
+    assert _readers("canonical") == ["arrangement.py:canonical_key"]
 
 
 def test_no_sympy_in_the_package():
@@ -84,3 +86,31 @@ def test_degeneracy_sets_do_not_load_sympy():
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.stdout.startswith("Degeneracy set of paper15"), proc.stderr
     assert proc.stdout.endswith("exit 0 False\n")
+
+
+def test_only_candidate_additions_reads_normal_column():
+    """line_key is the one test of "same line"; normal_column is only the
+    form in which candidate additions are reported."""
+    assert _readers("normal_column") == ["induction.py:candidate_additions"]
+
+
+def test_quadratic_specialization_does_no_field_multiplication(monkeypatch):
+    """specialize evaluates, groups and validates on integral images."""
+    from fractions import Fraction
+
+    from freearr import moduli
+    from freearr.scalars import QuadElem
+
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "inverse"):
+        def spy(*args, name=name, method=getattr(QuadElem, name)):
+            calls.append(name)
+            return method(*args)
+        monkeypatch.setattr(QuadElem, name, spy)
+    spec = moduli.specialize(moduli.family_15(), omega)
+    assert calls == []
+    assert spec.count == 15 and spec.arrangement.n == 15
+    # the spies do see field arithmetic
+    assert omega * omega == 3 * omega - 1 and calls == ["__mul__", "__rmul__"]
