@@ -158,12 +158,9 @@ def build(columns, domain: Domain | None = None) -> Arrangement:
     """
     cols = [tuple(c) for c in columns]
     if domain is None:
-        domain = QQ
-        for c in cols:
-            for x in c:
-                if not isinstance(x, (int, Fraction)):
-                    domain = domain_of(x)
-                    break
+        # the domain of the first entry that is not rational, else QQ
+        domain = next((domain_of(x) for c in cols for x in c
+                       if not isinstance(x, (int, Fraction))), QQ)
     coerced = []
     for i, c in enumerate(cols, start=1):
         if len(c) != 3:

@@ -5,17 +5,21 @@ exact linear system M: theta(alpha) must vanish on ker(alpha) for every
 hyperplane, and a two-vector parametrization of ker(alpha) turns that into
 p + 1 rows per hyperplane over 3 * C(p+2, 2) unknowns.
 
-Only a smaller system is eliminated.  With H the first hyperplane,
+Only a much smaller system is eliminated.  For a hyperplane H,
 D(A)_p = S_(p-1) theta_E (+) D_H(A)_p, where D_H(A) holds the derivations
 with theta(alpha_H) = 0 (Orlik-Terao, Arrangements of Hyperplanes, section
-4).  Writing theta = f1 v1 + f2 v2, with v1 and v2 spanning ker(alpha_H),
-gives the D_H system M_H: 2 components instead of 3 and n - 1 hyperplanes
-instead of n.  Mod each prime, the vectors m * theta_E for the monomials m
-of degree p - 1 and the lifted kernel of M_H are reduced from the right to
-the canonical nullspace basis of their span.  They number
-C(p+1, 2) + nullity_p(M_H), at least nullity(M) by the direct sum, so
-linalg.nullspace still proves the reconstructed basis against every row of
-M; it is the canonical basis of M, whatever system was eliminated.
+4).  In a two-point frame, H and two of its points P, Q (rank-2 flats)
+with |F_P| + |F_Q| largest, theta = (pi_Q g1) P + (pi_P g2) Q, where pi_P
+is the product of the forms of the other lines through P: every line
+through P or Q is then satisfied, and only the lines through neither give
+rows (the lemma is in _dh_system's docstring).  Mod each prime, the
+vectors m * theta_E for the monomials m of degree p - 1 and the lifted
+kernel of this two-point system are reduced from the right to the
+canonical nullspace basis of their span.  They number C(p+1, 2) plus the
+nullity of the two-point system mod that prime, at least nullity(M) by the
+direct sum, so linalg.nullspace still proves the reconstructed basis against
+every row of M; it is the canonical basis of M, whatever system was
+eliminated.
 
 The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
@@ -161,37 +165,62 @@ def _axes(ops, alpha):
     return i0, j, k
 
 
-def _hyperplane_rows(ops, alpha, pairs, p: int, width: int):
-    """The p + 1 rows, of the given width, saying that the sum of a * f_b
-    over the (b, a) in pairs vanishes on ker(alpha); f_b is the degree-p
-    polynomial whose coefficients, in monomials(p) order, start at column b.
+def _dot(ops, u, v):
+    return ops.add(ops.add(ops.mul(u[0], v[0]), ops.mul(u[1], v[1])),
+                   ops.mul(u[2], v[2]))
+
+
+def _cross(ops, u, v):
+    return tuple(ops.add(ops.mul(u[a], v[b]), ops.neg(ops.mul(u[b], v[a])))
+                 for a, b in ((1, 2), (2, 0), (0, 1)))
+
+
+def _times_linear(ops, form, a, b):
+    """The binary form times a s + b r, coefficients by the power of s."""
+    return ([ops.mul(form[0], b)]
+            + [ops.add(ops.mul(x, a), ops.mul(y, b))
+               for x, y in zip(form, form[1:])]
+            + [ops.mul(form[-1], a)])
+
+
+def _hyperplane_rows(ops, alpha, blocks, p: int, width: int):
+    """The p + 1 rows, of the given width, saying that the sum of
+    a * l_1 ... l_e * f over the (b, a, (l_1, ..., l_e)) in blocks vanishes
+    on ker(alpha); a is a ring element, the l_i are linear forms, and f is
+    the polynomial of degree p - e whose coefficients, in monomials(p - e)
+    order, start at column b.  A block with e > p is empty.
 
     With i0, j, k as in _axes, (x_i0, x_j, x_k) = (-alpha_j s - alpha_k r,
     alpha_i0 s, alpha_i0 r) parametrizes ker(alpha), so x_i0^a x_j^b x_k^c
     becomes alpha_i0^(b+c) s^b r^c (-alpha_j s - alpha_k r)^a, and only
-    the powers of one binary form are needed.  Row t holds the coefficients
-    of s^t r^(p-t).
+    the powers of one binary form, times the restrictions of the l_i, are
+    needed.  Row t holds the coefficients of s^t r^(p-t).
     """
     i0, j, k = _axes(ops, alpha)
+    mul, is_zero = ops.mul, ops.is_zero
     sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
     lead = [ops.one]        # alpha_i0^e
-    form = [[ops.one]]      # (sj s + sk r)^a, coefficients by the power of s
+    form = [[ops.one]]      # (sj s + sk r)^a
     for _ in range(p):
         lead.append(ops.mul(lead[-1], alpha[i0]))
-        prev = form[-1]
-        form.append([ops.mul(prev[0], sk)]
-                    + [ops.add(ops.mul(x, sj), ops.mul(y, sk))
-                       for x, y in zip(prev, prev[1:])]
-                    + [ops.mul(prev[-1], sj)])
-    scaled = [(block, [ops.mul(scalar, x) for x in lead])
-              for block, scalar in pairs]
+        form.append(_times_linear(ops, form[-1], sj, sk))
     rows = [[ops.zero] * width for _ in range(p + 1)]
-    for mi, (a, b, c) in enumerate((m[i0], m[j], m[k]) for m in monomials(p)):
-        for q, y in enumerate(form[a]):
-            if not ops.is_zero(y):
-                row = rows[b + q]
-                for block, lead_b in scaled:
-                    row[block + mi] = ops.mul(lead_b[b + c], y)
+    for block, scalar, lines in blocks:
+        d = p - len(lines)
+        if d < 0:
+            continue
+        scaled = [ops.mul(scalar, x) for x in lead[:d + 1]]
+        prods = form[:d + 1]    # form[a] times the restrictions of the l_i
+        for l in lines:
+            ls = ops.add(ops.mul(alpha[i0], l[j]), ops.mul(sj, l[i0]))
+            lr = ops.add(ops.mul(alpha[i0], l[k]), ops.mul(sk, l[i0]))
+            prods = [_times_linear(ops, f, ls, lr) for f in prods]
+        for col, (a, b, c) in enumerate(((m[i0], m[j], m[k])
+                                         for m in monomials(d)), start=block):
+            x = scaled[b + c]
+            for t, y in enumerate(prods[a], start=b):
+                if not is_zero(y):
+                    rows[t][col] = mul(x, y)
     return rows
 
 
@@ -201,63 +230,115 @@ def _constraint_rows(ops, cols, p: int):
     nm = len(monomials(p))
     return [row for alpha in cols
             for row in _hyperplane_rows(
-                ops, alpha, [(c * nm, a) for c, a in enumerate(alpha)
+                ops, alpha, [(c * nm, a, ()) for c, a in enumerate(alpha)
                              if not ops.is_zero(a)], p, 3 * nm)]
 
 
-def _kernel_frame(ops, alpha):
-    """v1, v2 spanning ker(alpha): the directions of s and r in
-    _hyperplane_rows."""
-    i0, j, k = _axes(ops, alpha)
-    v1, v2 = [ops.zero] * 3, [ops.zero] * 3
-    v1[i0], v1[j] = ops.neg(alpha[j]), alpha[i0]
-    v2[i0], v2[k] = ops.neg(alpha[k]), alpha[i0]
-    return v1, v2
+def _two_point_frame(ops, cols, lat):
+    """((P, lines through Q), (Q, lines through P), the lines through
+    neither): the two-point frame on H.
+
+    H and two of its points P, Q maximize |F_P| + |F_Q|, taking the first
+    H and then the first flats in lattice order on ties; a line of an
+    essential arrangement meets at least two flats.  P and Q are the cross
+    products of alpha_H with one other member of their flat, and H is
+    among none of the lines returned.
+    """
+    flats = lat.flats
+
+    def points(h):
+        ranked = sorted(lat.per_hyperplane[h], key=lambda f: -len(flats[f]))
+        return sorted(ranked[:2])
+    h = max(range(lat.n), key=lambda h: sum(len(flats[f]) for f in points(h)))
+    fp, fq = (sorted(flats[f] - {h + 1}) for f in points(h))
+    pt_p, pt_q = (_cross(ops, cols[h], cols[f[0] - 1]) for f in (fp, fq))
+    rest = [c for i, c in enumerate(cols, start=1)
+            if i not in fp and i not in fq and i != h + 1]
+    return ((pt_p, [cols[i - 1] for i in fq]),
+            (pt_q, [cols[i - 1] for i in fp]), rest)
 
 
-def _dh_rows(ops, cols, frame, p: int):
-    """Rows of the D_H system M_H for degree p, H the first hyperplane and
-    frame = (v1, v2) spanning ker(alpha_H): theta = f1 v1 + f2 v2, with f1
-    at block 0 and f2 at block nm, kills alpha_H, and on every other K,
-    theta(alpha_K) = (alpha_K . v1) f1 + (alpha_K . v2) f2."""
-    nm = len(monomials(p))
-    rows = []
-    for beta in cols[1:]:
-        pairs = []
-        for block, v in zip((0, nm), frame):
-            dot = ops.zero
-            for x, y in zip(beta, v):
-                dot = ops.add(dot, ops.mul(x, y))
-            if not ops.is_zero(dot):
-                pairs.append((block, dot))
-        rows += _hyperplane_rows(ops, beta, pairs, p, 2 * nm)
-    return rows
+def _dh_system(ops, cols, lat, p: int):
+    """(rows, width, blocks): the two-point system for D_H(A)_p, and per
+    block (first column, degree, point, lines of its factor pi).
+
+    Lemma.  Let P, Q be two points of H and write theta in D_H(A) as
+    theta = f1 P + f2 Q.  For a line K != H through P, theta(alpha_K) =
+    f2 alpha_K(Q) with alpha_K(Q) != 0, since only H holds both points;
+    so alpha_K divides f2.  Hence f2 = pi_P g2 and f1 = pi_Q g1, pi_P and
+    pi_Q the products of the forms of the other lines through P and
+    through Q, and theta(alpha_K) is then divisible by alpha_K for H and
+    every line through P or Q.  The unknowns are g1 of degree
+    p - (|F_Q| - 1) and g2 of degree p - (|F_P| - 1), a negative degree
+    giving an empty block, and only the lines K through neither point
+    give rows: alpha_K(P) pi_Q g1 + alpha_K(Q) pi_P g2 vanishes on
+    ker(alpha_K).
+    """
+    (pt1, lines1), (pt2, lines2), rest = _two_point_frame(ops, cols, lat)
+    blocks, width = [], 0
+    for point, lines in ((pt1, lines1), (pt2, lines2)):
+        blocks.append((width, p - len(lines), point, lines))
+        width += len(monomials(p - len(lines)))
+    rows = [row for beta in rest
+            for row in _hyperplane_rows(
+                ops, beta, [(b, _dot(ops, beta, point), lines)
+                            for b, _, point, lines in blocks], p, width)]
+    return rows, width, blocks
 
 
-def _dh_kernel(ops, cols, p: int):
+def _expand(ops, lines):
+    """{monomial: coefficient} of the product of the linear forms."""
+    poly = {(0, 0, 0): ops.one}
+    for l in lines:
+        out = {}
+        for m, x in poly.items():
+            for c in range(3):
+                if not ops.is_zero(l[c]):
+                    mc = tuple(e + (i == c) for i, e in enumerate(m))
+                    y = ops.mul(x, l[c])
+                    out[mc] = ops.add(out[mc], y) if mc in out else y
+        poly = out
+    return poly
+
+
+def _dh_kernel(ops, cols, lat, p: int):
     """kernel(h, q) for linalg.nullspace of the degree-p system M: the
     vectors m * theta_E, m over the monomials of degree p - 1, then the
-    kernel of M_H mod q under the ring map h, lifted by theta = f1 v1 +
-    f2 v2.  M_H is built per call, so it is not kept through the exact
-    check."""
-    nm = len(monomials(p))
-    index = {m: i for i, m in enumerate(monomials(p))}
+    kernel of the two-point system mod q under the ring map h, lifted by
+    theta = (pi_Q g1) P + (pi_P g2) Q (see _dh_system)."""
+    mons = monomials(p)
+    nm = len(mons)
+    index = {m: i for i, m in enumerate(mons)}
     euler = [{c * nm + index[tuple(e + (i == c) for i, e in enumerate(m))]: 1
               for c in range(3)} for m in monomials(p - 1)]
-    frame = _kernel_frame(ops, cols[0])
+    rows, width, blocks = _dh_system(ops, cols, lat, p)
+    # per block: first column, point, the coefficients of pi, and per
+    # unknown m the indices of the monomials of m * pi in monomials(p)
+    lifts = []
+    for b, d, point, lines in blocks:
+        pi = _expand(ops, lines)
+        lifts.append((b, point, list(pi.values()), [
+            [index[(m[0] + e[0], m[1] + e[1], m[2] + e[2])] for e in pi]
+            for m in monomials(d)]))
 
     def kernel(h, q):
-        lift = [(h(x), h(y)) for x, y in zip(*frame)]   # (v1_c, v2_c) mod q
+        mapped = [(b, [h(x) for x in point], [h(x) for x in pi], shifts)
+                  for b, point, pi, shifts in lifts]
         vecs = list(euler)
-        for f in linalg._kernel_mod(_dh_rows(ops, cols, frame, p), 2 * nm,
-                                    h, q):
+        for g in linalg._kernel_mod(rows, width, h, q):
             theta = {}
-            for i, x in f.items():
-                block, mi = divmod(i, nm)
-                for c, v in enumerate(lift):
-                    if v[block]:
-                        j = c * nm + mi
-                        theta[j] = (theta.get(j, 0) + x * v[block]) % q
+            for b, point, pi, shifts in mapped:
+                f = {}
+                for mi, idx in enumerate(shifts):
+                    x = g.get(b + mi)
+                    if x:
+                        for j, y in zip(idx, pi):
+                            f[j] = f.get(j, 0) + x * y
+                for c, v in enumerate(point):
+                    if v:
+                        for j, y in f.items():
+                            theta[c * nm + j] = (theta.get(c * nm + j, 0)
+                                                 + v * y) % q
             vecs.append({j: x for j, x in theta.items() if x})
         return vecs
     return kernel
@@ -265,13 +346,13 @@ def _dh_kernel(ops, cols, p: int):
 
 def derivation_space_dim(arr: Arrangement, p: int) -> int:
     """Exact dimension of the degree-p graded piece of the derivation
-    module: C(p+1, 2) for S_(p-1) theta_E plus the nullity of M_H."""
+    module: C(p+1, 2) for S_(p-1) theta_E plus the nullity of the
+    two-point system."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
     ops, cols = cleared_columns(arr)
-    nm = len(monomials(p))
-    rows = _dh_rows(ops, cols, _kernel_frame(ops, cols[0]), p)
-    return comb(p + 1, 2) + 2 * nm - linalg.rank(rows, 2 * nm, ops)
+    rows, width, _ = _dh_system(ops, cols, arr.lattice(), p)
+    return comb(p + 1, 2) + width - linalg.rank(rows, width, ops)
 
 
 def _vector_to_derivation(vec, p: int) -> Derivation:
@@ -287,13 +368,14 @@ def _vector_to_derivation(vec, p: int) -> Derivation:
 
 def derivation_basis(arr: Arrangement, p: int) -> list:
     """Basis of the degree-p graded piece, as Derivations over the field:
-    the canonical nullspace basis of M, found by eliminating M_H."""
+    the canonical nullspace basis of M, found by eliminating the
+    two-point system."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
     ops, cols = cleared_columns(arr)
     vecs = linalg.nullspace(_constraint_rows(ops, cols, p),
                             3 * len(monomials(p)), ops,
-                            _dh_kernel(ops, cols, p))
+                            _dh_kernel(ops, cols, arr.lattice(), p))
     return [_vector_to_derivation(v, p) for v in vecs]
 
 

@@ -30,6 +30,15 @@ def near_pencil(n: int) -> am.Arrangement:
     return rational_arrangement(*cols)
 
 
+def grid(k: int) -> am.Arrangement:
+    """The 4k lines x3, x1 - a x3, x2 - b x3 (0 <= a, b < k) and
+    x1 - x2 - c x3 (|c| < k); free and inductively free."""
+    cols = ([(0, 0, 1)] + [(1, 0, -a) for a in range(k)]
+            + [(0, 1, -b) for b in range(k)]
+            + [(1, -1, -c) for c in range(1 - k, k)])
+    return rational_arrangement(*cols)
+
+
 # 20 integer lines with 15 triple points and a trivial automorphism group;
 # a minimal-encoding walk over their tied candidates runs for about a minute
 ASYMMETRIC20 = [

@@ -51,9 +51,14 @@ class TestBuildValidation:
         with pytest.raises(am.ArrangementError,
                            match=r"^column 2 mixes QQ and QQ\(sqrt 5\)$"):
             am.build([(1, 0, 0), (0, r, 1), (0, 0, 1)], QQ)
-        with pytest.raises(am.ArrangementError,
-                           match=r"^column \d mixes QQ\(sqrt \d\) and "):
-            am.build([(r, 0, 0), (0, 1, 0), (QuadElem(2, 0, 1), 0, 1)])
+        # the domain is that of the first irrational entry, in either order
+        s2 = QuadElem(2, 0, 1)
+        with pytest.raises(am.ArrangementError, match=r"^column 3 mixes "
+                           r"QQ\(sqrt 5\) and QQ\(sqrt 2\)$"):
+            am.build([(r, 0, 0), (0, 1, 0), (s2, 0, 1)])
+        with pytest.raises(am.ArrangementError, match=r"^column 3 mixes "
+                           r"QQ\(sqrt 2\) and QQ\(sqrt 5\)$"):
+            am.build([(s2, 0, 0), (0, 1, 0), (r, 0, 1)])
 
     def test_not_essential(self):
         with pytest.raises(am.NotEssentialError):

@@ -1,7 +1,7 @@
 """Derivation modules, graded dimensions, Saito certificates."""
 import random
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from math import comb
 
@@ -31,7 +31,7 @@ from freearr.induction import inductively_free
 from freearr.linalg import IntOps, QuadOps
 from freearr.scalars import QQ, QuadElem
 
-from conftest import boolean3, near_pencil, rational_arrangement
+from conftest import boolean3, grid, near_pencil, rational_arrangement
 
 
 class TestExpectedDim:
@@ -368,6 +368,25 @@ def _degrees(arr):
     return range((exps[2] if exps else min(arr.n - 2, 4)) + 1)
 
 
+def _quad_image(cols, d):
+    """The arrangement of the rational columns under a change of
+    coordinates over Q(sqrt d); it has the same lattice."""
+    one, s = QuadElem(d, 1, 0), QuadElem(d, 0, 1)
+    zero = one - one
+    a = ((one, s, zero), (zero, one, one), (one, zero, s))
+    return am.build([tuple(sum((x * a[i][c] for i, x in enumerate(col)), zero)
+                           for c in range(3)) for col in cols])
+
+
+GENERIC7 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
+            (1, 3, 7), (2, 5, 1)]
+
+
+def _generic_lines():
+    """3 to 7 lines in general position: every flat has two lines."""
+    return [rational_arrangement(*GENERIC7[:n]) for n in range(3, 8)]
+
+
 def _paper_quad_points():
     omega5 = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
     return (mod.specialize(mod.family_15(), omega5).arrangement,
@@ -383,26 +402,65 @@ class TestRowBuilder:
             assert fr._constraint_rows(ops, cols, p) == \
                 _old_constraint_rows(ops, cols, p)
 
-    @pytest.mark.parametrize("ops,cols", [(IntOps, INT_COLUMNS),
-                                          (QuadOps(5), QUAD_COLUMNS)])
-    def test_dh_rows_are_full_rows_on_the_frame(self, ops, cols):
-        # M_H's rows for K are M's rows for K applied to theta = f1 v1 + f2 v2
-        v1, v2 = _old_spanning_vectors(ops, cols[0])
-        assert fr._kernel_frame(ops, cols[0]) == (list(v1), list(v2))
-        for p in range(5):
-            nm = len(fr.monomials(p))
-            full = _old_constraint_rows(ops, cols, p)[p + 1:]
+    @pytest.mark.parametrize("arr", [
+        grid(3), mod.specialize(mod.family_13(), 3).arrangement,
+        *(_quad_image(grid(3).columns, d) for d in (2, 5, -3))],
+        ids=["grid12", "a13", "grid12-sqrt2", "grid12-sqrt5", "grid12-sqrt-3"])
+    def test_two_point_rows_are_full_rows_on_the_lift(self, arr):
+        # For g the unit vector of an unknown, theta = (pi_Q g1) P +
+        # (pi_P g2) Q; M's rows for the lines through neither point, applied
+        # to theta, are the two-point rows, and M's other rows vanish on it.
+        ops, cols = fr.cleared_columns(arr)
+        lat = arr.lattice()
+        (pt1, lines1), (pt2, lines2), rest = fr._two_point_frame(ops, cols,
+                                                                 lat)
+        assert len(lines1) + len(lines2) + 2 == max(
+            sum(sorted((len(lat.flats[f]) for f in incident))[-2:])
+            for incident in lat.per_hyperplane)
+        field = ops.to_field
+        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+        def integral(x):
+            """The integral field element x in the ring's form."""
+            parts = (x.a, x.b) if ops.parts == 2 else (x,)
+            assert all(y.denominator == 1 for y in parts)
+            ints = tuple(y.numerator for y in parts)
+            return ints if ops.parts == 2 else ints[0]
+        for p in range(9):
+            mons = fr.monomials(p)
+            thetas = []
+            for point, lines in ((pt1, lines1), (pt2, lines2)):
+                pi = HPoly(0, {(0, 0, 0): 1})
+                for line in lines:
+                    pi = pi * HPoly(1, {e: field(x) for e, x in
+                                        zip(units, line)})
+                for m in fr.monomials(p - len(lines)):
+                    f = pi * HPoly(p - len(lines), {m: 1})
+                    thetas.append({c * len(mons) + i:
+                                   integral(field(point[c]) * x)
+                                   for c in range(3) for i, mm in
+                                   enumerate(mons) if (x := f.coeffs.get(mm))})
+            rows, width, _ = fr._dh_system(ops, cols, lat, p)
+            assert width == len(thetas)
+            full = _old_constraint_rows(ops, cols, p)
             expected = []
-            for row in full:
-                out = []
-                for v in (v1, v2):
-                    for mi in range(nm):
-                        acc = ops.zero
-                        for c in range(3):
-                            acc = ops.add(acc, ops.mul(row[c * nm + mi], v[c]))
-                        out.append(acc)
-                expected.append(out)
-            assert fr._dh_rows(ops, cols, (v1, v2), p) == expected
+            for i, col in enumerate(cols):
+                block = [[reduce(ops.add, (ops.mul(row[j], x)
+                                           for j, x in th.items()), ops.zero)
+                          for th in thetas]
+                         for row in full[i * (p + 1):(i + 1) * (p + 1)]]
+                if col in rest:
+                    expected += block
+                else:
+                    assert all(map(ops.is_zero, sum(block, [])))
+            assert rows == expected
+
+
+def _grid_degrees(arr):
+    """0, 1, e2 and e3: the full solve at every degree up to e3 would
+    dominate the suite on grids."""
+    _, e2, e3 = arr.char_poly().exponents()
+    return (0, 1, e2, e3)
 
 
 class TestDHSolve:
@@ -412,7 +470,7 @@ class TestDHSolve:
         for p in degrees:
             rows = fr._constraint_rows(ops, cols, p)
             ncols = 3 * len(fr.monomials(p))
-            kernel = fr._dh_kernel(ops, cols, p)
+            kernel = fr._dh_kernel(ops, cols, arr.lattice(), p)
             q = next(q for q in linalg._primes() if ops.maps(q) is not None)
             # one prime: the supplied span reduces to M's own canonical basis
             assert linalg._residues_mod(kernel, ncols, ops, q) == \
@@ -433,6 +491,15 @@ class TestDHSolve:
         for arr in (a13, a15, *_paper_quad_points()):
             self._check(arr, _degrees(arr))
 
+    def test_basis_equals_full_nullspace_on_generic_lines(self):
+        for arr in _generic_lines():
+            assert all(len(f) == 2 for f in arr.lattice().flats)
+            self._check(arr, _degrees(arr))
+
+    def test_basis_equals_full_nullspace_on_grids(self):
+        for arr in (grid(5), grid(7)):
+            self._check(arr, _grid_degrees(arr))
+
     def test_full_system_is_never_eliminated(self, a13, monkeypatch):
         widths = []
         rref = linalg._rref_mod
@@ -444,7 +511,24 @@ class TestDHSolve:
         monkeypatch.setattr(linalg, "_rref_mod", spy)
         verdict = decide_freeness(a13, use_cache=False)
         assert isinstance(verdict, Free) and verdict.exponents == (1, 6, 6)
-        assert widths and set(widths) == {2 * comb(8, 2)}
+        # the two-point frame of a13 has two quintuple points:
+        # g1 and g2 have degree 6 - 4
+        assert widths and set(widths) == {2 * comb(4, 2)}
+
+    def test_32_line_grid_eliminates_the_two_point_width(self, monkeypatch):
+        widths = []
+        rref = linalg._rref_mod
+
+        def spy(rows, ncols, p):
+            widths.append(ncols)
+            return rref(rows, ncols, p)
+
+        monkeypatch.setattr(linalg, "_rref_mod", spy)
+        arr = grid(8)
+        assert arr.char_poly().exponents() == (1, 15, 16)
+        derivation_basis(arr, 16)
+        # H = x3, with points of 16 and 9 lines: g1, g2 of degree 1 and 8
+        assert widths and set(widths) == {comb(3, 2) + comb(10, 2)}
 
     def test_negative_degree_raises(self):
         for probe in (derivation_basis, derivation_space_dim):
@@ -546,6 +630,15 @@ class TestDimensionSweep:
     def test_dh_dim_equals_full_rank_on_small_corpus(self, small_corpus):
         for arr in small_corpus:
             for p in _degrees(arr):
+                assert derivation_space_dim(arr, p) == _full_dim(arr, p)
+
+    def test_dh_dim_equals_full_rank_on_edge_inputs(self):
+        for arr in (*_generic_lines(), *map(near_pencil, range(4, 9)),
+                    _paper_quad_points()[0]):
+            for p in _degrees(arr):
+                assert derivation_space_dim(arr, p) == _full_dim(arr, p)
+        for arr in (grid(5), grid(7)):
+            for p in _grid_degrees(arr):
                 assert derivation_space_dim(arr, p) == _full_dim(arr, p)
 
     def test_dh_dim_equals_full_rank_on_nonfree_split_inputs(self):

@@ -23,22 +23,13 @@ from freearr.induction import (
     triple_check,
 )
 
-from conftest import boolean3, near_pencil, rational_arrangement
+from conftest import boolean3, grid, near_pencil, rational_arrangement
 
 
 def braid3() -> am.Arrangement:
     """The braid arrangement A_3: free with exponents [1, 2, 3]."""
     return rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1),
                                 (1, -1, 0), (1, 0, -1), (0, 1, -1))
-
-
-def grid(k: int) -> am.Arrangement:
-    """The 4k lines x3, x1 - a x3, x2 - b x3 (0 <= a, b < k) and
-    x1 - x2 - c x3 (|c| < k); free and inductively free."""
-    cols = ([(0, 0, 1)] + [(1, 0, -a) for a in range(k)]
-            + [(0, 1, -b) for b in range(k)]
-            + [(1, -1, -c) for c in range(1 - k, k)])
-    return rational_arrangement(*cols)
 
 
 def deletion_search(arr):
