@@ -7,8 +7,8 @@ ordinary rational arrangement.  Arrangement-level commands specialize the
 family at the value given by --at: a rational like ``-1/2`` or a quadratic
 value ``quad d a b`` meaning a + b*sqrt(d).
 
-Exit codes: 0 success, 1 validation/input error, 2 inconclusive verdict,
-3 internal error.
+Exit codes: 0 success, 1 validation/input error, 2 an Unknown
+recursive-freeness search (recfree, report), 3 internal error.
 """
 from __future__ import annotations
 
@@ -29,8 +29,6 @@ from .arrangement import (
 )
 from .freeness import (
     Free,
-    Inconclusive,
-    NotFree,
     _scalar_from_text,
     _scalar_to_text,
     certificate_to_text,
@@ -54,7 +52,7 @@ from .moduli import (
 from .scalars import IntPoly, QuadElem, parse_rational
 
 EXIT_VALIDATION = 1
-EXIT_INCONCLUSIVE = 2
+EXIT_UNKNOWN = 2
 EXIT_INTERNAL = 3
 
 
@@ -165,7 +163,7 @@ def chi(source, at):
 @click.option("--certificate", is_flag=True,
               help="print the full Saito certificate")
 def free(source, at, certificate):
-    """Decide freeness; exit 2 when the verdict is inconclusive."""
+    """Decide freeness: Free or NotFree, exit 0 for both."""
     _, _, spec = _arrangement_for(source, at)
     verdict = decide_freeness(spec.arrangement)
     if isinstance(verdict, Free):
@@ -174,14 +172,9 @@ def free(source, at, certificate):
         _echo("Saito constant: " + _scalar_to_text(verdict.certificate.constant))
         if certificate:
             click.echo(certificate_to_text(verdict.certificate), nl=False)
-    elif isinstance(verdict, NotFree):
+    else:
         detail = f" {verdict.detail}" if verdict.detail else ""
         _echo(f"NotFree: {verdict.reason}{detail}")
-    else:
-        _echo("Inconclusive")
-        for p in sorted(verdict.diagnostics.get("graded_dims", {})):
-            _echo(f"  dim D(A)_{p} = {verdict.diagnostics['graded_dims'][p]}")
-        sys.exit(EXIT_INCONCLUSIVE)
 
 
 @cli.command()
@@ -256,7 +249,7 @@ def _parse_chain(text: str) -> list:
 @click.option("--replay", type=click.Path(exists=False), default=None,
               help="verify a previously emitted chain file instead of searching")
 def recfree(source, at, max_n, max_states, replay):
-    """Search for or refute a recursive-freeness chain."""
+    """Search for or refute a recursive-freeness chain; exit 2 if Unknown."""
     _, _, spec = _arrangement_for(source, at)
     arr = spec.arrangement
     if replay is not None:
@@ -290,7 +283,7 @@ def recfree(source, at, max_n, max_states, replay):
         for line in _chain_lines(report.chain):
             _echo("  " + line)
     if report.verdict == "Unknown":
-        sys.exit(EXIT_INCONCLUSIVE)
+        sys.exit(EXIT_UNKNOWN)
 
 
 def _degeneracy_payload(fam: Family) -> dict:
@@ -405,12 +398,10 @@ def _freeness_payload(verdict) -> dict:
                                   for th in verdict.certificate.derivations],
             "constant": _scalar_to_text(verdict.certificate.constant),
         }
-    if isinstance(verdict, NotFree):
-        payload = {"verdict": "NotFree", "reason": verdict.reason}
-        if verdict.detail:
-            payload["detail"] = list(verdict.detail)
-        return payload
-    return {"verdict": "Inconclusive"}
+    payload = {"verdict": "NotFree", "reason": verdict.reason}
+    if verdict.detail:
+        payload["detail"] = list(verdict.detail)
+    return payload
 
 
 @cli.command()
@@ -471,10 +462,8 @@ def report(source, at, fmt, max_n, max_states):
         if "degeneracy" in payload:
             _echo("Degeneracy set:")
             _echo_degeneracy(payload["degeneracy"])
-    inconclusive = (isinstance(verdict, Inconclusive)
-                    or rf.verdict == "Unknown")
-    if inconclusive:
-        sys.exit(EXIT_INCONCLUSIVE)
+    if rf.verdict == "Unknown":
+        sys.exit(EXIT_UNKNOWN)
 
 
 def main(argv=None):

@@ -25,21 +25,23 @@ The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
 first degree-e2 derivation outside S*theta_E, and the first degree-e3
 derivation outside S*theta_E + S*theta_2.  For a free arrangement these three
-always satisfy Saito's identity det = c*Q with c nonzero.  Negative verdicts
-carry their obstruction: a non-splitting characteristic polynomial, or, found
-by a graded dimension sweep run only after the certificate failed, the first
-degree whose dimension differs from that of a free module.
+always satisfy Saito's identity det = c*Q with c nonzero.  Freeness is
+therefore two-valued.  A failed certificate means A is not free, and the
+verdict carries its obstruction: a non-splitting characteristic polynomial,
+or the first degree whose dimension differs from that of a free module.  By
+du Plessis-Wall and Dimca that degree is min(r, e2), r the least degree of
+D_H(A), so the sweep that finds it stops at e2 (proof in decide_freeness).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
 from . import linalg
 from .arrangement import Arrangement, clear_column, line_key, ring_ops
-from .scalars import Domain, QuadElem
+from .scalars import Domain, InvariantError, QuadElem
 
 
 class DegreeMismatchError(ValueError):
@@ -116,14 +118,6 @@ class Derivation:
     polys: tuple  # (HPoly, HPoly, HPoly)
     pdeg: int
 
-    def apply_form(self, alpha) -> HPoly:
-        """The polynomial theta(alpha) for a linear form alpha = (a1,a2,a3)."""
-        out = HPoly(self.pdeg)
-        for a, f in zip(alpha, self.polys):
-            if a and f:
-                out = out + f.scale(a)
-        return out
-
 
 @dataclass(frozen=True)
 class SaitoCertificate:
@@ -141,11 +135,6 @@ class Free:
 class NotFree:
     reason: str          # "ChiDoesNotSplit" | "GradedDimensionMismatch"
     detail: tuple = ()   # (p, expected, actual) for dimension mismatches
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    diagnostics: dict = field(default_factory=dict)
 
 
 def expected_graded_dim(exponents, p: int) -> int:
@@ -387,54 +376,6 @@ def euler_derivation(arr: Arrangement) -> Derivation:
     return Derivation(polys, 1)
 
 
-def is_member(arr: Arrangement, deriv: Derivation) -> bool:
-    """Re-verify membership: theta(alpha_H) vanishes on H for every H."""
-    for alpha in arr.columns:
-        g = deriv.apply_form(alpha)
-        if not g:
-            continue
-        if not _vanishes_on_kernel(g, alpha, arr.domain):
-            return False
-    return True
-
-
-def _vanishes_on_kernel(g: HPoly, alpha, dom: Domain) -> bool:
-    # g vanishes identically on ker(alpha) iff alpha divides g
-    pivot = next(i for i, a in enumerate(alpha) if a)
-    others = [i for i in range(3) if i != pivot]
-    u = [dom.zero] * 3
-    v = [dom.zero] * 3
-    u[others[0]] = alpha[pivot]
-    u[pivot] = -alpha[others[0]]
-    v[others[1]] = alpha[pivot]
-    v[pivot] = -alpha[others[1]]
-    p = g.degree
-    form = [dom.zero] * (p + 1)
-    for m, c in g.coeffs.items():
-        term = [dom.one]
-        for axis, e in enumerate(m):
-            for _ in range(e):
-                new = [dom.zero] * (len(term) + 1)
-                for a, x in enumerate(term):
-                    if x:
-                        new[a] = new[a] + x * u[axis]
-                        new[a + 1] = new[a + 1] + x * v[axis]
-                term = new
-        for a, x in enumerate(term):
-            form[a] = form[a] + c * x
-    return not any(form)
-
-
-def defining_polynomial(arr: Arrangement) -> HPoly:
-    """Q = product of the defining linear forms."""
-    out = HPoly(0, {(0, 0, 0): arr.domain.one})
-    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for alpha in arr.columns:
-        lin = HPoly(1, {e[i]: alpha[i] for i in range(3) if alpha[i]})
-        out = out * lin
-    return out
-
-
 def _cleared(polys):
     """(den, den * polys) for den the least common denominator of their
     coefficients, which become ints, or QuadElems with int parts; ring
@@ -596,12 +537,34 @@ def state_key(arr: Arrangement) -> str:
 
 
 def decide_freeness(arr: Arrangement, use_cache: bool = True):
-    """Three-valued freeness decision with explicit certificates.
+    """Free, with a verified Saito identity, or NotFree, with its witness.
 
-    Free only with a verified Saito identity, which is tried first; NotFree
-    only by a non-splitting characteristic polynomial or, when the Saito
-    identity fails, by the graded dimension mismatch that the sweep over
-    degrees 0..e3 finds as its witness; everything else is Inconclusive.
+    The Saito identity is tried first.  NotFree is reported for a
+    non-splitting characteristic polynomial (Terao's factorization) or,
+    once the identity fails, with the first degree p whose dimension of
+    D(A)_p differs from a free module's, as (p, expected, actual).
+
+    Why the sweep over p = 0..e2 always finds it.  Let chi split with
+    exponents (1, e2, e3), e2 <= e3 and 1 + e2 + e3 = n.  D(A) = S*theta_E
+    (+) D_H(A), with D_H(A) isomorphic to D_0(A), the derivations killing Q,
+    so dim D(A)_p = C(p+1, 2) + dim D_H(A)_p.  Let r be the least degree of
+    D_H(A): the least p with dim D(A)_p > C(p+1, 2), and the minimal degree
+    of a Jacobian relation of the curve Q = 0.  The global Tjurina number of
+    that curve is tau = sum over points X of (|X| - 1)^2, which by
+    sum |X|(|X| - 1) = n(n - 1) and chi(t)/(t - 1) = t^2 - (n-1)t + e2*e3
+    equals (n-1)^2 - e2*e3 = (n-1)^2 - e2(n-1-e2).  By du Plessis-Wall
+    (Math. Proc. Camb. Phil. Soc. 126, 1999), tau <= (n-1)^2 - r(n-1-r),
+    and by Dimca (Math. Proc. Camb. Phil. Soc. 163, 2017) equality holds iff
+    A is free; both hold over C, and dimensions do not change from Q or
+    Q(sqrt d) to C.  So if A is not free, r(n-1-r) < e2(n-1-e2) with
+    e2 <= (n-1)/2, hence r < e2 or r > e3 >= e2.  Below min(r, e2) every
+    dimension is C(p+1, 2), as for the free module.  At p = r < e2 the
+    actual dimension exceeds the expected C(p+1, 2); at p = e2 < r it is
+    C(p+1, 2), and the expected one exceeds it by the number of exponents
+    equal to e2.  So the witness is at min(r, e2) <= e2.  A free A always passes the Saito step (by graded
+    Nakayama, theta_E and the first complements in degrees e2 and e3 are a
+    basis), so a sweep that finds no witness raises InvariantError: the
+    program is at fault, not the input.
 
     Arrangements equal up to column order and scaling share a cache entry.
     They have the same derivation module, and Q differs by the ratio of the
@@ -643,16 +606,16 @@ def _decide_freeness_impl(arr: Arrangement):
             c = saito_check(arr, theta_e, th2, th3)
             if c is not None:
                 return Free(exps, SaitoCertificate((theta_e, th2, th3), c))
-    # A free A passes above with its first complement pair, so all that is
-    # left is the witness: the first degree whose dimension differs from a
-    # free module's, else Inconclusive.
-    dims = {}
-    for p in range(e3 + 1):
-        dims[p] = derivation_space_dim(arr, p)
+    # A free A passes above with its first complement pair, so A is not
+    # free, and its witness is at min(r, e2) (see decide_freeness).
+    for p in range(e2 + 1):
+        dim = derivation_space_dim(arr, p)
         expected = expected_graded_dim(exps, p)
-        if dims[p] != expected:
-            return NotFree("GradedDimensionMismatch", (p, expected, dims[p]))
-    return Inconclusive({"exponents": exps, "graded_dims": dims})
+        if dim != expected:
+            return NotFree("GradedDimensionMismatch", (p, expected, dim))
+    raise InvariantError(
+        f"the Saito identity failed, yet D(A) has the dimensions of a free "
+        f"module with exponents {exps} in every degree up to {e2}")
 
 
 # -- certificate serialization -------------------------------------------

@@ -33,7 +33,7 @@ from .arrangement import (
     restriction_profile,
     ring_ops,
 )
-from .freeness import Free, Inconclusive, NotFree, decide_freeness, state_key
+from .freeness import Free, decide_freeness, state_key
 from .linalg import cross
 
 
@@ -68,10 +68,9 @@ class TripleVerdict:
     candidate_exponents: tuple       # [1, s-1, n-s] forced by |A^H| = s
     deletion_exponents: tuple        # [1, s-1, n-s-1]
     restriction_exponents: tuple     # [1, s-1]
-    full_holds: bool | None          # A free with the candidate exponents
-    deletion_holds: bool | None      # A\H free with the deletion exponents
+    full_holds: bool                 # A free with the candidate exponents
+    deletion_holds: bool             # A\H free with the deletion exponents
     restriction_holds: bool          # A^H free with [1, s-1]: always true
-    inconclusive: bool = False
 
     @property
     def applies(self) -> bool:
@@ -79,13 +78,9 @@ class TripleVerdict:
                     and self.restriction_holds)
 
 
-def _statement_holds(verdict, expected: tuple):
+def _statement_holds(verdict, expected: tuple) -> bool:
     """Does decide_freeness confirm freeness with exactly these exponents?"""
-    if isinstance(verdict, Free):
-        return verdict.exponents == expected
-    if isinstance(verdict, NotFree):
-        return False
-    return None  # Inconclusive
+    return isinstance(verdict, Free) and verdict.exponents == expected
 
 
 def triple_check(arr: Arrangement, h: int) -> TripleVerdict:
@@ -110,14 +105,12 @@ def triple_check(arr: Arrangement, h: int) -> TripleVerdict:
         full_holds=full,
         deletion_holds=deleted,
         restriction_holds=True,
-        inconclusive=full is None or deleted is None,
     )
-    if not verdict.inconclusive:
-        statements = (full, deleted, True)
-        if sum(statements) == 2:
-            raise TheoremViolationError(
-                f"Addition-Deletion inconsistency at hyperplane {h}: "
-                f"statements {statements} with candidate exponents {cand}")
+    statements = (full, deleted, True)
+    if sum(statements) == 2:
+        raise TheoremViolationError(
+            f"Addition-Deletion inconsistency at hyperplane {h}: "
+            f"statements {statements} with candidate exponents {cand}")
     return verdict
 
 
@@ -442,9 +435,6 @@ def abe_pair_check(arr: Arrangement, h: int) -> PairCheck:
                          "no common root of the reduced polynomials")
     va = decide_freeness(arr)
     vb = decide_freeness(sub)
-    if isinstance(va, Inconclusive) or isinstance(vb, Inconclusive):
-        return PairCheck("NotApplicable", True,
-                         "freeness undecided for at least one member")
     if isinstance(va, Free) and isinstance(vb, Free):
         return PairCheck("Consistent", True)
     return PairCheck(

@@ -30,13 +30,6 @@ def det3(m):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def det3_cols(c1, c2, c3):
-    """Determinant of the 3x3 matrix with the given columns."""
-    return det3([(c1[0], c2[0], c3[0]),
-                 (c1[1], c2[1], c3[1]),
-                 (c1[2], c2[2], c3[2])])
-
-
 def cross(u, v):
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
@@ -95,8 +88,8 @@ class IntOps:
 
     @staticmethod
     def from_coords(coords, den):
-        """Field elements with the given integer coordinates over den."""
-        return [Fraction(x, den) for x in coords]
+        """The field element with the given integer coordinates over den."""
+        return Fraction(coords[0], den)
 
 
 def _identity(residues):
@@ -171,10 +164,8 @@ class QuadOps:
         return out
 
     def from_coords(self, coords, den):
-        d = self.d
-        return [QuadElem._make(d, Fraction(coords[i], den),
-                               Fraction(coords[i + 1], den))
-                for i in range(0, len(coords), 2)]
+        a, b = coords
+        return QuadElem._make(self.d, Fraction(a, den), Fraction(b, den))
 
 
 # -- primes ----------------------------------------------------------------
@@ -485,8 +476,10 @@ def nullspace(rows, ncols, ops, kernel=None):
     basis = []
     for f, (nums, den) in zip(free, sols):
         v = [zero] * ncols
-        for c, x in zip(pivots, ops.from_coords(nums, den)):
-            v[c] = x
+        # most pivot coordinates are zero: convert only the others
+        for c, xs in zip(pivots, zip(*[iter(nums)] * parts)):
+            if any(xs):
+                v[c] = ops.from_coords(xs, den)
         v[f] = one
         basis.append(v)
     return basis

@@ -1,4 +1,5 @@
-"""Shared fixtures: rational arrangement helpers and a randomized corpus."""
+"""Shared fixtures: rational arrangement helpers, a randomized corpus and
+field-arithmetic oracles for the derivation solver."""
 from __future__ import annotations
 
 import random
@@ -9,8 +10,9 @@ import pytest
 
 from freearr import arrangement as am
 from freearr import moduli as mod
-from freearr.linalg import IntOps, rank
-from freearr.scalars import QQ
+from freearr.freeness import Derivation, HPoly
+from freearr.linalg import IntOps, det3, rank
+from freearr.scalars import QQ, Domain
 
 
 def rational_arrangement(*cols) -> am.Arrangement:
@@ -37,6 +39,70 @@ def grid(k: int) -> am.Arrangement:
             + [(0, 1, -b) for b in range(k)]
             + [(1, -1, -c) for c in range(1 - k, k)])
     return rational_arrangement(*cols)
+
+
+def det3_cols(c1, c2, c3):
+    """Determinant of the 3x3 matrix with the given columns."""
+    return det3([(c1[0], c2[0], c3[0]),
+                 (c1[1], c2[1], c3[1]),
+                 (c1[2], c2[2], c3[2])])
+
+
+def apply_form(deriv: Derivation, alpha) -> HPoly:
+    """The polynomial theta(alpha) for a linear form alpha = (a1,a2,a3)."""
+    out = HPoly(deriv.pdeg)
+    for a, f in zip(alpha, deriv.polys):
+        if a and f:
+            out = out + f.scale(a)
+    return out
+
+
+def is_member(arr: am.Arrangement, deriv: Derivation) -> bool:
+    """Re-verify membership: theta(alpha_H) vanishes on H for every H."""
+    for alpha in arr.columns:
+        g = apply_form(deriv, alpha)
+        if not g:
+            continue
+        if not _vanishes_on_kernel(g, alpha, arr.domain):
+            return False
+    return True
+
+
+def _vanishes_on_kernel(g: HPoly, alpha, dom: Domain) -> bool:
+    # g vanishes identically on ker(alpha) iff alpha divides g
+    pivot = next(i for i, a in enumerate(alpha) if a)
+    others = [i for i in range(3) if i != pivot]
+    u = [dom.zero] * 3
+    v = [dom.zero] * 3
+    u[others[0]] = alpha[pivot]
+    u[pivot] = -alpha[others[0]]
+    v[others[1]] = alpha[pivot]
+    v[pivot] = -alpha[others[1]]
+    p = g.degree
+    form = [dom.zero] * (p + 1)
+    for m, c in g.coeffs.items():
+        term = [dom.one]
+        for axis, e in enumerate(m):
+            for _ in range(e):
+                new = [dom.zero] * (len(term) + 1)
+                for a, x in enumerate(term):
+                    if x:
+                        new[a] = new[a] + x * u[axis]
+                        new[a + 1] = new[a + 1] + x * v[axis]
+                term = new
+        for a, x in enumerate(term):
+            form[a] = form[a] + c * x
+    return not any(form)
+
+
+def defining_polynomial(arr: am.Arrangement) -> HPoly:
+    """Q = product of the defining linear forms."""
+    out = HPoly(0, {(0, 0, 0): arr.domain.one})
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for alpha in arr.columns:
+        lin = HPoly(1, {e[i]: alpha[i] for i in range(3) if alpha[i]})
+        out = out * lin
+    return out
 
 
 # 20 integer lines with 15 triple points and a trivial automorphism group;

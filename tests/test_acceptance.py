@@ -15,7 +15,7 @@ import pytest
 from freearr import arrangement as am
 from freearr import cli as cli_mod
 from freearr import moduli as mod
-from freearr.freeness import Free, decide_freeness, defining_polynomial
+from freearr.freeness import Free, decide_freeness
 from freearr.induction import (
     abe_pair_check,
     inductively_free,
@@ -25,7 +25,7 @@ from freearr.induction import (
 )
 from freearr.scalars import QQ, QuadElem
 
-from conftest import whitney_char_poly
+from conftest import defining_polynomial, whitney_char_poly
 from test_freeness import BRAID6, MIXED6, _expand_determinant, brute_force_free
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"

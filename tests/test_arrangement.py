@@ -9,14 +9,13 @@ from math import factorial
 import pytest
 
 from freearr import arrangement as am
-from freearr import linalg
 from freearr import moduli as mod
-from freearr.linalg import det3_cols
 from freearr.scalars import QQ, poly, quad_field, QuadElem
 
 from conftest import (
     ASYMMETRIC20,
     boolean3,
+    det3_cols,
     near_pencil,
     rational_arrangement,
     whitney_char_poly,
@@ -550,19 +549,3 @@ class TestReferenceScan:
         for f in (mod.family_13(), mod.family_15(), tt0_family()):
             self.assert_matches(mod.generic_lattice(f), f.columns)
         assert mod.generic_lattice(tt0_family()).flats[0] == {1, 2, 3}
-
-    def test_scan_computes_no_determinant(self, monkeypatch, small_corpus,
-                                          a13, a15):
-        fresh = [am.build(arr.columns, arr.domain)
-                 for arr in small_corpus + [a13, a15]]
-        fresh += paper_quadratic_members()
-        families = (mod.family_13(), mod.family_15(), tt0_family())
-
-        def no_det(*cols):
-            raise AssertionError("the lattice scan computed a determinant")
-
-        monkeypatch.setattr(linalg, "det3_cols", no_det)
-        for arr in fresh:
-            arr.lattice()
-        for f in families:
-            am._compute_lattice(f.columns)

@@ -1,7 +1,7 @@
 """Derivation modules, graded dimensions, Saito certificates."""
 import random
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from math import comb
 
@@ -15,7 +15,6 @@ from freearr.freeness import (
     Derivation,
     Free,
     HPoly,
-    Inconclusive,
     NotFree,
     certificate_from_text,
     certificate_to_text,
@@ -24,14 +23,20 @@ from freearr.freeness import (
     derivation_space_dim,
     euler_derivation,
     expected_graded_dim,
-    is_member,
     saito_check,
 )
 from freearr.induction import inductively_free
 from freearr.linalg import IntOps, QuadOps
-from freearr.scalars import QQ, QuadElem
+from freearr.scalars import QQ, InvariantError, QuadElem
 
-from conftest import boolean3, grid, near_pencil, rational_arrangement
+from conftest import (
+    boolean3,
+    defining_polynomial,
+    grid,
+    is_member,
+    near_pencil,
+    rational_arrangement,
+)
 
 
 class TestExpectedDim:
@@ -181,7 +186,7 @@ class TestDecideFreeness:
     def test_certificate_reverified_by_expansion(self):
         verdict = decide_freeness(near_pencil(5))
         det = _expand_determinant(verdict.certificate)
-        q = fr.defining_polynomial(near_pencil(5))
+        q = defining_polynomial(near_pencil(5))
         assert det == q.scale(verdict.certificate.constant)
 
     def test_cached_constant_fits_rescaled_input(self, a13):
@@ -286,7 +291,7 @@ class TestOracleEquivalence:
                 except am.ArrangementError:
                     continue
                 verdict = decide_freeness(arr)
-                assert not isinstance(verdict, Inconclusive)
+                assert isinstance(verdict, (Free, NotFree))
                 assert isinstance(verdict, Free) == brute_force_free(arr, rng)
 
 
@@ -651,12 +656,88 @@ class TestDimensionSweep:
                 assert derivation_space_dim(arr, p) == _full_dim(arr, p)
 
 
+def _mdr(arr):
+    """r, the least degree of D_H(A): the least p whose dimension of D(A)_p
+    exceeds C(p+1, 2), that of S_(p-1) theta_E."""
+    p = 0
+    while derivation_space_dim(arr, p) == comb(p + 1, 2):
+        p += 1
+    return p
+
+
+@lru_cache(maxsize=None)
+def _nonfree_cases():
+    """(arr, e2, r) for the NONFREE_SPLIT inputs and 200 more: subsets of
+    6-15 lines of grid(5), drawn with random.Random(16), kept when chi
+    splits and r != e2.  A free module has r = e2, its least generator
+    degree beyond theta_E, so those 200 are not free."""
+    cases = [(arr, arr.char_poly().exponents()[1], _mdr(arr))
+             for arr in _nonfree_split()]
+    pool = grid(5).columns
+    rng = random.Random(16)
+    drawn = 0
+    while drawn < 200:
+        try:
+            arr = am.build(rng.sample(pool, rng.randint(6, 15)), QQ)
+        except am.ArrangementError:
+            continue
+        exps = arr.char_poly().exponents()
+        if exps is not None and (r := _mdr(arr)) != exps[1]:
+            cases.append((arr, exps[1], r))
+            drawn += 1
+    return cases
+
+
+class TestWitnessTheorem:
+    """du Plessis-Wall and Dimca: A is free iff tau = (n-1)^2 - r(n-1-r),
+    so the sweep's first mismatch is at min(r, e2) (see decide_freeness)."""
+
+    def test_witness_is_at_min_of_r_and_e2(self):
+        cases = _nonfree_cases()
+        assert len(cases) == 270
+        for arr, e2, r in cases:
+            verdict = decide_freeness(arr, use_cache=False)
+            assert verdict.reason == "GradedDimensionMismatch"
+            assert verdict.detail[0] == min(r, e2)
+
+    def test_free_inputs_have_r_equal_e2(self, small_corpus, a13, a15):
+        arrs = (*small_corpus, *map(near_pencil, range(4, 9)),
+                *map(grid, range(2, 6)), a13, a15, *_paper_quad_points())
+        free = [arr for arr in arrs if isinstance(decide_freeness(arr), Free)]
+        assert len(free) == 15
+        for arr in free:
+            assert _mdr(arr) == arr.char_poly().exponents()[1]
+
+    def test_sweep_never_passes_e2(self, monkeypatch):
+        seen = []
+
+        def recorder(arr, p, dim=fr.derivation_space_dim):
+            seen.append(p)
+            return dim(arr, p)
+
+        monkeypatch.setattr(fr, "derivation_space_dim", recorder)
+        for arr, e2, _ in _nonfree_cases():
+            seen.clear()
+            verdict = decide_freeness(arr, use_cache=False)
+            assert seen == list(range(verdict.detail[0] + 1))
+            assert max(seen) <= e2
+
+    def test_free_dimensions_after_a_failed_saito_step_raise(self,
+                                                             monkeypatch):
+        arr = _nonfree_split()[0]
+        exps = arr.char_poly().exponents()
+        monkeypatch.setattr(fr, "derivation_space_dim",
+                            lambda arr, p: expected_graded_dim(exps, p))
+        with pytest.raises(InvariantError):
+            decide_freeness(arr, use_cache=False)
+
+
 def _field_saito(arr, th1, th2, th3):
     """Saito's identity in field arithmetic, as checked before: the oracle."""
     det = linalg.det3([t.polys for t in (th1, th2, th3)])
     if not det:
         return None
-    q = fr.defining_polynomial(arr)
+    q = defining_polynomial(arr)
     m0, qc = next(iter(q.coeffs.items()))
     dc = det.coeffs.get(m0)
     if not dc:

@@ -62,7 +62,6 @@ class TestTripleCheck:
         assert v.applies
         assert v.candidate_exponents == (1, 1, 3)
         assert v.deletion_exponents == (1, 1, 2)
-        assert not v.inconclusive
 
     def test_bookkeeping_mismatch_does_not_apply(self, a13):
         # every restriction of the 13-line arrangement has size 6, so the

@@ -18,11 +18,12 @@ from freearr.linalg import (
     QuadOps,
     cross,
     det3,
-    det3_cols,
     nullspace,
     rank,
 )
 from freearr.scalars import InvariantError, QuadElem
+
+from conftest import det3_cols
 
 # The engine's first prime: the largest prime below 2**62.
 P0 = sympy.prevprime(2 ** 62)

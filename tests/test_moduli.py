@@ -8,7 +8,7 @@ import pytest
 from freearr import arrangement as am
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
-from freearr.linalg import cross, det3_cols
+from freearr.linalg import cross
 from freearr.scalars import (
     IntPoly,
     QuadElem,
@@ -16,6 +16,8 @@ from freearr.scalars import (
     factor_low_degree,
     poly,
 )
+
+from conftest import det3_cols
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 

@@ -114,3 +114,18 @@ def test_quadratic_specialization_does_no_field_multiplication(monkeypatch):
     assert spec.count == 15 and spec.arrangement.n == 15
     # the spies do see field arithmetic
     assert omega * omega == 3 * omega - 1 and calls == ["__mul__", "__rmul__"]
+
+
+def test_no_inconclusive_and_no_det3_cols():
+    """Freeness is two-valued, and det3_cols is a test oracle."""
+    found = [f"{path.relative_to(SRC)}:{word}"
+             for path in sorted(SRC.rglob("*.py"))
+             for word in ("Inconclusive", "det3_cols")
+             if word in path.read_text()]
+    assert found == []
+
+
+def test_lattice_scan_computes_no_determinant():
+    """Lattices come from one cross product per flat, dotted with the later
+    columns; the one determinant in the package is Saito's."""
+    assert _readers("det3") == ["freeness.py:saito_check"]
