@@ -72,7 +72,8 @@ def ring_ops(domain: Domain):
 
 
 def clear_column(col) -> tuple:
-    """The column times the positive rational that makes it primitive integral.
+    """The column, or any vector, times the positive rational that makes it
+    primitive integral.
 
     Rational entries become ints.  Entries a + b sqrt d of Q(sqrt d) become
     (a, b) pairs, elements of the ring Z[sqrt d] of linalg.QuadOps.  Line
@@ -86,7 +87,7 @@ def clear_column(col) -> tuple:
     if g > 1:
         ints = [v // g for v in ints]
     if quad:
-        return tuple([(ints[k], ints[k + 1]) for k in range(0, 6, 2)])
+        return tuple(zip(ints[::2], ints[1::2]))
     return tuple(ints)
 
 

@@ -1,25 +1,17 @@
 """Freeness of rank-3 arrangements via exact graded linear algebra.
 
-The degree-p piece D(A)_p of the derivation module is the nullspace of an
-exact linear system M: theta(alpha) must vanish on ker(alpha) for every
-hyperplane, and a two-vector parametrization of ker(alpha) turns that into
-p + 1 rows per hyperplane over 3 * C(p+2, 2) unknowns.
-
-Only a much smaller system is eliminated.  For a hyperplane H,
+The degree-p piece D(A)_p of the derivation module holds the derivations
+theta = f1 D1 + f2 D2 + f3 D3, the f_c of degree p, with theta(alpha)
+vanishing on ker(alpha) for every hyperplane.  For a hyperplane H,
 D(A)_p = S_(p-1) theta_E (+) D_H(A)_p, where D_H(A) holds the derivations
 with theta(alpha_H) = 0 (Orlik-Terao, Arrangements of Hyperplanes, section
 4).  In a two-point frame, H and two of its points P, Q (rank-2 flats)
 with |F_P| + |F_Q| largest, theta = (pi_Q g1) P + (pi_P g2) Q, where pi_P
 is the product of the forms of the other lines through P: every line
 through P or Q is then satisfied, and only the lines through neither give
-rows (the lemma is in _dh_system's docstring).  Mod each prime, the
-vectors m * theta_E for the monomials m of degree p - 1 and the lifted
-kernel of this two-point system are reduced from the right to the
-canonical nullspace basis of their span.  They number C(p+1, 2) plus the
-nullity of the two-point system mod that prime, at least nullity(M) by the
-direct sum, so linalg.nullspace still proves the reconstructed basis against
-every row of M; it is the canonical basis of M, whatever system was
-eliminated.
+rows (the lemma is in _dh_system's docstring).  The exact kernel of this
+small system, lifted, and the m * theta_E for the monomials m of degree
+p - 1 are a basis of D(A)_p, made canonical by derivation_basis.
 
 The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
@@ -36,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm
+from functools import lru_cache, reduce
+from math import comb, lcm, prod
 
 from . import linalg
 from .arrangement import Arrangement, clear_column, line_key, ring_ops
@@ -46,6 +38,9 @@ from .scalars import Domain, InvariantError, QuadElem
 
 class DegreeMismatchError(ValueError):
     """Saito check attempted with pdeg sum different from n."""
+
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))   # x1, x2, x3 as exponents
 
 
 @lru_cache(maxsize=None)
@@ -213,14 +208,22 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int):
     return rows
 
 
-def _constraint_rows(ops, cols, p: int):
-    """Rows of the full membership system M for degree p: theta =
-    f1 D1 + f2 D2 + f3 D3, with the coefficients of f_c at block c."""
-    nm = len(monomials(p))
-    return [row for alpha in cols
-            for row in _hyperplane_rows(
-                ops, alpha, [(c * nm, a, ()) for c, a in enumerate(alpha)
-                             if not ops.is_zero(a)], p, 3 * nm)]
+def _restricts_to_zero(ops, alpha, form, p: int) -> bool:
+    """Does the degree-p form {monomial: ring element} vanish on
+    ker(alpha)?  Parametrized as in _hyperplane_rows, it is the sum over a
+    of alpha_i0^(p-a) (sj s + sk r)^a H_a(s, r), H_a holding its terms with
+    x_i0^a, which Horner's rule in a adds up."""
+    i0, j, k = _axes(ops, alpha)
+    terms = [[ops.zero] * (p - a + 1) for a in range(p + 1)]
+    for m, x in form.items():
+        terms[m[i0]][m[j]] = x
+    sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
+    acc, lead = terms[p], ops.one
+    for a in range(p - 1, -1, -1):
+        lead = ops.mul(lead, alpha[i0])
+        acc = [ops.add(x, ops.mul(lead, y)) for x, y in
+               zip(_times_linear(ops, acc, sj, sk), terms[a])]
+    return all(map(ops.is_zero, acc))
 
 
 def _two_point_frame(ops, cols, lat):
@@ -275,62 +278,13 @@ def _dh_system(ops, cols, lat, p: int):
     return rows, width, blocks
 
 
-def _expand(ops, lines):
-    """{monomial: coefficient} of the product of the linear forms."""
-    poly = {(0, 0, 0): ops.one}
-    for l in lines:
-        out = {}
-        for m, x in poly.items():
-            for c in range(3):
-                if not ops.is_zero(l[c]):
-                    mc = tuple(e + (i == c) for i, e in enumerate(m))
-                    y = ops.mul(x, l[c])
-                    out[mc] = ops.add(out[mc], y) if mc in out else y
-        poly = out
-    return poly
-
-
-def _dh_kernel(ops, cols, lat, p: int):
-    """kernel(h, q) for linalg.nullspace of the degree-p system M: the
-    vectors m * theta_E, m over the monomials of degree p - 1, then the
-    kernel of the two-point system mod q under the ring map h, lifted by
-    theta = (pi_Q g1) P + (pi_P g2) Q (see _dh_system)."""
-    mons = monomials(p)
-    nm = len(mons)
-    index = {m: i for i, m in enumerate(mons)}
-    euler = [{c * nm + index[tuple(e + (i == c) for i, e in enumerate(m))]: 1
-              for c in range(3)} for m in monomials(p - 1)]
-    rows, width, blocks = _dh_system(ops, cols, lat, p)
-    # per block: first column, point, the coefficients of pi, and per
-    # unknown m the indices of the monomials of m * pi in monomials(p)
-    lifts = []
-    for b, d, point, lines in blocks:
-        pi = _expand(ops, lines)
-        lifts.append((b, point, list(pi.values()), [
-            [index[(m[0] + e[0], m[1] + e[1], m[2] + e[2])] for e in pi]
-            for m in monomials(d)]))
-
-    def kernel(h, q):
-        mapped = [(b, [h(x) for x in point], [h(x) for x in pi], shifts)
-                  for b, point, pi, shifts in lifts]
-        vecs = list(euler)
-        for g in linalg._kernel_mod(rows, width, h, q):
-            theta = {}
-            for b, point, pi, shifts in mapped:
-                f = {}
-                for mi, idx in enumerate(shifts):
-                    x = g.get(b + mi)
-                    if x:
-                        for j, y in zip(idx, pi):
-                            f[j] = f.get(j, 0) + x * y
-                for c, v in enumerate(point):
-                    if v:
-                        for j, y in f.items():
-                            theta[c * nm + j] = (theta.get(c * nm + j, 0)
-                                                 + v * y) % q
-            vecs.append({j: x for j, x in theta.items() if x})
-        return vecs
-    return kernel
+def _poly_mul(ops, f, g):
+    """Product of polynomials {monomial: ring element}."""
+    out = {}
+    for m, x in f.items():
+        linalg.add_multiple(ops, out, x, {
+            (m[0] + e[0], m[1] + e[1], m[2] + e[2]): y for e, y in g.items()})
+    return out
 
 
 def derivation_space_dim(arr: Arrangement, p: int) -> int:
@@ -347,33 +301,51 @@ def derivation_space_dim(arr: Arrangement, p: int) -> int:
 def _vector_to_derivation(vec, p: int) -> Derivation:
     mons = monomials(p)
     nm = len(mons)
-    polys = []
-    for c in range(3):
-        coeffs = {mons[i]: vec[c * nm + i]
-                  for i in range(nm) if vec[c * nm + i]}
-        polys.append(HPoly(p, coeffs))
-    return Derivation(tuple(polys), p)
+    return Derivation(tuple(HPoly(p, dict(zip(mons, vec[c * nm:])))
+                            for c in range(3)), p)
 
 
 def derivation_basis(arr: Arrangement, p: int) -> list:
     """Basis of the degree-p graded piece, as Derivations over the field:
-    the canonical nullspace basis of M, found by eliminating the
-    two-point system."""
+    the canonical nullspace basis on the coefficients of (f1, f2, f3) by
+    monomials(p).  The vectors m * theta_E and the lifts of the exact
+    two-point kernel are a basis of D(A)_p (direct sum and lemma); each
+    lift is checked exactly against every line, so a wrong frame raises
+    InvariantError, and linalg.right_echelon makes the basis canonical."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
     ops, cols = cleared_columns(arr)
-    vecs = linalg.nullspace(_constraint_rows(ops, cols, p),
-                            3 * len(monomials(p)), ops,
-                            _dh_kernel(ops, cols, arr.lattice(), p))
-    return [_vector_to_derivation(v, p) for v in vecs]
+    rows, width, blocks = _dh_system(ops, cols, arr.lattice(), p)
+    index = {m: i for i, m in enumerate(monomials(p))}
+    euler = Derivation(tuple(HPoly(1, {u: ops.one}) for u in _UNITS), 1)
+    vecs = _poly_multiple_vectors(euler, p)
+    pis = [reduce(lambda pi, l: _poly_mul(ops, dict(zip(_UNITS, l)), pi),
+                  lines, {(0, 0, 0): ops.one}) for *_, lines in blocks]
+    for g in linalg.nullspace(rows, width, ops):
+        g = clear_column(g)
+        theta = [{}, {}, {}]    # f1, f2, f3, each {monomial: ring element}
+        for (b, d, point, _), pi in zip(blocks, pis):
+            q = _poly_mul(ops, dict(zip(monomials(d), g[b:])), pi)
+            for a, f in zip(point, theta):
+                linalg.add_multiple(ops, f, a, q)
+        for alpha in cols:
+            form = {}           # theta(alpha)
+            for a, f in zip(alpha, theta):
+                linalg.add_multiple(ops, form, a, f)
+            if not _restricts_to_zero(ops, alpha, form, p):
+                raise InvariantError(
+                    f"a lifted derivation of degree {p} is not tangent to "
+                    f"the line {alpha}")
+        vecs.append({c * len(index) + index[m]: x
+                     for c, f in enumerate(theta) for m, x in f.items()
+                     if not ops.is_zero(x)})
+    return [_vector_to_derivation(v, p)
+            for v in linalg.right_echelon(vecs, 3 * len(index), ops)]
 
 
 def euler_derivation(arr: Arrangement) -> Derivation:
     """theta_E = x1*D1 + x2*D2 + x3*D3, a member for every arrangement."""
-    one = arr.domain.one
-    polys = tuple(HPoly(1, {tuple(1 if i == c else 0 for i in range(3)): one})
-                  for c in range(3))
-    return Derivation(polys, 1)
+    return Derivation(tuple(HPoly(1, {u: arr.domain.one}) for u in _UNITS), 1)
 
 
 def _cleared(polys):
@@ -406,20 +378,15 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     if th1.pdeg + th2.pdeg + th3.pdeg != arr.n:
         raise DegreeMismatchError(
             f"pdeg sum {th1.pdeg + th2.pdeg + th3.pdeg} != n = {arr.n}")
-    den, rowmat = 1, []
-    for th in (th1, th2, th3):
-        k, polys = _cleared(th.polys)
-        den *= k
-        rowmat.append(polys)
-    det = linalg.det3(rowmat)
+    ths = [_cleared(th.polys) for th in (th1, th2, th3)]
+    det = linalg.det3([polys for _, polys in ths])
     if not det:
         return None
-    scale, q = 1, HPoly(0, {(0, 0, 0): 1})
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for alpha in arr.columns:
-        k, (form,) = _cleared([HPoly(1, dict(zip(units, alpha)))])
-        scale *= k
-        q = q * form
+    # Q is the product of the cleared forms from the first one on: a
+    # QuadElem times the int 1 would get Fraction parts.
+    forms = [_cleared([HPoly(1, dict(zip(_UNITS, a)))]) for a in arr.columns]
+    q = reduce(HPoly.__mul__, (form for _, (form,) in forms))
+    den, scale = (prod(k for k, _ in x) for x in (ths, forms))
     m0, q0 = next(iter(q.coeffs.items()))
     d0 = det.coeffs.get(m0)
     if (d0 is None or det.coeffs.keys() != q.coeffs.keys()

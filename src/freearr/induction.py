@@ -62,7 +62,10 @@ def _fitting_sizes(exps) -> tuple:
 
 @dataclass(frozen=True)
 class TripleVerdict:
-    """Which statements of the Addition-Deletion theorem hold at (A, A', A'')."""
+    """Which statements of the Addition-Deletion theorem hold at (A, A', A'').
+
+    The third, A^H free with exponents [1, s-1], always holds in rank 3.
+    """
 
     label: int
     candidate_exponents: tuple       # [1, s-1, n-s] forced by |A^H| = s
@@ -70,12 +73,10 @@ class TripleVerdict:
     restriction_exponents: tuple     # [1, s-1]
     full_holds: bool                 # A free with the candidate exponents
     deletion_holds: bool             # A\H free with the deletion exponents
-    restriction_holds: bool          # A^H free with [1, s-1]: always true
 
     @property
     def applies(self) -> bool:
-        return bool(self.full_holds and self.deletion_holds
-                    and self.restriction_holds)
+        return bool(self.full_holds and self.deletion_holds)
 
 
 def _statement_holds(verdict, expected: tuple) -> bool:
@@ -104,7 +105,6 @@ def triple_check(arr: Arrangement, h: int) -> TripleVerdict:
         restriction_exponents=(1, s - 1),
         full_holds=full,
         deletion_holds=deleted,
-        restriction_holds=True,
     )
     statements = (full, deleted, True)
     if sum(statements) == 2:
@@ -412,7 +412,6 @@ def replay_chain(arr: Arrangement, moves) -> Arrangement:
 @dataclass(frozen=True)
 class PairCheck:
     status: str          # "Consistent" | "Violated" | "NotApplicable"
-    common_root: bool
     detail: str = ""
 
 
@@ -431,13 +430,13 @@ def abe_pair_check(arr: Arrangement, h: int) -> PairCheck:
     # (c2 - c1)^2 + (b2 - b1)(b2 c1 - b1 c2) vanishes.
     resultant = (c2 - c1) ** 2 + (b2 - b1) * (b2 * c1 - b1 * c2)
     if resultant != 0:
-        return PairCheck("NotApplicable", False,
+        return PairCheck("NotApplicable",
                          "no common root of the reduced polynomials")
     va = decide_freeness(arr)
     vb = decide_freeness(sub)
     if isinstance(va, Free) and isinstance(vb, Free):
-        return PairCheck("Consistent", True)
+        return PairCheck("Consistent")
     return PairCheck(
-        "Violated", True,
+        "Violated",
         f"verdicts {type(va).__name__}/{type(vb).__name__} despite a "
         "common reduced root")

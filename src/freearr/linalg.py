@@ -1,25 +1,21 @@
 """Exact linear algebra over the scalar domains.
 
-The derivation constraint systems are solved by one multi-modular engine.
-Their rows live in Z or Z[sqrt d], the ring being supplied as an ops object
-(IntOps, or a QuadOps instance).  For each word-size prime of a fixed
-sequence, and each ring map into F_p, the caller supplies independent
-vectors spanning part of the kernel mod p: by default the kernel of the rows
-themselves, from their reduced row echelon form.  The vectors are reduced
-from the right, i.e. put in reduced row echelon form on reversed columns,
-which yields the canonical nullspace basis mod p.  That basis is recovered
-by Chinese remaindering and rational reconstruction, and returned only
-after it has been verified exactly against every row.  Whenever the number
-of supplied vectors is at least the true nullity, the verified basis is
-the canonical one (see nullspace).  The 3x3 determinant and cross product
-helpers work over any commutative ring, including Z[t].
+Rows live in Z or Z[sqrt d], the ring being supplied as an ops object
+(IntOps, or a QuadOps instance).  nullspace solves a system with one
+multi-modular engine: for each word-size prime of a fixed sequence, and
+each ring map into F_p, the reduced row echelon form gives the canonical
+nullspace basis mod p, which is recovered by Chinese remaindering and
+rational reconstruction, and returned only after it has been verified
+exactly against every row.  right_echelon reduces independent vectors
+exactly, from the right; for a basis of a nullspace it gives the same
+canonical basis.  The 3x3 determinant and cross product helpers work over
+any commutative ring, including Z[t].
 """
 from __future__ import annotations
 
 from bisect import bisect
-from functools import partial
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .scalars import InvariantError, QuadElem, _is_prime
 
@@ -59,18 +55,6 @@ class IntOps:
     def mul(x, y):
         return x * y
 
-    @staticmethod
-    def to_field(x):
-        return Fraction(x)
-
-    @staticmethod
-    def field_zero():
-        return Fraction(0)
-
-    @staticmethod
-    def field_one():
-        return Fraction(1)
-
     # -- the ring as the multi-modular engine sees it ----------------------
 
     @staticmethod
@@ -78,7 +62,7 @@ class IntOps:
         """(the ring maps to F_p, each a function of one element; the map
         from residues under those maps to residues of the integer
         coordinates), or None when p admits no ring map."""
-        return (lambda x: x % p,), _identity
+        return (lambda x: x % p,), lambda residues: residues
 
     @staticmethod
     def integer_rows(rows):
@@ -91,9 +75,21 @@ class IntOps:
         """The field element with the given integer coordinates over den."""
         return Fraction(coords[0], den)
 
+    # -- the ring as right_echelon sees it ---------------------------------
 
-def _identity(residues):
-    return residues
+    scale = mul                 # times an integer
+
+    @staticmethod
+    def div(x, k):              # exact division by an integer
+        return x // k
+
+    @staticmethod
+    def ints(x):                # the integer coordinates
+        return (x,)
+
+    @staticmethod
+    def cofactor(x):            # c with x * c an integer
+        return 1
 
 
 class QuadOps:
@@ -122,15 +118,6 @@ class QuadOps:
         a, b = x
         c, e = y
         return (a * c + self.d * b * e, a * e + b * c)
-
-    def to_field(self, x):
-        return QuadElem._make(self.d, Fraction(x[0]), Fraction(x[1]))
-
-    def field_zero(self):
-        return QuadElem._make(self.d, Fraction(0), Fraction(0))
-
-    def field_one(self):
-        return QuadElem._make(self.d, Fraction(1), Fraction(0))
 
     # -- the ring as the multi-modular engine sees it ----------------------
 
@@ -166,6 +153,24 @@ class QuadOps:
     def from_coords(self, coords, den):
         a, b = coords
         return QuadElem._make(self.d, Fraction(a, den), Fraction(b, den))
+
+    # -- the ring as right_echelon sees it ---------------------------------
+
+    @staticmethod
+    def scale(x, k):
+        return (x[0] * k, x[1] * k)
+
+    @staticmethod
+    def div(x, k):
+        return (x[0] // k, x[1] // k)
+
+    @staticmethod
+    def ints(x):
+        return x
+
+    @staticmethod
+    def cofactor(x):
+        return (x[0], -x[1])    # x times its conjugate is its norm
 
 
 # -- primes ----------------------------------------------------------------
@@ -270,31 +275,6 @@ def _kernel_mod(rows, ncols: int, h, p: int):
             for f in range(ncols) if f not in pivset]
 
 
-def _reduce_right(vectors, p: int):
-    """Reduced row echelon form mod p of sparse vectors on reversed columns.
-
-    Returns {pivot: row}: each pivot is the last nonzero position of its
-    row, whose one there is not stored, and every row is zero at the other
-    pivots.  None when the vectors are dependent.  The input is not changed.
-    """
-    rows = {}
-    for vec in vectors:
-        v = dict(vec)
-        # Reduced rows are zero at the other pivots, so one pass suffices.
-        for f in [j for j in v if j in rows]:
-            _eliminate(v, f, rows[f], p)
-        if not v:
-            return None
-        f = max(v)
-        inv = pow(v.pop(f), -1, p)
-        new = {j: x * inv % p for j, x in v.items()}
-        for row in rows.values():
-            if f in row:
-                _eliminate(row, f, new, p)
-        rows[f] = new
-    return rows
-
-
 def _rational(x: int, m: int, bound: int):
     """(n, d) with n = d*x mod m, |n| <= bound, 0 < d <= bound and
     gcd(n, d) = 1, or None; unique when 2*bound**2 < m."""
@@ -343,30 +323,26 @@ def _annihilates(columns, nrows: int, entries) -> bool:
     return not any(acc)
 
 
-def _residues_mod(kernel, ncols: int, ops, p: int):
+def _residues_mod(rows, ncols: int, ops, p: int):
     """(pivot columns, free columns, and per free column f the coordinate
-    residues of its basis vector at the pivots before f) mod p, from the
-    vectors kernel(h, p) supplies under each ring map h; None when p admits
-    no ring map, the supplied vectors are dependent, or the ring maps
-    disagree on the free columns, which makes p unlucky."""
+    residues of its basis vector at the pivots before f) mod p, from
+    _kernel_mod under each ring map; None when p admits no ring map or the
+    ring maps disagree on the free columns, which makes p unlucky."""
     maps = ops.maps(p)
     if maps is None:
         return None
     hs, to_coords = maps
-    forms = []
-    for h in hs:
-        form = _reduce_right(kernel(h, p), p)
-        if form is None or (forms and form.keys() != forms[0].keys()):
-            return None
-        forms.append(form)
-    free = sorted(forms[0])
-    pivots = [c for c in range(ncols) if c not in forms[0]]
-    # A reduced row is zero at the other free columns and after its own, so
-    # its residues at the pivots before f are all of it.
+    kernels = [_kernel_mod(rows, ncols, h, p) for h in hs]
+    free = [max(v) for v in kernels[0]]
+    if any([max(v) for v in k] != free for k in kernels[1:]):
+        return None
+    pivots = sorted(set(range(ncols)).difference(free))
+    # A kernel vector is zero at the other free columns and after its own,
+    # so its residues at the pivots before f are all of it.
     return pivots, free, [
-        to_coords(*[[form[f].get(c, 0) for c in pivots[:bisect(pivots, f)]]
-                    for form in forms])
-        for f in free]
+        to_coords(*[[v.get(c, 0) for c in pivots[:bisect(pivots, f)]]
+                    for v in vs])
+        for f, vs in zip(free, zip(*kernels))]
 
 
 def _columns(irows, width: int):
@@ -392,56 +368,40 @@ def rank(rows, ncols, ops) -> int:
     return ncols - len(nullspace(rows, ncols, ops))
 
 
-def nullspace(rows, ncols, ops, kernel=None):
+def nullspace(rows, ncols, ops):
     """Basis of the right nullspace, as vectors of field elements.
 
     One vector per free column f of the reduced row echelon form, with a
     one at f, zero at the other free columns and nonzero entries only at
     pivot columns before f: the canonical basis, which depends only on the
-    nullspace, not on how it is computed.
+    nullspace (it is also right_echelon of any basis of it).
 
-    Per prime p and ring map h, kernel(h, p) supplies independent vectors
-    in the kernel of the rows mod p, never fewer than the nullity over the
-    field; when exactly that many, they must span the reduction mod p of
-    the integer vectors of the true nullspace, as they do for all but
-    finitely many p.  The default (_kernel_mod) is the whole kernel mod p.
-    Reducing the vectors from the right gives the canonical basis of their
-    span, whose free columns are their last nonzero positions.
+    Primes are ranked by (more pivots mod p, then the lexicographically
+    smaller pivot list), and residues of _kernel_mod are combined only
+    across primes tied for the best rank so far.  The reconstructed basis
+    is returned once every vector annihilates every row exactly.  That
+    check is the proof: the vectors are independent and number at least
+    the true nullity, since no rank grows mod p, and each vector's support
+    shows that its f is no pivot over the field.  The loop ends: mod p no
+    prefix of the columns gains rank, so no prime outranks the true pivots,
+    and all but finitely many primes tie with them.
 
-    Primes are ranked by (fewer vectors, then lexicographically smaller
-    pivot list), and residues are combined only across primes tied for the
-    best rank so far.  The reconstructed basis is returned once every
-    vector annihilates every row exactly.  That check is the proof: the
-    vectors are independent and number at least the true nullity, and each
-    vector's support (its free column f and pivot columns before f) shows
-    that f is no pivot over the field, so the pivots are the true ones.
-    The loop ends: a span of the true dimension is the reduced integer
-    nullspace, which has at least as many free columns before any given
-    position as the true one, so its i-th pivot is never earlier and no
-    prime outranks the true pivots, while all but finitely many primes tie
-    with them.
-
-    A wrong supplier cannot make it loop: once the primes combined at the
+    A wrong kernel cannot make it loop: once the primes combined at the
     best key multiply past 2*H**2, H the Hadamard bound of the integer rows
     (_hadamard), a failed reconstruction or exact check raises
-    InvariantError.  For a correct supplier this never fires.  A prime
-    ranks off the true pivots only if it divides the nonzero true pivot
-    minor, an integer (over Z[sqrt d], its norm) of absolute value at most
-    H, so such primes multiply to at most H.  At the true key every
-    coordinate of the basis is a quotient of two minors of the integer
-    rows (Cramer's rule), both at most H, so a modulus above 2*H**2
-    reconstructs it, and the exact check passes.  H is computed only after
-    a failure.
+    InvariantError.  A prime ranks off the true pivots only if it divides
+    the nonzero true pivot minor, an integer (over Z[sqrt d], its norm) of
+    absolute value at most H; at the true key every coordinate of the basis
+    is a quotient of two minors of the integer rows (Cramer's rule), both
+    at most H, so a modulus above 2*H**2 reconstructs it.
     """
-    if kernel is None:
-        kernel = partial(_kernel_mod, rows, ncols)
     parts = ops.parts
     best = None                 # rank key of the primes being combined
     modulus, acc = 1, []
     columns = None              # the exact check's integer rows, by column
     limit = None                # 2*H**2, set at the first failure
     for p in _primes():
-        found = _residues_mod(kernel, ncols, ops, p)
+        found = _residues_mod(rows, ncols, ops, p)
         if found is None:
             continue
         pivots, free, res = found
@@ -470,16 +430,86 @@ def nullspace(rows, ncols, ops, kernel=None):
             limit = 2 * _hadamard(ops.integer_rows(rows), parts * ncols) ** 2
         if modulus > limit:
             raise InvariantError(
-                f"the kernel vectors supplied for key {best} do not give "
-                f"the nullspace after primes multiplying past 2*H**2")
-    zero, one = ops.field_zero(), ops.field_one()
+                f"the kernel vectors mod p for key {best} do not give the "
+                f"nullspace after primes multiplying past 2*H**2")
+    # most pivot coordinates are zero: convert only the others
+    return _field_basis(ops, ncols, (
+        (f, den, [(c, xs) for c, xs in zip(pivots, zip(*[iter(nums)] * parts))
+                  if any(xs)])
+        for f, (nums, den) in zip(free, sols)))
+
+
+def _field_basis(ops, ncols: int, vectors):
+    """Dense vectors of field elements, from (f, den, entries): a one at f
+    and, per (column, integer coordinates) entry, the coordinates over den."""
+    zero, one = (ops.from_coords(ops.ints(x), 1) for x in (ops.zero, ops.one))
     basis = []
-    for f, (nums, den) in zip(free, sols):
+    for f, den, entries in vectors:
         v = [zero] * ncols
-        # most pivot coordinates are zero: convert only the others
-        for c, xs in zip(pivots, zip(*[iter(nums)] * parts)):
-            if any(xs):
-                v[c] = ops.from_coords(xs, den)
+        for c, xs in entries:
+            v[c] = ops.from_coords(xs, den)
         v[f] = one
         basis.append(v)
     return basis
+
+
+def add_multiple(ops, v, c, row):
+    """v += c * row, in place."""
+    if not ops.is_zero(c):
+        for j, y in row.items():
+            z = ops.mul(c, y)
+            v[j] = ops.add(v[j], z) if j in v else z
+
+
+def _reduced(ops, vec, rows):
+    """(k, v): k the lcm of the denominators of the rows at the pivots where
+    vec is nonzero, v = k * vec minus its multiples of those rows, without
+    zeros.  Reduced rows are zero at the other pivots, so v is zero at all."""
+    hits = [f for f in vec if f in rows]
+    k = lcm(*(rows[f][0] for f in hits))
+    v = {j: ops.scale(x, k) for j, x in vec.items() if j not in rows}
+    for f in hits:
+        den, row = rows[f]
+        add_multiple(ops, v, ops.neg(ops.scale(vec[f], k // den)), row)
+    return k, {j: x for j, x in v.items() if not ops.is_zero(x)}
+
+
+def _primitive(ops, den, nums):
+    """(den, nums) divided by the gcd of den and every integer coordinate."""
+    g = gcd(den, *(c for x in nums.values() for c in ops.ints(x)))
+    if g == 1:
+        return den, nums
+    return den // g, {j: ops.div(x, g) for j, x in nums.items()}
+
+
+def right_echelon(vectors, ncols: int, ops):
+    """Reduced row echelon form on reversed columns of independent vectors
+    over Z or Z[sqrt d], each {column: nonzero ring element}: per pivot f,
+    the last nonzero column of its row, a vector of field elements with a
+    one at f and zeros at the other pivots, in increasing f.  For a basis
+    of a nullspace this is its canonical basis (see nullspace).
+
+    Rows are held exactly, as one positive integer denominator over ring
+    numerators with no common integer factor; a new pivot x is divided out
+    through x * cofactor(x), an integer.  Dependent vectors raise
+    InvariantError."""
+    rows = {}           # pivot -> (den, numerators); den at the pivot
+    for vec in vectors:
+        _, v = _reduced(ops, vec, rows)
+        if not v:
+            raise InvariantError("dependent vectors in an echelon form")
+        f = max(v)
+        x = v.pop(f)
+        c = ops.cofactor(x)
+        n = ops.ints(ops.mul(x, c))[0]
+        if n < 0:
+            c, n = ops.neg(c), -n
+        new = {f: _primitive(ops, n, {j: ops.mul(y, c) for j, y in v.items()})}
+        for g, (den, row) in rows.items():
+            if f in row:
+                k, out = _reduced(ops, row, new)
+                rows[g] = _primitive(ops, den * k, out)
+        rows.update(new)
+    return _field_basis(ops, ncols, (
+        (f, den, [(j, ops.ints(x)) for j, x in row.items()])
+        for f, (den, row) in sorted(rows.items())))

@@ -48,6 +48,11 @@ def det3_cols(c1, c2, c3):
                  (c1[2], c2[2], c3[2])])
 
 
+def to_field(ops, x):
+    """The ring element x of IntOps or a QuadOps as a field element."""
+    return ops.from_coords(ops.ints(x), 1)
+
+
 def apply_form(deriv: Derivation, alpha) -> HPoly:
     """The polynomial theta(alpha) for a linear form alpha = (a1,a2,a3)."""
     out = HPoly(deriv.pdeg)

@@ -1,5 +1,6 @@
 """Derivation modules, graded dimensions, Saito certificates."""
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import combinations
@@ -36,6 +37,7 @@ from conftest import (
     is_member,
     near_pencil,
     rational_arrangement,
+    to_field,
 )
 
 
@@ -403,9 +405,15 @@ class TestRowBuilder:
                                           (QuadOps(2), QUAD_COLUMNS),
                                           (QuadOps(-3), QUAD_COLUMNS)])
     def test_full_rows_match_binary_form_expansion(self, ops, cols):
+        # one theta-block per coordinate: the rows of the full system
         for p in range(6):
-            assert fr._constraint_rows(ops, cols, p) == \
-                _old_constraint_rows(ops, cols, p)
+            nm = len(fr.monomials(p))
+            rows = [row for alpha in cols
+                    for row in fr._hyperplane_rows(
+                        ops, alpha, [(c * nm, a, ())
+                                     for c, a in enumerate(alpha)
+                                     if not ops.is_zero(a)], p, 3 * nm)]
+            assert rows == _old_constraint_rows(ops, cols, p)
 
     @pytest.mark.parametrize("arr", [
         grid(3), mod.specialize(mod.family_13(), 3).arrangement,
@@ -422,7 +430,7 @@ class TestRowBuilder:
         assert len(lines1) + len(lines2) + 2 == max(
             sum(sorted((len(lat.flats[f]) for f in incident))[-2:])
             for incident in lat.per_hyperplane)
-        field = ops.to_field
+        field = partial(to_field, ops)
         units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
         def integral(x):
@@ -471,18 +479,14 @@ def _grid_degrees(arr):
 class TestDHSolve:
     @staticmethod
     def _check(arr, degrees):
+        # the canonical nullspace basis of the full system, built by the
+        # oracle, against the basis from the two-point kernel
         ops, cols = fr.cleared_columns(arr)
         for p in degrees:
-            rows = fr._constraint_rows(ops, cols, p)
-            ncols = 3 * len(fr.monomials(p))
-            kernel = fr._dh_kernel(ops, cols, arr.lattice(), p)
-            q = next(q for q in linalg._primes() if ops.maps(q) is not None)
-            # one prime: the supplied span reduces to M's own canonical basis
-            assert linalg._residues_mod(kernel, ncols, ops, q) == \
-                linalg._residues_mod(partial(linalg._kernel_mod, rows, ncols),
-                                     ncols, ops, q)
-            assert linalg.nullspace(rows, ncols, ops, kernel) == \
-                linalg.nullspace(rows, ncols, ops)
+            full = linalg.nullspace(_old_constraint_rows(ops, cols, p),
+                                    3 * len(fr.monomials(p)), ops)
+            assert derivation_basis(arr, p) == [
+                fr._vector_to_derivation(v, p) for v in full]
 
     def test_basis_equals_full_nullspace_on_small_corpus(self, small_corpus):
         for arr in small_corpus:
@@ -535,6 +539,54 @@ class TestDHSolve:
         # H = x3, with points of 16 and 9 lines: g1, g2 of degree 1 and 8
         assert widths and set(widths) == {comb(3, 2) + comb(10, 2)}
 
+    @pytest.mark.parametrize("arr", [
+        mod.specialize(mod.family_13(), 3).arrangement,
+        _paper_quad_points()[0], grid(8)], ids=["a13", "sqrt5", "grid32"])
+    def test_full_system_is_never_built(self, arr, monkeypatch):
+        widths, solved = [], []
+        rows_of = fr._hyperplane_rows
+
+        def rows_spy(ops, alpha, blocks, p, width):
+            widths.append((p, width))
+            return rows_of(ops, alpha, blocks, p, width)
+
+        monkeypatch.setattr(fr, "_hyperplane_rows", rows_spy)
+        for name in ("nullspace", "rank"):
+            def spy(rows, ncols, ops, name=name,
+                    solve=getattr(linalg, name)):
+                solved.append((name, ncols, rows))
+                return solve(rows, ncols, ops)
+            monkeypatch.setattr(linalg, name, spy)
+        _, e2, e3 = arr.char_poly().exponents()
+        assert isinstance(decide_freeness(arr, use_cache=False), Free)
+        for p in range(e2 + 1):
+            derivation_space_dim(arr, p)
+        assert widths and all(w < 3 * comb(p + 2, 2) for p, w in widths)
+        ops, cols = fr.cleared_columns(arr)
+        two_point = [fr._dh_system(ops, cols, arr.lattice(), p)[:2]
+                     for p in range(e3 + 1)]
+        assert solved and all((rows, ncols) in two_point
+                              for _, ncols, rows in solved)
+        assert {name for name, _, _ in solved} == {"nullspace", "rank"}
+
+    @pytest.mark.parametrize("arr", [
+        mod.specialize(mod.family_13(), 3).arrangement,
+        _paper_quad_points()[0]], ids=["a13", "sqrt5"])
+    def test_frame_without_a_line_raises(self, arr, monkeypatch):
+        # the two-point rows then miss a line, so some lifted derivation
+        # fails that line's exact check
+        frame = fr._two_point_frame
+
+        def short_frame(ops, cols, lat):
+            first, second, rest = frame(ops, cols, lat)
+            return first, second, rest[1:]
+
+        monkeypatch.setattr(fr, "_two_point_frame", short_frame)
+        start = time.perf_counter()
+        with pytest.raises(InvariantError):
+            decide_freeness(arr, use_cache=False)
+        assert time.perf_counter() - start < 5
+
     def test_negative_degree_raises(self):
         for probe in (derivation_basis, derivation_space_dim):
             with pytest.raises(ValueError, match="degree must be nonnegative"):
@@ -544,7 +596,7 @@ class TestDHSolve:
 def _full_dim(arr, p):
     ops, cols = fr.cleared_columns(arr)
     ncols = 3 * len(fr.monomials(p))
-    return ncols - linalg.rank(fr._constraint_rows(ops, cols, p), ncols, ops)
+    return ncols - linalg.rank(_old_constraint_rows(ops, cols, p), ncols, ops)
 
 
 # The 70 inputs among 7-16 lines with coordinates in [-2, 2], drawn with
@@ -765,6 +817,23 @@ class TestIntegralSaito:
         zero = Derivation((HPoly(1), HPoly(1), HPoly(1)), 1)
         assert saito_check(arr, _diag_derivation(0), _diag_derivation(1),
                            zero) is None
+
+    def test_quadratic_identity_stays_integral(self, monkeypatch):
+        # Q is built from the cleared forms, not from the int 1, which a
+        # QuadElem would coerce to Fraction parts
+        arr = _paper_quad_points()[0]
+        cert = decide_freeness(arr, use_cache=False).certificate
+        parts = []
+        mul = HPoly.__mul__
+
+        def spy(self, other):
+            out = mul(self, other)
+            parts.extend(type(x.a) for x in out.coeffs.values())
+            return out
+
+        monkeypatch.setattr(HPoly, "__mul__", spy)
+        assert saito_check(arr, *cert.derivations) == cert.constant
+        assert parts and set(parts) == {int}
 
     def test_constant_matches_field_identity(self, a13):
         rng = random.Random(12)

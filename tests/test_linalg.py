@@ -4,7 +4,6 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freearr import freeness, linalg, moduli
+from freearr.arrangement import clear_column
 from freearr.linalg import (
     IntOps,
     QuadOps,
@@ -23,7 +23,7 @@ from freearr.linalg import (
 )
 from freearr.scalars import InvariantError, QuadElem
 
-from conftest import det3_cols
+from conftest import det3_cols, to_field
 
 # The engine's first prime: the largest prime below 2**62.
 P0 = sympy.prevprime(2 ** 62)
@@ -149,6 +149,8 @@ class TestIntegerEngine:
 
 
 class TestSuppliedKernel:
+    """Kernel vectors handed to the engine instead of computed by it."""
+
     @staticmethod
     def _scrambled(basis, rng):
         """Integer vectors spanning the same space as the basis, each one a
@@ -174,32 +176,48 @@ class TestSuppliedKernel:
             m, n = rng.randint(1, 5), rng.randint(2, 8)
             rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
             basis = nullspace(rows, n, IntOps)
-            vecs = self._scrambled(basis, rng)
+            vecs = [{j: x for j, x in enumerate(v) if x}
+                    for v in self._scrambled(basis, rng)]
+            assert linalg.right_echelon(vecs, n, IntOps) == basis
 
-            def kernel(h, p):
-                return [{j: y for j, x in enumerate(v) if (y := h(x))}
-                        for v in vecs]
-            p = next(linalg._primes())
-            assert linalg._residues_mod(kernel, n, IntOps, p) == \
-                linalg._residues_mod(partial(linalg._kernel_mod, rows, n),
-                                     n, IntOps, p)
-            assert nullspace(rows, n, IntOps, kernel) == basis
+    def test_spanning_quadratic_vectors_give_the_canonical_basis(self):
+        rng = random.Random(6)
+        ops = QuadOps(5)
+        for _ in range(40):
+            m, n = rng.randint(1, 4), rng.randint(2, 6)
+            rows = [[(rng.randint(-3, 3), rng.randint(-3, 3))
+                     for _ in range(n)] for _ in range(m)]
+            basis = nullspace(rows, n, ops)
+            vecs = []
+            for i, v in enumerate(basis):
+                w = clear_column(v)
+                for u in basis[i + 1:]:
+                    k = (rng.randint(-3, 3), rng.randint(-3, 3))
+                    w = [ops.add(x, ops.mul(k, y))
+                         for x, y in zip(w, clear_column(u))]
+                vecs.append({j: x for j, x in enumerate(w)
+                             if not ops.is_zero(x)})
+            rng.shuffle(vecs)
+            assert linalg.right_echelon(vecs, n, ops) == basis
+
+    def test_dependent_vectors_raise(self):
+        twice = [{0: 1, 1: 2}, {0: 2, 1: 4}]
+        with pytest.raises(InvariantError):
+            linalg.right_echelon(twice, 2, IntOps)
 
     @pytest.mark.parametrize("vectors", [
         [{0: 1}],           # off the true pivots of [1, 1]
         [{0: 2, 1: 1}],     # at the true pivots, outside the kernel
     ])
-    def test_wrong_vectors_raise_instead_of_looping(self, vectors):
+    def test_wrong_vectors_raise_instead_of_looping(self, vectors,
+                                                    monkeypatch):
+        # The Hadamard guard: a wrong kernel mod every prime cannot loop.
+        monkeypatch.setattr(linalg, "_kernel_mod",
+                            lambda rows, ncols, h, p: vectors)
         start = time.perf_counter()
         with pytest.raises(InvariantError):
-            nullspace([[1, 1]], 2, IntOps, kernel=lambda h, p: vectors)
+            nullspace([[1, 1]], 2, IntOps)
         assert time.perf_counter() - start < 5
-
-    def test_dependent_vectors_make_the_prime_unlucky(self):
-        p = next(linalg._primes())
-        twice = [{0: 1, 1: 2}, {0: 2, 1: 4}]
-        assert linalg._reduce_right(twice, p) is None
-        assert linalg._residues_mod(lambda h, q: twice, 2, IntOps, p) is None
 
 
 class TestQuadraticEngine:
@@ -218,7 +236,7 @@ class TestQuadraticEngine:
                 for row in rows:
                     s = QuadElem(2, 0, 0)
                     for j in range(n):
-                        s = s + ops.to_field(row[j]) * v[j]
+                        s = s + to_field(ops, row[j]) * v[j]
                     assert not s
 
     def test_sqrt_relation_detected(self):
@@ -240,7 +258,7 @@ class TestQuadraticEngine:
             if m > 2:
                 rows.append([ops.mul(x, (1, 1)) for x in rows[0]])
             expected, _ = rref_nullspace(
-                [[ops.to_field(x) for x in r] for r in rows], n)
+                [[to_field(ops, x) for x in r] for r in rows], n)
             basis = nullspace(rows, n, ops)
             assert basis == expected
             assert all(isinstance(x, QuadElem) for v in basis for x in v)

@@ -1,6 +1,7 @@
 """Guards over the source of the freearr package itself."""
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -129,3 +130,26 @@ def test_lattice_scan_computes_no_determinant():
     """Lattices come from one cross product per flat, dotted with the later
     columns; the one determinant in the package is Saito's."""
     assert _readers("det3") == ["freeness.py:saito_check"]
+
+
+def test_no_full_system_and_no_kernel_supplier():
+    """D(A)_p comes from the exact two-point kernel: the full system M, the
+    kernel supplier and its mod-p reduction from the right are gone."""
+    from freearr import freeness, linalg
+
+    assert [name for mod, name in ((freeness, "_constraint_rows"),
+                                   (freeness, "_dh_kernel"),
+                                   (linalg, "_reduce_right"))
+            if hasattr(mod, name)] == []
+    assert "kernel" not in inspect.signature(linalg.nullspace).parameters
+
+
+def test_solvers_keep_the_signature_the_benchmark_reads():
+    """perfbench/trace.py (_observe_matrix) reads rows, ncols and ops as
+    the first three positional arguments of rank and nullspace."""
+    from freearr import linalg
+
+    for solve in (linalg.rank, linalg.nullspace):
+        params = list(inspect.signature(solve).parameters.values())[:3]
+        assert [p.name for p in params] == ["rows", "ncols", "ops"]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
