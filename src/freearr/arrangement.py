@@ -234,9 +234,6 @@ class IntersectionLattice:
         """Sorted multiset of flat multiplicities."""
         return tuple(sorted(len(f) for f in self.flats))
 
-    def flat_of_pair(self, i: int, j: int) -> int:
-        return self.pair_table[(i, j) if i < j else (j, i)]
-
     @cached_property
     def pair_table(self) -> dict:
         """{(i, j): index of the flat through hyperplanes i < j}."""

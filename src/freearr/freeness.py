@@ -11,12 +11,13 @@ is the product of the forms of the other lines through P: every line
 through P or Q is then satisfied, and only the lines through neither give
 rows (the lemma is in _dh_system's docstring).  The exact kernel of this
 small system, lifted, and the m * theta_E for the monomials m of degree
-p - 1 are a basis of D(A)_p, made canonical by derivation_basis.
+p - 1 are a basis of D(A)_p, made canonical exactly by _canonical_rows.
 
 The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
 first degree-e2 derivation outside S*theta_E, and the first degree-e3
-derivation outside S*theta_E + S*theta_2.  For a free arrangement these three
+derivation outside S*theta_E + S*theta_2, chosen on the exact canonical
+rows; only these three become field elements.  For a free arrangement they
 always satisfy Saito's identity det = c*Q with c nonzero.  Freeness is
 therefore two-valued.  A failed certificate means A is not free, and the
 verdict carries its obstruction: a non-splitting characteristic polynomial,
@@ -33,7 +34,7 @@ from math import comb, lcm, prod
 
 from . import linalg
 from .arrangement import Arrangement, clear_column, line_key, ring_ops
-from .scalars import Domain, InvariantError, QuadElem
+from .scalars import InvariantError, QuadElem
 
 
 class DegreeMismatchError(ValueError):
@@ -298,27 +299,49 @@ def derivation_space_dim(arr: Arrangement, p: int) -> int:
     return comb(p + 1, 2) + width - linalg.rank(rows, width, ops)
 
 
-def _vector_to_derivation(vec, p: int) -> Derivation:
+def _derivation(ops, p: int, den: int, vec) -> Derivation:
+    """The degree-p Derivation with coefficient vector vec / den.
+
+    Column c * len(monomials(p)) + i of a coefficient vector holds the
+    coefficient of monomials(p)[i] in f_(c+1), a ring element of ops; here
+    each becomes a field element (ops.from_coords)."""
     mons = monomials(p)
-    nm = len(mons)
-    return Derivation(tuple(HPoly(p, dict(zip(mons, vec[c * nm:])))
-                            for c in range(3)), p)
+    polys = [{}, {}, {}]
+    for j, x in vec.items():
+        c, i = divmod(j, len(mons))
+        polys[c][mons[i]] = ops.from_coords(ops.ints(x), den)
+    return Derivation(tuple(HPoly(p, f) for f in polys), p)
 
 
-def derivation_basis(arr: Arrangement, p: int) -> list:
-    """Basis of the degree-p graded piece, as Derivations over the field:
-    the canonical nullspace basis on the coefficients of (f1, f2, f3) by
-    monomials(p).  The vectors m * theta_E and the lifts of the exact
-    two-point kernel are a basis of D(A)_p (direct sum and lemma); each
-    lift is checked exactly against every line, so a wrong frame raises
-    InvariantError, and linalg.right_echelon makes the basis canonical."""
-    if p < 0:
-        raise ValueError("degree must be nonnegative")
-    ops, cols = cleared_columns(arr)
-    rows, width, blocks = _dh_system(ops, cols, arr.lattice(), p)
+def _euler(ops) -> dict:
+    """The coefficient vector of theta_E: x_c in f_c, monomials(1)[c] = x_c."""
+    return {4 * c: ops.one for c in range(3)}
+
+
+def _shifts(vec, d: int, p: int) -> list:
+    """The coefficient vectors of m * theta for the monomials m of degree
+    p - d, in monomials order, theta of degree d with coefficient vector
+    vec."""
+    src, index = monomials(d), {m: i for i, m in enumerate(monomials(p))}
+    terms = [(j // len(src) * len(index), src[j % len(src)], x)
+             for j, x in vec.items()]
+    return [{b + index[(e[0] + m[0], e[1] + m[1], e[2] + m[2])]: x
+             for b, e, x in terms}
+            for m in monomials(p - d)]
+
+
+def _canonical_rows(ops, cols, lat, p: int) -> list:
+    """The canonical basis of D(A)_p, in increasing pivot order, as exact
+    rows (den, coefficient vector over the ring of ops), each vector / den
+    having a one at its pivot.
+
+    The vectors m * theta_E and the lifts of the exact two-point kernel are
+    a basis of D(A)_p (direct sum and lemma); each lift is checked exactly
+    against every line, so a wrong frame raises InvariantError, and
+    linalg.echelon makes the basis canonical."""
+    rows, width, blocks = _dh_system(ops, cols, lat, p)
     index = {m: i for i, m in enumerate(monomials(p))}
-    euler = Derivation(tuple(HPoly(1, {u: ops.one}) for u in _UNITS), 1)
-    vecs = _poly_multiple_vectors(euler, p)
+    vecs = _shifts(_euler(ops), 1, p)
     pis = [reduce(lambda pi, l: _poly_mul(ops, dict(zip(_UNITS, l)), pi),
                   lines, {(0, 0, 0): ops.one}) for *_, lines in blocks]
     for g in linalg.nullspace(rows, width, ops):
@@ -339,8 +362,19 @@ def derivation_basis(arr: Arrangement, p: int) -> list:
         vecs.append({c * len(index) + index[m]: x
                      for c, f in enumerate(theta) for m, x in f.items()
                      if not ops.is_zero(x)})
-    return [_vector_to_derivation(v, p)
-            for v in linalg.right_echelon(vecs, 3 * len(index), ops)]
+    return [(den, {f: ops.scale(ops.one, den), **row})
+            for f, (den, row) in sorted(linalg.echelon(vecs, ops).items())]
+
+
+def derivation_basis(arr: Arrangement, p: int) -> list:
+    """Basis of the degree-p graded piece, as Derivations over the field:
+    the canonical nullspace basis on the coefficients of (f1, f2, f3) by
+    monomials(p), from _canonical_rows."""
+    if p < 0:
+        raise ValueError("degree must be nonnegative")
+    ops, cols = cleared_columns(arr)
+    return [_derivation(ops, p, den, vec)
+            for den, vec in _canonical_rows(ops, cols, arr.lattice(), p)]
 
 
 def euler_derivation(arr: Arrangement) -> Derivation:
@@ -396,88 +430,29 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     return one * d0 * scale / (one * q0 * den)
 
 
-def _derivation_vector(deriv: Derivation, p: int) -> dict:
-    """Sparse coefficient vector {index: nonzero coefficient} of a degree-p
-    derivation, for span computations."""
-    if deriv.pdeg != p:
-        raise DegreeMismatchError(
-            f"derivation of pdeg {deriv.pdeg} in a degree-{p} span")
-    mons = monomials(p)
-    nm = len(mons)
-    idx = {m: i for i, m in enumerate(mons)}
-    return {c * nm + idx[m]: co
-            for c, poly in enumerate(deriv.polys)
-            for m, co in poly.coeffs.items()}
+def _first_complement(ops, p: int, others, basis):
+    """(den, coefficient vector) of the first row of basis, exact canonical
+    rows of D(A)_p, outside S*theta_E + S*theta for the (degree, vector)
+    pairs in others, reduced modulo that span; or None.
 
-
-def _poly_multiple_vectors(deriv: Derivation, p: int):
-    """Sparse vectors of m * deriv for all monomials m of degree
-    p - deriv.pdeg."""
-    nm = len(monomials(p))
-    idx = {m: i for i, m in enumerate(monomials(p))}
-    return [{c * nm + idx[(mm[0] + m[0], mm[1] + m[1], mm[2] + m[2])]: co
-             for c, poly in enumerate(deriv.polys)
-             for mm, co in poly.coeffs.items()}
-            for m in monomials(p - deriv.pdeg)]
-
-
-class _FieldReducer:
-    """Incremental row reduction over a field, for complement extraction.
-
-    Rows are sparse {index: nonzero value}, keyed by their pivot, the first
-    index a row holds, where the value is one.
+    The reduced vector is zero at the pivots of the span, each the first
+    column of its row (columns are reversed on the way into linalg.echelon,
+    which pivots on the last), so it depends only on the span as a
+    subspace, not on the vectors spanning it.  Those vectors are
+    independent, as echelon requires: a relation a * theta_E = -b * theta_2
+    with b != 0 forces b | a, since x1, x2, x3 have gcd 1, and would put
+    theta_2 in S*theta_E.
     """
+    last = 3 * len(monomials(p)) - 1
 
-    def __init__(self):
-        self.rows = {}  # pivot index -> row
-
-    def reduce(self, vec: dict) -> dict:
-        v = dict(vec)
-        for piv in sorted(self.rows):
-            coef = v.get(piv)
-            if coef:
-                for j, x in self.rows[piv].items():
-                    y = v.get(j)
-                    y = -coef * x if y is None else y - coef * x
-                    if y:
-                        v[j] = y
-                    else:
-                        del v[j]
-        return v
-
-    def add(self, vec: dict) -> bool:
-        """Reduce and absorb; returns True if the vector was independent."""
-        v = self.reduce(vec)
-        if not v:
-            return False
-        piv = min(v)
-        inv = 1 / v[piv]
-        self.rows[piv] = {j: x * inv for j, x in v.items()}
-        return True
-
-
-def _first_complement(p: int, theta_e: Derivation, others, basis,
-                      dom: Domain):
-    """First degree-p basis derivation outside S*theta_E + S*others,
-    reduced, or None.
-
-    The reduced vector vanishes on the pivot columns of the span, so it
-    depends only on the span as a subspace, not on the vectors spanning it.
-    Each m*theta_E is entered as a row as it is: its entries are ones at
-    (D1, m*x1), (D2, m*x2) and (D3, m*x3), so its pivot (D1, m*x1) is a one
-    and differs from that of every other monomial m.
-    """
-    red = _FieldReducer()
-    for v in _poly_multiple_vectors(theta_e, p):
-        red.rows[min(v)] = v
-    for g in others:
-        for v in _poly_multiple_vectors(g, p):
-            red.add(v)
-    for b in basis:
-        r = red.reduce(_derivation_vector(b, p))
+    def flip(vec):
+        return {last - j: x for j, x in vec.items()}
+    span = linalg.echelon([flip(v) for d, theta in ((1, _euler(ops)), *others)
+                           for v in _shifts(theta, d, p)], ops)
+    for den, vec in basis:
+        k, r = linalg.normal_form(ops, flip(vec), span)
         if r:
-            return _vector_to_derivation(
-                [r.get(j, dom.zero) for j in range(3 * len(monomials(p)))], p)
+            return den * k, flip(r)
     return None
 
 
@@ -528,10 +503,10 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
     dimension is C(p+1, 2), as for the free module.  At p = r < e2 the
     actual dimension exceeds the expected C(p+1, 2); at p = e2 < r it is
     C(p+1, 2), and the expected one exceeds it by the number of exponents
-    equal to e2.  So the witness is at min(r, e2) <= e2.  A free A always passes the Saito step (by graded
-    Nakayama, theta_E and the first complements in degrees e2 and e3 are a
-    basis), so a sweep that finds no witness raises InvariantError: the
-    program is at fault, not the input.
+    equal to e2.  So the witness is at min(r, e2) <= e2.  A free A always
+    passes the Saito step (by graded Nakayama, theta_E and the first
+    complements in degrees e2 and e3 are a basis), so a sweep that finds no
+    witness raises InvariantError: the program is at fault, not the input.
 
     Arrangements equal up to column order and scaling share a cache entry.
     They have the same derivation module, and Q differs by the ratio of the
@@ -562,17 +537,19 @@ def _decide_freeness_impl(arr: Arrangement):
     if exps is None:
         return NotFree("ChiDoesNotSplit")
     _, e2, e3 = exps
-    dom = arr.domain
-    theta_e = euler_derivation(arr)
-    basis2 = derivation_basis(arr, e2)
-    th2 = _first_complement(e2, theta_e, (), basis2, dom)
+    ops, cols = cleared_columns(arr)
+    rows2 = _canonical_rows(ops, cols, arr.lattice(), e2)
+    th2 = _first_complement(ops, e2, (), rows2)
     if th2 is not None:
-        basis3 = basis2 if e3 == e2 else derivation_basis(arr, e3)
-        th3 = _first_complement(e3, theta_e, (th2,), basis3, dom)
+        rows3 = (rows2 if e3 == e2
+                 else _canonical_rows(ops, cols, arr.lattice(), e3))
+        th3 = _first_complement(ops, e3, ((e2, th2[1]),), rows3)
         if th3 is not None:
-            c = saito_check(arr, theta_e, th2, th3)
+            ths = (euler_derivation(arr), _derivation(ops, e2, *th2),
+                   _derivation(ops, e3, *th3))
+            c = saito_check(arr, *ths)
             if c is not None:
-                return Free(exps, SaitoCertificate((theta_e, th2, th3), c))
+                return Free(exps, SaitoCertificate(ths, c))
     # A free A passes above with its first complement pair, so A is not
     # free, and its witness is at min(r, e2) (see decide_freeness).
     for p in range(e2 + 1):

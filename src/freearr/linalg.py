@@ -6,10 +6,11 @@ multi-modular engine: for each word-size prime of a fixed sequence, and
 each ring map into F_p, the reduced row echelon form gives the canonical
 nullspace basis mod p, which is recovered by Chinese remaindering and
 rational reconstruction, and returned only after it has been verified
-exactly against every row.  right_echelon reduces independent vectors
-exactly, from the right; for a basis of a nullspace it gives the same
-canonical basis.  The 3x3 determinant and cross product helpers work over
-any commutative ring, including Z[t].
+exactly against every row.  echelon reduces independent vectors exactly,
+from the right, each row one integer denominator over ring numerators; for
+a basis of a nullspace it gives the same canonical basis.  The 3x3
+determinant and cross product helpers work over any commutative ring,
+including Z[t].
 """
 from __future__ import annotations
 
@@ -75,7 +76,7 @@ class IntOps:
         """The field element with the given integer coordinates over den."""
         return Fraction(coords[0], den)
 
-    # -- the ring as right_echelon sees it ---------------------------------
+    # -- the ring as echelon sees it --------------------------------------
 
     scale = mul                 # times an integer
 
@@ -154,7 +155,7 @@ class QuadOps:
         a, b = coords
         return QuadElem._make(self.d, Fraction(a, den), Fraction(b, den))
 
-    # -- the ring as right_echelon sees it ---------------------------------
+    # -- the ring as echelon sees it --------------------------------------
 
     @staticmethod
     def scale(x, k):
@@ -374,7 +375,7 @@ def nullspace(rows, ncols, ops):
     One vector per free column f of the reduced row echelon form, with a
     one at f, zero at the other free columns and nonzero entries only at
     pivot columns before f: the canonical basis, which depends only on the
-    nullspace (it is also right_echelon of any basis of it).
+    nullspace (it is also echelon of any basis of it).
 
     Primes are ranked by (more pivots mod p, then the lexicographically
     smaller pivot list), and residues of _kernel_mod are combined only
@@ -461,10 +462,11 @@ def add_multiple(ops, v, c, row):
             v[j] = ops.add(v[j], z) if j in v else z
 
 
-def _reduced(ops, vec, rows):
-    """(k, v): k the lcm of the denominators of the rows at the pivots where
-    vec is nonzero, v = k * vec minus its multiples of those rows, without
-    zeros.  Reduced rows are zero at the other pivots, so v is zero at all."""
+def normal_form(ops, vec, rows):
+    """(k, v): k the lcm of the denominators of the rows of an echelon at
+    the pivots where vec is nonzero, v = k * vec minus its multiples of
+    those rows, without zeros.  Reduced rows are zero at the other pivots,
+    so v is zero at all: v / k is vec modulo the rows' span."""
     hits = [f for f in vec if f in rows]
     k = lcm(*(rows[f][0] for f in hits))
     v = {j: ops.scale(x, k) for j, x in vec.items() if j not in rows}
@@ -482,20 +484,20 @@ def _primitive(ops, den, nums):
     return den // g, {j: ops.div(x, g) for j, x in nums.items()}
 
 
-def right_echelon(vectors, ncols: int, ops):
+def echelon(vectors, ops):
     """Reduced row echelon form on reversed columns of independent vectors
-    over Z or Z[sqrt d], each {column: nonzero ring element}: per pivot f,
-    the last nonzero column of its row, a vector of field elements with a
-    one at f and zeros at the other pivots, in increasing f.  For a basis
-    of a nullspace this is its canonical basis (see nullspace).
+    over Z or Z[sqrt d], each {column: nonzero ring element}, as
+    {pivot f: (den, numerators)}: f is the last nonzero column of its row,
+    and the row is den at f plus the numerators {column: ring element}
+    elsewhere, over den, so a one at f and zeros at the other pivots.  For
+    a basis of a nullspace this is its canonical basis (see nullspace).
 
-    Rows are held exactly, as one positive integer denominator over ring
-    numerators with no common integer factor; a new pivot x is divided out
-    through x * cofactor(x), an integer.  Dependent vectors raise
-    InvariantError."""
-    rows = {}           # pivot -> (den, numerators); den at the pivot
+    den is positive, and no integer > 1 divides den and every integer
+    coordinate of the numerators; a new pivot x is divided out through
+    x * cofactor(x), an integer.  Dependent vectors raise InvariantError."""
+    rows = {}
     for vec in vectors:
-        _, v = _reduced(ops, vec, rows)
+        _, v = normal_form(ops, vec, rows)
         if not v:
             raise InvariantError("dependent vectors in an echelon form")
         f = max(v)
@@ -507,9 +509,7 @@ def right_echelon(vectors, ncols: int, ops):
         new = {f: _primitive(ops, n, {j: ops.mul(y, c) for j, y in v.items()})}
         for g, (den, row) in rows.items():
             if f in row:
-                k, out = _reduced(ops, row, new)
+                k, out = normal_form(ops, row, new)
                 rows[g] = _primitive(ops, den * k, out)
         rows.update(new)
-    return _field_basis(ops, ncols, (
-        (f, den, [(j, ops.ints(x)) for j, x in row.items()])
-        for f, (den, row) in sorted(rows.items())))
+    return rows

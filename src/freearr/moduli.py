@@ -45,7 +45,6 @@ from .scalars import (
     factor_low_degree,
     poly,
     poly_gcd,
-    squarefree_decompose,
 )
 
 COUNT_DROPS = "CountDrops"
@@ -258,13 +257,6 @@ class DegeneracyReport:
 
     def values(self):
         return (sorted(self.rational), sorted(self.quadratic))
-
-
-def _quadratic_root(coeffs) -> QuadElem:
-    """One root of c2 t^2 + c1 t + c0 (irreducible over Q) in Q(sqrt d)."""
-    c0, c1, c2 = coeffs
-    square, d = squarefree_decompose(c1 * c1 - 4 * c0 * c2)
-    return QuadElem(d, Fraction(-c1, 2 * c2), Fraction(square, 2 * c2))
 
 
 def _candidate_polys(f: Family) -> dict:

@@ -442,12 +442,13 @@ def _factor_squarefree(f: list) -> list:
     A subset S of the lifted factors is accepted when the primitive part of
     lc(g) * prod_S G_i, in symmetric residues mod q, divides the remaining
     cofactor g exactly; for the subset of a factor h those residues are
-    lc(g)/lc(h) * h itself, by the uniqueness of Hensel lifts.  Subsets are tried by increasing size, and the
-    cofactor shrinks only by accepted factors, so an accepted factor is
-    irreducible: a proper factor of it would divide the cofactor, lift to a
-    smaller subset bounded by the same B and have been accepted first.  When
-    no subset of at most half the remaining lifted factors is accepted, the
-    cofactor is irreducible and is the last factor.
+    lc(g)/lc(h) * h itself, by the uniqueness of Hensel lifts.  Subsets are
+    tried by increasing size, and the cofactor shrinks only by accepted
+    factors, so an accepted factor is irreducible: a proper factor of it
+    would divide the cofactor, lift to a smaller subset bounded by the same
+    B and have been accepted first.  When no subset of at most half the
+    remaining lifted factors is accepted, the cofactor is irreducible and is
+    the last factor.
     """
     if len(f) <= 2:
         return [f]

@@ -12,7 +12,7 @@ from freearr import arrangement as am
 from freearr import moduli as mod
 from freearr.freeness import Derivation, HPoly
 from freearr.linalg import IntOps, det3, rank
-from freearr.scalars import QQ, Domain
+from freearr.scalars import QQ, Domain, QuadElem, squarefree_decompose
 
 
 def rational_arrangement(*cols) -> am.Arrangement:
@@ -39,6 +39,13 @@ def grid(k: int) -> am.Arrangement:
             + [(0, 1, -b) for b in range(k)]
             + [(1, -1, -c) for c in range(1 - k, k)])
     return rational_arrangement(*cols)
+
+
+def quadratic_root(coeffs) -> QuadElem:
+    """One root of c2 t^2 + c1 t + c0 (irreducible over Q) in Q(sqrt d)."""
+    c0, c1, c2 = coeffs
+    square, d = squarefree_decompose(c1 * c1 - 4 * c0 * c2)
+    return QuadElem(d, Fraction(-c1, 2 * c2), Fraction(square, 2 * c2))
 
 
 def det3_cols(c1, c2, c3):

@@ -25,7 +25,7 @@ from freearr.induction import (
 )
 from freearr.scalars import QQ, QuadElem
 
-from conftest import defining_polynomial, whitney_char_poly
+from conftest import defining_polynomial, quadratic_root, whitney_char_poly
 from test_freeness import BRAID6, MIXED6, _expand_determinant, brute_force_free
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
@@ -143,7 +143,7 @@ def test_criterion_08_degeneracy_set_of_the_15_line_family(f15):
     assert mod.vL_membership(f15, generic, -1)
     assert mod.vL_membership(f15, generic, QuadElem(2, Fraction(3, 2), 1))
     for coeffs in ((1, -3, 1), (-1, 1, 1)):
-        root = mod._quadratic_root(coeffs)
+        root = quadratic_root(coeffs)
         assert root.d == 5
         spec = mod.specialize(f15, root)
         assert spec.count == 15

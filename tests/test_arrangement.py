@@ -17,6 +17,7 @@ from conftest import (
     boolean3,
     det3_cols,
     near_pencil,
+    quadratic_root,
     rational_arrangement,
     whitney_char_poly,
 )
@@ -218,13 +219,13 @@ class TestLattice:
         lat = near_pencil(4).lattice()
         for flat in lat.flats:
             labels = sorted(flat)
-            assert lat.flats[lat.flat_of_pair(labels[0], labels[1])] == flat
+            assert lat.flats[lat.pair_table[labels[0], labels[1]]] == flat
 
     def test_lattice_freed_after_key_and_pair_lookup(self):
         arr = near_pencil(5)
         lat = arr.lattice()
         am.canonical_key(lat)
-        lat.flat_of_pair(1, 2)
+        lat.pair_table[1, 2]
         ref = weakref.ref(lat)
         del arr, lat
         gc.collect()
@@ -501,7 +502,7 @@ def paper_quadratic_members():
     """paper13 at 3 + sqrt 2 and paper15 at a root of t^2 - 3t + 1."""
     return [mod.specialize(mod.family_13(), QuadElem(2, 3, 1)).arrangement,
             mod.specialize(mod.family_15(),
-                           mod._quadratic_root((1, -3, 1))).arrangement]
+                           quadratic_root((1, -3, 1))).arrangement]
 
 
 def rescaled(arr, rng):

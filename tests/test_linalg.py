@@ -4,7 +4,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -170,6 +170,20 @@ class TestSuppliedKernel:
         rng.shuffle(out)
         return out
 
+    @staticmethod
+    def _echelon_basis(vecs, n, ops):
+        """linalg.echelon of the vectors as dense field vectors, in
+        increasing pivot order, after checking the exact rows' form: the
+        pivot last, a positive denominator, no common integer factor."""
+        rows = linalg.echelon(vecs, ops)
+        for f, (den, nums) in rows.items():
+            assert all(j < f for j in nums)
+            assert den > 0 and gcd(den, *(c for x in nums.values()
+                                          for c in ops.ints(x))) == 1
+        return linalg._field_basis(ops, n, (
+            (f, den, [(j, ops.ints(x)) for j, x in nums.items()])
+            for f, (den, nums) in sorted(rows.items())))
+
     def test_spanning_vectors_give_the_canonical_basis(self):
         rng = random.Random(5)
         for _ in range(60):
@@ -178,7 +192,7 @@ class TestSuppliedKernel:
             basis = nullspace(rows, n, IntOps)
             vecs = [{j: x for j, x in enumerate(v) if x}
                     for v in self._scrambled(basis, rng)]
-            assert linalg.right_echelon(vecs, n, IntOps) == basis
+            assert self._echelon_basis(vecs, n, IntOps) == basis
 
     def test_spanning_quadratic_vectors_give_the_canonical_basis(self):
         rng = random.Random(6)
@@ -198,12 +212,12 @@ class TestSuppliedKernel:
                 vecs.append({j: x for j, x in enumerate(w)
                              if not ops.is_zero(x)})
             rng.shuffle(vecs)
-            assert linalg.right_echelon(vecs, n, ops) == basis
+            assert self._echelon_basis(vecs, n, ops) == basis
 
     def test_dependent_vectors_raise(self):
         twice = [{0: 1, 1: 2}, {0: 2, 1: 4}]
         with pytest.raises(InvariantError):
-            linalg.right_echelon(twice, 2, IntOps)
+            linalg.echelon(twice, IntOps)
 
     @pytest.mark.parametrize("vectors", [
         [{0: 1}],           # off the true pivots of [1, 1]

@@ -17,7 +17,7 @@ from freearr.scalars import (
     poly,
 )
 
-from conftest import det3_cols
+from conftest import det3_cols, quadratic_root
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
@@ -239,7 +239,7 @@ class TestDegeneracySet:
                 assert spec.count == f.n
                 assert not mod.vL_membership(f, generic, omega)
         for coeffs, tag in rep.quadratic.items():
-            root = mod._quadratic_root(coeffs)
+            root = quadratic_root(coeffs)
             assert IntPoly(coeffs)(root) == 0
             spec = mod.specialize(f, root)
             if tag == mod.COUNT_DROPS:
@@ -262,7 +262,7 @@ class TestDegeneracySet:
         for omega in rep.rational:
             mod.specialize(f, omega)
         for coeffs in rep.quadratic:
-            mod.specialize(f, mod._quadratic_root(coeffs))
+            mod.specialize(f, quadratic_root(coeffs))
         # neither reads the generic lattice; vL_membership takes it
         assert calls == []
 
@@ -273,14 +273,14 @@ class TestDegeneracySet:
         assert all(p == p.primitive() for p in cands)
 
     def test_quadratic_root_of_negative_discriminant(self):
-        root = mod._quadratic_root((1, -1, 1))
+        root = quadratic_root((1, -1, 1))
         assert (root.d, root.a, root.b) == (-3, Fraction(1, 2), Fraction(1, 2))
         assert IntPoly((1, -1, 1))(root) == 0
 
     def test_15_exceptional_values_give_free_1_5_9(self):
         f = mod.family_15()
         for coeffs in ((1, -3, 1), (-1, 1, 1)):
-            root = mod._quadratic_root(coeffs)
+            root = quadratic_root(coeffs)
             assert root.d == 5
             spec = mod.specialize(f, root)
             verdict = decide_freeness(spec.arrangement)
@@ -301,7 +301,7 @@ def specialized_degeneracies(f):
                 omega = key
             else:
                 target, key = quadratic, q.coeffs
-                omega = mod._quadratic_root(key)
+                omega = quadratic_root(key)
             if mod.specialize(f, omega).count < f.n:
                 target[key] = mod.COUNT_DROPS
             elif not mod.vL_membership(f, generic, omega):
@@ -446,7 +446,7 @@ class TestIntegralSpecialization:
         rng = random.Random(1406)
         for f in (mod.family_13(), mod.family_15()):
             rep = mod.degeneracy_set(f)
-            values = list(rep.rational) + [mod._quadratic_root(q)
+            values = list(rep.rational) + [quadratic_root(q)
                                            for q in rep.quadratic]
             for omega in values + [random_value(rng) for _ in range(12)]:
                 self.assert_agrees(f, omega)
@@ -461,7 +461,7 @@ class TestIntegralSpecialization:
                 continue
             checked += 1
             rep = mod.degeneracy_set(f)
-            values = list(rep.rational) + [mod._quadratic_root(q)
+            values = list(rep.rational) + [quadratic_root(q)
                                            for q in rep.quadratic]
             signs |= {omega.d < 0 for omega in values[len(rep.rational):]}
             for omega in values + [random_value(rng) for _ in range(4)]:

@@ -144,6 +144,63 @@ def test_no_full_system_and_no_kernel_supplier():
     assert "kernel" not in inspect.signature(linalg.nullspace).parameters
 
 
+def test_one_exact_echelon_and_no_test_only_code():
+    """Complements are picked on linalg.echelon's exact rows: the field
+    reducer, its vector conversions and the field echelon are gone, and so
+    are helpers that only tests called."""
+    from freearr import arrangement, freeness, linalg, moduli
+
+    assert [name for mod, name in (
+        (freeness, "_FieldReducer"), (freeness, "_derivation_vector"),
+        (freeness, "_poly_multiple_vectors"),
+        (freeness, "_vector_to_derivation"), (linalg, "right_echelon"),
+        (linalg, "_reduced"), (arrangement.IntersectionLattice,
+                               "flat_of_pair"),
+        (moduli, "_quadratic_root")) if hasattr(mod, name)] == []
+
+
+def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
+    """Only the three derivations of the certificate become field elements,
+    and only saito_check computes with them."""
+    from fractions import Fraction
+
+    from freearr import freeness, moduli
+    from freearr.scalars import QuadElem
+
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    arrs = [moduli.specialize(moduli.family_13(), 3).arrangement,
+            moduli.specialize(moduli.family_15(), omega).arrangement]
+    for arr in arrs:
+        arr.char_poly()         # the lattice, cached, and chi
+    calls, on = [], [True]
+    for cls in (Fraction, QuadElem):
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                     "__sub__", "__rsub__", "__truediv__", "__rtruediv__"):
+            def spy(*args, name=f"{cls.__name__}.{name}",
+                    method=getattr(cls, name)):
+                if on[0]:
+                    calls.append(name)
+                return method(*args)
+            monkeypatch.setattr(cls, name, spy)
+    check = freeness.saito_check
+
+    def unobserved_check(*args):
+        on[0] = False
+        try:
+            return check(*args)
+        finally:
+            on[0] = True
+    monkeypatch.setattr(freeness, "saito_check", unobserved_check)
+    verdicts = [freeness.decide_freeness(arr, use_cache=False)
+                for arr in arrs]
+    assert calls == []
+    assert [v.exponents for v in verdicts] == [(1, 6, 6), (1, 5, 9)]
+    # the spies do see field arithmetic, QuadElem's on Fraction parts too
+    assert omega * omega == 3 * omega - 1
+    assert {"QuadElem.__mul__", "QuadElem.__rmul__", "QuadElem.__sub__",
+            "Fraction.__mul__"} <= set(calls)
+
+
 def test_solvers_keep_the_signature_the_benchmark_reads():
     """perfbench/trace.py (_observe_matrix) reads rows, ncols and ops as
     the first three positional arguments of rank and nullspace."""
