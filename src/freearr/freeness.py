@@ -13,32 +13,45 @@ rows (the lemma is in _dh_system's docstring).  The exact kernel of this
 small system, lifted, and the m * theta_E for the monomials m of degree
 p - 1 are a basis of D(A)_p, made canonical exactly by _canonical_rows.
 
+Each lift theta is checked against every line alpha by one value.  On
+ker(alpha), parametrized as in _hyperplane_rows, theta(alpha) is a binary
+form F(s, r) = sum_c alpha_c f_c(x(s, r)), each x^m a product of p linear
+forms whose coefficients have height sum at most A = max(h(alpha_j) +
+h(alpha_k), h(alpha_i0)), h(a + b sqrt d) = |a| + |b|.  As h(xy) <=
+|d| h(x) h(y) (d = 1 over Z) and h(alpha_c) <= A, no integer coordinate of
+a coefficient of F exceeds M = (|d| A)^(p+1) ||theta||, ||theta|| the
+height sum of the coefficients of theta.  So F = 0 iff F(B, 1) = 0 for
+B > M: in each coordinate the top nonzero term c_T B^T outweighs the rest,
+at most M (B^T - 1) / (B - 1) < B^T.
+
 The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
 first degree-e2 derivation outside S*theta_E, and the first degree-e3
 derivation outside S*theta_E + S*theta_2, chosen on the exact canonical
 rows; only these three become field elements.  For a free arrangement they
-always satisfy Saito's identity det = c*Q with c nonzero.  Freeness is
-therefore two-valued.  A failed certificate means A is not free, and the
-verdict carries its obstruction: a non-splitting characteristic polynomial,
-or the first degree whose dimension differs from that of a free module.  By
-du Plessis-Wall and Dimca that degree is min(r, e2), r the least degree of
-D_H(A), so the sweep that finds it stops at e2 (proof in decide_freeness).
+always satisfy Saito's identity det = c*Q with c nonzero, which
+saito_check tests by two evaluations.  Freeness is therefore two-valued.  A
+failed certificate means A is not free, and the verdict carries its
+obstruction: a non-splitting characteristic polynomial, or the first degree
+whose dimension differs from that of a free module.  By du Plessis-Wall and
+Dimca that degree is min(r, e2), r the least degree of D_H(A), so the sweep
+that finds it stops at e2 (proof in decide_freeness).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, count, repeat
 from math import comb, lcm, prod
 
 from . import linalg
 from .arrangement import Arrangement, clear_column, line_key, ring_ops
-from .scalars import InvariantError, QuadElem
+from .scalars import InvariantError, MixedFieldError, QuadElem
 
 
 class DegreeMismatchError(ValueError):
-    """Saito check attempted with pdeg sum different from n."""
+    """Saito check on degrees that do not fit n or the terms."""
 
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))   # x1, x2, x3 as exponents
@@ -70,38 +83,6 @@ class HPoly:
         if not isinstance(other, HPoly):
             return NotImplemented
         return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if self.degree != other.degree and self and other:
-            raise ValueError("degree mismatch in homogeneous addition")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            cur = out.get(m)
-            out[m] = c if cur is None else cur + c
-        return HPoly(max(self.degree, other.degree), out)
-
-    def __neg__(self):
-        return HPoly(self.degree, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, HPoly):
-            out = {}
-            for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                    c = c1 * c2
-                    cur = out.get(m)
-                    out[m] = c if cur is None else cur + c
-            return HPoly(self.degree + other.degree, out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        return HPoly(self.degree, {m: c * v for m, v in self.coeffs.items()})
 
     def __repr__(self):
         return f"HPoly({self.degree}, {self.coeffs!r})"
@@ -209,24 +190,6 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int):
     return rows
 
 
-def _restricts_to_zero(ops, alpha, form, p: int) -> bool:
-    """Does the degree-p form {monomial: ring element} vanish on
-    ker(alpha)?  Parametrized as in _hyperplane_rows, it is the sum over a
-    of alpha_i0^(p-a) (sj s + sk r)^a H_a(s, r), H_a holding its terms with
-    x_i0^a, which Horner's rule in a adds up."""
-    i0, j, k = _axes(ops, alpha)
-    terms = [[ops.zero] * (p - a + 1) for a in range(p + 1)]
-    for m, x in form.items():
-        terms[m[i0]][m[j]] = x
-    sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
-    acc, lead = terms[p], ops.one
-    for a in range(p - 1, -1, -1):
-        lead = ops.mul(lead, alpha[i0])
-        acc = [ops.add(x, ops.mul(lead, y)) for x, y in
-               zip(_times_linear(ops, acc, sj, sk), terms[a])]
-    return all(map(ops.is_zero, acc))
-
-
 def _two_point_frame(ops, cols, lat):
     """((P, lines through Q), (Q, lines through P), the lines through
     neither): the two-point frame on H.
@@ -330,6 +293,51 @@ def _shifts(vec, d: int, p: int) -> list:
             for m in monomials(p - d)]
 
 
+def _height(ops, xs) -> int:
+    """The height sum of the ring elements xs (see the module docstring)."""
+    return sum(abs(y) for x in xs for y in ops.ints(x))
+
+
+def _at(ops, times, f, values):
+    """f {monomial: ring element} at the point of the monomial values."""
+    return reduce(ops.add, map(times, f.values(), map(values.__getitem__, f)),
+                  ops.zero)
+
+
+def _product(ops, xs):
+    """The product of the ring elements xs, taken pairwise: a running
+    product of big integers would cost quadratically more."""
+    while len(xs) > 1:
+        xs = [*map(ops.mul, xs[::2], xs[1::2]), *xs[len(xs) - len(xs) % 2:]]
+    return xs[0]
+
+
+def _check_tangent(ops, cols, vecs, p: int):
+    """Raise InvariantError unless F(B, 1) = 0, F and B = M + 1 as in the
+    module docstring, for every line and every degree-p theta given by its
+    coefficient vector in vecs."""
+    if not vecs:
+        return
+    norm = max(_height(ops, vec.values()) for vec in vecs)
+    for alpha in cols:
+        i0, j, k = _axes(ops, alpha)
+        reach = max(_height(ops, (alpha[j], alpha[k])),
+                    _height(ops, (alpha[i0],)))     # A
+        big = 1 + (abs(ops.d) * reach) ** (p + 1) * norm
+        point = [alpha[i0]] * 3     # x(big, 1)
+        point[i0] = ops.neg(ops.add(ops.scale(alpha[j], big), alpha[k]))
+        point[j] = ops.scale(alpha[i0], big)
+        powers = [list(accumulate(repeat(x, p), ops.mul, initial=ops.one))
+                  for x in point]
+        values = [ops.mul(ops.mul(powers[0][m[0]], powers[1][m[1]]),
+                          powers[2][m[2]]) for m in monomials(p)]
+        weights = [ops.mul(a, x) for a in alpha for x in values]
+        if not all(ops.is_zero(_at(ops, ops.mul, vec, weights))
+                   for vec in vecs):
+            raise InvariantError(f"a lifted derivation of degree {p} is not "
+                                 f"tangent to the line {alpha}")
+
+
 def _canonical_rows(ops, cols, lat, p: int) -> list:
     """The canonical basis of D(A)_p, in increasing pivot order, as exact
     rows (den, coefficient vector over the ring of ops), each vector / den
@@ -341,9 +349,9 @@ def _canonical_rows(ops, cols, lat, p: int) -> list:
     linalg.echelon makes the basis canonical."""
     rows, width, blocks = _dh_system(ops, cols, lat, p)
     index = {m: i for i, m in enumerate(monomials(p))}
-    vecs = _shifts(_euler(ops), 1, p)
     pis = [reduce(lambda pi, l: _poly_mul(ops, dict(zip(_UNITS, l)), pi),
                   lines, {(0, 0, 0): ops.one}) for *_, lines in blocks]
+    lifts = []
     for g in linalg.nullspace(rows, width, ops):
         g = clear_column(g)
         theta = [{}, {}, {}]    # f1, f2, f3, each {monomial: ring element}
@@ -351,19 +359,13 @@ def _canonical_rows(ops, cols, lat, p: int) -> list:
             q = _poly_mul(ops, dict(zip(monomials(d), g[b:])), pi)
             for a, f in zip(point, theta):
                 linalg.add_multiple(ops, f, a, q)
-        for alpha in cols:
-            form = {}           # theta(alpha)
-            for a, f in zip(alpha, theta):
-                linalg.add_multiple(ops, form, a, f)
-            if not _restricts_to_zero(ops, alpha, form, p):
-                raise InvariantError(
-                    f"a lifted derivation of degree {p} is not tangent to "
-                    f"the line {alpha}")
-        vecs.append({c * len(index) + index[m]: x
-                     for c, f in enumerate(theta) for m, x in f.items()
-                     if not ops.is_zero(x)})
+        lifts.append({c * len(index) + index[m]: x
+                      for c, f in enumerate(theta) for m, x in f.items()
+                      if not ops.is_zero(x)})
+    _check_tangent(ops, cols, lifts, p)
     return [(den, {f: ops.scale(ops.one, den), **row})
-            for f, (den, row) in sorted(linalg.echelon(vecs, ops).items())]
+            for f, (den, row) in sorted(linalg.echelon(
+                _shifts(_euler(ops), 1, p) + lifts, ops).items())]
 
 
 def derivation_basis(arr: Arrangement, p: int) -> list:
@@ -382,19 +384,19 @@ def euler_derivation(arr: Arrangement) -> Derivation:
     return Derivation(tuple(HPoly(1, {u: arr.domain.one}) for u in _UNITS), 1)
 
 
-def _cleared(polys):
-    """(den, den * polys) for den the least common denominator of their
-    coefficients, which become ints, or QuadElems with int parts; ring
-    arithmetic on either stays exact and integral."""
-    den = lcm(*(q.denominator for f in polys for x in f.coeffs.values()
-                for q in ((x.a, x.b) if isinstance(x, QuadElem) else (x,))))
-
-    def times(x):
-        if isinstance(x, QuadElem):
-            return QuadElem._make(x.d, times(x.a), times(x.b))
-        return x.numerator * (den // x.denominator)
-    return den, [HPoly(f.degree, {m: times(x) for m, x in f.coeffs.items()})
-                 for f in polys]
+def _integral(ops, polys):
+    """(den, den * polys), for polys {key: element of the field of ops} and
+    den the least common denominator of their coordinates, so that den *
+    polys are over the ring of ops."""
+    xs = [x for f in polys for x in f.values()]
+    if any(isinstance(x, QuadElem) and x.d != ops.d for x in xs):
+        raise MixedFieldError("a coefficient outside the field of the columns")
+    coords = [q for x in xs for q in ((x.a, x.b) if isinstance(x, QuadElem)
+                                      else (x, 0)[:ops.parts])]
+    den = lcm(*(q.denominator for q in coords))
+    ints = iter([q.numerator * (den // q.denominator) for q in coords])
+    ring = ints if ops.parts == 1 else zip(ints, ints)
+    return den, [dict(zip(f, ring)) for f in polys]
 
 
 def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
@@ -402,32 +404,58 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     """Saito's criterion: det of the coefficient matrix against c * Q.
 
     Returns the nonzero constant c on success, None if the determinant is
-    not a nonzero constant multiple of Q.  Both sides are computed over Z
-    or Z[sqrt d]: each derivation and each defining form is scaled by the
-    least common denominator of its coefficients, det' = c' Q' is tested by
-    cross-multiplication, det'[m] Q'[m0] = Q'[m] det'[m0] for every
-    monomial m, and c = c' * (product of the form scales) / (product of the
-    derivation scales).
+    not a nonzero constant multiple of Q; pdegs not summing to n, or a term
+    of another degree than its pdeg, raise DegreeMismatchError.  Cleared
+    of denominators by _integral, the derivations and the forms give det'
+    and Q' over Z or Z[sqrt d], and det' = c' Q' gives c as c' times the
+    forms' scale to the n over the derivations' scales.
+
+    Let v = (1, t, t^2) for the least t >= 0 with Q'(v) != 0; t <= 2n, as
+    each form is a nonzero quadratic in t there.  Then det' = c' Q' with
+    c' != 0 iff det'(v) != 0 and G = Q'(v) det' - det'(v) Q' = 0.  With h
+    and d as in the module docstring, the height sums of the coefficients
+    of det' and Q' are at most |d|^2 perm(N) <= |d|^2 prod ||theta_i||, N
+    the matrix of those of the theta_i,c, and |d|^(n-1) prod ||alpha'||, so
+    no integer coordinate of a coefficient of G, homogeneous of degree n,
+    exceeds |d|^n (h(Q'(v)) prod ||theta_i|| + h(det'(v)) prod ||alpha'||),
+    which is less than B = 2^k.  At w = (B^(n+1), B, 1) the x^m of degree
+    n, B^((n+1) m_1 + m_2), differ, so G = 0 iff G(w) = 0, as in the module
+    docstring.
     """
-    if th1.pdeg + th2.pdeg + th3.pdeg != arr.n:
-        raise DegreeMismatchError(
-            f"pdeg sum {th1.pdeg + th2.pdeg + th3.pdeg} != n = {arr.n}")
-    ths = [_cleared(th.polys) for th in (th1, th2, th3)]
-    det = linalg.det3([polys for _, polys in ths])
-    if not det:
+    ths, n = (th1, th2, th3), arr.n
+    if sum(th.pdeg for th in ths) != n or any(sum(m) != th.pdeg for th in ths
+                                               for f in th.polys
+                                               for m in f.coeffs):
+        raise DegreeMismatchError(f"pdegs {[th.pdeg for th in ths]} do not "
+                                  f"sum to n = {n} or do not fit their terms")
+    ops = ring_ops(arr.domain)
+    dens, thetas = zip(*(_integral(ops, [f.coeffs for f in th.polys])
+                         for th in ths))
+    scale, forms = _integral(ops, [dict(zip(_UNITS, a)) for a in arr.columns])
+    at = partial(_at, ops, ops.scale)
+    # Q' and det' at a point, given by its monomial values
+    q = lambda pt: _product(ops, [at(f, pt) for f in forms])
+    det = lambda pt: linalg.det3([[at(f, pt) for f in th] for th in thetas],
+                                 ops)
+    mons = {m for d in (1, *(th.pdeg for th in ths)) for m in monomials(d)}
+    for t in count():
+        v = {m: t ** (m[1] + 2 * m[2]) for m in mons}
+        if not ops.is_zero(qv := q(v)):
+            break
+    dv = det(v)
+    if ops.is_zero(dv):
         return None
-    # Q is the product of the cleared forms from the first one on: a
-    # QuadElem times the int 1 would get Fraction parts.
-    forms = [_cleared([HPoly(1, dict(zip(_UNITS, a)))]) for a in arr.columns]
-    q = reduce(HPoly.__mul__, (form for _, (form,) in forms))
-    den, scale = (prod(k for k, _ in x) for x in (ths, forms))
-    m0, q0 = next(iter(q.coeffs.items()))
-    d0 = det.coeffs.get(m0)
-    if (d0 is None or det.coeffs.keys() != q.coeffs.keys()
-            or any(x * q0 != q.coeffs[m] * d0 for m, x in det.coeffs.items())):
+    k = (abs(ops.d) ** n * (
+        _height(ops, [qv]) * prod(_height(ops, [x for f in th for x in
+                                                f.values()]) for th in thetas)
+        + _height(ops, [dv]) * prod(_height(ops, f.values()) for f in forms))
+         ).bit_length()
+    w = {m: 1 << k * ((n + 1) * m[0] + m[1]) for m in mons}
+    if ops.mul(qv, det(w)) != ops.mul(dv, q(w)):
         return None
-    one = arr.domain.one        # one * x is the ring element x in the field
-    return one * d0 * scale / (one * q0 * den)
+    x = ops.cofactor(qv)        # qv * x is an integer
+    return ops.from_coords(ops.ints(ops.scale(ops.mul(dv, x), scale ** n)),
+                           ops.ints(ops.mul(qv, x))[0] * prod(dens))
 
 
 def _first_complement(ops, p: int, others, basis):
@@ -596,30 +624,35 @@ def certificate_to_text(cert: SaitoCertificate) -> str:
 
 
 def certificate_from_text(text: str) -> SaitoCertificate:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "saito-certificate":
+    """The certificate certificate_to_text wrote; malformed text raises
+    ValueError naming its line."""
+    lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines or lines[0][1] != ["saito-certificate"]:
         raise ValueError("not a saito certificate")
-    constant = None
-    derivs = []
-    current = None
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "c":
-            constant = _scalar_from_text(parts[1:])
-        elif parts[0] == "derivation":
-            if current is not None:
-                derivs.append(current)
-            current = {"pdeg": int(parts[3]), "polys": [{}, {}, {}]}
-        elif parts[0] == "term":
-            c = int(parts[1]) - 1
-            m = (int(parts[2]), int(parts[3]), int(parts[4]))
-            current["polys"][c][m] = _scalar_from_text(parts[5:])
-        elif parts[0] == "end":
-            if current is not None:
-                derivs.append(current)
-            current = None
-    ths = tuple(
-        Derivation(tuple(HPoly(d["pdeg"], poly) for poly in d["polys"]),
-                   d["pdeg"])
-        for d in derivs)
-    return SaitoCertificate(ths, constant)
+    constant, derivs = None, []
+    for i, parts in lines[1:]:
+        try:
+            if parts[0] == "c" and constant is None:
+                constant = _scalar_from_text(parts[1:])
+            elif parts[0] == "derivation" and len(parts) == 4 and parts[
+                    1:3] == [str(len(derivs) + 1), "pdeg"]:
+                derivs.append((int(parts[3]), ({}, {}, {})))
+            elif parts[0] == "term" and derivs:
+                c, *m = map(int, parts[1:5])
+                pdeg, polys = derivs[-1]
+                if c not in (1, 2, 3) or len(m) != 3 or min(m) < 0 \
+                        or sum(m) != pdeg:
+                    raise ValueError(f"no term {parts[1:5]} in a derivation "
+                                     f"of pdeg {pdeg}")
+                polys[c - 1][tuple(m)] = _scalar_from_text(parts[5:])
+            elif parts != ["end"] or i != lines[-1][0]:
+                raise ValueError(f"unexpected {' '.join(parts)!r}")
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {i}: {exc}") from None
+    if lines[-1][1] != ["end"] or constant is None or len(derivs) != 3:
+        raise ValueError(f"line {lines[-1][0]}: a certificate ends after a "
+                         f"c line and three derivations")
+    return SaitoCertificate(tuple(
+        Derivation(tuple(HPoly(pdeg, f) for f in polys), pdeg)
+        for pdeg, polys in derivs), constant)

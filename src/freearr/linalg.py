@@ -8,12 +8,13 @@ nullspace basis mod p, which is recovered by Chinese remaindering and
 rational reconstruction, and returned only after it has been verified
 exactly against every row.  echelon reduces independent vectors exactly,
 from the right, each row one integer denominator over ring numerators; for
-a basis of a nullspace it gives the same canonical basis.  The 3x3
-determinant and cross product helpers work over any commutative ring,
-including Z[t].
+a basis of a nullspace it gives the same canonical basis.  The cross
+product works over any commutative ring, including Z[t], and the 3x3
+determinant over the ring of an ops object.
 """
 from __future__ import annotations
 
+import operator
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -21,10 +22,14 @@ from math import gcd, isqrt, lcm, prod
 from .scalars import InvariantError, QuadElem, _is_prime
 
 
-def det3(m):
-    """Determinant of a 3x3 matrix given as rows, over any commutative ring."""
+def det3(m, ops):
+    """Determinant of a 3x3 matrix given as rows, over the ring of ops;
+    IntOps computes with Python's operators, so over any commutative ring."""
     (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    add, mul, neg = ops.add, ops.mul, ops.neg
+    return add(add(mul(a, add(mul(e, i), neg(mul(f, h)))),
+                   neg(mul(b, add(mul(d, i), neg(mul(f, g)))))),
+               mul(c, add(mul(d, h), neg(mul(e, g)))))
 
 
 def cross(u, v):
@@ -39,22 +44,9 @@ class IntOps:
     zero = 0
     one = 1
     parts = 1           # integer coordinates per ring element
-
-    @staticmethod
-    def is_zero(x):
-        return x == 0
-
-    @staticmethod
-    def add(x, y):
-        return x + y
-
-    @staticmethod
-    def neg(x):
-        return -x
-
-    @staticmethod
-    def mul(x, y):
-        return x * y
+    d = 1               # Z as Z[sqrt 1], in height bounds and field checks
+    is_zero, add, neg, mul = operator.not_, operator.add, operator.neg, \
+        operator.mul
 
     # -- the ring as the multi-modular engine sees it ----------------------
 
@@ -80,9 +72,7 @@ class IntOps:
 
     scale = mul                 # times an integer
 
-    @staticmethod
-    def div(x, k):              # exact division by an integer
-        return x // k
+    div = operator.floordiv     # exact division by an integer
 
     @staticmethod
     def ints(x):                # the integer coordinates

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from math import lcm, prod
 
 import pytest
 
 from freearr import arrangement as am
+from freearr import freeness as fr
 from freearr import moduli as mod
 from freearr.freeness import Derivation, HPoly
 from freearr.linalg import IntOps, det3, rank
@@ -52,7 +55,7 @@ def det3_cols(c1, c2, c3):
     """Determinant of the 3x3 matrix with the given columns."""
     return det3([(c1[0], c2[0], c3[0]),
                  (c1[1], c2[1], c3[1]),
-                 (c1[2], c2[2], c3[2])])
+                 (c1[2], c2[2], c3[2])], IntOps)
 
 
 def to_field(ops, x):
@@ -60,12 +63,53 @@ def to_field(ops, x):
     return ops.from_coords(ops.ints(x), 1)
 
 
+# -- HPoly arithmetic: test oracles only; the package evaluates instead ----
+
+def poly_add(f: HPoly, g: HPoly) -> HPoly:
+    if f.degree != g.degree and f and g:
+        raise ValueError("degree mismatch in homogeneous addition")
+    out = dict(f.coeffs)
+    for m, c in g.coeffs.items():
+        out[m] = out[m] + c if m in out else c
+    return HPoly(max(f.degree, g.degree), out)
+
+
+def poly_neg(f: HPoly) -> HPoly:
+    return HPoly(f.degree, {m: -c for m, c in f.coeffs.items()})
+
+
+def poly_sub(f: HPoly, g: HPoly) -> HPoly:
+    return poly_add(f, poly_neg(g))
+
+
+def poly_mul(f: HPoly, g: HPoly) -> HPoly:
+    out = {}
+    for m1, c1 in f.coeffs.items():
+        for m2, c2 in g.coeffs.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return HPoly(f.degree + g.degree, out)
+
+
+def poly_scale(f: HPoly, c) -> HPoly:
+    return HPoly(f.degree, {m: c * v for m, v in f.coeffs.items()})
+
+
+def poly_det3(rows) -> HPoly:
+    """Cofactor expansion of a 3x3 matrix of HPolys given as rows."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return poly_add(poly_sub(
+        poly_mul(a, poly_sub(poly_mul(e, i), poly_mul(f, h))),
+        poly_mul(b, poly_sub(poly_mul(d, i), poly_mul(f, g)))),
+        poly_mul(c, poly_sub(poly_mul(d, h), poly_mul(e, g))))
+
+
 def apply_form(deriv: Derivation, alpha) -> HPoly:
     """The polynomial theta(alpha) for a linear form alpha = (a1,a2,a3)."""
     out = HPoly(deriv.pdeg)
     for a, f in zip(alpha, deriv.polys):
         if a and f:
-            out = out + f.scale(a)
+            out = poly_add(out, poly_scale(f, a))
     return out
 
 
@@ -113,8 +157,64 @@ def defining_polynomial(arr: am.Arrangement) -> HPoly:
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for alpha in arr.columns:
         lin = HPoly(1, {e[i]: alpha[i] for i in range(3) if alpha[i]})
-        out = out * lin
+        out = poly_mul(out, lin)
     return out
+
+
+# -- the coefficient-by-coefficient checks that evaluation replaced --------
+
+def restricts_to_zero(ops, alpha, form, p: int) -> bool:
+    """Does the degree-p form {monomial: ring element} vanish on
+    ker(alpha)?  Parametrized as in freeness._hyperplane_rows, it is the sum
+    over a of alpha_i0^(p-a) (sj s + sk r)^a H_a(s, r), H_a holding its
+    terms with x_i0^a, which Horner's rule in a adds up."""
+    i0, j, k = fr._axes(ops, alpha)
+    terms = [[ops.zero] * (p - a + 1) for a in range(p + 1)]
+    for m, x in form.items():
+        terms[m[i0]][m[j]] = x
+    sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
+    acc, lead = terms[p], ops.one
+    for a in range(p - 1, -1, -1):
+        lead = ops.mul(lead, alpha[i0])
+        acc = [ops.add(x, ops.mul(lead, y)) for x, y in
+               zip(fr._times_linear(ops, acc, sj, sk), terms[a])]
+    return all(map(ops.is_zero, acc))
+
+
+def _cleared(polys):
+    """(den, den * polys), den the least common denominator of their
+    coefficients, which become ints or QuadElems with int parts."""
+    den = lcm(*(q.denominator for f in polys for x in f.coeffs.values()
+                for q in ((x.a, x.b) if isinstance(x, QuadElem) else (x,))))
+
+    def times(x):
+        if isinstance(x, QuadElem):
+            return QuadElem._make(x.d, times(x.a), times(x.b))
+        return x.numerator * (den // x.denominator)
+    return den, [HPoly(f.degree, {m: times(x) for m, x in f.coeffs.items()})
+                 for f in polys]
+
+
+def saito_by_coefficients(arr: am.Arrangement, th1, th2, th3):
+    """Saito's identity det' = c' Q' over Z or Z[sqrt d], both sides
+    expanded and compared coefficient by coefficient: c, or None."""
+    if th1.pdeg + th2.pdeg + th3.pdeg != arr.n:
+        raise fr.DegreeMismatchError("pdeg sum differs from n")
+    ths = [_cleared(th.polys) for th in (th1, th2, th3)]
+    det = poly_det3([polys for _, polys in ths])
+    if not det:
+        return None
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    forms = [_cleared([HPoly(1, dict(zip(units, a)))]) for a in arr.columns]
+    q = reduce(poly_mul, (form for _, (form,) in forms))
+    den, scale = (prod(k for k, _ in x) for x in (ths, forms))
+    m0, q0 = next(iter(q.coeffs.items()))
+    d0 = det.coeffs.get(m0)
+    if (d0 is None or det.coeffs.keys() != q.coeffs.keys()
+            or any(x * q0 != q.coeffs[m] * d0 for m, x in det.coeffs.items())):
+        return None
+    one = arr.domain.one
+    return one * d0 * scale / (one * q0 * den)
 
 
 # 20 integer lines with 15 triple points and a trivial automorphism group;

@@ -25,7 +25,12 @@ from freearr.induction import (
 )
 from freearr.scalars import QQ, QuadElem
 
-from conftest import defining_polynomial, quadratic_root, whitney_char_poly
+from conftest import (
+    defining_polynomial,
+    poly_scale,
+    quadratic_root,
+    whitney_char_poly,
+)
 from test_freeness import BRAID6, MIXED6, _expand_determinant, brute_force_free
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
@@ -61,7 +66,8 @@ def test_criterion_02_saito_certificate_for_the_13_line_arrangement(a13):
     assert isinstance(verdict, Free)
     assert verdict.exponents == (1, 6, 6)
     det = _expand_determinant(verdict.certificate)
-    assert det == defining_polynomial(a13).scale(verdict.certificate.constant)
+    assert det == poly_scale(defining_polynomial(a13),
+                             verdict.certificate.constant)
     print("PASS: Free [1,6,6] with an independently re-expanded Saito "
           "determinant identity")
 
@@ -195,8 +201,8 @@ def test_criterion_10_property_sweeps(corpus, a13, a15):
         verdict = decide_freeness(arr)
         if isinstance(verdict, Free):
             det = _expand_determinant(verdict.certificate)
-            assert det == defining_polynomial(arr).scale(
-                verdict.certificate.constant)
+            assert det == poly_scale(defining_polynomial(arr),
+                                     verdict.certificate.constant)
             reverified += 1
     assert reverified > 0
     # randomized brute-force freeness oracle equivalence on all essential

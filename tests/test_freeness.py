@@ -2,6 +2,7 @@
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 from functools import lru_cache, partial, reduce
 from itertools import combinations
 from math import comb
@@ -29,7 +30,7 @@ from freearr.freeness import (
 )
 from freearr.induction import inductively_free
 from freearr.linalg import IntOps, QuadOps
-from freearr.scalars import QQ, InvariantError, QuadElem
+from freearr.scalars import QQ, InvariantError, QuadElem, quad_field
 
 from conftest import (
     boolean3,
@@ -37,7 +38,13 @@ from conftest import (
     grid,
     is_member,
     near_pencil,
+    poly_add,
+    poly_det3,
+    poly_mul,
+    poly_scale,
     rational_arrangement,
+    restricts_to_zero,
+    saito_by_coefficients,
     to_field,
 )
 
@@ -129,14 +136,7 @@ class TestSaito:
 
 def _expand_determinant(cert) -> HPoly:
     """Cofactor expansion of the coefficient matrix, done independently."""
-    m = [th.polys for th in cert.derivations]
-    total_deg = sum(th.pdeg for th in cert.derivations)
-    out = HPoly(total_deg)
-    for (a, b, c), sign in ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), \
-            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1):
-        term = m[0][a] * m[1][b] * m[2][c]
-        out = out + (term if sign > 0 else -term)
-    return out
+    return poly_det3([th.polys for th in cert.derivations])
 
 
 class TestDecideFreeness:
@@ -185,7 +185,7 @@ class TestDecideFreeness:
         verdict = decide_freeness(near_pencil(5))
         det = _expand_determinant(verdict.certificate)
         q = defining_polynomial(near_pencil(5))
-        assert det == q.scale(verdict.certificate.constant)
+        assert det == poly_scale(q, verdict.certificate.constant)
 
     def test_cached_constant_fits_rescaled_input(self, a13):
         decide_freeness(a13)
@@ -247,7 +247,7 @@ def _random_combination(basis, p, rng):
         acc = HPoly(p)
         for k, th in zip(coeffs, basis):
             if k:
-                acc = acc + th.polys[c].scale(k)
+                acc = poly_add(acc, poly_scale(th.polys[c], k))
         polys.append(acc)
     return Derivation(tuple(polys), p)
 
@@ -441,10 +441,10 @@ class TestRowBuilder:
             for point, lines in ((pt1, lines1), (pt2, lines2)):
                 pi = HPoly(0, {(0, 0, 0): 1})
                 for line in lines:
-                    pi = pi * HPoly(1, {e: field(x) for e, x in
-                                        zip(units, line)})
+                    pi = poly_mul(pi, HPoly(1, {e: field(x) for e, x in
+                                                zip(units, line)}))
                 for m in fr.monomials(p - len(lines)):
-                    f = pi * HPoly(p - len(lines), {m: 1})
+                    f = poly_mul(pi, HPoly(p - len(lines), {m: 1}))
                     thetas.append({c * len(mons) + i:
                                    integral(field(point[c]) * x)
                                    for c in range(3) for i, mm in
@@ -895,7 +895,7 @@ class TestWitnessTheorem:
 
 def _field_saito(arr, th1, th2, th3):
     """Saito's identity in field arithmetic, as checked before: the oracle."""
-    det = linalg.det3([t.polys for t in (th1, th2, th3)])
+    det = poly_det3([t.polys for t in (th1, th2, th3)])
     if not det:
         return None
     q = defining_polynomial(arr)
@@ -904,7 +904,7 @@ def _field_saito(arr, th1, th2, th3):
     if not dc:
         return None
     c = dc / qc
-    return c if det == q.scale(c) else None
+    return c if det == poly_scale(q, c) else None
 
 
 class TestIntegralSaito:
@@ -917,7 +917,7 @@ class TestIntegralSaito:
                            1)
         th1, th2 = _diag_derivation(0), _diag_derivation(1)
         assert saito_check(arr, th1, th2, stray) is None
-        scaled = Derivation(tuple(f.scale(Fraction(2, 7))
+        scaled = Derivation(tuple(poly_scale(f, Fraction(2, 7))
                                   for f in _diag_derivation(2).polys), 1)
         assert saito_check(arr, th1, th2, scaled) == Fraction(2, 7)
 
@@ -927,22 +927,29 @@ class TestIntegralSaito:
         assert saito_check(arr, _diag_derivation(0), _diag_derivation(1),
                            zero) is None
 
-    def test_quadratic_identity_stays_integral(self, monkeypatch):
-        # Q is built from the cleared forms, not from the int 1, which a
-        # QuadElem would coerce to Fraction parts
-        arr = _paper_quad_points()[0]
-        cert = decide_freeness(arr, use_cache=False).certificate
-        parts = []
-        mul = HPoly.__mul__
-
-        def spy(self, other):
-            out = mul(self, other)
-            parts.extend(type(x.a) for x in out.coeffs.values())
-            return out
-
-        monkeypatch.setattr(HPoly, "__mul__", spy)
-        assert saito_check(arr, *cert.derivations) == cert.constant
-        assert parts and set(parts) == {int}
+    def test_quadratic_identity_stays_integral(self, monkeypatch, a13):
+        # saito_check computes over Z or Z[sqrt d]: no Fraction or QuadElem
+        # arithmetic at all, the constant's included
+        arrs = [*_paper_quad_points(), a13]
+        certs = [decide_freeness(arr, use_cache=False).certificate
+                 for arr in arrs]
+        calls = []
+        for cls in (Fraction, QuadElem):
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                         "__mul__", "__rmul__", "__truediv__",
+                         "__rtruediv__", "__neg__"):
+                def spy(*args, name=f"{cls.__name__}.{name}",
+                        method=getattr(cls, name)):
+                    calls.append(name)
+                    return method(*args)
+                monkeypatch.setattr(cls, name, spy)
+        for arr, cert in zip(arrs, certs):
+            assert saito_check(arr, *cert.derivations) == cert.constant
+        assert calls == []
+        # the spies do see field arithmetic
+        omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+        assert omega * omega == 3 * omega - 1
+        assert {"QuadElem.__mul__", "Fraction.__mul__"} <= set(calls)
 
     def test_constant_matches_field_identity(self, a13):
         rng = random.Random(12)
@@ -962,9 +969,249 @@ class TestIntegralSaito:
                 assert c == _field_saito(arr, theta_e, th2, th3)
                 hits += c is not None
                 # a non-member in place of th3 breaks the identity
-                off = Derivation((th3.polys[0]
-                                  + HPoly(e3, {(e3, 0, 0): arr.domain.one}),
-                                  *th3.polys[1:]), e3)
+                off = Derivation((poly_add(th3.polys[0], HPoly(
+                    e3, {(e3, 0, 0): arr.domain.one})), *th3.polys[1:]), e3)
                 assert saito_check(arr, theta_e, th2, off) == \
                     _field_saito(arr, theta_e, th2, off)
             assert hits
+
+
+# -- the evaluation checks against the coefficient oracles ------------------
+
+def _form(ops, vec, alpha, p: int) -> dict:
+    """theta(alpha) for the degree-p theta with coefficient vector vec."""
+    mons = fr.monomials(p)
+    out = {}
+    for j, x in vec.items():
+        c, i = divmod(j, len(mons))
+        linalg.add_multiple(ops, out, alpha[c], {mons[i]: x})
+    return out
+
+
+def _passes(ops, alpha, vec, p: int) -> bool:
+    """Does _check_tangent accept vec on the one line alpha?"""
+    try:
+        fr._check_tangent(ops, [alpha], [vec], p)
+    except InvariantError:
+        return False
+    return True
+
+
+def _evaluation_points():
+    return [*_paper_quad_points(), mod.specialize(mod.family_13(), 3)
+            .arrangement, mod.specialize(mod.family_15(), 3).arrangement]
+
+
+def _saito_trials(arr, rng, rounds: int):
+    """theta_E with basis members and random combinations of degrees e2
+    and e3, and, for a free input, its certificate and a non-member in
+    place of its theta_3."""
+    _, e2, e3 = arr.char_poly().exponents()
+    theta_e = euler_derivation(arr)
+    b2, b3 = derivation_basis(arr, e2), derivation_basis(arr, e3)
+    trials = [(theta_e, b2[0], b3[-1]), (theta_e, b2[-1], b3[0])]
+    trials += [(theta_e, _random_combination(b2, e2, rng),
+                _random_combination(b3, e3, rng)) for _ in range(rounds)]
+    verdict = decide_freeness(arr, use_cache=False)
+    if isinstance(verdict, Free):
+        th1, th2, th3 = verdict.certificate.derivations
+        off = Derivation((poly_add(th3.polys[0], HPoly(
+            e3, {(e3 - 1, 1, 0): arr.domain.one})), *th3.polys[1:]), e3)
+        trials += [(th1, th2, th3), (th1, th2, off)]
+    return trials
+
+
+class TestEvaluationChecks:
+    """_check_tangent and saito_check evaluate at one point; the Horner
+    restriction and the coefficient-by-coefficient comparison that they
+    replaced (conftest) are the oracles."""
+
+    @staticmethod
+    def _tangent_matches_horner(arr, degrees):
+        ops, cols = fr.cleared_columns(arr)
+        for p in degrees:
+            nm = len(fr.monomials(p))
+            rows = [vec for _, vec in fr._canonical_rows(ops, cols,
+                                                         arr.lattice(), p)]
+            fr._check_tangent(ops, cols, rows, p)
+            # each row, and it plus one monomial in f1, f2 or f3: a line
+            # with alpha_c = 0 still accepts the latter
+            for vec in rows[:2]:
+                for bent in (vec, *({**vec, j: ops.add(vec.get(j, ops.zero),
+                                                       ops.one)}
+                                    for j in (0, nm + nm // 2, 3 * nm - 1))):
+                    for alpha in cols:
+                        assert _passes(ops, alpha, bent, p) == \
+                            restricts_to_zero(ops, alpha,
+                                              _form(ops, bent, alpha, p), p)
+
+    def test_membership_matches_horner_on_the_small_corpus(self,
+                                                           small_corpus):
+        for arr in small_corpus:
+            self._tangent_matches_horner(arr, _degrees(arr))
+
+    def test_membership_matches_horner_on_nonfree_split(self):
+        for arr in _nonfree_split():
+            self._tangent_matches_horner(arr, _degrees(arr))
+
+    def test_membership_matches_horner_on_paper_points(self):
+        for arr in _evaluation_points():
+            self._tangent_matches_horner(arr, _degrees(arr))
+
+    def test_saito_matches_coefficients(self, small_corpus):
+        rng = random.Random(19)
+        arrs = [arr for arr in (*small_corpus, *_nonfree_split(),
+                                *_evaluation_points(),
+                                *map(near_pencil, range(4, 9)),
+                                *map(grid, range(2, 5)))
+                if arr.char_poly().exponents()]
+        hits = []
+        for arr in arrs:
+            for ths in _saito_trials(arr, rng, 2):
+                c = saito_check(arr, *ths)
+                assert c == saito_by_coefficients(arr, *ths)
+                hits.append(c is not None)
+        free = sum(isinstance(decide_freeness(arr), Free) for arr in arrs)
+        assert sum(hits) >= free >= 12 and not all(hits)
+
+    def test_saito_matches_coefficients_on_the_integral_cases(self):
+        arr = boolean3()
+        diag = [_diag_derivation(i) for i in range(3)]
+        x1, x3 = (1, 0, 0), (0, 0, 1)
+        stray = Derivation((HPoly(1), HPoly(1),
+                            HPoly(1, {x3: Fraction(2), x1: Fraction(1, 3)})),
+                           1)
+        scaled = Derivation(tuple(poly_scale(f, Fraction(2, 7))
+                                  for f in diag[2].polys), 1)
+        zero = Derivation((HPoly(1), HPoly(1), HPoly(1)), 1)
+        for ths in ((*diag[:2], stray), (*diag[:2], scaled),
+                    (*diag[:2], zero), (diag[0], diag[0], diag[2]), diag):
+            assert saito_check(arr, *ths) == saito_by_coefficients(arr, *ths)
+
+    @pytest.mark.parametrize("ops,alpha", [
+        (IntOps, (1, 0, 0)), (IntOps, (1, -7, 5)), (IntOps, (1, 0, 9)),
+        (QuadOps(5), ((1, 0), (3, -2), (0, 4))),
+        (QuadOps(-1), ((1, 0), (0, 0), (-2, 1)))])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_a_root_at_a_smaller_base_still_fails(self, ops, alpha, p):
+        # theta = F(x_j, x_k) D_i0 restricts to F(s, r) = u s^(p-1)
+        # (s - b r), which vanishes at B = b: the largest coefficient, where
+        # a bound without its + 1 would evaluate
+        i0, j, k = fr._axes(ops, alpha)
+        mons = fr.monomials(p)
+        for unit in (ops.one, (0, 1) if ops.parts == 2 else -1):
+            for b in (1, 2, 9, 2 ** 40 + 3):
+                lead, tail = [0, 0, 0], [0, 0, 0]
+                lead[j], tail[j], tail[k] = p, p - 1, 1
+                vec = {i0 * len(mons) + mons.index(tuple(lead)): unit,
+                       i0 * len(mons) + mons.index(tuple(tail)):
+                       ops.neg(ops.scale(unit, b))}
+                assert _passes(ops, alpha, vec, p) is False
+                assert not restricts_to_zero(ops, alpha,
+                                             _form(ops, vec, alpha, p), p)
+
+    def test_a_term_of_another_degree_raises(self, a13):
+        th1, th2, th3 = decide_freeness(a13).certificate.derivations
+        e2, e3 = th2.pdeg, th3.pdeg
+        low = Derivation((HPoly(e3, {**th3.polys[0].coeffs,
+                                     (e3 - 1, 0, 0): Fraction(1)}),
+                          *th3.polys[1:]), e3)
+        high = Derivation((HPoly(e2, {**th2.polys[2].coeffs,
+                                      (0, 0, e2 + 1): Fraction(1)}),
+                           *th2.polys[1:]), e2)
+        for ths in ((th1, th2, low), (th1, high, th3)):
+            with pytest.raises(fr.DegreeMismatchError):
+                saito_check(a13, *ths)
+
+
+def _stream_inputs():
+    """The freeness_stream seed-1 jobs whose chi splits, as arrangements."""
+    import gen     # perfbench/gen.py, on the path the caller set
+    out = []
+    for job in gen.make_jobs("freeness_stream", 1, 20):
+        if job["chi_exponents"] is None:
+            continue
+        if job["ring"] == "QQ":
+            out.append(rational_arrangement(*job["cols"]))
+        else:
+            dom = quad_field(job["ring"])
+            out.append(am.build([tuple(QuadElem(job["ring"], x.a, x.b)
+                                       for x in c) for c in job["cols"]],
+                                dom))
+    return out
+
+
+class TestPerturbedKernel:
+    def test_every_perturbed_kernel_vector_raises(self, monkeypatch):
+        # 1/7 added at a pivot column of the first kernel vector takes it
+        # out of the kernel, so its lift misses a line
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "perfbench"))
+        arrs = _stream_inputs()
+        assert len(arrs) >= 30
+        assert {arr.domain.name for arr in arrs} >= {"QQ", "QQ(sqrt 6)",
+                                                      "QQ(sqrt -1)"}
+        nullspace = linalg.nullspace
+
+        def bent(rows, ncols, ops):
+            basis = nullspace(rows, ncols, ops)
+            if basis:
+                free = {max(j for j, x in enumerate(v) if x) for v in basis}
+                j = min(set(range(ncols)) - free)
+                basis[0][j] += ops.from_coords(ops.ints(ops.one), 7)
+            return basis
+        monkeypatch.setattr(linalg, "nullspace", bent)
+        for arr in arrs:
+            with pytest.raises(InvariantError):
+                decide_freeness(arr, use_cache=False)
+
+
+def _certificate_lines():
+    return certificate_to_text(
+        decide_freeness(near_pencil(5)).certificate).splitlines()
+
+
+class TestCertificateText:
+    """Malformed certificate text raises ValueError naming its line."""
+
+    @staticmethod
+    def _raises_at(lines, number):
+        with pytest.raises(ValueError, match=rf"^line {number}: "):
+            certificate_from_text("\n".join(lines) + "\n")
+
+    def test_term_before_any_derivation(self):
+        lines = _certificate_lines()
+        self._raises_at(lines[:2] + ["term 1 1 0 0 rat 1"] + lines[2:], 3)
+
+    def test_component_four(self):
+        lines = _certificate_lines()
+        first = lines.index("derivation 1 pdeg 1") + 1
+        lines[first] = "term 4" + lines[first][len("term 1"):]
+        self._raises_at(lines, first + 1)
+
+    def test_missing_constant(self):
+        lines = _certificate_lines()
+        del lines[1]
+        self._raises_at(lines, len(lines))
+
+    def test_unknown_line(self):
+        lines = _certificate_lines()
+        self._raises_at(lines[:3] + ["weight 1 2"] + lines[3:], 4)
+
+    def test_term_of_another_degree(self):
+        lines = _certificate_lines()
+        first = lines.index("derivation 1 pdeg 1") + 1
+        c, *_, tag, value = lines[first].split()[1:]
+        lines[first] = f"term {c} 2 0 0 {tag} {value}"
+        self._raises_at(lines, first + 1)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_derivation_count_other_than_three(self, count):
+        lines = _certificate_lines()
+        third = lines.index("derivation 3 pdeg 3")
+        if count == 2:
+            lines = lines[:third] + ["end"]
+        else:
+            lines = lines[:-1] + ["derivation 4 pdeg 1", "term 1 1 0 0 rat 1",
+                                  "end"]
+        self._raises_at(lines, len(lines))

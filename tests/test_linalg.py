@@ -305,8 +305,11 @@ class TestPaperCertificate:
 
 class TestDeterminants:
     def test_det3_known(self):
-        assert det3([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
-        assert det3([(1, 2, 3), (4, 5, 6), (7, 8, 9)]) == 0
+        assert det3([(1, 0, 0), (0, 1, 0), (0, 0, 1)], IntOps) == 1
+        assert det3([(1, 2, 3), (4, 5, 6), (7, 8, 9)], IntOps) == 0
+        root2, zero = (0, 1), (0, 0)
+        assert det3([(root2, zero, zero), (zero, root2, zero),
+                     ((5, 3), (1, 1), (1, 0))], QuadOps(2)) == (2, 0)
 
     def test_det3_cols_alternating(self):
         c1, c2 = (1, 2, 3), (0, 1, 1)

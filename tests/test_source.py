@@ -210,3 +210,52 @@ def test_solvers_keep_the_signature_the_benchmark_reads():
         params = list(inspect.signature(solve).parameters.values())[:3]
         assert [p.name for p in params] == ["rows", "ncols", "ops"]
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+
+
+def test_membership_and_saito_are_evaluated():
+    """The Horner restriction is gone, and HPoly arithmetic is a test
+    helper (conftest): the package evaluates instead."""
+    from freearr import freeness
+
+    assert not hasattr(freeness, "_restricts_to_zero")
+    assert [name for name in ("__add__", "__neg__", "__sub__", "__mul__",
+                              "__rmul__", "scale")
+            if name in vars(freeness.HPoly)] == []
+
+
+def test_no_horner_step_and_no_polynomial_product_in_saito_check():
+    """decide_freeness restricts binary forms only to build rows, and
+    saito_check multiplies no polynomials."""
+    from fractions import Fraction
+
+    from freearr import freeness, moduli
+    from freearr.scalars import QuadElem
+
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    arrs = [moduli.specialize(moduli.family_13(), 3).arrangement,
+            moduli.specialize(moduli.family_15(), omega).arrangement]
+    calls, depth = [], [0]    # (callee, caller, inside saito_check)
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename != freeness.__file__:
+            return
+        if code.co_name == "saito_check":
+            depth[0] += {"call": 1, "return": -1}.get(event, 0)
+        elif event == "call":
+            caller = frame.f_back   # the function, not its comprehension
+            while caller.f_code.co_name.startswith("<"):
+                caller = caller.f_back
+            calls.append((code.co_name, caller.f_code.co_name, depth[0] > 0))
+    sys.setprofile(profile)
+    try:
+        verdicts = [freeness.decide_freeness(arr, use_cache=False)
+                    for arr in arrs]
+    finally:
+        sys.setprofile(None)
+    assert [v.exponents for v in verdicts] == [(1, 6, 6), (1, 5, 9)]
+    assert {caller for name, caller, _ in calls
+            if name == "_times_linear"} == {"_hyperplane_rows"}
+    inside = [name for name, _, within in calls if within]
+    assert inside and not {"__mul__", "_poly_mul", "_times_linear"} & set(
+        inside)
