@@ -11,7 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .scalars import (
@@ -51,16 +52,14 @@ class UnknownLabelError(ArrangementError):
 
 
 def normal_column(col) -> tuple:
-    """The column scaled so that its first nonzero entry is 1.
+    """The column as field scalars, scaled so that its first nonzero entry
+    is 1.
 
     The form in which candidate_additions reports new columns; whether two
     columns are the same line is asked of line_key.  Exact for int, Fraction
-    and QuadElem entries.
+    and QuadElem entries, QuadElems with int parts included.
     """
-    lead = next(x for x in col if x)
-    if lead == 1:  # already normal, as are most columns of the paper families
-        return tuple(col)
-    inv = Fraction(1) / lead
+    inv = Fraction(1) / next(x for x in col if x)
     return tuple(x * inv for x in col)
 
 
@@ -208,13 +207,8 @@ def _has_rank3(cols, ops=linalg.IntOps) -> bool:
     """
     if len(cols) < 3:
         return False
-    mul, add, neg = ops.mul, ops.add, ops.neg
-    (a0, a1, a2), (b0, b1, b2) = cols[0], cols[1]
-    p0 = add(mul(a1, b2), neg(mul(a2, b1)))
-    p1 = add(mul(a2, b0), neg(mul(a0, b2)))
-    p2 = add(mul(a0, b1), neg(mul(a1, b0)))
-    return any(not ops.is_zero(add(add(mul(p0, x), mul(p1, y)), mul(p2, z)))
-               for x, y, z in cols[2:])
+    p = linalg.ring_cross(ops, cols[0], cols[1])
+    return any(not ops.is_zero(linalg.ring_dot(ops, p, c)) for c in cols[2:])
 
 
 @dataclass(frozen=True)
@@ -237,19 +231,21 @@ class IntersectionLattice:
     @cached_property
     def pair_table(self) -> dict:
         """{(i, j): index of the flat through hyperplanes i < j}."""
-        d = {}
-        for idx, f in enumerate(self.flats):
-            fl = sorted(f)
-            for a in range(len(fl)):
-                for b in range(a + 1, len(fl)):
-                    d[(fl[a], fl[b])] = idx
-        return d
+        return {pair: idx for idx, f in enumerate(self.flats)
+                for pair in combinations(sorted(f), 2)}
 
     @cached_property
     def profiles(self) -> tuple:
         """``profiles[h-1]``: sorted multiplicities of the flats through h."""
         return tuple(tuple(sorted(len(self.flats[f]) for f in incident))
                      for incident in self.per_hyperplane)
+
+    @cached_property
+    def rarest_first(self) -> tuple:
+        """Labels by how many hyperplanes share their profile, then by h."""
+        cnt = Counter(self.profiles)
+        return tuple(sorted(range(1, self.n + 1),
+                            key=lambda h: (cnt[self.profiles[h - 1]], h)))
 
     @cached_property
     def canonical(self) -> str:
@@ -409,8 +405,8 @@ class CharPoly:
         disc = b * b - 4 * c
         if disc < 0:
             return None
-        s = _isqrt_exact(disc)
-        if s is None:
+        s = isqrt(disc)
+        if s * s != disc:
             return None
         e = (-b - s) // 2
         f = (-b + s) // 2
@@ -438,12 +434,6 @@ class CharPoly:
             base = f"(x - {e})" if e else "x"
             parts.append(base + (f"^{k}" if k > 1 else ""))
         return "*".join(parts)
-
-
-def _isqrt_exact(n: int):
-    from math import isqrt
-    s = isqrt(n)
-    return s if s * s == n else None
 
 
 def char_poly(n: int, flats) -> CharPoly:
@@ -476,13 +466,7 @@ def delete(arr: Arrangement, h: int):
     cols = [c for i, c in enumerate(arr.columns) if i != h - 1]
     if not _has_rank3(cols):
         raise NotEssentialError(f"deleting hyperplane {h} drops the rank below 3")
-    mapping = {}
-    new = 1
-    for old in range(1, arr.n + 1):
-        if old == h:
-            continue
-        mapping[old] = new
-        new += 1
+    mapping = {old: old - (old > h) for old in arr.labels() if old != h}
     return Arrangement(arr.domain, cols), mapping
 
 
@@ -496,8 +480,10 @@ def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice,
     """First hyperplane bijection inducing a lattice isomorphism, or None.
 
     The (h, g) pairs of ``fixed`` come first in the order and are mapped as
-    given.  Prunes with hyperplane profiles and incremental pair/flat
-    consistency.  Raises InvariantError if a map found fails _check_iso.
+    given; a pin (h, h) of a lattice onto itself is not checked, since a
+    flat through two such pins is checked through its other members.
+    Prunes with hyperplane profiles and incremental pair/flat consistency.
+    Raises InvariantError if a map found fails _check_iso.
     """
     prof1, prof2 = l1.profiles, l2.profiles
     # equal profile multisets imply equal n and flat multiplicities
@@ -505,18 +491,16 @@ def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice,
         return None
     n = l1.n
     t1, t2 = l1.pair_table, l2.pair_table
-    # order source hyperplanes: pinned ones first, then rarest profile first
-    cnt = Counter(prof1)
     pins = dict(fixed)
-    order = list(pins) + sorted((h for h in range(1, n + 1) if h not in pins),
-                                key=lambda h: (cnt[prof1[h - 1]], h))
-    mapping = {}
-    used = set()
-    flat_map = {}
-    flat_map_rev = {}
+    mapping = {h: h for h, g in fixed if h == g and l1 is l2}
+    used = set(mapping)
+    # the other pins first, then the rest, rarest profile first
+    order = [h for h in pins if h not in used] + [
+        h for h in l1.rarest_first if h not in pins]
+    flat_map, flat_map_rev = {}, {}
 
     def extend(pos):
-        if pos == n:
+        if pos == len(order):
             return True
         h = order[pos]
         for cand in (pins[h],) if h in pins else range(1, n + 1):
@@ -572,18 +556,26 @@ def lattice_iso(l1: IntersectionLattice, l2: IntersectionLattice):
 def aut_order(lat: IntersectionLattice):
     """(order of Aut, generator permutations as 1-based tuples).
 
-    Orbit-stabilizer along the base 1..n: with 1..x-1 pinned, the orbit of
-    x is x and each y > x that an automorphism maps x to.  |Aut| is the
-    product of the orbit sizes, and these witnesses generate Aut.
+    Orbit-stabilizer along the base n, ..., 1 (Sims): the witnesses found
+    before x generate the automorphisms fixing 1..x, so x's orbit under
+    those fixing 1..x-1 is closed over the witnesses, and the backtracker,
+    1..x-1 pinned, is asked only for the y > x of x's profile outside it.
+    |Aut| is the product of the orbit sizes; the witnesses generate Aut.
     """
     labels = range(1, lat.n + 1)
+    prof = lat.profiles
     order, generators = 1, []
-    for x in labels:
+    for x in reversed(labels):
         pins = [(h, h) for h in range(1, x)]
-        witnesses = [w for y in range(x + 1, lat.n + 1)
-                     if (w := _iso_backtrack(lat, lat, pins + [(x, y)]))]
-        order *= len(witnesses) + 1
-        generators += (tuple(w[h] for h in labels) for w in witnesses)
+        orbit = {x}
+        for y in range(x + 1, lat.n + 1):
+            if y not in orbit and prof[y - 1] == prof[x - 1] and (
+                    w := _iso_backtrack(lat, lat, pins + [(x, y)])):
+                generators.append(tuple(w[h] for h in labels))
+                while new := {g[z - 1] for g in generators
+                              for z in orbit} - orbit:
+                    orbit |= new
+        order *= len(orbit)
     return order, generators
 
 

@@ -265,7 +265,7 @@ def recfree(source, at, max_n, max_states, replay):
         _echo(f"Chain verified: {len(moves)} moves, final state has "
               f"{final.n} hyperplanes and is inductively free")
         return
-    report = recursively_free(arr, max_n=max_n or arr.n + 1,
+    report = recursively_free(arr, max_n=arr.n + 1 if max_n is None else max_n,
                               max_states=max_states)
     _echo(f"Verdict: {report.verdict}")
     _echo(f"States explored: {report.explored}")
@@ -418,7 +418,7 @@ def report(source, at, fmt, max_n, max_states):
     chi_poly = arr.char_poly()
     verdict = decide_freeness(arr)
     if_cert = inductively_free(arr)
-    rf = recursively_free(arr, max_n=max_n or arr.n + 1,
+    rf = recursively_free(arr, max_n=arr.n + 1 if max_n is None else max_n,
                           max_states=max_states)
     order, _ = aut_order(lat)
     payload = {

@@ -131,16 +131,6 @@ def _axes(ops, alpha):
     return i0, j, k
 
 
-def _dot(ops, u, v):
-    return ops.add(ops.add(ops.mul(u[0], v[0]), ops.mul(u[1], v[1])),
-                   ops.mul(u[2], v[2]))
-
-
-def _cross(ops, u, v):
-    return tuple(ops.add(ops.mul(u[a], v[b]), ops.neg(ops.mul(u[b], v[a])))
-                 for a, b in ((1, 2), (2, 0), (0, 1)))
-
-
 def _times_linear(ops, form, a, b):
     """The binary form times a s + b r, coefficients by the power of s."""
     return ([ops.mul(form[0], b)]
@@ -207,7 +197,8 @@ def _two_point_frame(ops, cols, lat):
         return sorted(ranked[:2])
     h = max(range(lat.n), key=lambda h: sum(len(flats[f]) for f in points(h)))
     fp, fq = (sorted(flats[f] - {h + 1}) for f in points(h))
-    pt_p, pt_q = (_cross(ops, cols[h], cols[f[0] - 1]) for f in (fp, fq))
+    pt_p, pt_q = (linalg.ring_cross(ops, cols[h], cols[f[0] - 1])
+                  for f in (fp, fq))
     rest = [c for i, c in enumerate(cols, start=1)
             if i not in fp and i not in fq and i != h + 1]
     return ((pt_p, [cols[i - 1] for i in fq]),
@@ -237,7 +228,7 @@ def _dh_system(ops, cols, lat, p: int):
         width += len(monomials(p - len(lines)))
     rows = [row for beta in rest
             for row in _hyperplane_rows(
-                ops, beta, [(b, _dot(ops, beta, point), lines)
+                ops, beta, [(b, linalg.ring_dot(ops, beta, point), lines)
                             for b, _, point, lines in blocks], p, width)]
     return rows, width, blocks
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .arrangement import (
     Arrangement,
+    _lattice_column,
     build,
     char_poly,
     clear_column,
@@ -218,8 +219,10 @@ def candidate_additions(arr: Arrangement, targets):
 
     Enumerates lines through pairs of distinct rank-2 flats (in the dual
     projective plane every flat is a point, and two points span a line).
-    One pass over the pairs maps each line's normal column to the set of
-    flats on it, since every pair of points on a line spans that line.
+    One pass over the pairs, crossing the lattice's integral columns (ints,
+    or QuadElems with int parts), maps each line to the set of flats on it,
+    since every pair of points on a line spans that line; only the reported
+    lines become field scalars, by normal_column.
     The predicted size uses the counting identity
         |(A+H)^H| = n - sum over flats X contained in H of (m_X - 1).
     Returns (candidates, complete).  complete is True when
@@ -230,7 +233,8 @@ def candidate_additions(arr: Arrangement, targets):
     if not targets:
         return [], True
     flats = arr.lattice().flats
-    points = [cross(arr.column(a), arr.column(b))
+    cols = [_lattice_column(c) for c in arr.columns]
+    points = [cross(cols[a - 1], cols[b - 1])
               for a, b, *_ in map(sorted, flats)]
     ops = ring_ops(arr.domain)
     lines: dict = {}  # line key -> (a column of the line, flats on it)
@@ -238,7 +242,8 @@ def candidate_additions(arr: Arrangement, targets):
         for j in range(i + 1, len(points)):
             # distinct flats are distinct points, so the cross is nonzero
             line = cross(p, points[j])
-            lines.setdefault(line_key(ops, clear_column(line)),
+            key = line if ops.parts == 1 else [(x.a, x.b) for x in line]
+            lines.setdefault(line_key(ops, key),
                              (line, set()))[1].update((i, j))
     existing = {line_key(ops, clear_column(col)) for col in arr.columns}
     candidates = sorted(

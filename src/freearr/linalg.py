@@ -32,6 +32,18 @@ def det3(m, ops):
                mul(c, add(mul(d, h), neg(mul(e, g)))))
 
 
+def ring_dot(ops, u, v):
+    """u . v over the ring of ops."""
+    return ops.add(ops.add(ops.mul(u[0], v[0]), ops.mul(u[1], v[1])),
+                   ops.mul(u[2], v[2]))
+
+
+def ring_cross(ops, u, v):
+    """u x v over the ring of ops."""
+    return tuple(ops.add(ops.mul(u[a], v[b]), ops.neg(ops.mul(u[b], v[a])))
+                 for a, b in ((1, 2), (2, 0), (0, 1)))
+
+
 def cross(u, v):
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],

@@ -594,7 +594,7 @@ class QuadElem:
         return self.a * self.a - self.d * self.b * self.b
 
     def inverse(self) -> QuadElem:
-        n = self.norm()
+        n = Fraction(self.norm())   # a Fraction for int parts too
         if n == 0:
             raise ZeroDivisionError("inverse of zero in a quadratic field")
         return QuadElem._make(self.d, self.a / n, -self.b / n)

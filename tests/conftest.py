@@ -14,7 +14,7 @@ from freearr import arrangement as am
 from freearr import freeness as fr
 from freearr import moduli as mod
 from freearr.freeness import Derivation, HPoly
-from freearr.linalg import IntOps, det3, rank
+from freearr.linalg import IntOps, cross, det3, rank
 from freearr.scalars import QQ, Domain, QuadElem, squarefree_decompose
 
 
@@ -215,6 +215,52 @@ def saito_by_coefficients(arr: am.Arrangement, th1, th2, th3):
         return None
     one = arr.domain.one
     return one * d0 * scale / (one * q0 * den)
+
+
+# -- the walks that orbit pruning and integral candidates replaced ---------
+
+def aut_order_by_full_scan(lat: am.IntersectionLattice):
+    """(|Aut|, generators) by orbit-stabilizer along the base 1..n, asking
+    the backtracker, 1..x-1 pinned, for every image y > x of x."""
+    labels = range(1, lat.n + 1)
+    order, generators = 1, []
+    for x in labels:
+        pins = [(h, h) for h in range(1, x)]
+        witnesses = [w for y in range(x + 1, lat.n + 1)
+                     if (w := am._iso_backtrack(lat, lat, pins + [(x, y)]))]
+        order *= len(witnesses) + 1
+        generators += (tuple(w[h] for h in labels) for w in witnesses)
+    return order, generators
+
+
+def candidate_additions_over_the_field(arr: am.Arrangement, targets):
+    """induction.candidate_additions with points and lines crossed in the
+    field, each reported line scaled to a leading 1 in the field."""
+    targets = set(targets)
+    if not targets:
+        return [], True
+    flats = arr.lattice().flats
+    points = [cross(arr.column(a), arr.column(b))
+              for a, b, *_ in map(sorted, flats)]
+    ops = am.ring_ops(arr.domain)
+    lines = {}
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            line = cross(p, points[j])
+            lines.setdefault(am.line_key(ops, am.clear_column(line)),
+                             (line, set()))[1].update((i, j))
+    existing = {am.line_key(ops, am.clear_column(col)) for col in arr.columns}
+
+    def normal(line):
+        lead = next(x for x in line if x)
+        return tuple(x / lead for x in line)
+    candidates = sorted(
+        (normal(line) for key, (line, on) in lines.items()
+         if key not in existing
+         and arr.n - sum(len(flats[k]) - 1 for k in on) in targets),
+        key=lambda v: tuple(str(x) for x in v))
+    complete = arr.n - max(targets) > max(len(flat) for flat in flats) - 1
+    return candidates, complete
 
 
 # 20 integer lines with 15 triple points and a trivial automorphism group;

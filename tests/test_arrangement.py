@@ -14,6 +14,7 @@ from freearr.scalars import QQ, poly, quad_field, QuadElem
 
 from conftest import (
     ASYMMETRIC20,
+    aut_order_by_full_scan,
     boolean3,
     det3_cols,
     near_pencil,
@@ -301,6 +302,12 @@ class TestDeleteRestrict:
         assert mults == (2, 2, 2, 2)
 
 
+# the 13 lines with normals in {-1, 0, 1}^3
+B13 = [v for v in product((-1, 0, 1), repeat=3)
+       if any(v) and next(x for x in v if x) > 0]
+GENERIC10 = [(1, k, k * k) for k in range(10)]
+
+
 def _limit_backtracks(monkeypatch, limit):
     """Fail the test once _iso_backtrack is called more than limit times."""
     calls = []
@@ -391,13 +398,11 @@ class TestIsomorphism:
         arrs += [boolean3()] + [near_pencil(n) for n in range(5, 8)]
         # cuts of the 13 lines with normals in {-1, 0, 1}^3: walks with
         # several orbits per node, on and off the first path
-        b13 = [v for v in product((-1, 0, 1), repeat=3)
-               if any(v) and next(x for x in v if x) > 0]
         rng = random.Random(1)
         for _ in range(30):
             try:
                 arrs.append(rational_arrangement(
-                    *rng.sample(b13, rng.randint(6, 7))))
+                    *rng.sample(B13, rng.randint(6, 7))))
             except am.NotEssentialError:
                 pass
         for arr in arrs:
@@ -418,6 +423,48 @@ class TestIsomorphism:
                         group.add(q)
                         frontier.append(q)
             assert group == auts
+
+    def test_orbit_pruning_matches_the_full_scan(self, a13, a15):
+        """Same order and same generated group as asking the backtracker
+        for every y > x, on inputs with |Aut| from 1 to 10!."""
+        from sympy.combinatorics import Permutation, PermutationGroup
+
+        rng = random.Random(20)
+        arrs = [a13, a15, rational_arrangement(*GENERIC10)]
+        for size in range(8, 13):
+            for _ in range(3):
+                try:
+                    arrs.append(rational_arrangement(*rng.sample(B13, size)))
+                except am.NotEssentialError:
+                    pass
+        assert len(arrs) >= 15
+        orders = set()
+        for arr in arrs:
+            lat = arr.lattice()
+            labels = tuple(range(1, lat.n + 1))
+            order, gens = am.aut_order(lat)
+            full_order, full_gens = aut_order_by_full_scan(lat)
+            assert order == full_order
+            assert all(am._check_iso(lat, lat, dict(zip(labels, g)))
+                       for g in gens)
+            group = PermutationGroup([Permutation([h - 1 for h in g])
+                                      for g in gens or [labels]])
+            assert group.order() == order
+            assert all(group.contains(Permutation([h - 1 for h in g]))
+                       for g in full_gens)
+            orders.add(order)
+        assert {1, 18, 48, factorial(10)} < orders
+
+    @pytest.mark.parametrize("name, order, limit", [
+        ("generic10", factorial(10), 9), ("a13", 18, 40), ("a15", 48, 70)])
+    def test_orbit_pruning_bounds_the_backtracker_calls(
+            self, monkeypatch, request, name, order, limit):
+        # the full scan asks 45, 78 and 105 times
+        arr = (rational_arrangement(*GENERIC10) if name == "generic10"
+               else request.getfixturevalue(name))
+        lat = arr.lattice()
+        _limit_backtracks(monkeypatch, limit)
+        assert am.aut_order(lat)[0] == order
 
     def test_keys_equal_exactly_when_isomorphic(self, small_corpus):
         lats = [arr.lattice() for arr in small_corpus]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from freearr import cli as cli_mod
+from freearr import induction
 
 from conftest import ASYMMETRIC20
 
@@ -182,6 +183,30 @@ class TestInductionCommands:
         assert code == 0
         assert out == ("Chain verified: 1 moves, final state has 16 "
                        "hyperplanes and is inductively free\n")
+
+    def test_recfree_chain_adds_an_integral_line(self, tmp_path,
+                                                 monkeypatch):
+        # B3 without x1 - x2, with inductive freeness refused up to its own
+        # size: the chain adds x1 - x2 back, a line crossed as (1, -1, 0)
+        p = tmp_path / "b3cut.fam"
+        p.write_text("1; 0; 0\n0; 1; 0\n0; 0; 1\n1; 1; 0\n1; 0; 1\n"
+                     "1; 0; -1\n0; 1; 1\n0; 1; -1\n")
+        real = induction.inductively_free
+        monkeypatch.setattr(induction, "inductively_free",
+                            lambda state: real(state) if state.n > 8 else None)
+        code, out, err = run("recfree", str(p))
+        assert (code, err) == (0, "")
+        assert out == ("Verdict: RF\n"
+                       "States explored: 9\n"
+                       "Reason: reached an inductively free state\n"
+                       "Chain:\n"
+                       "  add rat 1 rat -1 rat 0\n")
+
+    @pytest.mark.parametrize("command", ["recfree", "report"])
+    def test_max_n_zero_is_below_n(self, command):
+        code, out, err = run(command, "paper13", "--at", "3", "--max-n", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: max_n = 0 is below |A| = 13\n"
 
     def test_recfree_state_budget_exit_two(self):
         code, out, _ = run("recfree", "paper13", "--at", "3",

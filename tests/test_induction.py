@@ -1,4 +1,5 @@
 """Addition-Deletion bookkeeping, inductive and recursive freeness."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,13 @@ from freearr.induction import (
     triple_check,
 )
 
-from conftest import boolean3, grid, near_pencil, rational_arrangement
+from conftest import (
+    boolean3,
+    candidate_additions_over_the_field,
+    grid,
+    near_pencil,
+    rational_arrangement,
+)
 
 
 def braid3() -> am.Arrangement:
@@ -224,6 +231,35 @@ class TestCandidateAdditions:
         from fractions import Fraction
 
         assert tuple(Fraction(x) for x in (1, -1, 0)) in cands
+
+    def test_integral_lines_match_the_field_crosses(self, a13, a15):
+        """Same candidates, byte for byte and as field scalars, and the same
+        completeness as crossing field columns, for every target size."""
+        from freearr.scalars import QuadElem
+
+        f15 = mod.family_15()
+        arrs = [a13, a15, mod.specialize(f15, -1).arrangement,
+                mod.specialize(f15, QuadElem(5, Fraction(3, 2),
+                                             Fraction(1, 2))).arrangement]
+        rng = random.Random(3)
+        cols = grid(3).columns
+        for size in (8, 9, 10, 11):
+            arrs.append(am.build(rng.sample(cols, size)))
+        found = 0
+        for arr in arrs:
+            for targets in [{s} for s in range(2, arr.n + 1)] + [
+                    set(range(2, arr.n + 1))]:
+                cands, complete = candidate_additions(arr, targets)
+                field, field_complete = candidate_additions_over_the_field(
+                    arr, targets)
+                assert [tuple(map(str, c)) for c in cands] == [
+                    tuple(map(str, c)) for c in field]
+                assert complete == field_complete
+                assert all(isinstance(y, Fraction) for c in cands for x in c
+                           for y in ((x.a, x.b) if isinstance(x, QuadElem)
+                                     else (x,)))
+                found += len(cands)
+        assert found > 100
 
 
 class TestRecursivelyFree:

@@ -201,6 +201,44 @@ def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
             "Fraction.__mul__"} <= set(calls)
 
 
+def test_candidate_pairs_are_crossed_in_integers(monkeypatch):
+    """candidate_additions crosses the lattice's integral columns: only
+    normal_column, on the reported lines, computes with field scalars."""
+    from fractions import Fraction
+
+    from freearr import arrangement, induction, moduli
+    from freearr.scalars import QuadElem
+
+    arr = moduli.specialize(moduli.family_13(), 3).arrangement
+    arr.lattice()
+    calls, on = [], [True]
+    for cls in (Fraction, QuadElem):
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                     "__sub__", "__rsub__", "__truediv__", "__rtruediv__",
+                     "__neg__"):
+            def spy(*args, name=f"{cls.__name__}.{name}",
+                    method=getattr(cls, name)):
+                if on[0]:
+                    calls.append(name)
+                return method(*args)
+            monkeypatch.setattr(cls, name, spy)
+    normal = arrangement.normal_column
+
+    def unobserved_normal(col):
+        on[0] = False
+        try:
+            return normal(col)
+        finally:
+            on[0] = True
+    monkeypatch.setattr(induction, "normal_column", unobserved_normal)
+    cands, _ = induction.candidate_additions(arr, range(2, arr.n + 1))
+    assert calls == []
+    assert cands and all(isinstance(x, Fraction) for c in cands for x in c)
+    # the spies do see field arithmetic
+    assert normal((2, 1, 0)) == (1, Fraction(1, 2), 0)
+    assert "Fraction.__rmul__" in calls
+
+
 def test_solvers_keep_the_signature_the_benchmark_reads():
     """perfbench/trace.py (_observe_matrix) reads rows, ncols and ops as
     the first three positional arguments of rank and nullspace."""
