@@ -57,7 +57,7 @@ def normal_column(col) -> tuple:
 
     The form in which candidate_additions reports new columns; whether two
     columns are the same line is asked of line_key.  Exact for int, Fraction
-    and QuadElem entries, QuadElems with int parts included.
+    and QuadElem entries.
     """
     inv = Fraction(1) / next(x for x in col if x)
     return tuple(x * inv for x in col)
@@ -109,20 +109,30 @@ def line_key(ops, col) -> tuple:
     g = gcd(*col)
     if next(v for v in col if v) < 0:
         g = -g
+    if g == 1 and isinstance(col, tuple):
+        return col      # its own key: build then keeps one tuple for both
     return tuple([v // g for v in col])
 
 
 class Arrangement:
     """Essential central arrangement of n hyperplanes in rank 3.
 
-    Immutable after construction; build through :func:`build`.
+    Immutable after construction; build through :func:`build`.  Beside the
+    field columns it keeps what build computed from them: the ring of
+    ring_ops, the columns cleared by clear_column and their line keys.  The
+    lattice, the derivation solver, state keys, deletions and addition
+    candidates read these.
     """
 
-    __slots__ = ("domain", "columns", "_lattice")
+    __slots__ = ("domain", "columns", "ops", "ring_columns", "keys",
+                 "_lattice")
 
-    def __init__(self, domain: Domain, columns):
+    def __init__(self, domain: Domain, columns, ops, ring_columns, keys):
         self.domain = domain
-        self.columns = tuple(tuple(c) for c in columns)
+        self.columns = tuple(columns)
+        self.ops = ops
+        self.ring_columns = tuple(ring_columns)
+        self.keys = tuple(keys)
         self._lattice = None
 
     @property
@@ -139,7 +149,7 @@ class Arrangement:
 
     def lattice(self) -> "IntersectionLattice":
         if self._lattice is None:
-            self._lattice = _compute_lattice(self.columns)
+            self._lattice = _compute_lattice(self.ops, self.ring_columns)
         return self._lattice
 
     def char_poly(self) -> "CharPoly":
@@ -182,19 +192,20 @@ def build(columns, domain: Domain | None = None) -> Arrangement:
             raise ZeroColumnError(i)
     ops = ring_ops(domain)
     cleared = [clear_column(c) for c in coerced]
+    keys = [line_key(ops, c) for c in cleared]
     # (first label of its line, j) for every later column j of that line;
     # the least of these is the lexicographically first proportional pair
     first = {}
     pairs = []
-    for j, c in enumerate(cleared, start=1):
-        i = first.setdefault(line_key(ops, c), j)
+    for j, key in enumerate(keys, start=1):
+        i = first.setdefault(key, j)
         if i != j:
             pairs.append((i, j))
     if pairs:
         raise ProportionalColumnsError(*min(pairs))
     if not _has_rank3(cleared, ops):
         raise NotEssentialError()
-    return Arrangement(domain, coerced)
+    return Arrangement(domain, coerced, ops, cleared, keys)
 
 
 def _has_rank3(cols, ops=linalg.IntOps) -> bool:
@@ -203,7 +214,7 @@ def _has_rank3(cols, ops=linalg.IntOps) -> bool:
     Fewer than three columns have rank below 3.  Otherwise the first two
     span a plane with normal p = c_1 x c_2, and the rank is 3 exactly when
     p . c is nonzero for some other column c.  The operations of IntOps are
-    Python's operators, so field and Z[t] columns need no other ops.
+    Python's operators, so Z[t] columns need no other ops.
     """
     if len(cols) < 3:
         return False
@@ -339,17 +350,14 @@ class IntersectionLattice:
                     f"degree identity fails at hyperplane {h}: {s} != {self.n - 1}")
 
 
-def _compute_lattice(cols) -> IntersectionLattice:
-    """Rank-2 flats of the columns, over any ring with exact zero tests.
+def _compute_lattice(ops, cols) -> IntersectionLattice:
+    """Rank-2 flats of the columns over the ring of ops: an arrangement's
+    integral columns, or Z[t] columns under IntOps.
 
-    Field columns are first cleared by clear_column: rational ones to
-    ints, those over Q(sqrt d) to QuadElems with int parts, which multiply
-    in integer arithmetic.  The first pair (i, j) of a flat in lexicographic
-    order computes p = c_i x c_j once; the flat's other members all come
-    after j, so only k > j is tested, by p . c_k = 0, which needs no
-    normalization of p in Z[t].
+    The first pair (i, j) of a flat in lexicographic order computes
+    p = c_i x c_j once; the flat's other members all come after j, so only
+    k > j is tested, by p . c_k = 0, which needs no normalization of p.
     """
-    cols = [_lattice_column(c) for c in cols]
     n = len(cols)
     assigned = [[False] * n for _ in range(n)]
     flats = []
@@ -358,10 +366,10 @@ def _compute_lattice(cols) -> IntersectionLattice:
         for j in range(i + 1, n):
             if assigned[i][j]:
                 continue
-            p0, p1, p2 = linalg.cross(cols[i], cols[j])
+            p = linalg.ring_cross(ops, cols[i], cols[j])
             members = [i, j] + [
-                k for k, (x, y, z) in enumerate(cols[j + 1:], start=j + 1)
-                if not (p0 * x + p1 * y + p2 * z)]
+                k for k in range(j + 1, n)
+                if ops.is_zero(linalg.ring_dot(ops, p, cols[k]))]
             idx = len(flats)
             flats.append(frozenset(m + 1 for m in members))
             for a, m in enumerate(members):
@@ -371,16 +379,6 @@ def _compute_lattice(cols) -> IntersectionLattice:
     lat = IntersectionLattice(n, tuple(flats), tuple(map(tuple, per_h)))
     lat.validate()
     return lat
-
-
-def _lattice_column(col):
-    """col cleared for _compute_lattice; Z[t] columns are left as they are."""
-    if isinstance(col[0], (int, Fraction)):
-        return clear_column(col)
-    if isinstance(col[0], QuadElem):
-        d = col[0].d
-        return tuple([QuadElem._make(d, a, b) for a, b in clear_column(col)])
-    return col
 
 
 @dataclass(frozen=True)
@@ -459,20 +457,22 @@ def restriction_profile(arr: Arrangement, h: int):
 def delete(arr: Arrangement, h: int):
     """Remove hyperplane h; returns (arrangement, old-label -> new-label map).
 
-    Raises NotEssentialError if the deletion has rank < 3.
+    The deletion keeps the parent's ring columns and line keys.  Raises
+    NotEssentialError if it has rank < 3.
     """
-    if not 1 <= h <= arr.n:
-        raise UnknownLabelError(h)
-    cols = [c for i, c in enumerate(arr.columns) if i != h - 1]
-    if not _has_rank3(cols):
+    if not deletion_is_essential(arr, h):
         raise NotEssentialError(f"deleting hyperplane {h} drops the rank below 3")
     mapping = {old: old - (old > h) for old in arr.labels() if old != h}
-    return Arrangement(arr.domain, cols), mapping
+    cols, ring, keys = (xs[:h - 1] + xs[h:] for xs in (
+        arr.columns, arr.ring_columns, arr.keys))
+    return Arrangement(arr.domain, cols, arr.ops, ring, keys), mapping
 
 
 def deletion_is_essential(arr: Arrangement, h: int) -> bool:
-    cols = [c for i, c in enumerate(arr.columns) if i != h - 1]
-    return _has_rank3(cols)
+    if not 1 <= h <= arr.n:
+        raise UnknownLabelError(h)
+    return _has_rank3(arr.ring_columns[:h - 1] + arr.ring_columns[h:],
+                      arr.ops)
 
 
 def _iso_backtrack(l1: IntersectionLattice, l2: IntersectionLattice,

@@ -220,24 +220,31 @@ def _parse_chain(text: str) -> list:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "delete" and len(parts) == 2:
-            moves.append(Move("delete", (int(parts[1]),)))
-        elif parts[0] == "add":
-            toks = parts[1:]
-            cov = []
-            while toks:
-                tag = toks[0]
-                arity = _SCALAR_ARITY.get(tag)
-                if arity is None or len(toks) < arity + 1:
-                    raise CliError(f"chain line {ln}: bad scalar near {tag!r}")
-                cov.append(_scalar_from_text(toks[:arity + 1]))
-                toks = toks[arity + 1:]
-            if len(cov) != 3:
-                raise CliError(f"chain line {ln}: expected three scalars")
-            moves.append(Move("add", tuple(cov)))
-        else:
-            raise CliError(f"chain line {ln}: unrecognized move {line!r}")
+        try:
+            if parts[0] == "delete" and len(parts) == 2:
+                moves.append(Move("delete", (int(parts[1]),)))
+            elif parts[0] == "add":
+                moves.append(Move("add", _parse_covector(ln, parts[1:])))
+            else:
+                raise CliError(f"chain line {ln}: unrecognized move {line!r}")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"chain line {ln}: cannot read {line!r}: "
+                           f"{exc}") from None
     return moves
+
+
+def _parse_covector(ln: int, toks) -> tuple:
+    cov = []
+    while toks:
+        tag = toks[0]
+        arity = _SCALAR_ARITY.get(tag)
+        if arity is None or len(toks) < arity + 1:
+            raise CliError(f"chain line {ln}: bad scalar near {tag!r}")
+        cov.append(_scalar_from_text(toks[:arity + 1]))
+        toks = toks[arity + 1:]
+    if len(cov) != 3:
+        raise CliError(f"chain line {ln}: expected three scalars")
+    return tuple(cov)
 
 
 @cli.command()

@@ -46,7 +46,7 @@ from itertools import accumulate, count, repeat
 from math import comb, lcm, prod
 
 from . import linalg
-from .arrangement import Arrangement, clear_column, line_key, ring_ops
+from .arrangement import Arrangement
 from .scalars import InvariantError, MixedFieldError, QuadElem
 
 
@@ -117,11 +117,6 @@ class NotFree:
 def expected_graded_dim(exponents, p: int) -> int:
     """Graded dimension of a free module with the given generator degrees."""
     return sum(comb(p - e + 2, 2) for e in exponents if e <= p)
-
-
-def cleared_columns(arr: Arrangement):
-    """(ring ops, columns in integral ring form) for the solver."""
-    return ring_ops(arr.domain), [clear_column(c) for c in arr.columns]
 
 
 def _axes(ops, alpha):
@@ -248,9 +243,8 @@ def derivation_space_dim(arr: Arrangement, p: int) -> int:
     two-point system."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    ops, cols = cleared_columns(arr)
-    rows, width, _ = _dh_system(ops, cols, arr.lattice(), p)
-    return comb(p + 1, 2) + width - linalg.rank(rows, width, ops)
+    rows, width, _ = _dh_system(arr.ops, arr.ring_columns, arr.lattice(), p)
+    return comb(p + 1, 2) + width - linalg.rank(rows, width, arr.ops)
 
 
 def _derivation(ops, p: int, den: int, vec) -> Derivation:
@@ -344,7 +338,6 @@ def _canonical_rows(ops, cols, lat, p: int) -> list:
                   lines, {(0, 0, 0): ops.one}) for *_, lines in blocks]
     lifts = []
     for g in linalg.nullspace(rows, width, ops):
-        g = clear_column(g)
         theta = [{}, {}, {}]    # f1, f2, f3, each {monomial: ring element}
         for (b, d, point, _), pi in zip(blocks, pis):
             q = _poly_mul(ops, dict(zip(monomials(d), g[b:])), pi)
@@ -365,9 +358,9 @@ def derivation_basis(arr: Arrangement, p: int) -> list:
     monomials(p), from _canonical_rows."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    ops, cols = cleared_columns(arr)
-    return [_derivation(ops, p, den, vec)
-            for den, vec in _canonical_rows(ops, cols, arr.lattice(), p)]
+    ops = arr.ops
+    return [_derivation(ops, p, den, vec) for den, vec in _canonical_rows(
+        ops, arr.ring_columns, arr.lattice(), p)]
 
 
 def euler_derivation(arr: Arrangement) -> Derivation:
@@ -419,7 +412,7 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
                                                for m in f.coeffs):
         raise DegreeMismatchError(f"pdegs {[th.pdeg for th in ths]} do not "
                                   f"sum to n = {n} or do not fit their terms")
-    ops = ring_ops(arr.domain)
+    ops = arr.ops
     dens, thetas = zip(*(_integral(ops, [f.coeffs for f in th.polys])
                          for th in ths))
     scale, forms = _integral(ops, [dict(zip(_UNITS, a)) for a in arr.columns])
@@ -482,8 +475,7 @@ _VERDICT_CACHE: dict = {}
 
 def _key_and_lead(arr: Arrangement):
     """(state_key, product L of the leading entries it divides out)."""
-    ops = ring_ops(arr.domain)
-    keys = sorted(line_key(ops, clear_column(col)) for col in arr.columns)
+    keys = sorted(arr.keys)
     lead_product = arr.domain.one
     for col in arr.columns:
         lead_product = lead_product * next(x for x in col if x)
@@ -556,7 +548,7 @@ def _decide_freeness_impl(arr: Arrangement):
     if exps is None:
         return NotFree("ChiDoesNotSplit")
     _, e2, e3 = exps
-    ops, cols = cleared_columns(arr)
+    ops, cols = arr.ops, arr.ring_columns
     rows2 = _canonical_rows(ops, cols, arr.lattice(), e2)
     th2 = _first_complement(ops, e2, (), rows2)
     if th2 is not None:

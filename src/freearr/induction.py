@@ -1,11 +1,10 @@
 """Inductive and recursive freeness of rank-3 arrangements.
 
-Addition-Deletion bookkeeping for triples (A, A\\H, A^H), the quick
-restriction-size obstruction to inductive freeness, a search for inductive
-freeness over the intersection lattice with certificate chains, a bounded
-bidirectional search refuting recursive freeness, and the deletion-pair
-consistency check (a common root of the reduced characteristic polynomials
-forces both members of the pair to be free).
+The quick restriction-size obstruction to inductive freeness, a search
+for inductive freeness over the intersection lattice with certificate
+chains, a bounded bidirectional search refuting recursive freeness, and
+the deletion-pair consistency check (a common root of the reduced
+characteristic polynomials forces both members of the pair to be free).
 
 In rank 3 a restriction A^H is a rank-2 arrangement of s = |A^H| lines,
 always free with exponents [1, s-1].  The Addition-Deletion theorem then
@@ -24,26 +23,15 @@ from dataclasses import dataclass
 
 from .arrangement import (
     Arrangement,
-    _lattice_column,
     build,
     char_poly,
-    clear_column,
     delete,
     line_key,
     normal_column,
     restriction_profile,
-    ring_ops,
 )
 from .freeness import Free, decide_freeness, state_key
-from .linalg import cross
-
-
-class TheoremViolationError(AssertionError):
-    """Two Addition-Deletion statements hold but the third fails.
-
-    This would falsify the implementation (the theorem is proved), so it is
-    raised as a hard error rather than reported.
-    """
+from .linalg import ring_cross
 
 
 def _fitting_sizes(exps) -> tuple:
@@ -55,64 +43,6 @@ def _fitting_sizes(exps) -> tuple:
     """
     _, e, f = exps
     return tuple(sorted({e + 1, f + 1}))
-
-
-# ---------------------------------------------------------------------------
-# Triple bookkeeping
-
-
-@dataclass(frozen=True)
-class TripleVerdict:
-    """Which statements of the Addition-Deletion theorem hold at (A, A', A'').
-
-    The third, A^H free with exponents [1, s-1], always holds in rank 3.
-    """
-
-    label: int
-    candidate_exponents: tuple       # [1, s-1, n-s] forced by |A^H| = s
-    deletion_exponents: tuple        # [1, s-1, n-s-1]
-    restriction_exponents: tuple     # [1, s-1]
-    full_holds: bool                 # A free with the candidate exponents
-    deletion_holds: bool             # A\H free with the deletion exponents
-
-    @property
-    def applies(self) -> bool:
-        return bool(self.full_holds and self.deletion_holds)
-
-
-def _statement_holds(verdict, expected: tuple) -> bool:
-    """Does decide_freeness confirm freeness with exactly these exponents?"""
-    return isinstance(verdict, Free) and verdict.exponents == expected
-
-
-def triple_check(arr: Arrangement, h: int) -> TripleVerdict:
-    """Evaluate the Addition-Deletion statements for the triple at h.
-
-    Raises TheoremViolationError if exactly two of the three statements
-    hold, which the theorem forbids, and NotEssentialError if deleting h
-    drops the rank below 3.
-    """
-    n = arr.n
-    s, _ = restriction_profile(arr, h)
-    cand = tuple(sorted((1, s - 1, n - s)))
-    cand_del = tuple(sorted((1, s - 1, n - s - 1)))
-    sub, _ = delete(arr, h)
-    full = _statement_holds(decide_freeness(arr), cand)
-    deleted = _statement_holds(decide_freeness(sub), cand_del)
-    verdict = TripleVerdict(
-        label=h,
-        candidate_exponents=cand,
-        deletion_exponents=cand_del,
-        restriction_exponents=(1, s - 1),
-        full_holds=full,
-        deletion_holds=deleted,
-    )
-    statements = (full, deleted, True)
-    if sum(statements) == 2:
-        raise TheoremViolationError(
-            f"Addition-Deletion inconsistency at hyperplane {h}: "
-            f"statements {statements} with candidate exponents {cand}")
-    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +149,8 @@ def candidate_additions(arr: Arrangement, targets):
 
     Enumerates lines through pairs of distinct rank-2 flats (in the dual
     projective plane every flat is a point, and two points span a line).
-    One pass over the pairs, crossing the lattice's integral columns (ints,
-    or QuadElems with int parts), maps each line to the set of flats on it,
+    One pass over the pairs, crossing the arrangement's integral ring
+    columns, maps each line, by its line key, to the set of flats on it,
     since every pair of points on a line spans that line; only the reported
     lines become field scalars, by normal_column.
     The predicted size uses the counting identity
@@ -233,21 +163,20 @@ def candidate_additions(arr: Arrangement, targets):
     if not targets:
         return [], True
     flats = arr.lattice().flats
-    cols = [_lattice_column(c) for c in arr.columns]
-    points = [cross(cols[a - 1], cols[b - 1])
+    ops, cols = arr.ops, arr.ring_columns
+    points = [ring_cross(ops, cols[a - 1], cols[b - 1])
               for a, b, *_ in map(sorted, flats)]
-    ops = ring_ops(arr.domain)
     lines: dict = {}  # line key -> (a column of the line, flats on it)
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
             # distinct flats are distinct points, so the cross is nonzero
-            line = cross(p, points[j])
-            key = line if ops.parts == 1 else [(x.a, x.b) for x in line]
-            lines.setdefault(line_key(ops, key),
+            line = ring_cross(ops, p, points[j])
+            lines.setdefault(line_key(ops, line),
                              (line, set()))[1].update((i, j))
-    existing = {line_key(ops, clear_column(col)) for col in arr.columns}
+    existing = set(arr.keys)
     candidates = sorted(
-        (normal_column(line) for key, (line, on) in lines.items()
+        (normal_column([ops.from_coords(ops.ints(x), 1) for x in line])
+         for key, (line, on) in lines.items()
          if key not in existing
          and arr.n - sum(len(flats[k]) - 1 for k in on) in targets),
         key=lambda v: tuple(str(x) for x in v))

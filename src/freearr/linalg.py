@@ -5,12 +5,13 @@ Rows live in Z or Z[sqrt d], the ring being supplied as an ops object
 multi-modular engine: for each word-size prime of a fixed sequence, and
 each ring map into F_p, the reduced row echelon form gives the canonical
 nullspace basis mod p, which is recovered by Chinese remaindering and
-rational reconstruction, and returned only after it has been verified
-exactly against every row.  echelon reduces independent vectors exactly,
-from the right, each row one integer denominator over ring numerators; for
-a basis of a nullspace it gives the same canonical basis.  The cross
-product works over any commutative ring, including Z[t], and the 3x3
-determinant over the ring of an ops object.
+rational reconstruction, verified exactly against every row, and returned
+as primitive integral vectors over the ring.  echelon reduces independent
+vectors exactly, from the right, each row one integer denominator over
+ring numerators; for a basis of a nullspace it gives the same canonical
+basis.  Cross and dot products and the 3x3 determinant work over the ring
+of an ops object; IntOps computes with Python's operators, so over Z[t]
+too.
 """
 from __future__ import annotations
 
@@ -34,24 +35,22 @@ def det3(m, ops):
 
 def ring_dot(ops, u, v):
     """u . v over the ring of ops."""
-    return ops.add(ops.add(ops.mul(u[0], v[0]), ops.mul(u[1], v[1])),
-                   ops.mul(u[2], v[2]))
+    add, mul = ops.add, ops.mul
+    return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
 
 
 def ring_cross(ops, u, v):
     """u x v over the ring of ops."""
-    return tuple(ops.add(ops.mul(u[a], v[b]), ops.neg(ops.mul(u[b], v[a])))
-                 for a, b in ((1, 2), (2, 0), (0, 1)))
-
-
-def cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
+    add, mul, neg = ops.add, ops.mul, ops.neg
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return (add(mul(u1, v2), neg(mul(u2, v1))),
+            add(mul(u2, v0), neg(mul(u0, v2))),
+            add(mul(u0, v1), neg(mul(u1, v0))))
 
 
 class IntOps:
-    """Ring Z with Fraction as its fraction field."""
+    """Ring Z with Fraction as its fraction field; its ring operations are
+    Python's operators, which the lattice scan also applies to Z[t]."""
 
     zero = 0
     one = 1
@@ -372,12 +371,14 @@ def rank(rows, ncols, ops) -> int:
 
 
 def nullspace(rows, ncols, ops):
-    """Basis of the right nullspace, as vectors of field elements.
+    """Basis of the right nullspace, as tuples of ring elements of ops.
 
     One vector per free column f of the reduced row echelon form, with a
     one at f, zero at the other free columns and nonzero entries only at
     pivot columns before f: the canonical basis, which depends only on the
-    nullspace (it is also echelon of any basis of it).
+    nullspace (it is also echelon of any basis of it).  Each vector is
+    returned times the positive rational that makes it primitive integral,
+    as clear_column would scale it, so it is positive at f.
 
     Primes are ranked by (more pivots mod p, then the lexicographically
     smaller pivot list), and residues of _kernel_mod are combined only
@@ -435,24 +436,15 @@ def nullspace(rows, ncols, ops):
             raise InvariantError(
                 f"the kernel vectors mod p for key {best} do not give the "
                 f"nullspace after primes multiplying past 2*H**2")
-    # most pivot coordinates are zero: convert only the others
-    return _field_basis(ops, ncols, (
-        (f, den, [(c, xs) for c, xs in zip(pivots, zip(*[iter(nums)] * parts))
-                  if any(xs)])
-        for f, (nums, den) in zip(free, sols)))
-
-
-def _field_basis(ops, ncols: int, vectors):
-    """Dense vectors of field elements, from (f, den, entries): a one at f
-    and, per (column, integer coordinates) entry, the coordinates over den."""
-    zero, one = (ops.from_coords(ops.ints(x), 1) for x in (ops.zero, ops.one))
     basis = []
-    for f, den, entries in vectors:
-        v = [zero] * ncols
-        for c, xs in entries:
-            v[c] = ops.from_coords(xs, den)
-        v[f] = one
-        basis.append(v)
+    for f, (nums, den) in zip(free, sols):
+        g = gcd(den, *nums)
+        ints = iter([x // g for x in nums])
+        v = [ops.zero] * ncols
+        for c, x in zip(pivots, ints if parts == 1 else zip(ints, ints)):
+            v[c] = x
+        v[f] = ops.scale(ops.one, den // g)
+        basis.append(tuple(v))
     return basis
 
 

@@ -36,7 +36,7 @@ from .arrangement import (
     lattice_iso,
     line_key,
 )
-from .linalg import IntOps, QuadOps, cross
+from .linalg import IntOps, QuadOps, ring_cross
 from .scalars import (
     IntPoly,
     QuadElem,
@@ -138,7 +138,7 @@ def generic_lattice(f: Family) -> IntersectionLattice:
     """Lattice of the family at a generic t, from minors computed in Z[t]."""
     if not _has_rank3(f.columns):
         raise NotEssentialError()
-    return _compute_lattice(f.columns)
+    return _compute_lattice(IntOps, f.columns)
 
 
 def _as_scalar(omega):
@@ -268,7 +268,7 @@ def _candidate_polys(f: Family) -> dict:
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            p0, p1, p2 = cross(cols[i], cols[j])
+            p0, p1, p2 = ring_cross(IntOps, cols[i], cols[j])
             minors = [m for m in (p0, p1, p2) if m]
             g = minors[0]
             for m in minors[1:]:
@@ -346,11 +346,3 @@ def parse_family_text(text: str, name: str = "file") -> Family:
     if not cols:
         raise ValueError("no columns found")
     return Family(name, tuple(cols))
-
-
-def format_family(f: Family) -> str:
-    lines = []
-    for col in f.columns:
-        lines.append("; ".join(
-            " ".join(str(c) for c in (p.coeffs or (0,))) for p in col))
-    return "\n".join(lines) + "\n"

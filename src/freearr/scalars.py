@@ -522,12 +522,9 @@ class QuadElem:
 
     @classmethod
     def _make(cls, d: int, a: Fraction, b: Fraction) -> QuadElem:
-        """Element of a field whose d was already validated.
-
-        a and b are Fractions, or ints for an element of Z[sqrt d]: integer
-        parts keep products in integer arithmetic, and they compare and hash
-        like the equal Fractions.
-        """
+        """Element of a field whose d was already validated; a and b are
+        Fractions.  Integral work over Z[sqrt d] is done on the (a, b)
+        integer pairs of linalg.QuadOps instead."""
         x = object.__new__(cls)
         x.d, x.a, x.b = d, a, b
         return x
@@ -594,7 +591,7 @@ class QuadElem:
         return self.a * self.a - self.d * self.b * self.b
 
     def inverse(self) -> QuadElem:
-        n = Fraction(self.norm())   # a Fraction for int parts too
+        n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero in a quadratic field")
         return QuadElem._make(self.d, self.a / n, -self.b / n)

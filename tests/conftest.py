@@ -3,6 +3,7 @@ field-arithmetic oracles for the derivation solver."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -13,8 +14,8 @@ import pytest
 from freearr import arrangement as am
 from freearr import freeness as fr
 from freearr import moduli as mod
-from freearr.freeness import Derivation, HPoly
-from freearr.linalg import IntOps, cross, det3, rank
+from freearr.freeness import Derivation, Free, HPoly, decide_freeness
+from freearr.linalg import IntOps, det3, rank
 from freearr.scalars import QQ, Domain, QuadElem, squarefree_decompose
 
 
@@ -61,6 +62,79 @@ def det3_cols(c1, c2, c3):
 def to_field(ops, x):
     """The ring element x of IntOps or a QuadOps as a field element."""
     return ops.from_coords(ops.ints(x), 1)
+
+
+# -- Addition-Deletion triples: the theorem as a test oracle ---------------
+
+class TheoremViolationError(AssertionError):
+    """Two Addition-Deletion statements hold but the third fails.
+
+    This would falsify the implementation (the theorem is proved), so it is
+    raised as a hard error rather than reported.
+    """
+
+
+@dataclass(frozen=True)
+class TripleVerdict:
+    """Which statements of the Addition-Deletion theorem hold at (A, A', A'').
+
+    The third, A^H free with exponents [1, s-1], always holds in rank 3.
+    """
+
+    label: int
+    candidate_exponents: tuple       # [1, s-1, n-s] forced by |A^H| = s
+    deletion_exponents: tuple        # [1, s-1, n-s-1]
+    restriction_exponents: tuple     # [1, s-1]
+    full_holds: bool                 # A free with the candidate exponents
+    deletion_holds: bool             # A\H free with the deletion exponents
+
+    @property
+    def applies(self) -> bool:
+        return bool(self.full_holds and self.deletion_holds)
+
+
+def _statement_holds(verdict, expected: tuple) -> bool:
+    """Does decide_freeness confirm freeness with exactly these exponents?"""
+    return isinstance(verdict, Free) and verdict.exponents == expected
+
+
+def triple_check(arr: am.Arrangement, h: int) -> TripleVerdict:
+    """Evaluate the Addition-Deletion statements for the triple at h.
+
+    Raises TheoremViolationError if exactly two of the three statements
+    hold, which the theorem forbids, and NotEssentialError if deleting h
+    drops the rank below 3.
+    """
+    n = arr.n
+    s, _ = am.restriction_profile(arr, h)
+    cand = tuple(sorted((1, s - 1, n - s)))
+    cand_del = tuple(sorted((1, s - 1, n - s - 1)))
+    sub, _ = am.delete(arr, h)
+    full = _statement_holds(decide_freeness(arr), cand)
+    deleted = _statement_holds(decide_freeness(sub), cand_del)
+    verdict = TripleVerdict(
+        label=h,
+        candidate_exponents=cand,
+        deletion_exponents=cand_del,
+        restriction_exponents=(1, s - 1),
+        full_holds=full,
+        deletion_holds=deleted,
+    )
+    statements = (full, deleted, True)
+    if sum(statements) == 2:
+        raise TheoremViolationError(
+            f"Addition-Deletion inconsistency at hyperplane {h}: "
+            f"statements {statements} with candidate exponents {cand}")
+    return verdict
+
+
+def format_family(f: mod.Family) -> str:
+    """The family file text that moduli.parse_family_text reads."""
+    lines = []
+    for col in f.columns:
+        lines.append("; ".join(
+            " ".join(str(c) for c in (p.coeffs or (0,))) for p in col))
+    return "\n".join(lines) + "\n"
 
 
 # -- HPoly arithmetic: test oracles only; the package evaluates instead ----
@@ -183,13 +257,14 @@ def restricts_to_zero(ops, alpha, form, p: int) -> bool:
 
 def _cleared(polys):
     """(den, den * polys), den the least common denominator of their
-    coefficients, which become ints or QuadElems with int parts."""
+    coefficients, which become ints or QuadElems with integral parts."""
     den = lcm(*(q.denominator for f in polys for x in f.coeffs.values()
                 for q in ((x.a, x.b) if isinstance(x, QuadElem) else (x,))))
 
     def times(x):
         if isinstance(x, QuadElem):
-            return QuadElem._make(x.d, times(x.a), times(x.b))
+            return QuadElem._make(x.d, Fraction(times(x.a)),
+                                  Fraction(times(x.b)))
         return x.numerator * (den // x.denominator)
     return den, [HPoly(f.degree, {m: times(x) for m, x in f.coeffs.items()})
                  for f in polys]
@@ -240,13 +315,13 @@ def candidate_additions_over_the_field(arr: am.Arrangement, targets):
     if not targets:
         return [], True
     flats = arr.lattice().flats
-    points = [cross(arr.column(a), arr.column(b))
+    points = [_cross(arr.column(a), arr.column(b))
               for a, b, *_ in map(sorted, flats)]
     ops = am.ring_ops(arr.domain)
     lines = {}
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
-            line = cross(p, points[j])
+            line = _cross(p, points[j])
             lines.setdefault(am.line_key(ops, am.clear_column(line)),
                              (line, set()))[1].update((i, j))
     existing = {am.line_key(ops, am.clear_column(col)) for col in arr.columns}

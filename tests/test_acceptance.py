@@ -21,7 +21,6 @@ from freearr.induction import (
     inductively_free,
     quick_non_if,
     recursively_free,
-    triple_check,
 )
 from freearr.scalars import QQ, QuadElem
 
@@ -29,6 +28,7 @@ from conftest import (
     defining_polynomial,
     poly_scale,
     quadratic_root,
+    triple_check,
     whitney_char_poly,
 )
 from test_freeness import BRAID6, MIXED6, _expand_determinant, brute_force_free

@@ -10,6 +10,7 @@ import pytest
 
 from freearr import arrangement as am
 from freearr import moduli as mod
+from freearr.freeness import state_key
 from freearr.scalars import QQ, poly, quad_field, QuadElem
 
 from conftest import (
@@ -289,6 +290,51 @@ class TestDeleteRestrict:
     def test_delete_not_essential(self):
         with pytest.raises(am.NotEssentialError):
             am.delete(near_pencil(4), 4)  # removing the transversal
+
+    @pytest.mark.parametrize("h", [-2, 0, 6])
+    def test_unknown_label_is_no_essential_deletion(self, h):
+        for probe in (am.delete, am.deletion_is_essential):
+            with pytest.raises(am.UnknownLabelError,
+                               match=f"^no hyperplane labeled {h}$"):
+                probe(near_pencil(5), h)
+
+    @pytest.mark.parametrize("field", ["QQ", "QQ(sqrt 5)"])
+    def test_delete_keeps_what_build_computes(self, field, small_corpus):
+        """A deletion slices its parent's ring columns and line keys: they,
+        the lattice and the state key are those build computes on the
+        remaining columns, for rescaled and permuted inputs."""
+        rng = random.Random(21)
+        if field == "QQ":
+            sources = [*small_corpus[:8],
+                       mod.specialize(mod.family_13(), 3).arrangement]
+        else:
+            omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+            sources = [mod.specialize(mod.family_15(), omega).arrangement,
+                       mod.specialize(mod.family_13(), omega).arrangement]
+
+        def scalar():
+            while not (a := Fraction(rng.randint(-5, 5), rng.randint(1, 4))):
+                pass
+            return a if field == "QQ" else QuadElem(
+                5, a, Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+        checked = 0
+        for src in sources:
+            cols = [tuple(scalar() * x for x in c) for c in src.columns]
+            rng.shuffle(cols)
+            arr = am.build(cols, src.domain)
+            assert arr.domain.name == field
+            for h in arr.labels():
+                if not am.deletion_is_essential(arr, h):
+                    continue
+                sub, _ = am.delete(arr, h)
+                ref = am.build(cols[:h - 1] + cols[h:], arr.domain)
+                assert sub.columns == ref.columns
+                assert sub.ring_columns == ref.ring_columns
+                assert sub.keys == ref.keys
+                assert sub.lattice() == ref.lattice()
+                assert state_key(sub) == state_key(ref)
+                checked += 1
+        assert checked == {"QQ": 49, "QQ(sqrt 5)": 28}[field]
 
     def test_restriction_profile(self):
         arr = near_pencil(5)

@@ -156,6 +156,18 @@ class TestInductionCommands:
         assert code == 1
         assert "bad scalar" in err
 
+    @pytest.mark.parametrize("move", [
+        "add rat 1/0 rat 1 rat 1", "add rat x rat 1 rat 1", "delete x",
+        "add quad 0 1 1 rat 1 rat 1", "add quad 5 1/0 0 rat 1 rat 1"])
+    def test_recfree_replay_names_the_malformed_line(self, tmp_path, move):
+        chain = tmp_path / "chain.txt"
+        chain.write_text(f"# a chain\ndelete 1\n{move}\n")
+        code, out, err = run("recfree", "paper13", "--at", "3",
+                             "--replay", str(chain))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: chain line 3: cannot read {move!r}: ")
+        assert err.count("\n") == 1
+
     def test_indfree_chain_lines(self):
         code, out, _ = run("indfree", "paper13", "--at", "2")
         assert code == 0

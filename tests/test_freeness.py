@@ -419,7 +419,7 @@ class TestRowBuilder:
         # For g the unit vector of an unknown, theta = (pi_Q g1) P +
         # (pi_P g2) Q; M's rows for the lines through neither point, applied
         # to theta, are the two-point rows, and M's other rows vanish on it.
-        ops, cols = fr.cleared_columns(arr)
+        ops, cols = arr.ops, arr.ring_columns
         lat = arr.lattice()
         (pt1, lines1), (pt2, lines2), rest = fr._two_point_frame(ops, cols,
                                                                  lat)
@@ -473,6 +473,14 @@ def _vector_to_derivation(vec, p: int) -> Derivation:
                             for c in range(3)), p)
 
 
+def _with_leading_one(ops, vec):
+    """The integral vector over ops as field elements, divided by its last
+    nonzero entry; zero entries stay 0."""
+    inv = 1 / to_field(ops, next(x for x in reversed(vec)
+                                 if not ops.is_zero(x)))
+    return [0 if ops.is_zero(x) else to_field(ops, x) * inv for x in vec]
+
+
 def _grid_degrees(arr):
     """0, 1, e2 and e3: the full solve at every degree up to e3 would
     dominate the suite on grids."""
@@ -485,12 +493,13 @@ class TestDHSolve:
     def _check(arr, degrees):
         # the canonical nullspace basis of the full system, built by the
         # oracle, against the basis from the two-point kernel
-        ops, cols = fr.cleared_columns(arr)
+        ops, cols = arr.ops, arr.ring_columns
         for p in degrees:
             full = linalg.nullspace(_old_constraint_rows(ops, cols, p),
                                     3 * len(fr.monomials(p)), ops)
             assert derivation_basis(arr, p) == [
-                _vector_to_derivation(v, p) for v in full]
+                _vector_to_derivation(_with_leading_one(ops, v), p)
+                for v in full]
 
     def test_basis_equals_full_nullspace_on_small_corpus(self, small_corpus):
         for arr in small_corpus:
@@ -566,7 +575,7 @@ class TestDHSolve:
         for p in range(e2 + 1):
             derivation_space_dim(arr, p)
         assert widths and all(w < 3 * comb(p + 2, 2) for p, w in widths)
-        ops, cols = fr.cleared_columns(arr)
+        ops, cols = arr.ops, arr.ring_columns
         two_point = [fr._dh_system(ops, cols, arr.lattice(), p)[:2]
                      for p in range(e3 + 1)]
         assert solved and all((rows, ncols) in two_point
@@ -703,7 +712,7 @@ class TestComplementsAgainstFieldReduction:
 
 
 def _full_dim(arr, p):
-    ops, cols = fr.cleared_columns(arr)
+    ops, cols = arr.ops, arr.ring_columns
     ncols = 3 * len(fr.monomials(p))
     return ncols - linalg.rank(_old_constraint_rows(ops, cols, p), ncols, ops)
 
@@ -849,15 +858,32 @@ def _nonfree_cases():
     return cases
 
 
+@lru_cache(maxsize=None)
+def _nonfree_sweeps():
+    """(arr, e2, r, verdict, the degrees its sweep solved) for each of
+    _nonfree_cases(), each decided once per session without the cache."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        def recorder(arr, p, dim=fr.derivation_space_dim):
+            seen.append(p)
+            return dim(arr, p)
+
+        mp.setattr(fr, "derivation_space_dim", recorder)
+        for arr, e2, r in _nonfree_cases():
+            seen = []
+            out.append((arr, e2, r, decide_freeness(arr, use_cache=False),
+                        seen))
+    return out
+
+
 class TestWitnessTheorem:
     """du Plessis-Wall and Dimca: A is free iff tau = (n-1)^2 - r(n-1-r),
     so the sweep's first mismatch is at min(r, e2) (see decide_freeness)."""
 
     def test_witness_is_at_min_of_r_and_e2(self):
-        cases = _nonfree_cases()
+        cases = _nonfree_sweeps()
         assert len(cases) == 270
-        for arr, e2, r in cases:
-            verdict = decide_freeness(arr, use_cache=False)
+        for arr, e2, r, verdict, _ in cases:
             assert verdict.reason == "GradedDimensionMismatch"
             assert verdict.detail[0] == min(r, e2)
 
@@ -869,17 +895,8 @@ class TestWitnessTheorem:
         for arr in free:
             assert _mdr(arr) == arr.char_poly().exponents()[1]
 
-    def test_sweep_never_passes_e2(self, monkeypatch):
-        seen = []
-
-        def recorder(arr, p, dim=fr.derivation_space_dim):
-            seen.append(p)
-            return dim(arr, p)
-
-        monkeypatch.setattr(fr, "derivation_space_dim", recorder)
-        for arr, e2, _ in _nonfree_cases():
-            seen.clear()
-            verdict = decide_freeness(arr, use_cache=False)
+    def test_sweep_never_passes_e2(self):
+        for arr, e2, _, verdict, seen in _nonfree_sweeps():
             assert seen == list(range(verdict.detail[0] + 1))
             assert max(seen) <= e2
 
@@ -1028,7 +1045,7 @@ class TestEvaluationChecks:
 
     @staticmethod
     def _tangent_matches_horner(arr, degrees):
-        ops, cols = fr.cleared_columns(arr)
+        ops, cols = arr.ops, arr.ring_columns
         for p in degrees:
             nm = len(fr.monomials(p))
             rows = [vec for _, vec in fr._canonical_rows(ops, cols,
@@ -1143,7 +1160,7 @@ def _stream_inputs():
 
 class TestPerturbedKernel:
     def test_every_perturbed_kernel_vector_raises(self, monkeypatch):
-        # 1/7 added at a pivot column of the first kernel vector takes it
+        # one added at a pivot column of the first kernel vector takes it
         # out of the kernel, so its lift misses a line
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                         / "perfbench"))
@@ -1156,9 +1173,11 @@ class TestPerturbedKernel:
         def bent(rows, ncols, ops):
             basis = nullspace(rows, ncols, ops)
             if basis:
-                free = {max(j for j, x in enumerate(v) if x) for v in basis}
+                free = {max(j for j, x in enumerate(v) if not ops.is_zero(x))
+                        for v in basis}
                 j = min(set(range(ncols)) - free)
-                basis[0][j] += ops.from_coords(ops.ints(ops.one), 7)
+                v = basis[0]
+                basis[0] = (*v[:j], ops.add(v[j], ops.one), *v[j + 1:])
             return basis
         monkeypatch.setattr(linalg, "nullspace", bent)
         for arr in arrs:

@@ -14,14 +14,12 @@ from freearr.induction import (
     IFStep,
     Move,
     PairCheck,
-    TheoremViolationError,
     abe_pair_check,
     candidate_additions,
     inductively_free,
     quick_non_if,
     recursively_free,
     replay_chain,
-    triple_check,
 )
 
 from conftest import (
@@ -30,6 +28,7 @@ from conftest import (
     grid,
     near_pencil,
     rational_arrangement,
+    triple_check,
 )
 
 

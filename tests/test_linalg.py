@@ -4,7 +4,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 import sympy
@@ -16,7 +16,6 @@ from freearr.arrangement import clear_column
 from freearr.linalg import (
     IntOps,
     QuadOps,
-    cross,
     det3,
     nullspace,
     rank,
@@ -65,12 +64,13 @@ def rref_nullspace(rows, ncols):
                 f = work[i][col]
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         pivots.append(col)
+    zero = rows[0][0] * 0 if rows else Fraction(0)  # of the entries' field
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [0] * ncols
-        v[f] = 1
+        v = [zero] * ncols
+        v[f] = zero + 1
         for k, c in enumerate(pivots):
             v[c] = -work[k][f]
         basis.append(v)
@@ -114,17 +114,17 @@ class TestIntegerEngine:
         basis = nullspace(rows, ncols, IntOps)
         expected, pivots = rref_nullspace(
             [[Fraction(x) for x in r] for r in rows], ncols)
-        assert basis == expected
+        assert basis == [clear_column(v) for v in expected]
         free = [c for c in range(ncols) if c not in pivots]
         for f, v in zip(free, basis):
-            assert all(isinstance(x, Fraction) for x in v)
-            assert v[f] == 1
+            assert all(type(x) is int for x in v)
+            assert v[f] > 0
             assert all(not v[g] for g in free if g != f)
             assert all(not v[c] for c in pivots if c > f)
 
     def test_unlucky_first_prime(self):
         # Mod the first prime the row is (0, 1): wrong pivot, wrong answer.
-        assert nullspace([[P0, 1]], 2, IntOps) == [[Fraction(-1, P0), 1]]
+        assert nullspace([[P0, 1]], 2, IntOps) == [(-1, P0)]
         assert rank([[P0, 1], [2 * P0, 2]], 2, IntOps) == 1
 
     def test_worse_prime_is_skipped(self, monkeypatch):
@@ -139,12 +139,12 @@ class TestIntegerEngine:
             return residues(rows, ncols, ops, p)
 
         monkeypatch.setattr(linalg, "_residues_mod", counted)
-        assert nullspace([[p1, 1]], 2, IntOps) == [[Fraction(-1, p1), 1]]
+        assert nullspace([[p1, 1]], 2, IntOps) == [(-1, p1)]
         assert tried[:2] == [P0, p1] and len(tried) == 4
 
     def test_empty_and_zero_systems(self):
-        assert nullspace([], 2, IntOps) == [[1, 0], [0, 1]]
-        assert nullspace([[0, 0]], 2, IntOps) == [[1, 0], [0, 1]]
+        assert nullspace([], 2, IntOps) == [(1, 0), (0, 1)]
+        assert nullspace([[0, 0]], 2, IntOps) == [(1, 0), (0, 1)]
         assert nullspace([], 0, IntOps) == []
 
 
@@ -153,17 +153,13 @@ class TestSuppliedKernel:
 
     @staticmethod
     def _scrambled(basis, rng):
-        """Integer vectors spanning the same space as the basis, each one a
-        combination of several basis vectors, so that only the reduction
-        from the right recovers the canonical basis."""
-        ints = []
-        for v in basis:
-            den = lcm(*(x.denominator for x in v))
-            ints.append([int(x * den) for x in v])
+        """Integer vectors spanning the same space as the integral basis,
+        each one a combination of several basis vectors, so that only the
+        reduction from the right recovers the canonical basis."""
         out = []
-        for i, v in enumerate(ints):
+        for i, v in enumerate(basis):
             w = list(v)
-            for u in ints[i + 1:]:
+            for u in basis[i + 1:]:
                 k = rng.randint(-3, 3)
                 w = [a + k * b for a, b in zip(w, u)]
             out.append(w)
@@ -172,17 +168,20 @@ class TestSuppliedKernel:
 
     @staticmethod
     def _echelon_basis(vecs, n, ops):
-        """linalg.echelon of the vectors as dense field vectors, in
-        increasing pivot order, after checking the exact rows' form: the
-        pivot last, a positive denominator, no common integer factor."""
+        """linalg.echelon of the vectors as dense tuples over the ring, den
+        at the pivot, in increasing pivot order, after checking the exact
+        rows' form: the pivot last, a positive denominator, no common
+        integer factor."""
         rows = linalg.echelon(vecs, ops)
-        for f, (den, nums) in rows.items():
+        basis = []
+        for f, (den, nums) in sorted(rows.items()):
             assert all(j < f for j in nums)
             assert den > 0 and gcd(den, *(c for x in nums.values()
                                           for c in ops.ints(x))) == 1
-        return linalg._field_basis(ops, n, (
-            (f, den, [(j, ops.ints(x)) for j, x in nums.items()])
-            for f, (den, nums) in sorted(rows.items())))
+            v = [nums.get(j, ops.zero) for j in range(n)]
+            v[f] = ops.scale(ops.one, den)
+            basis.append(tuple(v))
+        return basis
 
     def test_spanning_vectors_give_the_canonical_basis(self):
         rng = random.Random(5)
@@ -204,11 +203,10 @@ class TestSuppliedKernel:
             basis = nullspace(rows, n, ops)
             vecs = []
             for i, v in enumerate(basis):
-                w = clear_column(v)
+                w = v
                 for u in basis[i + 1:]:
                     k = (rng.randint(-3, 3), rng.randint(-3, 3))
-                    w = [ops.add(x, ops.mul(k, y))
-                         for x, y in zip(w, clear_column(u))]
+                    w = [ops.add(x, ops.mul(k, y)) for x, y in zip(w, u)]
                 vecs.append({j: x for j, x in enumerate(w)
                              if not ops.is_zero(x)})
             rng.shuffle(vecs)
@@ -250,7 +248,7 @@ class TestQuadraticEngine:
                 for row in rows:
                     s = QuadElem(2, 0, 0)
                     for j in range(n):
-                        s = s + to_field(ops, row[j]) * v[j]
+                        s = s + to_field(ops, row[j]) * to_field(ops, v[j])
                     assert not s
 
     def test_sqrt_relation_detected(self):
@@ -259,7 +257,7 @@ class TestQuadraticEngine:
         rows = [[(1, 0), (0, 1)], [(0, 1), (2, 0)]]
         assert rank(rows, 2, ops) == 1
         (v,) = nullspace(rows, 2, ops)
-        assert v[0] * QuadElem(2, 1, 0) + v[1] * QuadElem(2, 0, 1) == 0
+        assert ops.add(ops.mul(v[0], (1, 0)), ops.mul(v[1], (0, 1))) == (0, 0)
 
     @staticmethod
     def _against_oracle(d, seed, count=60):
@@ -274,14 +272,13 @@ class TestQuadraticEngine:
             expected, _ = rref_nullspace(
                 [[to_field(ops, x) for x in r] for r in rows], n)
             basis = nullspace(rows, n, ops)
-            assert basis == expected
-            assert all(isinstance(x, QuadElem) for v in basis for x in v)
+            assert basis == [clear_column(v) for v in expected]
+            assert all(isinstance(x, tuple) for v in basis for x in v)
 
     def test_gaussian_integers(self):
         # sqrt(-1) has no square root mod primes p = 3 mod 4.
         ops = QuadOps(-1)
-        assert nullspace([[(1, 0), (0, 1)]], 2, ops) == [
-            [QuadElem(-1, 0, -1), QuadElem(-1, 1, 0)]]
+        assert nullspace([[(1, 0), (0, 1)]], 2, ops) == [((0, -1), (1, 0))]
         self._against_oracle(-1, 11)
 
     def test_non_residue_mod_first_prime(self):
@@ -318,6 +315,6 @@ class TestDeterminants:
 
     def test_cross_is_orthogonal(self):
         u, v = (1, 2, 3), (-1, 0, 4)
-        w = cross(u, v)
+        w = linalg.ring_cross(IntOps, u, v)
         assert sum(a * b for a, b in zip(u, w)) == 0
         assert sum(a * b for a, b in zip(v, w)) == 0

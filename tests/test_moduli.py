@@ -8,7 +8,7 @@ import pytest
 from freearr import arrangement as am
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
-from freearr.linalg import cross
+from freearr.linalg import IntOps, ring_cross
 from freearr.scalars import (
     IntPoly,
     QuadElem,
@@ -17,7 +17,7 @@ from freearr.scalars import (
     poly,
 )
 
-from conftest import det3_cols, quadratic_root
+from conftest import det3_cols, format_family, quadratic_root
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
@@ -70,7 +70,7 @@ class TestFamilies:
                             tuple(q * x for x in rng.choice(cols)))
             first = next((i + 1, j + 1) for i in range(len(cols))
                          for j in range(i + 1, len(cols))
-                         if not any(cross(cols[i], cols[j])))
+                         if not any(ring_cross(IntOps, cols[i], cols[j])))
             with pytest.raises(ValueError) as exc:
                 mod.Family("bad", tuple(cols))
             assert str(exc.value) == ("columns {} and {} are identically "
@@ -343,7 +343,7 @@ class TestDivisibilityClassification:
             checked += 1
             rep = mod.degeneracy_set(f)
             assert (rep.rational, rep.quadratic) == \
-                specialized_degeneracies(f), mod.format_family(f)
+                specialized_degeneracies(f), format_family(f)
             seen |= {("rational", tag) for tag in rep.rational.values()}
             seen |= {("quadratic", tag) for tag in rep.quadratic.values()}
         assert len(seen) == 4
@@ -440,7 +440,7 @@ class TestIntegralSpecialization:
 
     def assert_agrees(self, f, omega):
         assert outcome(mod.specialize(f, omega)) == \
-            field_specialize(f, omega), (mod.format_family(f), omega)
+            field_specialize(f, omega), (format_family(f), omega)
 
     def test_paper_families_at_reported_and_random_values(self):
         rng = random.Random(1406)
@@ -518,7 +518,7 @@ class TestVLMembership:
 class TestFamilyFormat:
     def test_round_trip(self):
         for f in (mod.family_13(), mod.family_15()):
-            back = mod.parse_family_text(mod.format_family(f), f.name)
+            back = mod.parse_family_text(format_family(f), f.name)
             assert back.columns == f.columns
 
     def test_parse_with_comments(self):

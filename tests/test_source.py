@@ -148,7 +148,7 @@ def test_one_exact_echelon_and_no_test_only_code():
     """Complements are picked on linalg.echelon's exact rows: the field
     reducer, its vector conversions and the field echelon are gone, and so
     are helpers that only tests called."""
-    from freearr import arrangement, freeness, linalg, moduli
+    from freearr import arrangement, freeness, induction, linalg, moduli
 
     assert [name for mod, name in (
         (freeness, "_FieldReducer"), (freeness, "_derivation_vector"),
@@ -156,7 +156,23 @@ def test_one_exact_echelon_and_no_test_only_code():
         (freeness, "_vector_to_derivation"), (linalg, "right_echelon"),
         (linalg, "_reduced"), (arrangement.IntersectionLattice,
                                "flat_of_pair"),
-        (moduli, "_quadratic_root")) if hasattr(mod, name)] == []
+        (moduli, "_quadratic_root"), (induction, "triple_check"),
+        (induction, "TripleVerdict"), (induction, "_statement_holds"),
+        (induction, "TheoremViolationError"),
+        (moduli, "format_family")) if hasattr(mod, name)] == []
+
+
+def test_columns_are_cleared_once():
+    """build clears each column once and keeps the ring columns and line
+    keys on the Arrangement; the lattice scan, the solver, state keys and
+    addition candidates read them, and nullspace returns integral vectors."""
+    from freearr import arrangement, freeness, linalg
+
+    assert _readers("clear_column") == ["arrangement.py:build"]
+    assert [name for mod, name in ((arrangement, "_lattice_column"),
+                                   (freeness, "cleared_columns"),
+                                   (linalg, "_field_basis"))
+            if hasattr(mod, name)] == []
 
 
 def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
@@ -297,3 +313,26 @@ def test_no_horner_step_and_no_polynomial_product_in_saito_check():
     inside = [name for name, _, within in calls if within]
     assert inside and not {"__mul__", "_poly_mul", "_times_linear"} & set(
         inside)
+
+
+def test_quadratic_elements_have_fraction_parts(monkeypatch):
+    """Integral work over Z[sqrt d] is done on the pairs of linalg.QuadOps:
+    every QuadElem the package makes has Fraction parts."""
+    from fractions import Fraction
+
+    from freearr import freeness, induction, moduli
+    from freearr.scalars import QuadElem
+
+    parts = []
+    make = QuadElem._make.__func__
+
+    def spy(cls, d, a, b):
+        parts.append((type(a), type(b)))
+        return make(cls, d, a, b)
+    monkeypatch.setattr(QuadElem, "_make", classmethod(spy))
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    arr = moduli.specialize(moduli.family_15(), omega).arrangement
+    verdict = freeness.decide_freeness(arr, use_cache=False)
+    cands, _ = induction.candidate_additions(arr, range(2, arr.n + 1))
+    assert verdict.exponents == (1, 5, 9) and cands
+    assert parts and set(parts) == {(Fraction, Fraction)}
