@@ -1,7 +1,8 @@
 """Central rank-3 arrangements and their intersection lattices.
 
 An arrangement is stored as the 3 x n matrix of normal covectors over an
-exact scalar domain; hyperplanes carry labels 1..n in column order.  The
+exact field of scalars, given by its ops object (scalars.QQ or a
+quad_field); hyperplanes carry labels 1..n in column order.  The
 lattice of a rank-3 central arrangement is captured by its rank-2 flats
 (multiple points) together with hyperplane incidences.
 """
@@ -12,15 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from . import linalg
 from .scalars import (
-    Domain,
+    IntOps,
     InvariantError,
+    MixedFieldError,
     QQ,
-    QuadDomain,
-    QuadElem,
+    clear,
     domain_of,
 )
 
@@ -63,31 +64,20 @@ def normal_column(col) -> tuple:
     return tuple(x * inv for x in col)
 
 
-def ring_ops(domain: Domain):
-    """The linalg ring of the integral columns of clear_column over domain."""
-    if isinstance(domain, QuadDomain):
-        return linalg.QuadOps(domain.d)
-    return linalg.IntOps
-
-
-def clear_column(col) -> tuple:
-    """The column, or any vector, times the positive rational that makes it
-    primitive integral.
-
-    Rational entries become ints.  Entries a + b sqrt d of Q(sqrt d) become
-    (a, b) pairs, elements of the ring Z[sqrt d] of linalg.QuadOps.  Line
+def clear_column(ops, col) -> tuple:
+    """The column, or any vector, of elements of the field of ops times the
+    positive rational that makes it primitive integral over the ring of
+    ops: ints over QQ, (a, b) pairs of Z[sqrt d] over Q(sqrt d).  Line
     keys, lattices and the derivation solver all work on these columns.
     """
-    quad = isinstance(col[0], QuadElem)
-    parts = [y for x in col for y in (x.a, x.b)] if quad else col
-    den = lcm(*(x.denominator for x in parts))
-    ints = [x.numerator * (den // x.denominator) for x in parts]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if quad:
-        return tuple(zip(ints[::2], ints[1::2]))
-    return tuple(ints)
+    return primitive(ops, clear(ops, col)[1])
+
+
+def primitive(ops, col) -> tuple:
+    """A nonzero integral column over the ring of ops divided by the gcd
+    of its integer coordinates."""
+    g = gcd(*(col if ops.parts == 1 else [y for x in col for y in x]))
+    return tuple(col) if g == 1 else tuple([ops.div(x, g) for x in col])
 
 
 def line_key(ops, col) -> tuple:
@@ -118,19 +108,17 @@ class Arrangement:
     """Essential central arrangement of n hyperplanes in rank 3.
 
     Immutable after construction; build through :func:`build`.  Beside the
-    field columns it keeps what build computed from them: the ring of
-    ring_ops, the columns cleared by clear_column and their line keys.  The
-    lattice, the derivation solver, state keys, deletions and addition
-    candidates read these.
+    field ops and the field columns it keeps what build computed from them:
+    the columns cleared by clear_column and their line keys.  The lattice,
+    the derivation solver, state keys, deletions and addition candidates
+    read these.
     """
 
-    __slots__ = ("domain", "columns", "ops", "ring_columns", "keys",
-                 "_lattice")
+    __slots__ = ("ops", "columns", "ring_columns", "keys", "_lattice")
 
-    def __init__(self, domain: Domain, columns, ops, ring_columns, keys):
-        self.domain = domain
-        self.columns = tuple(columns)
+    def __init__(self, ops, columns, ring_columns, keys):
         self.ops = ops
+        self.columns = tuple(columns)
         self.ring_columns = tuple(ring_columns)
         self.keys = tuple(keys)
         self._lattice = None
@@ -157,42 +145,46 @@ class Arrangement:
         return char_poly(lat.n, lat.flats)
 
     def __repr__(self):
-        return f"<Arrangement n={self.n} over {self.domain.name}>"
+        return f"<Arrangement n={self.n} over {self.ops.name}>"
 
 
-def build(columns, domain: Domain | None = None) -> Arrangement:
-    """Validate covector columns and build the arrangement.
+def build(columns, ops=None) -> Arrangement:
+    """Validate covector columns and build the arrangement over the field
+    of ops.
 
-    Columns may contain ints/Fractions (coerced into the domain).  The
-    default domain is QQ.
+    Each entry is coerced by ops.field, so ints and Fractions may stand in
+    any field.  The default field is that of the first entry that is not
+    rational, else QQ.  The columns are cleared (clear_column) and keyed
+    (line_key) once and checked by validated, as specialize's are.
     """
     cols = [tuple(c) for c in columns]
-    if domain is None:
-        # the domain of the first entry that is not rational, else QQ
-        domain = next((domain_of(x) for c in cols for x in c
-                       if not isinstance(x, (int, Fraction))), QQ)
+    if ops is None:
+        ops = next((domain_of(x) for c in cols for x in c
+                    if not isinstance(x, (int, Fraction))), QQ)
     coerced = []
     for i, c in enumerate(cols, start=1):
         if len(c) != 3:
             raise ArrangementError("columns must have exactly 3 entries")
-        cc = []
-        for x in c:
-            if isinstance(x, int):
-                cc.append(domain.from_int(x))
-            elif isinstance(x, Fraction) and not isinstance(domain.zero, Fraction):
-                cc.append(domain.from_fraction(x))
-            elif domain_of(x).name == domain.name:
-                cc.append(x)
-            else:
-                raise ArrangementError(f"column {i} mixes {domain.name} and "
-                                       f"{domain_of(x).name}")
-        coerced.append(tuple(cc))
+        try:
+            coerced.append(tuple(map(ops.field, c)))
+        except MixedFieldError:
+            other = next(f for f in map(domain_of, c)
+                         if f.name not in (QQ.name, ops.name))
+            raise ArrangementError(f"column {i} mixes {ops.name} and "
+                                   f"{other.name}") from None
     for i, c in enumerate(coerced, start=1):
         if not any(c):
             raise ZeroColumnError(i)
-    ops = ring_ops(domain)
-    cleared = [clear_column(c) for c in coerced]
-    keys = [line_key(ops, c) for c in cleared]
+    cleared = [clear_column(ops, c) for c in coerced]
+    return validated(ops, coerced, cleared,
+                     [line_key(ops, c) for c in cleared])
+
+
+def validated(ops, columns, ring_columns, keys) -> Arrangement:
+    """The arrangement of nonzero field columns over ops, given their
+    primitive integral forms and line keys; the lexicographically first
+    pair of columns of one line raises ProportionalColumnsError, and rank
+    below 3 NotEssentialError."""
     # (first label of its line, j) for every later column j of that line;
     # the least of these is the lexicographically first proportional pair
     first = {}
@@ -203,12 +195,12 @@ def build(columns, domain: Domain | None = None) -> Arrangement:
             pairs.append((i, j))
     if pairs:
         raise ProportionalColumnsError(*min(pairs))
-    if not _has_rank3(cleared, ops):
+    if not _has_rank3(ring_columns, ops):
         raise NotEssentialError()
-    return Arrangement(domain, coerced, ops, cleared, keys)
+    return Arrangement(ops, columns, ring_columns, keys)
 
 
-def _has_rank3(cols, ops=linalg.IntOps) -> bool:
+def _has_rank3(cols, ops=IntOps) -> bool:
     """Rank 3 test for pairwise non-proportional columns over the ring of ops.
 
     Fewer than three columns have rank below 3.  Otherwise the first two
@@ -465,7 +457,7 @@ def delete(arr: Arrangement, h: int):
     mapping = {old: old - (old > h) for old in arr.labels() if old != h}
     cols, ring, keys = (xs[:h - 1] + xs[h:] for xs in (
         arr.columns, arr.ring_columns, arr.keys))
-    return Arrangement(arr.domain, cols, arr.ops, ring, keys), mapping
+    return Arrangement(arr.ops, cols, ring, keys), mapping
 
 
 def deletion_is_essential(arr: Arrangement, h: int) -> bool:

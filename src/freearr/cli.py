@@ -424,7 +424,6 @@ def report(source, at, fmt, max_n, max_states):
     lat = arr.lattice()
     chi_poly = arr.char_poly()
     verdict = decide_freeness(arr)
-    if_cert = inductively_free(arr)
     rf = recursively_free(arr, max_n=arr.n + 1 if max_n is None else max_n,
                           max_states=max_states)
     order, _ = aut_order(lat)
@@ -438,7 +437,8 @@ def report(source, at, fmt, max_n, max_states):
         "chi": chi_poly.factored_string(),
         "exponents": list(chi_poly.exponents() or ()) or None,
         "freeness": _freeness_payload(verdict),
-        "inductively_free": if_cert is not None,
+        # the search explores the input first: RF with no move iff IF
+        "inductively_free": rf.verdict == "RF" and not rf.chain,
         "recursively_free": {
             "verdict": rf.verdict,
             "sound": rf.sound,

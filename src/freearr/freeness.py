@@ -43,11 +43,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, count, repeat
-from math import comb, lcm, prod
+from math import comb, prod
 
 from . import linalg
 from .arrangement import Arrangement
-from .scalars import InvariantError, MixedFieldError, QuadElem
+from .scalars import InvariantError, QuadElem, clear
 
 
 class DegreeMismatchError(ValueError):
@@ -365,21 +365,16 @@ def derivation_basis(arr: Arrangement, p: int) -> list:
 
 def euler_derivation(arr: Arrangement) -> Derivation:
     """theta_E = x1*D1 + x2*D2 + x3*D3, a member for every arrangement."""
-    return Derivation(tuple(HPoly(1, {u: arr.domain.one}) for u in _UNITS), 1)
+    return Derivation(tuple(HPoly(1, {u: arr.ops.field(1)}) for u in _UNITS),
+                      1)
 
 
 def _integral(ops, polys):
     """(den, den * polys), for polys {key: element of the field of ops} and
-    den the least common denominator of their coordinates, so that den *
-    polys are over the ring of ops."""
-    xs = [x for f in polys for x in f.values()]
-    if any(isinstance(x, QuadElem) and x.d != ops.d for x in xs):
-        raise MixedFieldError("a coefficient outside the field of the columns")
-    coords = [q for x in xs for q in ((x.a, x.b) if isinstance(x, QuadElem)
-                                      else (x, 0)[:ops.parts])]
-    den = lcm(*(q.denominator for q in coords))
-    ints = iter([q.numerator * (den // q.denominator) for q in coords])
-    ring = ints if ops.parts == 1 else zip(ints, ints)
+    den the least common denominator of their coordinates (scalars.clear),
+    so that den * polys are over the ring of ops."""
+    den, ring = clear(ops, [x for f in polys for x in f.values()])
+    ring = iter(ring)
     return den, [dict(zip(f, ring)) for f in polys]
 
 
@@ -476,16 +471,17 @@ _VERDICT_CACHE: dict = {}
 def _key_and_lead(arr: Arrangement):
     """(state_key, product L of the leading entries it divides out)."""
     keys = sorted(arr.keys)
-    lead_product = arr.domain.one
+    lead_product = arr.ops.field(1)
     for col in arr.columns:
         lead_product = lead_product * next(x for x in col if x)
-    key = arr.domain.name + "|" + ";".join(",".join(map(str, k))
-                                           for k in keys)
+    key = arr.ops.name + "|" + ";".join(",".join(map(str, k))
+                                        for k in keys)
     return key, lead_product
 
 
 def state_key(arr: Arrangement) -> str:
-    """Coordinate key: the sorted line keys of the columns; domain-tagged."""
+    """Coordinate key: the sorted line keys of the columns, tagged with the
+    field name."""
     return _key_and_lead(arr)[0]
 
 

@@ -226,10 +226,13 @@ def recursively_free(arr: Arrangement, max_n: int,
     the Addition-Deletion theorem; success is reaching an inductively free
     state.  NotRF is reported only when the search exhausts with every
     addition candidate set provably complete and no addition blocked by
-    max_n; otherwise Unknown.
+    max_n; otherwise Unknown.  The input is explored first, so the verdict
+    is RF with an empty chain exactly when it is inductively free.
     """
     if max_n < arr.n:
         raise ValueError(f"max_n = {max_n} is below |A| = {arr.n}")
+    if max_states < 1:
+        raise ValueError(f"max_states = {max_states} explores no state")
     # States are keyed by coordinates, not by lattice: freeness is not known
     # to be combinatorial (Terao's problem).
     start_key = state_key(arr)
@@ -285,7 +288,7 @@ def recursively_free(arr: Arrangement, max_n: int,
             cands, complete = candidate_additions(state, fits)
             all_complete = all_complete and complete
             for cov in cands:
-                push(build(list(state.columns) + [cov], state.domain), key,
+                push(build(list(state.columns) + [cov], state.ops), key,
                      Move("add", tuple(cov)))
         expansions.append(Expansion(
             n, exps, deletion_moves, fits, len(cands), complete))
@@ -325,7 +328,7 @@ def replay_chain(arr: Arrangement, moves) -> Arrangement:
             state, _ = delete(state, h)
         elif move.action == "add":
             grown = build(list(state.columns) + [tuple(move.payload)],
-                          state.domain)
+                          state.ops)
             s, _ = restriction_profile(grown, grown.n)
             if s not in _fitting_sizes(exps):
                 raise ValueError(

@@ -1,7 +1,7 @@
-"""Exact linear algebra over the scalar domains.
+"""Exact linear algebra over the rings of the scalar fields.
 
-Rows live in Z or Z[sqrt d], the ring being supplied as an ops object
-(IntOps, or a QuadOps instance).  nullspace solves a system with one
+Rows live in Z or Z[sqrt d], the ring of a field's ops object
+(scalars.IntOps, or a scalars.QuadOps instance).  nullspace solves a system with one
 multi-modular engine: for each word-size prime of a fixed sequence, and
 each ring map into F_p, the reduced row echelon form gives the canonical
 nullspace basis mod p, which is recovered by Chinese remaindering and
@@ -15,12 +15,10 @@ too.
 """
 from __future__ import annotations
 
-import operator
 from bisect import bisect
-from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .scalars import InvariantError, QuadElem, _is_prime
+from .scalars import InvariantError, _is_prime
 
 
 def det3(m, ops):
@@ -48,133 +46,6 @@ def ring_cross(ops, u, v):
             add(mul(u0, v1), neg(mul(u1, v0))))
 
 
-class IntOps:
-    """Ring Z with Fraction as its fraction field; its ring operations are
-    Python's operators, which the lattice scan also applies to Z[t]."""
-
-    zero = 0
-    one = 1
-    parts = 1           # integer coordinates per ring element
-    d = 1               # Z as Z[sqrt 1], in height bounds and field checks
-    is_zero, add, neg, mul = operator.not_, operator.add, operator.neg, \
-        operator.mul
-
-    # -- the ring as the multi-modular engine sees it ----------------------
-
-    @staticmethod
-    def maps(p):
-        """(the ring maps to F_p, each a function of one element; the map
-        from residues under those maps to residues of the integer
-        coordinates), or None when p admits no ring map."""
-        return (lambda x: x % p,), lambda residues: residues
-
-    @staticmethod
-    def integer_rows(rows):
-        """Integer rows that vanish on a coordinate vector exactly when
-        the given rows annihilate the vector it describes."""
-        return rows
-
-    @staticmethod
-    def from_coords(coords, den):
-        """The field element with the given integer coordinates over den."""
-        return Fraction(coords[0], den)
-
-    # -- the ring as echelon sees it --------------------------------------
-
-    scale = mul                 # times an integer
-
-    div = operator.floordiv     # exact division by an integer
-
-    @staticmethod
-    def ints(x):                # the integer coordinates
-        return (x,)
-
-    @staticmethod
-    def cofactor(x):            # c with x * c an integer
-        return 1
-
-
-class QuadOps:
-    """Ring Z[sqrt d] with elements stored as (a, b) integer pairs."""
-
-    parts = 2
-
-    def __init__(self, d: int):
-        self.d = d
-        self.zero = (0, 0)
-        self.one = (1, 0)
-
-    @staticmethod
-    def is_zero(x):
-        return x == (0, 0)
-
-    @staticmethod
-    def add(x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    @staticmethod
-    def neg(x):
-        return (-x[0], -x[1])
-
-    def mul(self, x, y):
-        a, b = x
-        c, e = y
-        return (a * c + self.d * b * e, a * e + b * c)
-
-    # -- the ring as the multi-modular engine sees it ----------------------
-
-    def maps(self, p):
-        """sqrt d -> r and sqrt d -> -r, with r*r = d mod p, and the map from
-        residues x+, x- under them to those of the coordinates
-        a = (x+ + x-)/2 and b = (x+ - x-)/(2r); None when d is not a nonzero
-        square mod p."""
-        r = _sqrt_mod(self.d, p)
-        if r is None:
-            return None
-        half, inv2r = (p + 1) >> 1, pow(2 * r, -1, p)
-
-        def coords(xp, xm):
-            out = []
-            for u, v in zip(xp, xm):
-                out.append((u + v) * half % p)
-                out.append((u - v) * inv2r % p)
-            return out
-        return ((lambda x: (x[0] + x[1] * r) % p,
-                 lambda x: (x[0] - x[1] * r) % p), coords)
-
-    def integer_rows(self, rows):
-        """Two integer rows per row, on interleaved coordinates (a, b):
-        (x + y sqrt d)(a + b sqrt d) = (x a + d y b) + (y a + x b) sqrt d."""
-        d = self.d
-        out = []
-        for row in rows:
-            out.append([c for x, y in row for c in (x, d * y)])
-            out.append([c for x, y in row for c in (y, x)])
-        return out
-
-    def from_coords(self, coords, den):
-        a, b = coords
-        return QuadElem._make(self.d, Fraction(a, den), Fraction(b, den))
-
-    # -- the ring as echelon sees it --------------------------------------
-
-    @staticmethod
-    def scale(x, k):
-        return (x[0] * k, x[1] * k)
-
-    @staticmethod
-    def div(x, k):
-        return (x[0] // k, x[1] // k)
-
-    @staticmethod
-    def ints(x):
-        return x
-
-    @staticmethod
-    def cofactor(x):
-        return (x[0], -x[1])    # x times its conjugate is its norm
-
-
 # -- primes ----------------------------------------------------------------
 
 _PRIMES: list = []   # the primes below 2**62 in descending order, memoized
@@ -191,30 +62,6 @@ def _primes():
             _PRIMES.append(q)
         yield _PRIMES[i]
         i += 1
-
-
-def _sqrt_mod(n: int, p: int):
-    """r with r*r = n mod the odd prime p (Tonelli-Shanks), or None when n
-    is not a nonzero square mod p."""
-    n %= p
-    if n == 0 or pow(n, (p - 1) >> 1, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while not q & 1:
-        q >>= 1
-        s += 1
-    z = 2
-    while pow(z, (p - 1) >> 1, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) >> 1, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
 
 
 # -- the engine ------------------------------------------------------------

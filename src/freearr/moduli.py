@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .arrangement import (
@@ -32,15 +32,17 @@ from .arrangement import (
     NotEssentialError,
     _compute_lattice,
     _has_rank3,
-    build,
     lattice_iso,
     line_key,
+    primitive,
+    validated,
 )
-from .linalg import IntOps, QuadOps, ring_cross
+from .linalg import ring_cross
 from .scalars import (
+    IntOps,
     IntPoly,
-    QuadElem,
     _quotient,
+    clear,
     domain_of,
     factor_low_degree,
     poly,
@@ -141,12 +143,6 @@ def generic_lattice(f: Family) -> IntersectionLattice:
     return _compute_lattice(IntOps, f.columns)
 
 
-def _as_scalar(omega):
-    if isinstance(omega, QuadElem):
-        return omega
-    return Fraction(omega)
-
-
 @dataclass(frozen=True)
 class SpecializationResult:
     """Outcome of evaluating a family at one parameter value."""
@@ -167,18 +163,9 @@ def _integral_images(f: Family, omega):
     the sum of p_k x^k y^(D - k), so images[i] is an integral column over
     ops and dens[i] = y^D.
     """
-    quad = isinstance(omega, QuadElem)
-    if quad:
-        a, b = omega.a, omega.b
-        y = lcm(a.denominator, b.denominator)
-        ops = QuadOps(omega.d)
-        x = (a.numerator * (y // a.denominator),
-             b.numerator * (y // b.denominator))
-        y_ring = (y, 0)
-    else:
-        ops = IntOps
-        x, y = omega.numerator, omega.denominator
-        y_ring = y
+    ops = domain_of(omega)
+    y, (x,) = clear(ops, [omega])
+    y_ring, quad = ops.scale(ops.one, y), ops.parts == 2
     x_pow, y_pow = [ops.one], [ops.one]
     terms = {}  # D -> the coordinate lists of x^k y^(D - k), k = 0..D
     images, dens = [], []
@@ -202,39 +189,34 @@ def _integral_images(f: Family, omega):
     return ops, images, dens
 
 
-def _field_column(omega, image, den) -> tuple:
-    """The field column image / den, in the scalars of omega's domain."""
-    if isinstance(omega, QuadElem):
-        return tuple([QuadElem._make(omega.d, Fraction(a, den),
-                                     Fraction(b, den)) for a, b in image])
-    return tuple([Fraction(v, den) for v in image])
-
-
 def specialize(f: Family, omega) -> SpecializationResult:
     """Evaluate every column at omega and build the specialized arrangement.
 
     Columns are evaluated to integral images (_integral_images), and
-    vanishing and merging are read off those, by line_key.  Each kept
-    column enters the field once, as its image over its denominator.
-    Degenerate outcomes (vanishing or merging columns, rank below 3) are
-    reported as data, never as errors.  Whether the lattice is still the
-    generic one is asked by vL_membership.
+    vanishing and merging are read off their primitive forms, by line_key.
+    The kept columns go with those forms and keys to the validation step
+    of build (arrangement.validated), and each enters the field once, as
+    its image over its denominator.  Degenerate outcomes (vanishing or
+    merging columns, rank below 3) are reported as data, never as errors.
+    Whether the lattice is still the generic one is asked by vL_membership.
     """
-    omega = _as_scalar(omega)
+    omega = domain_of(omega).field(omega)
     ops, images, dens = _integral_images(f, omega)
     dropped = []
-    groups: dict = {}  # line key -> labels, in order of first label
+    groups: dict = {}  # line key -> (primitive image, labels), by first label
     for label, image in enumerate(images, start=1):
         if all(map(ops.is_zero, image)):
             dropped.append(label)
         else:
-            groups.setdefault(line_key(ops, image), []).append(label)
-    kept_cols = [_field_column(omega, images[g[0] - 1], dens[g[0] - 1])
-                 for g in groups.values()]
-    merges = tuple(tuple(g) for g in groups.values() if len(g) > 1)
-    count = len(kept_cols)
+            ring = primitive(ops, image)
+            groups.setdefault(line_key(ops, ring), (ring, []))[1].append(label)
+    merges = tuple(tuple(g) for _, g in groups.values() if len(g) > 1)
+    count = len(groups)
+    cols = [tuple([ops.from_coords(ops.ints(x), dens[g[0] - 1])
+                   for x in images[g[0] - 1]]) for _, g in groups.values()]
     try:
-        arr = build(kept_cols, domain_of(omega))
+        arr = validated(ops, cols, [ring for ring, _ in groups.values()],
+                        list(groups))
     except ValueError:
         arr = None
     return SpecializationResult(omega, count, arr, tuple(dropped), merges)

@@ -3,15 +3,20 @@
 Every value is immutable and every operation is a pure function, so scalars
 can be shared freely between concurrent analyses.  No floating point is used
 anywhere; integer coefficients are arbitrary precision.
+
+A field is one ops object, QQ = IntOps or quad_field(d): its name, its
+elements (field) and its ring Z or Z[sqrt d], on which the solver and the
+lattice scan compute; clear takes field elements into the ring.
 """
 from __future__ import annotations
 
+import operator
 import random
 import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 _ZERO = Fraction(0)
@@ -261,6 +266,30 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _sqrt_mod(n: int, p: int):
+    """r with r*r = n mod the odd prime p (Tonelli-Shanks), or None when n
+    is not a nonzero square mod p."""
+    n %= p
+    if n == 0 or pow(n, (p - 1) >> 1, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    z = 2
+    while pow(z, (p - 1) >> 1, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) >> 1, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 # -- factorization in Z[t] -------------------------------------------------
@@ -514,9 +543,7 @@ class QuadElem:
     __slots__ = ("d", "a", "b")
 
     def __init__(self, d: int, a, b=0):
-        if d in (0, 1) or not is_squarefree(d):
-            raise ValueError(f"d = {d} must be squarefree and not 0 or 1")
-        self.d = d
+        self.d = quad_field(d).d        # which checks d
         self.a = _as_fraction(a)
         self.b = _as_fraction(b)
 
@@ -524,7 +551,7 @@ class QuadElem:
     def _make(cls, d: int, a: Fraction, b: Fraction) -> QuadElem:
         """Element of a field whose d was already validated; a and b are
         Fractions.  Integral work over Z[sqrt d] is done on the (a, b)
-        integer pairs of linalg.QuadOps instead."""
+        integer pairs of QuadOps instead."""
         x = object.__new__(cls)
         x.d, x.a, x.b = d, a, b
         return x
@@ -620,73 +647,184 @@ class QuadElem:
         return f"QuadElem({self.d}, {self.a}, {self.b})"
 
 
-class Domain:
-    """An exact field of scalars with decidable equality.
+class IntOps:
+    """The field QQ, whose ring is Z: field elements are Fractions, ring
+    elements ints.  Its ring operations are Python's operators, which the
+    lattice scan also applies to Z[t]."""
 
-    Elements carry their own arithmetic through operator overloading, so
-    ``1 / x`` is the exact inverse; the domain object supplies
-    construction from integers and a name used for tagging arrangements.
-    """
-
-    name: str
-
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    def from_fraction(self, q: Fraction):
-        raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
-    def __repr__(self):
-        return f"<domain {self.name}>"
-
-
-class RationalDomain(Domain):
     name = "QQ"
+    zero = 0
+    one = 1
+    parts = 1           # integer coordinates per ring element
+    d = 1               # Z as Z[sqrt 1], in height bounds
+    is_zero, add, neg, mul = operator.not_, operator.add, operator.neg, \
+        operator.mul
 
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
+    @staticmethod
+    def field(x) -> Fraction:
+        """x, an int or a Fraction, as an element of QQ."""
+        if isinstance(x, (int, Fraction)):
+            return _as_fraction(x)
+        raise MixedFieldError(f"{x!r} is not in QQ")
 
-    def from_fraction(self, q: Fraction) -> Fraction:
-        return q
+    # -- the ring as the multi-modular engine sees it ----------------------
+
+    @staticmethod
+    def maps(p):
+        """(the ring maps to F_p, each a function of one element; the map
+        from residues under those maps to residues of the integer
+        coordinates), or None when p admits no ring map."""
+        return (lambda x: x % p,), lambda residues: residues
+
+    @staticmethod
+    def integer_rows(rows):
+        """Integer rows that vanish on a coordinate vector exactly when
+        the given rows annihilate the vector it describes."""
+        return rows
+
+    @staticmethod
+    def from_coords(coords, den):
+        """The field element with the given integer coordinates over den."""
+        return Fraction(coords[0], den)
+
+    # -- the ring as echelon sees it --------------------------------------
+
+    scale = mul                 # times an integer
+
+    div = operator.floordiv     # exact division by an integer
+
+    @staticmethod
+    def ints(x):                # the integer coordinates
+        return (x,)
+
+    @staticmethod
+    def cofactor(x):            # c with x * c an integer
+        return 1
 
 
-class QuadDomain(Domain):
+class QuadOps:
+    """The field Q(sqrt d), whose ring is Z[sqrt d]: field elements are
+    QuadElems, ring elements (a, b) integer pairs."""
+
+    parts = 2
+    zero = (0, 0)
+    one = (1, 0)
+
     def __init__(self, d: int):
         if d in (0, 1) or not is_squarefree(d):
             raise ValueError(f"d = {d} must be squarefree and not 0 or 1")
         self.d = d
         self.name = f"QQ(sqrt {d})"
 
-    def from_int(self, k: int) -> QuadElem:
-        return QuadElem._make(self.d, Fraction(k), _ZERO)
+    def field(self, x) -> QuadElem:
+        """x, an int, a Fraction or a QuadElem of this d, as an element of
+        Q(sqrt d)."""
+        if isinstance(x, QuadElem) and x.d == self.d:
+            return x
+        if isinstance(x, (int, Fraction)):
+            return QuadElem._make(self.d, _as_fraction(x), _ZERO)
+        raise MixedFieldError(f"{x!r} is not in {self.name}")
 
-    def from_fraction(self, q: Fraction) -> QuadElem:
-        return QuadElem._make(self.d, q, _ZERO)
+    @staticmethod
+    def is_zero(x):
+        return x == (0, 0)
+
+    @staticmethod
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    @staticmethod
+    def neg(x):
+        return (-x[0], -x[1])
+
+    def mul(self, x, y):
+        a, b = x
+        c, e = y
+        return (a * c + self.d * b * e, a * e + b * c)
+
+    # -- the ring as the multi-modular engine sees it ----------------------
+
+    def maps(self, p):
+        """sqrt d -> r and sqrt d -> -r, with r*r = d mod p, and the map from
+        residues x+, x- under them to those of the coordinates
+        a = (x+ + x-)/2 and b = (x+ - x-)/(2r); None when d is not a nonzero
+        square mod p."""
+        r = _sqrt_mod(self.d, p)
+        if r is None:
+            return None
+        half, inv2r = (p + 1) >> 1, pow(2 * r, -1, p)
+
+        def coords(xp, xm):
+            out = []
+            for u, v in zip(xp, xm):
+                out.append((u + v) * half % p)
+                out.append((u - v) * inv2r % p)
+            return out
+        return ((lambda x: (x[0] + x[1] * r) % p,
+                 lambda x: (x[0] - x[1] * r) % p), coords)
+
+    def integer_rows(self, rows):
+        """Two integer rows per row, on interleaved coordinates (a, b):
+        (x + y sqrt d)(a + b sqrt d) = (x a + d y b) + (y a + x b) sqrt d."""
+        d = self.d
+        out = []
+        for row in rows:
+            out.append([c for x, y in row for c in (x, d * y)])
+            out.append([c for x, y in row for c in (y, x)])
+        return out
+
+    def from_coords(self, coords, den):
+        a, b = coords
+        return QuadElem._make(self.d, Fraction(a, den), Fraction(b, den))
+
+    # -- the ring as echelon sees it --------------------------------------
+
+    @staticmethod
+    def scale(x, k):
+        return (x[0] * k, x[1] * k)
+
+    @staticmethod
+    def div(x, k):
+        return (x[0] // k, x[1] // k)
+
+    @staticmethod
+    def ints(x):
+        return x
+
+    @staticmethod
+    def cofactor(x):
+        return (x[0], -x[1])    # x times its conjugate is its norm
 
 
-QQ = RationalDomain()
+QQ = IntOps
 
 
 @lru_cache(maxsize=None)
-def quad_field(d: int) -> QuadDomain:
-    return QuadDomain(d)
+def quad_field(d: int) -> QuadOps:
+    return QuadOps(d)
 
 
-def domain_of(x) -> Domain:
-    """Infer the scalar domain of an element."""
+def domain_of(x):
+    """The field of a scalar: QQ, or quad_field(d) for an element of
+    Q(sqrt d)."""
     if isinstance(x, (int, Fraction)):
         return QQ
     if isinstance(x, QuadElem):
         return quad_field(x.d)
     raise TypeError(f"no scalar domain for {type(x).__name__}")
+
+
+def clear(ops, xs):
+    """(den, [den * x for x in xs]) for elements xs of the field of ops,
+    den the least common denominator of their coordinates, so that each
+    den * x is in the ring of ops: an int, or an (a, b) pair of Z[sqrt d].
+    An element of another field raises MixedFieldError."""
+    xs = [ops.field(x) for x in xs]
+    if ops.parts == 2:
+        xs = [q for x in xs for q in (x.a, x.b)]
+    den = lcm(*(q.denominator for q in xs))
+    ints = [q.numerator * (den // q.denominator) for q in xs]
+    return den, ints if ops.parts == 1 else list(zip(ints[::2], ints[1::2]))
 
 
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")

@@ -15,8 +15,8 @@ from freearr import arrangement as am
 from freearr import freeness as fr
 from freearr import moduli as mod
 from freearr.freeness import Derivation, Free, HPoly, decide_freeness
-from freearr.linalg import IntOps, det3, rank
-from freearr.scalars import QQ, Domain, QuadElem, squarefree_decompose
+from freearr.linalg import det3, rank
+from freearr.scalars import QQ, IntOps, QuadElem, squarefree_decompose
 
 
 def rational_arrangement(*cols) -> am.Arrangement:
@@ -193,28 +193,29 @@ def is_member(arr: am.Arrangement, deriv: Derivation) -> bool:
         g = apply_form(deriv, alpha)
         if not g:
             continue
-        if not _vanishes_on_kernel(g, alpha, arr.domain):
+        if not _vanishes_on_kernel(g, alpha, arr.ops):
             return False
     return True
 
 
-def _vanishes_on_kernel(g: HPoly, alpha, dom: Domain) -> bool:
+def _vanishes_on_kernel(g: HPoly, alpha, ops) -> bool:
+    zero, one = ops.field(0), ops.field(1)
     # g vanishes identically on ker(alpha) iff alpha divides g
     pivot = next(i for i, a in enumerate(alpha) if a)
     others = [i for i in range(3) if i != pivot]
-    u = [dom.zero] * 3
-    v = [dom.zero] * 3
+    u = [zero] * 3
+    v = [zero] * 3
     u[others[0]] = alpha[pivot]
     u[pivot] = -alpha[others[0]]
     v[others[1]] = alpha[pivot]
     v[pivot] = -alpha[others[1]]
     p = g.degree
-    form = [dom.zero] * (p + 1)
+    form = [zero] * (p + 1)
     for m, c in g.coeffs.items():
-        term = [dom.one]
+        term = [one]
         for axis, e in enumerate(m):
             for _ in range(e):
-                new = [dom.zero] * (len(term) + 1)
+                new = [zero] * (len(term) + 1)
                 for a, x in enumerate(term):
                     if x:
                         new[a] = new[a] + x * u[axis]
@@ -227,7 +228,7 @@ def _vanishes_on_kernel(g: HPoly, alpha, dom: Domain) -> bool:
 
 def defining_polynomial(arr: am.Arrangement) -> HPoly:
     """Q = product of the defining linear forms."""
-    out = HPoly(0, {(0, 0, 0): arr.domain.one})
+    out = HPoly(0, {(0, 0, 0): arr.ops.field(1)})
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for alpha in arr.columns:
         lin = HPoly(1, {e[i]: alpha[i] for i in range(3) if alpha[i]})
@@ -288,7 +289,7 @@ def saito_by_coefficients(arr: am.Arrangement, th1, th2, th3):
     if (d0 is None or det.coeffs.keys() != q.coeffs.keys()
             or any(x * q0 != q.coeffs[m] * d0 for m, x in det.coeffs.items())):
         return None
-    one = arr.domain.one
+    one = arr.ops.field(1)
     return one * d0 * scale / (one * q0 * den)
 
 
@@ -317,14 +318,15 @@ def candidate_additions_over_the_field(arr: am.Arrangement, targets):
     flats = arr.lattice().flats
     points = [_cross(arr.column(a), arr.column(b))
               for a, b, *_ in map(sorted, flats)]
-    ops = am.ring_ops(arr.domain)
+    ops = arr.ops
     lines = {}
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
             line = _cross(p, points[j])
-            lines.setdefault(am.line_key(ops, am.clear_column(line)),
+            lines.setdefault(am.line_key(ops, am.clear_column(ops, line)),
                              (line, set()))[1].update((i, j))
-    existing = {am.line_key(ops, am.clear_column(col)) for col in arr.columns}
+    existing = {am.line_key(ops, am.clear_column(ops, col))
+                for col in arr.columns}
 
     def normal(line):
         lead = next(x for x in line if x)

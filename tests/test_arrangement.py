@@ -5,6 +5,7 @@ import weakref
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,42 @@ class TestBuildValidation:
                            r"QQ\(sqrt 2\) and QQ\(sqrt 5\)$"):
             am.build([(s2, 0, 0), (0, 1, 0), (r, 0, 1)])
 
+    def test_columns_over_a_given_field(self):
+        r5, s2 = QuadElem(5, 0, 1), QuadElem(2, 0, 1)
+        with pytest.raises(am.ArrangementError, match=r"^column 2 mixes "
+                           r"QQ\(sqrt 5\) and QQ\(sqrt 2\)$"):
+            am.build([(1, r5, 0), (0, s2, 1), (0, 0, 1)], quad_field(5))
+        # ints and Fractions enter any field; a non-scalar is no field's
+        arr = am.build([(1, 0, 0), (0, Fraction(1, 2), 1), (0, 0, 1)],
+                       quad_field(5))
+        assert arr.ops is quad_field(5)
+        assert all(type(x) is QuadElem for c in arr.columns for x in c)
+        with pytest.raises(TypeError, match="^no scalar domain for float$"):
+            am.build([(1, 0, 0), (0, 0.5, 1), (0, 0, 1)])
+
+    def test_build_as_the_benchmark_calls_it(self, monkeypatch):
+        """perfbench/worker.py builds rational jobs as build(cols, None)
+        and quadratic ones as build(cols, quad_field(d))."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "perfbench"))
+        import gen
+        fields = set()
+        for job in gen.make_jobs("freeness_stream", 1, 20):
+            ring = job["ring"]
+            if ring == "QQ":
+                ops = QQ
+                arr = am.build([tuple(Fraction(x) for x in c)
+                                for c in job["cols"]], None)
+            else:
+                ops = quad_field(ring)
+                arr = am.build([tuple(QuadElem(ring, x.a, x.b) for x in c)
+                                for c in job["cols"]], ops)
+            assert arr.ops is ops and arr.n == len(job["cols"])
+            assert arr.ring_columns == tuple(
+                am.clear_column(ops, c) for c in arr.columns)
+            fields.add(ops.name)
+        assert {"QQ", "QQ(sqrt 6)", "QQ(sqrt -1)"} <= fields
+
     def test_not_essential(self):
         with pytest.raises(am.NotEssentialError):
             rational_arrangement((1, 0, 0), (0, 1, 0), (1, 1, 0))
@@ -104,12 +141,12 @@ class TestBuildValidation:
 
     def test_domain_inference(self):
         arr = boolean3()
-        assert arr.domain is QQ
+        assert arr.ops is QQ
         assert arr.n == 3
 
 
-def key_of(col, domain):
-    return am.line_key(am.ring_ops(domain), am.clear_column(col))
+def key_of(col, ops):
+    return am.line_key(ops, am.clear_column(ops, col))
 
 
 class TestLineKey:
@@ -321,13 +358,13 @@ class TestDeleteRestrict:
         for src in sources:
             cols = [tuple(scalar() * x for x in c) for c in src.columns]
             rng.shuffle(cols)
-            arr = am.build(cols, src.domain)
-            assert arr.domain.name == field
+            arr = am.build(cols, src.ops)
+            assert arr.ops.name == field
             for h in arr.labels():
                 if not am.deletion_is_essential(arr, h):
                     continue
                 sub, _ = am.delete(arr, h)
-                ref = am.build(cols[:h - 1] + cols[h:], arr.domain)
+                ref = am.build(cols[:h - 1] + cols[h:], arr.ops)
                 assert sub.columns == ref.columns
                 assert sub.ring_columns == ref.ring_columns
                 assert sub.keys == ref.keys
@@ -374,7 +411,7 @@ class TestIsomorphism:
         for arr in small_corpus[:10]:
             perm = list(range(arr.n))
             rng.shuffle(perm)
-            shuffled = am.build([arr.columns[i] for i in perm], arr.domain)
+            shuffled = am.build([arr.columns[i] for i in perm], arr.ops)
             mapping = am.lattice_iso(arr.lattice(), shuffled.lattice())
             assert mapping is not None
             assert am.canonical_key(arr.lattice()) == am.canonical_key(
@@ -548,10 +585,11 @@ class TestOtherDomains:
     def test_quadratic_arrangement(self):
         F = quad_field(2)
         r2 = QuadElem(2, 0, 1)
-        arr = am.build([(F.one, F.zero, F.zero),
-                        (F.zero, F.one, F.zero),
-                        (F.zero, F.zero, F.one),
-                        (F.one, r2, F.one)], F)
+        one, zero = F.field(1), F.field(0)
+        arr = am.build([(one, zero, zero),
+                        (zero, one, zero),
+                        (zero, zero, one),
+                        (one, r2, one)], F)
         assert len(arr.lattice().flats) == 6
 
     def test_generic_family_lattice(self):

@@ -221,12 +221,44 @@ class TestInductionCommands:
         assert err == "error: max_n = 0 is below |A| = 13\n"
 
     def test_recfree_state_budget_exit_two(self):
-        code, out, _ = run("recfree", "paper13", "--at", "3",
-                           "--max-states", "0")
+        # the input, RF by one addition, is the one state explored
+        code, out, _ = run("recfree", "paper15", "--at", "-1",
+                           "--max-states", "1")
         assert code == 2
         assert out == ("Verdict: Unknown\n"
-                       "States explored: 0\n"
-                       "Reason: state budget 0 exhausted\n")
+                       "States explored: 1\n"
+                       "Reason: state budget 1 exhausted\n")
+
+    @pytest.mark.parametrize("command", ["recfree", "report"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_max_states_below_one_is_rejected(self, command, budget):
+        code, out, err = run(command, "paper13", "--at", "3",
+                             "--max-states", budget)
+        assert (code, out) == (1, "")
+        assert err == f"error: max_states = {budget} explores no state\n"
+
+    @pytest.mark.parametrize("args,n,inductive,rf", [
+        (("paper13", "--at", "3"), 13, False, "NotRF"),
+        (("paper15", "--at", "-1"), 15, False, "RF"),
+        (("boolean",), 3, True, "RF")])
+    def test_report_searches_inductive_freeness_once(
+            self, monkeypatch, boolean_file, args, n, inductive, rf):
+        """report reads inductive freeness off the RF search, which
+        explores the input first."""
+        real, roots = induction.inductively_free, []
+
+        def spy(arr):
+            if arr.n == n:
+                roots.append(arr)
+            return real(arr)
+        for module in (induction, cli_mod):
+            monkeypatch.setattr(module, "inductively_free", spy)
+        args = tuple(boolean_file if a == "boolean" else a for a in args)
+        code, out, _ = run("report", *args, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and len(roots) == 1
+        assert payload["inductively_free"] is inductive
+        assert payload["recursively_free"]["verdict"] == rf
 
     def test_abe_all_labels(self):
         code, out, _ = run("abe", "paper13", "--at", "3")

@@ -29,8 +29,14 @@ from freearr.freeness import (
     saito_check,
 )
 from freearr.induction import inductively_free
-from freearr.linalg import IntOps, QuadOps
-from freearr.scalars import QQ, InvariantError, QuadElem, quad_field
+from freearr.scalars import (
+    QQ,
+    IntOps,
+    InvariantError,
+    QuadElem,
+    QuadOps,
+    quad_field,
+)
 
 from conftest import (
     boolean3,
@@ -190,7 +196,7 @@ class TestDecideFreeness:
     def test_cached_constant_fits_rescaled_input(self, a13):
         decide_freeness(a13)
         cols = [tuple(2 * x for x in a13.columns[0])] + list(a13.columns[1:])
-        doubled = am.build(cols, a13.domain)
+        doubled = am.build(cols, a13.ops)
         cert = decide_freeness(doubled).certificate
         assert cert.constant == Fraction(35, 10368)
         assert saito_check(doubled, *cert.derivations) == cert.constant
@@ -203,7 +209,7 @@ class TestDecideFreeness:
         scales = [Fraction(rng.choice((-3, 2, 5)), rng.randint(1, 4))
                   for _ in cols]
         cols = [tuple(k * x for x in c) for k, c in zip(scales, cols)]
-        moved = am.build(cols, a15.domain)
+        moved = am.build(cols, a15.ops)
         cert = decide_freeness(moved).certificate
         assert saito_check(moved, *cert.derivations) == cert.constant
 
@@ -657,7 +663,7 @@ class _FieldReducer:
             self.rows[min(v)] = {j: x * inv for j, x in v.items()}
 
 
-def _field_first_complement(p, theta_e, others, basis, dom):
+def _field_first_complement(p, theta_e, others, basis, ops):
     """First derivation of basis outside S*theta_E + S*others, reduced in
     field arithmetic modulo that span, or None."""
     red = _FieldReducer()
@@ -667,9 +673,9 @@ def _field_first_complement(p, theta_e, others, basis, dom):
     for b in basis:
         r = red.reduce(_derivation_vector(b, p))
         if r:
+            zero = ops.field(0)
             return _vector_to_derivation(
-                [r.get(j, dom.zero) for j in range(3 * len(fr.monomials(p)))],
-                p)
+                [r.get(j, zero) for j in range(3 * len(fr.monomials(p)))], p)
     return None
 
 
@@ -679,9 +685,9 @@ def _field_certificate(arr) -> SaitoCertificate:
     _, e2, e3 = arr.char_poly().exponents()
     theta_e = euler_derivation(arr)
     th2 = _field_first_complement(e2, theta_e, (), derivation_basis(arr, e2),
-                                  arr.domain)
+                                  arr.ops)
     th3 = _field_first_complement(e3, theta_e, (th2,),
-                                  derivation_basis(arr, e3), arr.domain)
+                                  derivation_basis(arr, e3), arr.ops)
     return SaitoCertificate((theta_e, th2, th3),
                             saito_check(arr, theta_e, th2, th3))
 
@@ -987,7 +993,7 @@ class TestIntegralSaito:
                 hits += c is not None
                 # a non-member in place of th3 breaks the identity
                 off = Derivation((poly_add(th3.polys[0], HPoly(
-                    e3, {(e3, 0, 0): arr.domain.one})), *th3.polys[1:]), e3)
+                    e3, {(e3, 0, 0): arr.ops.field(1)})), *th3.polys[1:]), e3)
                 assert saito_check(arr, theta_e, th2, off) == \
                     _field_saito(arr, theta_e, th2, off)
             assert hits
@@ -1033,7 +1039,7 @@ def _saito_trials(arr, rng, rounds: int):
     if isinstance(verdict, Free):
         th1, th2, th3 = verdict.certificate.derivations
         off = Derivation((poly_add(th3.polys[0], HPoly(
-            e3, {(e3 - 1, 1, 0): arr.domain.one})), *th3.polys[1:]), e3)
+            e3, {(e3 - 1, 1, 0): arr.ops.field(1)})), *th3.polys[1:]), e3)
         trials += [(th1, th2, th3), (th1, th2, off)]
     return trials
 
@@ -1166,7 +1172,7 @@ class TestPerturbedKernel:
                                         / "perfbench"))
         arrs = _stream_inputs()
         assert len(arrs) >= 30
-        assert {arr.domain.name for arr in arrs} >= {"QQ", "QQ(sqrt 6)",
+        assert {arr.ops.name for arr in arrs} >= {"QQ", "QQ(sqrt 6)",
                                                       "QQ(sqrt -1)"}
         nullspace = linalg.nullspace
 

@@ -310,8 +310,14 @@ class TestRecursivelyFree:
         assert rep.reason == "addition moves blocked by max_n = 15"
 
     def test_zero_state_budget(self, a13):
-        rep = recursively_free(a13, max_n=14, max_states=0)
-        assert (rep.verdict, rep.explored) == ("Unknown", 0)
+        with pytest.raises(ValueError, match="^max_states = 0 explores no "
+                           "state$"):
+            recursively_free(a13, max_n=14, max_states=0)
+        # a budget of one explores the input and no more
+        p15 = mod.specialize(mod.family_15(), -1).arrangement
+        rep = recursively_free(p15, max_n=16, max_states=1)
+        assert (rep.verdict, rep.explored) == ("Unknown", 1)
+        assert rep.reason == "state budget 1 exhausted"
 
     def test_max_n_below_n_rejected(self, a13):
         with pytest.raises(ValueError):

@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 from freearr import freeness, linalg, moduli
 from freearr.arrangement import clear_column
 from freearr.linalg import (
-    IntOps,
-    QuadOps,
     det3,
     nullspace,
     rank,
 )
-from freearr.scalars import InvariantError, QuadElem
+from freearr.scalars import IntOps, InvariantError, QuadElem, QuadOps
 
 from conftest import det3_cols, to_field
 
@@ -114,7 +112,7 @@ class TestIntegerEngine:
         basis = nullspace(rows, ncols, IntOps)
         expected, pivots = rref_nullspace(
             [[Fraction(x) for x in r] for r in rows], ncols)
-        assert basis == [clear_column(v) for v in expected]
+        assert basis == [clear_column(IntOps, v) for v in expected]
         free = [c for c in range(ncols) if c not in pivots]
         for f, v in zip(free, basis):
             assert all(type(x) is int for x in v)
@@ -272,7 +270,7 @@ class TestQuadraticEngine:
             expected, _ = rref_nullspace(
                 [[to_field(ops, x) for x in r] for r in rows], n)
             basis = nullspace(rows, n, ops)
-            assert basis == [clear_column(v) for v in expected]
+            assert basis == [clear_column(ops, v) for v in expected]
             assert all(isinstance(x, tuple) for v in basis for x in v)
 
     def test_gaussian_integers(self):

@@ -8,8 +8,9 @@ import pytest
 from freearr import arrangement as am
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
-from freearr.linalg import IntOps, ring_cross
+from freearr.linalg import ring_cross
 from freearr.scalars import (
+    IntOps,
     IntPoly,
     QuadElem,
     domain_of,
@@ -186,7 +187,7 @@ def no_specialization(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the family was specialized")
 
-    for name in ("specialize", "build", "lattice_iso"):
+    for name in ("specialize", "validated", "lattice_iso"):
         monkeypatch.setattr(mod, name, forbidden)
 
 
@@ -377,7 +378,7 @@ def field_specialize(f, omega):
     the first column of each group kept as evaluated, and the rank tested
     by field determinants.  (count, dropped, merges, domain name, columns),
     with the domain and columns None below rank 3."""
-    omega = mod._as_scalar(omega)
+    omega = domain_of(omega).field(omega)
     values = [tuple(p(omega) for p in col) for col in f.columns]
     dropped = tuple(i + 1 for i, col in enumerate(values) if not any(col))
     groups = {}
@@ -401,7 +402,7 @@ def outcome(spec):
     arr = spec.arrangement
     if arr is None:
         return spec.count, spec.dropped, spec.merges, None, None
-    return (spec.count, spec.dropped, spec.merges, arr.domain.name,
+    return (spec.count, spec.dropped, spec.merges, arr.ops.name,
             typed(arr.columns))
 
 
@@ -492,7 +493,7 @@ class TestIntegralSpecialization:
                       QuadElem(-1, Fraction(1, 2))):
             self.assert_agrees(f, omega)
             arr = mod.specialize(f, omega).arrangement
-            assert arr is None or arr.domain.name == f"QQ(sqrt {omega.d})"
+            assert arr is None or arr.ops.name == f"QQ(sqrt {omega.d})"
         # at t = 0 columns vanish and merge, over Q(sqrt 5) as over Q
         spec = mod.specialize(f, QuadElem(5, 0))
         assert (spec.count, spec.dropped, spec.merges) == outcome(

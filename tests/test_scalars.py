@@ -8,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freearr.scalars import (
+    IntOps,
     IntPoly,
     MixedFieldError,
     QQ,
     QuadElem,
+    QuadOps,
     ZeroPolynomial,
     _is_prime,
+    clear,
+    domain_of,
     factor_low_degree,
     parse_rational,
     poly,
@@ -244,5 +248,50 @@ class TestDomains:
             quad_field(12)
 
     def test_from_int(self):
-        assert QQ.from_int(3) == Fraction(3)
-        assert quad_field(2).from_int(3) == QuadElem(2, 3, 0)
+        assert QQ.field(3) == Fraction(3)
+        assert quad_field(2).field(3) == QuadElem(2, 3, 0)
+
+    @pytest.mark.parametrize("d", [0, 1, 4, 12, -8])
+    def test_quad_ops_check_d(self, d):
+        with pytest.raises(ValueError, match="must be squarefree"):
+            QuadOps(d)
+        with pytest.raises(ValueError, match="must be squarefree"):
+            quad_field(d)
+        with pytest.raises(ValueError, match="must be squarefree"):
+            QuadElem(d, 1, 1)
+
+    def test_one_object_per_field(self):
+        assert QQ is IntOps and QQ.name == "QQ"
+        assert quad_field(-3).name == "QQ(sqrt -3)"
+        assert domain_of(Fraction(1, 2)) is domain_of(7) is QQ
+        assert domain_of(QuadElem(5, 1, 1)) is quad_field(5)
+        with pytest.raises(TypeError):
+            domain_of(0.5)
+
+    def test_field_coerces_its_own_elements_only(self):
+        half, r5 = Fraction(1, 2), QuadElem(5, 0, 1)
+        assert QQ.field(half) is half and type(QQ.field(3)) is Fraction
+        F = quad_field(5)
+        assert F.field(r5) is r5
+        assert F.field(half) == QuadElem(5, half, 0)
+        assert type(F.field(3).a) is Fraction
+        for ops, x in ((QQ, r5), (QQ, 0.5), (QQ, "1"), (F, QuadElem(2, 0, 1)),
+                       (F, 0.5), (F, (1, 0))):
+            with pytest.raises(MixedFieldError):
+                ops.field(x)
+
+    def test_clear_takes_field_elements_into_the_ring(self):
+        assert clear(QQ, [Fraction(1, 2), Fraction(-1, 3), 2]) == (
+            6, [3, -2, 12])
+        assert clear(QQ, [0, 5]) == (1, [0, 5])
+        F = quad_field(5)
+        assert clear(F, [QuadElem(5, Fraction(1, 2), Fraction(1, 3)), 1,
+                         Fraction(3, 4)]) == (12, [(6, 4), (12, 0), (9, 0)])
+        for ops, xs in ((QQ, [1, QuadElem(5, 0, 1)]),
+                        (F, [QuadElem(2, 0, 1)])):
+            with pytest.raises(MixedFieldError):
+                clear(ops, xs)
+        # from_coords is its inverse
+        den, ring = clear(F, [QuadElem(5, Fraction(1, 2), Fraction(1, 3))])
+        assert F.from_coords(ring[0], den) == QuadElem(
+            5, Fraction(1, 2), Fraction(1, 3))

@@ -175,6 +175,60 @@ def test_columns_are_cleared_once():
             if hasattr(mod, name)] == []
 
 
+def test_one_object_per_field():
+    """A field is its ops object (scalars.IntOps or a QuadOps): the domain
+    classes, ring_ops and _field_column are gone, an Arrangement keeps no
+    domain, field-to-ring conversion is scalars.clear, and arrangement.py
+    branches on no QuadElem."""
+    from freearr import arrangement, moduli, scalars
+
+    assert [name for mod, name in (
+        (scalars, "Domain"), (scalars, "RationalDomain"),
+        (scalars, "QuadDomain"), (arrangement, "ring_ops"),
+        (moduli, "_field_column")) if hasattr(mod, name)] == []
+    assert "domain" not in arrangement.Arrangement.__slots__
+    assert _readers("clear") == ["arrangement.py:clear_column",
+                                 "freeness.py:_integral",
+                                 "moduli.py:_integral_images"]
+    path = SRC / "arrangement.py"
+    found = [node.lineno
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "isinstance"
+             and "QuadElem" in ast.unparse(node.args[1])]
+    assert found == []
+
+
+def test_specialize_clears_each_column_once(monkeypatch):
+    """specialize hands its primitive images and line keys to the
+    validation step build uses, and neither builds nor clears again."""
+    from fractions import Fraction
+
+    from freearr import arrangement, moduli
+    from freearr.scalars import QuadElem
+
+    calls = []
+    for name in ("build", "clear_column", "validated"):
+        def spy(*args, name=name, real=getattr(arrangement, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(arrangement, name, spy)
+        if hasattr(moduli, name):
+            monkeypatch.setattr(moduli, name, spy)
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    specs = [moduli.specialize(fam, at) for fam, at in (
+        (moduli.family_13(), 3), (moduli.family_15(), omega),
+        (moduli.family_13(), 0))]
+    assert calls == ["validated"] * 3
+    assert specs[2].count < 13      # CountDrops at 0
+    monkeypatch.undo()
+    for spec in specs:
+        arr = spec.arrangement
+        built = arrangement.build(arr.columns, arr.ops)
+        assert (arr.ring_columns, arr.keys) == (built.ring_columns,
+                                                built.keys)
+
+
 def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
     """Only the three derivations of the certificate become field elements,
     and only saito_check computes with them."""
@@ -316,7 +370,7 @@ def test_no_horner_step_and_no_polynomial_product_in_saito_check():
 
 
 def test_quadratic_elements_have_fraction_parts(monkeypatch):
-    """Integral work over Z[sqrt d] is done on the pairs of linalg.QuadOps:
+    """Integral work over Z[sqrt d] is done on the pairs of scalars.QuadOps:
     every QuadElem the package makes has Fraction parts."""
     from fractions import Fraction
 
