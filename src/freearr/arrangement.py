@@ -205,8 +205,7 @@ def _has_rank3(cols, ops=IntOps) -> bool:
 
     Fewer than three columns have rank below 3.  Otherwise the first two
     span a plane with normal p = c_1 x c_2, and the rank is 3 exactly when
-    p . c is nonzero for some other column c.  The operations of IntOps are
-    Python's operators, so Z[t] columns need no other ops.
+    p . c is nonzero for some other column c.
     """
     if len(cols) < 3:
         return False
@@ -343,8 +342,8 @@ class IntersectionLattice:
 
 
 def _compute_lattice(ops, cols) -> IntersectionLattice:
-    """Rank-2 flats of the columns over the ring of ops: an arrangement's
-    integral columns, or Z[t] columns under IntOps.
+    """Rank-2 flats of pairwise non-proportional columns over the ring of
+    ops.
 
     The first pair (i, j) of a flat in lexicographic order computes
     p = c_i x c_j once; the flat's other members all come after j, so only

@@ -309,6 +309,8 @@ def _echo_degeneracy(deg: dict):
         _echo(f"  t = {value}: {tag}")
     for factor, tag in sorted(deg["quadratic"].items()):
         _echo(f"  roots of {factor}: {tag}")
+    for factor in deg["unresolved"]:
+        _echo(f"  unresolved factor: {factor}")
 
 
 @cli.command("moduli")
@@ -325,8 +327,6 @@ def moduli_cmd(source, fmt):
         return
     _echo(f"Degeneracy set of {fam.name} ({fam.n} columns):")
     _echo_degeneracy(payload)
-    for factor in payload["unresolved"]:
-        _echo(f"  unresolved factor: {factor}")
 
 
 @cli.command()

@@ -10,8 +10,7 @@ as primitive integral vectors over the ring.  echelon reduces independent
 vectors exactly, from the right, each row one integer denominator over
 ring numerators; for a basis of a nullspace it gives the same canonical
 basis.  Cross and dot products and the 3x3 determinant work over the ring
-of an ops object; IntOps computes with Python's operators, so over Z[t]
-too.
+of an ops object.
 """
 from __future__ import annotations
 

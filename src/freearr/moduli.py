@@ -18,11 +18,21 @@ specialized partition of pairs into flats is a coarsening of the generic
 one, and the new dependent triple merges generic flats: there are strictly
 fewer flats (or the rank falls below 3), so the lattice cannot be
 isomorphic to the generic one: LatticeChanges.
+
+Minors are computed as integers (Kronecker substitution, _packed): each
+entry p becomes p(2^k).  With entries of degree <= L and coefficients
+|c| <= H, a cross-product minor has coefficients at most 2(L+1)H^2 and a
+triple determinant at most 6(L+1)^2 H^3; k is least with 2^(k-1) above
+that.  Packing is a ring map Z[t] -> Z, so a packed minor is 0 exactly
+when its polynomial is, and _unpack reads it back as balanced base-2^k
+digits; the polynomial is constant exactly when |value| < 2^(k-1), since
+for degree D >= 1 the top term exceeds the others by more than 2^(kD)/2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from operator import mul
 
@@ -37,7 +47,7 @@ from .arrangement import (
     primitive,
     validated,
 )
-from .linalg import ring_cross
+from .linalg import ring_cross, ring_dot
 from .scalars import (
     IntOps,
     IntPoly,
@@ -136,11 +146,32 @@ def family_15() -> Family:
 BUILTIN_FAMILIES = {"paper13": family_13, "paper15": family_15}
 
 
+def _packed(f: Family):
+    """(k, columns), each entry p of f packed as p(2^k) (module docstring)."""
+    entries = [p.coeffs for col in f.columns for p in col]
+    size = max(map(len, entries), default=1)
+    height = max((abs(c) for cs in entries for c in cs), default=0)
+    k = (6 * size * size * height ** 3).bit_length() + 1
+    return k, tuple(tuple(sum(c << k * e for e, c in enumerate(p.coeffs))
+                          for p in col) for col in f.columns)
+
+
+def _unpack(v: int, k: int) -> IntPoly:
+    """The p with p(2^k) = v: the balanced base-2^k digits of v."""
+    coeffs, half, mask = [], 1 << (k - 1), (1 << k) - 1
+    while v:
+        c = ((v + half) & mask) - half
+        coeffs.append(c)
+        v = (v - c) >> k
+    return IntPoly(coeffs)
+
+
 def generic_lattice(f: Family) -> IntersectionLattice:
-    """Lattice of the family at a generic t, from minors computed in Z[t]."""
-    if not _has_rank3(f.columns):
+    """Lattice of the family at a generic t, scanned on packed columns."""
+    _, cols = _packed(f)
+    if not _has_rank3(cols):
         raise NotEssentialError()
-    return _compute_lattice(IntOps, f.columns)
+    return _compute_lattice(IntOps, cols)
 
 
 @dataclass(frozen=True)
@@ -244,24 +275,26 @@ class DegeneracyReport:
 def _candidate_polys(f: Family) -> dict:
     """Distinct primitive nonconstant loci where a pair merges or a triple
     becomes dependent, in order of first appearance.  Each maps to True when
-    it is the gcd of some pair's cross-product minors."""
-    cols = f.columns
+    it is the gcd of some pair's cross-product minors.  Minors are packed;
+    a pair with a constant one has a constant gcd, so only nonconstant
+    minors are unpacked."""
+    k, cols = _packed(f)
+    half = 1 << (k - 1)
     n = f.n
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            p0, p1, p2 = ring_cross(IntOps, cols[i], cols[j])
-            minors = [m for m in (p0, p1, p2) if m]
-            g = minors[0]
-            for m in minors[1:]:
-                g = poly_gcd(g, m)
-            if g.degree > 0:
-                out[g.primitive()] = True
+            p = ring_cross(IntOps, cols[i], cols[j])
+            minors = [m for m in p if m]
+            if all(abs(m) >= half for m in minors):
+                g = reduce(poly_gcd, [_unpack(m, k) for m in minors])
+                if g.degree > 0:
+                    out[g.primitive()] = True
             # det(c_i, c_j, c_k) = (c_i x c_j) . c_k
-            for x, y, z in cols[j + 1:]:
-                det = p0 * x + p1 * y + p2 * z
-                if det.degree > 0:
-                    out.setdefault(det.primitive(), False)
+            for c in cols[j + 1:]:
+                det = ring_dot(IntOps, p, c)
+                if abs(det) >= half:
+                    out.setdefault(_unpack(det, k).primitive(), False)
     return out
 
 

@@ -179,12 +179,7 @@ class IntPoly:
 
     def primitive(self) -> IntPoly:
         """Primitive part with positive leading coefficient; 0 stays 0."""
-        if not self:
-            return self
-        g = self.content
-        if self.leading < 0:
-            g = -g
-        return IntPoly(c // g for c in self.coeffs)
+        return IntPoly(_primitive(self.coeffs))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -215,32 +210,8 @@ def poly(*coeffs) -> IntPoly:
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd in Q[t] with positive leading coefficient.
-
-    gcd(p, 0) is the primitive part of p; gcd(0, 0) = 0.
-    """
-    a, b = p.primitive(), q.primitive()
-    if not a:
-        return b
-    if not b:
-        return a
-    if a.degree < b.degree:
-        a, b = b, a
-    # primitive pseudo-remainder sequence: the pseudo-remainder is a
-    # nonzero integer multiple of the remainder in Q[t], so its primitive
-    # part is the same
-    while b:
-        r = list(a.coeffs)
-        lead = b.leading
-        while len(r) > b.degree:
-            c, k = r[-1], len(r) - 1 - b.degree
-            r = [lead * x for x in r]
-            for i, x in enumerate(b.coeffs):
-                r[k + i] -= c * x
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, IntPoly(r).primitive()
-    return a.primitive()
+    """Primitive gcd in Q[t] with positive leading coefficient (_gcd)."""
+    return IntPoly(_gcd(p.coeffs, q.coeffs))
 
 
 def _is_prime(n: int) -> bool:
@@ -325,6 +296,32 @@ def _sub(a: list, b: list, p: int = 0) -> list:
     return _trim([c % p for c in out] if p else out)
 
 
+def _primitive(a) -> list:
+    """a divided by its content, with a positive leading coefficient."""
+    g = gcd(*a) if a and a[-1] > 0 else -gcd(*a)
+    return [c // g for c in a] if a else []
+
+
+def _gcd(a, b) -> list:
+    """Primitive gcd in Q[t], with positive leading coefficient; gcd(a, 0)
+    is the primitive part of a and gcd(0, 0) = 0.  By the primitive
+    pseudo-remainder sequence: a pseudo-remainder is a nonzero integer
+    multiple of the remainder in Q[t], so its primitive part is the same."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r, lead = a, b[-1]
+        while len(r) >= len(b):
+            c, k = r[-1], len(r) - len(b)
+            r = [lead * x for x in r]
+            for i, x in enumerate(b):
+                r[k + i] -= c * x
+            _trim(r)
+        a, b = b, _primitive(r)
+    return a
+
+
 def _quotient(a: list, b: list):
     """a / b in Z[t], or None when b does not divide a there."""
     r = list(a)
@@ -377,12 +374,12 @@ def _squarefree_parts(f: list):
     up to sign, with the a_i primitive, squarefree and pairwise coprime.
     Every division is by a primitive divisor, hence exact in Z[t]."""
     d = _derivative(f)
-    a = list(poly_gcd(IntPoly(f), IntPoly(d)).coeffs)
+    a = _gcd(f, d)
     b, c = _quotient(f, a), _quotient(d, a)
     out, i = [], 1
     while len(b) > 1:
         d = _sub(c, _derivative(b))
-        a = list(poly_gcd(IntPoly(b), IntPoly(d)).coeffs)
+        a = _gcd(b, d)
         b, c = _quotient(b, a), _quotient(d, a)
         if len(a) > 1:
             out.append((a, i))
@@ -497,7 +494,7 @@ def _factor_squarefree(f: list) -> list:
             for i in subset:
                 cand = _mul(cand, lifted[i])
             cand = [c - q if c > q >> 1 else c for c in (x % q for x in cand)]
-            cand = list(IntPoly(cand).primitive().coeffs)
+            cand = _primitive(_trim(cand))
             rest = _quotient(f, cand)
             if rest is not None:
                 out.append(cand)
@@ -649,8 +646,7 @@ class QuadElem:
 
 class IntOps:
     """The field QQ, whose ring is Z: field elements are Fractions, ring
-    elements ints.  Its ring operations are Python's operators, which the
-    lattice scan also applies to Z[t]."""
+    elements ints.  Its ring operations are Python's operators."""
 
     name = "QQ"
     zero = 0

@@ -16,7 +16,13 @@ from freearr import freeness as fr
 from freearr import moduli as mod
 from freearr.freeness import Derivation, Free, HPoly, decide_freeness
 from freearr.linalg import det3, rank
-from freearr.scalars import QQ, IntOps, QuadElem, squarefree_decompose
+from freearr.scalars import (
+    QQ,
+    IntOps,
+    QuadElem,
+    poly_gcd,
+    squarefree_decompose,
+)
 
 
 def rational_arrangement(*cols) -> am.Arrangement:
@@ -135,6 +141,47 @@ def format_family(f: mod.Family) -> str:
         lines.append("; ".join(
             " ".join(str(c) for c in (p.coeffs or (0,))) for p in col))
     return "\n".join(lines) + "\n"
+
+
+# -- the family scans over IntPoly minors that packed integers replaced ----
+
+def candidate_polys_over_zt(f: mod.Family) -> dict:
+    """moduli._candidate_polys with every minor an IntPoly."""
+    cols = f.columns
+    out = {}
+    for i in range(f.n):
+        for j in range(i + 1, f.n):
+            p0, p1, p2 = _cross(cols[i], cols[j])
+            minors = [m for m in (p0, p1, p2) if m]
+            g = minors[0]
+            for m in minors[1:]:
+                g = poly_gcd(g, m)
+            if g.degree > 0:
+                out[g.primitive()] = True
+            # det(c_i, c_j, c_k) = (c_i x c_j) . c_k
+            for x, y, z in cols[j + 1:]:
+                det = p0 * x + p1 * y + p2 * z
+                if det.degree > 0:
+                    out.setdefault(det.primitive(), False)
+    return out
+
+
+def generic_flats_over_zt(f: mod.Family) -> tuple:
+    """The flats of moduli.generic_lattice from IntPoly minors, in the
+    order of the lattice scan: the first pair of a flat is crossed, and
+    each later column whose determinant with it is the zero polynomial
+    joins the flat."""
+    cols, n = f.columns, f.n
+    covered, flats = set(), []
+    for i, j in combinations(range(n), 2):
+        if (i, j) in covered:
+            continue
+        p = _cross(cols[i], cols[j])
+        members = [i, j] + [k for k in range(j + 1, n) if not (
+            p[0] * cols[k][0] + p[1] * cols[k][1] + p[2] * cols[k][2])]
+        flats.append(frozenset(m + 1 for m in members))
+        covered.update(combinations(members, 2))
+    return tuple(flats)
 
 
 # -- HPoly arithmetic: test oracles only; the package evaluates instead ----

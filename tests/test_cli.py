@@ -291,6 +291,19 @@ class TestModuliCommand:
                        "  t = 2: LatticeChanges\n"
                        "  roots of t^2 - t + 1: CountDrops\n")
 
+    def test_unresolved_factor_in_moduli_and_report_text(self, tmp_path):
+        """Both commands print the degeneracy set by one function, so the
+        irreducible cubic t^3 - 2 reaches report's text too."""
+        p = tmp_path / "cubic.fam"
+        p.write_text("1; 0; 0\n0; 1; 0\n0; 0; 1\n-2 0 0 1; 1; 1\n")
+        code, out, _ = run("moduli", str(p))
+        assert (code, out) == (0, f"Degeneracy set of {p} (4 columns):\n"
+                                  "  unresolved factor: t^3 - 2\n")
+        code, out, _ = run("report", str(p), "--at", "5")
+        assert code == 0
+        assert out.endswith("Degeneracy set:\n"
+                            "  unresolved factor: t^3 - 2\n")
+
     def test_constant_family_rejected(self, boolean_file):
         code, _, err = run("moduli", boolean_file)
         assert code == 1

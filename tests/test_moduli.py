@@ -1,6 +1,7 @@
 """One-parameter families, specialization, degeneracy sets."""
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,13 @@ from freearr.scalars import (
     poly,
 )
 
-from conftest import det3_cols, format_family, quadratic_root
+from conftest import (
+    candidate_polys_over_zt,
+    det3_cols,
+    format_family,
+    generic_flats_over_zt,
+    quadratic_root,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
@@ -370,6 +377,113 @@ class TestDivisibilityClassification:
         assert rep.unresolved == ((-7, 0, 0, 2), (-4, 0, 0, 1),
                                   (-3, 0, 0, 1), (-2, 0, 0, 1))
         assert rep.rational == {} and rep.quadratic == {}
+
+
+def benchmark_style_family(rng):
+    """As the benchmark draws its random families: 5-7 columns, one with
+    entries of degrees (0, 0, 1), (0, 1, 2), (2, 2, 2) or (0, 0, 2) in
+    random positions and the others constant, coefficients in [-3, 3],
+    then t -> +-t + b and an integer change of coordinates.  None if two
+    columns are proportional."""
+    n = rng.randint(5, 7)
+    degrees = list(rng.choice(((0, 0, 1), (0, 1, 2), (2, 2, 2), (0, 0, 2))))
+    rng.shuffle(degrees)
+    cols = [tuple(IntPoly(rng.randint(-3, 3) for _ in range(d + 1))
+                  for d in degrees)]
+    cols += [tuple(poly(rng.randint(-3, 3)) for _ in range(3))
+             for _ in range(n - 1)]
+    rng.shuffle(cols)
+    shift = poly(rng.randint(-2, 2), rng.choice((1, -1)))
+    m = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+    cols = [tuple(sum((m[r][c] * e(shift) for c, e in enumerate(col)),
+                      IntPoly()) for r in range(3)) for col in cols]
+    try:
+        return mod.Family("bench", tuple(cols))
+    except ValueError:
+        return None
+
+
+def scaled_family(f, rng):
+    """f with each column times its own polynomial of degree <= 2 whose
+    coefficients reach 2^70 in size and whose lead has either sign: the same
+    lines, entries of degree up to 4, and pair minors with a common
+    factor."""
+    big = 2 ** 70
+    return mod.Family(f.name, tuple(
+        tuple(s * e for e in col) for col in f.columns
+        for s in [IntPoly(rng.choice((1, -1)) * rng.randint(big // 2, big)
+                          for _ in range(rng.randint(1, 3)))]))
+
+
+@pytest.fixture(scope="module")
+def scan_families():
+    """The paper families, random_family and benchmark-style draws, and
+    scaled copies of some of each."""
+    rng = random.Random(20261019)
+    fams = [mod.family_13(), mod.family_15()]
+    for draw in (random_family, benchmark_style_family):
+        drawn = []
+        while len(drawn) < 30:
+            drawn += filter(None, [draw(rng)])
+        fams += drawn
+    fams += [scaled_family(f, rng) for f in fams[:2] + fams[2::6]]
+    return fams
+
+
+class TestPackedScans:
+    """The family scans on packed integers agree with IntPoly minors."""
+
+    def test_corpus_reaches_wide_entries(self, scan_families):
+        entries = [p for f in scan_families for col in f.columns
+                   for p in col if p]
+        assert max(p.degree for p in entries) == 4
+        assert max(abs(c) for p in entries for c in p.coeffs) >= 2 ** 64
+        assert any(p.leading < 0 and p.degree > 0 for p in entries)
+
+    def test_candidates_match_the_intpoly_oracle(self, scan_families):
+        for f in scan_families:
+            assert list(mod._candidate_polys(f).items()) == list(
+                candidate_polys_over_zt(f).items()), format_family(f)
+
+    def test_generic_flats_match_the_intpoly_oracle(self, scan_families):
+        for f in scan_families:
+            flats = generic_flats_over_zt(f)
+            if len(flats) == 1:
+                with pytest.raises(am.NotEssentialError):
+                    mod.generic_lattice(f)
+            else:
+                assert mod.generic_lattice(f).flats == flats, \
+                    format_family(f)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 12, 64, 65, 200])
+    def test_unpack_round_trips_at_the_largest_coefficients(self, k):
+        top = 2 ** (k - 1) - 1
+        for coeffs in ([top], [-top], [top, -top, 0, top], [0, 0, -top],
+                       [-top, top, -top, top, -top], [1, 0, -top]):
+            value = sum(c << k * e for e, c in enumerate(coeffs))
+            assert mod._unpack(value, k) == IntPoly(coeffs)
+            assert (abs(value) < 2 ** (k - 1)) == (len(coeffs) == 1)
+
+    def test_packing_bound_holds_for_every_minor(self, scan_families):
+        for f in scan_families[:2] + scan_families[-5:]:
+            k, _ = mod._packed(f)
+            cols = f.columns
+            heights = [abs(c) for i, j, m in combinations(range(f.n), 3)
+                       for c in det3_cols(cols[i], cols[j], cols[m]).coeffs]
+            assert max(heights) < 2 ** (k - 1)
+
+    def test_pair_with_a_constant_and_a_nonconstant_minor(self, monkeypatch):
+        # e1 x (0, 1, t) = (0, -t, 1): the pair has no common root, so no
+        # gcd is taken; the only locus is the determinant with (1, 1, 1)
+        f = mod.parse_family_text("1; 0; 0\n0; 1; 0 1\n0; 0; 1\n1; 1; 1\n")
+        calls = []
+        real = mod.poly_gcd
+        monkeypatch.setattr(mod, "poly_gcd",
+                            lambda *a: calls.append(a) or real(*a))
+        cands = mod._candidate_polys(f)
+        assert list(cands.items()) == [(poly(-1, 1), False)]
+        assert calls == []
+        assert list(candidate_polys_over_zt(f).items()) == list(cands.items())
 
 
 def field_specialize(f, omega):

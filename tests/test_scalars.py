@@ -80,6 +80,22 @@ class TestDivisionAndGcd:
     def test_poly_gcd_coprime(self):
         assert poly_gcd(poly(1, 1), poly(-1, 1)).degree == 0
 
+    def test_poly_gcd_of_zeros_and_of_a_zero(self):
+        zero, p = IntPoly(), poly(6, -4, -2)     # -2 t^2 - 4 t + 6
+        assert poly_gcd(zero, zero) == zero
+        assert poly_gcd(zero, zero).degree == -1
+        assert poly_gcd(p, zero) == poly_gcd(zero, p) == poly(-3, 2, 1)
+        assert poly_gcd(poly(-4), zero) == poly(1)
+
+    def test_poly_gcd_with_content(self):
+        q = poly(1, 0, 1)
+        # 6 (t - 1) q and -10 (t - 1)(t + 1) q
+        assert poly_gcd(q * poly(-6, 6), q * poly(10, 0, -10)) == \
+            q * poly(-1, 1)
+        assert poly_gcd(q * poly(-8, 4) * -4, 6 * q) == q
+        assert poly_gcd(poly(4), poly(6)) == poly(1)
+        assert poly_gcd(poly(0, 12), poly(0, 0, 18)) == poly(0, 1)
+
     def test_poly_gcd_matches_sympy_on_random_products(self):
         import sympy
 

@@ -117,6 +117,28 @@ def test_quadratic_specialization_does_no_field_multiplication(monkeypatch):
     assert omega * omega == 3 * omega - 1 and calls == ["__mul__", "__rmul__"]
 
 
+def test_family_scans_do_no_polynomial_arithmetic(monkeypatch):
+    """degeneracy_set and generic_lattice compute every minor on packed
+    integers; IntPoly arithmetic only builds families."""
+    from freearr import moduli
+    from freearr.scalars import IntPoly
+
+    f = moduli.family_15()
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                 "__rsub__", "__neg__"):
+        def spy(*args, name=name, method=getattr(IntPoly, name)):
+            calls.append(name)
+            return method(*args)
+        monkeypatch.setattr(IntPoly, name, spy)
+    rep = moduli.degeneracy_set(f)
+    lat = moduli.generic_lattice(f)
+    assert calls == []
+    assert len(rep.rational) == 3 and len(lat.flats) == 39
+    # the spies do see polynomial arithmetic
+    assert -moduli.poly(1, 1) == moduli.poly(-1, -1) and calls == ["__neg__"]
+
+
 def test_no_inconclusive_and_no_det3_cols():
     """Freeness is two-valued, and det3_cols is a test oracle."""
     found = [f"{path.relative_to(SRC)}:{word}"
