@@ -180,21 +180,28 @@ def build(columns, ops=None) -> Arrangement:
                      [line_key(ops, c) for c in cleared])
 
 
-def validated(ops, columns, ring_columns, keys) -> Arrangement:
-    """The arrangement of nonzero field columns over ops, given their
-    primitive integral forms and line keys; the lexicographically first
-    pair of columns of one line raises ProportionalColumnsError, and rank
-    below 3 NotEssentialError."""
-    # (first label of its line, j) for every later column j of that line;
-    # the least of these is the lexicographically first proportional pair
+def first_equal_pair(keys):
+    """The lexicographically first pair (i, j), 1-based, of equal keys, or
+    None when the keys are distinct."""
+    # (first label of its key, j) for every later j with that key; the
+    # least of these is the lexicographically first pair
     first = {}
     pairs = []
     for j, key in enumerate(keys, start=1):
         i = first.setdefault(key, j)
         if i != j:
             pairs.append((i, j))
-    if pairs:
-        raise ProportionalColumnsError(*min(pairs))
+    return min(pairs, default=None)
+
+
+def validated(ops, columns, ring_columns, keys) -> Arrangement:
+    """The arrangement of nonzero field columns over ops, given their
+    primitive integral forms and line keys; the lexicographically first
+    pair of columns of one line raises ProportionalColumnsError, and rank
+    below 3 NotEssentialError."""
+    pair = first_equal_pair(keys)
+    if pair:
+        raise ProportionalColumnsError(*pair)
     if not _has_rank3(ring_columns, ops):
         raise NotEssentialError()
     return Arrangement(ops, columns, ring_columns, keys)

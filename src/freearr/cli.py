@@ -29,7 +29,7 @@ from .arrangement import (
 )
 from .freeness import (
     Free,
-    _scalar_from_text,
+    _read_scalar,
     _scalar_to_text,
     certificate_to_text,
     decide_freeness,
@@ -210,9 +210,6 @@ def _chain_lines(chain) -> list:
     return lines
 
 
-_SCALAR_ARITY = {"rat": 1, "quad": 3}
-
-
 def _parse_chain(text: str) -> list:
     moves = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -236,12 +233,11 @@ def _parse_chain(text: str) -> list:
 def _parse_covector(ln: int, toks) -> tuple:
     cov = []
     while toks:
-        tag = toks[0]
-        arity = _SCALAR_ARITY.get(tag)
-        if arity is None or len(toks) < arity + 1:
-            raise CliError(f"chain line {ln}: bad scalar near {tag!r}")
-        cov.append(_scalar_from_text(toks[:arity + 1]))
-        toks = toks[arity + 1:]
+        read = _read_scalar(toks)
+        if read is None:
+            raise CliError(f"chain line {ln}: bad scalar near {toks[0]!r}")
+        x, toks = read
+        cov.append(x)
     if len(cov) != 3:
         raise CliError(f"chain line {ln}: expected three scalars")
     return tuple(cov)

@@ -579,13 +579,25 @@ def _scalar_to_text(x) -> str:
     raise TypeError(f"cannot serialize scalar {x!r}")
 
 
-def _scalar_from_text(parts):
-    kind = parts[0]
-    if kind == "rat":
-        return Fraction(parts[1])
-    if kind == "quad":
-        return QuadElem(int(parts[1]), Fraction(parts[2]), Fraction(parts[3]))
-    raise ValueError(f"unknown scalar tag {kind!r}")
+def _read_scalar(toks):
+    """(x, rest): x the scalar that _scalar_to_text wrote as the first
+    tokens of toks, rest the tokens after it; None when toks do not start
+    with a tag and its arguments.  A bad value raises ValueError or
+    ZeroDivisionError."""
+    if toks[:1] == ["rat"] and len(toks) > 1:
+        return Fraction(toks[1]), toks[2:]
+    if toks[:1] == ["quad"] and len(toks) > 3:
+        return QuadElem(int(toks[1]), Fraction(toks[2]),
+                        Fraction(toks[3])), toks[4:]
+    return None
+
+
+def _one_scalar(toks):
+    """The scalar that toks hold; other tokens raise ValueError."""
+    read = _read_scalar(toks)
+    if read is None or read[1]:
+        raise ValueError(f"expected one scalar, not {' '.join(toks)!r}")
+    return read[0]
 
 
 def certificate_to_text(cert: SaitoCertificate) -> str:
@@ -613,7 +625,7 @@ def certificate_from_text(text: str) -> SaitoCertificate:
     for i, parts in lines[1:]:
         try:
             if parts[0] == "c" and constant is None:
-                constant = _scalar_from_text(parts[1:])
+                constant = _one_scalar(parts[1:])
             elif parts[0] == "derivation" and len(parts) == 4 and parts[
                     1:3] == [str(len(derivs) + 1), "pdeg"]:
                 derivs.append((int(parts[3]), ({}, {}, {})))
@@ -624,7 +636,7 @@ def certificate_from_text(text: str) -> SaitoCertificate:
                         or sum(m) != pdeg:
                     raise ValueError(f"no term {parts[1:5]} in a derivation "
                                      f"of pdeg {pdeg}")
-                polys[c - 1][tuple(m)] = _scalar_from_text(parts[5:])
+                polys[c - 1][tuple(m)] = _one_scalar(parts[5:])
             elif parts != ["end"] or i != lines[-1][0]:
                 raise ValueError(f"unexpected {' '.join(parts)!r}")
         except (ValueError, IndexError, ZeroDivisionError) as exc:

@@ -27,13 +27,15 @@ that.  Packing is a ring map Z[t] -> Z, so a packed minor is 0 exactly
 when its polynomial is, and _unpack reads it back as balanced base-2^k
 digits; the polynomial is constant exactly when |value| < 2^(k-1), since
 for degree D >= 1 the top term exceeds the others by more than 2^(kD)/2.
+The bound covers the cross products, so two packed columns have equal line
+keys exactly when the columns are proportional over Q(t): Family is
+validated by them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd
 from operator import mul
 
 from .arrangement import (
@@ -42,6 +44,7 @@ from .arrangement import (
     NotEssentialError,
     _compute_lattice,
     _has_rank3,
+    first_equal_pair,
     lattice_iso,
     line_key,
     primitive,
@@ -51,7 +54,6 @@ from .linalg import ring_cross, ring_dot
 from .scalars import (
     IntOps,
     IntPoly,
-    _quotient,
     clear,
     domain_of,
     factor_low_degree,
@@ -75,39 +77,14 @@ class Family:
         return len(self.columns)
 
     def __post_init__(self):
-        # (first label of its primitive column, j) for every later column j
-        # with the same one; the least is the first proportional pair
-        first = {}
-        pairs = []
         for j, col in enumerate(self.columns, start=1):
             if not any(col):
                 raise ValueError(f"column {j} is identically zero")
-            i = first.setdefault(_primitive_column(col), j)
-            if i != j:
-                pairs.append((i, j))
-        if pairs:
+        pair = first_equal_pair([line_key(IntOps, c)
+                                 for c in _packed(self)[1]])
+        if pair:
             raise ValueError("columns {} and {} are identically "
-                             "proportional".format(*min(pairs)))
-
-
-def _primitive_column(col) -> tuple:
-    """Coefficients of the nonzero column divided by the gcd of its entries
-    in Z[t], signed so that the first nonzero entry has a positive leading
-    coefficient.  Z[t] is a UFD, so two columns are proportional over Q(t)
-    exactly when these are equal."""
-    nonzero = [p for p in col if p]
-    g = min(nonzero, key=lambda p: p.degree)
-    for p in nonzero:
-        if g.degree <= 0:
-            break
-        g = poly_gcd(g, p)
-    content = gcd(*(p.content for p in nonzero))
-    if nonzero[0].leading < 0:
-        content = -content
-    if g.degree <= 0:
-        return tuple([tuple([c // content for c in p.coeffs]) for p in col])
-    return tuple([tuple([c // content for c in _quotient(p.coeffs, g.coeffs)])
-                  if p else () for p in col])
+                             "proportional".format(*pair))
 
 
 def _cols(*columns):
@@ -312,10 +289,10 @@ def degeneracy_set(f: Family) -> DegeneracyReport:
     unresolved = set()
     for p, is_pair in _candidate_polys(f).items():
         low, high = factor_low_degree(p)
-        for q, _mult in low:
+        for q in low:
             if is_pair or q not in tags:
                 tags[q] = COUNT_DROPS if is_pair else LATTICE_CHANGES
-        unresolved.update(q.coeffs for q, _mult in high)
+        unresolved.update(q.coeffs for q in high)
     rational = {}
     quadratic = {}
     for q, tag in tags.items():

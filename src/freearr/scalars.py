@@ -108,44 +108,28 @@ class IntPoly:
     def __neg__(self) -> IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
-    def __add__(self, other) -> IntPoly:
+    def _lift(self, other, op) -> IntPoly:
+        """op on the coefficient lists of self and other, an IntPoly or an
+        int; NotImplemented for anything else."""
         if isinstance(other, int):
             other = IntPoly((other,))
         if not isinstance(other, IntPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(op(self.coeffs, other.coeffs))
+
+    def __add__(self, other) -> IntPoly:
+        return self._lift(other, lambda a, b: _sub(a, [-c for c in b]))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> IntPoly:
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._lift(other, _sub)
 
     def __rsub__(self, other) -> IntPoly:
-        return (-self) + other
+        return self._lift(other, lambda a, b: _sub(b, a))
 
     def __mul__(self, other) -> IntPoly:
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        if not self or not other:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return self._lift(other, _mul)
 
     __rmul__ = __mul__
 
@@ -172,10 +156,7 @@ class IntPoly:
 
     @property
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self) -> IntPoly:
         """Primitive part with positive leading coefficient; 0 stays 0."""
@@ -368,25 +349,6 @@ def _pow_mod_p(a: list, e: int, m: list, p: int) -> list:
     return out
 
 
-def _squarefree_parts(f: list):
-    """Yun's squarefree decomposition of the primitive f: the pairs
-    (a_i, i) with a_i nonconstant, so that f is the product of the a_i**i
-    up to sign, with the a_i primitive, squarefree and pairwise coprime.
-    Every division is by a primitive divisor, hence exact in Z[t]."""
-    d = _derivative(f)
-    a = _gcd(f, d)
-    b, c = _quotient(f, a), _quotient(d, a)
-    out, i = [], 1
-    while len(b) > 1:
-        d = _sub(c, _derivative(b))
-        a = _gcd(b, d)
-        b, c = _quotient(b, a), _quotient(d, a)
-        if len(a) > 1:
-            out.append((a, i))
-        i += 1
-    return out
-
-
 def _factor_mod(f: list, p: int, rng) -> list:
     """Monic irreducible factors of the monic squarefree f mod the odd
     prime p: distinct-degree splitting, then Cantor-Zassenhaus."""
@@ -508,24 +470,25 @@ def _factor_squarefree(f: list) -> list:
 
 
 def factor_low_degree(p: IntPoly):
-    """Split p into its irreducible factors, those of degree at most two apart.
+    """The distinct irreducible factors of p, those of degree at most two
+    apart.
 
-    Returns (low, high): lists of (primitive irreducible IntPoly,
-    multiplicity), low holding the factors of degree 1 or 2 and high those
-    of degree >= 3, each sorted by (degree, coefficients), so that the
-    product of everything equals p up to a rational constant.  The factors
-    are exact: Yun's squarefree decomposition, then Zassenhaus's
-    factorization of each squarefree part (_factor_squarefree).
+    Returns (low, high): lists of primitive irreducible IntPolys, low
+    holding the factors of degree 1 or 2 and high those of degree >= 3,
+    each factor once and each list sorted by (degree, coefficients).  The
+    factors are exact: Zassenhaus's factorization (_factor_squarefree) of
+    the squarefree part f / gcd(f, f') of the primitive part f of p.
     """
     if not p:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    low: list[tuple[IntPoly, int]] = []
-    high: list[tuple[IntPoly, int]] = []
-    for part, mult in _squarefree_parts(list(p.primitive().coeffs)):
-        for q in _factor_squarefree(part):
-            (low if len(q) <= 3 else high).append((IntPoly(q), mult))
+    f = list(p.primitive().coeffs)
+    low: list[IntPoly] = []
+    high: list[IntPoly] = []
+    if len(f) > 1:      # the gcd is primitive, so the division is exact
+        for q in _factor_squarefree(_quotient(f, _gcd(f, _derivative(f)))):
+            (low if len(q) <= 3 else high).append(IntPoly(q))
     for factors in (low, high):
-        factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        factors.sort(key=lambda q: (q.degree, q.coeffs))
     return low, high
 
 
@@ -700,13 +663,16 @@ class IntOps:
 
 class QuadOps:
     """The field Q(sqrt d), whose ring is Z[sqrt d]: field elements are
-    QuadElems, ring elements (a, b) integer pairs."""
+    QuadElems, ring elements (a, b) integer pairs.  |d| is below 2**40, so
+    that is_squarefree's trial division stays below 2**19 steps."""
 
     parts = 2
     zero = (0, 0)
     one = (1, 0)
 
     def __init__(self, d: int):
+        if abs(d) >= 1 << 40:
+            raise ValueError(f"d = {d} must be below 2**40 in absolute value")
         if d in (0, 1) or not is_squarefree(d):
             raise ValueError(f"d = {d} must be squarefree and not 0 or 1")
         self.d = d

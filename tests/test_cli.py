@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,17 @@ class TestChiAndLattice:
         code, _, err = run("chi", "paper13", "--at", "quad 12 1 1")
         assert code == 1
         assert "bad --at" in err
+
+    @pytest.mark.parametrize("d", [10000000000000061, -(1 << 41) - 1,
+                                   1 << 40])
+    def test_quad_at_value_with_a_huge_d_fails_fast(self, d):
+        """|d| >= 2^40 is refused before any trial division."""
+        start = time.perf_counter()
+        code, out, err = run("free", "paper13", "--at", f"quad {d} 1 1")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (f"error: bad --at value 'quad {d} 1 1': d = {d} must "
+                       f"be below 2**40 in absolute value\n")
 
     def test_unreadable_source(self):
         code, _, err = run("lattice", "/no/such/file.fam")
@@ -158,7 +170,8 @@ class TestInductionCommands:
 
     @pytest.mark.parametrize("move", [
         "add rat 1/0 rat 1 rat 1", "add rat x rat 1 rat 1", "delete x",
-        "add quad 0 1 1 rat 1 rat 1", "add quad 5 1/0 0 rat 1 rat 1"])
+        "add quad 0 1 1 rat 1 rat 1", "add quad 5 1/0 0 rat 1 rat 1",
+        "add quad 10000000000000061 1 1 rat 1 rat 1"])
     def test_recfree_replay_names_the_malformed_line(self, tmp_path, move):
         chain = tmp_path / "chain.txt"
         chain.write_text(f"# a chain\ndelete 1\n{move}\n")

@@ -1230,6 +1230,19 @@ class TestCertificateText:
         lines[first] = f"term {c} 2 0 0 {tag} {value}"
         self._raises_at(lines, first + 1)
 
+    def test_trailing_tokens(self):
+        lines = _certificate_lines()
+        first = lines.index("derivation 1 pdeg 1") + 1
+        for number, line in ((2, "c rat 35/5184 99 junk"),
+                             (first + 1, lines[first] + " 7")):
+            self._raises_at(lines[:number - 1] + [line] + lines[number:],
+                            number)
+
+    def test_quadratic_scalar_with_a_huge_d(self):
+        lines = _certificate_lines()
+        self._raises_at(lines[:1] + ["c quad 10000000000000061 1 1"]
+                        + lines[2:], 2)
+
     @pytest.mark.parametrize("count", [2, 4])
     def test_derivation_count_other_than_three(self, count):
         lines = _certificate_lines()

@@ -60,29 +60,63 @@ class TestFamilies:
             mod.Family("bad", mod._cols(
                 (1, 0, 0), (t - 1, t, 0), (1 - t, -1 * t, 0), (0, 0, 2)))
 
+    def test_pairs_that_meet_only_at_one_power_of_two(self):
+        """(t, 2^e, 0) and (2^e, 1, 0) are proportional at t = 2^(2e) only:
+        a packing base that covers the entries but not the cross products
+        would take them for one line."""
+        t = mod._T
+        for e in range(1, 40):
+            a = 1 << e
+            mod.Family("near", mod._cols((t, a, 0), (a, 1, 0), (0, 0, 1)))
+            with pytest.raises(ValueError, match="^columns 1 and 3 are "):
+                mod.Family("bad", mod._cols((t, a, 0), (a, 1, 0),
+                                            (a * t, a * a, 0)))
+
     def test_error_pair_is_the_first_by_cross_products(self):
         """The reported pair is the first (i, j) in lexicographic order
         whose cross product vanishes in Z[t], as n(n-1)/2 crosses find it."""
         rng = random.Random(14)
         t = mod._T
         factors = (t, -1 * t, poly(-1), poly(3), 2 * t - 1, t * t + 1)
-        for _ in range(60):
-            cols = [tuple(IntPoly(rng.randint(-2, 2)
-                                  for _ in range(rng.randint(1, 2)))
-                          for _ in range(3)) for _ in range(rng.randint(3, 5))]
-            if not all(any(c) for c in cols):
-                continue
-            for _ in range(rng.randint(1, 2)):
-                q = rng.choice(factors)
-                cols.insert(rng.randint(0, len(cols)),
-                            tuple(q * x for x in rng.choice(cols)))
-            first = next((i + 1, j + 1) for i in range(len(cols))
-                         for j in range(i + 1, len(cols))
-                         if not any(ring_cross(IntOps, cols[i], cols[j])))
-            with pytest.raises(ValueError) as exc:
-                mod.Family("bad", tuple(cols))
-            assert str(exc.value) == ("columns {} and {} are identically "
-                                      "proportional".format(*first))
+        big = 1 << 70
+
+        def small():
+            return IntPoly(rng.randint(-2, 2)
+                           for _ in range(rng.randint(1, 2)))
+
+        def wide():
+            """0, or an entry of degree <= 4 with coefficients near 2^70
+            and a negative leading coefficient."""
+            if rng.random() < 0.2:
+                return IntPoly()
+            return IntPoly([rng.choice((-1, 1)) * rng.randint(big - 9, big)
+                            for _ in range(rng.randint(0, 4))]
+                           + [-rng.randint(big - 9, big)])
+
+        wide_factors = (poly(-1), poly(big + 3), poly(-big, 1),
+                        poly(1, 0, 0, -big), t * t + 1)
+        for entry, factors, rounds in ((small, factors, 60),
+                                       (wide, wide_factors, 40)):
+            for _ in range(rounds):
+                cols = [tuple(entry() for _ in range(3))
+                        for _ in range(rng.randint(3, 5))]
+                if not all(any(c) for c in cols):
+                    continue
+                for _ in range(rng.randint(1, 2)):
+                    q = rng.choice(factors)
+                    cols.insert(rng.randint(0, len(cols)),
+                                tuple(q * x for x in rng.choice(cols)))
+                if entry is wide:   # a copy one off in its first entry
+                    col = rng.choice(cols)
+                    cols.insert(rng.randint(0, len(cols)),
+                                (col[0] + 1,) + col[1:])
+                first = next((i + 1, j + 1) for i in range(len(cols))
+                             for j in range(i + 1, len(cols))
+                             if not any(ring_cross(IntOps, cols[i], cols[j])))
+                with pytest.raises(ValueError) as exc:
+                    mod.Family("bad", tuple(cols))
+                assert str(exc.value) == ("columns {} and {} are identically "
+                                          "proportional".format(*first))
 
 
 class TestGenericLattices:
@@ -303,7 +337,7 @@ def specialized_degeneracies(f):
     rational, quadratic = {}, {}
     generic = mod.generic_lattice(f)
     for p in mod._candidate_polys(f):
-        for q, _mult in factor_low_degree(p)[0]:
+        for q in factor_low_degree(p)[0]:
             if q.degree == 1:
                 target, key = rational, Fraction(-q.coeffs[0], q.coeffs[1])
                 omega = key

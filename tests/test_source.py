@@ -139,6 +139,45 @@ def test_family_scans_do_no_polynomial_arithmetic(monkeypatch):
     assert -moduli.poly(1, 1) == moduli.poly(-1, -1) and calls == ["__neg__"]
 
 
+def test_families_are_validated_by_packed_line_keys(monkeypatch):
+    """Family compares the line keys of its packed columns: it takes no
+    polynomial gcd and divides no polynomials."""
+    from freearr import moduli, scalars
+
+    cols = moduli.family_15().columns
+    calls = []
+    for mod, name in ((scalars, "_gcd"), (scalars, "poly_gcd"),
+                      (scalars, "_quotient"), (moduli, "poly_gcd"),
+                      (moduli, "_quotient")):
+        if hasattr(mod, name):
+            def spy(*args, name=name, real=getattr(mod, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(mod, name, spy)
+    fam = moduli.Family("paper15", cols)
+    assert calls == []
+    assert fam.n == 15
+    # the spies do see gcds
+    assert scalars.poly_gcd(cols[4][1], cols[4][1]) == cols[4][1]
+    assert calls == ["poly_gcd", "_gcd"]
+
+
+def test_one_same_line_test_and_one_factorization_path():
+    """line_key is the one proportionality test, first_equal_pair the one
+    search for the first equal pair, and factor_low_degree factors the
+    squarefree part: the primitive ℤ[t] columns and Yun's decomposition are
+    gone, and only the pair scan of the minors takes polynomial gcds."""
+    assert _readers("first_equal_pair") == ["arrangement.py:validated",
+                                            "moduli.py:__post_init__"]
+    assert _readers("poly_gcd") == ["moduli.py:_candidate_polys"]
+    found = [f"{path.relative_to(SRC)}:{node.name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("_squarefree_parts", "_primitive_column")]
+    assert found == []
+
+
 def test_no_inconclusive_and_no_det3_cols():
     """Freeness is two-valued, and det3_cols is a test oracle."""
     found = [f"{path.relative_to(SRC)}:{word}"
