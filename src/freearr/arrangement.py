@@ -111,21 +111,29 @@ class Arrangement:
     field ops and the field columns it keeps what build computed from them:
     the columns cleared by clear_column and their line keys.  The lattice,
     the derivation solver, state keys, deletions and addition candidates
-    read these.
+    read these.  specialize gives the field columns as a function, which
+    is called on first read of columns.
     """
 
-    __slots__ = ("ops", "columns", "ring_columns", "keys", "_lattice")
+    __slots__ = ("ops", "_columns", "ring_columns", "keys", "_lattice")
 
     def __init__(self, ops, columns, ring_columns, keys):
         self.ops = ops
-        self.columns = tuple(columns)
+        self._columns = columns if callable(columns) else tuple(columns)
         self.ring_columns = tuple(ring_columns)
         self.keys = tuple(keys)
         self._lattice = None
 
     @property
+    def columns(self) -> tuple:
+        cols = self._columns
+        if callable(cols):
+            cols = self._columns = tuple(cols())
+        return cols
+
+    @property
     def n(self) -> int:
-        return len(self.columns)
+        return len(self.ring_columns)
 
     def labels(self):
         return range(1, self.n + 1)
@@ -195,10 +203,10 @@ def first_equal_pair(keys):
 
 
 def validated(ops, columns, ring_columns, keys) -> Arrangement:
-    """The arrangement of nonzero field columns over ops, given their
-    primitive integral forms and line keys; the lexicographically first
-    pair of columns of one line raises ProportionalColumnsError, and rank
-    below 3 NotEssentialError."""
+    """The arrangement of nonzero field columns over ops (or a function
+    that makes them, see Arrangement), given their primitive integral forms
+    and line keys; the lexicographically first pair of columns of one line
+    raises ProportionalColumnsError, and rank below 3 NotEssentialError."""
     pair = first_equal_pair(keys)
     if pair:
         raise ProportionalColumnsError(*pair)

@@ -47,7 +47,7 @@ from math import comb, prod
 
 from . import linalg
 from .arrangement import Arrangement
-from .scalars import InvariantError, QuadElem, clear
+from .scalars import InvariantError, QuadElem, clear, parse_rational
 
 
 class DegreeMismatchError(ValueError):
@@ -582,13 +582,13 @@ def _scalar_to_text(x) -> str:
 def _read_scalar(toks):
     """(x, rest): x the scalar that _scalar_to_text wrote as the first
     tokens of toks, rest the tokens after it; None when toks do not start
-    with a tag and its arguments.  A bad value raises ValueError or
-    ZeroDivisionError."""
+    with a tag and its arguments.  Rationals are read by parse_rational,
+    as --at reads them; a bad value raises ValueError or ZeroDivisionError."""
     if toks[:1] == ["rat"] and len(toks) > 1:
-        return Fraction(toks[1]), toks[2:]
+        return parse_rational(toks[1]), toks[2:]
     if toks[:1] == ["quad"] and len(toks) > 3:
-        return QuadElem(int(toks[1]), Fraction(toks[2]),
-                        Fraction(toks[3])), toks[4:]
+        return QuadElem(int(toks[1]), parse_rational(toks[2]),
+                        parse_rational(toks[3])), toks[4:]
     return None
 
 

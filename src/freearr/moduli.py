@@ -33,6 +33,7 @@ validated by them.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -203,10 +204,12 @@ def specialize(f: Family, omega) -> SpecializationResult:
     Columns are evaluated to integral images (_integral_images), and
     vanishing and merging are read off their primitive forms, by line_key.
     The kept columns go with those forms and keys to the validation step
-    of build (arrangement.validated), and each enters the field once, as
-    its image over its denominator.  Degenerate outcomes (vanishing or
-    merging columns, rank below 3) are reported as data, never as errors.
-    Whether the lattice is still the generic one is asked by vL_membership.
+    of build (arrangement.validated).  Their field columns, each image over
+    its denominator, are made on first read of the arrangement's columns,
+    which lattice() and vL_membership never do.  Degenerate outcomes
+    (vanishing or merging columns, rank below 3) are reported as data,
+    never as errors.  Whether the lattice is still the generic one is asked
+    by vL_membership.
     """
     omega = domain_of(omega).field(omega)
     ops, images, dens = _integral_images(f, omega)
@@ -220,11 +223,11 @@ def specialize(f: Family, omega) -> SpecializationResult:
             groups.setdefault(line_key(ops, ring), (ring, []))[1].append(label)
     merges = tuple(tuple(g) for _, g in groups.values() if len(g) > 1)
     count = len(groups)
-    cols = [tuple([ops.from_coords(ops.ints(x), dens[g[0] - 1])
-                   for x in images[g[0] - 1]]) for _, g in groups.values()]
+    firsts = [g[0] - 1 for _, g in groups.values()]
     try:
-        arr = validated(ops, cols, [ring for ring, _ in groups.values()],
-                        list(groups))
+        arr = validated(ops, lambda: [tuple([ops.from_coords(
+            ops.ints(x), dens[i]) for x in images[i]]) for i in firsts],
+            [ring for ring, _ in groups.values()], list(groups))
     except ValueError:
         arr = None
     return SpecializationResult(omega, count, arr, tuple(dropped), merges)
@@ -318,6 +321,17 @@ def vL_membership(f: Family, lattice: IntersectionLattice, omega) -> bool:
 # coefficient lists in ascending degree, e.g. "1 -3; 0 1; 0 0 -1" for the
 # column (1-3t, t, -t^2).  Blank lines and #-comments are ignored.
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(tok: str) -> int:
+    """tok, an integer in ASCII digits; what int refuses raises its own
+    error, and the underscores and other digits it accepts are refused."""
+    n = int(tok)
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError(f"not an integer: {tok!r}")
+    return n
+
 
 def parse_family_text(text: str, name: str = "file") -> Family:
     cols = []
@@ -331,7 +345,7 @@ def parse_family_text(text: str, name: str = "file") -> Family:
                 f"line {ln}: expected three ';'-separated coefficient lists")
         try:
             col = tuple(
-                IntPoly(int(tok) for tok in part.split()) for part in parts)
+                IntPoly(map(_integer, part.split())) for part in parts)
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from None
         cols.append(col)

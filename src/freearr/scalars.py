@@ -436,10 +436,20 @@ def _factor_squarefree(f: list) -> list:
     would divide the cofactor, lift to a smaller subset bounded by the same
     B and have been accepted first.  When no subset of at most half the
     remaining lifted factors is accepted, the cofactor is irreducible and is
-    the last factor.
+    the last factor.  A quadratic a t^2 + b t + c, with b^2 - 4ac nonzero
+    as f is squarefree, is irreducible unless b^2 - 4ac = r^2; then
+    (2a t + b - r)(2a t + b + r) = 4a f, so by Gauss's lemma the primitive
+    parts of these two factors are those of f.
     """
     if len(f) <= 2:
         return [f]
+    if len(f) == 3:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        r = isqrt(max(disc, 0))
+        if not r or r * r != disc:
+            return [f]
+        return [_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])]
     p = next(p for p in count(3, 2)
              if f[-1] % p and _is_prime(p) and _squarefree_mod(f, p))
     inv = pow(f[-1], -1, p)
@@ -477,7 +487,8 @@ def factor_low_degree(p: IntPoly):
     holding the factors of degree 1 or 2 and high those of degree >= 3,
     each factor once and each list sorted by (degree, coefficients).  The
     factors are exact: Zassenhaus's factorization (_factor_squarefree) of
-    the squarefree part f / gcd(f, f') of the primitive part f of p.
+    the squarefree part f / gcd(f, f') of the primitive part f of p; a
+    quadratic f splits by its discriminant alone, by Gauss's lemma.
     """
     if not p:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -789,10 +800,12 @@ def clear(ops, xs):
     return den, ints if ops.parts == 1 else list(zip(ints[::2], ints[1::2]))
 
 
-_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def parse_rational(s: str) -> Fraction:
+    """The rational written as an integer or a/b in ASCII digits; anything
+    else raises ValueError and a zero b ZeroDivisionError."""
     m = _RAT_RE.match(s.strip())
     if not m:
         raise ValueError(f"not a rational number: {s!r}")

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, including exit-code contracts."""
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -9,6 +10,12 @@ import pytest
 
 from freearr import cli as cli_mod
 from freearr import induction
+from freearr.freeness import (
+    certificate_from_text,
+    certificate_to_text,
+    saito_check,
+)
+from freearr.moduli import family_13, specialize
 
 from conftest import ASYMMETRIC20
 
@@ -65,6 +72,14 @@ class TestChiAndLattice:
         assert code == 1
         assert "bad --at" in err
 
+    @pytest.mark.parametrize("at", ["\u0661", "quad 5 \u0661 1",
+                                    "quad 5 1 1/\u0662", "0.5", "1e0"])
+    def test_at_value_in_other_digits(self, at):
+        """--at reads integers and a/b in ASCII digits only."""
+        code, out, err = run("chi", "paper13", "--at", at)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: bad --at value {at!r}: not a rational")
+
     def test_non_squarefree_quad_at_value(self):
         code, _, err = run("chi", "paper13", "--at", "quad 12 1 1")
         assert code == 1
@@ -97,6 +112,32 @@ class TestFree:
         code, out, _ = run("free", boolean_file, "--certificate")
         assert code == 0
         assert "saito-certificate" in out
+
+    def test_certificate_output_reads_back(self):
+        code, out, _ = run("free", "paper13", "--at", "3", "--certificate")
+        assert code == 0
+        text = out[out.index("saito-certificate\n"):]
+        cert = certificate_from_text(text)
+        assert certificate_to_text(cert) == text
+        arr = specialize(family_13(), 3).arrangement
+        assert saito_check(arr, *cert.derivations) == cert.constant
+
+    @pytest.mark.parametrize("args, digest", [
+        (("free", "paper13", "--at", "3", "--certificate"),
+         "e6feced515549cd55705231bda9bddabe33f3ccc2a647bf9f2ddbcbaebb98bca"),
+        (("free", "paper15", "--at", "quad 5 3/2 1/2", "--certificate"),
+         "c7430bc0d69961909897db4245871504d1aa1eae7d70191b8411ca932c4e204d"),
+        (("report", "paper13", "--at", "3"),
+         "8deb7da0822f626b5cbc54f9b220598ebffc10a1fc4c56262aeef38a5934c38d"),
+        (("report", "paper15", "--at", "quad 5 3/2 1/2"),
+         "3161590f4e7f31988b4cfdb7a496452b5d40d355204f4ac4d569cda83b436443"),
+    ], ids=["free13", "free15", "report13", "report15"])
+    def test_specialized_output_bytes(self, args, digest):
+        """stdout digests of the specialized paper members, as printed when
+        specialize made every field column at once."""
+        code, out, _ = run(*args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyAndIso:
@@ -171,7 +212,9 @@ class TestInductionCommands:
     @pytest.mark.parametrize("move", [
         "add rat 1/0 rat 1 rat 1", "add rat x rat 1 rat 1", "delete x",
         "add quad 0 1 1 rat 1 rat 1", "add quad 5 1/0 0 rat 1 rat 1",
-        "add quad 10000000000000061 1 1 rat 1 rat 1"])
+        "add quad 10000000000000061 1 1 rat 1 rat 1",
+        "add rat 1e0 rat 0.5 rat 1", "add rat 1_000 rat 1 rat 1",
+        "add quad 5 0.5 1 rat 1 rat 1", "add rat \u0661 rat 1 rat 1"])
     def test_recfree_replay_names_the_malformed_line(self, tmp_path, move):
         chain = tmp_path / "chain.txt"
         chain.write_text(f"# a chain\ndelete 1\n{move}\n")

@@ -1238,6 +1238,17 @@ class TestCertificateText:
             self._raises_at(lines[:number - 1] + [line] + lines[number:],
                             number)
 
+    def test_rationals_in_the_format_of_parse_rational(self):
+        """An integer or a/b in ASCII digits, as --at reads them."""
+        lines = _certificate_lines()
+        first = lines.index("derivation 1 pdeg 1") + 1
+        head = lines[first].rsplit(" ", 1)[0]
+        for value in ("0.5", "1e0", "1_000", "\u0661", "1/\u0662"):
+            self._raises_at(lines[:first] + [f"{head} {value}"]
+                            + lines[first + 1:], first + 1)
+        for line in ("c rat 0.5", "c quad 5 0.5 1", "c quad 5 1 1e0"):
+            self._raises_at(lines[:1] + [line] + lines[2:], 2)
+
     def test_quadratic_scalar_with_a_huge_d(self):
         lines = _certificate_lines()
         self._raises_at(lines[:1] + ["c quad 10000000000000061 1 1"]

@@ -14,6 +14,7 @@ from freearr.scalars import (
     IntOps,
     IntPoly,
     QuadElem,
+    QuadOps,
     domain_of,
     factor_low_degree,
     poly,
@@ -145,6 +146,14 @@ class TestGenericLattices:
         assert am.lattice_iso(lat, golden) is not None
 
 
+def interleaved_family():
+    """At t = 0 column 3 vanishes, 1, 4, 7 merge and 2, 5 merge."""
+    t = mod._T
+    return mod.Family("interleaved", mod._cols(
+        (3, 0, 0), (0, 1, 0), (t, t, t), (1, 0, t), (t, 2, 0),
+        (0, 0, 1), (2, t, 0)))
+
+
 class TestSpecialize:
     def test_13_generic_value(self, a13):
         f = mod.family_13()
@@ -175,11 +184,7 @@ class TestSpecialize:
         assert spec.merges == ((11, 12, 13),)
 
     def test_interleaved_merge_groups(self):
-        t = mod._T
-        f = mod.Family("interleaved", mod._cols(
-            (3, 0, 0), (0, 1, 0), (t, t, t), (1, 0, t), (t, 2, 0),
-            (0, 0, 1), (2, t, 0)))
-        spec = mod.specialize(f, 0)
+        spec = mod.specialize(interleaved_family(), 0)
         assert spec.dropped == (3,)
         assert spec.merges == ((1, 4, 7), (2, 5))
         assert spec.count == 3
@@ -648,6 +653,51 @@ class TestIntegralSpecialization:
             mod.specialize(f, 0))[:3]
 
 
+def eager_columns(f, omega, firsts):
+    """The field columns of the given (0-based) columns of f at omega, each
+    integral image over its denominator, made at once."""
+    ops, images, dens = mod._integral_images(f, domain_of(omega).field(omega))
+    return typed(tuple(ops.from_coords(ops.ints(x), dens[i])
+                       for x in images[i]) for i in firsts)
+
+
+class TestDeferredFieldColumns:
+    """specialize makes its field columns on first read of columns."""
+
+    @pytest.mark.parametrize("f, omega, firsts", [
+        (mod.family_13(), 3, range(13)),
+        (mod.family_15(), QuadElem(5, Fraction(3, 2), Fraction(1, 2)),
+         range(15)),
+        (interleaved_family(), 0, (0, 1, 5)),     # 1, 2 and 6 are kept
+    ], ids=["paper13", "paper15", "interleaved"])
+    def test_columns_equal_the_eager_ones(self, f, omega, firsts):
+        arr = mod.specialize(f, omega).arrangement
+        assert arr.n == len(firsts)
+        assert type(arr.columns) is tuple
+        assert all(type(col) is tuple for col in arr.columns)
+        assert typed(arr.columns) == eager_columns(f, omega, firsts)
+        assert arr.columns is arr.columns
+
+    def test_membership_path_makes_no_field_scalar(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a field scalar was made")
+
+        f = mod.family_13()
+        generic = mod.generic_lattice(f)
+        monkeypatch.setattr(IntOps, "from_coords", forbidden)
+        monkeypatch.setattr(QuadOps, "from_coords", forbidden)
+        rep = mod.degeneracy_set(f)
+        values = list(rep.rational) + [quadratic_root(q)
+                                       for q in rep.quadratic] + [3]
+        for omega in values:
+            arr = mod.specialize(f, omega).arrangement
+            if arr is not None:
+                arr.lattice()
+            mod.vL_membership(f, generic, omega)
+        with pytest.raises(AssertionError, match="field scalar"):
+            mod.specialize(f, 3).arrangement.columns
+
+
 class TestVLMembership:
     def test_generic_lattice_membership(self):
         f = mod.family_13()
@@ -681,6 +731,32 @@ class TestFamilyFormat:
             mod.parse_family_text("1; 0\n")
         with pytest.raises(ValueError):
             mod.parse_family_text("")
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0661", "+\u0661\u0662",
+                                       "1_0", "\uff11"])
+    def test_integers_in_ascii_digits_only(self, token):
+        """int() accepts underscores and other Unicode digits; a family
+        file does not."""
+        text = f"1; 0; 0\n0; 1; 0\n0; 0; 1\n1; 1 {token}; 1\n"
+        with pytest.raises(ValueError) as exc:
+            mod.parse_family_text(text)
+        assert str(exc.value) == f"line 4: not an integer: {token!r}"
+
+    @pytest.mark.parametrize("token, message", [
+        ("x", "invalid literal for int() with base 10: 'x'"),
+        ("1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("1e3", "invalid literal for int() with base 10: '1e3'"),
+        ("1__0", "invalid literal for int() with base 10: '1__0'"),
+    ])
+    def test_tokens_int_refuses_keep_its_message(self, token, message):
+        with pytest.raises(ValueError) as exc:
+            mod.parse_family_text(f"1; 0; 0\n0; {token}; 0\n0; 0; 1\n")
+        assert str(exc.value) == f"line 2: {message}"
+
+    def test_signed_ascii_integers_parse(self):
+        f = mod.parse_family_text("+1; 0; 0\n0; -01; 0\n0; 0; 1 -2\n")
+        assert f.columns == mod._cols((1, 0, 0), (0, -1, 0),
+                                      (0, 0, poly(1, -2)))
 
     def test_constant_family_specializes_everywhere(self):
         f = mod.parse_family_text("1; 0; 0\n0; 1; 0\n0; 0; 1\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freearr import scalars
 from freearr.scalars import (
     IntOps,
     IntPoly,
@@ -182,16 +183,53 @@ class TestFactorLowDegree:
         assert time.perf_counter() - start < 0.5
 
     def test_irreducible_quadratics_stay_whole(self):
-        for coeffs in ((1, -1, 1), (1, -12, 4), (1, -3, 1), (-1, 1, 1)):
-            low, high = factor_low_degree(IntPoly(coeffs))
-            assert low == [IntPoly(coeffs)]
-            assert high == []
+        """b^2 - 4ac > 0 and not a square, b^2 - 4ac < 0, coefficients
+        above 2**64 and negative leading coefficients."""
+        for coeffs in ((1, -1, 1), (1, -12, 4), (1, -3, 1), (-1, 1, 1),
+                       (-1, 0, 2), (-7, 5, 3), (2 ** 65 + 1, 3, 2 ** 64 - 1),
+                       (1, 0, 1), (2 ** 70, 1, 2 ** 66), (1, -1, -1),
+                       (-3, -1, -5), (1, 1, -3 * 2 ** 64)):
+            p = IntPoly(coeffs)
+            assert factor_low_degree(p) == sympy_factors(p) == (
+                [p.primitive()], []), p
 
     def test_splits_products(self):
         p = poly(-1, 1) * poly(-1, 1, 1) ** 2
         low, high = factor_low_degree(p)
         assert low == [poly(-1, 1), poly(-1, 1, 1)]
         assert high == []
+
+    def test_quadratics_with_square_discriminant_split(self):
+        """Products (a t + b)(c t + d), some with coefficients above
+        2**64, and their negatives."""
+        rng = random.Random(25)
+        for k in range(60):
+            h = 2 ** 70 if k % 3 == 0 else 50
+            a, c = (rng.choice((-1, 1)) * rng.randint(1, h) for _ in "ac")
+            b, d = (rng.randint(-h, h) for _ in "bd")
+            p = poly(b, a) * poly(d, c)
+            for q in (p, -p, 6 * p):
+                assert factor_low_degree(q) == sympy_factors(q), q
+
+    def test_quadratic_squarefree_part(self):
+        p = (T ** 2 + 1) ** 2 * poly(3, 2)
+        assert factor_low_degree(p) == sympy_factors(p) == (
+            [poly(3, 2), poly(1, 0, 1)], [])
+        p = (poly(-1, 2) * poly(5, 3)) ** 3 * (T ** 3 + T + 1)
+        assert factor_low_degree(p) == sympy_factors(p)
+
+    def test_quadratics_are_not_factored_mod_p(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a quadratic went through Zassenhaus")
+
+        for name in ("_factor_mod", "_hensel_lift"):
+            monkeypatch.setattr(scalars, name, forbidden)
+        assert factor_low_degree(poly(-6, 1, 1)) == (
+            [poly(-2, 1), poly(3, 1)], [])
+        assert factor_low_degree(poly(-1, -1, 1)) == (
+            [poly(-1, -1, 1)], [])
+        assert factor_low_degree(poly(-3, 1) ** 2 * poly(1, 1)) == (
+            [poly(-3, 1), poly(1, 1)], [])
 
     def test_high_degree_remainder(self):
         p = poly(1, 1, 0, 1) * poly(-1, 1)  # t^3 + t + 1 is irreducible
@@ -256,6 +294,12 @@ class TestDomains:
     def test_parse_rational(self):
         assert parse_rational("-1/2") == Fraction(-1, 2)
         assert parse_rational("7") == 7
+
+    @pytest.mark.parametrize("text", ["\u0661", "1/\u0662", "\uff17",
+                                      "0.5", "1e0", "1_000", "1/2\n3"])
+    def test_parse_rational_takes_ascii_integers_and_fractions(self, text):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
 
     def test_quad_field_is_cached_and_validated(self):
         assert quad_field(5) is quad_field(5)
