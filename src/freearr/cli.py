@@ -49,7 +49,7 @@ from .moduli import (
     parse_family_text,
     specialize,
 )
-from .scalars import IntPoly, QuadElem, parse_rational
+from .scalars import IntPoly, QuadElem, parse_integer, parse_rational
 
 EXIT_VALIDATION = 1
 EXIT_UNKNOWN = 2
@@ -83,7 +83,8 @@ def _parse_at(text: str):
         if tokens and tokens[0] == "quad":
             if len(tokens) != 4:
                 raise ValueError("expected: quad d a b")
-            return QuadElem(int(tokens[1]), parse_rational(tokens[2]),
+            return QuadElem(parse_integer(tokens[1]),
+                            parse_rational(tokens[2]),
                             parse_rational(tokens[3]))
         if len(tokens) != 1:
             raise ValueError("expected a single rational")
@@ -219,7 +220,7 @@ def _parse_chain(text: str) -> list:
         parts = line.split()
         try:
             if parts[0] == "delete" and len(parts) == 2:
-                moves.append(Move("delete", (int(parts[1]),)))
+                moves.append(Move("delete", (parse_integer(parts[1]),)))
             elif parts[0] == "add":
                 moves.append(Move("add", _parse_covector(ln, parts[1:])))
             else:

@@ -11,7 +11,7 @@ is the product of the forms of the other lines through P: every line
 through P or Q is then satisfied, and only the lines through neither give
 rows (the lemma is in _dh_system's docstring).  The exact kernel of this
 small system, lifted, and the m * theta_E for the monomials m of degree
-p - 1 are a basis of D(A)_p, made canonical exactly by _canonical_rows.
+p - 1 are a basis of D(A)_p, made canonical only by derivation_basis.
 
 Each lift theta is checked against every line alpha by one value.  On
 ker(alpha), parametrized as in _hyperplane_rows, theta(alpha) is a binary
@@ -27,15 +27,15 @@ at most M (B^T - 1) / (B - 1) < B^T.
 The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
 first degree-e2 derivation outside S*theta_E, and the first degree-e3
-derivation outside S*theta_E + S*theta_2, chosen on the exact canonical
-rows; only these three become field elements.  For a free arrangement they
-always satisfy Saito's identity det = c*Q with c nonzero, which
-saito_check tests by two evaluations.  Freeness is therefore two-valued.  A
-failed certificate means A is not free, and the verdict carries its
-obstruction: a non-splitting characteristic polynomial, or the first degree
-whose dimension differs from that of a free module.  By du Plessis-Wall and
-Dimca that degree is min(r, e2), r the least degree of D_H(A), so the sweep
-that finds it stops at e2 (proof in decide_freeness).
+derivation outside S*theta_E + S*theta_2 in the canonical basis, found
+from the lifts alone (_first_complement); only these become field elements.
+For a free arrangement they always satisfy Saito's identity det = c*Q with
+c nonzero, which saito_check tests by two evaluations.  Freeness is
+therefore two-valued.  A failed certificate means A is not free, and the
+verdict carries its obstruction: a non-splitting characteristic polynomial,
+or the first degree whose dimension differs from that of a free module.  By
+du Plessis-Wall and Dimca that degree is min(r, e2), r the least degree of
+D_H(A), so the sweep that finds it stops at e2 (proof in decide_freeness).
 """
 from __future__ import annotations
 
@@ -47,7 +47,8 @@ from math import comb, prod
 
 from . import linalg
 from .arrangement import Arrangement
-from .scalars import InvariantError, QuadElem, clear, parse_rational
+from .scalars import (InvariantError, QuadElem, clear, parse_integer,
+                      parse_rational)
 
 
 class DegreeMismatchError(ValueError):
@@ -323,44 +324,55 @@ def _check_tangent(ops, cols, vecs, p: int):
                                  f"tangent to the line {alpha}")
 
 
-def _canonical_rows(ops, cols, lat, p: int) -> list:
-    """The canonical basis of D(A)_p, in increasing pivot order, as exact
-    rows (den, coefficient vector over the ring of ops), each vector / den
-    having a one at its pivot.
-
-    The vectors m * theta_E and the lifts of the exact two-point kernel are
-    a basis of D(A)_p (direct sum and lemma); each lift is checked exactly
-    against every line, so a wrong frame raises InvariantError, and
-    linalg.echelon makes the basis canonical."""
+def _lifts(ops, cols, lat, p: int, lead=None):
+    """(lifts, leads): the lifts of the exact two-point kernel at degree p,
+    coefficient vectors checked against every line (a wrong frame raises
+    InvariantError), and the first nonzero coordinate of each kernel vector
+    as (block, monomial).  A lead (k, u) from a lower degree fixes to zero
+    the columns u * m of block k (see _first_complement)."""
     rows, width, blocks = _dh_system(ops, cols, lat, p)
+    fixed = set()
+    if lead is not None:
+        (b, d, *_), u = blocks[lead[0]], lead[1]
+        fixed = {b + monomials(d).index(tuple(map(sum, zip(u, m))))
+                 for m in monomials(d - sum(u))}
+    keep = [j for j in range(width) if j not in fixed]
     index = {m: i for i, m in enumerate(monomials(p))}
     pis = [reduce(lambda pi, l: _poly_mul(ops, dict(zip(_UNITS, l)), pi),
                   lines, {(0, 0, 0): ops.one}) for *_, lines in blocks]
-    lifts = []
-    for g in linalg.nullspace(rows, width, ops):
+    lifts, leads = [], []
+    for g in linalg.nullspace([[row[j] for j in keep] for row in rows],
+                              len(keep), ops):
+        g = dict(zip(keep, g))
+        j = next(j for j, x in g.items() if not ops.is_zero(x))
+        k = max(k for k, (b, *_) in enumerate(blocks) if b <= j)
+        leads.append((k, monomials(blocks[k][1])[j - blocks[k][0]]))
         theta = [{}, {}, {}]    # f1, f2, f3, each {monomial: ring element}
         for (b, d, point, _), pi in zip(blocks, pis):
-            q = _poly_mul(ops, dict(zip(monomials(d), g[b:])), pi)
+            q = _poly_mul(ops, {m: g[j] for j, m in enumerate(monomials(d), b)
+                                if j in g}, pi)
             for a, f in zip(point, theta):
                 linalg.add_multiple(ops, f, a, q)
         lifts.append({c * len(index) + index[m]: x
                       for c, f in enumerate(theta) for m, x in f.items()
                       if not ops.is_zero(x)})
     _check_tangent(ops, cols, lifts, p)
-    return [(den, {f: ops.scale(ops.one, den), **row})
-            for f, (den, row) in sorted(linalg.echelon(
-                _shifts(_euler(ops), 1, p) + lifts, ops).items())]
+    return lifts, leads
 
 
 def derivation_basis(arr: Arrangement, p: int) -> list:
     """Basis of the degree-p graded piece, as Derivations over the field:
-    the canonical nullspace basis on the coefficients of (f1, f2, f3) by
-    monomials(p), from _canonical_rows."""
+    the canonical basis on the coefficients of (f1, f2, f3) by monomials(p),
+    linalg.echelon of the m * theta_E and the lifts, a basis of D(A)_p
+    (direct sum and lemma).  Tests hold it against the full system, and
+    decide_freeness does not build it."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
     ops = arr.ops
-    return [_derivation(ops, p, den, vec) for den, vec in _canonical_rows(
-        ops, arr.ring_columns, arr.lattice(), p)]
+    lifts = _lifts(ops, arr.ring_columns, arr.lattice(), p)[0]
+    return [_derivation(ops, p, den, {f: ops.scale(ops.one, den), **row})
+            for f, (den, row) in sorted(linalg.echelon(
+                _shifts(_euler(ops), 1, p) + lifts, ops).items())]
 
 
 def euler_derivation(arr: Arrangement) -> Derivation:
@@ -437,30 +449,59 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
                            ops.ints(ops.mul(qv, x))[0] * prod(dens))
 
 
-def _first_complement(ops, p: int, others, basis):
-    """(den, coefficient vector) of the first row of basis, exact canonical
-    rows of D(A)_p, outside S*theta_E + S*theta for the (degree, vector)
-    pairs in others, reduced modulo that span; or None.
+def _modulo(ops, p: int, others, c: int):
+    """x -> (k, v), v / k = x modulo W = S*theta_E + S*theta, theta for the
+    (degree, vector) pairs in others, and v zero at the pivots of W, each
+    the first (c = 0) or last (c = 2) column of its row.  The m * theta_E
+    are reduced, each with one term in f_c, m * x_c, its pivot."""
+    def flip(vec):      # linalg.echelon pivots on the largest key
+        return vec if c else {-j: x for j, x in vec.items()}
+    euler = {}          # the rows m * theta_E by their pivots
+    for v in map(flip, _shifts(_euler(ops), 1, p)):
+        f = list(v)[c]
+        euler[f] = (1, {j: x for j, x in v.items() if j != f})
+    span = linalg.echelon([linalg.normal_form(ops, v, euler)[1] for d, theta
+                           in others for v in map(flip, _shifts(theta, d, p))],
+                          ops)
 
-    The reduced vector is zero at the pivots of the span, each the first
-    column of its row (columns are reversed on the way into linalg.echelon,
-    which pivots on the last), so it depends only on the span as a
-    subspace, not on the vectors spanning it.  Those vectors are
-    independent, as echelon requires: a relation a * theta_E = -b * theta_2
-    with b != 0 forces b | a, since x1, x2, x3 have gcd 1, and would put
-    theta_2 in S*theta_E.
+    def normal_form(vec):
+        k, r = linalg.normal_form(
+            ops, linalg.normal_form(ops, flip(vec), euler)[1], span)
+        return k, flip(r)
+    return normal_form
+
+
+def _first_complement(ops, p: int, others, lifts):
+    """(den, vector, rest): the first canonical row of D(A)_p outside W =
+    S*theta_E + S*theta, theta for the (degree, vector) pairs in others,
+    reduced modulo W on first columns (_modulo), over den, and rest, the
+    other rows of the echelon below; or None.
+
+    lifts span D(A)_p with W and are independent modulo W.  Reduced modulo
+    W on last columns, which lowers no last column, and put in echelon,
+    their row of least pivot is one at the least last column f of a vector
+    outside W.  So is the first canonical row outside W, as the rows before
+    it lie in W, and the two differ by a vector with last column below f,
+    in W.  So they have one reduction on first columns.  Reducing by the
+    m * theta_E divides f3 by x3 (or f1 by x1) and subtracts the quotient
+    times theta_E, so only the shifts of theta go to linalg.echelon.  They
+    are independent modulo S*theta_E: a * theta_E = -b * theta with b != 0
+    forces b | a, as gcd(x1, x2, x3) = 1, and theta in S*theta_E.
+
+    At e3 > e2, the solve at e3 fixes the columns m * LM(g2) to zero, g2
+    spanning the kernel at e2 and LM its first term.  The order of
+    monomials is lex, so m * LM(g2) is the first term of m * g2: the m * g2
+    are triangular on those columns, and the kernel left is a complement
+    of S*g2, its lifts one of W.
     """
-    last = 3 * len(monomials(p)) - 1
-
-    def flip(vec):
-        return {last - j: x for j, x in vec.items()}
-    span = linalg.echelon([flip(v) for d, theta in ((1, _euler(ops)), *others)
-                           for v in _shifts(theta, d, p)], ops)
-    for den, vec in basis:
-        k, r = linalg.normal_form(ops, flip(vec), span)
-        if r:
-            return den * k, flip(r)
-    return None
+    last = _modulo(ops, p, others, 2)
+    rows = sorted(linalg.echelon([last(v)[1] for v in lifts], ops).items())
+    if not rows:
+        return None
+    (den, vec), *rest = [(den, {f: ops.scale(ops.one, den), **row})
+                         for f, (den, row) in rows]
+    k, r = _modulo(ops, p, others, 0)(vec)
+    return den * k, r, [vec for _, vec in rest]
 
 
 # Verdicts by state_key, oldest evicted first once the bound is reached.
@@ -545,15 +586,16 @@ def _decide_freeness_impl(arr: Arrangement):
         return NotFree("ChiDoesNotSplit")
     _, e2, e3 = exps
     ops, cols = arr.ops, arr.ring_columns
-    rows2 = _canonical_rows(ops, cols, arr.lattice(), e2)
-    th2 = _first_complement(ops, e2, (), rows2)
-    if th2 is not None:
-        rows3 = (rows2 if e3 == e2
-                 else _canonical_rows(ops, cols, arr.lattice(), e3))
-        th3 = _first_complement(ops, e3, ((e2, th2[1]),), rows3)
+    lifts, leads = _lifts(ops, cols, arr.lattice(), e2)
+    th2 = _first_complement(ops, e2, (), lifts)
+    # at e3 > e2, dim D_H(A)_(e2) = 1 iff A is free (r = e2)
+    if th2 is not None and (e3 == e2 or len(leads) == 1):
+        lifts = (th2[2] if e3 == e2 else
+                 _lifts(ops, cols, arr.lattice(), e3, leads[0])[0])
+        th3 = _first_complement(ops, e3, ((e2, th2[1]),), lifts)
         if th3 is not None:
-            ths = (euler_derivation(arr), _derivation(ops, e2, *th2),
-                   _derivation(ops, e3, *th3))
+            ths = (euler_derivation(arr), _derivation(ops, e2, *th2[:2]),
+                   _derivation(ops, e3, *th3[:2]))
             c = saito_check(arr, *ths)
             if c is not None:
                 return Free(exps, SaitoCertificate(ths, c))
@@ -587,7 +629,7 @@ def _read_scalar(toks):
     if toks[:1] == ["rat"] and len(toks) > 1:
         return parse_rational(toks[1]), toks[2:]
     if toks[:1] == ["quad"] and len(toks) > 3:
-        return QuadElem(int(toks[1]), parse_rational(toks[2]),
+        return QuadElem(parse_integer(toks[1]), parse_rational(toks[2]),
                         parse_rational(toks[3])), toks[4:]
     return None
 
@@ -628,9 +670,9 @@ def certificate_from_text(text: str) -> SaitoCertificate:
                 constant = _one_scalar(parts[1:])
             elif parts[0] == "derivation" and len(parts) == 4 and parts[
                     1:3] == [str(len(derivs) + 1), "pdeg"]:
-                derivs.append((int(parts[3]), ({}, {}, {})))
+                derivs.append((parse_integer(parts[3]), ({}, {}, {})))
             elif parts[0] == "term" and derivs:
-                c, *m = map(int, parts[1:5])
+                c, *m = map(parse_integer, parts[1:5])
                 pdeg, polys = derivs[-1]
                 if c not in (1, 2, 3) or len(m) != 3 or min(m) < 0 \
                         or sum(m) != pdeg:

@@ -33,7 +33,6 @@ validated by them.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -58,6 +57,7 @@ from .scalars import (
     clear,
     domain_of,
     factor_low_degree,
+    parse_integer,
     poly,
     poly_gcd,
 )
@@ -321,18 +321,6 @@ def vL_membership(f: Family, lattice: IntersectionLattice, omega) -> bool:
 # coefficient lists in ascending degree, e.g. "1 -3; 0 1; 0 0 -1" for the
 # column (1-3t, t, -t^2).  Blank lines and #-comments are ignored.
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def _integer(tok: str) -> int:
-    """tok, an integer in ASCII digits; what int refuses raises its own
-    error, and the underscores and other digits it accepts are refused."""
-    n = int(tok)
-    if not _INTEGER.fullmatch(tok):
-        raise ValueError(f"not an integer: {tok!r}")
-    return n
-
-
 def parse_family_text(text: str, name: str = "file") -> Family:
     cols = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -345,7 +333,7 @@ def parse_family_text(text: str, name: str = "file") -> Family:
                 f"line {ln}: expected three ';'-separated coefficient lists")
         try:
             col = tuple(
-                IntPoly(map(_integer, part.split())) for part in parts)
+                IntPoly(map(parse_integer, part.split())) for part in parts)
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from None
         cols.append(col)

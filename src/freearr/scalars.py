@@ -800,7 +800,17 @@ def clear(ops, xs):
     return den, ints if ops.parts == 1 else list(zip(ints[::2], ints[1::2]))
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
+
+
+def parse_integer(tok: str) -> int:
+    """tok, an integer in ASCII digits; what int refuses raises its own
+    error, and the underscores and other digits it accepts are refused."""
+    n = int(tok)
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError(f"not an integer: {tok!r}")
+    return n
 
 
 def parse_rational(s: str) -> Fraction:

@@ -80,6 +80,13 @@ class TestChiAndLattice:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: bad --at value {at!r}: not a rational")
 
+    @pytest.mark.parametrize("at", ["quad \u0665 1 1", "quad 1_3 1 1"])
+    def test_quad_d_in_ascii_digits(self, at):
+        """d is read by parse_integer, as a family file's integers are."""
+        code, out, err = run("chi", "paper13", "--at", at)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: bad --at value {at!r}: not an integer")
+
     def test_non_squarefree_quad_at_value(self):
         code, _, err = run("chi", "paper13", "--at", "quad 12 1 1")
         assert code == 1
@@ -214,7 +221,8 @@ class TestInductionCommands:
         "add quad 0 1 1 rat 1 rat 1", "add quad 5 1/0 0 rat 1 rat 1",
         "add quad 10000000000000061 1 1 rat 1 rat 1",
         "add rat 1e0 rat 0.5 rat 1", "add rat 1_000 rat 1 rat 1",
-        "add quad 5 0.5 1 rat 1 rat 1", "add rat \u0661 rat 1 rat 1"])
+        "add quad 5 0.5 1 rat 1 rat 1", "add rat \u0661 rat 1 rat 1",
+        "add quad 1_3 1 1 rat 1 rat 1", "delete \u0661"])
     def test_recfree_replay_names_the_malformed_line(self, tmp_path, move):
         chain = tmp_path / "chain.txt"
         chain.write_text(f"# a chain\ndelete 1\n{move}\n")

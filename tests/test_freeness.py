@@ -35,6 +35,7 @@ from freearr.scalars import (
     InvariantError,
     QuadElem,
     QuadOps,
+    clear,
     quad_field,
 )
 
@@ -584,9 +585,47 @@ class TestDHSolve:
         ops, cols = arr.ops, arr.ring_columns
         two_point = [fr._dh_system(ops, cols, arr.lattice(), p)[:2]
                      for p in range(e3 + 1)]
-        assert solved and all((rows, ncols) in two_point
-                              for _, ncols, rows in solved)
-        assert {name for name, _, _ in solved} == {"nullspace", "rank"}
+        # (name, degree, columns removed): the e2 and e3 solves of
+        # decide_freeness, then each rank of the sweep and its nullspace
+        expected = [("nullspace", e2, 0)]
+        if e3 > e2:
+            expected.append(("nullspace", e3, comb(e3 - e2 + 2, 2)))
+        expected += [(name, p, 0) for p in range(e2 + 1)
+                     for name in ("rank", "nullspace")]
+        assert len(solved) == len(expected)
+        for (name, ncols, rows), (want, p, removed) in zip(solved, expected):
+            full, width = two_point[p]
+            assert name == want and ncols == width - removed
+            # rows are the two-point rows at p with those columns removed
+            kept = iter(zip(*full))
+            assert len(rows) == len(full) and all(
+                len(row) == ncols for row in rows) and all(
+                column in kept for column in zip(*rows))
+
+    @pytest.mark.parametrize("arr", [_paper_quad_points()[0], grid(8)],
+                             ids=["sqrt5", "grid32"])
+    def test_e3_solve_returns_one_vector(self, arr, monkeypatch):
+        # the e3 kernel holds the C(e3 - e2 + 2, 2) shifts of g2 and one
+        # more vector; with the columns m * LM(g2) fixed to zero, only the
+        # one more is solved for
+        solves = []
+        nullspace = linalg.nullspace
+
+        def spy(rows, ncols, ops):
+            basis = nullspace(rows, ncols, ops)
+            solves.append((ncols, len(basis)))
+            return basis
+
+        monkeypatch.setattr(linalg, "nullspace", spy)
+        exps = arr.char_poly().exponents()
+        assert exps in ((1, 5, 9), (1, 15, 16))
+        _, e2, e3 = exps
+        assert isinstance(decide_freeness(arr, use_cache=False), Free)
+        ops, cols, lat = arr.ops, arr.ring_columns, arr.lattice()
+        shifts = comb(e3 - e2 + 2, 2)
+        assert solves == [(fr._dh_system(ops, cols, lat, e2)[1], 1),
+                          (fr._dh_system(ops, cols, lat, e3)[1] - shifts, 1)]
+        assert derivation_space_dim(arr, e3) == comb(e3 + 1, 2) + shifts + 1
 
     @pytest.mark.parametrize("arr", [
         mod.specialize(mod.family_13(), 3).arrangement,
@@ -893,6 +932,31 @@ class TestWitnessTheorem:
             assert verdict.reason == "GradedDimensionMismatch"
             assert verdict.detail[0] == min(r, e2)
 
+    def test_no_e3_solve_when_the_e2_kernel_is_not_one_vector(
+            self, monkeypatch):
+        # at e2 < e3 a free A has dim D_H(A)_(e2) = 1; a non-free one has
+        # r != e2, so that dimension is 0 or at least C(e2 - r + 2, 2) = 3,
+        # and decide_freeness goes straight to the sweep
+        degrees = []
+        dh_system = fr._dh_system
+
+        def spy(ops, cols, lat, p):
+            degrees.append(p)
+            return dh_system(ops, cols, lat, p)
+
+        monkeypatch.setattr(fr, "_dh_system", spy)
+        cases = [(arr, r) for arr, _, r in _nonfree_cases()
+                 if len(set(arr.char_poly().exponents())) == 3]
+        assert len(cases) >= 20
+        for arr, r in cases:
+            exps = arr.char_poly().exponents()
+            p = min(r, exps[1])
+            del degrees[:]
+            verdict = decide_freeness(arr, use_cache=False)
+            assert exps[2] not in degrees
+            assert verdict == NotFree("GradedDimensionMismatch", (
+                p, expected_graded_dim(exps, p), _full_dim(arr, p)))
+
     def test_free_inputs_have_r_equal_e2(self, small_corpus, a13, a15):
         arrs = (*small_corpus, *map(near_pencil, range(4, 9)),
                 *map(grid, range(2, 6)), a13, a15, *_paper_quad_points())
@@ -1054,8 +1118,10 @@ class TestEvaluationChecks:
         ops, cols = arr.ops, arr.ring_columns
         for p in degrees:
             nm = len(fr.monomials(p))
-            rows = [vec for _, vec in fr._canonical_rows(ops, cols,
-                                                         arr.lattice(), p)]
+            # the canonical rows over the ring of ops
+            rows = [dict(zip(vec, clear(ops, vec.values())[1])) for vec in
+                    (_derivation_vector(th, p)
+                     for th in derivation_basis(arr, p))]
             fr._check_tangent(ops, cols, rows, p)
             # each row, and it plus one monomial in f1, f2 or f3: a line
             # with alpha_c = 0 still accepts the latter
@@ -1248,6 +1314,19 @@ class TestCertificateText:
                             + lines[first + 1:], first + 1)
         for line in ("c rat 0.5", "c quad 5 0.5 1", "c quad 5 1 1e0"):
             self._raises_at(lines[:1] + [line] + lines[2:], 2)
+
+    def test_integers_in_ascii_digits(self):
+        """d, pdeg and the term indices as parse_integer reads them:
+        int() alone takes other digits and underscores."""
+        lines = _certificate_lines()
+        for line in ("c quad \u0665 1 1", "c quad 1_3 1 1"):
+            self._raises_at(lines[:1] + [line] + lines[2:], 2)
+        first = lines.index("derivation 1 pdeg 1")
+        tail = lines[first + 1].split(" ", 2)[2]
+        for number, line in ((first + 1, "derivation 1 pdeg \u0661"),
+                             (first + 2, f"term \u0661 {tail}")):
+            self._raises_at(lines[:number - 1] + [line] + lines[number:],
+                            number)
 
     def test_quadratic_scalar_with_a_huge_d(self):
         lines = _certificate_lines()

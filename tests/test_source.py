@@ -223,6 +223,35 @@ def test_one_exact_echelon_and_no_test_only_code():
         (moduli, "format_family")) if hasattr(mod, name)] == []
 
 
+def test_complements_come_from_the_lifts_alone(monkeypatch):
+    """decide_freeness builds no canonical basis of D(A)_p and passes no
+    m * theta_E to linalg.echelon: reducing modulo S*theta_E divides by x3
+    or x1."""
+    from fractions import Fraction
+
+    from freearr import freeness, linalg, moduli
+    from freearr.scalars import QuadElem
+
+    assert not hasattr(freeness, "_canonical_rows")
+    vectors = []
+    echelon = linalg.echelon
+
+    def spy(vecs, ops):
+        vectors.extend(vecs)
+        return echelon(vecs, ops)
+    monkeypatch.setattr(linalg, "echelon", spy)
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
+                moduli.specialize(moduli.family_15(), omega).arrangement):
+        del vectors[:]
+        verdict = freeness.decide_freeness(arr, use_cache=False)
+        shifts = [v for p in verdict.exponents[1:]
+                  for v in freeness._shifts(freeness._euler(arr.ops), 1, p)]
+        # keys are negated where echelon is to pivot on first columns
+        assert vectors and not any({abs(j): x for j, x in v.items()} in shifts
+                                   for v in vectors)
+
+
 def test_columns_are_cleared_once():
     """build clears each column once and keeps the ring columns and line
     keys on the Arrangement; the lattice scan, the solver, state keys and
