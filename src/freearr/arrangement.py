@@ -23,6 +23,7 @@ from .scalars import (
     QQ,
     clear,
     domain_of,
+    parse_integer,
 )
 
 
@@ -623,7 +624,8 @@ def parse_lattice_listing(text: str) -> IntersectionLattice:
             raise ArrangementError(f"line {lineno}: expected a [..] list")
         body = line[1:-1].strip()
         try:
-            rows.append([int(x) for x in body.split(",")] if body else [])
+            rows.append([parse_integer(x.strip()) for x in body.split(",")]
+                        if body else [])
         except ValueError as exc:
             raise ArrangementError(f"line {lineno}: {exc}") from None
     n = len(rows)

@@ -28,7 +28,7 @@ The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
 first degree-e2 derivation outside S*theta_E, and the first degree-e3
 derivation outside S*theta_E + S*theta_2 in the canonical basis, found
-from the lifts alone (_first_complement); only these become field elements.
+from the lifts alone (_first_complement); they stay integral until written.
 For a free arrangement they always satisfy Saito's identity det = c*Q with
 c nonzero, which saito_check tests by two evaluations.  Freeness is
 therefore two-valued.  A failed certificate means A is not free, and the
@@ -40,15 +40,14 @@ D_H(A), so the sweep that finds it stops at e2 (proof in decide_freeness).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, count, repeat
 from math import comb, prod
 
 from . import linalg
 from .arrangement import Arrangement
-from .scalars import (InvariantError, QuadElem, clear, parse_integer,
-                      parse_rational)
+from .scalars import (QQ, InvariantError, QuadElem, clear, domain_of,
+                      parse_integer, parse_rational)
 
 
 class DegreeMismatchError(ValueError):
@@ -68,33 +67,16 @@ def monomials(p: int) -> tuple:
     return tuple(out)
 
 
-class HPoly:
-    """Homogeneous polynomial in x1, x2, x3 with scalar coefficients."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs=None):
-        self.degree = degree
-        self.coeffs = {m: c for m, c in (coeffs or {}).items() if c}
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"HPoly({self.degree}, {self.coeffs!r})"
-
-
 @dataclass(frozen=True)
 class Derivation:
-    """Homogeneous derivation f1*D1 + f2*D2 + f3*D3 of polynomial degree pdeg."""
+    """Homogeneous derivation f1*D1 + f2*D2 + f3*D3 of polynomial degree
+    pdeg, as vec / den: column c * len(monomials(pdeg)) + i of vec holds the
+    coefficient of monomials(pdeg)[i] in f_(c+1), a nonzero ring element.
+    den > 0 is prime to the integer coordinates of vec taken together."""
 
-    polys: tuple  # (HPoly, HPoly, HPoly)
     pdeg: int
+    den: int
+    vec: dict
 
 
 @dataclass(frozen=True)
@@ -248,20 +230,6 @@ def derivation_space_dim(arr: Arrangement, p: int) -> int:
     return comb(p + 1, 2) + width - linalg.rank(rows, width, arr.ops)
 
 
-def _derivation(ops, p: int, den: int, vec) -> Derivation:
-    """The degree-p Derivation with coefficient vector vec / den.
-
-    Column c * len(monomials(p)) + i of a coefficient vector holds the
-    coefficient of monomials(p)[i] in f_(c+1), a ring element of ops; here
-    each becomes a field element (ops.from_coords)."""
-    mons = monomials(p)
-    polys = [{}, {}, {}]
-    for j, x in vec.items():
-        c, i = divmod(j, len(mons))
-        polys[c][mons[i]] = ops.from_coords(ops.ints(x), den)
-    return Derivation(tuple(HPoly(p, f) for f in polys), p)
-
-
 def _euler(ops) -> dict:
     """The coefficient vector of theta_E: x_c in f_c, monomials(1)[c] = x_c."""
     return {4 * c: ops.one for c in range(3)}
@@ -361,33 +329,30 @@ def _lifts(ops, cols, lat, p: int, lead=None):
 
 
 def derivation_basis(arr: Arrangement, p: int) -> list:
-    """Basis of the degree-p graded piece, as Derivations over the field:
-    the canonical basis on the coefficients of (f1, f2, f3) by monomials(p),
+    """Basis of the degree-p graded piece, as integral Derivations: the
+    canonical basis on the coefficients of (f1, f2, f3) by monomials(p),
     linalg.echelon of the m * theta_E and the lifts, a basis of D(A)_p
-    (direct sum and lemma).  Tests hold it against the full system, and
-    decide_freeness does not build it."""
+    (direct sum and lemma), each row one at its pivot.  Tests hold it
+    against the full system, and decide_freeness does not build it."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
     ops = arr.ops
     lifts = _lifts(ops, arr.ring_columns, arr.lattice(), p)[0]
-    return [_derivation(ops, p, den, {f: ops.scale(ops.one, den), **row})
+    return [Derivation(p, den, {f: ops.scale(ops.one, den), **row})
             for f, (den, row) in sorted(linalg.echelon(
                 _shifts(_euler(ops), 1, p) + lifts, ops).items())]
 
 
 def euler_derivation(arr: Arrangement) -> Derivation:
     """theta_E = x1*D1 + x2*D2 + x3*D3, a member for every arrangement."""
-    return Derivation(tuple(HPoly(1, {u: arr.ops.field(1)}) for u in _UNITS),
-                      1)
+    return Derivation(1, 1, _euler(arr.ops))
 
 
-def _integral(ops, polys):
-    """(den, den * polys), for polys {key: element of the field of ops} and
-    den the least common denominator of their coordinates (scalars.clear),
-    so that den * polys are over the ring of ops."""
-    den, ring = clear(ops, [x for f in polys for x in f.values()])
-    ring = iter(ring)
-    return den, [dict(zip(f, ring)) for f in polys]
+def _polys(th: Derivation) -> list:
+    """th's (f1, f2, f3), each {monomial: ring element}."""
+    mons = monomials(th.pdeg)
+    return [{m: th.vec[j] for j, m in enumerate(mons, c * len(mons))
+             if j in th.vec} for c in range(3)]
 
 
 def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
@@ -395,11 +360,12 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     """Saito's criterion: det of the coefficient matrix against c * Q.
 
     Returns the nonzero constant c on success, None if the determinant is
-    not a nonzero constant multiple of Q; pdegs not summing to n, or a term
-    of another degree than its pdeg, raise DegreeMismatchError.  Cleared
-    of denominators by _integral, the derivations and the forms give det'
-    and Q' over Z or Z[sqrt d], and det' = c' Q' gives c as c' times the
-    forms' scale to the n over the derivations' scales.
+    not a nonzero constant multiple of Q; pdegs not summing to n, or a vec
+    index of no monomial of its pdeg, raise DegreeMismatchError.  The vecs
+    of the derivations, and the forms cleared of denominators by
+    scalars.clear, give det' and Q' over Z or Z[sqrt d], and det' = c' Q'
+    gives c, the one field element made, as c' times the forms' scale to
+    the n over the product of the dens.
 
     Let v = (1, t, t^2) for the least t >= 0 with Q'(v) != 0; t <= 2n, as
     each form is a nonzero quadratic in t there.  Then det' = c' Q' with
@@ -414,15 +380,15 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     docstring.
     """
     ths, n = (th1, th2, th3), arr.n
-    if sum(th.pdeg for th in ths) != n or any(sum(m) != th.pdeg for th in ths
-                                               for f in th.polys
-                                               for m in f.coeffs):
+    if sum(th.pdeg for th in ths) != n or any(
+            not 0 <= j < 3 * len(monomials(th.pdeg)) for th in ths
+            for j in th.vec):
         raise DegreeMismatchError(f"pdegs {[th.pdeg for th in ths]} do not "
                                   f"sum to n = {n} or do not fit their terms")
     ops = arr.ops
-    dens, thetas = zip(*(_integral(ops, [f.coeffs for f in th.polys])
-                         for th in ths))
-    scale, forms = _integral(ops, [dict(zip(_UNITS, a)) for a in arr.columns])
+    thetas = [_polys(th) for th in ths]
+    scale, ring = clear(ops, [x for a in arr.columns for x in a])
+    forms = [dict(zip(_UNITS, ring[i:i + 3])) for i in range(0, len(ring), 3)]
     at = partial(_at, ops, ops.scale)
     # Q' and det' at a point, given by its monomial values
     q = lambda pt: _product(ops, [at(f, pt) for f in forms])
@@ -437,8 +403,7 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     if ops.is_zero(dv):
         return None
     k = (abs(ops.d) ** n * (
-        _height(ops, [qv]) * prod(_height(ops, [x for f in th for x in
-                                                f.values()]) for th in thetas)
+        _height(ops, [qv]) * prod(_height(ops, th.vec.values()) for th in ths)
         + _height(ops, [dv]) * prod(_height(ops, f.values()) for f in forms))
          ).bit_length()
     w = {m: 1 << k * ((n + 1) * m[0] + m[1]) for m in mons}
@@ -446,7 +411,8 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
         return None
     x = ops.cofactor(qv)        # qv * x is an integer
     return ops.from_coords(ops.ints(ops.scale(ops.mul(dv, x), scale ** n)),
-                           ops.ints(ops.mul(qv, x))[0] * prod(dens))
+                           ops.ints(ops.mul(qv, x))[0]
+                           * prod(th.den for th in ths))
 
 
 def _modulo(ops, p: int, others, c: int):
@@ -474,8 +440,9 @@ def _modulo(ops, p: int, others, c: int):
 def _first_complement(ops, p: int, others, lifts):
     """(den, vector, rest): the first canonical row of D(A)_p outside W =
     S*theta_E + S*theta, theta for the (degree, vector) pairs in others,
-    reduced modulo W on first columns (_modulo), over den, and rest, the
-    other rows of the echelon below; or None.
+    reduced modulo W on first columns (_modulo), over den, the two without
+    a common factor (linalg.primitive), and rest, the other rows of the
+    echelon below; or None.
 
     lifts span D(A)_p with W and are independent modulo W.  Reduced modulo
     W on last columns, which lowers no last column, and put in echelon,
@@ -501,7 +468,7 @@ def _first_complement(ops, p: int, others, lifts):
     (den, vec), *rest = [(den, {f: ops.scale(ops.one, den), **row})
                          for f, (den, row) in rows]
     k, r = _modulo(ops, p, others, 0)(vec)
-    return den * k, r, [vec for _, vec in rest]
+    return (*linalg.primitive(ops, den * k, r), [vec for _, vec in rest])
 
 
 # Verdicts by state_key, oldest evicted first once the bound is reached.
@@ -594,8 +561,8 @@ def _decide_freeness_impl(arr: Arrangement):
                  _lifts(ops, cols, arr.lattice(), e3, leads[0])[0])
         th3 = _first_complement(ops, e3, ((e2, th2[1]),), lifts)
         if th3 is not None:
-            ths = (euler_derivation(arr), _derivation(ops, e2, *th2[:2]),
-                   _derivation(ops, e3, *th3[:2]))
+            ths = (euler_derivation(arr), Derivation(e2, *th2[:2]),
+                   Derivation(e3, *th3[:2]))
             c = saito_check(arr, *ths)
             if c is not None:
                 return Free(exps, SaitoCertificate(ths, c))
@@ -614,11 +581,9 @@ def _decide_freeness_impl(arr: Arrangement):
 # -- certificate serialization -------------------------------------------
 
 def _scalar_to_text(x) -> str:
-    if isinstance(x, Fraction):
-        return f"rat {x}"
     if isinstance(x, QuadElem):
         return f"quad {x.d} {x.a} {x.b}"
-    raise TypeError(f"cannot serialize scalar {x!r}")
+    return f"rat {x}"
 
 
 def _read_scalar(toks):
@@ -643,22 +608,25 @@ def _one_scalar(toks):
 
 
 def certificate_to_text(cert: SaitoCertificate) -> str:
-    lines = ["saito-certificate"]
-    lines.append("c " + _scalar_to_text(cert.constant))
+    """The certificate as text, each term of a derivation's vec / den
+    divided out here, in the field of c."""
+    ops = domain_of(cert.constant)
+    lines = ["saito-certificate", "c " + _scalar_to_text(cert.constant)]
     for k, th in enumerate(cert.derivations, start=1):
         lines.append(f"derivation {k} pdeg {th.pdeg}")
-        for c, poly in enumerate(th.polys, start=1):
-            for m in sorted(poly.coeffs):
-                lines.append(
-                    f"term {c} {m[0]} {m[1]} {m[2]} "
-                    + _scalar_to_text(poly.coeffs[m]))
+        for c, f in enumerate(_polys(th), start=1):
+            for m in sorted(f):
+                lines.append(f"term {c} {m[0]} {m[1]} {m[2]} "
+                             + _scalar_to_text(ops.from_coords(
+                                 ops.ints(f[m]), th.den)))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
 def certificate_from_text(text: str) -> SaitoCertificate:
-    """The certificate certificate_to_text wrote; malformed text raises
-    ValueError naming its line."""
+    """The certificate certificate_to_text wrote, each derivation cleared
+    once (scalars.clear); malformed text, or a term outside the field of
+    c, raises ValueError naming its line."""
     lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     if not lines or lines[0][1] != ["saito-certificate"]:
@@ -670,15 +638,15 @@ def certificate_from_text(text: str) -> SaitoCertificate:
                 constant = _one_scalar(parts[1:])
             elif parts[0] == "derivation" and len(parts) == 4 and parts[
                     1:3] == [str(len(derivs) + 1), "pdeg"]:
-                derivs.append((parse_integer(parts[3]), ({}, {}, {})))
+                derivs.append((parse_integer(parts[3]), {}))
             elif parts[0] == "term" and derivs:
                 c, *m = map(parse_integer, parts[1:5])
-                pdeg, polys = derivs[-1]
+                pdeg, terms = derivs[-1]
                 if c not in (1, 2, 3) or len(m) != 3 or min(m) < 0 \
                         or sum(m) != pdeg:
                     raise ValueError(f"no term {parts[1:5]} in a derivation "
                                      f"of pdeg {pdeg}")
-                polys[c - 1][tuple(m)] = _one_scalar(parts[5:])
+                terms[c - 1, tuple(m)] = i, _one_scalar(parts[5:])
             elif parts != ["end"] or i != lines[-1][0]:
                 raise ValueError(f"unexpected {' '.join(parts)!r}")
         except (ValueError, IndexError, ZeroDivisionError) as exc:
@@ -686,6 +654,15 @@ def certificate_from_text(text: str) -> SaitoCertificate:
     if lines[-1][1] != ["end"] or constant is None or len(derivs) != 3:
         raise ValueError(f"line {lines[-1][0]}: a certificate ends after a "
                          f"c line and three derivations")
-    return SaitoCertificate(tuple(
-        Derivation(tuple(HPoly(pdeg, f) for f in polys), pdeg)
-        for pdeg, polys in derivs), constant)
+    ops, ths = domain_of(constant), []
+    for i, x in (t for _, terms in derivs for t in terms.values()):
+        if domain_of(x) not in (ops, QQ):
+            raise ValueError(f"line {i}: a term outside {ops.name}, the "
+                             f"field of c")
+    for pdeg, terms in derivs:
+        index = {m: j for j, m in enumerate(monomials(pdeg))}
+        den, ring = clear(ops, [x for _, x in terms.values()])
+        ths.append(Derivation(pdeg, den, {
+            c * len(index) + index[m]: y for (c, m), y in zip(terms, ring)
+            if not ops.is_zero(y)}))
+    return SaitoCertificate(tuple(ths), constant)

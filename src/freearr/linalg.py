@@ -316,7 +316,7 @@ def normal_form(ops, vec, rows):
     return k, {j: x for j, x in v.items() if not ops.is_zero(x)}
 
 
-def _primitive(ops, den, nums):
+def primitive(ops, den, nums):
     """(den, nums) divided by the gcd of den and every integer coordinate."""
     g = gcd(den, *(c for x in nums.values() for c in ops.ints(x)))
     if g == 1:
@@ -346,10 +346,10 @@ def echelon(vectors, ops):
         n = ops.ints(ops.mul(x, c))[0]
         if n < 0:
             c, n = ops.neg(c), -n
-        new = {f: _primitive(ops, n, {j: ops.mul(y, c) for j, y in v.items()})}
+        new = {f: primitive(ops, n, {j: ops.mul(y, c) for j, y in v.items()})}
         for g, (den, row) in rows.items():
             if f in row:
                 k, out = normal_form(ops, row, new)
-                rows[g] = _primitive(ops, den * k, out)
+                rows[g] = primitive(ops, den * k, out)
         rows.update(new)
     return rows

@@ -14,12 +14,13 @@ import pytest
 from freearr import arrangement as am
 from freearr import freeness as fr
 from freearr import moduli as mod
-from freearr.freeness import Derivation, Free, HPoly, decide_freeness
+from freearr.freeness import Derivation, Free, decide_freeness
 from freearr.linalg import det3, rank
 from freearr.scalars import (
     QQ,
     IntOps,
     QuadElem,
+    clear,
     poly_gcd,
     squarefree_decompose,
 )
@@ -186,6 +187,48 @@ def generic_flats_over_zt(f: mod.Family) -> tuple:
 
 # -- HPoly arithmetic: test oracles only; the package evaluates instead ----
 
+class HPoly:
+    """Homogeneous polynomial in x1, x2, x3 with scalar coefficients."""
+
+    __slots__ = ("degree", "coeffs")
+
+    def __init__(self, degree: int, coeffs=None):
+        self.degree = degree
+        self.coeffs = {m: c for m, c in (coeffs or {}).items() if c}
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, HPoly):
+            return NotImplemented
+        return self.degree == other.degree and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"HPoly({self.degree}, {self.coeffs!r})"
+
+
+def hpolys(ops, th: Derivation) -> tuple:
+    """th's (f1, f2, f3) as HPolys over the field of ops: the field view of
+    its vec / den."""
+    mons = fr.monomials(th.pdeg)
+    polys = ({}, {}, {})
+    for j, x in th.vec.items():
+        polys[j // len(mons)][mons[j % len(mons)]] = ops.from_coords(
+            ops.ints(x), th.den)
+    return tuple(HPoly(th.pdeg, f) for f in polys)
+
+
+def to_derivation(ops, polys, pdeg: int) -> Derivation:
+    """The Derivation of (f1, f2, f3), HPolys of degree pdeg over the field
+    of ops: their coefficients cleared by scalars.clear."""
+    index = {m: i for i, m in enumerate(fr.monomials(pdeg))}
+    keys = [c * len(index) + index[m] for c, f in enumerate(polys)
+            for m in f.coeffs]
+    den, ring = clear(ops, [x for f in polys for x in f.coeffs.values()])
+    return Derivation(pdeg, den, dict(zip(keys, ring)))
+
+
 def poly_add(f: HPoly, g: HPoly) -> HPoly:
     if f.degree != g.degree and f and g:
         raise ValueError("degree mismatch in homogeneous addition")
@@ -225,10 +268,10 @@ def poly_det3(rows) -> HPoly:
         poly_mul(c, poly_sub(poly_mul(d, h), poly_mul(e, g))))
 
 
-def apply_form(deriv: Derivation, alpha) -> HPoly:
+def apply_form(ops, deriv: Derivation, alpha) -> HPoly:
     """The polynomial theta(alpha) for a linear form alpha = (a1,a2,a3)."""
     out = HPoly(deriv.pdeg)
-    for a, f in zip(alpha, deriv.polys):
+    for a, f in zip(alpha, hpolys(ops, deriv)):
         if a and f:
             out = poly_add(out, poly_scale(f, a))
     return out
@@ -237,7 +280,7 @@ def apply_form(deriv: Derivation, alpha) -> HPoly:
 def is_member(arr: am.Arrangement, deriv: Derivation) -> bool:
     """Re-verify membership: theta(alpha_H) vanishes on H for every H."""
     for alpha in arr.columns:
-        g = apply_form(deriv, alpha)
+        g = apply_form(arr.ops, deriv, alpha)
         if not g:
             continue
         if not _vanishes_on_kernel(g, alpha, arr.ops):
@@ -323,7 +366,7 @@ def saito_by_coefficients(arr: am.Arrangement, th1, th2, th3):
     expanded and compared coefficient by coefficient: c, or None."""
     if th1.pdeg + th2.pdeg + th3.pdeg != arr.n:
         raise fr.DegreeMismatchError("pdeg sum differs from n")
-    ths = [_cleared(th.polys) for th in (th1, th2, th3)]
+    ths = [_cleared(hpolys(arr.ops, th)) for th in (th1, th2, th3)]
     det = poly_det3([polys for _, polys in ths])
     if not det:
         return None

@@ -17,13 +17,14 @@ from freearr.freeness import (
 )
 from freearr.moduli import family_13, specialize
 
-from conftest import ASYMMETRIC20
+from conftest import ASYMMETRIC20, grid
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
 BOOLEAN_FAMILY = "1; 0; 0\n0; 1; 0\n0; 0; 1\n"
 NEAR_PENCIL5_FAMILY = "1; 0; 0\n0; 1; 0\n1; -1; 0\n1; -2; 0\n0; 0; 1\n"
 GENERIC8_FAMILY = "".join(f"1; {k}; {k * k}\n" for k in range(8))
+GRID8_FAMILY = "".join(f"{a}; {b}; {c}\n" for a, b, c in grid(8).columns)
 
 
 def run(*args):
@@ -138,10 +139,17 @@ class TestFree:
          "8deb7da0822f626b5cbc54f9b220598ebffc10a1fc4c56262aeef38a5934c38d"),
         (("report", "paper15", "--at", "quad 5 3/2 1/2"),
          "3161590f4e7f31988b4cfdb7a496452b5d40d355204f4ac4d569cda83b436443"),
-    ], ids=["free13", "free15", "report13", "report15"])
-    def test_specialized_output_bytes(self, args, digest):
+        (("free", "grid8.fam", "--certificate"),
+         "49ae0022766394867c9fdf57f81628ac9000d2260a19f55b867ec40bd7f35940"),
+    ], ids=["free13", "free15", "report13", "report15", "free32grid"])
+    def test_specialized_output_bytes(self, args, digest, tmp_path,
+                                      monkeypatch):
         """stdout digests of the specialized paper members, as printed when
-        specialize made every field column at once."""
+        specialize made every field column at once, and of the 32-line
+        grid's certificate, as printed when derivations were field
+        elements."""
+        monkeypatch.chdir(tmp_path)
+        Path("grid8.fam").write_text(GRID8_FAMILY)
         code, out, _ = run(*args)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -159,6 +167,18 @@ class TestVerifyAndIso:
                            str(DATA / "paper15.lattice"), "--at", "3")
         assert code == 1
         assert "NOT" in out
+
+    @pytest.mark.parametrize("label", ["\u0661", "1_0"])
+    def test_listing_labels_in_ascii_digits(self, tmp_path, label):
+        """Flat labels are read by parse_integer: int() alone takes other
+        digits and underscores, and \u0661 would read as 1."""
+        lines = (DATA / "paper13.lattice").read_text().splitlines()
+        lines[0] = lines[0].replace("[1,", f"[{label},")
+        listing = tmp_path / "paper13.lattice"
+        listing.write_text("\n".join(lines) + "\n")
+        code, out, err = run("verify", "paper13", str(listing), "--at", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 1: not an integer")
 
     def test_iso_two_generic_values(self):
         code, out, _ = run("iso", "paper13", "paper13",

@@ -16,7 +16,6 @@ from freearr import moduli as mod
 from freearr.freeness import (
     Derivation,
     Free,
-    HPoly,
     NotFree,
     SaitoCertificate,
     certificate_from_text,
@@ -35,14 +34,16 @@ from freearr.scalars import (
     InvariantError,
     QuadElem,
     QuadOps,
-    clear,
+    domain_of,
     quad_field,
 )
 
 from conftest import (
+    HPoly,
     boolean3,
     defining_polynomial,
     grid,
+    hpolys,
     is_member,
     near_pencil,
     poly_add,
@@ -52,6 +53,7 @@ from conftest import (
     rational_arrangement,
     restricts_to_zero,
     saito_by_coefficients,
+    to_derivation,
     to_field,
 )
 
@@ -111,15 +113,8 @@ class TestEuler:
 
 
 def _diag_derivation(i: int) -> Derivation:
-    polys = []
-    for k in range(3):
-        h = HPoly(1)
-        if k == i:
-            mono = [0, 0, 0]
-            mono[i] = 1
-            h = HPoly(1, {tuple(mono): Fraction(1)})
-        polys.append(h)
-    return Derivation(tuple(polys), 1)
+    """x_i D_i: monomials(1)[i] is x_i, at column 3 i + i."""
+    return Derivation(1, 1, {4 * i: 1})
 
 
 class TestSaito:
@@ -142,8 +137,10 @@ class TestSaito:
 
 
 def _expand_determinant(cert) -> HPoly:
-    """Cofactor expansion of the coefficient matrix, done independently."""
-    return poly_det3([th.polys for th in cert.derivations])
+    """Cofactor expansion of the coefficient matrix, done independently,
+    over the field of the constant."""
+    ops = domain_of(cert.constant)
+    return poly_det3([hpolys(ops, th) for th in cert.derivations])
 
 
 class TestDecideFreeness:
@@ -229,13 +226,24 @@ class TestDecideFreeness:
         assert certificate_to_text(again.certificate) == \
             certificate_to_text(first.certificate)
 
-    def test_certificate_round_trip(self):
+    def test_certificate_round_trip(self, a13):
         arr = near_pencil(6)
         verdict = decide_freeness(arr)
         text = certificate_to_text(verdict.certificate)
         back = certificate_from_text(text)
         assert saito_check(arr, *back.derivations) == verdict.certificate.constant
         assert certificate_to_text(back) == text
+        assert back == verdict.certificate
+        # vec / den in lowest terms reads back as the same dataclass; a13
+        # with column 1 doubled hits a13's cache entry, c rescaled
+        decide_freeness(a13)
+        doubled = am.build([tuple(2 * x for x in a13.columns[0]),
+                            *a13.columns[1:]], a13.ops)
+        assert decide_freeness(doubled).certificate.constant == \
+            Fraction(35, 10368)
+        for arr in (a13, _paper_quad_points()[0], grid(8), doubled):
+            cert = decide_freeness(arr).certificate
+            assert certificate_from_text(certificate_to_text(cert)) == cert
 
 
 # two fixed 6-line arrangements for the brute-force oracle sweep
@@ -244,19 +252,20 @@ BRAID6 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1),
 MIXED6 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2))
 
 
-def _random_combination(basis, p, rng):
+def _random_combination(ops, basis, p, rng):
     while True:
         coeffs = [rng.randint(-9, 9) for _ in basis]
         if any(coeffs):
             break
+    views = [hpolys(ops, th) for th in basis]
     polys = []
     for c in range(3):
         acc = HPoly(p)
-        for k, th in zip(coeffs, basis):
+        for k, view in zip(coeffs, views):
             if k:
-                acc = poly_add(acc, poly_scale(th.polys[c], k))
+                acc = poly_add(acc, poly_scale(view[c], k))
         polys.append(acc)
-    return Derivation(tuple(polys), p)
+    return to_derivation(ops, polys, p)
 
 
 def brute_force_free(arr, rng) -> bool:
@@ -278,8 +287,8 @@ def brute_force_free(arr, rng) -> bool:
     b2 = derivation_basis(arr, e2)
     b3 = derivation_basis(arr, e3)
     for _ in range(25):
-        th2 = _random_combination(b2, e2, rng)
-        th3 = _random_combination(b3, e3, rng)
+        th2 = _random_combination(arr.ops, b2, e2, rng)
+        th3 = _random_combination(arr.ops, b3, e3, rng)
         if saito_check(arr, theta_e, th2, th3) is not None:
             return True
     return False
@@ -472,12 +481,13 @@ class TestRowBuilder:
             assert rows == expected
 
 
-def _vector_to_derivation(vec, p: int) -> Derivation:
-    """The degree-p derivation of a dense coefficient vector."""
+def _vector_to_derivation(ops, vec, p: int) -> Derivation:
+    """The degree-p derivation of a dense coefficient vector over the field
+    of ops."""
     mons = fr.monomials(p)
     nm = len(mons)
-    return Derivation(tuple(HPoly(p, dict(zip(mons, vec[c * nm:])))
-                            for c in range(3)), p)
+    return to_derivation(ops, [HPoly(p, dict(zip(mons, vec[c * nm:])))
+                               for c in range(3)], p)
 
 
 def _with_leading_one(ops, vec):
@@ -505,7 +515,7 @@ class TestDHSolve:
             full = linalg.nullspace(_old_constraint_rows(ops, cols, p),
                                     3 * len(fr.monomials(p)), ops)
             assert derivation_basis(arr, p) == [
-                _vector_to_derivation(_with_leading_one(ops, v), p)
+                _vector_to_derivation(ops, _with_leading_one(ops, v), p)
                 for v in full]
 
     def test_basis_equals_full_nullspace_on_small_corpus(self, small_corpus):
@@ -653,22 +663,22 @@ class TestDHSolve:
 
 # -- the complements against field reduction of the canonical basis --------
 
-def _derivation_vector(deriv: Derivation, p: int) -> dict:
+def _derivation_vector(ops, deriv: Derivation, p: int) -> dict:
     """Sparse coefficient vector {index: nonzero coefficient} of a degree-p
-    derivation."""
+    derivation, over the field of ops."""
     idx = {m: i for i, m in enumerate(fr.monomials(p))}
     return {c * len(idx) + idx[m]: co
-            for c, poly in enumerate(deriv.polys)
+            for c, poly in enumerate(hpolys(ops, deriv))
             for m, co in poly.coeffs.items()}
 
 
-def _poly_multiple_vectors(deriv: Derivation, p: int):
+def _poly_multiple_vectors(ops, deriv: Derivation, p: int):
     """Sparse vectors of m * deriv for all monomials m of degree
-    p - deriv.pdeg."""
+    p - deriv.pdeg, over the field of ops."""
     idx = {m: i for i, m in enumerate(fr.monomials(p))}
     return [{c * len(idx) + idx[(mm[0] + m[0], mm[1] + m[1], mm[2] + m[2])]:
              co
-             for c, poly in enumerate(deriv.polys)
+             for c, poly in enumerate(hpolys(ops, deriv))
              for mm, co in poly.coeffs.items()}
             for m in fr.monomials(p - deriv.pdeg)]
 
@@ -707,14 +717,15 @@ def _field_first_complement(p, theta_e, others, basis, ops):
     field arithmetic modulo that span, or None."""
     red = _FieldReducer()
     for g in (theta_e, *others):
-        for v in _poly_multiple_vectors(g, p):
+        for v in _poly_multiple_vectors(ops, g, p):
             red.add(v)
     for b in basis:
-        r = red.reduce(_derivation_vector(b, p))
+        r = red.reduce(_derivation_vector(ops, b, p))
         if r:
             zero = ops.field(0)
             return _vector_to_derivation(
-                [r.get(j, zero) for j in range(3 * len(fr.monomials(p)))], p)
+                ops, [r.get(j, zero) for j in range(3 * len(fr.monomials(p)))],
+                p)
     return None
 
 
@@ -982,7 +993,7 @@ class TestWitnessTheorem:
 
 def _field_saito(arr, th1, th2, th3):
     """Saito's identity in field arithmetic, as checked before: the oracle."""
-    det = poly_det3([t.polys for t in (th1, th2, th3)])
+    det = poly_det3([hpolys(arr.ops, t) for t in (th1, th2, th3)])
     if not det:
         return None
     q = defining_polynomial(arr)
@@ -999,18 +1010,17 @@ class TestIntegralSaito:
         # det = x1 x2 (2 x3 + x1/3) = 2Q plus the stray monomial x1^2 x2 / 3
         arr = boolean3()
         x1, x3 = (1, 0, 0), (0, 0, 1)
-        stray = Derivation((HPoly(1), HPoly(1),
-                            HPoly(1, {x3: Fraction(2), x1: Fraction(1, 3)})),
-                           1)
+        stray = to_derivation(QQ, (HPoly(1), HPoly(1), HPoly(1, {
+            x3: Fraction(2), x1: Fraction(1, 3)})), 1)
         th1, th2 = _diag_derivation(0), _diag_derivation(1)
         assert saito_check(arr, th1, th2, stray) is None
-        scaled = Derivation(tuple(poly_scale(f, Fraction(2, 7))
-                                  for f in _diag_derivation(2).polys), 1)
+        scaled = to_derivation(QQ, [poly_scale(f, Fraction(2, 7)) for f in
+                                    hpolys(QQ, _diag_derivation(2))], 1)
         assert saito_check(arr, th1, th2, scaled) == Fraction(2, 7)
 
     def test_zero_determinant_fails(self):
         arr = boolean3()
-        zero = Derivation((HPoly(1), HPoly(1), HPoly(1)), 1)
+        zero = Derivation(1, 1, {})
         assert saito_check(arr, _diag_derivation(0), _diag_derivation(1),
                            zero) is None
 
@@ -1050,14 +1060,15 @@ class TestIntegralSaito:
             b2, b3 = derivation_basis(arr, e2), derivation_basis(arr, e3)
             hits = 0
             for _ in range(rounds):
-                th2 = _random_combination(b2, e2, rng)
-                th3 = _random_combination(b3, e3, rng)
+                th2 = _random_combination(arr.ops, b2, e2, rng)
+                th3 = _random_combination(arr.ops, b3, e3, rng)
                 c = saito_check(arr, theta_e, th2, th3)
                 assert c == _field_saito(arr, theta_e, th2, th3)
                 hits += c is not None
                 # a non-member in place of th3 breaks the identity
-                off = Derivation((poly_add(th3.polys[0], HPoly(
-                    e3, {(e3, 0, 0): arr.ops.field(1)})), *th3.polys[1:]), e3)
+                f1, *rest = hpolys(arr.ops, th3)
+                off = to_derivation(arr.ops, (poly_add(f1, HPoly(
+                    e3, {(e3, 0, 0): arr.ops.field(1)})), *rest), e3)
                 assert saito_check(arr, theta_e, th2, off) == \
                     _field_saito(arr, theta_e, th2, off)
             assert hits
@@ -1097,13 +1108,15 @@ def _saito_trials(arr, rng, rounds: int):
     theta_e = euler_derivation(arr)
     b2, b3 = derivation_basis(arr, e2), derivation_basis(arr, e3)
     trials = [(theta_e, b2[0], b3[-1]), (theta_e, b2[-1], b3[0])]
-    trials += [(theta_e, _random_combination(b2, e2, rng),
-                _random_combination(b3, e3, rng)) for _ in range(rounds)]
+    trials += [(theta_e, _random_combination(arr.ops, b2, e2, rng),
+                _random_combination(arr.ops, b3, e3, rng))
+               for _ in range(rounds)]
     verdict = decide_freeness(arr, use_cache=False)
     if isinstance(verdict, Free):
         th1, th2, th3 = verdict.certificate.derivations
-        off = Derivation((poly_add(th3.polys[0], HPoly(
-            e3, {(e3 - 1, 1, 0): arr.ops.field(1)})), *th3.polys[1:]), e3)
+        f1, *rest = hpolys(arr.ops, th3)
+        off = to_derivation(arr.ops, (poly_add(f1, HPoly(
+            e3, {(e3 - 1, 1, 0): arr.ops.field(1)})), *rest), e3)
         trials += [(th1, th2, th3), (th1, th2, off)]
     return trials
 
@@ -1119,9 +1132,7 @@ class TestEvaluationChecks:
         for p in degrees:
             nm = len(fr.monomials(p))
             # the canonical rows over the ring of ops
-            rows = [dict(zip(vec, clear(ops, vec.values())[1])) for vec in
-                    (_derivation_vector(th, p)
-                     for th in derivation_basis(arr, p))]
+            rows = [th.vec for th in derivation_basis(arr, p)]
             fr._check_tangent(ops, cols, rows, p)
             # each row, and it plus one monomial in f1, f2 or f3: a line
             # with alpha_c = 0 still accepts the latter
@@ -1167,12 +1178,11 @@ class TestEvaluationChecks:
         arr = boolean3()
         diag = [_diag_derivation(i) for i in range(3)]
         x1, x3 = (1, 0, 0), (0, 0, 1)
-        stray = Derivation((HPoly(1), HPoly(1),
-                            HPoly(1, {x3: Fraction(2), x1: Fraction(1, 3)})),
-                           1)
-        scaled = Derivation(tuple(poly_scale(f, Fraction(2, 7))
-                                  for f in diag[2].polys), 1)
-        zero = Derivation((HPoly(1), HPoly(1), HPoly(1)), 1)
+        stray = to_derivation(QQ, (HPoly(1), HPoly(1), HPoly(1, {
+            x3: Fraction(2), x1: Fraction(1, 3)})), 1)
+        scaled = to_derivation(QQ, [poly_scale(f, Fraction(2, 7))
+                                    for f in hpolys(QQ, diag[2])], 1)
+        zero = Derivation(1, 1, {})
         for ths in ((*diag[:2], stray), (*diag[:2], scaled),
                     (*diag[:2], zero), (diag[0], diag[0], diag[2]), diag):
             assert saito_check(arr, *ths) == saito_by_coefficients(arr, *ths)
@@ -1200,14 +1210,13 @@ class TestEvaluationChecks:
                                              _form(ops, vec, alpha, p), p)
 
     def test_a_term_of_another_degree_raises(self, a13):
+        # a vec index at or past 3 * len(monomials(pdeg)), or below 0, is
+        # a term of no monomial of its degree
         th1, th2, th3 = decide_freeness(a13).certificate.derivations
         e2, e3 = th2.pdeg, th3.pdeg
-        low = Derivation((HPoly(e3, {**th3.polys[0].coeffs,
-                                     (e3 - 1, 0, 0): Fraction(1)}),
-                          *th3.polys[1:]), e3)
-        high = Derivation((HPoly(e2, {**th2.polys[2].coeffs,
-                                      (0, 0, e2 + 1): Fraction(1)}),
-                           *th2.polys[1:]), e2)
+        low = Derivation(e3, th3.den, {**th3.vec, -1: 1})
+        high = Derivation(e2, th2.den,
+                          {**th2.vec, 3 * len(fr.monomials(e2)): 1})
         for ths in ((th1, th2, low), (th1, high, th3)):
             with pytest.raises(fr.DegreeMismatchError):
                 saito_check(a13, *ths)
@@ -1327,6 +1336,22 @@ class TestCertificateText:
                              (first + 2, f"term \u0661 {tail}")):
             self._raises_at(lines[:number - 1] + [line] + lines[number:],
                             number)
+
+    def test_term_outside_the_field_of_c(self):
+        """A term in another field than c names its line; saito_check
+        would raise MixedFieldError, a TypeError.  A rational term is a
+        scalar of every field."""
+        lines = _certificate_lines()
+        first = lines.index("derivation 1 pdeg 1") + 1
+        head = lines[first].rsplit(" ", 2)[0]
+        for c, term in (("rat 1", "quad 5 1 1"), ("quad 5 1 1", "quad -1 1 1")):
+            self._raises_at([lines[0], f"c {c}"] + lines[2:first]
+                            + [f"{head} {term}"] + lines[first + 1:],
+                            first + 1)
+        cert = certificate_from_text("\n".join(
+            [lines[0], "c quad 5 1 1"] + lines[2:]) + "\n")
+        assert cert.derivations[0] == Derivation(1, 1, {
+            j: (1, 0) for j in (0, 4, 8)})    # theta_E over Z[sqrt 5]
 
     def test_quadratic_scalar_with_a_huge_d(self):
         lines = _certificate_lines()

@@ -278,7 +278,8 @@ def test_one_object_per_field():
         (moduli, "_field_column")) if hasattr(mod, name)] == []
     assert "domain" not in arrangement.Arrangement.__slots__
     assert _readers("clear") == ["arrangement.py:clear_column",
-                                 "freeness.py:_integral",
+                                 "freeness.py:saito_check",
+                                 "freeness.py:certificate_from_text",
                                  "moduli.py:_integral_images"]
     path = SRC / "arrangement.py"
     found = [node.lineno
@@ -320,8 +321,8 @@ def test_specialize_clears_each_column_once(monkeypatch):
 
 
 def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
-    """Only the three derivations of the certificate become field elements,
-    and only saito_check computes with them."""
+    """The derivations stay integral, and only saito_check, which makes the
+    constant c, reads field elements: the arrangement's columns."""
     from fractions import Fraction
 
     from freearr import freeness, moduli
@@ -411,14 +412,36 @@ def test_solvers_keep_the_signature_the_benchmark_reads():
 
 
 def test_membership_and_saito_are_evaluated():
-    """The Horner restriction is gone, and HPoly arithmetic is a test
-    helper (conftest): the package evaluates instead."""
+    """The Horner restriction is gone, and HPoly is a test helper
+    (conftest): the package evaluates integral Derivations instead, and
+    keeps no field conversion of their terms."""
     from freearr import freeness
 
-    assert not hasattr(freeness, "_restricts_to_zero")
-    assert [name for name in ("__add__", "__neg__", "__sub__", "__mul__",
-                              "__rmul__", "scale")
-            if name in vars(freeness.HPoly)] == []
+    assert [name for name in ("_restricts_to_zero", "HPoly", "_derivation",
+                              "_integral") if hasattr(freeness, name)] == []
+
+
+def test_only_the_constant_becomes_a_field_element(monkeypatch):
+    """With the field columns read, decide_freeness makes one field
+    element, the Saito constant c: its derivations stay integral."""
+    from fractions import Fraction
+
+    from freearr import freeness, moduli
+    from freearr.scalars import IntOps, QuadElem, QuadOps
+
+    calls = []
+    for cls, wrap in ((IntOps, staticmethod), (QuadOps, lambda f: f)):
+        def spy(*args, real=cls.from_coords):
+            calls.append(real(*args))
+            return calls[-1]
+        monkeypatch.setattr(cls, "from_coords", wrap(spy))
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
+                moduli.specialize(moduli.family_15(), omega).arrangement):
+        arr.columns
+        del calls[:]
+        verdict = freeness.decide_freeness(arr, use_cache=False)
+        assert calls == [verdict.certificate.constant]
 
 
 def test_no_horner_step_and_no_polynomial_product_in_saito_check():
