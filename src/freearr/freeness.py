@@ -476,21 +476,10 @@ _VERDICT_CACHE_SIZE = 4096
 _VERDICT_CACHE: dict = {}
 
 
-def _key_and_lead(arr: Arrangement):
-    """(state_key, product L of the leading entries it divides out)."""
-    keys = sorted(arr.keys)
-    lead_product = arr.ops.field(1)
-    for col in arr.columns:
-        lead_product = lead_product * next(x for x in col if x)
-    key = arr.ops.name + "|" + ";".join(",".join(map(str, k))
-                                        for k in keys)
-    return key, lead_product
-
-
-def state_key(arr: Arrangement) -> str:
-    """Coordinate key: the sorted line keys of the columns, tagged with the
-    field name."""
-    return _key_and_lead(arr)[0]
+def state_key(arr: Arrangement) -> tuple:
+    """Coordinate key: the field name and the sorted line keys, equal
+    exactly for arrangements of the same lines over the same field."""
+    return (arr.ops.name, *sorted(arr.keys))
 
 
 def decide_freeness(arr: Arrangement, use_cache: bool = True):
@@ -523,28 +512,33 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
     complements in degrees e2 and e3 are a basis), so a sweep that finds no
     witness raises InvariantError: the program is at fault, not the input.
 
-    Arrangements equal up to column order and scaling share a cache entry.
-    They have the same derivation module, and Q differs by the ratio of the
-    leading products L, so a cached Saito constant c is returned as
-    c * L(cached) / L(caller), which satisfies the caller's own identity.
-    The cache keeps the latest _VERDICT_CACHE_SIZE verdicts.
+    Arrangements of the same lines, in any column order and scaling, share
+    a cache entry, which holds the verdict.  They have the same derivation
+    module, so a cached Saito basis is the caller's too, and a Free hit
+    reports the constant that saito_check finds on the caller's own
+    columns; a basis that fails there raises InvariantError.  The cache
+    keeps the latest _VERDICT_CACHE_SIZE verdicts.
     """
     if not use_cache:
         return _decide_freeness_impl(arr)
-    key, lead = _key_and_lead(arr)
-    hit = _VERDICT_CACHE.get(key)
-    if hit is None:
+    key = state_key(arr)
+    verdict = _VERDICT_CACHE.get(key)
+    if verdict is None:
         verdict = _decide_freeness_impl(arr)
         if len(_VERDICT_CACHE) >= _VERDICT_CACHE_SIZE:
             del _VERDICT_CACHE[next(iter(_VERDICT_CACHE))]
-        _VERDICT_CACHE[key] = (verdict, lead)
+        _VERDICT_CACHE[key] = verdict
         return verdict
-    verdict, cached_lead = hit
-    if not isinstance(verdict, Free) or cached_lead == lead:
+    if isinstance(verdict, NotFree):
         return verdict
     cert = verdict.certificate
-    return Free(verdict.exponents, SaitoCertificate(
-        cert.derivations, cert.constant * cached_lead / lead))
+    c = saito_check(arr, *cert.derivations)
+    if c is None:
+        raise InvariantError("a cached Saito basis fails on an arrangement "
+                             "of the same lines")
+    if c == cert.constant:
+        return verdict
+    return Free(verdict.exponents, SaitoCertificate(cert.derivations, c))
 
 
 def _decide_freeness_impl(arr: Arrangement):
@@ -646,6 +640,9 @@ def certificate_from_text(text: str) -> SaitoCertificate:
                         or sum(m) != pdeg:
                     raise ValueError(f"no term {parts[1:5]} in a derivation "
                                      f"of pdeg {pdeg}")
+                if (c - 1, tuple(m)) in terms:
+                    raise ValueError(f"term {parts[1:5]} repeats line "
+                                     f"{terms[c - 1, tuple(m)][0]}")
                 terms[c - 1, tuple(m)] = i, _one_scalar(parts[5:])
             elif parts != ["end"] or i != lines[-1][0]:
                 raise ValueError(f"unexpected {' '.join(parts)!r}")

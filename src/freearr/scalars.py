@@ -103,7 +103,8 @@ class IntPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("IntPoly", self.coeffs))
+        # a constant equals, so hashes as, its int
+        return hash(self.leading if self.degree < 1 else self.coeffs)
 
     def __neg__(self) -> IntPoly:
         return IntPoly(-c for c in self.coeffs)
@@ -550,7 +551,8 @@ class QuadElem:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash(("QuadElem", self.d, self.a, self.b))
+        # a rational element equals, so hashes as, its Fraction
+        return hash((self.d, self.a, self.b) if self.b else self.a)
 
     def __neg__(self) -> QuadElem:
         return QuadElem._make(self.d, -self.a, -self.b)

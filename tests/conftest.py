@@ -6,8 +6,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import lcm, prod
+from operator import mul
 
 import pytest
 
@@ -50,6 +51,35 @@ def grid(k: int) -> am.Arrangement:
             + [(0, 1, -b) for b in range(k)]
             + [(1, -1, -c) for c in range(1 - k, k)])
     return rational_arrangement(*cols)
+
+
+_ROOTS_OF_UNITY = {2: -1, 3: QuadElem(-3, Fraction(-1, 2), Fraction(1, 2)),
+                   4: QuadElem(-1, 0, 1),
+                   6: QuadElem(-3, Fraction(1, 2), Fraction(1, 2))}
+
+
+def monomial(r: int, k: int) -> am.Arrangement:
+    """A^k_3(r), the reflection arrangement of G(r, r, 3) for k = 0 and of
+    G(r, 1, 3) for k = 3: the 3r lines x_i - zeta^j x_l (i < l, zeta a
+    primitive r-th root of unity) and the first k coordinate lines, over
+    Q, Q(sqrt -3), Q(i) and Q(sqrt -3) for r = 2, 3, 4 and 6."""
+    zeta = _ROOTS_OF_UNITY[r]
+    powers = list(accumulate(repeat(zeta, r - 1), mul, initial=1))
+    cols = [tuple(1 if c == i else -z if c == l else 0 for c in range(3))
+            for i, l in ((0, 1), (0, 2), (1, 2)) for z in powers]
+    return am.build(cols + [tuple(int(c == i) for c in range(3))
+                            for i in range(k)])
+
+
+def h3() -> am.Arrangement:
+    """The reflection arrangement of the icosahedral group H3 over
+    Q(sqrt 5): the 3 coordinate lines and the cyclic shifts of
+    (1, +-tau, +-1/tau), tau the golden ratio."""
+    tau = QuadElem(5, Fraction(1, 2), Fraction(1, 2))
+    cols = [tuple(int(c == i) for c in range(3)) for i in range(3)]
+    for v in ((1, s * tau, t * (tau - 1)) for s in (1, -1) for t in (1, -1)):
+        cols += [v[i:] + v[:i] for i in range(3)]
+    return am.build(cols)
 
 
 def quadratic_root(coeffs) -> QuadElem:

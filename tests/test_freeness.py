@@ -191,14 +191,6 @@ class TestDecideFreeness:
         q = defining_polynomial(near_pencil(5))
         assert det == poly_scale(q, verdict.certificate.constant)
 
-    def test_cached_constant_fits_rescaled_input(self, a13):
-        decide_freeness(a13)
-        cols = [tuple(2 * x for x in a13.columns[0])] + list(a13.columns[1:])
-        doubled = am.build(cols, a13.ops)
-        cert = decide_freeness(doubled).certificate
-        assert cert.constant == Fraction(35, 10368)
-        assert saito_check(doubled, *cert.derivations) == cert.constant
-
     def test_cached_constant_fits_permuted_rescaled_input(self, a15):
         decide_freeness(a15)
         rng = random.Random(3)
@@ -226,6 +218,79 @@ class TestDecideFreeness:
         assert certificate_to_text(again.certificate) == \
             certificate_to_text(first.certificate)
 
+    @staticmethod
+    def _checks_on(monkeypatch):
+        """An empty verdict cache, and the arrangements saito_check is
+        asked about, in call order."""
+        monkeypatch.setattr(fr, "_VERDICT_CACHE", {})
+        seen, check = [], fr.saito_check
+
+        def spy(arr, *ths):
+            seen.append(arr)
+            return check(arr, *ths)
+        monkeypatch.setattr(fr, "saito_check", spy)
+        return seen
+
+    @staticmethod
+    def _doubled(arr):
+        return am.build([tuple(2 * x for x in arr.columns[0]),
+                         *arr.columns[1:]], arr.ops)
+
+    def test_cached_constant_fits_rescaled_input(self, a13, monkeypatch):
+        """A hit on rescaled columns reports saito_check on them, once."""
+        doubled = self._doubled(a13)
+        own = decide_freeness(doubled, use_cache=False).certificate.constant
+        seen = self._checks_on(monkeypatch)
+        cached = decide_freeness(a13)
+        del seen[:]
+        hit = decide_freeness(doubled)
+        assert seen == [doubled]
+        assert hit.certificate.derivations is cached.certificate.derivations
+        assert hit.certificate.constant == own == Fraction(35, 10368)
+        assert own != cached.certificate.constant
+
+    def test_exact_repeat_hit_is_the_cached_object(self, a13, monkeypatch):
+        seen = self._checks_on(monkeypatch)
+        first = decide_freeness(a13)
+        del seen[:]
+        assert decide_freeness(a13) is first
+        assert seen == [a13]
+
+    def test_hit_does_not_trust_a_cached_constant(self, a13, monkeypatch):
+        """A cached constant that is wrong never reaches a caller: the hit
+        reports the constant of its own columns."""
+        doubled = self._doubled(a13)
+        own = decide_freeness(doubled, use_cache=False).certificate.constant
+        self._checks_on(monkeypatch)
+        impl = fr._decide_freeness_impl
+
+        def wrong_constant(arr):
+            v = impl(arr)
+            return Free(v.exponents, SaitoCertificate(
+                v.certificate.derivations, 2 * v.certificate.constant))
+        monkeypatch.setattr(fr, "_decide_freeness_impl", wrong_constant)
+        decide_freeness(a13)
+        assert decide_freeness(doubled).certificate.constant == own
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_hit_on_a_cached_non_basis_raises(self, a13, monkeypatch, moved):
+        """theta_3 replaced by x1^(e3-e2) theta_2, a derivation of the
+        same pdeg that is no Saito basis with theta_E and theta_2."""
+        self._checks_on(monkeypatch)
+        impl = fr._decide_freeness_impl
+
+        def non_basis(arr):
+            v = impl(arr)
+            th_e, th2, th3 = v.certificate.derivations
+            vec = fr._shifts(th2.vec, th2.pdeg, th3.pdeg)[0]
+            return Free(v.exponents, SaitoCertificate(
+                (th_e, th2, Derivation(th3.pdeg, th2.den, vec)),
+                v.certificate.constant))
+        monkeypatch.setattr(fr, "_decide_freeness_impl", non_basis)
+        decide_freeness(a13)
+        with pytest.raises(InvariantError, match="cached Saito basis"):
+            decide_freeness(self._doubled(a13) if moved else a13)
+
     def test_certificate_round_trip(self, a13):
         arr = near_pencil(6)
         verdict = decide_freeness(arr)
@@ -235,10 +300,9 @@ class TestDecideFreeness:
         assert certificate_to_text(back) == text
         assert back == verdict.certificate
         # vec / den in lowest terms reads back as the same dataclass; a13
-        # with column 1 doubled hits a13's cache entry, c rescaled
+        # with column 1 doubled hits a13's cache entry, with its own c
         decide_freeness(a13)
-        doubled = am.build([tuple(2 * x for x in a13.columns[0]),
-                            *a13.columns[1:]], a13.ops)
+        doubled = self._doubled(a13)
         assert decide_freeness(doubled).certificate.constant == \
             Fraction(35, 10368)
         for arr in (a13, _paper_quad_points()[0], grid(8), doubled):
@@ -1304,6 +1368,15 @@ class TestCertificateText:
         c, *_, tag, value = lines[first].split()[1:]
         lines[first] = f"term {c} 2 0 0 {tag} {value}"
         self._raises_at(lines, first + 1)
+
+    def test_repeated_term(self):
+        """A second term for one (c, monomial) names its line: keeping
+        the last would read the near-pencil's x1 D1 as 7 x1 D1."""
+        lines = _certificate_lines()
+        first = lines.index("derivation 1 pdeg 1") + 1
+        assert lines[first] == "term 1 1 0 0 rat 1"
+        self._raises_at(lines[:first + 1] + ["term 1 1 0 0 rat 7"]
+                        + lines[first + 1:], first + 2)
 
     def test_trailing_tokens(self):
         lines = _certificate_lines()

@@ -39,6 +39,15 @@ class TestIntPoly:
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
         assert not IntPoly((0, 0))
 
+    def test_a_constant_hashes_as_its_int(self):
+        """Equal values hash equal: a constant or zero IntPoly is one key
+        with its int in a set or a dict."""
+        for c in (0, 1, -7, 2 ** 70):
+            assert IntPoly((c,)) == c and hash(IntPoly((c,))) == hash(c)
+            assert len({IntPoly((c,)), c}) == 1
+            assert {c: "int"}[IntPoly((c,))] == "int"
+        assert len({poly(1, 1), poly(1, 1), 1}) == 2
+
     def test_arithmetic(self):
         p = poly(1, 1)      # 1 + t
         q = poly(-1, 1)     # t - 1
@@ -280,6 +289,16 @@ class TestQuadElem:
             return
         one = QuadElem(x.d, 1, 0)
         assert x * x.inverse() == one
+
+    def test_a_rational_element_hashes_as_its_fraction(self):
+        """Equal values hash equal: QuadElem(d, a, 0) == a, so it is one
+        key with a in a set or a dict."""
+        for d, a in ((5, Fraction(1)), (-3, Fraction(-2, 3)), (-1, 0)):
+            x = QuadElem(d, a, 0)
+            assert x == a and hash(x) == hash(a)
+            assert len({x, a}) == 1
+            assert {a: "rational"}[x] == "rational"
+        assert len({QuadElem(5, 1, 1), QuadElem(5, 1, 1), 1}) == 2
 
     def test_known_algebraic_numbers(self):
         golden = QuadElem(5, Fraction(-1, 2), Fraction(1, 2))

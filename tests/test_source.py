@@ -322,17 +322,23 @@ def test_specialize_clears_each_column_once(monkeypatch):
 
 def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
     """The derivations stay integral, and only saito_check, which makes the
-    constant c, reads field elements: the arrangement's columns."""
+    constant c, reads field elements: the arrangement's columns.  That holds
+    with the verdict cache too, on a miss, an exact repeat and a hit by
+    rescaled columns, whose state keys are made from line keys alone."""
     from fractions import Fraction
 
-    from freearr import freeness, moduli
+    from freearr import arrangement, freeness, moduli
     from freearr.scalars import QuadElem
 
+    assert not hasattr(freeness, "_key_and_lead")
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
     arrs = [moduli.specialize(moduli.family_13(), 3).arrangement,
             moduli.specialize(moduli.family_15(), omega).arrangement]
+    moved = [arrangement.build([tuple(2 * x for x in arr.columns[0]),
+                                *arr.columns[1:]], arr.ops) for arr in arrs]
     for arr in arrs:
         arr.char_poly()         # the lattice, cached, and chi
+    monkeypatch.setattr(freeness, "_VERDICT_CACHE", {})
     calls, on = [], [True]
     for cls in (Fraction, QuadElem):
         for name in ("__mul__", "__rmul__", "__add__", "__radd__",
@@ -352,10 +358,18 @@ def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
         finally:
             on[0] = True
     monkeypatch.setattr(freeness, "saito_check", unobserved_check)
+    keys = [freeness.state_key(arr) for arr in arrs + moved]
     verdicts = [freeness.decide_freeness(arr, use_cache=False)
                 for arr in arrs]
+    misses = [freeness.decide_freeness(arr) for arr in arrs]
+    repeats = [freeness.decide_freeness(arr) for arr in arrs]
+    hits = [freeness.decide_freeness(arr) for arr in moved]
     assert calls == []
+    assert keys[:2] == keys[2:]
     assert [v.exponents for v in verdicts] == [(1, 6, 6), (1, 5, 9)]
+    assert all(r is m for r, m in zip(repeats, misses))
+    assert all(h.certificate.constant != m.certificate.constant
+               for h, m in zip(hits, misses))
     # the spies do see field arithmetic, QuadElem's on Fraction parts too
     assert omega * omega == 3 * omega - 1
     assert {"QuadElem.__mul__", "QuadElem.__rmul__", "QuadElem.__sub__",
