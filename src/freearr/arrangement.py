@@ -1,10 +1,10 @@
 """Central rank-3 arrangements and their intersection lattices.
 
-An arrangement is stored as the 3 x n matrix of normal covectors over an
-exact field of scalars, given by its ops object (scalars.QQ or a
-quad_field); hyperplanes carry labels 1..n in column order.  The
-lattice of a rank-3 central arrangement is captured by its rank-2 flats
-(multiple points) together with hyperplane incidences.
+An arrangement over an exact field, given by its ops object (scalars.QQ
+or a quad_field), is stored as its normal covectors cleared to primitive
+integral columns, each with a rational scale; hyperplanes carry labels
+1..n in column order.  The lattice of a rank-3 central arrangement is
+captured by its rank-2 flats (multiple points) with hyperplane incidences.
 """
 from __future__ import annotations
 
@@ -66,19 +66,20 @@ def normal_column(col) -> tuple:
 
 
 def clear_column(ops, col) -> tuple:
-    """The column, or any vector, of elements of the field of ops times the
-    positive rational that makes it primitive integral over the ring of
-    ops: ints over QQ, (a, b) pairs of Z[sqrt d] over Q(sqrt d).  Line
-    keys, lattices and the derivation solver all work on these columns.
-    """
-    return primitive(ops, clear(ops, col)[1])
+    """((g, den), ring): the column, or any vector, of elements of the field
+    of ops is g / den times ring, primitive integral over the ring of ops
+    (ints over QQ, (a, b) pairs of Z[sqrt d] over Q(sqrt d)), for positive
+    integers g and den.  Line keys, lattices and the solver read ring."""
+    den, ints = clear(ops, col)
+    g, ring = primitive(ops, ints)
+    return (g, den), ring
 
 
 def primitive(ops, col) -> tuple:
-    """A nonzero integral column over the ring of ops divided by the gcd
-    of its integer coordinates."""
+    """(g, col / g) for a nonzero integral column over the ring of ops, g
+    the gcd of its integer coordinates."""
     g = gcd(*(col if ops.parts == 1 else [y for x in col for y in x]))
-    return tuple(col) if g == 1 else tuple([ops.div(x, g) for x in col])
+    return g, tuple(col) if g == 1 else tuple([ops.div(x, g) for x in col])
 
 
 def line_key(ops, col) -> tuple:
@@ -108,29 +109,33 @@ def line_key(ops, col) -> tuple:
 class Arrangement:
     """Essential central arrangement of n hyperplanes in rank 3.
 
-    Immutable after construction; build through :func:`build`.  Beside the
-    field ops and the field columns it keeps what build computed from them:
-    the columns cleared by clear_column and their line keys.  The lattice,
-    the derivation solver, state keys, deletions and addition candidates
-    read these.  specialize gives the field columns as a function, which
-    is called on first read of columns.
+    Immutable after construction; build through :func:`build`.  It is its
+    columns as build cleared them (clear_column): the ring columns, their
+    line keys and one scale (g, den) per column, so that field column i is
+    g/den times ring column i.  The lattice, the solver, the Saito check,
+    state keys, deletions and addition candidates read these; the field
+    columns are made from them on first read of columns.
     """
 
-    __slots__ = ("ops", "_columns", "ring_columns", "keys", "_lattice")
+    __slots__ = ("ops", "ring_columns", "keys", "scales", "_columns",
+                 "_lattice")
 
-    def __init__(self, ops, columns, ring_columns, keys):
+    def __init__(self, ops, ring_columns, keys, scales):
         self.ops = ops
-        self._columns = columns if callable(columns) else tuple(columns)
         self.ring_columns = tuple(ring_columns)
         self.keys = tuple(keys)
-        self._lattice = None
+        self.scales = tuple(scales)
+        self._columns = self._lattice = None
 
     @property
     def columns(self) -> tuple:
-        cols = self._columns
-        if callable(cols):
-            cols = self._columns = tuple(cols())
-        return cols
+        if self._columns is None:
+            ops = self.ops
+            self._columns = tuple(
+                tuple([ops.from_coords(ops.ints(ops.scale(x, g)), den)
+                       for x in col])
+                for col, (g, den) in zip(self.ring_columns, self.scales))
+        return self._columns
 
     @property
     def n(self) -> int:
@@ -185,8 +190,9 @@ def build(columns, ops=None) -> Arrangement:
         if not any(c):
             raise ZeroColumnError(i)
     cleared = [clear_column(ops, c) for c in coerced]
-    return validated(ops, coerced, cleared,
-                     [line_key(ops, c) for c in cleared])
+    return validated(ops, [ring for _, ring in cleared],
+                     [line_key(ops, ring) for _, ring in cleared],
+                     [scale for scale, _ in cleared])
 
 
 def first_equal_pair(keys):
@@ -203,17 +209,17 @@ def first_equal_pair(keys):
     return min(pairs, default=None)
 
 
-def validated(ops, columns, ring_columns, keys) -> Arrangement:
-    """The arrangement of nonzero field columns over ops (or a function
-    that makes them, see Arrangement), given their primitive integral forms
-    and line keys; the lexicographically first pair of columns of one line
-    raises ProportionalColumnsError, and rank below 3 NotEssentialError."""
+def validated(ops, ring_columns, keys, scales) -> Arrangement:
+    """The arrangement over ops of the given primitive integral columns,
+    with their line keys and (g, den) scales (see Arrangement); the
+    lexicographically first pair of columns of one line raises
+    ProportionalColumnsError, and rank below 3 NotEssentialError."""
     pair = first_equal_pair(keys)
     if pair:
         raise ProportionalColumnsError(*pair)
     if not _has_rank3(ring_columns, ops):
         raise NotEssentialError()
-    return Arrangement(ops, columns, ring_columns, keys)
+    return Arrangement(ops, ring_columns, keys, scales)
 
 
 def _has_rank3(cols, ops=IntOps) -> bool:
@@ -464,15 +470,14 @@ def restriction_profile(arr: Arrangement, h: int):
 def delete(arr: Arrangement, h: int):
     """Remove hyperplane h; returns (arrangement, old-label -> new-label map).
 
-    The deletion keeps the parent's ring columns and line keys.  Raises
-    NotEssentialError if it has rank < 3.
+    The deletion keeps the parent's ring columns, line keys and scales.
+    Raises NotEssentialError if it has rank < 3.
     """
     if not deletion_is_essential(arr, h):
         raise NotEssentialError(f"deleting hyperplane {h} drops the rank below 3")
     mapping = {old: old - (old > h) for old in arr.labels() if old != h}
-    cols, ring, keys = (xs[:h - 1] + xs[h:] for xs in (
-        arr.columns, arr.ring_columns, arr.keys))
-    return Arrangement(arr.ops, cols, ring, keys), mapping
+    return Arrangement(arr.ops, *(xs[:h - 1] + xs[h:] for xs in (
+        arr.ring_columns, arr.keys, arr.scales))), mapping
 
 
 def deletion_is_essential(arr: Arrangement, h: int) -> bool:

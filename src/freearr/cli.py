@@ -124,10 +124,6 @@ def _poly_str(coeffs) -> str:
     return str(IntPoly(coeffs))
 
 
-def _echo(text: str = ""):
-    click.echo(text)
-
-
 @click.group(name="freearr")
 @click.version_option(version=__version__, prog_name="freearr")
 def cli():
@@ -155,7 +151,7 @@ def lattice(source, at):
 def chi(source, at):
     """Print the characteristic polynomial, factored when possible."""
     _, _, spec = _arrangement_for(source, at)
-    _echo(spec.arrangement.char_poly().factored_string())
+    click.echo(spec.arrangement.char_poly().factored_string())
 
 
 @cli.command()
@@ -169,13 +165,14 @@ def free(source, at, certificate):
     verdict = decide_freeness(spec.arrangement)
     if isinstance(verdict, Free):
         exps = ", ".join(str(e) for e in verdict.exponents)
-        _echo(f"Free with exponents [{exps}]")
-        _echo("Saito constant: " + _scalar_to_text(verdict.certificate.constant))
+        click.echo(f"Free with exponents [{exps}]")
+        click.echo("Saito constant: "
+                   + _scalar_to_text(verdict.certificate.constant))
         if certificate:
             click.echo(certificate_to_text(verdict.certificate), nl=False)
     else:
         detail = f" {verdict.detail}" if verdict.detail else ""
-        _echo(f"NotFree: {verdict.reason}{detail}")
+        click.echo(f"NotFree: {verdict.reason}{detail}")
 
 
 @cli.command()
@@ -187,17 +184,18 @@ def indfree(source, at):
     arr = spec.arrangement
     cert = inductively_free(arr)
     if cert is None:
-        _echo("Not inductively free")
+        click.echo("Not inductively free")
         witness = quick_non_if(arr)
         if witness is not None:
             sizes = sorted(set(witness.values()))
-            _echo(f"  restriction sizes {sizes} never match an exponent + 1")
+            click.echo(f"  restriction sizes {sizes} never match an "
+                       "exponent + 1")
         return
-    _echo(f"Inductively free (base: {cert.base})")
+    click.echo(f"Inductively free (base: {cert.base})")
     for step in cert.steps:
         exps = ", ".join(str(e) for e in step.exponents)
-        _echo(f"  n={step.n} delete {step.label} "
-              f"(exponents [{exps}], |A^H|={step.restriction_size})")
+        click.echo(f"  n={step.n} delete {step.label} "
+                   f"(exponents [{exps}], |A^H|={step.restriction_size})")
 
 
 def _chain_lines(chain) -> list:
@@ -266,26 +264,26 @@ def recfree(source, at, max_n, max_states, replay):
             final = replay_chain(arr, moves)
         except ValueError as exc:
             raise CliError(f"chain verification failed: {exc}") from None
-        _echo(f"Chain verified: {len(moves)} moves, final state has "
-              f"{final.n} hyperplanes and is inductively free")
+        click.echo(f"Chain verified: {len(moves)} moves, final state has "
+                   f"{final.n} hyperplanes and is inductively free")
         return
     report = recursively_free(arr, max_n=arr.n + 1 if max_n is None else max_n,
                               max_states=max_states)
-    _echo(f"Verdict: {report.verdict}")
-    _echo(f"States explored: {report.explored}")
-    _echo(f"Reason: {report.reason}")
+    click.echo(f"Verdict: {report.verdict}")
+    click.echo(f"States explored: {report.explored}")
+    click.echo(f"Reason: {report.reason}")
     if report.verdict == "NotRF":
-        _echo(f"Sound: {report.sound}")
+        click.echo(f"Sound: {report.sound}")
         for e in report.expansions:
             exps = ",".join(str(x) for x in e.exponents)
-            _echo(f"  state n={e.n} exponents [{exps}]: "
-                  f"{e.deletion_moves} deletions, targets "
-                  f"{list(e.addition_targets)}, {e.addition_candidates} "
-                  f"addition candidates, complete={e.complete}")
+            click.echo(f"  state n={e.n} exponents [{exps}]: "
+                       f"{e.deletion_moves} deletions, targets "
+                       f"{list(e.addition_targets)}, {e.addition_candidates} "
+                       f"addition candidates, complete={e.complete}")
     elif report.verdict == "RF":
-        _echo("Chain:")
+        click.echo("Chain:")
         for line in _chain_lines(report.chain):
-            _echo("  " + line)
+            click.echo("  " + line)
     if report.verdict == "Unknown":
         sys.exit(EXIT_UNKNOWN)
 
@@ -303,11 +301,11 @@ def _degeneracy_payload(fam: Family) -> dict:
 def _echo_degeneracy(deg: dict):
     for value, tag in sorted(deg["rational"].items(),
                              key=lambda kv: Fraction(kv[0])):
-        _echo(f"  t = {value}: {tag}")
+        click.echo(f"  t = {value}: {tag}")
     for factor, tag in sorted(deg["quadratic"].items()):
-        _echo(f"  roots of {factor}: {tag}")
+        click.echo(f"  roots of {factor}: {tag}")
     for factor in deg["unresolved"]:
-        _echo(f"  unresolved factor: {factor}")
+        click.echo(f"  unresolved factor: {factor}")
 
 
 @cli.command("moduli")
@@ -320,9 +318,9 @@ def moduli_cmd(source, fmt):
         raise CliError(f"{source} is constant; no parameter to degenerate")
     payload = _degeneracy_payload(fam)
     if fmt == "json":
-        _echo(json.dumps(payload, sort_keys=True, indent=2))
+        click.echo(json.dumps(payload, sort_keys=True, indent=2))
         return
-    _echo(f"Degeneracy set of {fam.name} ({fam.n} columns):")
+    click.echo(f"Degeneracy set of {fam.name} ({fam.n} columns):")
     _echo_degeneracy(payload)
 
 
@@ -333,7 +331,7 @@ def aut(source, at):
     """Order of the automorphism group of the intersection lattice."""
     _, _, spec = _arrangement_for(source, at)
     order, _gens = aut_order(spec.arrangement.lattice())
-    _echo(str(order))
+    click.echo(str(order))
 
 
 @cli.command()
@@ -349,9 +347,9 @@ def iso(source1, source2, at, at2):
     witness = lattice_iso(spec1.arrangement.lattice(),
                           spec2.arrangement.lattice())
     if witness is None:
-        _echo("not isomorphic")
+        click.echo("not isomorphic")
         sys.exit(EXIT_VALIDATION)
-    _echo("isomorphic")
+    click.echo("isomorphic")
 
 
 @cli.command()
@@ -367,9 +365,9 @@ def verify(source, listing, at):
     except OSError as exc:
         raise CliError(f"cannot read {listing}: {exc}") from None
     if lattice_iso(spec.arrangement.lattice(), parsed) is None:
-        _echo("listing does NOT match")
+        click.echo("listing does NOT match")
         sys.exit(EXIT_VALIDATION)
-    _echo("listing matches")
+    click.echo("listing matches")
 
 
 @cli.command()
@@ -384,11 +382,11 @@ def abe(source, at, label):
     labels = [label] if label is not None else list(range(1, arr.n + 1))
     for h in labels:
         if not deletion_is_essential(arr, h):
-            _echo(f"h={h}: deletion not essential, skipped")
+            click.echo(f"h={h}: deletion not essential, skipped")
             continue
         result = abe_pair_check(arr, h)
         detail = f" ({result.detail})" if result.detail else ""
-        _echo(f"h={h}: {result.status}{detail}")
+        click.echo(f"h={h}: {result.status}{detail}")
         if result.status == "Violated":
             sys.exit(EXIT_INTERNAL)
 
@@ -446,25 +444,26 @@ def report(source, at, fmt, max_n, max_states):
     if not _is_constant(fam):
         payload["degeneracy"] = _degeneracy_payload(fam)
     if fmt == "json":
-        _echo(json.dumps(payload, sort_keys=True, indent=2))
+        click.echo(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        _echo(f"Input: {payload['input']} at t = {payload['at']}")
-        _echo(f"Hyperplanes: {payload['count']} of {payload['n']}")
-        _echo(f"Rank-2 flats: {payload['flats']}")
-        _echo("Lattice:")
+        click.echo(f"Input: {payload['input']} at t = {payload['at']}")
+        click.echo(f"Hyperplanes: {payload['count']} of {payload['n']}")
+        click.echo(f"Rank-2 flats: {payload['flats']}")
+        click.echo("Lattice:")
         for line in payload["lattice"]:
-            _echo("  " + line)
-        _echo(f"chi = {payload['chi']}")
+            click.echo("  " + line)
+        click.echo(f"chi = {payload['chi']}")
         free_info = payload["freeness"]
-        _echo(f"Freeness: {free_info['verdict']}"
-              + (f" exponents {free_info['exponents']}"
-                 if free_info["verdict"] == "Free" else ""))
-        _echo(f"Inductively free: {payload['inductively_free']}")
-        _echo(f"Recursively free: {payload['recursively_free']['verdict']}"
-              f" (sound={payload['recursively_free']['sound']})")
-        _echo(f"Aut order: {payload['aut_order']}")
+        click.echo(f"Freeness: {free_info['verdict']}"
+                   + (f" exponents {free_info['exponents']}"
+                      if free_info["verdict"] == "Free" else ""))
+        click.echo(f"Inductively free: {payload['inductively_free']}")
+        click.echo("Recursively free: "
+                   f"{payload['recursively_free']['verdict']} "
+                   f"(sound={payload['recursively_free']['sound']})")
+        click.echo(f"Aut order: {payload['aut_order']}")
         if "degeneracy" in payload:
-            _echo("Degeneracy set:")
+            click.echo("Degeneracy set:")
             _echo_degeneracy(payload["degeneracy"])
     if rf.verdict == "Unknown":
         sys.exit(EXIT_UNKNOWN)

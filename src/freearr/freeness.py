@@ -362,10 +362,11 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     Returns the nonzero constant c on success, None if the determinant is
     not a nonzero constant multiple of Q; pdegs not summing to n, or a vec
     index of no monomial of its pdeg, raise DegreeMismatchError.  The vecs
-    of the derivations, and the forms cleared of denominators by
-    scalars.clear, give det' and Q' over Z or Z[sqrt d], and det' = c' Q'
-    gives c, the one field element made, as c' times the forms' scale to
-    the n over the product of the dens.
+    of the derivations and the arrangement's ring columns, the forms
+    alpha', give det' and Q' over Z or Z[sqrt d].  Each field form is
+    g / den times its alpha' (Arrangement.scales), so det' = c' Q' gives
+    c, the one field element made, as c' times the product of the scales'
+    dens over the product of their g's and of the derivations' dens.
 
     Let v = (1, t, t^2) for the least t >= 0 with Q'(v) != 0; t <= 2n, as
     each form is a nonzero quadratic in t there.  Then det' = c' Q' with
@@ -387,8 +388,7 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
                                   f"sum to n = {n} or do not fit their terms")
     ops = arr.ops
     thetas = [_polys(th) for th in ths]
-    scale, ring = clear(ops, [x for a in arr.columns for x in a])
-    forms = [dict(zip(_UNITS, ring[i:i + 3])) for i in range(0, len(ring), 3)]
+    forms = [dict(zip(_UNITS, col)) for col in arr.ring_columns]
     at = partial(_at, ops, ops.scale)
     # Q' and det' at a point, given by its monomial values
     q = lambda pt: _product(ops, [at(f, pt) for f in forms])
@@ -410,9 +410,10 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     if ops.mul(qv, det(w)) != ops.mul(dv, q(w)):
         return None
     x = ops.cofactor(qv)        # qv * x is an integer
-    return ops.from_coords(ops.ints(ops.scale(ops.mul(dv, x), scale ** n)),
-                           ops.ints(ops.mul(qv, x))[0]
-                           * prod(th.den for th in ths))
+    return ops.from_coords(
+        ops.ints(ops.scale(ops.mul(dv, x), prod(d for _, d in arr.scales))),
+        ops.ints(ops.mul(qv, x))[0] * prod(g for g, _ in arr.scales)
+        * prod(th.den for th in ths))
 
 
 def _modulo(ops, p: int, others, c: int):

@@ -203,31 +203,29 @@ def specialize(f: Family, omega) -> SpecializationResult:
 
     Columns are evaluated to integral images (_integral_images), and
     vanishing and merging are read off their primitive forms, by line_key.
-    The kept columns go with those forms and keys to the validation step
-    of build (arrangement.validated).  Their field columns, each image over
-    its denominator, are made on first read of the arrangement's columns,
-    which lattice() and vL_membership never do.  Degenerate outcomes
-    (vanishing or merging columns, rank below 3) are reported as data,
-    never as errors.  Whether the lattice is still the generic one is asked
-    by vL_membership.
+    The kept columns go to the validation step of build
+    (arrangement.validated) as those forms with their line keys and scales
+    (g, den): the image is g times its form, and den its denominator.
+    Degenerate outcomes (vanishing or merging columns, rank below 3) are
+    reported as data, never as errors.  Whether the lattice is still the
+    generic one is asked by vL_membership.
     """
     omega = domain_of(omega).field(omega)
     ops, images, dens = _integral_images(f, omega)
     dropped = []
-    groups: dict = {}  # line key -> (primitive image, labels), by first label
+    groups: dict = {}  # line key -> (form, scale, labels), by first label
     for label, image in enumerate(images, start=1):
         if all(map(ops.is_zero, image)):
             dropped.append(label)
         else:
-            ring = primitive(ops, image)
-            groups.setdefault(line_key(ops, ring), (ring, []))[1].append(label)
-    merges = tuple(tuple(g) for _, g in groups.values() if len(g) > 1)
+            g, ring = primitive(ops, image)
+            groups.setdefault(line_key(ops, ring), (
+                ring, (g, dens[label - 1]), []))[2].append(label)
+    merges = tuple(tuple(ls) for *_, ls in groups.values() if len(ls) > 1)
     count = len(groups)
-    firsts = [g[0] - 1 for _, g in groups.values()]
     try:
-        arr = validated(ops, lambda: [tuple([ops.from_coords(
-            ops.ints(x), dens[i]) for x in images[i]]) for i in firsts],
-            [ring for ring, _ in groups.values()], list(groups))
+        arr = validated(ops, [ring for ring, _, _ in groups.values()],
+                        list(groups), [s for _, s, _ in groups.values()])
     except ValueError:
         arr = None
     return SpecializationResult(omega, count, arr, tuple(dropped), merges)
@@ -247,9 +245,6 @@ class DegeneracyReport:
     rational: dict
     quadratic: dict
     unresolved: tuple
-
-    def values(self):
-        return (sorted(self.rational), sorted(self.quadratic))
 
 
 def _candidate_polys(f: Family) -> dict:

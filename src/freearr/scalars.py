@@ -96,10 +96,10 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.coeffs == IntPoly((other,)).coeffs
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction, QuadElem)):
+            return self.degree < 1 and self.leading == other
         return NotImplemented
 
     def __hash__(self):
@@ -542,10 +542,10 @@ class QuadElem:
         return bool(self.a) or bool(self.b)
 
     def __eq__(self, other) -> bool:
-        try:
-            o = self._coerce(other)
-        except MixedFieldError:
-            return False
+        if isinstance(other, QuadElem) and other.d != self.d:
+            # only rationals are in two fields, and they equal their Fraction
+            return not (self.b or other.b) and self.a == other.a
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.a == o.a and self.b == o.b

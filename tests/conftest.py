@@ -443,9 +443,9 @@ def candidate_additions_over_the_field(arr: am.Arrangement, targets):
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
             line = _cross(p, points[j])
-            lines.setdefault(am.line_key(ops, am.clear_column(ops, line)),
+            lines.setdefault(am.line_key(ops, am.clear_column(ops, line)[1]),
                              (line, set()))[1].update((i, j))
-    existing = {am.line_key(ops, am.clear_column(ops, col))
+    existing = {am.line_key(ops, am.clear_column(ops, col)[1])
                 for col in arr.columns}
 
     def normal(line):

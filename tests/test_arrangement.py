@@ -95,7 +95,7 @@ class TestBuildValidation:
                                 for c in job["cols"]], ops)
             assert arr.ops is ops and arr.n == len(job["cols"])
             assert arr.ring_columns == tuple(
-                am.clear_column(ops, c) for c in arr.columns)
+                am.clear_column(ops, c)[1] for c in arr.columns)
             fields.add(ops.name)
         assert {"QQ", "QQ(sqrt 6)", "QQ(sqrt -1)"} <= fields
 
@@ -146,7 +146,7 @@ class TestBuildValidation:
 
 
 def key_of(col, ops):
-    return am.line_key(ops, am.clear_column(ops, col))
+    return am.line_key(ops, am.clear_column(ops, col)[1])
 
 
 class TestLineKey:

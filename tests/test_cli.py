@@ -141,13 +141,19 @@ class TestFree:
          "3161590f4e7f31988b4cfdb7a496452b5d40d355204f4ac4d569cda83b436443"),
         (("free", "grid8.fam", "--certificate"),
          "49ae0022766394867c9fdf57f81628ac9000d2260a19f55b867ec40bd7f35940"),
-    ], ids=["free13", "free15", "report13", "report15", "free32grid"])
+        (("free", "paper13", "--at", "5/7", "--certificate"),
+         "ca4390ed89f7e02e211e84a87d47c3fd29508fddb2ea971f1579fec12234f627"),
+        (("report", "paper13", "--at", "5/7"),
+         "114cd479cb9eb3324ff3fb847b99213ee878a12e6438043101d562a28103b567"),
+    ], ids=["free13", "free15", "report13", "report15", "free32grid",
+            "free13scaled", "report13scaled"])
     def test_specialized_output_bytes(self, args, digest, tmp_path,
                                       monkeypatch):
         """stdout digests of the specialized paper members, as printed when
         specialize made every field column at once, and of the 32-line
         grid's certificate, as printed when derivations were field
-        elements."""
+        elements.  At 5/7, 7 of the 13 columns have a scale other than
+        (1, 1); at 3, none do."""
         monkeypatch.chdir(tmp_path)
         Path("grid8.fam").write_text(GRID8_FAMILY)
         code, out, _ = run(*args)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 from functools import lru_cache, partial, reduce
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -1118,7 +1118,19 @@ class TestIntegralSaito:
                                           rng.randint(1, 6)) * x for x in c)
                            for c in near_pencil(6).columns], QQ)
         quad = _paper_quad_points()[0]
-        for arr, rounds in ((scaled, 6), (a13, 6), (quad, 2)):
+        # irrational factors give ring columns that are not rational
+        # multiples of quad's
+        root5 = QuadElem(5, 0, 1)
+        factors = [(1 + root5) / 2, 1 + root5, Fraction(-3, 5), 2 * root5]
+        lams = [factors[i % 4] for i in range(quad.n)]
+        rescaled = am.build([tuple(lam * x for x in c)
+                             for lam, c in zip(lams, quad.columns)], quad.ops)
+        assert rescaled.ring_columns != quad.ring_columns
+        assert sum(s != (1, 1) for s in rescaled.scales) == 9
+        cert = decide_freeness(quad, use_cache=False).certificate
+        assert saito_check(rescaled, *cert.derivations) * prod(lams) == \
+            cert.constant
+        for arr, rounds in ((scaled, 6), (a13, 6), (quad, 2), (rescaled, 2)):
             _, e2, e3 = arr.char_poly().exponents()
             theta_e = euler_derivation(arr)
             b2, b3 = derivation_basis(arr, e2), derivation_basis(arr, e3)

@@ -9,6 +9,7 @@ import pytest
 from freearr import arrangement as am
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
+from freearr.induction import inductively_free
 from freearr.linalg import ring_cross
 from freearr.scalars import (
     IntOps,
@@ -696,6 +697,26 @@ class TestDeferredFieldColumns:
             mod.vL_membership(f, generic, omega)
         with pytest.raises(AssertionError, match="field scalar"):
             mod.specialize(f, 3).arrangement.columns
+
+    @pytest.mark.parametrize("f, omega", [
+        (mod.family_13(), 3),
+        (mod.family_15(), QuadElem(5, Fraction(3, 2), Fraction(1, 2))),
+    ], ids=["paper13", "paper15"])
+    def test_deletion_and_induction_make_no_field_scalar(self, f, omega,
+                                                         monkeypatch):
+        # deletions slice the ring columns, keys and scales
+        def forbidden(*args):
+            raise AssertionError("a field scalar was made")
+
+        arr = mod.specialize(f, omega).arrangement
+        monkeypatch.setattr(IntOps, "from_coords", forbidden)
+        monkeypatch.setattr(QuadOps, "from_coords", forbidden)
+        sub, _ = am.delete(arr, 1)
+        assert sub.lattice().n == arr.lattice().n - 1
+        assert sub.scales == arr.scales[1:]
+        inductively_free(arr)
+        monkeypatch.undo()
+        assert sub.columns == arr.columns[1:]
 
 
 class TestVLMembership:

@@ -2,6 +2,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -299,6 +300,18 @@ class TestQuadElem:
             assert len({x, a}) == 1
             assert {a: "rational"}[x] == "rational"
         assert len({QuadElem(5, 1, 1), QuadElem(5, 1, 1), 1}) == 2
+
+    def test_equality_is_transitive_across_fields(self):
+        """A rational is one value in every field and as a constant IntPoly,
+        so a set of its forms has one member in any insertion order."""
+        ones = (1, Fraction(1), QuadElem(5, 1, 0), QuadElem(-3, 1, 0),
+                IntPoly((1,)))
+        assert {len(set(order)) for order in permutations(ones)} == {1}
+        assert all(x == y for x in ones for y in ones)
+        assert (QuadElem(5, 0, 1) == QuadElem(-3, 0, 1)) is False
+        assert QuadElem(5, 2, 0) != QuadElem(-3, 3, 0)
+        assert IntPoly((2,)) == QuadElem(5, 2, 0) != IntPoly((2, 1))
+        assert IntPoly((0,)) == Fraction(0) and IntPoly((3,)) != Fraction(7, 2)
 
     def test_known_algebraic_numbers(self):
         golden = QuadElem(5, Fraction(-1, 2), Fraction(1, 2))

@@ -253,12 +253,16 @@ def test_complements_come_from_the_lifts_alone(monkeypatch):
 
 
 def test_columns_are_cleared_once():
-    """build clears each column once and keeps the ring columns and line
-    keys on the Arrangement; the lattice scan, the solver, state keys and
-    addition candidates read them, and nullspace returns integral vectors."""
+    """build clears each column once and keeps the ring columns, line keys
+    and scales on the Arrangement, which takes no field columns, so no
+    function can stand in for them; the lattice scan, the solver, state
+    keys and addition candidates read them, and nullspace returns integral
+    vectors."""
     from freearr import arrangement, freeness, linalg
 
     assert _readers("clear_column") == ["arrangement.py:build"]
+    assert list(inspect.signature(arrangement.Arrangement).parameters) == [
+        "ops", "ring_columns", "keys", "scales"]
     assert [name for mod, name in ((arrangement, "_lattice_column"),
                                    (freeness, "cleared_columns"),
                                    (linalg, "_field_basis"))
@@ -278,7 +282,6 @@ def test_one_object_per_field():
         (moduli, "_field_column")) if hasattr(mod, name)] == []
     assert "domain" not in arrangement.Arrangement.__slots__
     assert _readers("clear") == ["arrangement.py:clear_column",
-                                 "freeness.py:saito_check",
                                  "freeness.py:certificate_from_text",
                                  "moduli.py:_integral_images"]
     path = SRC / "arrangement.py"
@@ -321,10 +324,11 @@ def test_specialize_clears_each_column_once(monkeypatch):
 
 
 def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
-    """The derivations stay integral, and only saito_check, which makes the
-    constant c, reads field elements: the arrangement's columns.  That holds
-    with the verdict cache too, on a miss, an exact repeat and a hit by
-    rescaled columns, whose state keys are made from line keys alone."""
+    """The derivations stay integral, and saito_check, which makes the
+    constant c, reads the ring columns and their integer scales: no field
+    arithmetic at all.  That holds with the verdict cache too, on a miss,
+    an exact repeat and a hit by rescaled columns, whose state keys are
+    made from line keys alone."""
     from fractions import Fraction
 
     from freearr import arrangement, freeness, moduli
@@ -339,25 +343,15 @@ def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
     for arr in arrs:
         arr.char_poly()         # the lattice, cached, and chi
     monkeypatch.setattr(freeness, "_VERDICT_CACHE", {})
-    calls, on = [], [True]
+    calls = []
     for cls in (Fraction, QuadElem):
         for name in ("__mul__", "__rmul__", "__add__", "__radd__",
                      "__sub__", "__rsub__", "__truediv__", "__rtruediv__"):
             def spy(*args, name=f"{cls.__name__}.{name}",
                     method=getattr(cls, name)):
-                if on[0]:
-                    calls.append(name)
+                calls.append(name)
                 return method(*args)
             monkeypatch.setattr(cls, name, spy)
-    check = freeness.saito_check
-
-    def unobserved_check(*args):
-        on[0] = False
-        try:
-            return check(*args)
-        finally:
-            on[0] = True
-    monkeypatch.setattr(freeness, "saito_check", unobserved_check)
     keys = [freeness.state_key(arr) for arr in arrs + moved]
     verdicts = [freeness.decide_freeness(arr, use_cache=False)
                 for arr in arrs]
@@ -436,8 +430,9 @@ def test_membership_and_saito_are_evaluated():
 
 
 def test_only_the_constant_becomes_a_field_element(monkeypatch):
-    """With the field columns read, decide_freeness makes one field
-    element, the Saito constant c: its derivations stay integral."""
+    """On a fresh arrangement, decide_freeness makes one field element,
+    the Saito constant c: its derivations stay integral, and neither it
+    nor saito_check reads the field columns."""
     from fractions import Fraction
 
     from freearr import freeness, moduli
@@ -452,7 +447,6 @@ def test_only_the_constant_becomes_a_field_element(monkeypatch):
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
     for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
                 moduli.specialize(moduli.family_15(), omega).arrangement):
-        arr.columns
         del calls[:]
         verdict = freeness.decide_freeness(arr, use_cache=False)
         assert calls == [verdict.certificate.constant]
