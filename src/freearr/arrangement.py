@@ -144,11 +144,6 @@ class Arrangement:
     def labels(self):
         return range(1, self.n + 1)
 
-    def column(self, h: int):
-        if not 1 <= h <= self.n:
-            raise UnknownLabelError(h)
-        return self.columns[h - 1]
-
     def lattice(self) -> "IntersectionLattice":
         if self._lattice is None:
             self._lattice = _compute_lattice(self.ops, self.ring_columns)

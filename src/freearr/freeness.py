@@ -27,15 +27,17 @@ at most M (B^T - 1) / (B - 1) < B^T.
 The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
 first degree-e2 derivation outside S*theta_E, and the first degree-e3
-derivation outside S*theta_E + S*theta_2 in the canonical basis, found
-from the lifts alone (_first_complement); they stay integral until written.
-For a free arrangement they always satisfy Saito's identity det = c*Q with
-c nonzero, which saito_check tests by two evaluations.  Freeness is
-therefore two-valued.  A failed certificate means A is not free, and the
-verdict carries its obstruction: a non-splitting characteristic polynomial,
-or the first degree whose dimension differs from that of a free module.  By
-du Plessis-Wall and Dimca that degree is min(r, e2), r the least degree of
-D_H(A), so the sweep that finds it stops at e2 (proof in decide_freeness).
+derivation outside S*theta_E + S*theta_2 in the canonical basis, found from
+the lifts alone (_first_complement): modulo S*theta_E, theta reduces to
+theta - q * theta_E, q the terms of f3 divisible by x3 over x3 (or of f1 by
+x1); the three stay integral until written.  For a free arrangement they
+always satisfy Saito's identity det = c*Q with c nonzero, which saito_check
+tests by two evaluations.  Freeness is therefore two-valued.  A failed
+certificate means A is not free, and the verdict carries its obstruction: a
+non-splitting characteristic polynomial, or the first degree whose dimension
+differs from that of a free module.  By du Plessis-Wall and Dimca that
+degree is min(r, e2), r the least degree of D_H(A), so the sweep that finds
+it stops at e2 (proof in decide_freeness).
 """
 from __future__ import annotations
 
@@ -126,29 +128,27 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int):
 
     With i0, j, k as in _axes, (x_i0, x_j, x_k) = (-alpha_j s - alpha_k r,
     alpha_i0 s, alpha_i0 r) parametrizes ker(alpha), so x_i0^a x_j^b x_k^c
-    becomes alpha_i0^(b+c) s^b r^c (-alpha_j s - alpha_k r)^a, and only
-    the powers of one binary form, times the restrictions of the l_i, are
-    needed.  Row t holds the coefficients of s^t r^(p-t).
+    becomes alpha_i0^(b+c) s^b r^c (-alpha_j s - alpha_k r)^a.  A block
+    restricts the product of its l_i once and multiplies it by that binary
+    form once per power a.  Row t holds the coefficients of s^t r^(p-t).
     """
     i0, j, k = _axes(ops, alpha)
     mul, is_zero = ops.mul, ops.is_zero
     sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
-    lead = [ops.one]        # alpha_i0^e
-    form = [[ops.one]]      # (sj s + sk r)^a
-    for _ in range(p):
-        lead.append(ops.mul(lead[-1], alpha[i0]))
-        form.append(_times_linear(ops, form[-1], sj, sk))
+    lead = list(accumulate(repeat(alpha[i0], p), mul, initial=ops.one))
     rows = [[ops.zero] * width for _ in range(p + 1)]
     for block, scalar, lines in blocks:
         d = p - len(lines)
         if d < 0:
             continue
-        scaled = [ops.mul(scalar, x) for x in lead[:d + 1]]
-        prods = form[:d + 1]    # form[a] times the restrictions of the l_i
+        scaled = [mul(scalar, x) for x in lead[:d + 1]]     # a alpha_i0^e
+        prods = [[ops.one]]     # (sj s + sk r)^a times the restricted l_i
         for l in lines:
-            ls = ops.add(ops.mul(alpha[i0], l[j]), ops.mul(sj, l[i0]))
-            lr = ops.add(ops.mul(alpha[i0], l[k]), ops.mul(sk, l[i0]))
-            prods = [_times_linear(ops, f, ls, lr) for f in prods]
+            prods[0] = _times_linear(
+                ops, prods[0], ops.add(mul(alpha[i0], l[j]), mul(sj, l[i0])),
+                ops.add(mul(alpha[i0], l[k]), mul(sk, l[i0])))
+        for _ in range(d):
+            prods.append(_times_linear(ops, prods[-1], sj, sk))
         for col, (a, b, c) in enumerate(((m[i0], m[j], m[k])
                                          for m in monomials(d)), start=block):
             x = scaled[b + c]
@@ -158,9 +158,10 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int):
     return rows
 
 
-def _two_point_frame(ops, cols, lat):
-    """((P, lines through Q), (Q, lines through P), the lines through
-    neither): the two-point frame on H.
+def _two_point_frame(arr: Arrangement):
+    """((P, lines through Q, pi_Q), (Q, lines through P, pi_P), the lines
+    through neither): the two-point frame on H, as ring columns, pi the
+    product of the forms of its lines as {monomial: ring element}.
 
     H and two of its points P, Q maximize |F_P| + |F_Q|, taking the first
     H and then the first flats in lattice order on ties; a line of an
@@ -168,6 +169,7 @@ def _two_point_frame(ops, cols, lat):
     products of alpha_H with one other member of their flat, and H is
     among none of the lines returned.
     """
+    ops, cols, lat = arr.ops, arr.ring_columns, arr.lattice()
     flats = lat.flats
 
     def points(h):
@@ -175,17 +177,19 @@ def _two_point_frame(ops, cols, lat):
         return sorted(ranked[:2])
     h = max(range(lat.n), key=lambda h: sum(len(flats[f]) for f in points(h)))
     fp, fq = (sorted(flats[f] - {h + 1}) for f in points(h))
-    pt_p, pt_q = (linalg.ring_cross(ops, cols[h], cols[f[0] - 1])
-                  for f in (fp, fq))
-    rest = [c for i, c in enumerate(cols, start=1)
-            if i not in fp and i not in fq and i != h + 1]
-    return ((pt_p, [cols[i - 1] for i in fq]),
-            (pt_q, [cols[i - 1] for i in fp]), rest)
+    frame = []
+    for f, g in ((fp, fq), (fq, fp)):
+        lines = [cols[i - 1] for i in g]
+        point = linalg.ring_cross(ops, cols[h], cols[f[0] - 1])
+        frame.append((point, lines, reduce(lambda pi, l: _poly_mul(
+            ops, dict(zip(_UNITS, l)), pi), lines, {(0, 0, 0): ops.one})))
+    return (*frame, [c for i, c in enumerate(cols, start=1)
+                     if i not in fp and i not in fq and i != h + 1])
 
 
-def _dh_system(ops, cols, lat, p: int):
-    """(rows, width, blocks): the two-point system for D_H(A)_p, and per
-    block (first column, degree, point, lines of its factor pi).
+def _dh_system(ops, frame, p: int):
+    """(rows, width, blocks): the two-point system for D_H(A)_p in the
+    frame, and per block (first column, degree, point, the lines of pi, pi).
 
     Lemma.  Let P, Q be two points of H and write theta in D_H(A) as
     theta = f1 P + f2 Q.  For a line K != H through P, theta(alpha_K) =
@@ -199,15 +203,15 @@ def _dh_system(ops, cols, lat, p: int):
     give rows: alpha_K(P) pi_Q g1 + alpha_K(Q) pi_P g2 vanishes on
     ker(alpha_K).
     """
-    (pt1, lines1), (pt2, lines2), rest = _two_point_frame(ops, cols, lat)
+    *points, rest = frame
     blocks, width = [], 0
-    for point, lines in ((pt1, lines1), (pt2, lines2)):
-        blocks.append((width, p - len(lines), point, lines))
+    for point, lines, pi in points:
+        blocks.append((width, p - len(lines), point, lines, pi))
         width += len(monomials(p - len(lines)))
     rows = [row for beta in rest
             for row in _hyperplane_rows(
                 ops, beta, [(b, linalg.ring_dot(ops, beta, point), lines)
-                            for b, _, point, lines in blocks], p, width)]
+                            for b, _, point, lines, _ in blocks], p, width)]
     return rows, width, blocks
 
 
@@ -226,13 +230,8 @@ def derivation_space_dim(arr: Arrangement, p: int) -> int:
     two-point system."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    rows, width, _ = _dh_system(arr.ops, arr.ring_columns, arr.lattice(), p)
+    rows, width, _ = _dh_system(arr.ops, _two_point_frame(arr), p)
     return comb(p + 1, 2) + width - linalg.rank(rows, width, arr.ops)
-
-
-def _euler(ops) -> dict:
-    """The coefficient vector of theta_E: x_c in f_c, monomials(1)[c] = x_c."""
-    return {4 * c: ops.one for c in range(3)}
 
 
 def _shifts(vec, d: int, p: int) -> list:
@@ -292,13 +291,14 @@ def _check_tangent(ops, cols, vecs, p: int):
                                  f"tangent to the line {alpha}")
 
 
-def _lifts(ops, cols, lat, p: int, lead=None):
-    """(lifts, leads): the lifts of the exact two-point kernel at degree p,
-    coefficient vectors checked against every line (a wrong frame raises
-    InvariantError), and the first nonzero coordinate of each kernel vector
-    as (block, monomial).  A lead (k, u) from a lower degree fixes to zero
-    the columns u * m of block k (see _first_complement)."""
-    rows, width, blocks = _dh_system(ops, cols, lat, p)
+def _lifts(ops, cols, frame, p: int, lead=None):
+    """(lifts, leads): the lifts of the exact two-point kernel at degree p
+    in the given frame (_two_point_frame), coefficient vectors checked
+    against every line (a wrong frame raises InvariantError), and the first
+    nonzero coordinate of each kernel vector as (block, monomial).  A lead
+    (k, u) from a lower degree fixes to zero the columns u * m of block k
+    (see _first_complement)."""
+    rows, width, blocks = _dh_system(ops, frame, p)
     fixed = set()
     if lead is not None:
         (b, d, *_), u = blocks[lead[0]], lead[1]
@@ -306,8 +306,6 @@ def _lifts(ops, cols, lat, p: int, lead=None):
                  for m in monomials(d - sum(u))}
     keep = [j for j in range(width) if j not in fixed]
     index = {m: i for i, m in enumerate(monomials(p))}
-    pis = [reduce(lambda pi, l: _poly_mul(ops, dict(zip(_UNITS, l)), pi),
-                  lines, {(0, 0, 0): ops.one}) for *_, lines in blocks]
     lifts, leads = [], []
     for g in linalg.nullspace([[row[j] for j in keep] for row in rows],
                               len(keep), ops):
@@ -316,7 +314,7 @@ def _lifts(ops, cols, lat, p: int, lead=None):
         k = max(k for k, (b, *_) in enumerate(blocks) if b <= j)
         leads.append((k, monomials(blocks[k][1])[j - blocks[k][0]]))
         theta = [{}, {}, {}]    # f1, f2, f3, each {monomial: ring element}
-        for (b, d, point, _), pi in zip(blocks, pis):
+        for b, d, point, _, pi in blocks:
             q = _poly_mul(ops, {m: g[j] for j, m in enumerate(monomials(d), b)
                                 if j in g}, pi)
             for a, f in zip(point, theta):
@@ -337,15 +335,16 @@ def derivation_basis(arr: Arrangement, p: int) -> list:
     if p < 0:
         raise ValueError("degree must be nonnegative")
     ops = arr.ops
-    lifts = _lifts(ops, arr.ring_columns, arr.lattice(), p)[0]
+    rows = (_shifts(euler_derivation(arr).vec, 1, p)
+            + _lifts(ops, arr.ring_columns, _two_point_frame(arr), p)[0])
     return [Derivation(p, den, {f: ops.scale(ops.one, den), **row})
-            for f, (den, row) in sorted(linalg.echelon(
-                _shifts(_euler(ops), 1, p) + lifts, ops).items())]
+            for f, (den, row) in sorted(linalg.echelon(rows, ops).items())]
 
 
 def euler_derivation(arr: Arrangement) -> Derivation:
-    """theta_E = x1*D1 + x2*D2 + x3*D3, a member for every arrangement."""
-    return Derivation(1, 1, _euler(arr.ops))
+    """theta_E = x1*D1 + x2*D2 + x3*D3, a member for every arrangement:
+    column 4c is x_c in f_c, as monomials(1)[c] = x_c."""
+    return Derivation(1, 1, {4 * c: arr.ops.one for c in range(3)})
 
 
 def _polys(th: Derivation) -> list:
@@ -386,12 +385,12 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
             for j in th.vec):
         raise DegreeMismatchError(f"pdegs {[th.pdeg for th in ths]} do not "
                                   f"sum to n = {n} or do not fit their terms")
-    ops = arr.ops
+    ops, cols = arr.ops, arr.ring_columns
     thetas = [_polys(th) for th in ths]
-    forms = [dict(zip(_UNITS, col)) for col in arr.ring_columns]
     at = partial(_at, ops, ops.scale)
     # Q' and det' at a point, given by its monomial values
-    q = lambda pt: _product(ops, [at(f, pt) for f in forms])
+    q = lambda pt: _product(ops, [reduce(ops.add, map(
+        ops.scale, col, map(pt.__getitem__, _UNITS))) for col in cols])
     det = lambda pt: linalg.det3([[at(f, pt) for f in th] for th in thetas],
                                  ops)
     mons = {m for d in (1, *(th.pdeg for th in ths)) for m in monomials(d)}
@@ -404,7 +403,7 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
         return None
     k = (abs(ops.d) ** n * (
         _height(ops, [qv]) * prod(_height(ops, th.vec.values()) for th in ths)
-        + _height(ops, [dv]) * prod(_height(ops, f.values()) for f in forms))
+        + _height(ops, [dv]) * prod(_height(ops, col) for col in cols))
          ).bit_length()
     w = {m: 1 << k * ((n + 1) * m[0] + m[1]) for m in mons}
     if ops.mul(qv, det(w)) != ops.mul(dv, q(w)):
@@ -416,25 +415,39 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
         * prod(th.den for th in ths))
 
 
+@lru_cache(maxsize=None)
+def _euler_terms(p: int, c: int) -> dict:
+    """{the column of m * x_c in f_c: the columns of m * x_a in the other
+    f_a}, over the monomials m of degree p - 1: the terms of m * theta_E."""
+    index = {m: i for i, m in enumerate(monomials(p))}
+    col = lambda m, a: a * len(index) + index[    # m * x_a in f_a
+        tuple(e + (b == a) for b, e in enumerate(m))]
+    return {col(m, c): [col(m, a) for a in range(3) if a != c]
+            for m in monomials(p - 1)}
+
+
 def _modulo(ops, p: int, others, c: int):
     """x -> (k, v), v / k = x modulo W = S*theta_E + S*theta, theta for the
     (degree, vector) pairs in others, and v zero at the pivots of W, each
-    the first (c = 0) or last (c = 2) column of its row.  The m * theta_E
-    are reduced, each with one term in f_c, m * x_c, its pivot."""
-    def flip(vec):      # linalg.echelon pivots on the largest key
-        return vec if c else {-j: x for j, x in vec.items()}
-    euler = {}          # the rows m * theta_E by their pivots
-    for v in map(flip, _shifts(_euler(ops), 1, p)):
-        f = list(v)[c]
-        euler[f] = (1, {j: x for j, x in v.items() if j != f})
-    span = linalg.echelon([linalg.normal_form(ops, v, euler)[1] for d, theta
-                           in others for v in map(flip, _shifts(theta, d, p))],
-                          ops)
+    the first (c = 0) or last (c = 2) column of its row.  Each m * theta_E
+    has one term in f_c, m * x_c, its pivot, so reducing by them subtracts
+    q * theta_E, q the terms of f_c divisible by x_c over x_c.  As
+    linalg.echelon pivots on the largest key, keys are negated if c = 0."""
+    terms = _euler_terms(p, c)
+
+    def euler(vec):     # vec - q * theta_E
+        v = {j: x for j, x in vec.items() if j not in terms}
+        for f in filter(terms.__contains__, vec):
+            y = ops.neg(vec[f])
+            for j in terms[f]:
+                v[j] = ops.add(v[j], y) if j in v else y
+        return {j if c else -j: x for j, x in v.items() if not ops.is_zero(x)}
+    span = linalg.echelon([euler(v) for d, theta in others
+                           for v in _shifts(theta, d, p)], ops)
 
     def normal_form(vec):
-        k, r = linalg.normal_form(
-            ops, linalg.normal_form(ops, flip(vec), euler)[1], span)
-        return k, flip(r)
+        k, r = linalg.normal_form(ops, euler(vec), span)
+        return k, {j if c else -j: x for j, x in r.items()}
     return normal_form
 
 
@@ -451,10 +464,11 @@ def _first_complement(ops, p: int, others, lifts):
     outside W.  So is the first canonical row outside W, as the rows before
     it lie in W, and the two differ by a vector with last column below f,
     in W.  So they have one reduction on first columns.  Reducing by the
-    m * theta_E divides f3 by x3 (or f1 by x1) and subtracts the quotient
-    times theta_E, so only the shifts of theta go to linalg.echelon.  They
-    are independent modulo S*theta_E: a * theta_E = -b * theta with b != 0
-    forces b | a, as gcd(x1, x2, x3) = 1, and theta in S*theta_E.
+    m * theta_E subtracts q * theta_E, q the terms of f3 divisible by x3
+    over x3 (or of f1 by x1): no m * theta_E is built (_modulo), and only
+    the shifts of theta go to linalg.echelon.  They are independent modulo
+    S*theta_E: a * theta_E = -b * theta with b != 0 forces b | a, as
+    gcd(x1, x2, x3) = 1, and theta in S*theta_E.
 
     At e3 > e2, the solve at e3 fixes the columns m * LM(g2) to zero, g2
     spanning the kernel at e2 and LM its first term.  The order of
@@ -548,12 +562,13 @@ def _decide_freeness_impl(arr: Arrangement):
         return NotFree("ChiDoesNotSplit")
     _, e2, e3 = exps
     ops, cols = arr.ops, arr.ring_columns
-    lifts, leads = _lifts(ops, cols, arr.lattice(), e2)
+    frame = _two_point_frame(arr)
+    lifts, leads = _lifts(ops, cols, frame, e2)
     th2 = _first_complement(ops, e2, (), lifts)
     # at e3 > e2, dim D_H(A)_(e2) = 1 iff A is free (r = e2)
     if th2 is not None and (e3 == e2 or len(leads) == 1):
         lifts = (th2[2] if e3 == e2 else
-                 _lifts(ops, cols, arr.lattice(), e3, leads[0])[0])
+                 _lifts(ops, cols, frame, e3, leads[0])[0])
         th3 = _first_complement(ops, e3, ((e2, th2[1]),), lifts)
         if th3 is not None:
             ths = (euler_derivation(arr), Derivation(e2, *th2[:2]),

@@ -16,7 +16,7 @@ from freearr import arrangement as am
 from freearr import freeness as fr
 from freearr import moduli as mod
 from freearr.freeness import Derivation, Free, decide_freeness
-from freearr.linalg import det3, rank
+from freearr.linalg import det3, echelon, normal_form, rank
 from freearr.scalars import (
     QQ,
     IntOps,
@@ -413,6 +413,59 @@ def saito_by_coefficients(arr: am.Arrangement, th1, th2, th3):
     return one * d0 * scale / (one * q0 * den)
 
 
+# -- the tables that the closed forms of the Saito step replaced -----------
+
+def hyperplane_rows_by_tables(ops, alpha, blocks, p: int, width: int):
+    """freeness._hyperplane_rows from the table of the powers
+    (sj s + sk r)^a, each multiplied again by the restriction of every line
+    of a block."""
+    i0, j, k = fr._axes(ops, alpha)
+    mul, is_zero = ops.mul, ops.is_zero
+    sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
+    lead = [ops.one]        # alpha_i0^e
+    form = [[ops.one]]      # (sj s + sk r)^a
+    for _ in range(p):
+        lead.append(ops.mul(lead[-1], alpha[i0]))
+        form.append(fr._times_linear(ops, form[-1], sj, sk))
+    rows = [[ops.zero] * width for _ in range(p + 1)]
+    for block, scalar, lines in blocks:
+        d = p - len(lines)
+        if d < 0:
+            continue
+        scaled = [ops.mul(scalar, x) for x in lead[:d + 1]]
+        prods = form[:d + 1]    # form[a] times the restrictions of the l_i
+        for l in lines:
+            ls = ops.add(ops.mul(alpha[i0], l[j]), ops.mul(sj, l[i0]))
+            lr = ops.add(ops.mul(alpha[i0], l[k]), ops.mul(sk, l[i0]))
+            prods = [fr._times_linear(ops, f, ls, lr) for f in prods]
+        for col, (a, b, c) in enumerate(((m[i0], m[j], m[k])
+                                         for m in fr.monomials(d)),
+                                        start=block):
+            x = scaled[b + c]
+            for t, y in enumerate(prods[a], start=b):
+                if not is_zero(y):
+                    rows[t][col] = mul(x, y)
+    return rows
+
+
+def modulo_by_euler_rows(ops, p: int, others, c: int):
+    """freeness._modulo reducing by the rows m * theta_E themselves, built
+    by freeness._shifts and applied through linalg.normal_form."""
+    def flip(vec):      # linalg.echelon pivots on the largest key
+        return vec if c else {-j: x for j, x in vec.items()}
+    euler = {}          # the rows m * theta_E by their pivots
+    for v in map(flip, fr._shifts({4 * a: ops.one for a in range(3)}, 1, p)):
+        f = list(v)[c]
+        euler[f] = (1, {j: x for j, x in v.items() if j != f})
+    span = echelon([normal_form(ops, v, euler)[1] for d, theta in others
+                    for v in map(flip, fr._shifts(theta, d, p))], ops)
+
+    def reduce_modulo(vec):
+        k, r = normal_form(ops, normal_form(ops, flip(vec), euler)[1], span)
+        return k, flip(r)
+    return reduce_modulo
+
+
 # -- the walks that orbit pruning and integral candidates replaced ---------
 
 def aut_order_by_full_scan(lat: am.IntersectionLattice):
@@ -436,7 +489,7 @@ def candidate_additions_over_the_field(arr: am.Arrangement, targets):
     if not targets:
         return [], True
     flats = arr.lattice().flats
-    points = [_cross(arr.column(a), arr.column(b))
+    points = [_cross(arr.columns[a - 1], arr.columns[b - 1])
               for a, b, *_ in map(sorted, flats)]
     ops = arr.ops
     lines = {}

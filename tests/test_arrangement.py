@@ -137,7 +137,7 @@ class TestBuildValidation:
 
     def test_unknown_label(self):
         with pytest.raises(am.UnknownLabelError):
-            boolean3().column(5)
+            am.restriction_profile(boolean3(), 5)
 
     def test_domain_inference(self):
         arr = boolean3()
@@ -322,7 +322,7 @@ class TestDeleteRestrict:
         sub, mapping = am.delete(arr, 2)
         assert sub.n == 4
         assert mapping == {1: 1, 3: 2, 4: 3, 5: 4}
-        assert sub.column(2) == arr.column(3)
+        assert sub.columns[1] == arr.columns[2]
 
     def test_delete_not_essential(self):
         with pytest.raises(am.NotEssentialError):

@@ -44,7 +44,10 @@ from conftest import (
     defining_polynomial,
     grid,
     hpolys,
+    hyperplane_rows_by_tables,
     is_member,
+    modulo_by_euler_rows,
+    monomial,
     near_pencil,
     poly_add,
     poly_det3,
@@ -501,8 +504,8 @@ class TestRowBuilder:
         # to theta, are the two-point rows, and M's other rows vanish on it.
         ops, cols = arr.ops, arr.ring_columns
         lat = arr.lattice()
-        (pt1, lines1), (pt2, lines2), rest = fr._two_point_frame(ops, cols,
-                                                                 lat)
+        frame = fr._two_point_frame(arr)
+        (_, lines1, _), (_, lines2, _), rest = frame
         assert len(lines1) + len(lines2) + 2 == max(
             sum(sorted((len(lat.flats[f]) for f in incident))[-2:])
             for incident in lat.per_hyperplane)
@@ -518,18 +521,21 @@ class TestRowBuilder:
         for p in range(9):
             mons = fr.monomials(p)
             thetas = []
-            for point, lines in ((pt1, lines1), (pt2, lines2)):
+            for point, lines, ring_pi in frame[:2]:
                 pi = HPoly(0, {(0, 0, 0): 1})
                 for line in lines:
                     pi = poly_mul(pi, HPoly(1, {e: field(x) for e, x in
                                                 zip(units, line)}))
+                # the frame's pi is that product, in ring elements
+                assert pi == HPoly(len(lines), {m: field(x) for m, x in
+                                                ring_pi.items()})
                 for m in fr.monomials(p - len(lines)):
                     f = poly_mul(pi, HPoly(p - len(lines), {m: 1}))
                     thetas.append({c * len(mons) + i:
                                    integral(field(point[c]) * x)
                                    for c in range(3) for i, mm in
                                    enumerate(mons) if (x := f.coeffs.get(mm))})
-            rows, width, _ = fr._dh_system(ops, cols, lat, p)
+            rows, width, _ = fr._dh_system(ops, frame, p)
             assert width == len(thetas)
             full = _old_constraint_rows(ops, cols, p)
             expected = []
@@ -543,6 +549,50 @@ class TestRowBuilder:
                 else:
                     assert all(map(ops.is_zero, sum(block, [])))
             assert rows == expected
+
+
+class TestClosedFormsAgainstTables:
+    """The Saito step's rows and its reduction modulo S*theta_E equal
+    those of the tables they replaced (conftest)."""
+
+    @pytest.mark.parametrize("arr", [
+        mod.specialize(mod.family_13(), 3).arrangement,
+        _paper_quad_points()[0], grid(5), near_pencil(6), monomial(4, 3)],
+        ids=["a13", "a15-sqrt5", "grid20", "near-pencil6", "monomial4-i"])
+    def test_rows_restrict_each_product_once(self, arr):
+        # every line, so also those through neither frame point (rest)
+        ops, frame = arr.ops, fr._two_point_frame(arr)
+        e3 = arr.char_poly().exponents()[2]
+        for p in range(e3 + 1):
+            _, width, blocks = fr._dh_system(ops, frame, p)
+            for beta in arr.ring_columns:
+                args = (ops, beta, [(b, linalg.ring_dot(ops, beta, point), ls)
+                                    for b, _, point, ls, _ in blocks],
+                        p, width)
+                assert fr._hyperplane_rows(*args) == \
+                    hyperplane_rows_by_tables(*args)
+
+    @pytest.mark.parametrize("ops", [IntOps, QuadOps(5)],
+                             ids=["Z", "Z[sqrt5]"])
+    def test_reduction_is_theta_minus_q_theta_e(self, ops):
+        rng = random.Random(30)
+
+        def vector(p, density):
+            def element():
+                return (rng.randint(-9, 9) if ops.parts == 1 else
+                        (rng.randint(-9, 9), rng.randint(-9, 9)))
+            return {j: x for j in range(3 * len(fr.monomials(p)))
+                    if rng.random() < density
+                    and not ops.is_zero(x := element())}
+        for p in range(1, 9):
+            d = rng.randint(1, p)
+            for c in (0, 2):
+                for others in ((), ((d, vector(d, 0.7)),)):
+                    closed = fr._modulo(ops, p, others, c)
+                    by_rows = modulo_by_euler_rows(ops, p, others, c)
+                    for _ in range(4):
+                        vec = vector(p, 0.6)
+                        assert closed(vec) == by_rows(vec)
 
 
 def _vector_to_derivation(ops, vec, p: int) -> Derivation:
@@ -656,9 +706,8 @@ class TestDHSolve:
         for p in range(e2 + 1):
             derivation_space_dim(arr, p)
         assert widths and all(w < 3 * comb(p + 2, 2) for p, w in widths)
-        ops, cols = arr.ops, arr.ring_columns
-        two_point = [fr._dh_system(ops, cols, arr.lattice(), p)[:2]
-                     for p in range(e3 + 1)]
+        ops, frame = arr.ops, fr._two_point_frame(arr)
+        two_point = [fr._dh_system(ops, frame, p)[:2] for p in range(e3 + 1)]
         # (name, degree, columns removed): the e2 and e3 solves of
         # decide_freeness, then each rank of the sweep and its nullspace
         expected = [("nullspace", e2, 0)]
@@ -695,10 +744,10 @@ class TestDHSolve:
         assert exps in ((1, 5, 9), (1, 15, 16))
         _, e2, e3 = exps
         assert isinstance(decide_freeness(arr, use_cache=False), Free)
-        ops, cols, lat = arr.ops, arr.ring_columns, arr.lattice()
+        ops, frame = arr.ops, fr._two_point_frame(arr)
         shifts = comb(e3 - e2 + 2, 2)
-        assert solves == [(fr._dh_system(ops, cols, lat, e2)[1], 1),
-                          (fr._dh_system(ops, cols, lat, e3)[1] - shifts, 1)]
+        assert solves == [(fr._dh_system(ops, frame, e2)[1], 1),
+                          (fr._dh_system(ops, frame, e3)[1] - shifts, 1)]
         assert derivation_space_dim(arr, e3) == comb(e3 + 1, 2) + shifts + 1
 
     @pytest.mark.parametrize("arr", [
@@ -709,8 +758,8 @@ class TestDHSolve:
         # fails that line's exact check
         frame = fr._two_point_frame
 
-        def short_frame(ops, cols, lat):
-            first, second, rest = frame(ops, cols, lat)
+        def short_frame(arr):
+            first, second, rest = frame(arr)
             return first, second, rest[1:]
 
         monkeypatch.setattr(fr, "_two_point_frame", short_frame)
@@ -1015,9 +1064,9 @@ class TestWitnessTheorem:
         degrees = []
         dh_system = fr._dh_system
 
-        def spy(ops, cols, lat, p):
+        def spy(ops, frame, p):
             degrees.append(p)
-            return dh_system(ops, cols, lat, p)
+            return dh_system(ops, frame, p)
 
         monkeypatch.setattr(fr, "_dh_system", spy)
         cases = [(arr, r) for arr, _, r in _nonfree_cases()

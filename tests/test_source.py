@@ -246,10 +246,41 @@ def test_complements_come_from_the_lifts_alone(monkeypatch):
         del vectors[:]
         verdict = freeness.decide_freeness(arr, use_cache=False)
         shifts = [v for p in verdict.exponents[1:]
-                  for v in freeness._shifts(freeness._euler(arr.ops), 1, p)]
+                  for v in freeness._shifts(freeness.euler_derivation(
+                      arr).vec, 1, p)]
         # keys are negated where echelon is to pivot on first columns
         assert vectors and not any({abs(j): x for j, x in v.items()} in shifts
                                    for v in vectors)
+
+
+def test_saito_step_builds_no_euler_row_and_one_frame(monkeypatch):
+    """decide_freeness reduces modulo S*theta_E in closed form, so no
+    m * theta_E is built (_shifts never sees theta_E), and it builds the
+    two-point frame, with pi_P and pi_Q, once for e2 and e3."""
+    from fractions import Fraction
+
+    from freearr import freeness, moduli
+    from freearr.scalars import QuadElem
+
+    calls = []
+    for name in ("_shifts", "_two_point_frame"):
+        def spy(*args, name=name, real=getattr(freeness, name)):
+            calls.append((name, args))
+            return real(*args)
+        monkeypatch.setattr(freeness, name, spy)
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
+                moduli.specialize(moduli.family_15(), omega).arrangement):
+        del calls[:]
+        verdict = freeness.decide_freeness(arr, use_cache=False)
+        euler = freeness.euler_derivation(arr).vec
+        assert isinstance(verdict, freeness.Free)
+        assert [name for name, _ in calls].count("_two_point_frame") == 1
+        shifted = [args[0] for name, args in calls if name == "_shifts"]
+        assert shifted and euler not in shifted
+    # the spy does see theta_E
+    freeness.derivation_basis(arr, 1)
+    assert ("_shifts", (euler, 1, 1)) in calls
 
 
 def test_columns_are_cleared_once():
