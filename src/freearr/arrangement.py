@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, isqrt
 
 from . import linalg
@@ -336,23 +336,22 @@ class IntersectionLattice:
         return repr(best[0])
 
     def validate(self):
-        seen = {}
+        """The check of a parsed listing (ArrangementError): flats of two or
+        more lines, each pair in exactly one, and the degree identity.  A
+        scanned lattice checks itself (see _compute_lattice)."""
+        seen = set()
         for idx, f in enumerate(self.flats):
             if len(f) < 2:
                 raise ArrangementError(f"flat {idx} has fewer than 2 hyperplanes")
-            fl = sorted(f)
-            for a in range(len(fl)):
-                for b in range(a + 1, len(fl)):
-                    key = (fl[a], fl[b])
-                    if key in seen:
-                        raise ArrangementError(f"pair {key} covered twice")
-                    seen[key] = idx
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                if (i, j) not in seen:
-                    raise ArrangementError(f"pair {(i, j)} not covered")
-        for h in range(1, self.n + 1):
-            s = sum(len(self.flats[f]) - 1 for f in self.per_hyperplane[h - 1])
+            for key in combinations(sorted(f), 2):
+                if key in seen:
+                    raise ArrangementError(f"pair {key} covered twice")
+                seen.add(key)
+        for key in combinations(range(1, self.n + 1), 2):
+            if key not in seen:
+                raise ArrangementError(f"pair {key} not covered")
+        for h, incident in enumerate(self.per_hyperplane, start=1):
+            s = sum(len(self.flats[f]) - 1 for f in incident)
             if s != self.n - 1:
                 raise ArrangementError(
                     f"degree identity fails at hyperplane {h}: {s} != {self.n - 1}")
@@ -365,6 +364,13 @@ def _compute_lattice(ops, cols) -> IntersectionLattice:
     The first pair (i, j) of a flat in lexicographic order computes
     p = c_i x c_j once; the flat's other members all come after j, so only
     k > j is tested, by p . c_k = 0, which needs no normalization of p.
+
+    The scan checks itself: each pair it visits lies in an earlier flat or
+    starts one, and a pair of a new flat that is already marked raises
+    InvariantError, so each pair lies in exactly one flat of two or more
+    lines and sum over X through h of (|X| - 1) = n - 1, all that validate
+    checks of a listing.  A flat's first pair is never visited again and
+    is left unmarked, so a double point marks nothing.
     """
     n = len(cols)
     assigned = [[False] * n for _ in range(n)]
@@ -380,13 +386,13 @@ def _compute_lattice(ops, cols) -> IntersectionLattice:
                 if ops.is_zero(linalg.ring_dot(ops, p, cols[k]))]
             idx = len(flats)
             flats.append(frozenset(m + 1 for m in members))
-            for a, m in enumerate(members):
+            for m in members:
                 per_h[m].append(idx)
-                for b in members[a + 1:]:
-                    assigned[m][b] = True
-    lat = IntersectionLattice(n, tuple(flats), tuple(map(tuple, per_h)))
-    lat.validate()
-    return lat
+            for m, b in islice(combinations(members, 2), 1, None):
+                if assigned[m][b]:
+                    raise InvariantError(f"pair {(m + 1, b + 1)} in two flats")
+                assigned[m][b] = True
+    return IntersectionLattice(n, tuple(flats), tuple(map(tuple, per_h)))
 
 
 @dataclass(frozen=True)
@@ -628,19 +634,13 @@ def parse_lattice_listing(text: str) -> IntersectionLattice:
                         if body else [])
         except ValueError as exc:
             raise ArrangementError(f"line {lineno}: {exc}") from None
-    n = len(rows)
-    members: dict[int, set] = {}
+    members: dict[int, set] = {}    # in order of first appearance
     for h, row in enumerate(rows, start=1):
         for f in row:
             members.setdefault(f, set()).add(h)
-    flats = []
-    index_of = {}
-    for h, row in enumerate(rows, start=1):
-        for f in row:
-            if f not in index_of:
-                index_of[f] = len(flats)
-                flats.append(frozenset(members[f]))
-    per_h = tuple(tuple(sorted(index_of[f] for f in row)) for row in rows)
-    lat = IntersectionLattice(n, tuple(flats), per_h)
+    index_of = {f: idx for idx, f in enumerate(members)}
+    lat = IntersectionLattice(
+        len(rows), tuple(map(frozenset, members.values())),
+        tuple(tuple(sorted(index_of[f] for f in row)) for row in rows))
     lat.validate()
     return lat

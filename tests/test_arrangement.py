@@ -10,15 +10,17 @@ from pathlib import Path
 import pytest
 
 from freearr import arrangement as am
+from freearr import linalg
 from freearr import moduli as mod
 from freearr.freeness import state_key
-from freearr.scalars import QQ, poly, quad_field, QuadElem
+from freearr.scalars import InvariantError, QQ, poly, quad_field, QuadElem
 
 from conftest import (
     ASYMMETRIC20,
     aut_order_by_full_scan,
     boolean3,
     det3_cols,
+    monomial,
     near_pencil,
     quadratic_root,
     rational_arrangement,
@@ -237,8 +239,16 @@ class TestLattice:
         assert sorted(len(f) for f in lat.flats) == [2, 2, 2, 2, 4]
 
     def test_pair_coverage_and_degree_identity(self, small_corpus):
-        for arr in small_corpus:
-            lat = arr.lattice()
+        """Scanned lattices over Q, Q(sqrt -3), Q(i) and Q(sqrt 5), and on
+        packed family columns, pass the listing check and its oracle."""
+        point = mod.specialize(mod.family_15(), QuadElem(5, Fraction(3, 2),
+                                                         Fraction(1, 2)))
+        lats = [arr.lattice() for arr in small_corpus]
+        lats += [monomial(r, k).lattice() for r in (3, 4) for k in (0, 1)]
+        lats += [point.arrangement.lattice()]
+        lats += [mod.generic_lattice(f)
+                 for f in (mod.family_13(), mod.family_15())]
+        for lat in lats:
             lat.validate()
             seen = {}
             for idx, flat in enumerate(lat.flats):
@@ -247,12 +257,38 @@ class TestLattice:
                         if a < b:
                             assert (a, b) not in seen
                             seen[(a, b)] = idx
-            n = arr.n
+            n = lat.n
             assert len(seen) == n * (n - 1) // 2
             for h in range(1, n + 1):
                 total = sum(len(lat.flats[f]) - 1
                             for f in lat.per_hyperplane[h - 1])
                 assert total == n - 1
+
+    def test_pair_in_two_flats_raises(self, monkeypatch):
+        """A collinearity test that misses line 3 on the pencil's point
+        p = c_1 x c_2 leaves (1, 2, 4) as the first flat; the flat of
+        (1, 3) then holds 4 again, and the scan refuses the pair (1, 4)."""
+        arr = near_pencil(5)
+        ops, cols = arr.ops, arr.ring_columns
+        point, dot = linalg.ring_cross(ops, cols[0], cols[1]), linalg.ring_dot
+
+        def missing_line_3(ops, p, c):
+            return ops.one if (p, c) == (point, cols[2]) else dot(ops, p, c)
+
+        monkeypatch.setattr(linalg, "ring_dot", missing_line_3)
+        with pytest.raises(InvariantError, match=r"pair \(1, 4\) in two flats"):
+            arr.lattice()
+
+    def test_validate_checks_listings_only(self, monkeypatch):
+        calls = []
+        check = am.IntersectionLattice.validate
+        monkeypatch.setattr(am.IntersectionLattice, "validate",
+                            lambda lat: calls.append(lat) or check(lat))
+        lat = near_pencil(5).lattice()
+        mod.generic_lattice(mod.family_13())
+        assert calls == []
+        am.parse_lattice_listing(am.format_lattice(lat))
+        assert len(calls) == 1
 
     def test_flat_of_pair(self):
         lat = near_pencil(4).lattice()
@@ -579,6 +615,19 @@ class TestListingFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             am.parse_lattice_listing("not a listing")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2, 4]\n[1, 3]\n[2, 3]\n", "flat 2 has fewer than 2 hyperplanes"),
+        ("[1, 2]\n[1, 3]\n[1, 2, 3]\n", "pair (1, 3) covered twice"),
+        ("[1]\n[1]\n[]\n", "pair (1, 3) not covered"),
+        ("[1, 1, 2]\n[1, 3]\n[2, 3]\n",
+         "degree identity fails at hyperplane 1: 3 != 2"),
+    ], ids=["one-member flat", "pair in two flats", "pair in no flat",
+            "repeated flat number"])
+    def test_parse_refuses_malformed_listings(self, text, message):
+        with pytest.raises(am.ArrangementError) as exc:
+            am.parse_lattice_listing(text)
+        assert str(exc.value) == message
 
 
 class TestOtherDomains:

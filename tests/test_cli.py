@@ -186,6 +186,12 @@ class TestVerifyAndIso:
         assert (code, out) == (1, "")
         assert err.startswith("error: line 1: not an integer")
 
+    def test_malformed_listing_is_refused(self, tmp_path):
+        listing = tmp_path / "bad.lattice"
+        listing.write_text("[1, 2]\n[1, 3]\n[1, 2, 3]\n")
+        code, out, err = run("verify", "paper13", str(listing), "--at", "3")
+        assert (code, out, err) == (1, "", "error: pair (1, 3) covered twice\n")
+
     def test_iso_two_generic_values(self):
         code, out, _ = run("iso", "paper13", "paper13",
                            "--at", "3", "--at2", "4")

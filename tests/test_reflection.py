@@ -13,6 +13,7 @@ import pytest
 
 from freearr import arrangement as am
 from freearr import freeness as fr
+from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness, saito_check
 from freearr.induction import inductively_free, recursively_free, replay_chain
 from freearr.scalars import QuadElem
@@ -55,6 +56,25 @@ def test_reflection_golden(name):
         assert am.aut_order(arr.lattice())[0] == aut
     if n <= 13:
         assert aut_order_by_full_scan(arr.lattice())[0] == aut
+
+
+@pytest.mark.parametrize("a, constant", [
+    (Fraction(3, 2), QuadElem(5, Fraction(-2207, 2), Fraction(987, 2))),
+    (Fraction(-1, 2), QuadElem(5, -38, -17)),
+], ids=["3/2", "-1/2"])
+def test_conjugate_paper15_points_have_conjugate_constants(a, constant):
+    """paper15 at a + sqrt 5 / 2 and at its Galois conjugate a - sqrt 5 / 2
+    is free with H3's exponents, inductively free and has |Aut| = 120 at
+    both points; the Saito constants are conjugate too."""
+    constants = []
+    for b in (Fraction(1, 2), Fraction(-1, 2)):
+        arr = mod.specialize(mod.family_15(), QuadElem(5, a, b)).arrangement
+        verdict = decide_freeness(arr, use_cache=False)
+        assert isinstance(verdict, Free) and verdict.exponents == (1, 5, 9)
+        assert inductively_free(arr) is not None
+        assert am.aut_order(arr.lattice())[0] == 120
+        constants.append(verdict.certificate.constant)
+    assert constants == [constant, constant.conjugate()]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 6])
