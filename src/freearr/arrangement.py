@@ -630,10 +630,14 @@ def parse_lattice_listing(text: str) -> IntersectionLattice:
             raise ArrangementError(f"line {lineno}: expected a [..] list")
         body = line[1:-1].strip()
         try:
-            rows.append([parse_integer(x.strip()) for x in body.split(",")]
-                        if body else [])
+            row = ([parse_integer(x.strip()) for x in body.split(",")]
+                   if body else [])
+            if len(set(row)) < len(row):
+                twice = max(row, key=row.count)
+                raise ValueError(f"flat {twice} listed twice")
         except ValueError as exc:
             raise ArrangementError(f"line {lineno}: {exc}") from None
+        rows.append(row)
     members: dict[int, set] = {}    # in order of first appearance
     for h, row in enumerate(rows, start=1):
         for f in row:

@@ -27,16 +27,11 @@ from .arrangement import (
     lattice_iso,
     parse_lattice_listing,
 )
-from .freeness import (
-    Free,
-    _read_scalar,
-    _scalar_to_text,
-    certificate_to_text,
-    decide_freeness,
-)
+from .freeness import Free, certificate_to_text, decide_freeness
 from .induction import (
-    Move,
     abe_pair_check,
+    chain_from_text,
+    chain_to_text,
     inductively_free,
     quick_non_if,
     recursively_free,
@@ -49,7 +44,7 @@ from .moduli import (
     parse_family_text,
     specialize,
 )
-from .scalars import IntPoly, QuadElem, parse_integer, parse_rational
+from .scalars import IntPoly, read_scalars, scalar_to_text
 
 EXIT_VALIDATION = 1
 EXIT_UNKNOWN = 2
@@ -78,17 +73,14 @@ def _load_family(source: str) -> Family:
 
 
 def _parse_at(text: str):
+    """The scalar text of --at, where a rational has no 'rat' tag."""
     tokens = text.split()
     try:
-        if tokens and tokens[0] == "quad":
-            if len(tokens) != 4:
-                raise ValueError("expected: quad d a b")
-            return QuadElem(parse_integer(tokens[1]),
-                            parse_rational(tokens[2]),
-                            parse_rational(tokens[3]))
-        if len(tokens) != 1:
-            raise ValueError("expected a single rational")
-        return parse_rational(tokens[0])
+        omega, *rest = read_scalars(
+            tokens if tokens[:1] == ["quad"] else ["rat", *tokens])
+        if rest:
+            raise ValueError("expected one scalar")
+        return omega
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad --at value {text!r}: {exc}") from None
 
@@ -112,16 +104,6 @@ def _arrangement_for(source: str, at: str | None):
             f"specialization at {omega} has rank below 3 "
             f"(count {spec.count}); not a rank-3 arrangement")
     return fam, omega, spec
-
-
-def _at_display(omega) -> str:
-    if isinstance(omega, QuadElem):
-        return f"quad {omega.d} {omega.a} {omega.b}"
-    return str(omega)
-
-
-def _poly_str(coeffs) -> str:
-    return str(IntPoly(coeffs))
 
 
 @click.group(name="freearr")
@@ -167,7 +149,7 @@ def free(source, at, certificate):
         exps = ", ".join(str(e) for e in verdict.exponents)
         click.echo(f"Free with exponents [{exps}]")
         click.echo("Saito constant: "
-                   + _scalar_to_text(verdict.certificate.constant))
+                   + scalar_to_text(verdict.certificate.constant))
         if certificate:
             click.echo(certificate_to_text(verdict.certificate), nl=False)
     else:
@@ -198,50 +180,6 @@ def indfree(source, at):
                    f"(exponents [{exps}], |A^H|={step.restriction_size})")
 
 
-def _chain_lines(chain) -> list:
-    lines = []
-    for move in chain:
-        if move.action == "delete":
-            lines.append(f"delete {move.payload[0]}")
-        else:
-            lines.append("add " + " ".join(
-                _scalar_to_text(x) for x in move.payload))
-    return lines
-
-
-def _parse_chain(text: str) -> list:
-    moves = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "delete" and len(parts) == 2:
-                moves.append(Move("delete", (parse_integer(parts[1]),)))
-            elif parts[0] == "add":
-                moves.append(Move("add", _parse_covector(ln, parts[1:])))
-            else:
-                raise CliError(f"chain line {ln}: unrecognized move {line!r}")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"chain line {ln}: cannot read {line!r}: "
-                           f"{exc}") from None
-    return moves
-
-
-def _parse_covector(ln: int, toks) -> tuple:
-    cov = []
-    while toks:
-        read = _read_scalar(toks)
-        if read is None:
-            raise CliError(f"chain line {ln}: bad scalar near {toks[0]!r}")
-        x, toks = read
-        cov.append(x)
-    if len(cov) != 3:
-        raise CliError(f"chain line {ln}: expected three scalars")
-    return tuple(cov)
-
-
 @cli.command()
 @click.argument("source")
 @_AT
@@ -257,9 +195,11 @@ def recfree(source, at, max_n, max_states, replay):
     if replay is not None:
         try:
             with open(replay, "r", encoding="utf-8") as fh:
-                moves = _parse_chain(fh.read())
+                moves = chain_from_text(fh.read())
         except OSError as exc:
             raise CliError(f"cannot read {replay}: {exc}") from None
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
         try:
             final = replay_chain(arr, moves)
         except ValueError as exc:
@@ -282,7 +222,7 @@ def recfree(source, at, max_n, max_states, replay):
                        f"addition candidates, complete={e.complete}")
     elif report.verdict == "RF":
         click.echo("Chain:")
-        for line in _chain_lines(report.chain):
+        for line in chain_to_text(report.chain).splitlines():
             click.echo("  " + line)
     if report.verdict == "Unknown":
         sys.exit(EXIT_UNKNOWN)
@@ -292,9 +232,9 @@ def _degeneracy_payload(fam: Family) -> dict:
     rep = degeneracy_set(fam)
     return {
         "rational": {str(v): tag for v, tag in sorted(rep.rational.items())},
-        "quadratic": {_poly_str(c): tag
+        "quadratic": {str(IntPoly(c)): tag
                       for c, tag in sorted(rep.quadratic.items())},
-        "unresolved": [_poly_str(c) for c in rep.unresolved],
+        "unresolved": [str(IntPoly(c)) for c in rep.unresolved],
     }
 
 
@@ -398,7 +338,7 @@ def _freeness_payload(verdict) -> dict:
             "exponents": list(verdict.exponents),
             "certificate_pdegs": [th.pdeg
                                   for th in verdict.certificate.derivations],
-            "constant": _scalar_to_text(verdict.certificate.constant),
+            "constant": scalar_to_text(verdict.certificate.constant),
         }
     payload = {"verdict": "NotFree", "reason": verdict.reason}
     if verdict.detail:
@@ -424,7 +364,7 @@ def report(source, at, fmt, max_n, max_states):
     order, _ = aut_order(lat)
     payload = {
         "input": fam.name,
-        "at": _at_display(omega),
+        "at": scalar_to_text(omega).removeprefix("rat "),
         "n": fam.n,
         "count": spec.count,
         "flats": len(lat.flats),

@@ -48,8 +48,8 @@ from math import comb, prod
 
 from . import linalg
 from .arrangement import Arrangement
-from .scalars import (QQ, InvariantError, QuadElem, clear, domain_of,
-                      parse_integer, parse_rational)
+from .scalars import (QQ, InvariantError, clear, domain_of, parse_integer,
+                      read_scalars, scalar_to_text)
 
 
 class DegreeMismatchError(ValueError):
@@ -590,44 +590,25 @@ def _decide_freeness_impl(arr: Arrangement):
 
 # -- certificate serialization -------------------------------------------
 
-def _scalar_to_text(x) -> str:
-    if isinstance(x, QuadElem):
-        return f"quad {x.d} {x.a} {x.b}"
-    return f"rat {x}"
-
-
-def _read_scalar(toks):
-    """(x, rest): x the scalar that _scalar_to_text wrote as the first
-    tokens of toks, rest the tokens after it; None when toks do not start
-    with a tag and its arguments.  Rationals are read by parse_rational,
-    as --at reads them; a bad value raises ValueError or ZeroDivisionError."""
-    if toks[:1] == ["rat"] and len(toks) > 1:
-        return parse_rational(toks[1]), toks[2:]
-    if toks[:1] == ["quad"] and len(toks) > 3:
-        return QuadElem(parse_integer(toks[1]), parse_rational(toks[2]),
-                        parse_rational(toks[3])), toks[4:]
-    return None
-
-
 def _one_scalar(toks):
     """The scalar that toks hold; other tokens raise ValueError."""
-    read = _read_scalar(toks)
-    if read is None or read[1]:
+    xs = read_scalars(toks)
+    if len(xs) != 1:
         raise ValueError(f"expected one scalar, not {' '.join(toks)!r}")
-    return read[0]
+    return xs[0]
 
 
 def certificate_to_text(cert: SaitoCertificate) -> str:
     """The certificate as text, each term of a derivation's vec / den
     divided out here, in the field of c."""
     ops = domain_of(cert.constant)
-    lines = ["saito-certificate", "c " + _scalar_to_text(cert.constant)]
+    lines = ["saito-certificate", "c " + scalar_to_text(cert.constant)]
     for k, th in enumerate(cert.derivations, start=1):
         lines.append(f"derivation {k} pdeg {th.pdeg}")
         for c, f in enumerate(_polys(th), start=1):
             for m in sorted(f):
                 lines.append(f"term {c} {m[0]} {m[1]} {m[2]} "
-                             + _scalar_to_text(ops.from_coords(
+                             + scalar_to_text(ops.from_coords(
                                  ops.ints(f[m]), th.den)))
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -32,6 +32,7 @@ from .arrangement import (
 )
 from .freeness import Free, decide_freeness, state_key
 from .linalg import ring_cross
+from .scalars import parse_integer, read_scalars, scalar_to_text
 
 
 def _fitting_sizes(exps) -> tuple:
@@ -340,6 +341,40 @@ def replay_chain(arr: Arrangement, moves) -> Arrangement:
     if inductively_free(state) is None:
         raise ValueError("final state of the chain is not inductively free")
     return state
+
+
+def chain_to_text(moves) -> str:
+    """The chain as text, a move a line: 'delete h', or 'add' and the three
+    scalars of the covector (scalars.scalar_to_text)."""
+    return "".join(
+        f"delete {m.payload[0]}\n" if m.action == "delete" else
+        " ".join(["add", *map(scalar_to_text, m.payload)]) + "\n"
+        for m in moves)
+
+
+def chain_from_text(text: str) -> tuple:
+    """The moves chain_to_text wrote, '#' starting a comment; a malformed
+    line raises ValueError naming it.  replay_chain checks the moves."""
+    moves = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        action, *toks = line.split()
+        try:
+            if action == "delete" and len(toks) == 1:
+                payload = (parse_integer(toks[0]),)
+            elif action == "add":
+                payload = tuple(read_scalars(toks))
+                if len(payload) != 3:
+                    raise ValueError("expected three scalars")
+            else:
+                raise ValueError("unrecognized move")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"chain line {ln}: cannot read {line!r}: "
+                             f"{exc}") from None
+        moves.append(Move(action, payload))
+    return tuple(moves)
 
 
 # ---------------------------------------------------------------------------

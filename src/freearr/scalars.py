@@ -824,3 +824,29 @@ def parse_rational(s: str) -> Fraction:
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
+
+
+def scalar_to_text(x) -> str:
+    """x as tagged text: 'rat a/b', or 'quad d a b' for a + b*sqrt(d) in
+    Q(sqrt d), which read_scalars reads back in the same field."""
+    if isinstance(x, QuadElem):
+        return f"quad {x.d} {x.a} {x.b}"
+    return f"rat {x}"
+
+
+def read_scalars(tokens) -> list:
+    """The scalars that scalar_to_text wrote, one after another, as the
+    tokens; a bad value raises ValueError (a zero b ZeroDivisionError)."""
+    out, i = [], 0
+    while i < len(tokens):
+        if tokens[i] == "rat" and i + 1 < len(tokens):
+            out.append(parse_rational(tokens[i + 1]))
+            i += 2
+        elif tokens[i] == "quad" and i + 3 < len(tokens):
+            out.append(QuadElem(parse_integer(tokens[i + 1]),
+                                parse_rational(tokens[i + 2]),
+                                parse_rational(tokens[i + 3])))
+            i += 4
+        else:
+            raise ValueError(f"bad scalar near {tokens[i]!r}")
+    return out

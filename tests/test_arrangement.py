@@ -620,10 +620,10 @@ class TestListingFormat:
         ("[1, 2, 4]\n[1, 3]\n[2, 3]\n", "flat 2 has fewer than 2 hyperplanes"),
         ("[1, 2]\n[1, 3]\n[1, 2, 3]\n", "pair (1, 3) covered twice"),
         ("[1]\n[1]\n[]\n", "pair (1, 3) not covered"),
-        ("[1, 1, 2]\n[1, 3]\n[2, 3]\n",
-         "degree identity fails at hyperplane 1: 3 != 2"),
+        ("[1, 1, 2]\n[1, 3]\n[2, 3]\n", "line 1: flat 1 listed twice"),
+        ("# c\n[1, 2]\n\n[1, 3, 3]\n[2, 3]\n", "line 4: flat 3 listed twice"),
     ], ids=["one-member flat", "pair in two flats", "pair in no flat",
-            "repeated flat number"])
+            "repeated flat number", "repeated flat after a comment"])
     def test_parse_refuses_malformed_listings(self, text, message):
         with pytest.raises(am.ArrangementError) as exc:
             am.parse_lattice_listing(text)

@@ -25,6 +25,13 @@ BOOLEAN_FAMILY = "1; 0; 0\n0; 1; 0\n0; 0; 1\n"
 NEAR_PENCIL5_FAMILY = "1; 0; 0\n0; 1; 0\n1; -1; 0\n1; -2; 0\n0; 0; 1\n"
 GENERIC8_FAMILY = "".join(f"1; {k}; {k * k}\n" for k in range(8))
 GRID8_FAMILY = "".join(f"{a}; {b}; {c}\n" for a, b, c in grid(8).columns)
+MALFORMED_MOVES = [
+    "add rat 1/0 rat 1 rat 1", "add rat x rat 1 rat 1", "delete x",
+    "add quad 0 1 1 rat 1 rat 1", "add quad 5 1/0 0 rat 1 rat 1",
+    "add quad 10000000000000061 1 1 rat 1 rat 1",
+    "add rat 1e0 rat 0.5 rat 1", "add rat 1_000 rat 1 rat 1",
+    "add quad 5 0.5 1 rat 1 rat 1", "add rat \u0661 rat 1 rat 1",
+    "add quad 1_3 1 1 rat 1 rat 1", "delete \u0661"]
 
 
 def run(*args):
@@ -248,13 +255,7 @@ class TestInductionCommands:
         assert code == 1
         assert "bad scalar" in err
 
-    @pytest.mark.parametrize("move", [
-        "add rat 1/0 rat 1 rat 1", "add rat x rat 1 rat 1", "delete x",
-        "add quad 0 1 1 rat 1 rat 1", "add quad 5 1/0 0 rat 1 rat 1",
-        "add quad 10000000000000061 1 1 rat 1 rat 1",
-        "add rat 1e0 rat 0.5 rat 1", "add rat 1_000 rat 1 rat 1",
-        "add quad 5 0.5 1 rat 1 rat 1", "add rat \u0661 rat 1 rat 1",
-        "add quad 1_3 1 1 rat 1 rat 1", "delete \u0661"])
+    @pytest.mark.parametrize("move", MALFORMED_MOVES)
     def test_recfree_replay_names_the_malformed_line(self, tmp_path, move):
         chain = tmp_path / "chain.txt"
         chain.write_text(f"# a chain\ndelete 1\n{move}\n")
@@ -263,6 +264,27 @@ class TestInductionCommands:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: chain line 3: cannot read {move!r}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("move", MALFORMED_MOVES)
+    def test_chain_reader_names_the_malformed_line(self, move):
+        """The library refuses each malformed move that --replay does."""
+        with pytest.raises(ValueError, match="^chain line 3: cannot read "):
+            induction.chain_from_text(f"# a chain\ndelete 1\n{move}\n")
+
+    @pytest.mark.parametrize("move, message", [
+        ("add quad 5 1 1 rat 1 rat 1", "column 16 mixes QQ and QQ(sqrt 5)"),
+        ("add rat 0 rat 0 rat 0", "column 16 is zero"),
+        ("add rat 1 rat 0 rat 0", "columns 1 and 16 are proportional"),
+    ])
+    def test_recfree_replay_refuses_a_bad_addition(self, tmp_path, move,
+                                                   message):
+        """A read chain still goes through build's validation."""
+        chain = tmp_path / "chain.txt"
+        chain.write_text(move + "\n")
+        code, out, err = run("recfree", "paper15", "--at", "-1",
+                             "--replay", str(chain))
+        assert (code, out) == (1, "")
+        assert err == f"error: chain verification failed: {message}\n"
 
     def test_indfree_chain_lines(self):
         code, out, _ = run("indfree", "paper13", "--at", "2")

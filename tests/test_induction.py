@@ -8,6 +8,7 @@ from freearr import arrangement as am
 from freearr import induction
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
+from freearr.scalars import QuadElem
 from freearr.induction import (
     Expansion,
     IFCertificate,
@@ -16,6 +17,8 @@ from freearr.induction import (
     PairCheck,
     abe_pair_check,
     candidate_additions,
+    chain_from_text,
+    chain_to_text,
     inductively_free,
     quick_non_if,
     recursively_free,
@@ -343,6 +346,43 @@ class TestReplayChain:
         cov = tuple(Fraction(x) for x in (1, -1, 0))
         final = replay_chain(sub, [Move("add", cov)])
         assert final.n == 6
+
+
+class TestChainText:
+    """chain_to_text and chain_from_text, beside Move and replay_chain."""
+
+    def test_paper15_at_minus_one_chain(self):
+        arr = mod.specialize(mod.family_15(), -1).arrangement
+        chain = recursively_free(arr, max_n=16).chain
+        text = chain_to_text(chain)
+        assert text == "add rat 1 rat -1/2 rat -1/2\n"
+        assert chain_from_text(text) == chain
+
+    def test_b3_cut_chain(self, monkeypatch):
+        # B3 without x1 - x2, with inductive freeness refused up to its
+        # own size, as in the recfree command's test
+        arr = rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                   (1, 1, 0), (1, 0, 1), (1, 0, -1),
+                                   (0, 1, 1), (0, 1, -1))
+        real = induction.inductively_free
+        monkeypatch.setattr(induction, "inductively_free",
+                            lambda state: real(state) if state.n > 8 else None)
+        chain = recursively_free(arr, max_n=9).chain
+        text = chain_to_text(chain)
+        assert text == "add rat 1 rat -1 rat 0\n"
+        assert chain_from_text(text) == chain
+
+    def test_deletions_quadratic_scalars_and_comments(self):
+        chain = (Move("delete", (3,)),
+                 Move("add", (QuadElem(5, 1, Fraction(1, 2)), Fraction(0),
+                              Fraction(-2, 3))))
+        text = chain_to_text(chain)
+        assert text == "delete 3\nadd quad 5 1 1/2 rat 0 rat -2/3\n"
+        assert chain_from_text(text) == chain
+        commented = "# a chain\n\n" + text.replace("\n", "  # note\n")
+        back = chain_from_text(commented)
+        assert back == chain and back[1].payload[0].d == 5
+        assert chain_to_text(()) == "" and chain_from_text("") == ()
 
 
 class TestAbePairCheck:

@@ -25,6 +25,8 @@ from freearr.scalars import (
     poly,
     poly_gcd,
     quad_field,
+    read_scalars,
+    scalar_to_text,
 )
 
 
@@ -386,3 +388,47 @@ class TestDomains:
         den, ring = clear(F, [QuadElem(5, Fraction(1, 2), Fraction(1, 3))])
         assert F.from_coords(ring[0], den) == QuadElem(
             5, Fraction(1, 2), Fraction(1, 3))
+
+
+codec_scalars = st.one_of(
+    fractions, st.builds(QuadElem, st.sampled_from([-3, -1, 2, 5, 13]),
+                         fractions, fractions))
+
+
+class TestScalarText:
+    """scalar_to_text and read_scalars are the one writer and reader of
+    the tagged scalars in certificates, chains and --at."""
+
+    @given(codec_scalars)
+    @settings(max_examples=100)
+    def test_round_trip_keeps_value_and_field(self, x):
+        (y,) = read_scalars(scalar_to_text(x).split())
+        assert y == x and domain_of(y) is domain_of(x)
+
+    @given(st.lists(codec_scalars, max_size=5))
+    @settings(max_examples=60)
+    def test_scalars_in_a_row(self, xs):
+        text = " ".join(map(scalar_to_text, xs))
+        ys = read_scalars(text.split())
+        assert ys == xs
+        assert [domain_of(y) for y in ys] == [domain_of(x) for x in xs]
+
+    def test_written_forms(self):
+        assert scalar_to_text(Fraction(-1, 2)) == "rat -1/2"
+        assert scalar_to_text(3) == "rat 3"
+        assert scalar_to_text(QuadElem(5, Fraction(3, 2), 0)) == (
+            "quad 5 3/2 0")
+
+    @pytest.mark.parametrize("tokens, message", [
+        (["ratfunc", "1"], "bad scalar near 'ratfunc'"),
+        (["rat"], "bad scalar near 'rat'"),
+        (["quad", "5", "1"], "bad scalar near 'quad'"),
+        (["rat", "1", "2"], "bad scalar near '2'"),
+        (["rat", "0.5"], "not a rational number: '0.5'"),
+        (["quad", "1_3", "1", "1"], "not an integer: '1_3'"),
+        (["quad", "12", "1", "1"], "d = 12 must be squarefree"),
+    ])
+    def test_malformed_tokens_raise_value_error(self, tokens, message):
+        with pytest.raises(ValueError) as exc:
+            read_scalars(tokens)
+        assert str(exc.value).startswith(message)

@@ -223,6 +223,26 @@ def test_one_exact_echelon_and_no_test_only_code():
         (moduli, "format_family")) if hasattr(mod, name)] == []
 
 
+def test_text_formats_live_beside_their_objects():
+    """scalars writes and reads the tagged scalars, induction the chains:
+    cli.py keeps no parser or writer of either, and imports no private
+    name from another freearr module."""
+    from freearr import cli, freeness
+
+    path = SRC / "cli.py"
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("freearr"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
+    assert [name for mod, name in (
+        (freeness, "_read_scalar"), (freeness, "_scalar_to_text"),
+        (cli, "_parse_chain"), (cli, "_parse_covector"),
+        (cli, "_chain_lines")) if hasattr(mod, name)] == []
+
+
 def test_complements_come_from_the_lifts_alone(monkeypatch):
     """decide_freeness builds no canonical basis of D(A)_p and passes no
     m * theta_E to linalg.echelon: reducing modulo S*theta_E divides by x3
