@@ -218,16 +218,10 @@ def validated(ops, ring_columns, keys, scales) -> Arrangement:
 
 
 def _has_rank3(cols, ops=IntOps) -> bool:
-    """Rank 3 test for pairwise non-proportional columns over the ring of ops.
-
-    Fewer than three columns have rank below 3.  Otherwise the first two
-    span a plane with normal p = c_1 x c_2, and the rank is 3 exactly when
-    p . c is nonzero for some other column c.
-    """
-    if len(cols) < 3:
-        return False
-    p = linalg.ring_cross(ops, cols[0], cols[1])
-    return any(not ops.is_zero(linalg.ring_dot(ops, p, c)) for c in cols[2:])
+    """Rank 3 test for pairwise non-proportional columns over the ring of
+    ops: some column is off the point c_1 x c_2 of the first two."""
+    n = len(cols)
+    return n > 2 and len(_through(ops, cols[0], cols[1], cols, 2)) < n - 2
 
 
 @dataclass(frozen=True)
@@ -357,37 +351,58 @@ class IntersectionLattice:
                     f"degree identity fails at hyperplane {h}: {s} != {self.n - 1}")
 
 
+def _through(ops, u, v, cols, start) -> list:
+    """The k >= start with cols[k] through the point p = u x v, by p . c_k
+    = 0 written in integers; over Z[sqrt d] both coordinates vanish."""
+    out = []
+    if ops.parts == 1:
+        (u0, u1, u2), (v0, v1, v2) = u, v
+        a, b, c = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+        for k, (x, y, z) in enumerate(cols[start:], start):
+            if not a * x + b * y + c * z:
+                out.append(k)
+        return out
+    d, ((a, e), (b, f), (c, g)) = ops.d, linalg.ring_cross(ops, u, v)
+    for k, ((x, x_), (y, y_), (z, z_)) in enumerate(cols[start:], start):
+        if not (a * x + b * y + c * z + d * (e * x_ + f * y_ + g * z_)
+                or a * x_ + b * y_ + c * z_ + e * x + f * y + g * z):
+            out.append(k)
+    return out
+
+
 def _compute_lattice(ops, cols) -> IntersectionLattice:
     """Rank-2 flats of pairwise non-proportional columns over the ring of
     ops.
 
-    The first pair (i, j) of a flat in lexicographic order computes
-    p = c_i x c_j once; the flat's other members all come after j, so only
-    k > j is tested, by p . c_k = 0, which needs no normalization of p.
+    The first pair (i, j) of a flat in lexicographic order is its point;
+    one _through call finds its other members, all after j, and a double
+    point (about 70% of flats) is appended with no members list or marks.
 
     The scan checks itself: each pair it visits lies in an earlier flat or
     starts one, and a pair of a new flat that is already marked raises
     InvariantError, so each pair lies in exactly one flat of two or more
     lines and sum over X through h of (|X| - 1) = n - 1, all that validate
-    checks of a listing.  A flat's first pair is never visited again and
-    is left unmarked, so a double point marks nothing.
+    checks of a listing.  A flat's first pair is never visited again, so
+    it is left unmarked.
     """
     n = len(cols)
     assigned = [[False] * n for _ in range(n)]
     flats = []
     per_h = [[] for _ in range(n)]
-    for i in range(n):
+    for i, (u, marks) in enumerate(zip(cols, assigned)):
         for j in range(i + 1, n):
-            if assigned[i][j]:
+            if marks[j]:
                 continue
-            p = linalg.ring_cross(ops, cols[i], cols[j])
-            members = [i, j] + [
-                k for k in range(j + 1, n)
-                if ops.is_zero(linalg.ring_dot(ops, p, cols[k]))]
-            idx = len(flats)
+            rest = _through(ops, u, cols[j], cols, j + 1)
+            per_h[i].append(len(flats))
+            per_h[j].append(len(flats))
+            if not rest:
+                flats.append(frozenset((i + 1, j + 1)))
+                continue
+            members = [i, j, *rest]
+            for m in rest:
+                per_h[m].append(len(flats))
             flats.append(frozenset(m + 1 for m in members))
-            for m in members:
-                per_h[m].append(idx)
             for m, b in islice(combinations(members, 2), 1, None):
                 if assigned[m][b]:
                     raise InvariantError(f"pair {(m + 1, b + 1)} in two flats")

@@ -73,11 +73,11 @@ def _load_family(source: str) -> Family:
 
 
 def _parse_at(text: str):
-    """The scalar text of --at, where a rational has no 'rat' tag."""
+    """The scalar text of --at, where a rational may omit its 'rat' tag."""
     tokens = text.split()
     try:
         omega, *rest = read_scalars(
-            tokens if tokens[:1] == ["quad"] else ["rat", *tokens])
+            tokens if tokens[:1] in (["quad"], ["rat"]) else ["rat", *tokens])
         if rest:
             raise ValueError("expected one scalar")
         return omega
@@ -113,7 +113,7 @@ def cli():
 
 
 _AT = click.option("--at", default=None,
-                   help="parameter value: rational or 'quad d a b'")
+                   help="parameter value: rational, 'rat a/b' or 'quad d a b'")
 _FORMAT = click.option("--format", "fmt",
                        type=click.Choice(["text", "json"]), default="text")
 

@@ -20,6 +20,7 @@ from conftest import (
     aut_order_by_full_scan,
     boolean3,
     det3_cols,
+    h3,
     monomial,
     near_pencil,
     quadratic_root,
@@ -264,20 +265,48 @@ class TestLattice:
                             for f in lat.per_hyperplane[h - 1])
                 assert total == n - 1
 
-    def test_pair_in_two_flats_raises(self, monkeypatch):
+    @staticmethod
+    def assert_refuses_line_3_missing(arr, monkeypatch):
         """A collinearity test that misses line 3 on the pencil's point
-        p = c_1 x c_2 leaves (1, 2, 4) as the first flat; the flat of
-        (1, 3) then holds 4 again, and the scan refuses the pair (1, 4)."""
-        arr = near_pencil(5)
-        ops, cols = arr.ops, arr.ring_columns
-        point, dot = linalg.ring_cross(ops, cols[0], cols[1]), linalg.ring_dot
+        p = c_1 x c_2 of near_pencil(5) leaves (1, 2, 4) as the first flat;
+        the flat of (1, 3) then holds 4 again, and the scan refuses the
+        pair (1, 4)."""
+        first_two, through = arr.ring_columns[:2], am._through
 
-        def missing_line_3(ops, p, c):
-            return ops.one if (p, c) == (point, cols[2]) else dot(ops, p, c)
+        def missing_line_3(ops, u, v, cols, start):
+            found = through(ops, u, v, cols, start)
+            return [k for k in found if (u, v) != first_two or k != 2]
 
-        monkeypatch.setattr(linalg, "ring_dot", missing_line_3)
+        monkeypatch.setattr(am, "_through", missing_line_3)
         with pytest.raises(InvariantError, match=r"pair \(1, 4\) in two flats"):
             arr.lattice()
+
+    def test_pair_in_two_flats_raises(self, monkeypatch):
+        self.assert_refuses_line_3_missing(near_pencil(5), monkeypatch)
+
+    def test_pair_in_two_flats_raises_over_a_quadratic_field(self,
+                                                             monkeypatch):
+        """The same fault on the Z[sqrt d] branch: near_pencil(5) with its
+        columns scaled by 1 - sqrt 5, 2 + sqrt 5, ... over Q(sqrt 5)."""
+        cols = [tuple(QuadElem(5, k, (-1) ** k) * x for x in c)
+                for k, c in enumerate(near_pencil(5).columns, start=1)]
+        arr = am.build(cols)
+        assert arr.ops is quad_field(5)
+        assert all(x[1] for c in arr.ring_columns for x in c if x != (0, 0))
+        self.assert_refuses_line_3_missing(arr, monkeypatch)
+
+    @pytest.mark.parametrize("at", [3, QuadElem(5, Fraction(3, 2),
+                                                Fraction(1, 2))])
+    def test_one_kernel_call_per_flat(self, at, monkeypatch):
+        """The scan finds each flat's members with one _through call and
+        never dots one column at a time."""
+        arr = mod.specialize(mod.family_15(), at).arrangement
+        calls, dots, through = [], [], am._through
+        monkeypatch.setattr(am, "_through",
+                            lambda *args: calls.append(args) or through(*args))
+        monkeypatch.setattr(linalg, "ring_dot", lambda *args: dots.append(args))
+        lat = arr.lattice()
+        assert (len(calls), dots) == (len(lat.flats), [])
 
     def test_validate_checks_listings_only(self, monkeypatch):
         calls = []
@@ -725,6 +754,42 @@ class TestReferenceScan:
     def test_quadratic_members(self):
         for arr in paper_quadratic_members():
             self.assert_matches(arr.lattice(), arr.columns)
+
+    def test_reflection_arrangements(self):
+        """The monomial arrangements over Q(sqrt -3) and Q(i), with points
+        of up to 8 lines, and H3 over Q(sqrt 5)."""
+        for arr in [monomial(r, k) for r in (3, 4, 6) for k in range(4)] + [
+                h3()]:
+            self.assert_matches(arr.lattice(), arr.columns)
+
+    def test_random_quadratic_columns(self):
+        """Seeded arrangements with small entries a + b sqrt d, d in
+        {-3, -1, 2, 5}, and copies with each column scaled by a random
+        a + b sqrt d with b != 0."""
+        rng = random.Random(20261019)
+
+        def scalar(d, den=1):
+            return QuadElem(d, Fraction(rng.randint(-2, 2), den),
+                            Fraction(rng.choice((-2, -1, 1, 2)), den))
+
+        checked, multiple = 0, 0
+        while checked < 30:
+            d = rng.choice((-3, -1, 2, 5))
+            cols = [tuple(scalar(d) if rng.random() < 0.4
+                          else rng.randint(-2, 2) for _ in range(3))
+                    for _ in range(rng.randint(5, 10))]
+            try:
+                arr = am.build(cols, quad_field(d))
+            except am.ArrangementError:
+                continue
+            checked += 1
+            copy = am.build([tuple(s * x for x in c) for s, c in zip(
+                (scalar(d, rng.randint(1, 3)) for _ in cols), arr.columns)])
+            for a in (arr, copy):
+                self.assert_matches(a.lattice(), a.columns)
+            assert copy.lattice().flats == arr.lattice().flats
+            multiple += max(arr.lattice().multiplicities()) > 2
+        assert multiple >= 10
 
     def test_generic_family_lattices(self):
         for f in (mod.family_13(), mod.family_15(), tt0_family()):

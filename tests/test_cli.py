@@ -95,6 +95,17 @@ class TestChiAndLattice:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: bad --at value {at!r}: not an integer")
 
+    @pytest.mark.parametrize("at", ["3", "5/7"])
+    @pytest.mark.parametrize("command", [["free"], ["report", "--format",
+                                                    "json"], ["chi"]])
+    def test_at_takes_the_tagged_rational(self, command, at):
+        """--at reads a rational with the 'rat' tag that free and report
+        print, as it reads 'quad d a b'."""
+        cmd, *opts = command
+        tagged = run(cmd, "paper13", "--at", f"rat {at}", *opts)
+        assert tagged == run(cmd, "paper13", "--at", at, *opts)
+        assert tagged[0] == 0
+
     def test_non_squarefree_quad_at_value(self):
         code, _, err = run("chi", "paper13", "--at", "quad 12 1 1")
         assert code == 1
