@@ -13,7 +13,8 @@ rows (the lemma is in _dh_system's docstring).  The exact kernel of this
 small system, lifted, and the m * theta_E for the monomials m of degree
 p - 1 are a basis of D(A)_p, made canonical only by derivation_basis.
 
-Each lift theta is checked against every line alpha by one value.  On
+Membership is checked against every line alpha by one value (_tangent),
+for each lift and for each derivation of a Saito certificate.  On
 ker(alpha), parametrized as in _hyperplane_rows, theta(alpha) is a binary
 form F(s, r) = sum_c alpha_c f_c(x(s, r)), each x^m a product of p linear
 forms whose coefficients have height sum at most A = max(h(alpha_j) +
@@ -22,7 +23,9 @@ h(alpha_k), h(alpha_i0)), h(a + b sqrt d) = |a| + |b|.  As h(xy) <=
 a coefficient of F exceeds M = (|d| A)^(p+1) ||theta||, ||theta|| the
 height sum of the coefficients of theta.  So F = 0 iff F(B, 1) = 0 for
 B > M: in each coordinate the top nonzero term c_T B^T outweighs the rest,
-at most M (B^T - 1) / (B - 1) < B^T.
+at most M (B^T - 1) / (B - 1) < B^T.  One B = 2^k above every line's M
+serves all lines, so theta is packed in powers of B once per axis i0 and
+F(B, 1) takes p + 1 Horner steps per line.
 
 The Saito certificate comes first.  A split characteristic polynomial with
 exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
@@ -31,8 +34,10 @@ derivation outside S*theta_E + S*theta_2 in the canonical basis, found from
 the lifts alone (_first_complement): modulo S*theta_E, theta reduces to
 theta - q * theta_E, q the terms of f3 divisible by x3 over x3 (or of f1 by
 x1); the three stay integral until written.  For a free arrangement they
-always satisfy Saito's identity det = c*Q with c nonzero, which saito_check
-tests by two evaluations.  Freeness is therefore two-valued.  A failed
+always satisfy Saito's criterion: they lie in D(A), and det = c*Q with c
+nonzero.  By Saito's lemma every alpha divides the det of three members,
+so saito_check tests the whole criterion by membership and one small
+evaluation point.  Freeness is therefore two-valued.  A failed
 certificate means A is not free, and the verdict carries its obstruction: a
 non-splitting characteristic polynomial, or the first degree whose dimension
 differs from that of a free module.  By du Plessis-Wall and Dimca that
@@ -42,7 +47,7 @@ it stops at e2 (proof in decide_freeness).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, count, repeat
 from math import comb, prod
 
@@ -257,47 +262,50 @@ def _at(ops, times, f, values):
                   ops.zero)
 
 
-def _product(ops, xs):
-    """The product of the ring elements xs, taken pairwise: a running
-    product of big integers would cost quadratically more."""
-    while len(xs) > 1:
-        xs = [*map(ops.mul, xs[::2], xs[1::2]), *xs[len(xs) - len(xs) % 2:]]
-    return xs[0]
-
-
-def _check_tangent(ops, cols, vecs, p: int):
-    """Raise InvariantError unless F(B, 1) = 0, F and B = M + 1 as in the
-    module docstring, for every line and every degree-p theta given by its
-    coefficient vector in vecs."""
-    if not vecs:
-        return
-    norm = max(_height(ops, vec.values()) for vec in vecs)
-    for alpha in cols:
-        i0, j, k = _axes(ops, alpha)
-        reach = max(_height(ops, (alpha[j], alpha[k])),
-                    _height(ops, (alpha[i0],)))     # A
-        big = 1 + (abs(ops.d) * reach) ** (p + 1) * norm
-        point = [alpha[i0]] * 3     # x(big, 1)
-        point[i0] = ops.neg(ops.add(ops.scale(alpha[j], big), alpha[k]))
-        point[j] = ops.scale(alpha[i0], big)
-        powers = [list(accumulate(repeat(x, p), ops.mul, initial=ops.one))
-                  for x in point]
-        values = [ops.mul(ops.mul(powers[0][m[0]], powers[1][m[1]]),
-                          powers[2][m[2]]) for m in monomials(p)]
-        weights = [ops.mul(a, x) for a in alpha for x in values]
-        if not all(ops.is_zero(_at(ops, ops.mul, vec, weights))
-                   for vec in vecs):
-            raise InvariantError(f"a lifted derivation of degree {p} is not "
-                                 f"tangent to the line {alpha}")
+def _tangent(ops, cols, thetas) -> bool:
+    """Is every theta, given as (degree p, coefficient vector), tangent to
+    every line?  Each is tested by F(B, 1) = 0, F as in the module
+    docstring and B = 2^k above M for A the largest h(alpha_1) + h(alpha_2)
+    + h(alpha_3) of a line, at least the A of each.  With i0, j, k as in
+    _axes, x^m is X^a alpha_i0^(p-a) B^(m_j) at (s, r) = (B, 1), a = m_i0
+    and X = -alpha_j B - alpha_k, so theta is packed once per axis i0 as
+    P_(a,c) = sum over m_i0 = a of f_c[m] B^(m_j), and F(B, 1) = sum_a X^a
+    alpha_i0^(p-a) sum_c alpha_c P_(a,c) takes p + 1 Horner steps per
+    line."""
+    add, mul = ops.add, ops.mul
+    reach = max((_height(ops, alpha) for alpha in cols), default=0)     # A
+    lines = [(*_axes(ops, alpha), alpha) for alpha in cols]
+    for p, vec in thetas:
+        big = ((abs(ops.d) * reach) ** (p + 1)
+               * _height(ops, vec.values())).bit_length()     # B = 2^big
+        mons, packed = monomials(p), {}
+        powers = [1 << big * e for e in range(p + 1)]           # B^e
+        terms = [(col // len(mons), mons[col % len(mons)], y)
+                 for col, y in vec.items()]
+        for i0, j, k, alpha in lines:
+            if i0 not in packed:        # P_(a,c) at row p - a
+                packed[i0] = rows = [[ops.zero] * 3 for _ in range(p + 1)]
+                for c, m, y in terms:
+                    row = rows[p - m[i0]]
+                    row[c] = add(row[c], ops.scale(y, powers[m[j]]))
+            x = ops.neg(add(ops.scale(alpha[j], 1 << big), alpha[k]))
+            acc, lead = ops.zero, ops.one       # lead = alpha_i0^(p-a)
+            for row in packed[i0]:
+                acc = add(mul(acc, x), mul(lead, reduce(add, map(mul, alpha,
+                                                                 row))))
+                lead = mul(lead, alpha[i0])
+            if not ops.is_zero(acc):
+                return False
+    return True
 
 
 def _lifts(ops, cols, frame, p: int, lead=None):
     """(lifts, leads): the lifts of the exact two-point kernel at degree p
     in the given frame (_two_point_frame), coefficient vectors checked
-    against every line (a wrong frame raises InvariantError), and the first
-    nonzero coordinate of each kernel vector as (block, monomial).  A lead
-    (k, u) from a lower degree fixes to zero the columns u * m of block k
-    (see _first_complement)."""
+    against every line by one _tangent call (a wrong frame raises
+    InvariantError), and the first nonzero coordinate of each kernel
+    vector as (block, monomial).  A lead (k, u) from a lower degree fixes
+    to zero the columns u * m of block k (see _first_complement)."""
     rows, width, blocks = _dh_system(ops, frame, p)
     fixed = set()
     if lead is not None:
@@ -322,7 +330,9 @@ def _lifts(ops, cols, frame, p: int, lead=None):
         lifts.append({c * len(index) + index[m]: x
                       for c, f in enumerate(theta) for m, x in f.items()
                       if not ops.is_zero(x)})
-    _check_tangent(ops, cols, lifts, p)
+    if not _tangent(ops, cols, [(p, vec) for vec in lifts]):
+        raise InvariantError(f"a lifted derivation of degree {p} is not "
+                             f"tangent to every line")
     return lifts, leads
 
 
@@ -356,28 +366,24 @@ def _polys(th: Derivation) -> list:
 
 def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
                 th3: Derivation):
-    """Saito's criterion: det of the coefficient matrix against c * Q.
+    """Saito's criterion: the three derivations lie in D(A), and det of
+    their coefficient matrix is c * Q with c nonzero.
 
-    Returns the nonzero constant c on success, None if the determinant is
-    not a nonzero constant multiple of Q; pdegs not summing to n, or a vec
-    index of no monomial of its pdeg, raise DegreeMismatchError.  The vecs
-    of the derivations and the arrangement's ring columns, the forms
-    alpha', give det' and Q' over Z or Z[sqrt d].  Each field form is
+    Returns the constant c on success, None otherwise; pdegs not summing to
+    n, or a vec index of no monomial of its pdeg, raise DegreeMismatchError.
+    The vecs of the derivations and the arrangement's ring columns, the
+    forms alpha', give det' and Q' over Z or Z[sqrt d].  Each field form is
     g / den times its alpha' (Arrangement.scales), so det' = c' Q' gives
     c, the one field element made, as c' times the product of the scales'
     dens over the product of their g's and of the derivations' dens.
 
-    Let v = (1, t, t^2) for the least t >= 0 with Q'(v) != 0; t <= 2n, as
-    each form is a nonzero quadratic in t there.  Then det' = c' Q' with
-    c' != 0 iff det'(v) != 0 and G = Q'(v) det' - det'(v) Q' = 0.  With h
-    and d as in the module docstring, the height sums of the coefficients
-    of det' and Q' are at most |d|^2 perm(N) <= |d|^2 prod ||theta_i||, N
-    the matrix of those of the theta_i,c, and |d|^(n-1) prod ||alpha'||, so
-    no integer coordinate of a coefficient of G, homogeneous of degree n,
-    exceeds |d|^n (h(Q'(v)) prod ||theta_i|| + h(det'(v)) prod ||alpha'||),
-    which is less than B = 2^k.  At w = (B^(n+1), B, 1) the x^m of degree
-    n, B^((n+1) m_1 + m_2), differ, so G = 0 iff G(w) = 0, as in the module
-    docstring.
+    Membership is tested by _tangent, in one call.  For members, every
+    alpha' divides det' (Saito's lemma: Orlik-Terao, Arrangements of
+    Hyperplanes, Prop. 4.12 and Thm. 4.19), and the alpha' are pairwise
+    prime, so Q' divides det'.  Both are homogeneous of degree n, so det' =
+    c' Q' for a constant c'.  Let v = (1, t, t^2) for the least t >= 0 with
+    Q'(v) != 0; t <= 2n, as each form is a nonzero quadratic in t there.
+    Then c' = det'(v) / Q'(v), nonzero iff det'(v) is.
     """
     ths, n = (th1, th2, th3), arr.n
     if sum(th.pdeg for th in ths) != n or any(
@@ -386,27 +392,17 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
         raise DegreeMismatchError(f"pdegs {[th.pdeg for th in ths]} do not "
                                   f"sum to n = {n} or do not fit their terms")
     ops, cols = arr.ops, arr.ring_columns
-    thetas = [_polys(th) for th in ths]
-    at = partial(_at, ops, ops.scale)
-    # Q' and det' at a point, given by its monomial values
-    q = lambda pt: _product(ops, [reduce(ops.add, map(
-        ops.scale, col, map(pt.__getitem__, _UNITS))) for col in cols])
-    det = lambda pt: linalg.det3([[at(f, pt) for f in th] for th in thetas],
-                                 ops)
-    mons = {m for d in (1, *(th.pdeg for th in ths)) for m in monomials(d)}
-    for t in count():
-        v = {m: t ** (m[1] + 2 * m[2]) for m in mons}
-        if not ops.is_zero(qv := q(v)):
-            break
-    dv = det(v)
-    if ops.is_zero(dv):
+    if not _tangent(ops, cols, [(th.pdeg, th.vec) for th in ths]):
         return None
-    k = (abs(ops.d) ** n * (
-        _height(ops, [qv]) * prod(_height(ops, th.vec.values()) for th in ths)
-        + _height(ops, [dv]) * prod(_height(ops, col) for col in cols))
-         ).bit_length()
-    w = {m: 1 << k * ((n + 1) * m[0] + m[1]) for m in mons}
-    if ops.mul(qv, det(w)) != ops.mul(dv, q(w)):
+    for t in count():
+        qv = reduce(ops.mul, (reduce(ops.add, map(ops.scale, col, (
+            1, t, t * t))) for col in cols))
+        if not ops.is_zero(qv):
+            break
+    v = {m: t ** (m[1] + 2 * m[2]) for th in ths for m in monomials(th.pdeg)}
+    dv = linalg.det3([[_at(ops, ops.scale, f, v) for f in _polys(th)]
+                      for th in ths], ops)
+    if ops.is_zero(dv):
         return None
     x = ops.cofactor(qv)        # qv * x is an integer
     return ops.from_coords(
@@ -530,9 +526,10 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
     Arrangements of the same lines, in any column order and scaling, share
     a cache entry, which holds the verdict.  They have the same derivation
     module, so a cached Saito basis is the caller's too, and a Free hit
-    reports the constant that saito_check finds on the caller's own
-    columns; a basis that fails there raises InvariantError.  The cache
-    keeps the latest _VERDICT_CACHE_SIZE verdicts.
+    re-checks Saito's whole criterion on the caller's own columns
+    (saito_check) and reports the constant found there; a basis that fails
+    there raises InvariantError.  The cache keeps the latest
+    _VERDICT_CACHE_SIZE verdicts.
     """
     if not use_cache:
         return _decide_freeness_impl(arr)

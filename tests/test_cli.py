@@ -16,6 +16,7 @@ from freearr.freeness import (
     saito_check,
 )
 from freearr.moduli import family_13, specialize
+from freearr.scalars import scalar_to_text
 
 from conftest import ASYMMETRIC20, grid
 
@@ -147,6 +148,21 @@ class TestFree:
         assert certificate_to_text(cert) == text
         arr = specialize(family_13(), 3).arrangement
         assert saito_check(arr, *cert.derivations) == cert.constant
+
+    def test_edited_constant_fails_the_check(self):
+        """A certificate whose c line is edited reads back, but saito_check
+        on the arrangement finds the true constant, not the written one."""
+        code, out, _ = run("free", "paper13", "--at", "3", "--certificate")
+        assert code == 0
+        lines = out[out.index("saito-certificate\n"):].splitlines()
+        cert = certificate_from_text("\n".join(lines) + "\n")
+        assert lines[1] == "c " + scalar_to_text(cert.constant)
+        lines[1] = "c " + scalar_to_text(2 * cert.constant)
+        forged = certificate_from_text("\n".join(lines) + "\n")
+        arr = specialize(family_13(), 3).arrangement
+        assert forged.derivations == cert.derivations
+        assert saito_check(arr, *forged.derivations) == cert.constant \
+            != forged.constant
 
     @pytest.mark.parametrize("args, digest", [
         (("free", "paper13", "--at", "3", "--certificate"),

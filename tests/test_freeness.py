@@ -120,6 +120,18 @@ def _diag_derivation(i: int) -> Derivation:
     return Derivation(1, 1, {4 * i: 1})
 
 
+def _grid2_forgery():
+    """grid(2) and theta_E, (Q/x1) D2 and D3, of pdegs 1, 7 and 0: their
+    det is Q, yet D3(x3) = 1 is not divisible by x3, so D3 is no member."""
+    arr = grid(2)
+    q_x1 = reduce(poly_mul, (HPoly(1, {m: a for m, a in zip(
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), alpha) if a})
+        for alpha in arr.columns if alpha != (1, 0, 0)))
+    return arr, (euler_derivation(arr),
+                 to_derivation(QQ, (HPoly(7), q_x1, HPoly(7)), 7),
+                 Derivation(0, 1, {2: 1}))
+
+
 class TestSaito:
     def test_boolean_diagonal_basis(self):
         arr = boolean3()
@@ -137,6 +149,19 @@ class TestSaito:
         with pytest.raises(fr.DegreeMismatchError):
             saito_check(arr, euler_derivation(arr), _diag_derivation(0),
                         _diag_derivation(1))
+
+    def test_a_non_member_fails_though_det_is_q(self):
+        """Saito's criterion asks for members: the det alone passes."""
+        arr, ths = _grid2_forgery()
+        assert saito_by_coefficients(arr, *ths) == 1
+        assert [is_member(arr, th) for th in ths] == [True, True, False]
+        assert saito_check(arr, *ths) is None
+        assert decide_freeness(arr, use_cache=False).exponents == (1, 3, 4)
+
+    def test_forged_pdegs_raise(self, a13):
+        th1, _, th3 = decide_freeness(a13).certificate.derivations
+        with pytest.raises(fr.DegreeMismatchError):
+            saito_check(a13, th1, th1, th3)
 
 
 def _expand_determinant(cert) -> HPoly:
@@ -1212,12 +1237,8 @@ def _form(ops, vec, alpha, p: int) -> dict:
 
 
 def _passes(ops, alpha, vec, p: int) -> bool:
-    """Does _check_tangent accept vec on the one line alpha?"""
-    try:
-        fr._check_tangent(ops, [alpha], [vec], p)
-    except InvariantError:
-        return False
-    return True
+    """Does _tangent accept vec on the one line alpha?"""
+    return fr._tangent(ops, [alpha], [(p, vec)])
 
 
 def _evaluation_points():
@@ -1247,7 +1268,7 @@ def _saito_trials(arr, rng, rounds: int):
 
 
 class TestEvaluationChecks:
-    """_check_tangent and saito_check evaluate at one point; the Horner
+    """_tangent and saito_check evaluate at one point; the Horner
     restriction and the coefficient-by-coefficient comparison that they
     replaced (conftest) are the oracles."""
 
@@ -1258,7 +1279,7 @@ class TestEvaluationChecks:
             nm = len(fr.monomials(p))
             # the canonical rows over the ring of ops
             rows = [th.vec for th in derivation_basis(arr, p)]
-            fr._check_tangent(ops, cols, rows, p)
+            assert fr._tangent(ops, cols, [(p, vec) for vec in rows])
             # each row, and it plus one monomial in f1, f2 or f3: a line
             # with alpha_c = 0 still accepts the latter
             for vec in rows[:2]:
@@ -1283,6 +1304,48 @@ class TestEvaluationChecks:
         for arr in _evaluation_points():
             self._tangent_matches_horner(arr, _degrees(arr))
 
+    @pytest.mark.parametrize("d", [-3, -1, 5])
+    def test_membership_matches_horner_over_quadratic_rings(self, d):
+        arr = _quad_image(grid(2).columns, d)
+        self._tangent_matches_horner(arr, _degrees(arr))
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_low_degrees_match_horner(self, p):
+        # x^m D_c, with D_1, D_2, D_3 at p = 0, against lines with zero
+        # entries and without, one line per call and all lines in one call
+        for arr in (boolean3(), near_pencil(5), _quad_image(GENERIC7, -1)):
+            ops, cols = arr.ops, arr.ring_columns
+            for j in range(3 * len(fr.monomials(p))):
+                vec = {j: ops.one}
+                tangent = [restricts_to_zero(ops, alpha, _form(
+                    ops, vec, alpha, p), p) for alpha in cols]
+                assert [_passes(ops, alpha, vec, p)
+                        for alpha in cols] == tangent
+                assert fr._tangent(ops, cols, [(p, vec)]) == all(tangent)
+
+    def test_one_call_across_line_heights(self):
+        """Lines of height 1 and about 10^6 in one call: B comes from the
+        tall line, and a short line still rejects a non-member."""
+        tall = (1, 10 ** 6, 3)
+        arr = rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                   (1, 1, 1), tall)
+        ops, cols = arr.ops, arr.ring_columns
+        assert tall in cols
+        for p in range(1, 4):
+            mons = fr.monomials(p)
+            # alpha_tall x2^(p-1) D1 is tangent to the tall line only among
+            # the lines with alpha_1 != 0
+            along = {mons.index((m[0], m[1] + p - 1, m[2])): a
+                     for m, a in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), tall)}
+            rows = [th.vec for th in derivation_basis(arr, p)]
+            for vec in (along, *rows, *({**vec, 0: vec.get(0, 0) + 1}
+                                        for vec in rows)):
+                tangent = [restricts_to_zero(ops, alpha, _form(
+                    ops, vec, alpha, p), p) for alpha in cols]
+                assert fr._tangent(ops, cols, [(p, vec)]) == all(tangent)
+            assert fr._tangent(ops, [tall], [(p, along)])
+            assert not fr._tangent(ops, cols, [(p, along)])
+
     def test_saito_matches_coefficients(self, small_corpus):
         rng = random.Random(19)
         arrs = [arr for arr in (*small_corpus, *_nonfree_split(),
@@ -1291,11 +1354,17 @@ class TestEvaluationChecks:
                                 *map(grid, range(2, 5)))
                 if arr.char_poly().exponents()]
         hits = []
-        for arr in arrs:
-            for ths in _saito_trials(arr, rng, 2):
-                c = saito_check(arr, *ths)
-                assert c == saito_by_coefficients(arr, *ths)
-                hits.append(c is not None)
+        for arr, ths in [*((arr, ths) for arr in arrs
+                           for ths in _saito_trials(arr, rng, 2)),
+                         _grid2_forgery()]:
+            # Saito's criterion: det = c * Q, c != 0, and all are members
+            want = saito_by_coefficients(arr, *ths)
+            if want is not None and not all(is_member(arr, th)
+                                            for th in ths):
+                want = None
+            c = saito_check(arr, *ths)
+            assert c == want
+            hits.append(c is not None)
         free = sum(isinstance(decide_freeness(arr), Free) for arr in arrs)
         assert sum(hits) >= free >= 12 and not all(hits)
 

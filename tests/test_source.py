@@ -541,6 +541,36 @@ def test_no_horner_step_and_no_polynomial_product_in_saito_check():
         inside)
 
 
+def test_saito_check_evaluates_at_one_point(monkeypatch):
+    """Each saito_check call runs the membership kernel once, on all three
+    derivations, and linalg.det3 once: there is no second evaluation
+    point.  A non-member stops it before det3."""
+    from fractions import Fraction
+
+    from freearr import freeness, linalg, moduli
+    from freearr.scalars import QuadElem
+
+    calls = []
+    for module, name in ((freeness, "_tangent"), (linalg, "det3")):
+        def spy(*args, real=getattr(module, name), name=name):
+            calls.append((name, len(args[2]) if name == "_tangent" else 0))
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
+                moduli.specialize(moduli.family_15(), omega).arrangement):
+        ths = freeness.decide_freeness(arr, use_cache=False).certificate \
+            .derivations
+        del calls[:]
+        assert freeness.saito_check(arr, *ths) is not None
+        assert calls == [("_tangent", 3), ("det3", 0)]
+        del calls[:]
+        bent = freeness.Derivation(ths[2].pdeg, ths[2].den,
+                                   {**ths[2].vec, 0: arr.ops.one})
+        assert freeness.saito_check(arr, *ths[:2], bent) is None
+        assert calls == [("_tangent", 3)]
+
+
 def test_quadratic_elements_have_fraction_parts(monkeypatch):
     """Integral work over Z[sqrt d] is done on the pairs of scalars.QuadOps:
     every QuadElem the package makes has Fraction parts."""
