@@ -66,19 +66,30 @@ _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))   # x1, x2, x3 as exponents
 
 @lru_cache(maxsize=None)
 def monomials(p: int) -> tuple:
-    """Exponent triples of total degree p, in a fixed deterministic order."""
-    out = []
-    for i in range(p, -1, -1):
-        for j in range(p - i, -1, -1):
-            out.append((i, j, p - i - j))
-    return tuple(out)
+    """Exponent triples of total degree p, in descending lex order."""
+    return tuple((i, j, p - i - j) for i in range(p, -1, -1)
+                 for j in range(p - i, -1, -1))
+
+
+def _column(p: int, c: int, m) -> int:
+    """The column of the degree-p monomial m in f_(c+1): c * C(p+2, 2) plus
+    m's place in monomials(p), after the q(q+1)/2 with a larger m[0]."""
+    q = p - m[0]
+    return c * (p + 1) * (p + 2) // 2 + q * (q + 3) // 2 - m[1]
+
+
+def _terms(p: int, vec: dict):
+    """(c, m, x) for each column of a degree-p coefficient vector: x is
+    the coefficient of the monomial m in f_(c+1), as _column places it."""
+    mons = monomials(p)
+    return ((j // len(mons), mons[j % len(mons)], x) for j, x in vec.items())
 
 
 @dataclass(frozen=True)
 class Derivation:
     """Homogeneous derivation f1*D1 + f2*D2 + f3*D3 of polynomial degree
-    pdeg, as vec / den: column c * len(monomials(pdeg)) + i of vec holds the
-    coefficient of monomials(pdeg)[i] in f_(c+1), a nonzero ring element.
+    pdeg, as vec / den: column _column(pdeg, c, m) of vec holds the
+    coefficient of the monomial m in f_(c+1), a nonzero ring element.
     den > 0 is prime to the integer coordinates of vec taken together."""
 
     pdeg: int
@@ -243,23 +254,15 @@ def _shifts(vec, d: int, p: int) -> list:
     """The coefficient vectors of m * theta for the monomials m of degree
     p - d, in monomials order, theta of degree d with coefficient vector
     vec."""
-    src, index = monomials(d), {m: i for i, m in enumerate(monomials(p))}
-    terms = [(j // len(src) * len(index), src[j % len(src)], x)
-             for j, x in vec.items()]
-    return [{b + index[(e[0] + m[0], e[1] + m[1], e[2] + m[2])]: x
-             for b, e, x in terms}
+    terms = list(_terms(d, vec))
+    return [{_column(p, c, (e[0] + m[0], e[1] + m[1], e[2] + m[2])): x
+             for c, e, x in terms}
             for m in monomials(p - d)]
 
 
 def _height(ops, xs) -> int:
     """The height sum of the ring elements xs (see the module docstring)."""
     return sum(abs(y) for x in xs for y in ops.ints(x))
-
-
-def _at(ops, times, f, values):
-    """f {monomial: ring element} at the point of the monomial values."""
-    return reduce(ops.add, map(times, f.values(), map(values.__getitem__, f)),
-                  ops.zero)
 
 
 def _tangent(ops, cols, thetas) -> bool:
@@ -278,10 +281,8 @@ def _tangent(ops, cols, thetas) -> bool:
     for p, vec in thetas:
         big = ((abs(ops.d) * reach) ** (p + 1)
                * _height(ops, vec.values())).bit_length()     # B = 2^big
-        mons, packed = monomials(p), {}
+        packed, terms = {}, list(_terms(p, vec))
         powers = [1 << big * e for e in range(p + 1)]           # B^e
-        terms = [(col // len(mons), mons[col % len(mons)], y)
-                 for col, y in vec.items()]
         for i0, j, k, alpha in lines:
             if i0 not in packed:        # P_(a,c) at row p - a
                 packed[i0] = rows = [[ops.zero] * 3 for _ in range(p + 1)]
@@ -310,10 +311,9 @@ def _lifts(ops, cols, frame, p: int, lead=None):
     fixed = set()
     if lead is not None:
         (b, d, *_), u = blocks[lead[0]], lead[1]
-        fixed = {b + monomials(d).index(tuple(map(sum, zip(u, m))))
+        fixed = {b + _column(d, 0, tuple(map(sum, zip(u, m))))
                  for m in monomials(d - sum(u))}
     keep = [j for j in range(width) if j not in fixed]
-    index = {m: i for i, m in enumerate(monomials(p))}
     lifts, leads = [], []
     for g in linalg.nullspace([[row[j] for j in keep] for row in rows],
                               len(keep), ops):
@@ -327,7 +327,7 @@ def _lifts(ops, cols, frame, p: int, lead=None):
                                 if j in g}, pi)
             for a, f in zip(point, theta):
                 linalg.add_multiple(ops, f, a, q)
-        lifts.append({c * len(index) + index[m]: x
+        lifts.append({_column(p, c, m): x
                       for c, f in enumerate(theta) for m, x in f.items()
                       if not ops.is_zero(x)})
     if not _tangent(ops, cols, [(p, vec) for vec in lifts]):
@@ -357,20 +357,14 @@ def euler_derivation(arr: Arrangement) -> Derivation:
     return Derivation(1, 1, {4 * c: arr.ops.one for c in range(3)})
 
 
-def _polys(th: Derivation) -> list:
-    """th's (f1, f2, f3), each {monomial: ring element}."""
-    mons = monomials(th.pdeg)
-    return [{m: th.vec[j] for j, m in enumerate(mons, c * len(mons))
-             if j in th.vec} for c in range(3)]
-
-
 def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
                 th3: Derivation):
     """Saito's criterion: the three derivations lie in D(A), and det of
     their coefficient matrix is c * Q with c nonzero.
 
-    Returns the constant c on success, None otherwise; pdegs not summing to
-    n, or a vec index of no monomial of its pdeg, raise DegreeMismatchError.
+    Returns the constant c on success, None otherwise; a negative pdeg,
+    pdegs not summing to n, or a vec index of no monomial of its pdeg
+    raise DegreeMismatchError.
     The vecs of the derivations and the arrangement's ring columns, the
     forms alpha', give det' and Q' over Z or Z[sqrt d].  Each field form is
     g / den times its alpha' (Arrangement.scales), so det' = c' Q' gives
@@ -385,12 +379,12 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     Q'(v) != 0; t <= 2n, as each form is a nonzero quadratic in t there.
     Then c' = det'(v) / Q'(v), nonzero iff det'(v) is.
     """
-    ths, n = (th1, th2, th3), arr.n
-    if sum(th.pdeg for th in ths) != n or any(
-            not 0 <= j < 3 * len(monomials(th.pdeg)) for th in ths
+    ths, pdegs = (th1, th2, th3), (th1.pdeg, th2.pdeg, th3.pdeg)
+    if min(pdegs) < 0 or sum(pdegs) != arr.n or any(
+            not 0 <= j < 3 * comb(th.pdeg + 2, 2) for th in ths
             for j in th.vec):
-        raise DegreeMismatchError(f"pdegs {[th.pdeg for th in ths]} do not "
-                                  f"sum to n = {n} or do not fit their terms")
+        raise DegreeMismatchError(f"pdegs {pdegs}: a negative one, a sum "
+                                  f"other than n = {arr.n}, or a misfit term")
     ops, cols = arr.ops, arr.ring_columns
     if not _tangent(ops, cols, [(th.pdeg, th.vec) for th in ths]):
         return None
@@ -399,9 +393,11 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
             1, t, t * t))) for col in cols))
         if not ops.is_zero(qv):
             break
-    v = {m: t ** (m[1] + 2 * m[2]) for th in ths for m in monomials(th.pdeg)}
-    dv = linalg.det3([[_at(ops, ops.scale, f, v) for f in _polys(th)]
-                      for th in ths], ops)
+    rows = [[ops.zero] * 3 for _ in ths]
+    for row, th in zip(rows, ths):
+        for c, m, x in _terms(th.pdeg, th.vec):
+            row[c] = ops.add(row[c], ops.scale(x, t ** (m[1] + 2 * m[2])))
+    dv = linalg.det3(rows, ops)
     if ops.is_zero(dv):
         return None
     x = ops.cofactor(qv)        # qv * x is an integer
@@ -415,9 +411,8 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
 def _euler_terms(p: int, c: int) -> dict:
     """{the column of m * x_c in f_c: the columns of m * x_a in the other
     f_a}, over the monomials m of degree p - 1: the terms of m * theta_E."""
-    index = {m: i for i, m in enumerate(monomials(p))}
-    col = lambda m, a: a * len(index) + index[    # m * x_a in f_a
-        tuple(e + (b == a) for b, e in enumerate(m))]
+    col = lambda m, a: _column(    # m * x_a in f_a
+        p, a, tuple(e + (b == a) for b, e in enumerate(m)))
     return {col(m, c): [col(m, a) for a in range(3) if a != c]
             for m in monomials(p - 1)}
 
@@ -602,11 +597,10 @@ def certificate_to_text(cert: SaitoCertificate) -> str:
     lines = ["saito-certificate", "c " + scalar_to_text(cert.constant)]
     for k, th in enumerate(cert.derivations, start=1):
         lines.append(f"derivation {k} pdeg {th.pdeg}")
-        for c, f in enumerate(_polys(th), start=1):
-            for m in sorted(f):
-                lines.append(f"term {c} {m[0]} {m[1]} {m[2]} "
-                             + scalar_to_text(ops.from_coords(
-                                 ops.ints(f[m]), th.den)))
+        for c, m, x in sorted(_terms(th.pdeg, th.vec)):
+            lines.append(f"term {c + 1} {m[0]} {m[1]} {m[2]} "
+                         + scalar_to_text(ops.from_coords(ops.ints(x),
+                                                          th.den)))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -627,6 +621,8 @@ def certificate_from_text(text: str) -> SaitoCertificate:
             elif parts[0] == "derivation" and len(parts) == 4 and parts[
                     1:3] == [str(len(derivs) + 1), "pdeg"]:
                 derivs.append((parse_integer(parts[3]), {}))
+                if derivs[-1][0] < 0:
+                    raise ValueError(f"negative pdeg {parts[3]}")
             elif parts[0] == "term" and derivs:
                 c, *m = map(parse_integer, parts[1:5])
                 pdeg, terms = derivs[-1]
@@ -651,9 +647,8 @@ def certificate_from_text(text: str) -> SaitoCertificate:
             raise ValueError(f"line {i}: a term outside {ops.name}, the "
                              f"field of c")
     for pdeg, terms in derivs:
-        index = {m: j for j, m in enumerate(monomials(pdeg))}
         den, ring = clear(ops, [x for _, x in terms.values()])
         ths.append(Derivation(pdeg, den, {
-            c * len(index) + index[m]: y for (c, m), y in zip(terms, ring)
+            _column(pdeg, c, m): y for (c, m), y in zip(terms, ring)
             if not ops.is_zero(y)}))
     return SaitoCertificate(tuple(ths), constant)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .arrangement import (
     Arrangement,
+    _compute_lattice,
     build,
     char_poly,
     delete,
@@ -148,12 +149,12 @@ def inductively_free(arr: Arrangement):
 def candidate_additions(arr: Arrangement, targets):
     """New hyperplanes H with predicted restriction size in targets.
 
-    Enumerates lines through pairs of distinct rank-2 flats (in the dual
-    projective plane every flat is a point, and two points span a line).
-    One pass over the pairs, crossing the arrangement's integral ring
-    columns, maps each line, by its line key, to the set of flats on it,
-    since every pair of points on a line spans that line; only the reported
-    lines become field scalars, by normal_column.
+    Enumerates lines through two or more rank-2 flats (in the dual
+    projective plane every flat is a point): the rank-2 flats of the
+    points, which one lattice scan of them, crossed from the integral ring
+    columns, finds with its pair coverage checked (InvariantError).  Only
+    lines of a target size are crossed and keyed, and only reported lines
+    become field scalars, by normal_column.
     The predicted size uses the counting identity
         |(A+H)^H| = n - sum over flats X contained in H of (m_X - 1).
     Returns (candidates, complete).  complete is True when
@@ -167,20 +168,16 @@ def candidate_additions(arr: Arrangement, targets):
     ops, cols = arr.ops, arr.ring_columns
     points = [ring_cross(ops, cols[a - 1], cols[b - 1])
               for a, b, *_ in map(sorted, flats)]
-    lines: dict = {}  # line key -> (a column of the line, flats on it)
-    for i, p in enumerate(points):
-        for j in range(i + 1, len(points)):
-            # distinct flats are distinct points, so the cross is nonzero
-            line = ring_cross(ops, p, points[j])
-            lines.setdefault(line_key(ops, line),
-                             (line, set()))[1].update((i, j))
-    existing = set(arr.keys)
+    existing, lines = set(arr.keys), []
+    for on in _compute_lattice(ops, points).flats:  # labels 1.. of points
+        if arr.n - sum(len(flats[k - 1]) - 1 for k in on) in targets:
+            a, b, *_ = sorted(on)
+            line = ring_cross(ops, points[a - 1], points[b - 1])
+            if line_key(ops, line) not in existing:
+                lines.append(line)
     candidates = sorted(
         (normal_column([ops.from_coords(ops.ints(x), 1) for x in line])
-         for key, (line, on) in lines.items()
-         if key not in existing
-         and arr.n - sum(len(flats[k]) - 1 for k in on) in targets),
-        key=lambda v: tuple(str(x) for x in v))
+         for line in lines), key=lambda v: tuple(str(x) for x in v))
     complete = arr.n - max(targets) > max(len(flat) for flat in flats) - 1
     return candidates, complete
 

@@ -298,52 +298,49 @@ def poly_det3(rows) -> HPoly:
         poly_mul(c, poly_sub(poly_mul(d, h), poly_mul(e, g))))
 
 
-def apply_form(ops, deriv: Derivation, alpha) -> HPoly:
-    """The polynomial theta(alpha) for a linear form alpha = (a1,a2,a3)."""
-    out = HPoly(deriv.pdeg)
-    for a, f in zip(alpha, hpolys(ops, deriv)):
-        if a and f:
-            out = poly_add(out, poly_scale(f, a))
-    return out
-
-
 def is_member(arr: am.Arrangement, deriv: Derivation) -> bool:
-    """Re-verify membership: theta(alpha_H) vanishes on H for every H."""
-    for alpha in arr.columns:
-        g = apply_form(arr.ops, deriv, alpha)
-        if not g:
-            continue
-        if not _vanishes_on_kernel(g, alpha, arr.ops):
+    """Re-verify membership: theta(alpha_H) vanishes on H for every H.
+
+    Worked in the ring of arr.ops, on the ring columns and the integral
+    vec: the den and the column scales are nonzero field constants, so
+    they move no zero of a form."""
+    ops, mons = arr.ops, fr.monomials(deriv.pdeg)
+    for alpha in arr.ring_columns:
+        g = {}      # theta(alpha) as {monomial: ring element}
+        for j, x in deriv.vec.items():
+            m, y = mons[j % len(mons)], ops.mul(alpha[j // len(mons)], x)
+            g[m] = ops.add(g[m], y) if m in g else y
+        if not _vanishes_on_kernel(ops, g, alpha, deriv.pdeg):
             return False
     return True
 
 
-def _vanishes_on_kernel(g: HPoly, alpha, ops) -> bool:
-    zero, one = ops.field(0), ops.field(1)
-    # g vanishes identically on ker(alpha) iff alpha divides g
-    pivot = next(i for i, a in enumerate(alpha) if a)
+def _vanishes_on_kernel(ops, g, alpha, p: int) -> bool:
+    """Does the degree-p form g {monomial: ring element} vanish on
+    ker(alpha)?  It does iff alpha divides g, iff g(s u + r v) = 0 for a
+    basis u, v of the kernel, each monomial expanded factor by factor."""
+    pivot = next(i for i, a in enumerate(alpha) if not ops.is_zero(a))
     others = [i for i in range(3) if i != pivot]
-    u = [zero] * 3
-    v = [zero] * 3
+    u = [ops.zero] * 3
+    v = [ops.zero] * 3
     u[others[0]] = alpha[pivot]
-    u[pivot] = -alpha[others[0]]
+    u[pivot] = ops.neg(alpha[others[0]])
     v[others[1]] = alpha[pivot]
-    v[pivot] = -alpha[others[1]]
-    p = g.degree
-    form = [zero] * (p + 1)
-    for m, c in g.coeffs.items():
-        term = [one]
+    v[pivot] = ops.neg(alpha[others[1]])
+    form = [ops.zero] * (p + 1)
+    for m, c in g.items():
+        term = [ops.one]
         for axis, e in enumerate(m):
             for _ in range(e):
-                new = [zero] * (len(term) + 1)
+                new = [ops.zero] * (len(term) + 1)
                 for a, x in enumerate(term):
-                    if x:
-                        new[a] = new[a] + x * u[axis]
-                        new[a + 1] = new[a + 1] + x * v[axis]
+                    if not ops.is_zero(x):
+                        new[a] = ops.add(new[a], ops.mul(x, u[axis]))
+                        new[a + 1] = ops.add(new[a + 1], ops.mul(x, v[axis]))
                 term = new
         for a, x in enumerate(term):
-            form[a] = form[a] + c * x
-    return not any(form)
+            form[a] = ops.add(form[a], ops.mul(c, x))
+    return all(map(ops.is_zero, form))
 
 
 def defining_polynomial(arr: am.Arrangement) -> HPoly:

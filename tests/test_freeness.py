@@ -163,6 +163,14 @@ class TestSaito:
         with pytest.raises(fr.DegreeMismatchError):
             saito_check(a13, th1, th1, th3)
 
+    def test_a_negative_pdeg_raises(self, a13):
+        """Pdegs (15, -2, 0) sum to n = 13; the negative one is refused
+        before any term is read, as no degree of a basis is negative."""
+        ths = (Derivation(15, 1, {}), Derivation(-2, 1, {}),
+               Derivation(0, 1, {0: 1}))
+        with pytest.raises(fr.DegreeMismatchError):
+            saito_check(a13, *ths)
+
 
 def _expand_determinant(cert) -> HPoly:
     """Cofactor expansion of the coefficient matrix, done independently,
@@ -1403,6 +1411,17 @@ class TestEvaluationChecks:
                 assert not restricts_to_zero(ops, alpha,
                                              _form(ops, vec, alpha, p), p)
 
+    def test_columns_follow_monomials_order(self):
+        """_column(p, c, m) is m's place in monomials(p) in the block of
+        f_(c+1), and _terms reads each column back."""
+        for p in range(31):
+            mons = fr.monomials(p)
+            cols = [fr._column(p, c, m) for c in range(3) for m in mons]
+            assert cols == list(range(3 * comb(p + 2, 2)))
+            vec = dict(zip(cols, reversed(cols)))
+            assert [(fr._column(p, c, m), x)
+                    for c, m, x in fr._terms(p, vec)] == list(vec.items())
+
     def test_a_term_of_another_degree_raises(self, a13):
         # a vec index at or past 3 * len(monomials(pdeg)), or below 0, is
         # a term of no monomial of its degree
@@ -1560,6 +1579,36 @@ class TestCertificateText:
         lines = _certificate_lines()
         self._raises_at(lines[:1] + ["c quad 10000000000000061 1 1"]
                         + lines[2:], 2)
+
+    def test_negative_pdeg(self):
+        """A derivation of negative pdeg, with no terms, is refused at its
+        own line."""
+        lines = _certificate_lines()
+        second = lines.index("derivation 2 pdeg 1")
+        third = lines.index("derivation 3 pdeg 3")
+        self._raises_at(lines[:second] + ["derivation 2 pdeg -2"]
+                        + lines[third:], second + 1)
+
+    def test_a_huge_pdeg_enumerates_no_monomials(self, monkeypatch):
+        """Reading places a term by _column: the cost follows the text,
+        not the pdeg it names."""
+        monomials = fr.monomials
+
+        def small_only(p):
+            if p > 2:
+                raise AssertionError(f"monomials({p}) enumerated")
+            return monomials(p)
+        monkeypatch.setattr(fr, "monomials", small_only)
+        p = 10 ** 6
+        cert = certificate_from_text("\n".join([
+            "saito-certificate", "c rat 1", f"derivation 1 pdeg {p}",
+            f"term 3 0 1 {p - 1} rat 2", "derivation 2 pdeg 1",
+            "term 1 1 0 0 rat 1", "derivation 3 pdeg 0",
+            "term 2 0 0 0 rat 1", "end"]) + "\n")
+        # (0, 1, p - 1) is next to last in monomials(p), and f3 is last
+        assert cert.derivations == (Derivation(p, 1, {
+            3 * comb(p + 2, 2) - 2: 2}), Derivation(1, 1, {0: 1}),
+            Derivation(0, 1, {1: 1}))
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_derivation_count_other_than_three(self, count):

@@ -8,7 +8,7 @@ from freearr import arrangement as am
 from freearr import induction
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
-from freearr.scalars import QuadElem
+from freearr.scalars import InvariantError, QuadElem
 from freearr.induction import (
     Expansion,
     IFCertificate,
@@ -29,6 +29,8 @@ from conftest import (
     boolean3,
     candidate_additions_over_the_field,
     grid,
+    h3,
+    monomial,
     near_pencil,
     rational_arrangement,
     triple_check,
@@ -236,21 +238,25 @@ class TestCandidateAdditions:
 
     def test_integral_lines_match_the_field_crosses(self, a13, a15):
         """Same candidates, byte for byte and as field scalars, and the same
-        completeness as crossing field columns, for every target size."""
-        from freearr.scalars import QuadElem
-
+        completeness as crossing field columns, for every target size and
+        for the sizes that fit the exponents, as the RF search asks."""
         f15 = mod.family_15()
         arrs = [a13, a15, mod.specialize(f15, -1).arrangement,
                 mod.specialize(f15, QuadElem(5, Fraction(3, 2),
-                                             Fraction(1, 2))).arrangement]
+                                             Fraction(1, 2))).arrangement,
+                monomial(3, 1), monomial(4, 1), h3()]
+        assert {arr.ops.name for arr in arrs} >= {
+            "QQ", "QQ(sqrt 5)", "QQ(sqrt -3)", "QQ(sqrt -1)"}
         rng = random.Random(3)
         cols = grid(3).columns
         for size in (8, 9, 10, 11):
             arrs.append(am.build(rng.sample(cols, size)))
         found = 0
         for arr in arrs:
+            exps = arr.char_poly().exponents()
+            fits = [set(induction._fitting_sizes(exps))] if exps else []
             for targets in [{s} for s in range(2, arr.n + 1)] + [
-                    set(range(2, arr.n + 1))]:
+                    set(range(2, arr.n + 1))] + fits:
                 cands, complete = candidate_additions(arr, targets)
                 field, field_complete = candidate_additions_over_the_field(
                     arr, targets)
@@ -262,6 +268,28 @@ class TestCandidateAdditions:
                                      else (x,)))
                 found += len(cands)
         assert found > 100
+
+    @pytest.mark.parametrize("make", [
+        lambda: mod.specialize(mod.family_13(), 3).arrangement, h3])
+    def test_a_point_missing_from_a_dual_line_raises(self, make,
+                                                     monkeypatch):
+        """The lines through the flats' points are the lattice scan of
+        the points, so its pair-coverage check holds for them: a
+        collinearity test that drops one point from the first line of
+        three or more points leaves a pair of that line in two flats."""
+        arr = make()
+        arr.lattice()
+        through, dropped = am._through, []
+
+        def missing_one(ops, u, v, cols, start):
+            found = through(ops, u, v, cols, start)
+            if len(found) > 1 and not dropped:
+                dropped.append(found.pop(0))
+            return found
+        monkeypatch.setattr(am, "_through", missing_one)
+        with pytest.raises(InvariantError, match="in two flats"):
+            candidate_additions(arr, range(2, arr.n + 1))
+        assert dropped
 
 
 class TestRecursivelyFree:

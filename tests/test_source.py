@@ -3,6 +3,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from functools import reduce
@@ -457,6 +458,55 @@ def test_candidate_pairs_are_crossed_in_integers(monkeypatch):
     # the spies do see field arithmetic
     assert normal((2, 1, 0)) == (1, Fraction(1, 2), 0)
     assert "Fraction.__rmul__" in calls
+
+
+def test_candidate_lines_are_one_lattice_scan_of_the_points(monkeypatch):
+    """candidate_additions scans the flats' points once with the lattice
+    kernel and crosses a pair of points only for a line of a target size:
+    F + (those lines) crosses, where crossing every pair makes F + F(F-1)/2."""
+    from freearr import induction, moduli
+
+    arr = moduli.specialize(moduli.family_15(), 3).arrangement
+    flats = arr.lattice().flats
+    f = len(flats)
+    scans, crosses = [], []
+    scan, cross = induction._compute_lattice, induction.ring_cross
+
+    def scan_spy(ops, cols):
+        scans.append(scan(ops, cols))
+        return scans[-1]
+
+    def cross_spy(ops, u, v):
+        crosses.append((u, v))
+        return cross(ops, u, v)
+    monkeypatch.setattr(induction, "_compute_lattice", scan_spy)
+    monkeypatch.setattr(induction, "ring_cross", cross_spy)
+    for targets in (set(induction._fitting_sizes(
+            arr.char_poly().exponents())), set(range(2, arr.n + 1))):
+        del scans[:], crosses[:]
+        cands, _ = induction.candidate_additions(arr, targets)
+        assert len(scans) == 1
+        sized = [on for on in scans[0].flats
+                 if arr.n - sum(len(flats[k - 1]) - 1 for k in on) in targets]
+        assert len(cands) <= len(sized) < f * (f - 1) // 2
+        assert len(crosses) == f + len(sized)
+    assert cands and sized
+
+
+def test_one_encoder_and_one_decoder_of_derivation_columns():
+    """_column places a monomial of f_c and _terms reads the places back;
+    no other function of freeness builds a table from monomials to
+    places, and the decoders _polys and _at are gone."""
+    from freearr import freeness
+
+    assert [name for name in ("_polys", "_at")
+            if hasattr(freeness, name)] == []
+
+    # {m: i for i, m in enumerate(monomials(p))}, or monomials(p).index(m)
+    tables = [found.group(0) for found in re.finditer(
+        r"\{(\w+): (\w+) for \2, \1 in enumerate\(monomials\("
+        r"|monomials\(\w*\)\.index\(", (SRC / "freeness.py").read_text())]
+    assert tables == []
 
 
 def test_solvers_keep_the_signature_the_benchmark_reads():
