@@ -14,7 +14,7 @@ small system, lifted, and the m * theta_E for the monomials m of degree
 p - 1 are a basis of D(A)_p, made canonical only by derivation_basis.
 
 Membership is checked against every line alpha by one value (_tangent),
-for each lift and for each derivation of a Saito certificate.  On
+in one stacked pass per solve, of all it builds, and per saito_check.  On
 ker(alpha), parametrized as in _hyperplane_rows, theta(alpha) is a binary
 form F(s, r) = sum_c alpha_c f_c(x(s, r)), each x^m a product of p linear
 forms whose coefficients have height sum at most A = max(h(alpha_j) +
@@ -267,20 +267,28 @@ def _height(ops, xs) -> int:
 
 def _tangent(ops, cols, thetas) -> bool:
     """Is every theta, given as (degree p, coefficient vector), tangent to
-    every line?  Each is tested by F(B, 1) = 0, F as in the module
-    docstring and B = 2^k above M for A the largest h(alpha_1) + h(alpha_2)
-    + h(alpha_3) of a line, at least the A of each.  With i0, j, k as in
-    _axes, x^m is X^a alpha_i0^(p-a) B^(m_j) at (s, r) = (B, 1), a = m_i0
-    and X = -alpha_j B - alpha_k, so theta is packed once per axis i0 as
-    P_(a,c) = sum over m_i0 = a of f_c[m] B^(m_j), and F(B, 1) = sum_a X^a
-    alpha_i0^(p-a) sum_c alpha_c P_(a,c) takes p + 1 Horner steps per
-    line."""
+    every line?  Those of one degree are stacked as Theta = sum C^t theta_t,
+    C = 2^s > 2M, M as in the module docstring for the largest ||theta_t||
+    and A the largest h(alpha_1) + h(alpha_2) + h(alpha_3) of a line, at
+    least the A of each.  F is linear in theta, so F_Theta = sum C^t F_t,
+    whose balanced base-C digits are the F_t, no coordinate above M < C/2:
+    F_Theta = 0 iff every F_t = 0.  Theta, of T thetas, is tested by
+    F(B, 1) = 0 at B = C^T, above its M <= sum C^t M_t < (C/2) sum_(t<T)
+    C^t.  With i0, j, k as in _axes, x^m is X^a alpha_i0^(p-a) B^(m_j) at
+    (s, r) = (B, 1), a = m_i0 and X = -alpha_j B - alpha_k, so Theta is
+    packed once per axis i0 as P_(a,c) = sum over m_i0 = a of f_c[m]
+    B^(m_j), and F(B, 1) = sum_a X^a alpha_i0^(p-a) sum_c alpha_c P_(a,c)
+    takes p + 1 Horner steps per line."""
     add, mul = ops.add, ops.mul
     reach = max((_height(ops, alpha) for alpha in cols), default=0)     # A
     lines = [(*_axes(ops, alpha), alpha) for alpha in cols]
-    for p, vec in thetas:
-        big = ((abs(ops.d) * reach) ** (p + 1)
-               * _height(ops, vec.values())).bit_length()     # B = 2^big
+    for p in dict.fromkeys(p for p, _ in thetas):
+        vecs, vec = [v for q, v in thetas if q == p], {}
+        s = ((abs(ops.d) * reach) ** (p + 1) * max(      # C = 2^s
+            _height(ops, v.values()) for v in vecs)).bit_length() + 1
+        for t, v in enumerate(vecs):
+            linalg.add_multiple(ops, vec, ops.scale(ops.one, 1 << s * t), v)
+        big = s * len(vecs)                                     # B = C^T
         packed, terms = {}, list(_terms(p, vec))
         powers = [1 << big * e for e in range(p + 1)]           # B^e
         for i0, j, k, alpha in lines:
@@ -300,13 +308,13 @@ def _tangent(ops, cols, thetas) -> bool:
     return True
 
 
-def _lifts(ops, cols, frame, p: int, lead=None):
+def _lifts(ops, frame, p: int, lead=None):
     """(lifts, leads): the lifts of the exact two-point kernel at degree p
-    in the given frame (_two_point_frame), coefficient vectors checked
-    against every line by one _tangent call (a wrong frame raises
-    InvariantError), and the first nonzero coordinate of each kernel
-    vector as (block, monomial).  A lead (k, u) from a lower degree fixes
-    to zero the columns u * m of block k (see _first_complement)."""
+    in the given frame (_two_point_frame), coefficient vectors unchecked
+    (each caller tests them by _tangent: a wrong frame fails there), and
+    the first nonzero coordinate of each kernel vector as (block,
+    monomial).  A lead (k, u) from a lower degree fixes to zero the
+    columns u * m of block k (see _first_complement)."""
     rows, width, blocks = _dh_system(ops, frame, p)
     fixed = set()
     if lead is not None:
@@ -330,9 +338,6 @@ def _lifts(ops, cols, frame, p: int, lead=None):
         lifts.append({_column(p, c, m): x
                       for c, f in enumerate(theta) for m, x in f.items()
                       if not ops.is_zero(x)})
-    if not _tangent(ops, cols, [(p, vec) for vec in lifts]):
-        raise InvariantError(f"a lifted derivation of degree {p} is not "
-                             f"tangent to every line")
     return lifts, leads
 
 
@@ -344,9 +349,10 @@ def derivation_basis(arr: Arrangement, p: int) -> list:
     against the full system, and decide_freeness does not build it."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    ops = arr.ops
-    rows = (_shifts(euler_derivation(arr).vec, 1, p)
-            + _lifts(ops, arr.ring_columns, _two_point_frame(arr), p)[0])
+    ops, lifts = arr.ops, _lifts(arr.ops, _two_point_frame(arr), p)[0]
+    if not _tangent(ops, arr.ring_columns, [(p, vec) for vec in lifts]):
+        raise InvariantError(f"a lift of degree {p} misses a line")
+    rows = _shifts(euler_derivation(arr).vec, 1, p) + lifts
     return [Derivation(p, den, {f: ops.scale(ops.one, den), **row})
             for f, (den, row) in sorted(linalg.echelon(rows, ops).items())]
 
@@ -377,7 +383,7 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     prime, so Q' divides det'.  Both are homogeneous of degree n, so det' =
     c' Q' for a constant c'.  Let v = (1, t, t^2) for the least t >= 0 with
     Q'(v) != 0; t <= 2n, as each form is a nonzero quadratic in t there.
-    Then c' = det'(v) / Q'(v), nonzero iff det'(v) is.
+    Then c' = det'(v) / Q'(v), nonzero iff det'(v) is (_saito_constant).
     """
     ths, pdegs = (th1, th2, th3), (th1.pdeg, th2.pdeg, th3.pdeg)
     if min(pdegs) < 0 or sum(pdegs) != arr.n or any(
@@ -388,6 +394,12 @@ def saito_check(arr: Arrangement, th1: Derivation, th2: Derivation,
     ops, cols = arr.ops, arr.ring_columns
     if not _tangent(ops, cols, [(th.pdeg, th.vec) for th in ths]):
         return None
+    return _saito_constant(arr, ths)
+
+
+def _saito_constant(arr: Arrangement, ths):
+    """saito_check's c, or None, for three members of D(A): det at a point."""
+    ops, cols = arr.ops, arr.ring_columns
     for t in count():
         qv = reduce(ops.mul, (reduce(ops.add, map(ops.scale, col, (
             1, t, t * t))) for col in cols))
@@ -555,19 +567,22 @@ def _decide_freeness_impl(arr: Arrangement):
     _, e2, e3 = exps
     ops, cols = arr.ops, arr.ring_columns
     frame = _two_point_frame(arr)
-    lifts, leads = _lifts(ops, cols, frame, e2)
+    lifts, leads = _lifts(ops, frame, e2)
+    built, ths = [(e2, vec) for vec in lifts], ()
     th2 = _first_complement(ops, e2, (), lifts)
     # at e3 > e2, dim D_H(A)_(e2) = 1 iff A is free (r = e2)
     if th2 is not None and (e3 == e2 or len(leads) == 1):
         lifts = (th2[2] if e3 == e2 else
-                 _lifts(ops, cols, frame, e3, leads[0])[0])
+                 _lifts(ops, frame, e3, leads[0])[0])
+        built += [(e3, vec) for vec in lifts if e3 > e2]  # th2[2]: tested
         th3 = _first_complement(ops, e3, ((e2, th2[1]),), lifts)
         if th3 is not None:
             ths = (euler_derivation(arr), Derivation(e2, *th2[:2]),
                    Derivation(e3, *th3[:2]))
-            c = saito_check(arr, *ths)
-            if c is not None:
-                return Free(exps, SaitoCertificate(ths, c))
+    if not _tangent(ops, cols, built + [(th.pdeg, th.vec) for th in ths]):
+        raise InvariantError("a derivation the solve built misses a line")
+    if ths and (c := _saito_constant(arr, ths)) is not None:
+        return Free(exps, SaitoCertificate(ths, c))
     # A free A passes above with its first complement pair, so A is not
     # free, and its witness is at min(r, e2) (see decide_freeness).
     for p in range(e2 + 1):

@@ -652,6 +652,26 @@ def _grid_degrees(arr):
     return (0, 1, e2, e3)
 
 
+def _short_frame(arr, frame=fr._two_point_frame):
+    """The two-point frame without its first line through neither point:
+    the rows then miss that line, so some lift fails its exact check."""
+    first, second, rest = frame(arr)
+    return first, second, rest[1:]
+
+
+def _bent_nullspace(rows, ncols, ops, nullspace=linalg.nullspace):
+    """The kernel basis with one added at a pivot column of its first
+    vector, which takes that vector out of the kernel."""
+    basis = nullspace(rows, ncols, ops)
+    if basis:
+        free = {max(j for j, x in enumerate(v) if not ops.is_zero(x))
+                for v in basis}
+        j = min(set(range(ncols)) - free)
+        v = basis[0]
+        basis[0] = (*v[:j], ops.add(v[j], ops.one), *v[j + 1:])
+    return basis
+
+
 class TestDHSolve:
     @staticmethod
     def _check(arr, degrees):
@@ -787,19 +807,25 @@ class TestDHSolve:
         mod.specialize(mod.family_13(), 3).arrangement,
         _paper_quad_points()[0]], ids=["a13", "sqrt5"])
     def test_frame_without_a_line_raises(self, arr, monkeypatch):
-        # the two-point rows then miss a line, so some lifted derivation
-        # fails that line's exact check
-        frame = fr._two_point_frame
-
-        def short_frame(arr):
-            first, second, rest = frame(arr)
-            return first, second, rest[1:]
-
-        monkeypatch.setattr(fr, "_two_point_frame", short_frame)
+        monkeypatch.setattr(fr, "_two_point_frame", _short_frame)
         start = time.perf_counter()
         with pytest.raises(InvariantError):
             decide_freeness(arr, use_cache=False)
         assert time.perf_counter() - start < 5
+
+    def test_frame_without_a_line_raises_on_the_sweep_path(self,
+                                                           monkeypatch):
+        # non-free inputs end in the dimension sweep, yet their lifts are
+        # tested first
+        monkeypatch.setattr(fr, "_two_point_frame", _short_frame)
+        arrs = _nonfree_split()
+        assert len(arrs) == 70
+        for arr in arrs:
+            with pytest.raises(InvariantError):
+                decide_freeness(arr, use_cache=False)
+        for arr in arrs[:5]:
+            with pytest.raises(InvariantError):
+                derivation_basis(arr, arr.char_poly().exponents()[1])
 
     def test_negative_degree_raises(self):
         for probe in (derivation_basis, derivation_space_dim):
@@ -1354,6 +1380,83 @@ class TestEvaluationChecks:
             assert fr._tangent(ops, [tall], [(p, along)])
             assert not fr._tangent(ops, cols, [(p, along)])
 
+    @staticmethod
+    def _bent(ops, vec):
+        """vec plus x1^p D1, column 0."""
+        return {**vec, 0: ops.add(vec.get(0, ops.zero), ops.one)}
+
+    @pytest.mark.parametrize("arr", [
+        mod.specialize(mod.family_13(), 3).arrangement,
+        _paper_quad_points()[0]], ids=["a13", "sqrt5"])
+    def test_a_stack_with_a_non_member_fails(self, arr):
+        # one call on members and a non-member of one degree, in any place
+        ops, cols = arr.ops, arr.ring_columns
+        for p in arr.char_poly().exponents()[1:]:
+            rows = [th.vec for th in derivation_basis(arr, p)]
+            off = self._bent(ops, rows[-1])
+            assert fr._tangent(ops, cols, [(p, vec) for vec in rows])
+            assert not fr._tangent(ops, cols, [(p, off)])
+            for k in range(len(rows) + 1):
+                stack = [*rows[:k], off, *rows[k:]]
+                assert not fr._tangent(ops, cols, [(p, v) for v in stack])
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_a_shifted_negative_at_a_tight_bound_fails(self, p):
+        # theta_1 = x2^p D1 restricts to s^p on x1 = 0, where M = 1 is
+        # tight; the stack of theta_0 = -2^s theta_1 and theta_1 has M =
+        # 2^s, and would cancel at a base of 2^s, one bit below the 2^(s+1)
+        # that M needs
+        one = {fr._column(p, 0, (0, p, 0)): 1}
+        for s in range(70):
+            zero = {j: -x << s for j, x in one.items()}
+            for stack in ([zero, one], [one, zero], [one, zero, one]):
+                assert not fr._tangent(IntOps, [(1, 0, 0)],
+                                       [(p, vec) for vec in stack])
+
+    @pytest.mark.parametrize("arr", [
+        mod.specialize(mod.family_13(), 3).arrangement,
+        _paper_quad_points()[0]], ids=["a13", "sqrt5"])
+    def test_a_non_member_and_its_shifted_negative_fail(self, arr):
+        # theta_0 = -2^s theta_1 would cancel in a stack whose base were
+        # 2^s: s runs over every shift up to past the one M gives theta_1
+        ops, cols = arr.ops, arr.ring_columns
+        _, p, _ = arr.char_poly().exponents()
+        one = self._bent(ops, derivation_basis(arr, p)[0].vec)
+        reach = max(fr._height(ops, alpha) for alpha in cols)
+        bound = ((abs(ops.d) * reach) ** (p + 1)
+                 * fr._height(ops, one.values())).bit_length()
+        assert not fr._tangent(ops, cols, [(p, one)])
+        for s in range(bound + 3):
+            zero = {j: ops.neg(ops.scale(x, 1 << s)) for j, x in one.items()}
+            assert not fr._tangent(ops, cols, [(p, zero), (p, one)])
+            assert not fr._tangent(ops, cols, [(p, one), (p, zero)])
+
+    def test_one_call_on_a_solve_is_each_call_anded(self, monkeypatch):
+        # on the freeness_stream jobs, the derivations each solve tests,
+        # and those with one of them bent: one call answers as the calls
+        # on each do together
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "perfbench"))
+        solves, tangent = [], fr._tangent
+
+        def spy(ops, cols, thetas):
+            solves.append((ops, cols, list(thetas)))
+            return tangent(ops, cols, thetas)
+        monkeypatch.setattr(fr, "_tangent", spy)
+        for arr in _stream_inputs():
+            decide_freeness(arr, use_cache=False)
+        monkeypatch.undo()
+        assert len(solves) >= 30
+        answers = set()
+        for ops, cols, thetas in solves:
+            for k in range(-1, len(thetas)):
+                stack = [(p, self._bent(ops, vec) if t == k else vec)
+                         for t, (p, vec) in enumerate(thetas)]
+                each = all(fr._tangent(ops, cols, [th]) for th in stack)
+                assert fr._tangent(ops, cols, stack) == each
+                answers.add(each)
+        assert answers == {True, False}
+
     def test_saito_matches_coefficients(self, small_corpus):
         rng = random.Random(19)
         arrs = [arr for arr in (*small_corpus, *_nonfree_split(),
@@ -1454,26 +1557,23 @@ def _stream_inputs():
 
 class TestPerturbedKernel:
     def test_every_perturbed_kernel_vector_raises(self, monkeypatch):
-        # one added at a pivot column of the first kernel vector takes it
-        # out of the kernel, so its lift misses a line
+        # the bent first kernel vector's lift misses a line
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                         / "perfbench"))
         arrs = _stream_inputs()
         assert len(arrs) >= 30
         assert {arr.ops.name for arr in arrs} >= {"QQ", "QQ(sqrt 6)",
                                                       "QQ(sqrt -1)"}
-        nullspace = linalg.nullspace
+        monkeypatch.setattr(linalg, "nullspace", _bent_nullspace)
+        for arr in arrs:
+            with pytest.raises(InvariantError):
+                decide_freeness(arr, use_cache=False)
 
-        def bent(rows, ncols, ops):
-            basis = nullspace(rows, ncols, ops)
-            if basis:
-                free = {max(j for j, x in enumerate(v) if not ops.is_zero(x))
-                        for v in basis}
-                j = min(set(range(ncols)) - free)
-                v = basis[0]
-                basis[0] = (*v[:j], ops.add(v[j], ops.one), *v[j + 1:])
-            return basis
-        monkeypatch.setattr(linalg, "nullspace", bent)
+    def test_a_perturbed_kernel_raises_on_the_sweep_path(self, monkeypatch):
+        # every NONFREE_SPLIT input ends in the sweep, after its one check
+        monkeypatch.setattr(linalg, "nullspace", _bent_nullspace)
+        arrs = _nonfree_split()
+        assert len(arrs) == 70
         for arr in arrs:
             with pytest.raises(InvariantError):
                 decide_freeness(arr, use_cache=False)

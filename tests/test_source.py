@@ -190,8 +190,9 @@ def test_no_inconclusive_and_no_det3_cols():
 
 def test_lattice_scan_computes_no_determinant():
     """Lattices come from one cross product per flat, dotted with the later
-    columns; the one determinant in the package is Saito's."""
-    assert _readers("det3") == ["freeness.py:saito_check"]
+    columns; the one determinant in the package is Saito's, in the det
+    step that saito_check and the solver share."""
+    assert _readers("det3") == ["freeness.py:_saito_constant"]
 
 
 def test_no_full_system_and_no_kernel_supplier():
@@ -554,8 +555,9 @@ def test_only_the_constant_becomes_a_field_element(monkeypatch):
 
 
 def test_no_horner_step_and_no_polynomial_product_in_saito_check():
-    """decide_freeness restricts binary forms only to build rows, and
-    saito_check multiplies no polynomials."""
+    """decide_freeness restricts binary forms only to build rows, and its
+    Saito step, the det step saito_check shares, multiplies no
+    polynomials."""
     from fractions import Fraction
 
     from freearr import freeness, moduli
@@ -564,13 +566,13 @@ def test_no_horner_step_and_no_polynomial_product_in_saito_check():
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
     arrs = [moduli.specialize(moduli.family_13(), 3).arrangement,
             moduli.specialize(moduli.family_15(), omega).arrangement]
-    calls, depth = [], [0]    # (callee, caller, inside saito_check)
+    calls, depth = [], [0]    # (callee, caller, inside the Saito step)
 
     def profile(frame, event, arg):
         code = frame.f_code
         if code.co_filename != freeness.__file__:
             return
-        if code.co_name == "saito_check":
+        if code.co_name == "_saito_constant":
             depth[0] += {"call": 1, "return": -1}.get(event, 0)
         elif event == "call":
             caller = frame.f_back   # the function, not its comprehension
@@ -619,6 +621,58 @@ def test_saito_check_evaluates_at_one_point(monkeypatch):
                                    {**ths[2].vec, 0: arr.ops.one})
         assert freeness.saito_check(arr, *ths[:2], bent) is None
         assert calls == [("_tangent", 3)]
+
+
+def test_each_solve_makes_one_membership_call(monkeypatch):
+    """_decide_freeness_impl calls _tangent in one place, and _lifts not
+    at all: each solve tests every lift it built and its Saito triple in
+    one call, on the Free path and on the sweep path."""
+    from fractions import Fraction
+
+    from freearr import arrangement, freeness, moduli
+    from freearr.scalars import QQ, QuadElem
+
+    path = SRC / "freeness.py"
+    tree = ast.parse(path.read_text(), str(path))
+    sites = {node.name: [call for call in ast.walk(node)
+                         if isinstance(call, ast.Call)
+                         and getattr(call.func, "id", None) == "_tangent"]
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert len(sites["_decide_freeness_impl"]) == 1
+    assert sites["_lifts"] == []
+
+    calls, lifts = [], []
+    tangent, lift = freeness._tangent, freeness._lifts
+
+    def tangent_spy(ops, cols, thetas):
+        calls.append(list(thetas))
+        return tangent(ops, cols, thetas)
+
+    def lifts_spy(*args):
+        out = lift(*args)
+        lifts.extend((args[2], vec) for vec in out[0])
+        return out
+    monkeypatch.setattr(freeness, "_tangent", tangent_spy)
+    monkeypatch.setattr(freeness, "_lifts", lifts_spy)
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    nonfree = arrangement.build([(-2, -2, 1), (2, 0, -1), (2, 1, -1),
+                                 (-2, 2, 0), (-1, -2, -1), (-2, 2, 1),
+                                 (0, 2, 0)], QQ)
+    for arr, exps in ((moduli.specialize(moduli.family_13(), 3).arrangement,
+                       (1, 6, 6)),
+                      (moduli.specialize(moduli.family_15(), omega)
+                       .arrangement, (1, 5, 9)), (nonfree, None)):
+        del calls[:], lifts[:]
+        verdict = freeness.decide_freeness(arr, use_cache=False)
+        assert lifts and len(calls) == 1 and calls[0][:len(lifts)] == lifts
+        triple = calls[0][len(lifts):]
+        if exps is None:    # its triple has det 0
+            assert isinstance(verdict, freeness.NotFree)
+            assert [p for p, _ in triple] == [1, 3, 3]
+        else:
+            assert verdict.exponents == exps
+            assert triple == [(th.pdeg, th.vec)
+                              for th in verdict.certificate.derivations]
 
 
 def test_quadratic_elements_have_fraction_parts(monkeypatch):
