@@ -4,7 +4,7 @@ An arrangement over an exact field, given by its ops object (scalars.QQ
 or a quad_field), is stored as its normal covectors cleared to primitive
 integral columns, each with a rational scale; hyperplanes carry labels
 1..n in column order.  The lattice of a rank-3 central arrangement is
-captured by its rank-2 flats (multiple points) with hyperplane incidences.
+stored as its rank-2 flats (multiple points); incidences derive from them.
 """
 from __future__ import annotations
 
@@ -226,20 +226,28 @@ def _has_rank3(cols, ops=IntOps) -> bool:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """Rank-2 flats of a rank-3 arrangement, with incidences.
+    """Rank-2 flats of a rank-3 arrangement.
 
     ``flats`` holds frozensets of hyperplane labels (1-based), in the
     deterministic order of first appearance over lexicographic pair scan.
-    ``per_hyperplane[h-1]`` lists incident flat indices (0-based, sorted).
+    The lattice is its flats: incidences and tables derive on first read.
     """
 
     n: int
     flats: tuple
-    per_hyperplane: tuple
 
     def multiplicities(self) -> tuple:
         """Sorted multiset of flat multiplicities."""
         return tuple(sorted(len(f) for f in self.flats))
+
+    @cached_property
+    def per_hyperplane(self) -> tuple:
+        """``per_hyperplane[h-1]``: indices of the flats through h, sorted."""
+        per_h = [[] for _ in range(self.n)]
+        for idx, f in enumerate(self.flats):
+            for h in f:
+                per_h[h - 1].append(idx)
+        return tuple(map(tuple, per_h))
 
     @cached_property
     def pair_table(self) -> dict:
@@ -331,7 +339,8 @@ class IntersectionLattice:
 
     def validate(self):
         """The check of a parsed listing (ArrangementError): flats of two or
-        more lines, each pair in exactly one, and the degree identity.  A
+        more lines, each pair in exactly one.  So each flat X through h holds
+        |X| - 1 of the n - 1 pairs of h: the degree identity holds.  A
         scanned lattice checks itself (see _compute_lattice)."""
         seen = set()
         for idx, f in enumerate(self.flats):
@@ -344,11 +353,6 @@ class IntersectionLattice:
         for key in combinations(range(1, self.n + 1), 2):
             if key not in seen:
                 raise ArrangementError(f"pair {key} not covered")
-        for h, incident in enumerate(self.per_hyperplane, start=1):
-            s = sum(len(self.flats[f]) - 1 for f in incident)
-            if s != self.n - 1:
-                raise ArrangementError(
-                    f"degree identity fails at hyperplane {h}: {s} != {self.n - 1}")
 
 
 def _through(ops, u, v, cols, start) -> list:
@@ -372,7 +376,7 @@ def _through(ops, u, v, cols, start) -> list:
 
 def _compute_lattice(ops, cols) -> IntersectionLattice:
     """Rank-2 flats of pairwise non-proportional columns over the ring of
-    ops.
+    ops; the lattice derives its incidences from them when read.
 
     The first pair (i, j) of a flat in lexicographic order is its point;
     one _through call finds its other members, all after j, and a double
@@ -381,33 +385,27 @@ def _compute_lattice(ops, cols) -> IntersectionLattice:
     The scan checks itself: each pair it visits lies in an earlier flat or
     starts one, and a pair of a new flat that is already marked raises
     InvariantError, so each pair lies in exactly one flat of two or more
-    lines and sum over X through h of (|X| - 1) = n - 1, all that validate
-    checks of a listing.  A flat's first pair is never visited again, so
-    it is left unmarked.
+    lines, all that validate checks of a listing.  A flat's first pair is
+    never visited again, so it is left unmarked.
     """
     n = len(cols)
     assigned = [[False] * n for _ in range(n)]
     flats = []
-    per_h = [[] for _ in range(n)]
     for i, (u, marks) in enumerate(zip(cols, assigned)):
         for j in range(i + 1, n):
             if marks[j]:
                 continue
             rest = _through(ops, u, cols[j], cols, j + 1)
-            per_h[i].append(len(flats))
-            per_h[j].append(len(flats))
             if not rest:
                 flats.append(frozenset((i + 1, j + 1)))
                 continue
             members = [i, j, *rest]
-            for m in rest:
-                per_h[m].append(len(flats))
             flats.append(frozenset(m + 1 for m in members))
             for m, b in islice(combinations(members, 2), 1, None):
                 if assigned[m][b]:
                     raise InvariantError(f"pair {(m + 1, b + 1)} in two flats")
                 assigned[m][b] = True
-    return IntersectionLattice(n, tuple(flats), tuple(map(tuple, per_h)))
+    return IntersectionLattice(n, tuple(flats))
 
 
 @dataclass(frozen=True)
@@ -653,13 +651,10 @@ def parse_lattice_listing(text: str) -> IntersectionLattice:
         except ValueError as exc:
             raise ArrangementError(f"line {lineno}: {exc}") from None
         rows.append(row)
-    members: dict[int, set] = {}    # in order of first appearance
+    flats: dict[int, set] = {}    # members, in order of first appearance
     for h, row in enumerate(rows, start=1):
         for f in row:
-            members.setdefault(f, set()).add(h)
-    index_of = {f: idx for idx, f in enumerate(members)}
-    lat = IntersectionLattice(
-        len(rows), tuple(map(frozenset, members.values())),
-        tuple(tuple(sorted(index_of[f] for f in row)) for row in rows))
+            flats.setdefault(f, set()).add(h)
+    lat = IntersectionLattice(len(rows), tuple(map(frozenset, flats.values())))
     lat.validate()
     return lat

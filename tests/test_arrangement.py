@@ -12,7 +12,8 @@ import pytest
 from freearr import arrangement as am
 from freearr import linalg
 from freearr import moduli as mod
-from freearr.freeness import state_key
+from freearr.freeness import Free, NotFree, decide_freeness, state_key
+from freearr.induction import candidate_additions
 from freearr.scalars import InvariantError, QQ, poly, quad_field, QuadElem
 
 from conftest import (
@@ -318,6 +319,41 @@ class TestLattice:
         assert calls == []
         am.parse_lattice_listing(am.format_lattice(lat))
         assert len(calls) == 1
+
+    def test_scans_store_flats_only(self, monkeypatch):
+        """A non-split decision and the dual scan of candidate_additions
+        read only flats: no scan builds the incidences."""
+        def unread(lat):
+            raise AssertionError("per_hyperplane read")
+        monkeypatch.setattr(am.IntersectionLattice, "per_hyperplane",
+                            property(unread))
+        g4 = rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+        assert decide_freeness(g4, use_cache=False) == NotFree(
+            "ChiDoesNotSplit")
+        a13 = mod.specialize(mod.family_13(), 3).arrangement
+        assert candidate_additions(a13, {7}) == ([], True)
+        a15 = mod.specialize(mod.family_15(), -1).arrangement
+        cands, complete = candidate_additions(a15, {8})
+        assert (len(cands), cands[0], complete) == (
+            6, (1, Fraction(-1, 2), Fraction(-1, 2)), True)
+
+    def test_incidences_are_derived_when_read(self, monkeypatch):
+        """format_lattice, aut_order and the Saito frame read
+        per_hyperplane, which each lattice derives from its flats."""
+        derive, reads = am.IntersectionLattice.per_hyperplane.func, []
+        monkeypatch.setattr(am.IntersectionLattice, "per_hyperplane",
+                            property(lambda lat: reads.append(lat)
+                                     or derive(lat)))
+        lat = boolean3().lattice()
+        assert am.format_lattice(lat) == "[1, 2]\n[1, 3]\n[2, 3]\n"
+        assert set(reads) == {lat}
+        reads.clear()
+        lat = near_pencil(4).lattice()
+        assert am.aut_order(lat)[0] == 6 and set(reads) == {lat}
+        reads.clear()
+        arr = near_pencil(5)
+        assert isinstance(decide_freeness(arr, use_cache=False), Free)
+        assert set(reads) == {arr.lattice()}
 
     def test_flat_of_pair(self):
         lat = near_pencil(4).lattice()

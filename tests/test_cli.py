@@ -32,7 +32,8 @@ MALFORMED_MOVES = [
     "add quad 10000000000000061 1 1 rat 1 rat 1",
     "add rat 1e0 rat 0.5 rat 1", "add rat 1_000 rat 1 rat 1",
     "add quad 5 0.5 1 rat 1 rat 1", "add rat \u0661 rat 1 rat 1",
-    "add quad 1_3 1 1 rat 1 rat 1", "delete \u0661"]
+    "add quad 1_3 1 1 rat 1 rat 1", "delete \u0661", "add rat 1 rat 2",
+    "rotate 1"]
 
 
 def run(*args):
@@ -128,12 +129,38 @@ class TestChiAndLattice:
         assert code == 1
         assert "error" in err
 
+    def test_specialization_below_rank_three(self, tmp_path):
+        p = tmp_path / "pencil.fam"
+        p.write_text("1; 0; 0\n0; 1; 0\n1; 1; 0\n")
+        code, out, err = run("lattice", str(p))
+        assert (code, out) == (1, "")
+        assert err == ("error: specialization at 0 has rank below 3 "
+                       "(count 3); not a rank-3 arrangement\n")
+
 
 class TestFree:
     def test_free_13(self):
         code, out, _ = run("free", "paper13", "--at", "3")
         assert code == 0
         assert "Free with exponents [1, 6, 6]" in out
+
+    def test_non_split_chi(self, tmp_path):
+        p = tmp_path / "generic4.fam"
+        p.write_text("1; 0; 0\n0; 1; 0\n0; 0; 1\n1; 1; 1\n")
+        assert run("free", str(p)) == (0, "NotFree: ChiDoesNotSplit\n", "")
+
+    def test_graded_dimension_mismatch_and_its_detail(self, tmp_path):
+        """chi splits with exponents (1, 3, 3), but dim D(A)_2 is 4, not 3."""
+        p = tmp_path / "nonfree7.fam"
+        p.write_text("0; 1; 0\n1; -2; 1\n1; 0; 0\n1; -1; 0\n0; 1; 2\n"
+                     "1; 1; 0\n2; 1; 0\n")
+        assert run("free", str(p)) == (
+            0, "NotFree: GradedDimensionMismatch (2, 3, 4)\n", "")
+        code, out, _ = run("report", str(p), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["freeness"] == {
+            "verdict": "NotFree", "reason": "GradedDimensionMismatch",
+            "detail": [2, 3, 4]}
 
     def test_certificate_flag(self, boolean_file):
         code, out, _ = run("free", boolean_file, "--certificate")
@@ -220,6 +247,12 @@ class TestVerifyAndIso:
         assert (code, out) == (1, "")
         assert err.startswith("error: line 1: not an integer")
 
+    def test_unreadable_listing(self, tmp_path):
+        missing = tmp_path / "missing.lattice"
+        code, out, err = run("verify", "paper13", str(missing), "--at", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
+
     def test_malformed_listing_is_refused(self, tmp_path):
         listing = tmp_path / "bad.lattice"
         listing.write_text("[1, 2]\n[1, 3]\n[1, 2, 3]\n")
@@ -274,6 +307,23 @@ class TestInductionCommands:
         code, _, err = run("recfree", np5_file, "--replay", str(chain))
         assert code == 1
         assert "chain verification failed" in err
+
+    def test_recfree_replay_unreadable_file(self, tmp_path):
+        missing = tmp_path / "missing.chain"
+        code, out, err = run("recfree", "paper15", "--at", "-1",
+                             "--replay", str(missing))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
+
+    def test_recfree_replay_misfitting_addition(self, tmp_path):
+        chain = tmp_path / "chain.txt"
+        chain.write_text("add rat 1 rat 2 rat 7\n")
+        code, out, err = run("recfree", "paper15", "--at", "-1",
+                             "--replay", str(chain))
+        assert (code, out) == (1, "")
+        assert err == ("error: chain verification failed: move 1: the added "
+                       "hyperplane has restriction size 14, incompatible "
+                       "with exponents (1, 7, 7)\n")
 
     def test_recfree_replay_rejects_unknown_scalar_tag(self, np5_file, tmp_path):
         chain = tmp_path / "chain.txt"
@@ -404,6 +454,18 @@ class TestInductionCommands:
         assert code == 0 and len(roots) == 1
         assert payload["inductively_free"] is inductive
         assert payload["recursively_free"]["verdict"] == rf
+
+    def test_report_blocked_by_max_n_exits_two(self):
+        code, out, _ = run("report", "paper13", "--at", "3", "--max-n", "13")
+        assert code == 2
+        assert "Recursively free: Unknown (sound=False)\n" in out
+
+    def test_abe_skips_a_deletion_below_rank_three(self, tmp_path):
+        p = tmp_path / "near_pencil4.fam"
+        p.write_text("1; 0; 0\n0; 1; 0\n0; 0; 1\n1; 1; 0\n")
+        code, out, _ = run("abe", str(p))
+        assert code == 0
+        assert out.splitlines()[2] == "h=3: deletion not essential, skipped"
 
     def test_abe_all_labels(self):
         code, out, _ = run("abe", "paper13", "--at", "3")

@@ -1592,6 +1592,12 @@ class TestCertificateText:
         with pytest.raises(ValueError, match=rf"^line {number}: "):
             certificate_from_text("\n".join(lines) + "\n")
 
+    def test_first_line_not_the_header(self):
+        lines = _certificate_lines()
+        with pytest.raises(ValueError, match="^not a saito certificate$"):
+            certificate_from_text("\n".join(["saito certificate"]
+                                             + lines[1:]) + "\n")
+
     def test_term_before_any_derivation(self):
         lines = _certificate_lines()
         self._raises_at(lines[:2] + ["term 1 1 0 0 rat 1"] + lines[2:], 3)
@@ -1631,6 +1637,7 @@ class TestCertificateText:
         lines = _certificate_lines()
         first = lines.index("derivation 1 pdeg 1") + 1
         for number, line in ((2, "c rat 35/5184 99 junk"),
+                             (2, "c rat 1 rat 2"),
                              (first + 1, lines[first] + " 7")):
             self._raises_at(lines[:number - 1] + [line] + lines[number:],
                             number)

@@ -375,6 +375,30 @@ class TestReplayChain:
         final = replay_chain(sub, [Move("add", cov)])
         assert final.n == 6
 
+    def test_move_on_a_non_split_state(self):
+        g4 = rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+        with pytest.raises(ValueError, match="^move 1: characteristic "
+                           "polynomial does not split$"):
+            replay_chain(g4, [Move("delete", (4,))])
+
+    def test_addition_of_a_misfitting_size(self):
+        a15 = mod.specialize(mod.family_15(), -1).arrangement
+        with pytest.raises(ValueError, match=r"^move 1: the added hyperplane "
+                           r"has restriction size 14, incompatible with "
+                           r"exponents \(1, 7, 7\)$"):
+            replay_chain(a15, [Move("add", tuple(map(Fraction, (1, 2, 7))))])
+
+    def test_unknown_action(self):
+        with pytest.raises(ValueError,
+                           match="^move 2: unknown action 'rotate'$"):
+            replay_chain(near_pencil(5), [Move("delete", (4,)),
+                                          Move("rotate", (1,))])
+
+    def test_empty_chain_on_a_non_if_input(self, a13):
+        with pytest.raises(ValueError, match="^final state of the chain is "
+                           "not inductively free$"):
+            replay_chain(a13, [])
+
 
 class TestChainText:
     """chain_to_text and chain_from_text, beside Move and replay_chain."""
