@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 from math import gcd, isqrt
 
 from . import linalg
@@ -337,15 +337,16 @@ class IntersectionLattice:
         search([], {}, [])
         return repr(best[0])
 
-    def validate(self):
+    def validate(self, labels=None):
         """The check of a parsed listing (ArrangementError): flats of two or
-        more lines, each pair in exactly one.  So each flat X through h holds
-        |X| - 1 of the n - 1 pairs of h: the degree identity holds.  A
-        scanned lattice checks itself (see _compute_lattice)."""
+        more lines, named by their labels (by default 1, 2, ...), each pair
+        in exactly one.  So each flat X through h holds |X| - 1 of the n - 1
+        pairs of h: the degree identity holds.  A scanned lattice checks
+        itself (see _compute_lattice)."""
         seen = set()
-        for idx, f in enumerate(self.flats):
+        for label, f in zip(labels or count(1), self.flats):
             if len(f) < 2:
-                raise ArrangementError(f"flat {idx} has fewer than 2 hyperplanes")
+                raise ArrangementError(f"flat {label} has fewer than 2 hyperplanes")
             for key in combinations(sorted(f), 2):
                 if key in seen:
                     raise ArrangementError(f"pair {key} covered twice")
@@ -656,5 +657,5 @@ def parse_lattice_listing(text: str) -> IntersectionLattice:
         for f in row:
             flats.setdefault(f, set()).add(h)
     lat = IntersectionLattice(len(rows), tuple(map(frozenset, flats.values())))
-    lat.validate()
+    lat.validate(list(flats))
     return lat

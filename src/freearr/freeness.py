@@ -32,17 +32,17 @@ exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
 first degree-e2 derivation outside S*theta_E, and the first degree-e3
 derivation outside S*theta_E + S*theta_2 in the canonical basis, found from
 the lifts alone (_first_complement): modulo S*theta_E, theta reduces to
-theta - q * theta_E, q the terms of f3 divisible by x3 over x3 (or of f1 by
-x1); the three stay integral until written.  For a free arrangement they
-always satisfy Saito's criterion: they lie in D(A), and det = c*Q with c
-nonzero.  By Saito's lemma every alpha divides the det of three members,
-so saito_check tests the whole criterion by membership and one small
-evaluation point.  Freeness is therefore two-valued.  A failed
+theta - q * theta_E, and modulo the m * theta_2 by forward substitution on
+their row echelon form; the three stay integral until written.  For a free
+arrangement they always satisfy Saito's criterion: they lie in D(A), and
+det = c*Q with c nonzero.  By Saito's lemma every alpha divides the det of
+three members, so saito_check tests the whole criterion by membership and
+one small evaluation point.  Freeness is therefore two-valued.  A failed
 certificate means A is not free, and the verdict carries its obstruction: a
-non-splitting characteristic polynomial, or the first degree whose dimension
-differs from that of a free module.  By du Plessis-Wall and Dimca that
-degree is min(r, e2), r the least degree of D_H(A), so the sweep that finds
-it stops at e2 (proof in decide_freeness).
+non-splitting characteristic polynomial, or the first degree whose
+dimension differs from that of a free module.  By du Plessis-Wall and Dimca
+that degree is min(r, e2), r the least degree of D_H(A), so the sweep that
+finds it stops at e2 (proof in decide_freeness).
 """
 from __future__ import annotations
 
@@ -187,12 +187,10 @@ def _two_point_frame(arr: Arrangement):
     """
     ops, cols, lat = arr.ops, arr.ring_columns, arr.lattice()
     flats = lat.flats
-
-    def points(h):
-        ranked = sorted(lat.per_hyperplane[h], key=lambda f: -len(flats[f]))
-        return sorted(ranked[:2])
-    h = max(range(lat.n), key=lambda h: sum(len(flats[f]) for f in points(h)))
-    fp, fq = (sorted(flats[f] - {h + 1}) for f in points(h))
+    points = [sorted(sorted(fs, key=lambda f: -len(flats[f]))[:2])
+              for fs in lat.per_hyperplane]
+    h = max(range(lat.n), key=lambda h: sum(len(flats[f]) for f in points[h]))
+    fp, fq = (sorted(flats[f] - {h + 1}) for f in points[h])
     frame = []
     for f, g in ((fp, fq), (fq, fp)):
         lines = [cols[i - 1] for i in g]
@@ -429,37 +427,25 @@ def _euler_terms(p: int, c: int) -> dict:
             for m in monomials(p - 1)}
 
 
-def _modulo(ops, p: int, others, c: int):
-    """x -> (k, v), v / k = x modulo W = S*theta_E + S*theta, theta for the
-    (degree, vector) pairs in others, and v zero at the pivots of W, each
-    the first (c = 0) or last (c = 2) column of its row.  Each m * theta_E
-    has one term in f_c, m * x_c, its pivot, so reducing by them subtracts
-    q * theta_E, q the terms of f_c divisible by x_c over x_c.  As
-    linalg.echelon pivots on the largest key, keys are negated if c = 0."""
-    terms = _euler_terms(p, c)
-
-    def euler(vec):     # vec - q * theta_E
-        v = {j: x for j, x in vec.items() if j not in terms}
-        for f in filter(terms.__contains__, vec):
-            y = ops.neg(vec[f])
-            for j in terms[f]:
-                v[j] = ops.add(v[j], y) if j in v else y
-        return {j if c else -j: x for j, x in v.items() if not ops.is_zero(x)}
-    span = linalg.echelon([euler(v) for d, theta in others
-                           for v in _shifts(theta, d, p)], ops)
-
-    def normal_form(vec):
-        k, r = linalg.normal_form(ops, euler(vec), span)
-        return k, {j if c else -j: x for j, x in r.items()}
-    return normal_form
+def _euler_reduced(ops, p: int, c: int, vec) -> dict:
+    """vec - q * theta_E, q the terms of f_c divisible by x_c over x_c, its
+    keys negated if c = 0, so that the last key is the first column."""
+    terms, v = _euler_terms(p, c), dict(vec)
+    for f in terms.keys() & vec.keys():
+        y = ops.neg(v.pop(f))
+        for j in terms[f]:
+            x = ops.add(v.pop(j), y) if j in v else y
+            if not ops.is_zero(x):
+                v[j] = x
+    return v if c else {-j: x for j, x in v.items()}
 
 
 def _first_complement(ops, p: int, others, lifts):
     """(den, vector, rest): the first canonical row of D(A)_p outside W =
     S*theta_E + S*theta, theta for the (degree, vector) pairs in others,
-    reduced modulo W on first columns (_modulo), over den, the two without
-    a common factor (linalg.primitive), and rest, the other rows of the
-    echelon below; or None.
+    reduced modulo W on first columns, over den, the two without a common
+    factor (linalg.primitive), and rest, the other rows of the echelon
+    below; or None.
 
     lifts span D(A)_p with W and are independent modulo W.  Reduced modulo
     W on last columns, which lowers no last column, and put in echelon,
@@ -467,11 +453,14 @@ def _first_complement(ops, p: int, others, lifts):
     outside W.  So is the first canonical row outside W, as the rows before
     it lie in W, and the two differ by a vector with last column below f,
     in W.  So they have one reduction on first columns.  Reducing by the
-    m * theta_E subtracts q * theta_E, q the terms of f3 divisible by x3
-    over x3 (or of f1 by x1): no m * theta_E is built (_modulo), and only
-    the shifts of theta go to linalg.echelon.  They are independent modulo
-    S*theta_E: a * theta_E = -b * theta with b != 0 forces b | a, as
-    gcd(x1, x2, x3) = 1, and theta in S*theta_E.
+    m * theta_E subtracts q * theta_E (_euler_reduced): none is built.  The
+    shifts of theta, built once, are then independent: a * theta_E = -b *
+    theta with b != 0 forces b | a, as gcd(x1, x2, x3) = 1, and theta in
+    S*theta_E.  Per side they are put in row echelon form, not back-reduced
+    (linalg.triangular), and linalg.forward_reduce reduces by it: v / k is
+    zero at the pivots of W and differs from the vector by an element of W,
+    as does the reduced echelon's normal form, so the two are equal (their
+    difference lies in W and is zero at its pivots).
 
     At e3 > e2, the solve at e3 fixes the columns m * LM(g2) to zero, g2
     spanning the kernel at e2 and LM its first term.  The order of
@@ -479,14 +468,22 @@ def _first_complement(ops, p: int, others, lifts):
     are triangular on those columns, and the kernel left is a complement
     of S*g2, its lifts one of W.
     """
-    last = _modulo(ops, p, others, 2)
-    rows = sorted(linalg.echelon([last(v)[1] for v in lifts], ops).items())
+    shifts = [v for d, theta in others for v in _shifts(theta, d, p)]
+
+    def modulo(c, vecs):        # (k, v) per vector: v / k modulo W on side c
+        span = linalg.triangular(
+            [_euler_reduced(ops, p, c, v) for v in shifts], ops)
+        return [linalg.forward_reduce(ops, _euler_reduced(ops, p, c, v), span)
+                for v in vecs]
+    rows = sorted(linalg.echelon([v for _, v in modulo(2, lifts)],
+                                 ops).items())
     if not rows:
         return None
     (den, vec), *rest = [(den, {f: ops.scale(ops.one, den), **row})
                          for f, (den, row) in rows]
-    k, r = _modulo(ops, p, others, 0)(vec)
-    return (*linalg.primitive(ops, den * k, r), [vec for _, vec in rest])
+    [(k, r)] = modulo(0, [vec])
+    return (*linalg.primitive(ops, den * k, {-j: x for j, x in r.items()}),
+            [vec for _, vec in rest])
 
 
 # Verdicts by state_key, oldest evicted first once the bound is reached.

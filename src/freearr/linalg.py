@@ -1,21 +1,21 @@
 """Exact linear algebra over the rings of the scalar fields.
 
 Rows live in Z or Z[sqrt d], the ring of a field's ops object
-(scalars.IntOps, or a scalars.QuadOps instance).  nullspace solves a system with one
-multi-modular engine: for each word-size prime of a fixed sequence, and
-each ring map into F_p, the reduced row echelon form gives the canonical
-nullspace basis mod p, which is recovered by Chinese remaindering and
-rational reconstruction, verified exactly against every row, and returned
-as primitive integral vectors over the ring.  echelon reduces independent
-vectors exactly, from the right, each row one integer denominator over
-ring numerators; for a basis of a nullspace it gives the same canonical
-basis.  Cross and dot products and the 3x3 determinant work over the ring
-of an ops object.
+(scalars.IntOps, or a scalars.QuadOps instance).  nullspace solves a system
+with one multi-modular engine: for each word-size prime of a fixed
+sequence, and each ring map into F_p, the reduced row echelon form gives
+the canonical nullspace basis mod p, which is recovered by Chinese
+remaindering and rational reconstruction, verified exactly against every
+row, and returned as primitive integral vectors over the ring.  triangular
+puts independent vectors in row echelon form exactly, from the right;
+forward_reduce reduces by such rows, and echelon back-reduces them, giving
+the canonical basis for a basis of a nullspace.  Cross and dot products and
+the 3x3 determinant work over the ring of an ops object.
 """
 from __future__ import annotations
 
 from bisect import bisect
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 from .scalars import InvariantError, _is_prime
 
@@ -302,20 +302,6 @@ def add_multiple(ops, v, c, row):
             v[j] = ops.add(v[j], z) if j in v else z
 
 
-def normal_form(ops, vec, rows):
-    """(k, v): k the lcm of the denominators of the rows of an echelon at
-    the pivots where vec is nonzero, v = k * vec minus its multiples of
-    those rows, without zeros.  Reduced rows are zero at the other pivots,
-    so v is zero at all: v / k is vec modulo the rows' span."""
-    hits = [f for f in vec if f in rows]
-    k = lcm(*(rows[f][0] for f in hits))
-    v = {j: ops.scale(x, k) for j, x in vec.items() if j not in rows}
-    for f in hits:
-        den, row = rows[f]
-        add_multiple(ops, v, ops.neg(ops.scale(vec[f], k // den)), row)
-    return k, {j: x for j, x in v.items() if not ops.is_zero(x)}
-
-
 def primitive(ops, den, nums):
     """(den, nums) divided by the gcd of den and every integer coordinate."""
     g = gcd(den, *(c for x in nums.values() for c in ops.ints(x)))
@@ -324,32 +310,58 @@ def primitive(ops, den, nums):
     return den // g, {j: ops.div(x, g) for j, x in nums.items()}
 
 
-def echelon(vectors, ops):
-    """Reduced row echelon form on reversed columns of independent vectors
-    over Z or Z[sqrt d], each {column: nonzero ring element}, as
-    {pivot f: (den, numerators)}: f is the last nonzero column of its row,
-    and the row is den at f plus the numerators {column: ring element}
-    elsewhere, over den, so a one at f and zeros at the other pivots.  For
-    a basis of a nullspace this is its canonical basis (see nullspace).
+def forward_reduce(ops, vec, rows):
+    """(k, v): v / k = vec modulo the span of rows in row echelon form on
+    reversed columns, {pivot f: (den, numerators)} as triangular or echelon
+    gives them, and v zero at every pivot.  From the last pivot to the
+    first, v nonzero at f becomes (den * v - v[f] * row) / g, g = gcd(den,
+    v[f]), which clears f and changes only columns before it.  k is the
+    product of the den / g: over echelon's rows it divides their lcm."""
+    k, v = 1, dict(vec)
+    for f in sorted(rows, reverse=True):
+        if f in v:
+            (den, row), x = rows[f], v.pop(f)
+            g = gcd(den, *ops.ints(x))
+            if den != g:
+                k *= den // g
+                v = {j: ops.scale(y, den // g) for j, y in v.items()}
+            add_multiple(ops, v, ops.neg(ops.div(x, g)), row)
+    return k, {j: y for j, y in v.items() if not ops.is_zero(y)}
 
-    den is positive, and no integer > 1 divides den and every integer
-    coordinate of the numerators; a new pivot x is divided out through
-    x * cofactor(x), an integer.  Dependent vectors raise InvariantError."""
+
+def triangular(vectors, ops):
+    """Row echelon form on reversed columns, not back-reduced, of
+    independent vectors over Z or Z[sqrt d], as {pivot f: (den, numerators)}
+    with f the last column of its row and den > 0 an integer.  While a
+    vector's last column is a pivot, forward_reduce clears it there; then
+    its row is the vector times c = cofactor(x), x its entry there, and
+    den = x * c.  Dependent vectors raise InvariantError."""
     rows = {}
-    for vec in vectors:
-        _, v = normal_form(ops, vec, rows)
+    for v in vectors:
+        while v and (f := max(v)) in rows:
+            v = forward_reduce(ops, v, {f: rows[f]})[1]
         if not v:
             raise InvariantError("dependent vectors in an echelon form")
-        f = max(v)
-        x = v.pop(f)
-        c = ops.cofactor(x)
-        n = ops.ints(ops.mul(x, c))[0]
+        c = ops.cofactor(v[f])
+        n = ops.ints(ops.mul(v[f], c))[0]
         if n < 0:
             c, n = ops.neg(c), -n
-        new = {f: primitive(ops, n, {j: ops.mul(y, c) for j, y in v.items()})}
-        for g, (den, row) in rows.items():
-            if f in row:
-                k, out = normal_form(ops, row, new)
-                rows[g] = primitive(ops, den * k, out)
-        rows.update(new)
+        rows[f] = n, {j: ops.mul(y, c) for j, y in v.items() if j != f}
+    return rows
+
+
+def echelon(vectors, ops):
+    """Reduced row echelon form on reversed columns of independent vectors
+    over Z or Z[sqrt d], as {pivot f: (den, numerators)}: f is the last
+    nonzero column of its row, and the row is den at f plus the numerators
+    {column: ring element} elsewhere, over den, so a one at f and zeros at
+    the other pivots.  For a basis of a nullspace this is its canonical
+    basis (see nullspace).  The rows of triangular are reduced from the
+    first pivot up by those before (forward_reduce), and no integer > 1
+    then divides den and every integer coordinate of the numerators.
+    Dependent vectors raise InvariantError."""
+    rows = {}
+    for f, (den, row) in sorted(triangular(vectors, ops).items()):
+        k, out = forward_reduce(ops, row, rows)
+        rows[f] = primitive(ops, den * k, out)
     return rows

@@ -16,7 +16,7 @@ from freearr import arrangement as am
 from freearr import freeness as fr
 from freearr import moduli as mod
 from freearr.freeness import Derivation, Free, decide_freeness
-from freearr.linalg import det3, echelon, normal_form, rank
+from freearr.linalg import add_multiple, det3, echelon, rank
 from freearr.scalars import (
     QQ,
     IntOps,
@@ -445,9 +445,35 @@ def hyperplane_rows_by_tables(ops, alpha, blocks, p: int, width: int):
     return rows
 
 
+def normal_form(ops, vec, rows):
+    """(k, v), v / k = vec modulo the span of reduced echelon rows (as
+    linalg.echelon gives them), in one pass: k the lcm of the rows' dens
+    at the pivots where vec is nonzero, and v = k * vec minus its multiples
+    of those rows, without zeros.  Reduced rows are zero at the other
+    pivots, so v is zero at all."""
+    hits = [f for f in vec if f in rows]
+    k = lcm(*(rows[f][0] for f in hits))
+    v = {j: ops.scale(x, k) for j, x in vec.items() if j not in rows}
+    for f in hits:
+        den, row = rows[f]
+        add_multiple(ops, v, ops.neg(ops.scale(vec[f], k // den)), row)
+    return k, {j: x for j, x in v.items() if not ops.is_zero(x)}
+
+
+def same_field_vector(ops, kv, lw) -> bool:
+    """Is v / k = w / l for the pairs (k, v) and (l, w) of an integer and
+    a sparse ring vector?"""
+    (k, v), (l, w) = kv, lw
+    return ({j: ops.scale(x, l) for j, x in v.items()}
+            == {j: ops.scale(x, k) for j, x in w.items()})
+
+
 def modulo_by_euler_rows(ops, p: int, others, c: int):
-    """freeness._modulo reducing by the rows m * theta_E themselves, built
-    by freeness._shifts and applied through linalg.normal_form."""
+    """The reduction modulo W = S*theta_E + S*theta that
+    freeness._first_complement makes on the first (c = 0) or last (c = 2)
+    columns, by the rows m * theta_E themselves, built by freeness._shifts,
+    and the reduced echelon of the shifts of theta, applied through
+    normal_form: vec -> (k, v), v / k = vec modulo W."""
     def flip(vec):      # linalg.echelon pivots on the largest key
         return vec if c else {-j: x for j, x in vec.items()}
     euler = {}          # the rows m * theta_E by their pivots

@@ -313,7 +313,8 @@ class TestLattice:
         calls = []
         check = am.IntersectionLattice.validate
         monkeypatch.setattr(am.IntersectionLattice, "validate",
-                            lambda lat: calls.append(lat) or check(lat))
+                            lambda lat, *labels: calls.append(lat)
+                            or check(lat, *labels))
         lat = near_pencil(5).lattice()
         mod.generic_lattice(mod.family_13())
         assert calls == []
@@ -682,12 +683,14 @@ class TestListingFormat:
             am.parse_lattice_listing("not a listing")
 
     @pytest.mark.parametrize("text, message", [
-        ("[1, 2, 4]\n[1, 3]\n[2, 3]\n", "flat 2 has fewer than 2 hyperplanes"),
+        ("[1, 2, 4]\n[1, 3]\n[2, 3]\n", "flat 4 has fewer than 2 hyperplanes"),
+        ("[1]\n[2, 3]\n[2, 3]\n", "flat 1 has fewer than 2 hyperplanes"),
         ("[1, 2]\n[1, 3]\n[1, 2, 3]\n", "pair (1, 3) covered twice"),
         ("[1]\n[1]\n[]\n", "pair (1, 3) not covered"),
         ("[1, 1, 2]\n[1, 3]\n[2, 3]\n", "line 1: flat 1 listed twice"),
         ("# c\n[1, 2]\n\n[1, 3, 3]\n[2, 3]\n", "line 4: flat 3 listed twice"),
-    ], ids=["one-member flat", "pair in two flats", "pair in no flat",
+    ], ids=["one-member flat", "first flat of one member",
+            "pair in two flats", "pair in no flat",
             "repeated flat number", "repeated flat after a comment"])
     def test_parse_refuses_malformed_listings(self, text, message):
         with pytest.raises(am.ArrangementError) as exc:

@@ -259,6 +259,16 @@ class TestVerifyAndIso:
         code, out, err = run("verify", "paper13", str(listing), "--at", "3")
         assert (code, out, err) == (1, "", "error: pair (1, 3) covered twice\n")
 
+    @pytest.mark.parametrize("text, flat", [
+        ("[1]\n[2, 3]\n[2, 3]\n", 1), ("[1, 2, 4]\n[1, 3]\n[2, 3]\n", 4)])
+    def test_one_member_flat_is_named_by_its_label(self, tmp_path, text,
+                                                   flat):
+        listing = tmp_path / "bad.lattice"
+        listing.write_text(text)
+        code, out, err = run("verify", "paper13", str(listing), "--at", "3")
+        assert (code, out, err) == (
+            1, "", f"error: flat {flat} has fewer than 2 hyperplanes\n")
+
     def test_iso_two_generic_values(self):
         code, out, _ = run("iso", "paper13", "paper13",
                            "--at", "3", "--at2", "4")

@@ -56,6 +56,7 @@ from conftest import (
     rational_arrangement,
     restricts_to_zero,
     saito_by_coefficients,
+    same_field_vector,
     to_derivation,
     to_field,
 )
@@ -608,24 +609,80 @@ class TestClosedFormsAgainstTables:
     @pytest.mark.parametrize("ops", [IntOps, QuadOps(5)],
                              ids=["Z", "Z[sqrt5]"])
     def test_reduction_is_theta_minus_q_theta_e(self, ops):
+        """The reduction _first_complement makes modulo W on each side:
+        Euler-reduced shifts in row echelon form, not back-reduced, and
+        forward substitution, equal as a field vector to reducing by the
+        rows m * theta_E and the reduced echelon of the shifts."""
         rng = random.Random(30)
-
-        def vector(p, density):
-            def element():
-                return (rng.randint(-9, 9) if ops.parts == 1 else
-                        (rng.randint(-9, 9), rng.randint(-9, 9)))
-            return {j: x for j in range(3 * len(fr.monomials(p)))
-                    if rng.random() < density
-                    and not ops.is_zero(x := element())}
+        vector = partial(_random_vector, rng, ops)
         for p in range(1, 9):
             d = rng.randint(1, p)
             for c in (0, 2):
                 for others in ((), ((d, vector(d, 0.7)),)):
-                    closed = fr._modulo(ops, p, others, c)
+                    closed = _forward_modulo(ops, p, others, c)
                     by_rows = modulo_by_euler_rows(ops, p, others, c)
                     for _ in range(4):
                         vec = vector(p, 0.6)
-                        assert closed(vec) == by_rows(vec)
+                        assert same_field_vector(ops, closed(vec),
+                                                  by_rows(vec))
+
+    @pytest.mark.parametrize("ops", [IntOps, QuadOps(5)],
+                             ids=["Z", "Z[sqrt5]"])
+    def test_complement_reduces_colliding_pivots(self, ops):
+        """Shifts whose Euler-reduced forms share a last column and a first
+        column: _first_complement eliminates there and returns the
+        complement that the reduced echelons give.  The shifts of one theta
+        never share one (on the last side m * theta reduces to m * phi, or
+        to (m / x3) * psi if x3 | m, psi = x3 * phi if phi has no f3, and
+        lex order is multiplicative), so W here is spanned by two: theta
+        and a copy of it changed at a few columns."""
+        rng = random.Random(38)
+        vector = partial(_random_vector, rng, ops)
+        p, d = 4, 2
+        for _ in range(200):
+            theta = vector(d, 0.7)
+            other = {**theta, **vector(d, 0.1)}
+            others = ((d, theta), (d, other))
+            shifts = [v for e, th in others for v in fr._shifts(th, e, p)]
+            if all(_pivots_collide(ops, p, c, shifts) for c in (0, 2)):
+                break
+        else:
+            pytest.fail("no W with colliding pivots on both sides")
+        lifts = [vector(p, 0.6) for _ in range(4)]
+        den, vec, rest = fr._first_complement(ops, p, others, lifts)
+        first, rows = _field_complement(ops, p, others, lifts)
+        field = partial(to_field, ops)
+        assert {j: field(x) / den for j, x in vec.items()} == first
+        assert [{j: field(x) / field(v[max(v)]) for j, x in v.items()}
+                for v in rest] == rows
+
+
+def _random_vector(rng, ops, p, density):
+    """A random coefficient vector of degree p, entries in [-9, 9]."""
+    def element():
+        return (rng.randint(-9, 9) if ops.parts == 1 else
+                (rng.randint(-9, 9), rng.randint(-9, 9)))
+    return {j: x for j in range(3 * len(fr.monomials(p)))
+            if rng.random() < density and not ops.is_zero(x := element())}
+
+
+def _forward_modulo(ops, p, others, c):
+    """vec -> (k, v) modulo W on side c, as _first_complement reduces."""
+    span = linalg.triangular([fr._euler_reduced(ops, p, c, v)
+                              for d, theta in others
+                              for v in fr._shifts(theta, d, p)], ops)
+
+    def reduce_modulo(vec):
+        k, r = linalg.forward_reduce(ops, fr._euler_reduced(ops, p, c, vec),
+                                     span)
+        return k, {j if c else -j: x for j, x in r.items()}
+    return reduce_modulo
+
+
+def _pivots_collide(ops, p, c, shifts):
+    """Do two Euler-reduced shifts share a pivot (last key) on side c?"""
+    leads = [max(fr._euler_reduced(ops, p, c, v)) for v in shifts]
+    return len(set(leads)) < len(leads)
 
 
 def _vector_to_derivation(ops, vec, p: int) -> Derivation:
@@ -882,6 +939,28 @@ class _FieldReducer:
         if v:
             inv = 1 / v[min(v)]
             self.rows[min(v)] = {j: x * inv for j, x in v.items()}
+
+
+def _field_complement(ops, p, others, lifts):
+    """_first_complement in field arithmetic (_FieldReducer), with no
+    linalg: (the first row of the reduced echelon of the lifts modulo W on
+    last columns, reduced modulo W on first columns; the other rows, each
+    one at its pivot), as {column: field element}."""
+    def keyed(vec, sign):
+        return {sign * j: to_field(ops, x) for j, x in vec.items()}
+    euler = fr._shifts({4 * a: ops.one for a in range(3)}, 1, p)
+    last, first, lifted = _FieldReducer(), _FieldReducer(), _FieldReducer()
+    for v in euler + [v for d, th in others for v in fr._shifts(th, d, p)]:
+        last.add(keyed(v, -1))
+        first.add(keyed(v, 1))
+    for v in lifts:
+        lifted.add(last.reduce(keyed(v, -1)))
+    rows = []
+    for key in sorted(lifted.rows, reverse=True):   # least last column first
+        red = _FieldReducer()
+        red.rows = {k: row for k, row in lifted.rows.items() if k != key}
+        rows.append({-j: x for j, x in red.reduce(lifted.rows[key]).items()})
+    return first.reduce(rows[0]), rows[1:]
 
 
 def _field_first_complement(p, theta_e, others, basis, ops):

@@ -20,7 +20,7 @@ from freearr.linalg import (
 )
 from freearr.scalars import IntOps, InvariantError, QuadElem, QuadOps
 
-from conftest import det3_cols, to_field
+from conftest import det3_cols, normal_form, same_field_vector, to_field
 
 # The engine's first prime: the largest prime below 2**62.
 P0 = sympy.prevprime(2 ** 62)
@@ -228,6 +228,57 @@ class TestSuppliedKernel:
         with pytest.raises(InvariantError):
             nullspace([[1, 1]], 2, IntOps)
         assert time.perf_counter() - start < 5
+
+
+class TestForwardReduction:
+    """triangular and forward_reduce on spanning vectors of a canonical
+    nullspace basis, whose vectors are the rows of its reduced echelon,
+    against the one-pass normal form of those rows (conftest.normal_form),
+    as field vectors."""
+
+    @pytest.mark.parametrize("ops", [IntOps, QuadOps(5)],
+                             ids=["Z", "Z[sqrt5]"])
+    def test_against_the_canonical_rows(self, ops):
+        rng = random.Random(38)
+
+        def element(r):
+            return (rng.randint(-r, r) if ops.parts == 1 else
+                    (rng.randint(-r, r), rng.randint(-r, r)))
+        collided = 0
+        for _ in range(40):
+            m, n = rng.randint(1, 4), rng.randint(3, 8)
+            basis = nullspace([[element(3) for _ in range(n)]
+                               for _ in range(m)], n, ops)
+            reduced = {}
+            for v in basis:
+                f = max(j for j, x in enumerate(v) if not ops.is_zero(x))
+                reduced[f] = (ops.ints(v[f])[0], {
+                    j: x for j, x in enumerate(v[:f]) if not ops.is_zero(x)})
+            vecs = []
+            for i, w in enumerate(basis):   # the last column moves up
+                for u, k in ((u, element(3)) for u in basis[i + 1:]):
+                    w = [ops.add(x, ops.mul(k, y)) for x, y in zip(w, u)]
+                vecs.append({j: x for j, x in enumerate(w)
+                             if not ops.is_zero(x)})
+            rng.shuffle(vecs)
+            collided += len({max(v) for v in vecs}) < len(vecs)
+            rows = linalg.triangular(vecs, ops)
+            assert sorted(rows) == sorted(reduced)
+            assert all(den > 0 and max(row, default=-1) < f
+                       for f, (den, row) in rows.items())
+            assert linalg.echelon(vecs, ops) == reduced
+            assert all(linalg.forward_reduce(ops, v, rows)[1] == {}
+                       for v in vecs)
+            for _ in range(5):
+                vec = {j: x for j in range(n)
+                       if not ops.is_zero(x := element(5))}
+                expected = normal_form(ops, vec, reduced)
+                assert same_field_vector(
+                    ops, linalg.forward_reduce(ops, vec, rows), expected)
+                k, v = linalg.forward_reduce(ops, vec, reduced)
+                assert same_field_vector(ops, (k, v), expected)
+                assert expected[0] % k == 0     # k divides their lcm
+        assert collided > 20
 
 
 class TestQuadraticEngine:

@@ -247,32 +247,54 @@ def test_text_formats_live_beside_their_objects():
 
 def test_complements_come_from_the_lifts_alone(monkeypatch):
     """decide_freeness builds no canonical basis of D(A)_p and passes no
-    m * theta_E to linalg.echelon: reducing modulo S*theta_E divides by x3
-    or x1."""
+    m * theta_E and no m * theta_2 to linalg.echelon: reducing modulo
+    S*theta_E divides by x3 or x1, and modulo the m * theta_2 goes by
+    forward substitution on their row echelon form (linalg.triangular),
+    from one _shifts(theta_2, ...) call per e3 complement."""
     from fractions import Fraction
 
+    from conftest import grid
     from freearr import freeness, linalg, moduli
     from freearr.scalars import QuadElem
 
     assert not hasattr(freeness, "_canonical_rows")
-    vectors = []
-    echelon = linalg.echelon
+    assert not hasattr(freeness, "_modulo")
+    vectors, calls = [], []
+    echelon, shifts = linalg.echelon, freeness._shifts
 
     def spy(vecs, ops):
+        vecs = list(vecs)
         vectors.extend(vecs)
         return echelon(vecs, ops)
     monkeypatch.setattr(linalg, "echelon", spy)
+    for name in ("_shifts", "_first_complement"):
+        def record(*args, name=name, real=getattr(freeness, name)):
+            calls.append((name, args))
+            return real(*args)
+        monkeypatch.setattr(freeness, name, record)
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
     for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
-                moduli.specialize(moduli.family_15(), omega).arrangement):
-        del vectors[:]
+                moduli.specialize(moduli.family_15(), omega).arrangement,
+                grid(8)):
+        del vectors[:], calls[:]
         verdict = freeness.decide_freeness(arr, use_cache=False)
-        shifts = [v for p in verdict.exponents[1:]
-                  for v in freeness._shifts(freeness.euler_derivation(
-                      arr).vec, 1, p)]
-        # keys are negated where echelon is to pivot on first columns
-        assert vectors and not any({abs(j): x for j, x in v.items()} in shifts
-                                   for v in vectors)
+        assert isinstance(verdict, freeness.Free)
+        _, e2, e3 = verdict.exponents
+        theta2 = verdict.certificate.derivations[1].vec
+        euler = freeness.euler_derivation(arr).vec
+        by_theta2 = shifts(theta2, e2, e3)
+        banned = ([v for p in (e2, e3) for v in shifts(euler, 1, p)]
+                  + by_theta2 + [freeness._euler_reduced(arr.ops, e3, c, v)
+                                 for c in (0, 2) for v in by_theta2])
+        # keys are negated where a side pivots on first columns
+        banned = [{abs(j): x for j, x in v.items()} for v in banned]
+        assert vectors and not any({abs(j): x for j, x in v.items()}
+                                   in banned for v in vectors)
+        [at_e3] = [i for i, (name, args) in enumerate(calls)
+                   if name == "_first_complement" and args[2]]
+        assert calls[at_e3][1][2] == ((e2, theta2),)
+        assert [args for name, args in calls[at_e3:]
+                if name == "_shifts"] == [(theta2, e2, e3)]
 
 
 def test_saito_step_builds_no_euler_row_and_one_frame(monkeypatch):
