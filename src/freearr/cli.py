@@ -7,20 +7,24 @@ ordinary rational arrangement.  Arrangement-level commands specialize the
 family at the value given by --at: a rational like ``-1/2`` or a quadratic
 value ``quad d a b`` meaning a + b*sqrt(d).
 
-Exit codes: 0 success, 1 validation/input error, 2 an Unknown
-recursive-freeness search (recfree, report), 3 internal error.
+The command line is read by one table, COMMANDS: options go before or
+after the positionals, as ``--opt value`` or ``--opt=value``, the last one
+given wins, an option takes the next token whatever it starts with (``--at
+-1/2``), ``--`` ends the options, and integers are read as in family files.
+
+Exit codes: 0 success, 1 validation/input error (usage errors and Ctrl-C
+too), 2 an Unknown recursive-freeness search (recfree, report), 3 internal
+error.
 """
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 
-import click
-
 from . import __version__
 from .arrangement import (
-    ArrangementError,
     aut_order,
     deletion_is_essential,
     format_lattice,
@@ -44,28 +48,30 @@ from .moduli import (
     parse_family_text,
     specialize,
 )
-from .scalars import IntPoly, read_scalars, scalar_to_text
+from .scalars import IntPoly, parse_integer, read_scalars, scalar_to_text
 
 EXIT_VALIDATION = 1
 EXIT_UNKNOWN = 2
 EXIT_INTERNAL = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_VALIDATION):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A usage or input error: exit 1."""
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
 
 
 def _load_family(source: str) -> Family:
     maker = BUILTIN_FAMILIES.get(source)
     if maker is not None:
         return maker()
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {source}: {exc}") from None
+    text = _read(source)
     try:
         return parse_family_text(text, name=source)
     except ValueError as exc:
@@ -89,10 +95,12 @@ def _is_constant(fam: Family) -> bool:
     return all(p.degree == 0 or not p for col in fam.columns for p in col)
 
 
-def _arrangement_for(source: str, at: str | None):
+def _member(source: str, at: str | None):
+    """source's family, omega, the member at omega and if fam is constant."""
     fam = _load_family(source)
+    constant = _is_constant(fam)
     if at is None:
-        if not _is_constant(fam):
+        if not constant:
             raise CliError(
                 f"{source} depends on the parameter t; give --at")
         omega = Fraction(0)
@@ -103,129 +111,85 @@ def _arrangement_for(source: str, at: str | None):
         raise CliError(
             f"specialization at {omega} has rank below 3 "
             f"(count {spec.count}); not a rank-3 arrangement")
-    return fam, omega, spec
+    return fam, omega, spec, constant
 
 
-@click.group(name="freearr")
-@click.version_option(version=__version__, prog_name="freearr")
-def cli():
-    """Exact analysis of central rank-3 hyperplane arrangements."""
+def _arrangement_for(source: str, at: str | None):
+    return _member(source, at)[2].arrangement
 
 
-_AT = click.option("--at", default=None,
-                   help="parameter value: rational, 'rat a/b' or 'quad d a b'")
-_FORMAT = click.option("--format", "fmt",
-                       type=click.Choice(["text", "json"]), default="text")
-
-
-@cli.command()
-@click.argument("source")
-@_AT
-def lattice(source, at):
+def lattice(source, at=None):
     """Print the intersection lattice listing."""
-    _, _, spec = _arrangement_for(source, at)
-    click.echo(format_lattice(spec.arrangement.lattice()), nl=False)
+    print(format_lattice(_arrangement_for(source, at).lattice()), end="")
 
 
-@cli.command()
-@click.argument("source")
-@_AT
-def chi(source, at):
+def chi(source, at=None):
     """Print the characteristic polynomial, factored when possible."""
-    _, _, spec = _arrangement_for(source, at)
-    click.echo(spec.arrangement.char_poly().factored_string())
+    print(_arrangement_for(source, at).char_poly().factored_string())
 
 
-@cli.command()
-@click.argument("source")
-@_AT
-@click.option("--certificate", is_flag=True,
-              help="print the full Saito certificate")
-def free(source, at, certificate):
+def free(source, at=None, certificate=False):
     """Decide freeness: Free or NotFree, exit 0 for both."""
-    _, _, spec = _arrangement_for(source, at)
-    verdict = decide_freeness(spec.arrangement)
+    verdict = decide_freeness(_arrangement_for(source, at))
     if isinstance(verdict, Free):
-        exps = ", ".join(str(e) for e in verdict.exponents)
-        click.echo(f"Free with exponents [{exps}]")
-        click.echo("Saito constant: "
-                   + scalar_to_text(verdict.certificate.constant))
+        print(f"Free with exponents {list(verdict.exponents)}")
+        print("Saito constant: "
+              + scalar_to_text(verdict.certificate.constant))
         if certificate:
-            click.echo(certificate_to_text(verdict.certificate), nl=False)
+            print(certificate_to_text(verdict.certificate), end="")
     else:
         detail = f" {verdict.detail}" if verdict.detail else ""
-        click.echo(f"NotFree: {verdict.reason}{detail}")
+        print(f"NotFree: {verdict.reason}{detail}")
 
 
-@cli.command()
-@click.argument("source")
-@_AT
-def indfree(source, at):
+def indfree(source, at=None):
     """Decide inductive freeness; print a deletion chain when it exists."""
-    _, _, spec = _arrangement_for(source, at)
-    arr = spec.arrangement
+    arr = _arrangement_for(source, at)
     cert = inductively_free(arr)
     if cert is None:
-        click.echo("Not inductively free")
+        print("Not inductively free")
         witness = quick_non_if(arr)
         if witness is not None:
             sizes = sorted(set(witness.values()))
-            click.echo(f"  restriction sizes {sizes} never match an "
-                       "exponent + 1")
+            print(f"  restriction sizes {sizes} never match an exponent + 1")
         return
-    click.echo(f"Inductively free (base: {cert.base})")
+    print(f"Inductively free (base: {cert.base})")
     for step in cert.steps:
-        exps = ", ".join(str(e) for e in step.exponents)
-        click.echo(f"  n={step.n} delete {step.label} "
-                   f"(exponents [{exps}], |A^H|={step.restriction_size})")
+        print(f"  n={step.n} delete {step.label} (exponents "
+              f"{list(step.exponents)}, |A^H|={step.restriction_size})")
 
 
-@cli.command()
-@click.argument("source")
-@_AT
-@click.option("--max-n", type=int, default=None,
-              help="largest arrangement size explored (default |A| + 1)")
-@click.option("--max-states", type=int, default=10000)
-@click.option("--replay", type=click.Path(exists=False), default=None,
-              help="verify a previously emitted chain file instead of searching")
-def recfree(source, at, max_n, max_states, replay):
+def recfree(source, at=None, max_n=None, max_states=10000, replay=None):
     """Search for or refute a recursive-freeness chain; exit 2 if Unknown."""
-    _, _, spec = _arrangement_for(source, at)
-    arr = spec.arrangement
+    arr = _arrangement_for(source, at)
     if replay is not None:
-        try:
-            with open(replay, "r", encoding="utf-8") as fh:
-                moves = chain_from_text(fh.read())
-        except OSError as exc:
-            raise CliError(f"cannot read {replay}: {exc}") from None
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        moves = chain_from_text(_read(replay))
         try:
             final = replay_chain(arr, moves)
         except ValueError as exc:
             raise CliError(f"chain verification failed: {exc}") from None
-        click.echo(f"Chain verified: {len(moves)} moves, final state has "
-                   f"{final.n} hyperplanes and is inductively free")
+        print(f"Chain verified: {len(moves)} moves, final state has "
+              f"{final.n} hyperplanes and is inductively free")
         return
     report = recursively_free(arr, max_n=arr.n + 1 if max_n is None else max_n,
                               max_states=max_states)
-    click.echo(f"Verdict: {report.verdict}")
-    click.echo(f"States explored: {report.explored}")
-    click.echo(f"Reason: {report.reason}")
+    print(f"Verdict: {report.verdict}")
+    print(f"States explored: {report.explored}")
+    print(f"Reason: {report.reason}")
     if report.verdict == "NotRF":
-        click.echo(f"Sound: {report.sound}")
+        print(f"Sound: {report.sound}")
         for e in report.expansions:
             exps = ",".join(str(x) for x in e.exponents)
-            click.echo(f"  state n={e.n} exponents [{exps}]: "
-                       f"{e.deletion_moves} deletions, targets "
-                       f"{list(e.addition_targets)}, {e.addition_candidates} "
-                       f"addition candidates, complete={e.complete}")
+            print(f"  state n={e.n} exponents [{exps}]: {e.deletion_moves} "
+                  f"deletions, targets {list(e.addition_targets)}, "
+                  f"{e.addition_candidates} addition candidates, "
+                  f"complete={e.complete}")
     elif report.verdict == "RF":
-        click.echo("Chain:")
+        print("Chain:")
         for line in chain_to_text(report.chain).splitlines():
-            click.echo("  " + line)
+            print("  " + line)
     if report.verdict == "Unknown":
-        sys.exit(EXIT_UNKNOWN)
+        return EXIT_UNKNOWN
 
 
 def _degeneracy_payload(fam: Family) -> dict:
@@ -241,94 +205,65 @@ def _degeneracy_payload(fam: Family) -> dict:
 def _echo_degeneracy(deg: dict):
     for value, tag in sorted(deg["rational"].items(),
                              key=lambda kv: Fraction(kv[0])):
-        click.echo(f"  t = {value}: {tag}")
+        print(f"  t = {value}: {tag}")
     for factor, tag in sorted(deg["quadratic"].items()):
-        click.echo(f"  roots of {factor}: {tag}")
+        print(f"  roots of {factor}: {tag}")
     for factor in deg["unresolved"]:
-        click.echo(f"  unresolved factor: {factor}")
+        print(f"  unresolved factor: {factor}")
 
 
-@cli.command("moduli")
-@click.argument("source")
-@_FORMAT
-def moduli_cmd(source, fmt):
+def moduli_cmd(source, fmt="text"):
     """Degeneracy report of a one-parameter family."""
     fam = _load_family(source)
     if _is_constant(fam):
         raise CliError(f"{source} is constant; no parameter to degenerate")
     payload = _degeneracy_payload(fam)
     if fmt == "json":
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2))
         return
-    click.echo(f"Degeneracy set of {fam.name} ({fam.n} columns):")
+    print(f"Degeneracy set of {fam.name} ({fam.n} columns):")
     _echo_degeneracy(payload)
 
 
-@cli.command()
-@click.argument("source")
-@_AT
-def aut(source, at):
+def aut(source, at=None):
     """Order of the automorphism group of the intersection lattice."""
-    _, _, spec = _arrangement_for(source, at)
-    order, _gens = aut_order(spec.arrangement.lattice())
-    click.echo(str(order))
+    order, _gens = aut_order(_arrangement_for(source, at).lattice())
+    print(order)
 
 
-@cli.command()
-@click.argument("source1")
-@click.argument("source2")
-@_AT
-@click.option("--at2", default=None,
-              help="parameter value for the second input (default: --at)")
-def iso(source1, source2, at, at2):
+def iso(source1, source2, at=None, at2=None):
     """Compare two intersection lattices; exit 1 if not isomorphic."""
-    _, _, spec1 = _arrangement_for(source1, at)
-    _, _, spec2 = _arrangement_for(source2, at2 if at2 is not None else at)
-    witness = lattice_iso(spec1.arrangement.lattice(),
-                          spec2.arrangement.lattice())
-    if witness is None:
-        click.echo("not isomorphic")
-        sys.exit(EXIT_VALIDATION)
-    click.echo("isomorphic")
+    arr1 = _arrangement_for(source1, at)
+    arr2 = _arrangement_for(source2, at2 if at2 is not None else at)
+    if lattice_iso(arr1.lattice(), arr2.lattice()) is None:
+        print("not isomorphic")
+        return EXIT_VALIDATION
+    print("isomorphic")
 
 
-@cli.command()
-@click.argument("source")
-@click.argument("listing", type=click.Path(exists=False))
-@_AT
-def verify(source, listing, at):
+def verify(source, listing, at=None):
     """Check an emitted lattice listing against the arrangement."""
-    _, _, spec = _arrangement_for(source, at)
-    try:
-        with open(listing, "r", encoding="utf-8") as fh:
-            parsed = parse_lattice_listing(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {listing}: {exc}") from None
-    if lattice_iso(spec.arrangement.lattice(), parsed) is None:
-        click.echo("listing does NOT match")
-        sys.exit(EXIT_VALIDATION)
-    click.echo("listing matches")
+    arr = _arrangement_for(source, at)
+    parsed = parse_lattice_listing(_read(listing))
+    if lattice_iso(arr.lattice(), parsed) is None:
+        print("listing does NOT match")
+        return EXIT_VALIDATION
+    print("listing matches")
 
 
-@cli.command()
-@click.argument("source")
-@_AT
-@click.option("--h", "label", type=int, default=None,
-              help="hyperplane label (default: all essential deletions)")
-def abe(source, at, label):
+def abe(source, at=None, label=None):
     """Deletion-pair consistency check (common reduced chi root)."""
-    _, _, spec = _arrangement_for(source, at)
-    arr = spec.arrangement
+    arr = _arrangement_for(source, at)
     labels = [label] if label is not None else list(range(1, arr.n + 1))
     for h in labels:
         if not deletion_is_essential(arr, h):
-            click.echo(f"h={h}: deletion not essential, skipped")
+            print(f"h={h}: deletion not essential, skipped")
             continue
         result = abe_pair_check(arr, h)
         detail = f" ({result.detail})" if result.detail else ""
-        click.echo(f"h={h}: {result.status}{detail}")
+        print(f"h={h}: {result.status}{detail}")
         if result.status == "Violated":
-            sys.exit(EXIT_INTERNAL)
+            return EXIT_INTERNAL
 
 
 def _freeness_payload(verdict) -> dict:
@@ -346,15 +281,10 @@ def _freeness_payload(verdict) -> dict:
     return payload
 
 
-@cli.command()
-@click.argument("source")
-@_AT
-@_FORMAT
-@click.option("--max-n", type=int, default=None)
-@click.option("--max-states", type=int, default=10000)
-def report(source, at, fmt, max_n, max_states):
+def report(source, at=None, fmt="text", max_n=None,
+           max_states=10000):
     """Full pipeline: lattice, chi, freeness, IF, RF, degeneracy, Aut."""
-    fam, omega, spec = _arrangement_for(source, at)
+    fam, omega, spec, constant = _member(source, at)
     arr = spec.arrangement
     lat = arr.lattice()
     chi_poly = arr.char_poly()
@@ -381,52 +311,176 @@ def report(source, at, fmt, max_n, max_states):
         },
         "aut_order": order,
     }
-    if not _is_constant(fam):
+    if not constant:
         payload["degeneracy"] = _degeneracy_payload(fam)
     if fmt == "json":
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        click.echo(f"Input: {payload['input']} at t = {payload['at']}")
-        click.echo(f"Hyperplanes: {payload['count']} of {payload['n']}")
-        click.echo(f"Rank-2 flats: {payload['flats']}")
-        click.echo("Lattice:")
+        print(f"Input: {payload['input']} at t = {payload['at']}")
+        print(f"Hyperplanes: {payload['count']} of {payload['n']}")
+        print(f"Rank-2 flats: {payload['flats']}")
+        print("Lattice:")
         for line in payload["lattice"]:
-            click.echo("  " + line)
-        click.echo(f"chi = {payload['chi']}")
+            print("  " + line)
+        print(f"chi = {payload['chi']}")
         free_info = payload["freeness"]
-        click.echo(f"Freeness: {free_info['verdict']}"
-                   + (f" exponents {free_info['exponents']}"
-                      if free_info["verdict"] == "Free" else ""))
-        click.echo(f"Inductively free: {payload['inductively_free']}")
-        click.echo("Recursively free: "
-                   f"{payload['recursively_free']['verdict']} "
-                   f"(sound={payload['recursively_free']['sound']})")
-        click.echo(f"Aut order: {payload['aut_order']}")
+        print(f"Freeness: {free_info['verdict']}"
+              + (f" exponents {free_info['exponents']}"
+                 if free_info["verdict"] == "Free" else ""))
+        print(f"Inductively free: {payload['inductively_free']}")
+        print("Recursively free: "
+              f"{payload['recursively_free']['verdict']} "
+              f"(sound={payload['recursively_free']['sound']})")
+        print(f"Aut order: {payload['aut_order']}")
         if "degeneracy" in payload:
-            click.echo("Degeneracy set:")
+            print("Degeneracy set:")
             _echo_degeneracy(payload["degeneracy"])
     if rf.verdict == "Unknown":
-        sys.exit(EXIT_UNKNOWN)
+        return EXIT_UNKNOWN
+
+
+_AT = ("--at", "at", str,
+       "parameter value: rational, 'rat a/b' or 'quad d a b'")
+_FORMAT = ("--format", "fmt", ("text", "json"), "")
+_MAX_N = ("--max-n", "max_n", int,
+          "largest arrangement size explored (default |A| + 1)")
+_MAX_STATES = ("--max-states", "max_states", int, "")
+_HELP = ("--help", "help", bool, "Show this message and exit.")
+_VERSION = ("--version", "version", bool, "Show the version and exit.")
+# name: (function, positionals, options).  An option is (flag, parameter,
+# kind, help), its kind str, int, a tuple of choices or bool for a flag; an
+# option not given takes the default of the function's parameter.
+COMMANDS = {
+    "abe": (abe, ("source",), (_AT, ("--h", "label", int, (
+        "hyperplane label (default: all essential deletions)")))),
+    "aut": (aut, ("source",), (_AT,)),
+    "chi": (chi, ("source",), (_AT,)),
+    "free": (free, ("source",), (_AT, ("--certificate", "certificate", bool,
+                                       "print the full Saito certificate"))),
+    "indfree": (indfree, ("source",), (_AT,)),
+    "iso": (iso, ("source1", "source2"), (_AT, ("--at2", "at2", str, (
+        "parameter value for the second input (default: --at)")))),
+    "lattice": (lattice, ("source",), (_AT,)),
+    "moduli": (moduli_cmd, ("source",), (_FORMAT,)),
+    "recfree": (recfree, ("source",), (_AT, _MAX_N, _MAX_STATES, (
+        "--replay", "replay", str,
+        "verify a previously emitted chain file instead of searching"))),
+    "report": (report, ("source",), (_AT, _FORMAT, _MAX_N, _MAX_STATES)),
+    "verify": (verify, ("source", "listing"), (_AT,)),
+}
+
+
+def _parse(options, args, interspersed=True):
+    """The options given in args, each mapped to its last value and in the
+    order first given, and the positionals; with interspersed False, every
+    token from the first positional on is one."""
+    flags = {opt[0]: opt for opt in (*options, _HELP)}
+    given, positionals, args = {}, [], iter(args)
+    for tok in args:
+        if tok == "--":
+            positionals.extend(args)
+        elif tok[:1] != "-" or tok == "-":
+            positionals.append(tok)
+            if not interspersed:
+                positionals.extend(args)
+        else:
+            name, eq, value = tok.partition("=")
+            name = name if name.startswith("--") else tok[:2]
+            if name not in flags:
+                raise CliError(f"No such option '{name}'.")
+            if flags[name][2] is bool:
+                if eq:
+                    raise CliError(f"Option '{name}' does not take a value.")
+                value = True
+            elif not eq:
+                value = next(args, None)
+                if value is None:
+                    raise CliError(f"Option '{name}' requires an argument.")
+            given[flags[name]] = value
+    return given, positionals
+
+
+def _help(name=None) -> str:
+    """The help text of freearr, or of its command name."""
+    if name is None:
+        usage = "[OPTIONS] COMMAND [ARGS]..."
+        doc = "Exact analysis of central rank-3 hyperplane arrangements."
+        options = (_VERSION,)
+    else:
+        fn, positionals, options = COMMANDS[name]
+        usage = f"{name} [OPTIONS] {' '.join(positionals).upper()}"
+        doc = fn.__doc__
+    sections = {"Options": [(flag + (
+        " TEXT" if kind is str else " INTEGER" if kind is int else
+        "" if kind is bool else f" [{'|'.join(kind)}]"), text)
+        for flag, _, kind, text in (*options, _HELP)]}
+    if name is None:
+        sections["Commands"] = [(cmd, spec[0].__doc__)
+                                for cmd, spec in COMMANDS.items()]
+    lines = [f"Usage: freearr {usage}", "", f"  {doc}"]
+    for title, rows in sections.items():
+        width = max(len(left) for left, _ in rows)
+        lines += ["", f"{title}:"] + [f"  {left:<{width}}  {text}".rstrip()
+                                      for left, text in rows]
+    return "\n".join(lines)
+
+
+def _run(args) -> int:
+    """Run the command that args name; its exit code."""
+    given, args = _parse((_VERSION,), args, interspersed=False)
+    if given:  # --help or --version, the first given
+        print(_help() if _HELP is next(iter(given))
+              else f"freearr, version {__version__}")
+        return 0
+    if not args:
+        raise CliError(_help())
+    name, *args = args
+    if name not in COMMANDS:
+        raise CliError(f"No such command '{name}'.")
+    fn, positionals, options = COMMANDS[name]
+    given, args = _parse(options, args)
+    if _HELP in given:
+        print(_help(name))
+        return 0
+    values = {}
+    for (flag, param, kind, _), text in given.items():
+        if kind is int:
+            try:
+                text = parse_integer(text)
+            except ValueError:
+                raise CliError(f"Invalid value for '{flag}': {text!r} is "
+                               "not a valid integer.") from None
+        elif isinstance(kind, tuple) and text not in kind:
+            raise CliError(f"Invalid value for '{flag}': {text!r} is not "
+                           f"one of {', '.join(map(repr, kind))}.")
+        values[param] = text
+    if len(args) < len(positionals):
+        raise CliError(
+            f"Missing argument '{positionals[len(args)].upper()}'.")
+    extra = args[len(positionals):]
+    if extra:
+        raise CliError(f"Got unexpected extra argument{'s' * (len(extra) > 1)}"
+                       f" ({' '.join(extra)})")
+    return fn(**values, **dict(zip(positionals, args))) or 0
 
 
 def main(argv=None):
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except CliError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(exc.code)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    except click.exceptions.Abort:
-        sys.exit(EXIT_VALIDATION)
-    except (ArrangementError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except ValueError as exc:  # CliError, ArrangementError and bad input
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_VALIDATION
+    except KeyboardInterrupt:  # as click's Abort: a new line, exit 1
+        print(file=sys.stderr)
+        code = EXIT_VALIDATION
+    except BrokenPipeError:  # the reader closed stdout: exit 1 quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive
-        click.echo(f"internal error: {exc!r}", err=True)
-        sys.exit(EXIT_INTERNAL)
-    sys.exit(0)
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -545,6 +545,17 @@ class TestReport:
         assert payload["recursively_free"]["sound"] is True
         assert payload["aut_order"] == 18
 
+    @pytest.mark.parametrize("args", [("paper13", "--at", "3"),
+                                      ("boolean",)])
+    def test_report_asks_once_if_the_family_is_constant(
+            self, monkeypatch, boolean_file, args):
+        real, calls = cli_mod._is_constant, []
+        monkeypatch.setattr(cli_mod, "_is_constant",
+                            lambda fam: calls.append(fam) or real(fam))
+        args = tuple(boolean_file if a == "boolean" else a for a in args)
+        assert run("report", *args, "--format", "json")[0] == 0
+        assert len(calls) == 1
+
     def test_generic_lines_aut(self, tmp_path):
         p = tmp_path / "generic8.fam"
         p.write_text(GENERIC8_FAMILY)
@@ -569,3 +580,148 @@ class TestReport:
         assert code == 0
         assert "Freeness: Free exponents [1, 1, 3]" in out
         assert "Inductively free: True" in out
+
+
+class TestArgumentGrammar:
+    """The command line is read by click's rules; these pin them."""
+
+    FREE13 = (0, "Free with exponents [1, 6, 6]\nSaito constant: rat 2240/9\n",
+              "")
+
+    @pytest.mark.parametrize("args", [
+        ("free", "paper13", "--at", "-1/2"), ("free", "paper13", "--at=-1/2"),
+        ("free", "--at", "-1/2", "paper13"),
+        ("free", "--at", "3", "--at", "-1/2", "paper13"),
+        ("free", "--at", "-1/2", "--", "paper13")])
+    def test_option_placement(self, args):
+        """Options go before or after SOURCE, as --opt value or --opt=value;
+        an option takes the next token even when it starts with '-', the
+        last occurrence wins, and -- ends the options."""
+        assert run(*args) == self.FREE13
+
+    def test_an_option_takes_a_dash_token(self):
+        assert run("chi", "--at", "-x", "paper13") == (
+            1, "", "error: bad --at value '-x': not a rational number: "
+                   "'-x'\n")
+        assert run("chi", "--at", "--help") == (
+            1, "", "error: Missing argument 'SOURCE'.\n")
+
+    def test_double_dash_makes_every_later_token_positional(self):
+        assert run("free", "--", "--at") == (
+            1, "", "error: cannot read --at: [Errno 2] No such file or "
+                   "directory: '--at'\n")
+        assert run("chi", "paper13", "--", "--", "--at", "3") == (
+            1, "", "error: Got unexpected extra arguments (-- --at 3)\n")
+
+    def test_a_repeated_flag_is_set(self):
+        once = run("free", "paper13", "--at", "3", "--certificate")
+        assert run("free", "--certificate", "paper13", "--certificate",
+                   "--at", "3") == once
+        assert once[0] == 0 and "saito-certificate" in once[1]
+
+    def test_version(self):
+        assert run("--version") == (0, "freearr, version 0.1.0\n", "")
+        assert run("--version", "chi") == run("--version")
+
+    def test_help_names_every_command(self):
+        code, out, err = run("--help")
+        assert (code, err) == (0, "")
+        for name in ("lattice", "chi", "free", "indfree", "recfree",
+                     "moduli", "aut", "iso", "verify", "abe", "report",
+                     "--version", "--help"):
+            assert name in out
+        assert "Exact analysis of central rank-3" in out
+
+    @pytest.mark.parametrize("command, names", [
+        ("report", ["SOURCE", "--at", "--format", "--max-n", "--max-states"]),
+        ("recfree", ["SOURCE", "--at", "--max-n", "--max-states",
+                     "--replay"]),
+        ("iso", ["SOURCE1", "SOURCE2", "--at", "--at2"]),
+        ("abe", ["SOURCE", "--at", "--h"]),
+        ("free", ["SOURCE", "--at", "--certificate"])])
+    def test_command_help_names_every_option(self, command, names):
+        code, out, err = run(command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("Usage: ")
+        for name in names + ["--help"]:
+            assert name in out
+        # help is given before extra arguments are refused
+        assert run(command, "x", "y", "z", "--help") == (code, out, err)
+
+    @pytest.mark.parametrize("args, message", [
+        (("nosuch", "paper13"), "No such command 'nosuch'."),
+        (("report",), "Missing argument 'SOURCE'."),
+        (("iso", "paper13"), "Missing argument 'SOURCE2'."),
+        (("verify", "--at", "3", "paper13"), "Missing argument 'LISTING'."),
+        (("report", "paper13", "--bogus"), "No such option '--bogus'."),
+        (("chi", "--bogus", "paper13"), "No such option '--bogus'."),
+        (("chi", "paper13", "-x"), "No such option '-x'."),
+        (("chi", "-1/2", "paper13"), "No such option '-1'."),
+        (("chi", "paper13", "--version"), "No such option '--version'."),
+        (("--at", "3", "chi", "paper13"), "No such option '--at'."),
+        (("report", "paper13", "--at"), "Option '--at' requires an argument."),
+        (("recfree", "paper13", "--replay"),
+         "Option '--replay' requires an argument."),
+        (("recfree", "paper13", "--at", "3", "--max-n", "x"),
+         "Invalid value for '--max-n': 'x' is not a valid integer."),
+        (("abe", "paper13", "--at", "3", "--h", "1.5"),
+         "Invalid value for '--h': '1.5' is not a valid integer."),
+        (("report", "paper13", "--at", "3", "--max-states", ""),
+         "Invalid value for '--max-states': '' is not a valid integer."),
+        (("report", "paper13", "--at", "3", "--format", "xml"),
+         "Invalid value for '--format': 'xml' is not one of 'text', "
+         "'json'."),
+        (("moduli", "paper13", "--format="),
+         "Invalid value for '--format': '' is not one of 'text', 'json'."),
+        (("chi", "paper13", "extra", "--at", "3"),
+         "Got unexpected extra argument (extra)"),
+        (("chi", "paper13", "--at", "3", "a", "b"),
+         "Got unexpected extra arguments (a b)"),
+        (("free", "paper13", "--at", "3", "--certificate=yes"),
+         "Option '--certificate' does not take a value."),
+        (("chi", "--help=1"), "Option '--help' does not take a value."),
+        # parse errors come first, then values in the order first given,
+        # then a missing positional, then extra ones
+        (("chi", "--help", "--bogus"), "No such option '--bogus'."),
+        (("report", "--format", "y", "--max-n", "x"),
+         "Invalid value for '--format': 'y' is not one of 'text', 'json'."),
+        (("report", "--max-n", "3", "--format", "y", "--max-n", "x"),
+         "Invalid value for '--max-n': 'x' is not a valid integer."),
+        (("recfree", "paper13", "extra", "--max-n", "x"),
+         "Invalid value for '--max-n': 'x' is not a valid integer."),
+        (("iso", "--at2", "x"), "Missing argument 'SOURCE1'."),
+    ])
+    def test_usage_errors(self, args, message):
+        assert run(*args) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args", [
+        ("recfree", "paper13", "--at", "3", "--max-n", "1_3"),
+        ("recfree", "paper13", "--at", "3", "--max-states", "\u0661"),
+        ("report", "paper13", "--at", "3", "--max-n", " 13 "),
+        ("abe", "paper13", "--at", "3", "--h", "\u0661"),
+        ("abe", "paper13", "--at", "3", "--h", "1_3"),
+        ("abe", "paper13", "--at", "3", "--h", " 1 ")])
+    def test_integer_options_in_ascii_digits(self, args):
+        """--max-n, --max-states and --h are read by parse_integer, as a
+        family file's integers are: int() alone would take 1_3 as 13, the
+        Arabic-Indic one as 1, and spaces around a number."""
+        *_, flag, value = args
+        assert run(*args) == (1, "", f"error: Invalid value for '{flag}': "
+                                     f"{value!r} is not a valid integer.\n")
+
+    def test_integer_options_take_a_sign(self):
+        assert run("recfree", "paper15", "--at", "-1", "--max-states",
+                   "+1")[0] == 2
+        assert run("report", "paper13", "--at", "3", "--max-n", "-1") == (
+            1, "", "error: max_n = -1 is below |A| = 13\n")
+
+    def test_ctrl_c_exits_one(self, monkeypatch):
+        def interrupt(arr):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli_mod, "decide_freeness", interrupt)
+        assert run("free", "paper13", "--at", "3") == (1, "", "\n")
+
+    def test_the_last_integer_given_is_the_one_read(self):
+        code, out, _ = run("recfree", "paper15", "--at", "-1",
+                           "--max-states", "x", "--max-states=1")
+        assert (code, out.splitlines()[0]) == (2, "Verdict: Unknown")

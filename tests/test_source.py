@@ -90,6 +90,39 @@ def test_degeneracy_sets_do_not_load_sympy():
     assert proc.stdout.endswith("exit 0 False\n")
 
 
+def test_the_package_imports_the_standard_library_only():
+    """Every import in the package is freearr-relative or names a module of
+    the standard library: freearr has no runtime dependency."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names
+                      and name.split(".")[0] != "freearr"]
+    assert found == []
+
+
+def test_a_report_does_not_load_click():
+    code = (
+        "import sys\n"
+        "from freearr import cli\n"
+        "try:\n"
+        "    cli.main(['report', 'paper13', '--at', '3'])\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, 'click' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.stdout.startswith("Input: paper13 at t = 3\n"), proc.stderr
+    assert proc.stdout.endswith("exit 0 False\n")
+
+
 def test_only_candidate_additions_reads_normal_column():
     """line_key is the one test of "same line"; normal_column is only the
     form in which candidate additions are reported."""
