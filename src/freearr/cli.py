@@ -433,7 +433,7 @@ def _run(args) -> int:
               else f"freearr, version {__version__}")
         return 0
     if not args:
-        raise CliError(_help())
+        raise CliError("Missing command.")
     name, *args = args
     if name not in COMMANDS:
         raise CliError(f"No such command '{name}'.")

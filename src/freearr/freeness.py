@@ -27,22 +27,19 @@ at most M (B^T - 1) / (B - 1) < B^T.  One B = 2^k above every line's M
 serves all lines, so theta is packed in powers of B once per axis i0 and
 F(B, 1) takes p + 1 Horner steps per line.
 
-The Saito certificate comes first.  A split characteristic polynomial with
-exponents (1, e2, e3) fixes the degrees of a would-be basis: theta_E, the
-first degree-e2 derivation outside S*theta_E, and the first degree-e3
-derivation outside S*theta_E + S*theta_2 in the canonical basis, found from
-the lifts alone (_first_complement): modulo S*theta_E, theta reduces to
-theta - q * theta_E, and modulo the m * theta_2 by forward substitution on
-their row echelon form; the three stay integral until written.  For a free
-arrangement they always satisfy Saito's criterion: they lie in D(A), and
-det = c*Q with c nonzero.  By Saito's lemma every alpha divides the det of
-three members, so saito_check tests the whole criterion by membership and
-one small evaluation point.  Freeness is therefore two-valued.  A failed
-certificate means A is not free, and the verdict carries its obstruction: a
-non-splitting characteristic polynomial, or the first degree whose
-dimension differs from that of a free module.  By du Plessis-Wall and Dimca
-that degree is min(r, e2), r the least degree of D_H(A), so the sweep that
-finds it stops at e2 (proof in decide_freeness).
+A split characteristic polynomial with exponents (1, e2, e3) decides
+freeness: A is free iff its kernel at e2 has 1 + (e3 = e2) vectors (proof
+in decide_freeness), and that dimension is the witness if not.  A free A's
+Saito basis is theta_E, the first degree-e2 derivation outside S*theta_E,
+and the first degree-e3 derivation outside S*theta_E + S*theta_2 in the
+canonical basis, found from the lifts alone (_first_complement): modulo
+S*theta_E, theta reduces to theta - q * theta_E, and modulo the m * theta_2
+by forward substitution on their row echelon form; the three stay integral
+until written.  For a free arrangement they always satisfy Saito's
+criterion: they lie in D(A), and det = c*Q with c nonzero.  By Saito's
+lemma every alpha divides the det of three members, so saito_check tests
+the whole criterion by membership and one small evaluation point.  A free
+count whose certificate fails raises InvariantError.
 """
 from __future__ import annotations
 
@@ -241,7 +238,7 @@ def _poly_mul(ops, f, g):
 def derivation_space_dim(arr: Arrangement, p: int) -> int:
     """Exact dimension of the degree-p graded piece of the derivation
     module: C(p+1, 2) for S_(p-1) theta_E plus the nullity of the
-    two-point system."""
+    two-point system; at p = e2, the actual of a NotFree witness."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
     rows, width, _ = _dh_system(arr.ops, _two_point_frame(arr), p)
@@ -500,13 +497,13 @@ def state_key(arr: Arrangement) -> tuple:
 def decide_freeness(arr: Arrangement, use_cache: bool = True):
     """Free, with a verified Saito identity, or NotFree, with its witness.
 
-    The Saito identity is tried first.  NotFree is reported for a
-    non-splitting characteristic polynomial (Terao's factorization) or,
-    once the identity fails, with the first degree p whose dimension of
-    D(A)_p differs from a free module's, as (p, expected, actual).
+    NotFree is reported for a non-splitting characteristic polynomial
+    (Terao's factorization) or, when dim D(A)_(e2) differs from a free
+    module's, as (e2, expected, actual), actual being
+    derivation_space_dim(arr, e2).
 
-    Why the sweep over p = 0..e2 always finds it.  Let chi split with
-    exponents (1, e2, e3), e2 <= e3 and 1 + e2 + e3 = n.  D(A) = S*theta_E
+    Why that one dimension decides.  Let chi split with exponents
+    (1, e2, e3), e2 <= e3 and 1 + e2 + e3 = n.  D(A) = S*theta_E
     (+) D_H(A), with D_H(A) isomorphic to D_0(A), the derivations killing Q,
     so dim D(A)_p = C(p+1, 2) + dim D_H(A)_p.  Let r be the least degree of
     D_H(A): the least p with dim D(A)_p > C(p+1, 2), and the minimal degree
@@ -518,14 +515,13 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
     and by Dimca (Math. Proc. Camb. Phil. Soc. 163, 2017) equality holds iff
     A is free; both hold over C, and dimensions do not change from Q or
     Q(sqrt d) to C.  So if A is not free, r(n-1-r) < e2(n-1-e2) with
-    e2 <= (n-1)/2, hence r < e2 or r > e3 >= e2.  Below min(r, e2) every
-    dimension is C(p+1, 2), as for the free module.  At p = r < e2 the
-    actual dimension exceeds the expected C(p+1, 2); at p = e2 < r it is
-    C(p+1, 2), and the expected one exceeds it by the number of exponents
-    equal to e2.  So the witness is at min(r, e2) <= e2.  A free A always
-    passes the Saito step (by graded Nakayama, theta_E and the first
-    complements in degrees e2 and e3 are a basis), so a sweep that finds no
-    witness raises InvariantError: the program is at fault, not the input.
+    e2 <= (n-1)/2, hence r < e2 or r > e3 >= e2.  If r < e2, the degree-e2
+    monomial multiples of a nonzero member of D_H(A)_r give
+    dim D_H(A)_(e2) >= C(e2 - r + 2, 2) >= 3; if r > e3, it is 0.  A free
+    D_H(A), on generators of degrees e2 and e3, has 1 + (e3 = e2) there.  A
+    free A always passes the Saito step (by graded Nakayama, theta_E and the
+    first complements in degrees e2 and e3 are a basis), so a free count
+    whose Saito step fails raises InvariantError: the program is at fault.
 
     Arrangements of the same lines, in any column order and scaling, share
     a cache entry, which holds the verdict.  They have the same derivation
@@ -566,9 +562,9 @@ def _decide_freeness_impl(arr: Arrangement):
     frame = _two_point_frame(arr)
     lifts, leads = _lifts(ops, frame, e2)
     built, ths = [(e2, vec) for vec in lifts], ()
-    th2 = _first_complement(ops, e2, (), lifts)
-    # at e3 > e2, dim D_H(A)_(e2) = 1 iff A is free (r = e2)
-    if th2 is not None and (e3 == e2 or len(leads) == 1):
+    # dim D_H(A)_(e2) is 1 + (e3 = e2) iff A is free (see decide_freeness)
+    free = len(lifts) == 1 + (e3 == e2)
+    if free and (th2 := _first_complement(ops, e2, (), lifts)) is not None:
         lifts = (th2[2] if e3 == e2 else
                  _lifts(ops, frame, e3, leads[0])[0])
         built += [(e3, vec) for vec in lifts if e3 > e2]  # th2[2]: tested
@@ -578,18 +574,14 @@ def _decide_freeness_impl(arr: Arrangement):
                    Derivation(e3, *th3[:2]))
     if not _tangent(ops, cols, built + [(th.pdeg, th.vec) for th in ths]):
         raise InvariantError("a derivation the solve built misses a line")
+    if not free:
+        return NotFree("GradedDimensionMismatch", (
+            e2, expected_graded_dim(exps, e2), comb(e2 + 1, 2) + len(built)))
     if ths and (c := _saito_constant(arr, ths)) is not None:
         return Free(exps, SaitoCertificate(ths, c))
-    # A free A passes above with its first complement pair, so A is not
-    # free, and its witness is at min(r, e2) (see decide_freeness).
-    for p in range(e2 + 1):
-        dim = derivation_space_dim(arr, p)
-        expected = expected_graded_dim(exps, p)
-        if dim != expected:
-            return NotFree("GradedDimensionMismatch", (p, expected, dim))
     raise InvariantError(
-        f"the Saito identity failed, yet D(A) has the dimensions of a free "
-        f"module with exponents {exps} in every degree up to {e2}")
+        f"D_H(A) has the dimension of a free module with exponents {exps} "
+        f"in degree {e2}, yet the Saito step failed")
 
 
 # -- certificate serialization -------------------------------------------

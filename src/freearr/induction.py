@@ -54,15 +54,15 @@ def _fitting_sizes(exps) -> tuple:
 def quick_non_if(arr: Arrangement):
     """Restriction-size obstruction to inductive freeness.
 
-    If A is free with exponents [1, e, f] and no restriction has size e+1
-    or f+1, no Addition-Deletion step can ever apply to A, so A is not
-    inductively free.  Returns the witness table {label: |A^H|} when the
-    obstruction fires, else None.
+    If the roots of chi are [1, e, f] and no restriction has size e+1 or
+    f+1, no Addition-Deletion step can ever apply to A (the first deletion
+    needs |A^H| - 1 in {e, f}), so A is not inductively free.  Returns the
+    witness table {label: |A^H|} when the obstruction fires, else None.
     """
-    verdict = decide_freeness(arr)
-    if not isinstance(verdict, Free):
+    exps = arr.char_poly().exponents()
+    if exps is None:
         return None
-    fits = _fitting_sizes(verdict.exponents)
+    fits = _fitting_sizes(exps)
     sizes = {h: restriction_profile(arr, h)[0] for h in range(1, arr.n + 1)}
     if any(s in fits for s in sizes.values()):
         return None

@@ -150,17 +150,17 @@ class TestFree:
         assert run("free", str(p)) == (0, "NotFree: ChiDoesNotSplit\n", "")
 
     def test_graded_dimension_mismatch_and_its_detail(self, tmp_path):
-        """chi splits with exponents (1, 3, 3), but dim D(A)_2 is 4, not 3."""
+        """chi splits with exponents (1, 3, 3), but dim D(A)_3 is 9, not 8."""
         p = tmp_path / "nonfree7.fam"
         p.write_text("0; 1; 0\n1; -2; 1\n1; 0; 0\n1; -1; 0\n0; 1; 2\n"
                      "1; 1; 0\n2; 1; 0\n")
         assert run("free", str(p)) == (
-            0, "NotFree: GradedDimensionMismatch (2, 3, 4)\n", "")
+            0, "NotFree: GradedDimensionMismatch (3, 8, 9)\n", "")
         code, out, _ = run("report", str(p), "--format", "json")
         assert code == 0
         assert json.loads(out)["freeness"] == {
             "verdict": "NotFree", "reason": "GradedDimensionMismatch",
-            "detail": [2, 3, 4]}
+            "detail": [3, 8, 9]}
 
     def test_certificate_flag(self, boolean_file):
         code, out, _ = run("free", boolean_file, "--certificate")
@@ -690,6 +690,7 @@ class TestArgumentGrammar:
         (("recfree", "paper13", "extra", "--max-n", "x"),
          "Invalid value for '--max-n': 'x' is not a valid integer."),
         (("iso", "--at2", "x"), "Missing argument 'SOURCE1'."),
+        ((), "Missing command."),
     ])
     def test_usage_errors(self, args, message):
         assert run(*args) == (1, "", f"error: {message}\n")

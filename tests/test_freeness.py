@@ -205,7 +205,7 @@ class TestDecideFreeness:
                                    (2, 1, 0))
         assert arr.char_poly().exponents() == (1, 3, 3)
         verdict = decide_freeness(arr, use_cache=False)
-        assert verdict == NotFree("GradedDimensionMismatch", (2, 3, 4))
+        assert verdict == NotFree("GradedDimensionMismatch", (3, 8, 9))
         assert inductively_free(arr) is None
 
     def test_free_verdict_needs_no_dimension_sweep(self, a13, monkeypatch):
@@ -870,9 +870,9 @@ class TestDHSolve:
             decide_freeness(arr, use_cache=False)
         assert time.perf_counter() - start < 5
 
-    def test_frame_without_a_line_raises_on_the_sweep_path(self,
-                                                           monkeypatch):
-        # non-free inputs end in the dimension sweep, yet their lifts are
+    def test_frame_without_a_line_raises_on_the_nonfree_path(self,
+                                                             monkeypatch):
+        # non-free inputs end with their witness, yet their lifts are
         # tested first
         monkeypatch.setattr(fr, "_two_point_frame", _short_frame)
         arrs = _nonfree_split()
@@ -1166,79 +1166,111 @@ def _nonfree_cases():
 
 
 @lru_cache(maxsize=None)
-def _nonfree_sweeps():
-    """(arr, e2, r, verdict, the degrees its sweep solved) for each of
-    _nonfree_cases(), each decided once per session without the cache."""
-    out = []
+def _nonfree_decisions():
+    """(arr, e2, r, verdict, calls) for each of _nonfree_cases(), each
+    decided once per session without the cache; calls lists the
+    (name, degree) of each _dh_system, _first_complement and
+    derivation_space_dim call the decision made."""
+    out, cases = [], _nonfree_cases()
     with pytest.MonkeyPatch.context() as mp:
-        def recorder(arr, p, dim=fr.derivation_space_dim):
-            seen.append(p)
-            return dim(arr, p)
-
-        mp.setattr(fr, "derivation_space_dim", recorder)
-        for arr, e2, r in _nonfree_cases():
-            seen = []
+        for name in ("_dh_system", "_first_complement",
+                     "derivation_space_dim"):
+            def recorder(*args, name=name, fn=getattr(fr, name)):
+                calls.append((name, args[2 if name == "_dh_system" else 1]))
+                return fn(*args)
+            mp.setattr(fr, name, recorder)
+        for arr, e2, r in cases:
+            calls = []
             out.append((arr, e2, r, decide_freeness(arr, use_cache=False),
-                        seen))
+                        calls))
     return out
+
+
+def _free_inputs(small_corpus, a13, a15):
+    """The 15 free members of the corpus, pencils, grids and paper cases."""
+    arrs = (*small_corpus, *map(near_pencil, range(4, 9)),
+            *map(grid, range(2, 6)), a13, a15, *_paper_quad_points())
+    free = [arr for arr in arrs if isinstance(decide_freeness(arr), Free)]
+    assert len(free) == 15
+    return free
+
+
+def _e2_kernel_size(arr):
+    """dim D_H(A)_(e2), the oracle's count of the kernel at e2."""
+    e2 = arr.char_poly().exponents()[1]
+    return derivation_space_dim(arr, e2) - comb(e2 + 1, 2)
 
 
 class TestWitnessTheorem:
     """du Plessis-Wall and Dimca: A is free iff tau = (n-1)^2 - r(n-1-r),
-    so the sweep's first mismatch is at min(r, e2) (see decide_freeness)."""
+    so a non-free A has r < e2 or r > e3, and dim D_H(A)_(e2) decides
+    freeness (see decide_freeness)."""
 
-    def test_witness_is_at_min_of_r_and_e2(self):
-        cases = _nonfree_sweeps()
+    def test_witness_is_at_e2(self):
+        cases = _nonfree_decisions()
         assert len(cases) == 270
-        for arr, e2, r, verdict, _ in cases:
-            assert verdict.reason == "GradedDimensionMismatch"
-            assert verdict.detail[0] == min(r, e2)
-
-    def test_no_e3_solve_when_the_e2_kernel_is_not_one_vector(
-            self, monkeypatch):
-        # at e2 < e3 a free A has dim D_H(A)_(e2) = 1; a non-free one has
-        # r != e2, so that dimension is 0 or at least C(e2 - r + 2, 2) = 3,
-        # and decide_freeness goes straight to the sweep
-        degrees = []
-        dh_system = fr._dh_system
-
-        def spy(ops, frame, p):
-            degrees.append(p)
-            return dh_system(ops, frame, p)
-
-        monkeypatch.setattr(fr, "_dh_system", spy)
-        cases = [(arr, r) for arr, _, r in _nonfree_cases()
-                 if len(set(arr.char_poly().exponents())) == 3]
-        assert len(cases) >= 20
-        for arr, r in cases:
+        for arr, e2, _, verdict, _ in cases:
             exps = arr.char_poly().exponents()
-            p = min(r, exps[1])
-            del degrees[:]
-            verdict = decide_freeness(arr, use_cache=False)
-            assert exps[2] not in degrees
             assert verdict == NotFree("GradedDimensionMismatch", (
-                p, expected_graded_dim(exps, p), _full_dim(arr, p)))
+                e2, expected_graded_dim(exps, e2),
+                derivation_space_dim(arr, e2)))
+            assert verdict.detail[1] != verdict.detail[2]
+
+    def test_free_iff_the_e2_kernel_has_a_free_count(self, small_corpus,
+                                                      a13, a15):
+        free = _free_inputs(small_corpus, a13, a15)
+        for arr, verdict in ([(arr, decide_freeness(arr)) for arr in free]
+                             + [(arr, verdict) for arr, _, _, verdict, _
+                                in _nonfree_decisions()]):
+            _, e2, e3 = arr.char_poly().exponents()
+            assert isinstance(verdict, Free) == (
+                _e2_kernel_size(arr) == 1 + (e3 == e2))
+
+    def test_no_e3_solve_when_the_e2_kernel_is_not_one_vector(self):
+        # a non-free A, e2 = e3 included, has dim D_H(A)_(e2) = 0 or at
+        # least C(e2 - r + 2, 2) = 3, never the free count 1 + (e3 = e2),
+        # so decide_freeness solves at e2 only and builds no complement;
+        # at e2 < e3 the dense system checks the witness too
+        cases = _nonfree_decisions()
+        distinct = [case for case in cases
+                    if len(set(case[0].char_poly().exponents())) == 3]
+        assert len(distinct) >= 20 and len(distinct) < len(cases)
+        for arr, e2, _, _, calls in cases:
+            assert calls == [("_dh_system", e2)]
+        for arr, e2, _, verdict, _ in distinct:
+            assert verdict.detail[2] == _full_dim(arr, e2)
 
     def test_free_inputs_have_r_equal_e2(self, small_corpus, a13, a15):
-        arrs = (*small_corpus, *map(near_pencil, range(4, 9)),
-                *map(grid, range(2, 6)), a13, a15, *_paper_quad_points())
-        free = [arr for arr in arrs if isinstance(decide_freeness(arr), Free)]
-        assert len(free) == 15
+        free = _free_inputs(small_corpus, a13, a15)
         for arr in free:
             assert _mdr(arr) == arr.char_poly().exponents()[1]
 
     def test_sweep_never_passes_e2(self):
-        for arr, e2, _, verdict, seen in _nonfree_sweeps():
-            assert seen == list(range(verdict.detail[0] + 1))
-            assert max(seen) <= e2
+        # there is no sweep: decide_freeness never calls
+        # derivation_space_dim
+        for *_, calls in _nonfree_decisions():
+            assert "derivation_space_dim" not in {name for name, _ in calls}
 
-    def test_free_dimensions_after_a_failed_saito_step_raise(self,
+    def test_free_dimensions_after_a_failed_saito_step_raise(self, a13,
                                                              monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(fr, "_saito_constant", lambda arr, ths: None)
+            with pytest.raises(InvariantError, match="Saito step failed"):
+                decide_freeness(a13, use_cache=False)
+        # a non-free input whose e2 kernel is cut to the free count fails
+        # its Saito step, as it must by Saito's criterion
         arr = _nonfree_split()[0]
-        exps = arr.char_poly().exponents()
-        monkeypatch.setattr(fr, "derivation_space_dim",
-                            lambda arr, p: expected_graded_dim(exps, p))
-        with pytest.raises(InvariantError):
+        _, e2, e3 = arr.char_poly().exponents()
+        lifts = fr._lifts
+
+        def cut(ops, frame, p, lead=None):
+            out, leads = lifts(ops, frame, p, lead)
+            k = len(out) if p != e2 else 1 + (e3 == e2)
+            return out[:k], leads[:k]
+
+        assert _e2_kernel_size(arr) > 1 + (e3 == e2)
+        monkeypatch.setattr(fr, "_lifts", cut)
+        with pytest.raises(InvariantError, match="Saito step failed"):
             decide_freeness(arr, use_cache=False)
 
 
@@ -1648,8 +1680,10 @@ class TestPerturbedKernel:
             with pytest.raises(InvariantError):
                 decide_freeness(arr, use_cache=False)
 
-    def test_a_perturbed_kernel_raises_on_the_sweep_path(self, monkeypatch):
-        # every NONFREE_SPLIT input ends in the sweep, after its one check
+    def test_a_perturbed_kernel_raises_on_the_nonfree_path(self,
+                                                           monkeypatch):
+        # every NONFREE_SPLIT input ends with its witness, after its one
+        # check
         monkeypatch.setattr(linalg, "nullspace", _bent_nullspace)
         arrs = _nonfree_split()
         assert len(arrs) == 70

@@ -35,6 +35,7 @@ from conftest import (
     rational_arrangement,
     triple_check,
 )
+from test_freeness import _nonfree_split
 
 
 def braid3() -> am.Arrangement:
@@ -128,6 +129,20 @@ class TestQuickNonIF:
     def test_non_free_has_no_witness(self):
         g4 = rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
         assert quick_non_if(g4) is None
+
+    def test_split_non_free_inputs_read_chi_alone(self, monkeypatch):
+        # the obstruction needs only the roots of chi, so it fires on every
+        # split non-free input with no fitting restriction size, and
+        # neither it nor the IF search solves for derivations
+        def no_solve(arr, use_cache=True):
+            raise AssertionError("a freeness solve")
+
+        monkeypatch.setattr(induction, "decide_freeness", no_solve)
+        arrs = _nonfree_split()
+        assert len(arrs) == 70
+        for arr in arrs:
+            assert quick_non_if(arr) is not None
+            assert inductively_free(arr) is None
 
 
 class TestInductivelyFree:

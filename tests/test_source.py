@@ -681,7 +681,8 @@ def test_saito_check_evaluates_at_one_point(monkeypatch):
 def test_each_solve_makes_one_membership_call(monkeypatch):
     """_decide_freeness_impl calls _tangent in one place, and _lifts not
     at all: each solve tests every lift it built and its Saito triple in
-    one call, on the Free path and on the sweep path."""
+    one call on the Free path, and its lifts at e2 alone, with no triple,
+    on the NotFree path."""
     from fractions import Fraction
 
     from freearr import arrangement, freeness, moduli
@@ -721,9 +722,10 @@ def test_each_solve_makes_one_membership_call(monkeypatch):
         verdict = freeness.decide_freeness(arr, use_cache=False)
         assert lifts and len(calls) == 1 and calls[0][:len(lifts)] == lifts
         triple = calls[0][len(lifts):]
-        if exps is None:    # its triple has det 0
-            assert isinstance(verdict, freeness.NotFree)
-            assert [p for p, _ in triple] == [1, 3, 3]
+        if exps is None:    # (1, 3, 3), three lifts at e2: not free
+            assert verdict == freeness.NotFree("GradedDimensionMismatch",
+                                               (3, 8, 9))
+            assert triple == [] and {p for p, _ in lifts} == {3}
         else:
             assert verdict.exponents == exps
             assert triple == [(th.pdeg, th.vec)
