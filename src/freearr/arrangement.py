@@ -163,15 +163,20 @@ def build(columns, ops=None) -> Arrangement:
 
     Each entry is coerced by ops.field, so ints and Fractions may stand in
     any field.  The default field is that of the first entry that is not
-    rational, else QQ.  The columns are cleared (clear_column) and keyed
-    (line_key) once and checked by validated, as specialize's are.
+    rational, else QQ.  The columns are cleared and keyed once (_cleared)
+    and checked by validated, as specialize's are.
     """
     cols = [tuple(c) for c in columns]
     if ops is None:
         ops = next((domain_of(x) for c in cols for x in c
                     if not isinstance(x, (int, Fraction))), QQ)
+    return validated(ops, *_cleared(ops, cols, 1))
+
+
+def _cleared(ops, cols, first) -> tuple:
+    """(ring columns, line keys, scales) of the columns numbered from first."""
     coerced = []
-    for i, c in enumerate(cols, start=1):
+    for i, c in enumerate(cols, start=first):
         if len(c) != 3:
             raise ArrangementError("columns must have exactly 3 entries")
         try:
@@ -181,13 +186,13 @@ def build(columns, ops=None) -> Arrangement:
                          if f.name not in (QQ.name, ops.name))
             raise ArrangementError(f"column {i} mixes {ops.name} and "
                                    f"{other.name}") from None
-    for i, c in enumerate(coerced, start=1):
+    for i, c in enumerate(coerced, start=first):
         if not any(c):
             raise ZeroColumnError(i)
     cleared = [clear_column(ops, c) for c in coerced]
-    return validated(ops, [ring for _, ring in cleared],
-                     [line_key(ops, ring) for _, ring in cleared],
-                     [scale for scale, _ in cleared])
+    return ([ring for _, ring in cleared],
+            [line_key(ops, ring) for _, ring in cleared],
+            [scale for scale, _ in cleared])
 
 
 def first_equal_pair(keys):
@@ -493,6 +498,14 @@ def delete(arr: Arrangement, h: int):
     mapping = {old: old - (old > h) for old in arr.labels() if old != h}
     return Arrangement(arr.ops, *(xs[:h - 1] + xs[h:] for xs in (
         arr.ring_columns, arr.keys, arr.scales))), mapping
+
+
+def add(arr: Arrangement, col) -> Arrangement:
+    """arr with col added as hyperplane n + 1: col alone is coerced, checked,
+    cleared and keyed, as build does column n + 1; arr's columns are kept."""
+    new = _cleared(arr.ops, [tuple(col)], arr.n + 1)
+    return validated(arr.ops, *(list(xs) + ys for xs, ys in zip(
+        (arr.ring_columns, arr.keys, arr.scales), new)))
 
 
 def deletion_is_essential(arr: Arrangement, h: int) -> bool:

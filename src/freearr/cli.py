@@ -91,14 +91,10 @@ def _parse_at(text: str):
         raise CliError(f"bad --at value {text!r}: {exc}") from None
 
 
-def _is_constant(fam: Family) -> bool:
-    return all(p.degree == 0 or not p for col in fam.columns for p in col)
-
-
 def _member(source: str, at: str | None):
     """source's family, omega, the member at omega and if fam is constant."""
     fam = _load_family(source)
-    constant = _is_constant(fam)
+    constant = None not in fam.fixed
     if at is None:
         if not constant:
             raise CliError(
@@ -215,7 +211,7 @@ def _echo_degeneracy(deg: dict):
 def moduli_cmd(source, fmt="text"):
     """Degeneracy report of a one-parameter family."""
     fam = _load_family(source)
-    if _is_constant(fam):
+    if None not in fam.fixed:
         raise CliError(f"{source} is constant; no parameter to degenerate")
     payload = _degeneracy_payload(fam)
     if fmt == "json":

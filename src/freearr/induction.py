@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .arrangement import (
     Arrangement,
     _compute_lattice,
-    build,
+    add,
     char_poly,
     delete,
     line_key,
@@ -286,8 +286,7 @@ def recursively_free(arr: Arrangement, max_n: int,
             cands, complete = candidate_additions(state, fits)
             all_complete = all_complete and complete
             for cov in cands:
-                push(build(list(state.columns) + [cov], state.ops), key,
-                     Move("add", tuple(cov)))
+                push(add(state, cov), key, Move("add", tuple(cov)))
         expansions.append(Expansion(
             n, exps, deletion_moves, fits, len(cands), complete))
     if truncated:
@@ -325,14 +324,12 @@ def replay_chain(arr: Arrangement, moves) -> Arrangement:
                     f"bookkeeping (|A^H| = {s}, exponents {exps})")
             state, _ = delete(state, h)
         elif move.action == "add":
-            grown = build(list(state.columns) + [tuple(move.payload)],
-                          state.ops)
-            s, _ = restriction_profile(grown, grown.n)
+            state = add(state, move.payload)
+            s, _ = restriction_profile(state, state.n)
             if s not in _fitting_sizes(exps):
                 raise ValueError(
                     f"move {idx}: the added hyperplane has restriction "
                     f"size {s}, incompatible with exponents {exps}")
-            state = grown
         else:
             raise ValueError(f"move {idx}: unknown action {move.action!r}")
     if inductively_free(state) is None:

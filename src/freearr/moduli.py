@@ -29,7 +29,7 @@ digits; the polynomial is constant exactly when |value| < 2^(k-1), since
 for degree D >= 1 the top term exceeds the others by more than 2^(kD)/2.
 The bound covers the cross products, so two packed columns have equal line
 keys exactly when the columns are proportional over Q(t): Family is
-validated by them.
+validated by them, and keeps what specialize needs of the constant ones.
 """
 from __future__ import annotations
 
@@ -68,7 +68,9 @@ LATTICE_CHANGES = "LatticeChanges"
 
 @dataclass(frozen=True)
 class Family:
-    """3xn matrix over Z[t]; columns are the covectors of the family."""
+    """3xn matrix over Z[t]; columns are the covectors of the family.  Its
+    packing is (k, packed columns), and fixed[j] is (g, form, line key) if
+    column j + 1 is constant in t, its own packing g times form, else None."""
 
     name: str
     columns: tuple  # tuple of 3-tuples of IntPoly
@@ -81,11 +83,14 @@ class Family:
         for j, col in enumerate(self.columns, start=1):
             if not any(col):
                 raise ValueError(f"column {j} is identically zero")
-        pair = first_equal_pair([line_key(IntOps, c)
-                                 for c in _packed(self)[1]])
+        k, packed = _packed(self)
+        pair = first_equal_pair(keys := [line_key(IntOps, c) for c in packed])
         if pair:
             raise ValueError("columns {} and {} are identically "
                              "proportional".format(*pair))
+        self.__dict__.update(packing=(k, packed), fixed=tuple([
+            (*primitive(IntOps, c), key) if all(p.degree < 1 for p in col)
+            else None for col, c, key in zip(self.columns, packed, keys)]))
 
 
 def _cols(*columns):
@@ -146,7 +151,7 @@ def _unpack(v: int, k: int) -> IntPoly:
 
 def generic_lattice(f: Family) -> IntersectionLattice:
     """Lattice of the family at a generic t, scanned on packed columns."""
-    _, cols = _packed(f)
+    _, cols = f.packing
     if not _has_rank3(cols):
         raise NotEssentialError()
     return _compute_lattice(IntOps, cols)
@@ -163,8 +168,8 @@ class SpecializationResult:
     merges: tuple                 # tuples of 1-based labels that coincide
 
 
-def _integral_images(f: Family, omega):
-    """(ops, images, dens): column i of f at omega is images[i] / dens[i].
+def _integral_images(columns, omega):
+    """(ops, images, dens): columns[i] at omega is images[i] / dens[i].
 
     omega is written x / y with y a positive integer and x an integer, or
     an (a, b) pair of Z[sqrt d] when omega is in Q(sqrt d).  Each entry p
@@ -178,7 +183,7 @@ def _integral_images(f: Family, omega):
     x_pow, y_pow = [ops.one], [ops.one]
     terms = {}  # D -> the coordinate lists of x^k y^(D - k), k = 0..D
     images, dens = [], []
-    for col in f.columns:
+    for col in columns:
         top = max(len(p.coeffs) for p in col) - 1
         if top not in terms:
             while len(x_pow) <= top:
@@ -199,28 +204,37 @@ def _integral_images(f: Family, omega):
 
 
 def specialize(f: Family, omega) -> SpecializationResult:
-    """Evaluate every column at omega and build the specialized arrangement.
+    """Evaluate the family at omega and build the specialized arrangement.
 
-    Columns are evaluated to integral images (_integral_images), and
-    vanishing and merging are read off their primitive forms, by line_key.
-    The kept columns go to the validation step of build
-    (arrangement.validated) as those forms with their line keys and scales
-    (g, den): the image is g times its form, and den its denominator.
-    Degenerate outcomes (vanishing or merging columns, rank below 3) are
-    reported as data, never as errors.  Whether the lattice is still the
-    generic one is asked by vL_membership.
+    Only the columns that depend on t are evaluated, to integral images
+    (_integral_images), and keyed (line_key) by their primitive forms; the
+    others are as Family.fixed keeps them, with irrational parts 0 over
+    Q(sqrt d).  Vanishing and merging are read off the keys, and the kept
+    columns go to the validation step of build (arrangement.validated) as
+    forms with keys and scales (g, den): the image is g times its form, and
+    den its denominator.  Degenerate outcomes are reported as data, never as
+    errors.  Whether the lattice is still generic is asked by vL_membership.
     """
     omega = domain_of(omega).field(omega)
-    ops, images, dens = _integral_images(f, omega)
+    ops, images, dens = _integral_images(
+        [col for col, fixed in zip(f.columns, f.fixed) if not fixed], omega)
+    evaluated, quad = zip(images, dens), ops.parts == 2
     dropped = []
     groups: dict = {}  # line key -> (form, scale, labels), by first label
-    for label, image in enumerate(images, start=1):
-        if all(map(ops.is_zero, image)):
-            dropped.append(label)
+    for label, fixed in enumerate(f.fixed, start=1):
+        if fixed:
+            (g, ring, key), den = fixed, 1
+            if quad:
+                ring = tuple([(x, 0) for x in ring])
+                key = tuple([y for x in key for y in (x, 0)])
         else:
+            image, den = next(evaluated)
+            if all(map(ops.is_zero, image)):
+                dropped.append(label)
+                continue
             g, ring = primitive(ops, image)
-            groups.setdefault(line_key(ops, ring), (
-                ring, (g, dens[label - 1]), []))[2].append(label)
+            key = line_key(ops, ring)
+        groups.setdefault(key, (ring, (g, den), []))[2].append(label)
     merges = tuple(tuple(ls) for *_, ls in groups.values() if len(ls) > 1)
     count = len(groups)
     try:
@@ -253,7 +267,7 @@ def _candidate_polys(f: Family) -> dict:
     it is the gcd of some pair's cross-product minors.  Minors are packed;
     a pair with a constant one has a constant gcd, so only nonconstant
     minors are unpacked."""
-    k, cols = _packed(f)
+    k, cols = f.packing
     half = 1 << (k - 1)
     n = f.n
     out = {}

@@ -1,6 +1,7 @@
 """Intersection lattices, characteristic polynomials, isomorphism."""
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
@@ -474,6 +475,41 @@ class TestDeleteRestrict:
                 assert state_key(sub) == state_key(ref)
                 checked += 1
         assert checked == {"QQ": 49, "QQ(sqrt 5)": 28}[field]
+
+    @pytest.mark.parametrize("omega", [
+        3, -1, QuadElem(5, Fraction(3, 2), Fraction(1, 2))])
+    def test_add_keeps_the_parent_and_checks_as_build(self, omega):
+        """An addition is the parent's ring columns, keys and scales and one
+        column cleared alone: its field columns, ring columns, keys and
+        lattice are build's on the parent's columns and the new one, and a
+        bad column raises build's error, numbered n + 1."""
+        arr = mod.specialize(mod.family_15(), omega).arrangement
+        r = QuadElem(5, 0, 1)
+        added = 0
+        for col in candidate_additions(arr, range(arr.n + 2))[0] + [
+                (Fraction(-6, 5), 4, Fraction(1, 3)), (r, 2, -1)]:
+            try:
+                ref = am.build(list(arr.columns) + [col], arr.ops)
+            except am.ArrangementError as exc:
+                with pytest.raises(type(exc),
+                                   match=f"^{re.escape(str(exc))}$"):
+                    am.add(arr, col)
+                continue
+            grown = am.add(arr, col)
+            assert grown.ring_columns[:-1] == arr.ring_columns
+            assert (grown.keys[:-1], grown.scales[:-1]) == (arr.keys,
+                                                            arr.scales)
+            assert (grown.columns, grown.ring_columns, grown.keys) == (
+                ref.columns, ref.ring_columns, ref.keys)
+            assert grown.lattice() == ref.lattice()
+            added += 1
+        assert added > 3
+        for col, message in (((0, 0, 0), "column 16 is zero"),
+                             (arr.columns[4], "columns 5 and 16 are "
+                              "proportional"),
+                             ((1, 2), "columns must have exactly 3 entries")):
+            with pytest.raises(am.ArrangementError, match=f"^{message}$"):
+                am.add(arr, col)
 
     def test_restriction_profile(self):
         arr = near_pencil(5)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from freearr import cli as cli_mod
-from freearr import induction
+from freearr import induction, moduli
 from freearr.freeness import (
     certificate_from_text,
     certificate_to_text,
@@ -547,14 +547,19 @@ class TestReport:
 
     @pytest.mark.parametrize("args", [("paper13", "--at", "3"),
                                       ("boolean",)])
-    def test_report_asks_once_if_the_family_is_constant(
-            self, monkeypatch, boolean_file, args):
-        real, calls = cli_mod._is_constant, []
-        monkeypatch.setattr(cli_mod, "_is_constant",
+    def test_report_packs_the_family_once(self, monkeypatch, boolean_file,
+                                          args):
+        # whether the family is constant, and its degeneracy set, are read
+        # off what the Family kept when it was validated
+        real, calls = moduli._packed, []
+        monkeypatch.setattr(moduli, "_packed",
                             lambda fam: calls.append(fam) or real(fam))
         args = tuple(boolean_file if a == "boolean" else a for a in args)
-        assert run("report", *args, "--format", "json")[0] == 0
+        code, out, _ = run("report", *args, "--format", "json")
+        assert code == 0
         assert len(calls) == 1
+        assert ("degeneracy" in json.loads(out)) == (args[0] == "paper13")
+        assert not hasattr(cli_mod, "_is_constant")
 
     def test_generic_lines_aut(self, tmp_path):
         p = tmp_path / "generic8.fam"

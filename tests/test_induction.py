@@ -338,6 +338,32 @@ class TestRecursivelyFree:
         assert rep.expansions[0] == Expansion(15, (1, 7, 7), 0, (8,), 6, True)
         assert replay_chain(arr, rep.chain).n == 16
 
+    def test_additions_read_no_field_columns(self, monkeypatch):
+        # a grown state is its parent's ring columns, keys and scales and
+        # one cleared column: no state the search explores, nor the replay,
+        # makes or reads the field columns
+        def forbidden(arr):
+            raise AssertionError("field columns were read")
+
+        arr = mod.specialize(mod.family_15(), -1).arrangement
+        cut = mod.specialize(mod.parse_family_text(
+            "1; 0; 0\n0; 1; 0\n0; 0; 1\n1; 1; 0\n1; 0; 1\n"
+            "1; 0; -1\n0; 1; 1\n0; 1; -1\n"), 0).arrangement
+        real = induction.inductively_free
+        monkeypatch.setattr(am.Arrangement, "columns", property(forbidden))
+        rep = recursively_free(arr, max_n=16)
+        assert [m.action for m in rep.chain] == ["add"]
+        assert replay_chain(arr, rep.chain).n == 16
+        # the B3 cut, with inductive freeness refused up to its own size
+        monkeypatch.setattr(induction, "inductively_free",
+                            lambda state: real(state) if state.n > 8 else None)
+        rep = recursively_free(cut, max_n=9)
+        assert (rep.verdict, rep.explored) == ("RF", 9)
+        assert rep.chain == (Move("add", (Fraction(1), Fraction(-1),
+                                          Fraction(0))),)
+        with pytest.raises(AssertionError, match="field columns"):
+            arr.columns
+
     def test_deletion_move(self, monkeypatch):
         # refuse inductive freeness at the root only, so that the search
         # has to expand A_3 and reach an inductively free deletion

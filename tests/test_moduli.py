@@ -594,8 +594,16 @@ class TestIntegralSpecialization:
     """specialize on integral images agrees with field arithmetic."""
 
     def assert_agrees(self, f, omega):
-        assert outcome(mod.specialize(f, omega)) == \
-            field_specialize(f, omega), (format_family(f), omega)
+        """The oracle's outcome, and the ring columns and keys that build
+        makes of the field columns: primitive, whatever the content."""
+        spec = mod.specialize(f, omega)
+        assert outcome(spec) == field_specialize(f, omega), (
+            format_family(f), omega)
+        if spec.arrangement is not None:
+            arr = spec.arrangement
+            built = am.build(arr.columns, arr.ops)
+            assert (arr.ring_columns, arr.keys) == (built.ring_columns,
+                                                    built.keys)
 
     def test_paper_families_at_reported_and_random_values(self):
         rng = random.Random(1406)
@@ -653,11 +661,56 @@ class TestIntegralSpecialization:
         assert (spec.count, spec.dropped, spec.merges) == outcome(
             mod.specialize(f, 0))[:3]
 
+    @pytest.mark.parametrize("m, roots", [
+        (poly(-2, 3), [Fraction(2, 3)]),
+        (poly(-2, 0, 1), [QuadElem(2, 0, 1), QuadElem(2, 0, -1)]),
+        (poly(3, 0, 1), [QuadElem(-3, 0, 1), QuadElem(-3, 0, -1)]),
+        (poly(-1, -1, 1), [quadratic_root((-1, -1, 1))]),
+    ], ids=["rational", "sqrt2", "sqrt-3", "golden"])
+    def test_constant_and_t_dependent_columns(self, m, roots):
+        # the constant columns have content > 1 and some a negative lead;
+        # the first three lie in the plane z = 0.  At a root of m one
+        # t-dependent column vanishes and the other two merge with a
+        # constant column, so only constant columns are left.
+        t = mod._T
+        plane = mod._cols((2, 0, 0), (-3, 6, 0), (0, -4, 0))
+        moving = mod._cols((m, t * m, m), (-3 * t + m, 6 * t, m),
+                           (2 * t * t + m, m, t * m))
+        off = mod._cols((-5, 10, 15))
+        mixed = tuple(c for pair in zip(plane, moving) for c in pair)
+        rng = random.Random(41)
+        for cols, rank3 in ((mixed, False), (mixed + off, True),
+                            (moving + off + plane, True)):
+            f = mod.Family("mixed", cols)
+            assert [c is not None for c in f.fixed] == [
+                c in plane + off for c in cols]
+            for omega in roots:
+                spec = mod.specialize(f, omega)
+                assert (spec.count, len(spec.dropped), len(spec.merges)) \
+                    == (3 + rank3, 1, 2)
+                assert (spec.arrangement is not None) == rank3
+                self.assert_agrees(f, omega)
+            d = roots[-1].d if isinstance(roots[-1], QuadElem) else 5
+            for omega in (0, 1, Fraction(-7, 2), QuadElem(d, 2),
+                          QuadElem(d, Fraction(1, 3), -1), QuadElem(-d, 1, 1),
+                          random_value(rng), random_value(rng)):
+                self.assert_agrees(f, omega)
+
+    def test_constant_families(self):
+        plane = mod._cols((2, 0, 0), (-3, 6, 0), (0, -4, 0))
+        for cols in (plane, plane + mod._cols((-5, 10, 15))):
+            f = mod.Family("constant", cols)
+            assert all(f.fixed)
+            for omega in (0, Fraction(5, 3), QuadElem(2, 1, 1),
+                          QuadElem(-3, 0, 1), QuadElem(5, 7)):
+                self.assert_agrees(f, omega)
+
 
 def eager_columns(f, omega, firsts):
     """The field columns of the given (0-based) columns of f at omega, each
     integral image over its denominator, made at once."""
-    ops, images, dens = mod._integral_images(f, domain_of(omega).field(omega))
+    ops, images, dens = mod._integral_images(f.columns,
+                                             domain_of(omega).field(omega))
     return typed(tuple(ops.from_coords(ops.ints(x), dens[i])
                        for x in images[i]) for i in firsts)
 

@@ -9,6 +9,8 @@ import sys
 from functools import reduce
 from pathlib import Path
 
+import pytest
+
 import freearr
 
 SRC = Path(freearr.__file__).parent
@@ -361,14 +363,16 @@ def test_saito_step_builds_no_euler_row_and_one_frame(monkeypatch):
 
 
 def test_columns_are_cleared_once():
-    """build clears each column once and keeps the ring columns, line keys
-    and scales on the Arrangement, which takes no field columns, so no
-    function can stand in for them; the lattice scan, the solver, state
-    keys and addition candidates read them, and nullspace returns integral
-    vectors."""
+    """build and add clear each new column once, in _cleared, and keep the
+    ring columns, line keys and scales on the Arrangement, which takes no
+    field columns, so no function can stand in for them; the lattice scan,
+    the solver, state keys and addition candidates read them, and nullspace
+    returns integral vectors."""
     from freearr import arrangement, freeness, linalg
 
-    assert _readers("clear_column") == ["arrangement.py:build"]
+    assert _readers("clear_column") == ["arrangement.py:_cleared"]
+    assert sorted(_readers("_cleared")) == ["arrangement.py:add",
+                                            "arrangement.py:build"]
     assert list(inspect.signature(arrangement.Arrangement).parameters) == [
         "ops", "ring_columns", "keys", "scales"]
     assert [name for mod, name in ((arrangement, "_lattice_column"),
@@ -429,6 +433,49 @@ def test_specialize_clears_each_column_once(monkeypatch):
         built = arrangement.build(arr.columns, arr.ops)
         assert (arr.ring_columns, arr.keys) == (built.ring_columns,
                                                 built.keys)
+
+
+def test_specialize_keys_only_the_t_dependent_columns(monkeypatch):
+    """A Family keeps the form, content and key of each column that does
+    not depend on t, so specialize keys only the others: 7 of paper13's 13
+    columns, 9 of paper15's 15, and none of a constant family."""
+    from fractions import Fraction
+
+    from freearr import moduli
+    from freearr.scalars import QuadElem
+
+    constant = moduli.Family("constant", moduli._cols(
+        (2, 0, 0), (-3, 6, 0), (0, -4, 0), (-5, 10, 15)))
+    cases = [(moduli.family_13(), 3, 7),
+             (moduli.family_15(), QuadElem(5, Fraction(3, 2), Fraction(1, 2)),
+              9),
+             (constant, 0, 0), (constant, QuadElem(-3, 0, 1), 0)]
+    real, calls = moduli.line_key, []
+    monkeypatch.setattr(moduli, "line_key",
+                        lambda *args: calls.append(args) or real(*args))
+    for fam, omega, keyed in cases:
+        calls.clear()
+        spec = moduli.specialize(fam, omega)
+        assert len(calls) == keyed
+        assert keyed == sum(fixed is None for fixed in fam.fixed)
+        assert spec.count == fam.n and spec.arrangement.n == fam.n
+
+
+def test_family_scans_read_the_kept_packing(monkeypatch):
+    """degeneracy_set and generic_lattice pack no family after it is
+    built: they read Family.packing."""
+    from freearr import moduli
+
+    def forbidden(f):
+        raise AssertionError("a family was packed again")
+
+    fams = [moduli.family_13(), moduli.family_15()]
+    monkeypatch.setattr(moduli, "_packed", forbidden)
+    for fam in fams:
+        moduli.degeneracy_set(fam)
+        moduli.generic_lattice(fam)
+    with pytest.raises(AssertionError, match="packed again"):
+        moduli.family_13()
 
 
 def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
