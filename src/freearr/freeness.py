@@ -59,9 +59,10 @@ class DegreeMismatchError(ValueError):
 
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))   # x1, x2, x3 as exponents
+_TABLE_CACHE_SIZE = 256     # monomials and _euler_terms, by degree (and side)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def monomials(p: int) -> tuple:
     """Exponent triples of total degree p, in descending lex order."""
     return tuple((i, j, p - i - j) for i in range(p, -1, -1)
@@ -414,7 +415,7 @@ def _saito_constant(arr: Arrangement, ths):
         * prod(th.den for th in ths))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _euler_terms(p: int, c: int) -> dict:
     """{the column of m * x_c in f_c: the columns of m * x_a in the other
     f_a}, over the monomials m of degree p - 1: the terms of m * theta_E."""
@@ -647,7 +648,7 @@ def certificate_from_text(text: str) -> SaitoCertificate:
                          f"c line and three derivations")
     ops, ths = domain_of(constant), []
     for i, x in (t for _, terms in derivs for t in terms.values()):
-        if domain_of(x) not in (ops, QQ):
+        if domain_of(x).name not in (ops.name, QQ.name):
             raise ValueError(f"line {i}: a term outside {ops.name}, the "
                              f"field of c")
     for pdeg, terms in derivs:

@@ -17,7 +17,8 @@ and distinct.  Every generically dependent triple stays dependent, so the
 specialized partition of pairs into flats is a coarsening of the generic
 one, and the new dependent triple merges generic flats: there are strictly
 fewer flats (or the rank falls below 3), so the lattice cannot be
-isomorphic to the generic one: LatticeChanges.
+isomorphic to the generic one: LatticeChanges.  A minor of columns that
+are all constant in t is a constant, so no such triple is dotted.
 
 Minors are computed as integers (Kronecker substitution, _packed): each
 entry p becomes p(2^k).  With entries of degree <= L and coefficients
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from operator import mul
 
 from .arrangement import (
@@ -81,6 +81,8 @@ class Family:
 
     def __post_init__(self):
         for j, col in enumerate(self.columns, start=1):
+            if len(col) != 3 or not all(isinstance(p, IntPoly) for p in col):
+                raise ValueError(f"column {j} is not three IntPoly entries")
             if not any(col):
                 raise ValueError(f"column {j} is identically zero")
         k, packed = _packed(self)
@@ -264,23 +266,32 @@ class DegeneracyReport:
 def _candidate_polys(f: Family) -> dict:
     """Distinct primitive nonconstant loci where a pair merges or a triple
     becomes dependent, in order of first appearance.  Each maps to True when
-    it is the gcd of some pair's cross-product minors.  Minors are packed;
-    a pair with a constant one has a constant gcd, so only nonconstant
-    minors are unpacked."""
+    it is the gcd of some pair's cross-product minors.  Minors are packed,
+    and only nonconstant ones are unpacked: a pair with a constant one, or
+    of two columns that Family.fixed marks constant, takes no gcd, a gcd
+    chain stops at its first constant gcd, and a triple of three constant
+    columns is not dotted."""
     k, cols = f.packing
     half = 1 << (k - 1)
-    n = f.n
+    n, fixed = f.n, f.fixed
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
             p = ring_cross(IntOps, cols[i], cols[j])
+            const = fixed[i] and fixed[j]
             minors = [m for m in p if m]
-            if all(abs(m) >= half for m in minors):
-                g = reduce(poly_gcd, [_unpack(m, k) for m in minors])
+            if not const and all(abs(m) >= half for m in minors):
+                g = _unpack(minors[0], k)
+                for m in minors[1:]:
+                    if g.degree < 1:
+                        break
+                    g = poly_gcd(g, _unpack(m, k))
                 if g.degree > 0:
                     out[g.primitive()] = True
             # det(c_i, c_j, c_k) = (c_i x c_j) . c_k
-            for c in cols[j + 1:]:
+            for c, x in zip(cols[j + 1:], fixed[j + 1:]):
+                if const and x:
+                    continue
                 det = ring_dot(IntOps, p, c)
                 if abs(det) >= half:
                     out.setdefault(_unpack(det, k).primitive(), False)
@@ -295,7 +306,8 @@ def degeneracy_set(f: Family) -> DegeneracyReport:
     LatticeChanges otherwise, since q then divides a triple determinant
     that is not identically zero and that new dependent triple merges
     generic flats (see the module docstring).  No arrangement or lattice is
-    built.
+    built; the loci (_candidate_polys) skip the minors that are constant by
+    construction, and those of degree <= 2 factor by the discriminant.
     """
     tags = {}
     unresolved = set()

@@ -488,16 +488,22 @@ def factor_low_degree(p: IntPoly):
     holding the factors of degree 1 or 2 and high those of degree >= 3,
     each factor once and each list sorted by (degree, coefficients).  The
     factors are exact: Zassenhaus's factorization (_factor_squarefree) of
-    the squarefree part f / gcd(f, f') of the primitive part f of p; a
-    quadratic f splits by its discriminant alone, by Gauss's lemma.
+    the squarefree part of the primitive part f of p: f / gcd(f, f') from
+    degree 3, and below it f itself unless f = a t^2 + b t + c with
+    b^2 = 4ac, when 4a f = (2a t + b)^2 makes it the primitive part of
+    2a t + b.  A quadratic splits by its discriminant alone (Gauss's lemma).
     """
     if not p:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     f = list(p.primitive().coeffs)
     low: list[IntPoly] = []
     high: list[IntPoly] = []
-    if len(f) > 1:      # the gcd is primitive, so the division is exact
-        for q in _factor_squarefree(_quotient(f, _gcd(f, _derivative(f)))):
+    if len(f) == 3 and f[1] * f[1] == 4 * f[0] * f[2]:
+        f = _primitive([f[1], 2 * f[2]])
+    elif len(f) > 3:    # the gcd is primitive, so the division is exact
+        f = _quotient(f, _gcd(f, _derivative(f)))
+    if len(f) > 1:
+        for q in _factor_squarefree(f):
             (low if len(q) <= 3 else high).append(IntPoly(q))
     for factors in (low, high):
         factors.sort(key=lambda q: (q.degree, q.coeffs))
@@ -772,9 +778,10 @@ class QuadOps:
 
 
 QQ = IntOps
+_FIELD_CACHE_SIZE = 64      # quad_field's QuadOps, by d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def quad_field(d: int) -> QuadOps:
     return QuadOps(d)
 

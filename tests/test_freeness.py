@@ -1795,6 +1795,30 @@ class TestCertificateText:
         assert cert.derivations[0] == Derivation(1, 1, {
             j: (1, 0) for j in (0, 4, 8)})    # theta_E over Z[sqrt 5]
 
+    def test_fields_are_compared_by_name(self, monkeypatch):
+        """The table and field caches are bounded, so one field may be
+        two QuadOps objects over a run: a Q(sqrt 5) certificate reads back
+        while quad_field makes a fresh QuadOps on every call, and a term of
+        Q(sqrt -1) is still refused."""
+        from freearr import scalars
+
+        for cached in (fr.monomials, fr._euler_terms, quad_field):
+            assert cached.cache_info().maxsize is not None
+        arr = _paper_quad_points()[0]
+        cert = decide_freeness(arr, use_cache=False).certificate
+        text = certificate_to_text(cert)
+        assert "quad 5 " in text
+        monkeypatch.setattr(scalars, "quad_field", QuadOps)
+        assert domain_of(cert.constant) is not domain_of(cert.constant)
+        back = certificate_from_text(text)
+        assert back == cert and certificate_to_text(back) == text
+        assert saito_check(arr, *back.derivations) == cert.constant
+        lines = text.splitlines()
+        first = lines.index(next(ln for ln in lines if ln.startswith("term")))
+        head = lines[first].split(" quad ")[0].split(" rat ")[0]
+        self._raises_at(lines[:first] + [f"{head} quad -1 1 1"]
+                        + lines[first + 1:], first + 1)
+
     def test_quadratic_scalar_with_a_huge_d(self):
         lines = _certificate_lines()
         self._raises_at(lines[:1] + ["c quad 10000000000000061 1 1"]

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,27 @@ class TestFamilies:
         with pytest.raises(ValueError):
             mod.Family("bad", mod._cols((1, 0, 0), (2, 0, 0)))
 
+    def test_validation_checks_the_shape_of_each_column(self):
+        """A column of other than three entries, or with an entry that is
+        not an IntPoly, is refused by its number, as a zero column is."""
+        e1, e2, e3 = mod._cols((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        t = mod._T
+        for cols, j in (((e1, e2, (t, poly(1))), 3),
+                        (((poly(1), t), e2, e3), 1),
+                        ((e1, e2, e3, (t, poly(1), poly(2), poly(3))), 4),
+                        ((e1, (0, 1, t), e3), 2),
+                        ((e1, e2, (poly(1), 1, t)), 3),
+                        ((e1, e2, (t, poly(1), 2.0)), 3)):
+            with pytest.raises(ValueError,
+                               match=f"^column {j} is not three IntPoly "
+                                     "entries$"):
+                mod.Family("bad", cols)
+        with pytest.raises(ValueError, match="^column 2 is identically "
+                           "zero$"):
+            mod.Family("bad", (e1, mod._cols((0, 0, 0))[0], e3))
+        # the file parser keeps its own line-numbered messages
+        with pytest.raises(ValueError, match="^line 2: expected three "):
+            mod.parse_family_text("1; 0; 0\n0; 1\n0; 0; 1\n")
 
     def test_proportional_pair_by_a_factor_of_t_or_minus_one(self):
         t = mod._T
@@ -523,6 +545,56 @@ class TestPackedScans:
         cands = mod._candidate_polys(f)
         assert list(cands.items()) == [(poly(-1, 1), False)]
         assert calls == []
+        assert list(candidate_polys_over_zt(f).items()) == list(cands.items())
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_no_minors_among_constant_columns(self, n, monkeypatch):
+        """Families of n columns, c of them constant in t, for c = 0, 1, 2,
+        n - 2, n - 1 and n: the candidates equal the IntPoly oracle's, in
+        order, and only the triples with a t-dependent column are
+        dotted."""
+        rng = random.Random(43 + n)
+        dots, seen = [], set()
+        real = mod.ring_dot
+        monkeypatch.setattr(mod, "ring_dot",
+                            lambda *a: dots.append(a) or real(*a))
+
+        def entry(degree):
+            return IntPoly(rng.randint(-3, 3) for _ in range(degree + 1))
+
+        for c in (0, 1, 2, n - 2, n - 1, n):
+            for _ in range(4):
+                cols = [tuple(entry(0) for _ in range(3)) for _ in range(c)]
+                cols += [tuple(entry(rng.randint(0, 2)) for _ in range(3))
+                         for _ in range(n - c)]
+                rng.shuffle(cols)
+                try:
+                    f = mod.Family("mixed", tuple(cols))
+                except ValueError:
+                    continue
+                c_fixed = sum(x is not None for x in f.fixed)
+                seen.add(c_fixed)
+                dots.clear()
+                cands = mod._candidate_polys(f)
+                assert list(cands.items()) == list(
+                    candidate_polys_over_zt(f).items()), format_family(f)
+                assert len(dots) == comb(n, 3) - comb(c_fixed, 3)
+                if c_fixed == n:
+                    assert cands == {}
+        assert seen >= {0, 1, 2, n - 2, n - 1, n}
+
+    def test_gcd_chain_stops_at_a_constant_gcd(self, monkeypatch):
+        # (0, 1, t) x (t, t + 1, 1) = (-t^2 - t + 1, t^2, -t): three
+        # nonconstant minors, the first two coprime, so the third is not
+        # read; the pairs with e1 have a constant minor and take no gcd
+        f = mod.parse_family_text("0; 1; 0 1\n0 1; 1 1; 1\n1; 0; 0\n")
+        calls = []
+        real = mod.poly_gcd
+        monkeypatch.setattr(mod, "poly_gcd",
+                            lambda *a: calls.append(a) or real(*a))
+        cands = mod._candidate_polys(f)
+        assert calls == [(poly(1, -1, -1), poly(0, 0, 1))]
+        assert list(cands.items()) == [(poly(-1, 1, 1), False)]
         assert list(candidate_polys_over_zt(f).items()) == list(cands.items())
 
 

@@ -230,6 +230,38 @@ class TestFactorLowDegree:
         p = (poly(-1, 2) * poly(5, 3)) ** 3 * (T ** 3 + T + 1)
         assert factor_low_degree(p) == sympy_factors(p)
 
+    def test_squarefree_part_below_degree_three_is_read_off_the_discriminant(
+            self, monkeypatch):
+        """Every a t^2 + b t + c with |a|, |b|, |c| <= 5 and a != 0, the
+        squares among them, and squares with content and sign, factor as
+        sympy does with no gcd and no division; from degree 3 a repeated
+        factor still goes through f / gcd(f, f')."""
+        calls = []
+        for name in ("_gcd", "_quotient"):
+            def spy(*args, name=name, real=getattr(scalars, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(scalars, name, spy)
+        quadratics = [poly(c, b, a) for a in range(-5, 6) if a
+                      for b in range(-5, 6) for c in range(-5, 6)]
+        squares = [p for p in quadratics if p.coeffs[1] ** 2
+                   == 4 * p.coeffs[0] * p.coeffs[2]]
+        assert len(squares) == 26
+        extra = [5 * T ** 2, poly(-2, 3) ** 2, -4 * poly(1, 2) ** 2,
+                 -7 * T ** 2, 12 * poly(5, -3) ** 2, poly(3, 7), poly(-6),
+                 -3 * T]
+        for p in quadratics + extra:
+            assert factor_low_degree(p) == sympy_factors(p), p
+        assert factor_low_degree(-4 * poly(1, 2) ** 2) == ([poly(1, 2)], [])
+        assert factor_low_degree(5 * T ** 2) == ([T], [])
+        assert calls == []
+        for p in (poly(-3, 1) ** 2 * poly(1, 1),
+                  poly(1, 2) ** 2 * (T ** 2 + 1)):
+            assert factor_low_degree(p) == sympy_factors(p), p
+        assert factor_low_degree(poly(1, 2) ** 2 * (T ** 2 + 1)) == (
+            [poly(1, 2), poly(1, 0, 1)], [])
+        assert calls.count("_gcd") == 3     # Yun, once per call
+
     def test_quadratics_are_not_factored_mod_p(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a quadratic went through Zassenhaus")
