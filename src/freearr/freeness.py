@@ -9,9 +9,10 @@ with theta(alpha_H) = 0 (Orlik-Terao, Arrangements of Hyperplanes, section
 with |F_P| + |F_Q| largest, theta = (pi_Q g1) P + (pi_P g2) Q, where pi_P
 is the product of the forms of the other lines through P: every line
 through P or Q is then satisfied, and only the lines through neither give
-rows (the lemma is in _dh_system's docstring).  The exact kernel of this
-small system, lifted, and the m * theta_E for the monomials m of degree
-p - 1 are a basis of D(A)_p, made canonical only by derivation_basis.
+rows, those their known zeros leave open (the lemma is in _dh_system).
+The exact kernel of this small system, lifted, and the m * theta_E for the
+monomials m of degree p - 1 are a basis of D(A)_p, made canonical only by
+derivation_basis.
 
 Membership is checked against every line alpha by one value (_tangent),
 in one stacked pass per solve, of all it builds, and per saito_check.  On
@@ -133,8 +134,9 @@ def _times_linear(ops, form, a, b):
             + [ops.mul(form[-1], a)])
 
 
-def _hyperplane_rows(ops, alpha, blocks, p: int, width: int):
-    """The p + 1 rows, of the given width, saying that the sum of
+def _hyperplane_rows(ops, alpha, blocks, p: int, width: int,
+                     zeros=(0, 0, 0)):
+    """The rows, of the given width, saying that the sum F of
     a * l_1 ... l_e * f over the (b, a, (l_1, ..., l_e)) in blocks vanishes
     on ker(alpha); a is a ring element, the l_i are linear forms, and f is
     the polynomial of degree p - e whose coefficients, in monomials(p - e)
@@ -145,12 +147,19 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int):
     becomes alpha_i0^(b+c) s^b r^c (-alpha_j s - alpha_k r)^a.  A block
     restricts the product of its l_i once and multiplies it by that binary
     form once per power a.  Row t holds the coefficients of s^t r^(p-t).
+    For z known zeros of F, u at s = 0 and v at r = 0 (zeros), only the
+    first ceil(w/2) and last floor(w/2) of rows u..p - v are written,
+    w = p + 1 - z (_dh_system); a miscounted zero only drops rows, and the
+    lifts of the larger kernel fail the membership pass.
     """
     i0, j, k = _axes(ops, alpha)
     mul, is_zero = ops.mul, ops.is_zero
     sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
     lead = list(accumulate(repeat(alpha[i0], p), mul, initial=ops.one))
-    rows = [[ops.zero] * width for _ in range(p + 1)]
+    z, u, v = zeros
+    w = p + 1 - z
+    rows = {t: [ops.zero] * width for t in (
+        *range(u, u + (w + 1) // 2), *range(p - v - w // 2 + 1, p - v + 1))}
     for block, scalar, lines in blocks:
         d = p - len(lines)
         if d < 0:
@@ -167,21 +176,25 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int):
                                          for m in monomials(d)), start=block):
             x = scaled[b + c]
             for t, y in enumerate(prods[a], start=b):
-                if not is_zero(y):
+                if t in rows and not is_zero(y):
                     rows[t][col] = mul(x, y)
-    return rows
+    return list(rows.values())
 
 
 def _two_point_frame(arr: Arrangement):
     """((P, lines through Q, pi_Q), (Q, lines through P, pi_P), the lines
-    through neither): the two-point frame on H, as ring columns, pi the
-    product of the forms of its lines as {monomial: ring element}.
+    through neither as (column, zeros)): the two-point frame on H, as ring
+    columns, pi the product of the forms of its lines as {monomial: ring
+    element}.
 
     H and two of its points P, Q maximize |F_P| + |F_Q|, taking the first
     H and then the first flats in lattice order on ties; a line of an
     essential arrangement meets at least two flats.  P and Q are the cross
     products of alpha_H with one other member of their flat, and H is
-    among none of the lines returned.
+    among none of the lines returned.  The zeros (z, u, v) of a line K
+    through neither point count the flats on K with two other lines that
+    hold before K in row order (_dh_system), u and v of them at x_j = 0
+    and x_k = 0 (_axes); a miscounted zero fails the lifts' membership.
     """
     ops, cols, lat = arr.ops, arr.ring_columns, arr.lattice()
     flats = lat.flats
@@ -195,8 +208,19 @@ def _two_point_frame(arr: Arrangement):
         point = linalg.ring_cross(ops, cols[h], cols[f[0] - 1])
         frame.append((point, lines, reduce(lambda pi, l: _poly_mul(
             ops, dict(zip(_UNITS, l)), pi), lines, {(0, 0, 0): ops.one})))
-    return (*frame, [c for i, c in enumerate(cols, start=1)
-                     if i not in fp and i not in fq and i != h + 1])
+    framed = {h + 1, *fp, *fq}
+    held, rest = [len(f & framed) for f in flats], []   # lines that hold
+    for i, col in enumerate(cols, start=1):
+        if i in framed:
+            continue
+        through, (_, j, k) = lat.per_hyperplane[i - 1], _axes(ops, col)
+        zeros = [linalg.ring_cross(ops, col, cols[min(flats[f] - {i}) - 1])
+                 for f in through if held[f] > 1]
+        rest.append((col, (len(zeros), sum(ops.is_zero(x[j]) for x in zeros),
+                           sum(ops.is_zero(x[k]) for x in zeros))))
+        for f in through:
+            held[f] += 1
+    return (*frame, rest)
 
 
 def _dh_system(ops, frame, p: int):
@@ -212,18 +236,33 @@ def _dh_system(ops, frame, p: int):
     every line through P or Q.  The unknowns are g1 of degree
     p - (|F_Q| - 1) and g2 of degree p - (|F_P| - 1), a negative degree
     giving an empty block, and only the lines K through neither point
-    give rows: alpha_K(P) pi_Q g1 + alpha_K(Q) pi_P g2 vanishes on
+    give rows: F_K = alpha_K(P) pi_Q g1 + alpha_K(Q) pi_P g2 vanishes on
     ker(alpha_K).
+
+    Zeros.  A line holds when theta(alpha) vanishes on ker(alpha): H and
+    the lines through P or Q do, and so, by induction, does each earlier K
+    on the kernel of its rows.  There, let X be a flat on K with two other
+    lines that hold; theta(X) lies in span(P, Q) = ker(alpha_H).  Off H,
+    the two meet H at two points, so their alphas are independent on
+    span(P, Q) and theta(X) = 0; on H, one is a K' != H, and alpha_K'
+    vanishes on span(P, Q) only at X, so theta(X) is a multiple of X.
+    Either way F_K(X) = 0, at z distinct points.  So F_K = s^u r^v L G, L
+    of degree z - u - v with nonzero end coefficients and G of degree
+    p - z, and the first ceil(w/2) and last floor(w/2) of rows u..p - v
+    fix G's w = p + 1 - z coefficients, by forward and backward
+    substitution.  The rows written thus have the full system's kernel and
+    nullspace basis, and a line with z > p writes none.
     """
     *points, rest = frame
     blocks, width = [], 0
     for point, lines, pi in points:
         blocks.append((width, p - len(lines), point, lines, pi))
         width += len(monomials(p - len(lines)))
-    rows = [row for beta in rest
+    rows = [row for beta, zeros in rest
             for row in _hyperplane_rows(
                 ops, beta, [(b, linalg.ring_dot(ops, beta, point), lines)
-                            for b, _, point, lines, _ in blocks], p, width)]
+                            for b, _, point, lines, _ in blocks], p, width,
+                zeros)]
     return rows, width, blocks
 
 
@@ -307,10 +346,10 @@ def _tangent(ops, cols, thetas) -> bool:
 def _lifts(ops, frame, p: int, lead=None):
     """(lifts, leads): the lifts of the exact two-point kernel at degree p
     in the given frame (_two_point_frame), coefficient vectors unchecked
-    (each caller tests them by _tangent: a wrong frame fails there), and
-    the first nonzero coordinate of each kernel vector as (block,
-    monomial).  A lead (k, u) from a lower degree fixes to zero the
-    columns u * m of block k (see _first_complement)."""
+    (each caller tests them by _tangent: a wrong frame, or a miscounted
+    zero, fails there), and the first nonzero coordinate of each kernel
+    vector as (block, monomial).  A lead (k, u) from a lower degree fixes
+    to zero the columns u * m of block k (see _first_complement)."""
     rows, width, blocks = _dh_system(ops, frame, p)
     fixed = set()
     if lead is not None:

@@ -270,15 +270,18 @@ def _candidate_polys(f: Family) -> dict:
     and only nonconstant ones are unpacked: a pair with a constant one, or
     of two columns that Family.fixed marks constant, takes no gcd, a gcd
     chain stops at its first constant gcd, and a triple of three constant
-    columns is not dotted."""
+    columns is not dotted, so a pair of constant columns with only constant
+    ones after it is not crossed."""
     k, cols = f.packing
     half = 1 << (k - 1)
     n, fixed = f.n, f.fixed
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            p = ring_cross(IntOps, cols[i], cols[j])
             const = fixed[i] and fixed[j]
+            if const and all(fixed[j + 1:]):
+                continue
+            p = ring_cross(IntOps, cols[i], cols[j])
             minors = [m for m in p if m]
             if not const and all(abs(m) >= half for m in minors):
                 g = _unpack(minors[0], k)

@@ -43,6 +43,7 @@ from conftest import (
     boolean3,
     defining_polynomial,
     grid,
+    h3,
     hpolys,
     hyperplane_rows_by_tables,
     is_member,
@@ -535,11 +536,14 @@ class TestRowBuilder:
     def test_two_point_rows_are_full_rows_on_the_lift(self, arr):
         # For g the unit vector of an unknown, theta = (pi_Q g1) P +
         # (pi_P g2) Q; M's rows for the lines through neither point, applied
-        # to theta, are the two-point rows, and M's other rows vanish on it.
+        # to theta, are the rows of the frame without known zeros, and M's
+        # other rows vanish on it.  The frame's rows are those of each
+        # line's window, and have the same nullspace.
         ops, cols = arr.ops, arr.ring_columns
         lat = arr.lattice()
         frame = fr._two_point_frame(arr)
         (_, lines1, _), (_, lines2, _), rest = frame
+        zeros = dict(rest)
         assert len(lines1) + len(lines2) + 2 == max(
             sum(sorted((len(lat.flats[f]) for f in incident))[-2:])
             for incident in lat.per_hyperplane)
@@ -572,17 +576,26 @@ class TestRowBuilder:
             rows, width, _ = fr._dh_system(ops, frame, p)
             assert width == len(thetas)
             full = _old_constraint_rows(ops, cols, p)
-            expected = []
+            expected, kept = [], []
             for i, col in enumerate(cols):
                 block = [[reduce(ops.add, (ops.mul(row[j], x)
                                            for j, x in th.items()), ops.zero)
                           for th in thetas]
                          for row in full[i * (p + 1):(i + 1) * (p + 1)]]
-                if col in rest:
+                if col in zeros:
+                    # the first ceil(w / 2) and last floor(w / 2) of rows
+                    # u..p - v, w = p + 1 - z
+                    z, u, v = zeros[col]
+                    w = max(p + 1 - z, 0)
                     expected += block
+                    kept += block[u:u + (w + 1) // 2]
+                    kept += block[p + 1 - v - w // 2:p + 1 - v]
                 else:
                     assert all(map(ops.is_zero, sum(block, [])))
-            assert rows == expected
+            assert fr._dh_system(ops, _unsettled(frame), p)[0] == expected
+            assert rows == kept
+            assert linalg.nullspace(rows, width, ops) == linalg.nullspace(
+                expected, width, ops)
 
 
 class TestClosedFormsAgainstTables:
@@ -709,6 +722,12 @@ def _grid_degrees(arr):
     return (0, 1, e2, e3)
 
 
+def _unsettled(frame):
+    """The frame with no zero known: each line writes all p + 1 rows."""
+    first, second, rest = frame
+    return first, second, [(col, (0, 0, 0)) for col, _ in rest]
+
+
 def _short_frame(arr, frame=fr._two_point_frame):
     """The two-point frame without its first line through neither point:
     the rows then miss that line, so some lift fails its exact check."""
@@ -800,9 +819,9 @@ class TestDHSolve:
         widths, solved = [], []
         rows_of = fr._hyperplane_rows
 
-        def rows_spy(ops, alpha, blocks, p, width):
+        def rows_spy(ops, alpha, blocks, p, width, zeros):
             widths.append((p, width))
-            return rows_of(ops, alpha, blocks, p, width)
+            return rows_of(ops, alpha, blocks, p, width, zeros)
 
         monkeypatch.setattr(fr, "_hyperplane_rows", rows_spy)
         for name in ("nullspace", "rank"):
@@ -884,10 +903,97 @@ class TestDHSolve:
             with pytest.raises(InvariantError):
                 derivation_basis(arr, arr.char_poly().exponents()[1])
 
+    @pytest.mark.parametrize("claim,expect", [
+        (lambda arr, zs: (zs[0] + 1, *zs[1:]), "either"),
+        (lambda arr, zs: (arr.n, 0, 0), "raise"),
+        (lambda arr, zs: _one_fewer(zs), "same")],
+        ids=["one-too-many", "every-line-settled", "one-fewer"])
+    def test_a_miscounted_zero_raises_or_agrees(self, claim, expect,
+                                                 monkeypatch):
+        # a miscounted zero drops rows (or writes rows the kernel already
+        # satisfies): the kernel can only grow, and a grown kernel's lifts
+        # fail the membership pass, so no other answer is reached
+        arrs = [mod.specialize(mod.family_13(), 3).arrangement,
+                _paper_quad_points()[0], *_nonfree_split()]
+        honest = [_answer(arr) for arr in arrs]
+        assert InvariantError not in honest
+
+        def frame(arr, real=fr._two_point_frame):
+            first, second, rest = real(arr)
+            return first, second, [(col, claim(arr, zs)) for col, zs in rest]
+        monkeypatch.setattr(fr, "_two_point_frame", frame)
+        claimed = [_answer(arr) for arr in arrs]
+        assert all(c in (h, InvariantError) for c, h in zip(claimed, honest))
+        raised = claimed.count(InvariantError)
+        # one zero too many drops a row that some kernels need, not all
+        assert {"either": 0 < raised < len(arrs), "raise": raised == len(
+            arrs), "same": claimed == honest}[expect]
+
     def test_negative_degree_raises(self):
         for probe in (derivation_basis, derivation_space_dim):
             with pytest.raises(ValueError, match="degree must be nonnegative"):
                 probe(boolean3(), -1)
+
+
+def _one_fewer(zeros):
+    """One known zero fewer: an inner one if there is one, else one at an
+    end of the line's parametrization."""
+    z, u, v = zeros
+    if z > u + v or not z:
+        return max(z - 1, 0), u, v
+    return (z - 1, 0, v) if u else (z - 1, u, 0)
+
+
+def _answer(arr):
+    """decide_freeness's verdict, with a Free one's certificate as text, or
+    InvariantError."""
+    try:
+        verdict = decide_freeness(arr, use_cache=False)
+    except InvariantError:
+        return InvariantError
+    if isinstance(verdict, Free):
+        return verdict.exponents, certificate_to_text(verdict.certificate)
+    return verdict
+
+
+class TestKeptRows:
+    """The rows a line's known zeros leave open have the kernel of all its
+    rows (the lemma in _dh_system)."""
+
+    def test_kept_and_full_rows_have_one_nullspace(self, small_corpus, a13,
+                                                   a15):
+        fam13, fam15 = mod.family_13(), mod.family_15()
+        arrs = [*(arr for arr, _, _ in _nonfree_cases()),
+                *_free_inputs(small_corpus, a13, a15),
+                *(monomial(r, k) for r, k in ((3, 0), (3, 1), (4, 0),
+                                              (4, 1), (6, 0), (6, 2))),
+                h3(), *map(grid, range(2, 9)), *_paper_quad_points(),
+                *(mod.specialize(f, t).arrangement for f in (fam13, fam15)
+                  for t in (3, -1, Fraction(5, 7)))]
+        assert len(arrs) == 270 + 15 + 7 + 7 + 2 + 6
+        kept_rows = full_rows = 0
+        for arr in arrs:
+            ops, frame = arr.ops, fr._two_point_frame(arr)
+            for p in range(arr.char_poly().exponents()[2] + 2):
+                kept, width, _ = fr._dh_system(ops, frame, p)
+                full = fr._dh_system(ops, _unsettled(frame), p)[0]
+                assert linalg.nullspace(kept, width, ops) == \
+                    linalg.nullspace(full, width, ops)
+                kept_rows += len(kept)
+                full_rows += len(full)
+        assert kept_rows < full_rows / 2
+
+    @pytest.mark.parametrize("arr,counts", [
+        (mod.specialize(mod.family_13(), 3).arrangement, {6: (16, 28)}),
+        (grid(8), {15: (57, 128), 16: (65, 136)})], ids=["a13", "grid32"])
+    def test_kept_row_totals(self, arr, counts):
+        # (kept, full) rows at e2 and e3: a change that writes full blocks
+        # again fails here
+        ops, frame = arr.ops, fr._two_point_frame(arr)
+        _, e2, e3 = arr.char_poly().exponents()
+        assert {p: (len(fr._dh_system(ops, frame, p)[0]),
+                    len(fr._dh_system(ops, _unsettled(frame), p)[0]))
+                for p in (e2, e3)} == counts
 
 
 # -- the complements against field reduction of the canonical basis --------

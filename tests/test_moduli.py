@@ -551,13 +551,15 @@ class TestPackedScans:
     def test_no_minors_among_constant_columns(self, n, monkeypatch):
         """Families of n columns, c of them constant in t, for c = 0, 1, 2,
         n - 2, n - 1 and n: the candidates equal the IntPoly oracle's, in
-        order, and only the triples with a t-dependent column are
-        dotted."""
+        order, only the triples with a t-dependent column are dotted, and
+        only the pairs that a gcd or a triple reads are crossed."""
         rng = random.Random(43 + n)
-        dots, seen = [], set()
-        real = mod.ring_dot
+        dots, crosses, seen = [], [], set()
+        real, real_cross = mod.ring_dot, mod.ring_cross
         monkeypatch.setattr(mod, "ring_dot",
                             lambda *a: dots.append(a) or real(*a))
+        monkeypatch.setattr(mod, "ring_cross",
+                            lambda *a: crosses.append(a) or real_cross(*a))
 
         def entry(degree):
             return IntPoly(rng.randint(-3, 3) for _ in range(degree + 1))
@@ -575,10 +577,17 @@ class TestPackedScans:
                 c_fixed = sum(x is not None for x in f.fixed)
                 seen.add(c_fixed)
                 dots.clear()
+                crosses.clear()
                 cands = mod._candidate_polys(f)
                 assert list(cands.items()) == list(
                     candidate_polys_over_zt(f).items()), format_family(f)
                 assert len(dots) == comb(n, 3) - comb(c_fixed, 3)
+                # a pair of constant columns followed by constant ones only
+                # is read by no gcd and no triple
+                unread = sum(all(x is not None for x in f.fixed[i:i + 1]
+                                 + f.fixed[j:]) for i, j in
+                             combinations(range(n), 2))
+                assert len(crosses) == comb(n, 2) - unread
                 if c_fixed == n:
                     assert cands == {}
         assert seen >= {0, 1, 2, n - 2, n - 1, n}
