@@ -87,7 +87,7 @@ def _parse_at(text: str):
         if rest:
             raise ValueError("expected one scalar")
         return omega
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad --at value {text!r}: {exc}") from None
 
 

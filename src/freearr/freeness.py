@@ -12,7 +12,8 @@ through P or Q is then satisfied, and only the lines through neither give
 rows, those their known zeros leave open (the lemma is in _dh_system).
 The exact kernel of this small system, lifted, and the m * theta_E for the
 monomials m of degree p - 1 are a basis of D(A)_p, made canonical only by
-derivation_basis.
+derivation_basis.  Coefficients are placed by _column alone: the products
+of monomials and the membership packing read tables composed from it.
 
 Membership is checked against every line alpha by one value (_tangent),
 in one stacked pass per solve, of all it builds, and per saito_check.  On
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, repeat
 from math import comb, prod
 
 from . import linalg
@@ -59,8 +60,7 @@ class DegreeMismatchError(ValueError):
     """Saito check on degrees that do not fit n or the terms."""
 
 
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))   # x1, x2, x3 as exponents
-_TABLE_CACHE_SIZE = 256     # monomials and _euler_terms, by degree (and side)
+_TABLE_CACHE_SIZE = 256     # monomials and the column tables, by degrees
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -82,6 +82,36 @@ def _terms(p: int, vec: dict):
     the coefficient of the monomial m in f_(c+1), as _column places it."""
     mons = monomials(p)
     return ((j // len(mons), mons[j % len(mons)], x) for j, x in vec.items())
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _products(d: int, e: int) -> tuple:
+    """Per monomial m of degree d, in monomials order, the place in
+    monomials(d + e) of m * n for each monomial n of degree e (_column)."""
+    return tuple(tuple(_column(d + e, 0, (m[0] + n[0], m[1] + n[1],
+                                          m[2] + n[2])) for n in monomials(e))
+                 for m in monomials(d))
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _places(p: int, i0: int) -> tuple:
+    """Per column of degree p, in order (_column), (p - m_i0, c, m_j) for
+    its monomial m in f_(c+1) and i0, j, k as in _axes: the row, side and
+    power of B where _tangent packs it."""
+    j = 1 if i0 == 0 else 0
+    return tuple((p - m[i0], c, m[j]) for c in range(3) for m in monomials(p))
+
+
+def _product(ops, f, d: int, g, e: int) -> dict:
+    """f * g for f of degree d and g of degree e, each {place in
+    monomials: ring element}, by _products(d, e), without zeros."""
+    out, table = {}, _products(d, e)
+    for i, x in f.items():
+        row = table[i]
+        for k, y in g.items():
+            z = ops.mul(x, y)
+            out[row[k]] = ops.add(out[row[k]], z) if row[k] in out else z
+    return {k: x for k, x in out.items() if not ops.is_zero(x)}
 
 
 @dataclass(frozen=True)
@@ -137,45 +167,45 @@ def _times_linear(ops, form, a, b):
 def _hyperplane_rows(ops, alpha, blocks, p: int, width: int,
                      zeros=(0, 0, 0)):
     """The rows, of the given width, saying that the sum F of
-    a * l_1 ... l_e * f over the (b, a, (l_1, ..., l_e)) in blocks vanishes
-    on ker(alpha); a is a ring element, the l_i are linear forms, and f is
-    the polynomial of degree p - e whose coefficients, in monomials(p - e)
+    a * l_1 ... l_e * f over the (b, a, (l_1, ..., l_e), prods) in blocks
+    vanishes on ker(alpha); a is a ring element, the l_i linear forms, and
+    f the polynomial of degree p - e whose coefficients, in monomials(p - e)
     order, start at column b.  A block with e > p is empty.
 
     With i0, j, k as in _axes, (x_i0, x_j, x_k) = (-alpha_j s - alpha_k r,
     alpha_i0 s, alpha_i0 r) parametrizes ker(alpha), so x_i0^a x_j^b x_k^c
-    becomes alpha_i0^(b+c) s^b r^c (-alpha_j s - alpha_k r)^a.  A block
-    restricts the product of its l_i once and multiplies it by that binary
-    form once per power a.  Row t holds the coefficients of s^t r^(p-t).
+    becomes alpha_i0^(b+c) s^b r^c (-alpha_j s - alpha_k r)^a.  prods[a],
+    the restricted l_i times that form to the power a, is filled as far as
+    p needs: a list kept across calls restricts once.  Row t holds the
+    coefficients of s^t r^(p-t).
     For z known zeros of F, u at s = 0 and v at r = 0 (zeros), only the
     first ceil(w/2) and last floor(w/2) of rows u..p - v are written,
     w = p + 1 - z (_dh_system); a miscounted zero only drops rows, and the
     lifts of the larger kernel fail the membership pass.
     """
     i0, j, k = _axes(ops, alpha)
-    mul, is_zero = ops.mul, ops.is_zero
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
     sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
     lead = list(accumulate(repeat(alpha[i0], p), mul, initial=ops.one))
     z, u, v = zeros
     w = p + 1 - z
     rows = {t: [ops.zero] * width for t in (
         *range(u, u + (w + 1) // 2), *range(p - v - w // 2 + 1, p - v + 1))}
-    for block, scalar, lines in blocks:
+    for block, scalar, lines, prods in blocks:
         d = p - len(lines)
         if d < 0:
             continue
-        scaled = [mul(scalar, x) for x in lead[:d + 1]]     # a alpha_i0^e
-        prods = [[ops.one]]     # (sj s + sk r)^a times the restricted l_i
-        for l in lines:
-            prods[0] = _times_linear(
-                ops, prods[0], ops.add(mul(alpha[i0], l[j]), mul(sj, l[i0])),
-                ops.add(mul(alpha[i0], l[k]), mul(sk, l[i0])))
-        for _ in range(d):
+        if not prods:
+            prods.append(reduce(lambda f, l: _times_linear(
+                ops, f, add(mul(alpha[i0], l[j]), mul(sj, l[i0])),
+                add(mul(alpha[i0], l[k]), mul(sk, l[i0]))), lines, [ops.one]))
+        while len(prods) <= d:
             prods.append(_times_linear(ops, prods[-1], sj, sk))
-        for col, (a, b, c) in enumerate(((m[i0], m[j], m[k])
-                                         for m in monomials(d)), start=block):
-            x = scaled[b + c]
-            for t, y in enumerate(prods[a], start=b):
+        scaled = [mul(scalar, x) for x in lead[:d + 1]]     # a alpha_i0^e
+        for col, (r, _, b) in zip(range(block, block + comb(d + 2, 2)),
+                                  _places(d, i0)):      # those of f_1
+            x = scaled[r]                               # r = b + c = d - a
+            for t, y in enumerate(prods[d - r], start=b):
                 if t in rows and not is_zero(y):
                     rows[t][col] = mul(x, y)
     return list(rows.values())
@@ -183,9 +213,9 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int,
 
 def _two_point_frame(arr: Arrangement):
     """((P, lines through Q, pi_Q), (Q, lines through P, pi_P), the lines
-    through neither as (column, zeros)): the two-point frame on H, as ring
-    columns, pi the product of the forms of its lines as {monomial: ring
-    element}.
+    through neither as (column, zeros, prods)): the two-point frame on H,
+    as ring columns, pi the product of the forms of its lines as {place:
+    ring element}, prods a list per point for _hyperplane_rows to fill.
 
     H and two of its points P, Q maximize |F_P| + |F_Q|, taking the first
     H and then the first flats in lattice order on ties; a line of an
@@ -204,10 +234,11 @@ def _two_point_frame(arr: Arrangement):
     fp, fq = (sorted(flats[f] - {h + 1}) for f in points[h])
     frame = []
     for f, g in ((fp, fq), (fq, fp)):
-        lines = [cols[i - 1] for i in g]
+        lines, pi = [cols[i - 1] for i in g], {0: ops.one}
+        for e, l in enumerate(lines):
+            pi = _product(ops, pi, e, dict(enumerate(l)), 1)
         point = linalg.ring_cross(ops, cols[h], cols[f[0] - 1])
-        frame.append((point, lines, reduce(lambda pi, l: _poly_mul(
-            ops, dict(zip(_UNITS, l)), pi), lines, {(0, 0, 0): ops.one})))
+        frame.append((point, lines, pi))
     framed = {h + 1, *fp, *fq}
     held, rest = [len(f & framed) for f in flats], []   # lines that hold
     for i, col in enumerate(cols, start=1):
@@ -217,7 +248,7 @@ def _two_point_frame(arr: Arrangement):
         zeros = [linalg.ring_cross(ops, col, cols[min(flats[f] - {i}) - 1])
                  for f in through if held[f] > 1]
         rest.append((col, (len(zeros), sum(ops.is_zero(x[j]) for x in zeros),
-                           sum(ops.is_zero(x[k]) for x in zeros))))
+                           sum(ops.is_zero(x[k]) for x in zeros)), ([], [])))
         for f in through:
             held[f] += 1
     return (*frame, rest)
@@ -258,21 +289,11 @@ def _dh_system(ops, frame, p: int):
     for point, lines, pi in points:
         blocks.append((width, p - len(lines), point, lines, pi))
         width += len(monomials(p - len(lines)))
-    rows = [row for beta, zeros in rest
-            for row in _hyperplane_rows(
-                ops, beta, [(b, linalg.ring_dot(ops, beta, point), lines)
-                            for b, _, point, lines, _ in blocks], p, width,
-                zeros)]
+    rows = [row for beta, zeros, prods in rest for row in _hyperplane_rows(
+        ops, beta, [(b, linalg.ring_dot(ops, beta, point), lines, pr)
+                    for (b, _, point, lines, _), pr in zip(blocks, prods)],
+        p, width, zeros)]
     return rows, width, blocks
-
-
-def _poly_mul(ops, f, g):
-    """Product of polynomials {monomial: ring element}."""
-    out = {}
-    for m, x in f.items():
-        linalg.add_multiple(ops, out, x, {
-            (m[0] + e[0], m[1] + e[1], m[2] + e[2]): y for e, y in g.items()})
-    return out
 
 
 def derivation_space_dim(arr: Arrangement, p: int) -> int:
@@ -289,15 +310,15 @@ def _shifts(vec, d: int, p: int) -> list:
     """The coefficient vectors of m * theta for the monomials m of degree
     p - d, in monomials order, theta of degree d with coefficient vector
     vec."""
-    terms = list(_terms(d, vec))
-    return [{_column(p, c, (e[0] + m[0], e[1] + m[1], e[2] + m[2])): x
-             for c, e, x in terms}
-            for m in monomials(p - d)]
+    size, n = comb(p + 2, 2), comb(d + 2, 2)
+    terms = [(j // n * size, j % n, x) for j, x in vec.items()]   # (c, e)
+    return [{c + row[e]: x for c, e, x in terms}
+            for row in _products(p - d, d)]
 
 
 def _height(ops, xs) -> int:
     """The height sum of the ring elements xs (see the module docstring)."""
-    return sum(abs(y) for x in xs for y in ops.ints(x))
+    return sum(map(abs, chain.from_iterable(map(ops.ints, xs))))
 
 
 def _tangent(ops, cols, thetas) -> bool:
@@ -324,14 +345,15 @@ def _tangent(ops, cols, thetas) -> bool:
         for t, v in enumerate(vecs):
             linalg.add_multiple(ops, vec, ops.scale(ops.one, 1 << s * t), v)
         big = s * len(vecs)                                     # B = C^T
-        packed, terms = {}, list(_terms(p, vec))
+        packed = {}
         powers = [1 << big * e for e in range(p + 1)]           # B^e
         for i0, j, k, alpha in lines:
             if i0 not in packed:        # P_(a,c) at row p - a
                 packed[i0] = rows = [[ops.zero] * 3 for _ in range(p + 1)]
-                for c, m, y in terms:
-                    row = rows[p - m[i0]]
-                    row[c] = add(row[c], ops.scale(y, powers[m[j]]))
+                places = _places(p, i0)
+                for col, y in vec.items():
+                    r, c, e = places[col]
+                    rows[r][c] = add(rows[r][c], ops.scale(y, powers[e]))
             x = ops.neg(add(ops.scale(alpha[j], 1 << big), alpha[k]))
             acc, lead = ops.zero, ops.one       # lead = alpha_i0^(p-a)
             for row in packed[i0]:
@@ -357,22 +379,22 @@ def _lifts(ops, frame, p: int, lead=None):
         fixed = {b + _column(d, 0, tuple(map(sum, zip(u, m))))
                  for m in monomials(d - sum(u))}
     keep = [j for j in range(width) if j not in fixed]
-    lifts, leads = [], []
+    lifts, leads, size = [], [], comb(p + 2, 2)
     for g in linalg.nullspace([[row[j] for j in keep] for row in rows],
                               len(keep), ops):
-        g = dict(zip(keep, g))
-        j = next(j for j, x in g.items() if not ops.is_zero(x))
+        g = {j: x for j, x in zip(keep, g) if not ops.is_zero(x)}
+        j = next(iter(g))
         k = max(k for k, (b, *_) in enumerate(blocks) if b <= j)
         leads.append((k, monomials(blocks[k][1])[j - blocks[k][0]]))
-        theta = [{}, {}, {}]    # f1, f2, f3, each {monomial: ring element}
-        for b, d, point, _, pi in blocks:
-            q = _poly_mul(ops, {m: g[j] for j, m in enumerate(monomials(d), b)
-                                if j in g}, pi)
-            for a, f in zip(point, theta):
-                linalg.add_multiple(ops, f, a, q)
-        lifts.append({_column(p, c, m): x
-                      for c, f in enumerate(theta) for m, x in f.items()
-                      if not ops.is_zero(x)})
+        theta = {}
+        for b, d, point, lines, pi in blocks:
+            q = _product(ops, {j - b: x for j, x in g.items()
+                               if 0 <= j - b < comb(d + 2, 2)}, d,
+                         pi, len(lines))
+            for c, a in enumerate(point):
+                linalg.add_multiple(ops, theta, a, {c * size + i: x
+                                                    for i, x in q.items()})
+        lifts.append({j: x for j, x in theta.items() if not ops.is_zero(x)})
     return lifts, leads
 
 
@@ -457,11 +479,11 @@ def _saito_constant(arr: Arrangement, ths):
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _euler_terms(p: int, c: int) -> dict:
     """{the column of m * x_c in f_c: the columns of m * x_a in the other
-    f_a}, over the monomials m of degree p - 1: the terms of m * theta_E."""
-    col = lambda m, a: _column(    # m * x_a in f_a
-        p, a, tuple(e + (b == a) for b, e in enumerate(m)))
-    return {col(m, c): [col(m, a) for a in range(3) if a != c]
-            for m in monomials(p - 1)}
+    f_a}, over the monomials m of degree p - 1: the terms of m * theta_E,
+    x_a being monomials(1)[a]."""
+    size = comb(p + 2, 2)
+    return {c * size + row[c]: [a * size + row[a] for a in range(3) if a != c]
+            for row in _products(p - 1, 1)}
 
 
 def _euler_reduced(ops, p: int, c: int, vec) -> dict:
@@ -680,7 +702,7 @@ def certificate_from_text(text: str) -> SaitoCertificate:
                 terms[c - 1, tuple(m)] = i, _one_scalar(parts[5:])
             elif parts != ["end"] or i != lines[-1][0]:
                 raise ValueError(f"unexpected {' '.join(parts)!r}")
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
+        except (ValueError, IndexError) as exc:
             raise ValueError(f"line {i}: {exc}") from None
     if lines[-1][1] != ["end"] or constant is None or len(derivs) != 3:
         raise ValueError(f"line {lines[-1][0]}: a certificate ends after a "

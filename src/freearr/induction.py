@@ -364,7 +364,7 @@ def chain_from_text(text: str) -> tuple:
                     raise ValueError("expected three scalars")
             else:
                 raise ValueError("unrecognized move")
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"chain line {ln}: cannot read {line!r}: "
                              f"{exc}") from None
         moves.append(Move(action, payload))

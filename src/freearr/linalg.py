@@ -3,14 +3,14 @@
 Rows live in Z or Z[sqrt d], the ring of a field's ops object
 (scalars.IntOps, or a scalars.QuadOps instance).  nullspace solves a system
 with one multi-modular engine: for each word-size prime of a fixed
-sequence, and each ring map into F_p, the reduced row echelon form gives
-the canonical nullspace basis mod p, which is recovered by Chinese
-remaindering and rational reconstruction, verified exactly against every
-row, and returned as primitive integral vectors over the ring.  triangular
-puts independent vectors in row echelon form exactly, from the right;
-forward_reduce reduces by such rows, and echelon back-reduces them, giving
-the canonical basis for a basis of a nullspace.  Cross and dot products and
-the 3x3 determinant work over the ring of an ops object.
+sequence, and each ring map into F_p, back-substitution on a row echelon
+form, not reduced, gives the canonical nullspace basis mod p, recovered by
+Chinese remaindering and rational reconstruction, verified exactly against
+every row, and returned as primitive integral vectors over the ring.
+triangular puts independent vectors in row echelon form exactly, from the
+right; forward_reduce reduces by such rows, and echelon back-reduces them,
+giving the canonical basis for a basis of a nullspace.  Cross and dot
+products and the 3x3 determinant work over the ring of an ops object.
 """
 from __future__ import annotations
 
@@ -66,11 +66,12 @@ def _primes():
 # -- the engine ------------------------------------------------------------
 
 def _rref_mod(rows, ncols: int, p: int):
-    """(pivot columns, nonzero rows) of the reduced row echelon form mod p.
+    """(pivot columns, nonzero rows) of a row echelon form mod p, not
+    reduced: the row of pivot c is one at c, not stored, and holds entries
+    only at columns after c.
 
     Rows, in and out, are dicts {column: nonzero residue}.  Each step
-    pivots on the shortest row to limit fill-in; the pivot rows are reduced
-    against one another at the end, from the last pivot back.
+    pivots on the shortest row to limit fill-in.
     """
     work = [row for row in rows if row]
     pivots, done = [], []
@@ -89,13 +90,6 @@ def _rref_mod(rows, ncols: int, p: int):
                 _eliminate(row, col, prow, p)
         pivots.append(col)
         done.append(prow)
-    for k in range(len(done) - 1, -1, -1):
-        row = done[k]
-        for j in range(k + 1, len(done)):
-            if pivots[j] in row:
-                _eliminate(row, pivots[j], done[j], p)
-    for col, row in zip(pivots, done):
-        row[col] = 1
     return pivots, done
 
 
@@ -112,15 +106,21 @@ def _eliminate(row, col: int, prow, p: int):
 
 def _kernel_mod(rows, ncols: int, h, p: int):
     """The kernel mod p of the ring rows under the ring map h, as one sparse
-    vector per free column f of their reduced row echelon form: a one at f
-    and minus column f of the reduced rows at the pivots."""
-    pivots, red = _rref_mod([{j: y for j, x in enumerate(row)
+    vector per free column f of their row echelon form (_rref_mod): the
+    canonical one, read by back-substitution, is one at f, zero at the
+    other free columns, and at each pivot c before f, from the last up,
+    minus c's row times the entries already found."""
+    pivots, ech = _rref_mod([{j: y for j, x in enumerate(row)
                               if x and (y := h(x))}
                              for row in rows], ncols, p)
-    pivset = set(pivots)
-    return [{f: 1, **{c: p - row[f] for c, row in zip(pivots, red)
-                      if f in row}}
-            for f in range(ncols) if f not in pivset]
+    kernel = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        v = {f: 1}
+        for k in range(bisect(pivots, f) - 1, -1, -1):
+            if x := sum(y * v[j] for j, y in ech[k].items() if j in v) % p:
+                v[pivots[k]] = p - x
+        kernel.append(v)
+    return kernel
 
 
 def _rational(x: int, m: int, bound: int):
@@ -222,9 +222,10 @@ def nullspace(rows, ncols, ops):
     One vector per free column f of the reduced row echelon form, with a
     one at f, zero at the other free columns and nonzero entries only at
     pivot columns before f: the canonical basis, which depends only on the
-    nullspace (it is also echelon of any basis of it).  Each vector is
-    returned times the positive rational that makes it primitive integral,
-    as clear_column would scale it, so it is positive at f.
+    nullspace (it is also echelon of any basis of it).  Mod p no echelon
+    is reduced: _kernel_mod reads each vector by back-substitution.  Each
+    vector is returned times the positive rational that makes it primitive
+    integral, as clear_column would scale it, so it is positive at f.
 
     Primes are ranked by (more pivots mod p, then the lexicographically
     smaller pivot list), and residues of _kernel_mod are combined only

@@ -823,13 +823,15 @@ def parse_integer(tok: str) -> int:
 
 
 def parse_rational(s: str) -> Fraction:
-    """The rational written as an integer or a/b in ASCII digits; anything
-    else raises ValueError and a zero b ZeroDivisionError."""
+    """The rational written as an integer or a/b in ASCII digits, b
+    nonzero; anything else raises ValueError naming s."""
     m = _RAT_RE.match(s.strip())
     if not m:
         raise ValueError(f"not a rational number: {s!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
+    if not den:
+        raise ValueError(f"zero denominator in {s!r}")
     return Fraction(num, den)
 
 
@@ -843,7 +845,7 @@ def scalar_to_text(x) -> str:
 
 def read_scalars(tokens) -> list:
     """The scalars that scalar_to_text wrote, one after another, as the
-    tokens; a bad value raises ValueError (a zero b ZeroDivisionError)."""
+    tokens; a bad value, a zero denominator too, raises ValueError."""
     out, i = [], 0
     while i < len(tokens):
         if tokens[i] == "rat" and i + 1 < len(tokens):

@@ -14,6 +14,7 @@ import pytest
 
 from freearr import arrangement as am
 from freearr import freeness as fr
+from freearr import linalg
 from freearr import moduli as mod
 from freearr.freeness import Derivation, Free, decide_freeness
 from freearr.linalg import add_multiple, det3, echelon, rank
@@ -415,7 +416,7 @@ def saito_by_coefficients(arr: am.Arrangement, th1, th2, th3):
 def hyperplane_rows_by_tables(ops, alpha, blocks, p: int, width: int):
     """freeness._hyperplane_rows from the table of the powers
     (sj s + sk r)^a, each multiplied again by the restriction of every line
-    of a block."""
+    of a block; each block's list of products is left unread."""
     i0, j, k = fr._axes(ops, alpha)
     mul, is_zero = ops.mul, ops.is_zero
     sj, sk = ops.neg(alpha[j]), ops.neg(alpha[k])
@@ -425,7 +426,7 @@ def hyperplane_rows_by_tables(ops, alpha, blocks, p: int, width: int):
         lead.append(ops.mul(lead[-1], alpha[i0]))
         form.append(fr._times_linear(ops, form[-1], sj, sk))
     rows = [[ops.zero] * width for _ in range(p + 1)]
-    for block, scalar, lines in blocks:
+    for block, scalar, lines, _ in blocks:
         d = p - len(lines)
         if d < 0:
             continue
@@ -487,6 +488,31 @@ def modulo_by_euler_rows(ops, p: int, others, c: int):
         k, r = normal_form(ops, normal_form(ops, flip(vec), euler)[1], span)
         return k, flip(r)
     return reduce_modulo
+
+
+def kernel_by_back_reduction(rows, ncols: int, h, p: int):
+    """linalg._kernel_mod as it was: the echelon of linalg._rref_mod
+    reduced from the last pivot back, then per free column f a one at f
+    and minus column f of the reduced rows at the pivots."""
+    pivots, done = linalg._rref_mod([{j: y for j, x in enumerate(row)
+                                      if x and (y := h(x))}
+                                     for row in rows], ncols, p)
+    for k in range(len(done) - 1, -1, -1):
+        for j in range(k + 1, len(done)):
+            if pivots[j] in done[k]:
+                linalg._eliminate(done[k], pivots[j], done[j], p)
+    return [{f: 1, **{c: p - row[f] for c, row in zip(pivots, done)
+                      if f in row}}
+            for f in range(ncols) if f not in pivots]
+
+
+def linear_product(ops, lines) -> HPoly:
+    """The product of the linear forms with the given ring columns, over
+    the field of ops."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return reduce(poly_mul, (HPoly(1, {e: to_field(ops, x) for e, x in
+                                       zip(units, line)}) for line in lines),
+                  HPoly(0, {(0, 0, 0): to_field(ops, ops.one)}))
 
 
 # -- the walks that orbit pruning and integral candidates replaced ---------

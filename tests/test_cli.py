@@ -108,6 +108,17 @@ class TestChiAndLattice:
         assert tagged == run(cmd, "paper13", "--at", at, *opts)
         assert tagged[0] == 0
 
+    @pytest.mark.parametrize("at, token", [("1/0", "1/0"),
+                                           ("quad 5 1/0 1", "1/0"),
+                                           ("rat -2/0", "-2/0")])
+    def test_zero_denominator_at_value_names_the_token(self, at, token):
+        """A zero denominator is reported by its token, in no repr."""
+        code, out, err = run("free", "paper13", "--at", at)
+        assert (code, out) == (1, "")
+        assert err == (f"error: bad --at value {at!r}: zero denominator "
+                       f"in {token!r}\n")
+        assert "Fraction(" not in err
+
     def test_non_squarefree_quad_at_value(self):
         code, _, err = run("chi", "paper13", "--at", "quad 12 1 1")
         assert code == 1
@@ -351,6 +362,17 @@ class TestInductionCommands:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: chain line 3: cannot read {move!r}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("move", [m for m in MALFORMED_MOVES
+                                      if "1/0" in m])
+    def test_replay_zero_denominator_names_the_token(self, tmp_path, move):
+        chain = tmp_path / "chain.txt"
+        chain.write_text(f"{move}\n")
+        code, out, err = run("recfree", "paper13", "--at", "3",
+                             "--replay", str(chain))
+        assert (code, out) == (1, "")
+        assert err.endswith(": zero denominator in '1/0'\n")
+        assert "Fraction(" not in err
 
     @pytest.mark.parametrize("move", MALFORMED_MOVES)
     def test_chain_reader_names_the_malformed_line(self, move):

@@ -47,6 +47,7 @@ from conftest import (
     hpolys,
     hyperplane_rows_by_tables,
     is_member,
+    linear_product,
     modulo_by_euler_rows,
     monomial,
     near_pencil,
@@ -524,7 +525,7 @@ class TestRowBuilder:
             nm = len(fr.monomials(p))
             rows = [row for alpha in cols
                     for row in fr._hyperplane_rows(
-                        ops, alpha, [(c * nm, a, ())
+                        ops, alpha, [(c * nm, a, (), [])
                                      for c, a in enumerate(alpha)
                                      if not ops.is_zero(a)], p, 3 * nm)]
             assert rows == _old_constraint_rows(ops, cols, p)
@@ -543,7 +544,7 @@ class TestRowBuilder:
         lat = arr.lattice()
         frame = fr._two_point_frame(arr)
         (_, lines1, _), (_, lines2, _), rest = frame
-        zeros = dict(rest)
+        zeros = {col: zs for col, zs, _ in rest}
         assert len(lines1) + len(lines2) + 2 == max(
             sum(sorted((len(lat.flats[f]) for f in incident))[-2:])
             for incident in lat.per_hyperplane)
@@ -565,8 +566,9 @@ class TestRowBuilder:
                     pi = poly_mul(pi, HPoly(1, {e: field(x) for e, x in
                                                 zip(units, line)}))
                 # the frame's pi is that product, in ring elements
-                assert pi == HPoly(len(lines), {m: field(x) for m, x in
-                                                ring_pi.items()})
+                mons_pi = fr.monomials(len(lines))
+                assert pi == HPoly(len(lines), {mons_pi[k]: field(x) for k, x
+                                                in ring_pi.items()})
                 for m in fr.monomials(p - len(lines)):
                     f = poly_mul(pi, HPoly(p - len(lines), {m: 1}))
                     thetas.append({c * len(mons) + i:
@@ -613,8 +615,8 @@ class TestClosedFormsAgainstTables:
         for p in range(e3 + 1):
             _, width, blocks = fr._dh_system(ops, frame, p)
             for beta in arr.ring_columns:
-                args = (ops, beta, [(b, linalg.ring_dot(ops, beta, point), ls)
-                                    for b, _, point, ls, _ in blocks],
+                args = (ops, beta, [(b, linalg.ring_dot(ops, beta, point), ls,
+                                     []) for b, _, point, ls, _ in blocks],
                         p, width)
                 assert fr._hyperplane_rows(*args) == \
                     hyperplane_rows_by_tables(*args)
@@ -722,10 +724,96 @@ def _grid_degrees(arr):
     return (0, 1, e2, e3)
 
 
+class TestColumnTables:
+    """The cached column tables are compositions of _column: they equal
+    the monomial arithmetic they replaced, and the frame's pi is the
+    product of its lines."""
+
+    def test_tables_equal_the_monomial_arithmetic(self):
+        for p in range(13):
+            size = 3 * comb(p + 2, 2)
+            for d in range(p + 1):
+                mons, others = fr.monomials(d), fr.monomials(p - d)
+                assert fr._products(d, p - d) == tuple(
+                    tuple(fr._column(p, 0, (m[0] + n[0], m[1] + n[1],
+                                            m[2] + n[2])) for n in others)
+                    for m in mons)
+                vec = {j: j + 1 for j in range(3 * len(mons))}
+                assert fr._shifts(vec, d, p) == [
+                    {fr._column(p, c, (e[0] + n[0], e[1] + n[1],
+                                       e[2] + n[2])): x
+                     for c, e, x in fr._terms(d, vec)} for n in others]
+            for alpha in ((2, 0, 1), (0, 3, 1), (0, 0, 5)):
+                i0, j, _ = fr._axes(IntOps, alpha)
+                assert list(fr._places(p, i0)) == [
+                    (p - m[i0], c, m[j])
+                    for c, m, _ in fr._terms(p, dict.fromkeys(range(size)))]
+            for c in range(3) if p else ():
+                assert fr._euler_terms(p, c) == {
+                    fr._column(p, c, tuple(e + (b == c) for b, e in
+                                           enumerate(m))):
+                    [fr._column(p, a, tuple(e + (b == a) for b, e in
+                                            enumerate(m)))
+                     for a in range(3) if a != c]
+                    for m in fr.monomials(p - 1)}
+
+    def test_tables_are_bounded_caches(self):
+        for table in (fr._products, fr._places,
+                      fr._euler_terms, fr.monomials):
+            assert table.cache_info().maxsize == fr._TABLE_CACHE_SIZE
+
+    @pytest.mark.parametrize("arr", [
+        mod.specialize(mod.family_13(), 3).arrangement,
+        *_paper_quad_points(), grid(5), h3(), monomial(4, 1),
+        near_pencil(7)],
+        ids=["a13", "a15-sqrt5", "a13-i", "grid20", "h3", "monomial4-1",
+             "near-pencil7"])
+    def test_frame_pi_is_the_product_of_its_lines(self, arr):
+        ops = arr.ops
+        for point, lines, pi in fr._two_point_frame(arr)[:2]:
+            mons = fr.monomials(len(lines))
+            assert all(not ops.is_zero(x) for x in pi.values())
+            assert HPoly(len(lines), {mons[k]: to_field(ops, x)
+                                      for k, x in pi.items()}) == \
+                linear_product(ops, lines)
+
+    @pytest.mark.parametrize("arr", [
+        mod.specialize(mod.family_13(), 3).arrangement,
+        _paper_quad_points()[0], grid(6)], ids=["a13", "a15-sqrt5", "grid24"])
+    def test_each_restricted_product_is_built_once_per_frame(
+            self, arr, monkeypatch):
+        # Over a sweep of degrees up to top, in any order, a line and a
+        # block of e <= top lines cost e binary products to restrict the
+        # lines and top - e powers: top in all.  The rows equal those of a
+        # fresh frame.
+        ops, frame = arr.ops, fr._two_point_frame(arr)
+        _, e2, e3 = arr.char_poly().exponents()
+        top, calls = e3 + 1, []
+        times_linear = fr._times_linear
+
+        def spy(*args):
+            calls.append(args)
+            return times_linear(*args)
+        shared = []
+        for p in (e2, e3, *range(top + 1)):
+            monkeypatch.setattr(fr, "_times_linear", spy)
+            shared.append(fr._dh_system(ops, frame, p))
+            monkeypatch.setattr(fr, "_times_linear", times_linear)
+            assert shared[-1] == fr._dh_system(ops, fr._two_point_frame(arr),
+                                               p)
+        (_, lines1, _), (_, lines2, _), rest = frame
+        pairs = sum(len(lines) <= top for lines in (lines1, lines2))
+        assert len(calls) == top * pairs * len(rest)
+        assert all(len(prods) == top + 1 - len(lines)
+                   for _, _, both in rest
+                   for prods, lines in zip(both, (lines1, lines2)))
+
+
 def _unsettled(frame):
     """The frame with no zero known: each line writes all p + 1 rows."""
     first, second, rest = frame
-    return first, second, [(col, (0, 0, 0)) for col, _ in rest]
+    return first, second, [(col, (0, 0, 0), prods)
+                           for col, _, prods in rest]
 
 
 def _short_frame(arr, frame=fr._two_point_frame):
@@ -920,7 +1008,8 @@ class TestDHSolve:
 
         def frame(arr, real=fr._two_point_frame):
             first, second, rest = real(arr)
-            return first, second, [(col, claim(arr, zs)) for col, zs in rest]
+            return first, second, [(col, claim(arr, zs), prods)
+                                   for col, zs, prods in rest]
         monkeypatch.setattr(fr, "_two_point_frame", frame)
         claimed = [_answer(arr) for arr in arrs]
         assert all(c in (h, InvariantError) for c, h in zip(claimed, honest))
@@ -1871,6 +1960,19 @@ class TestCertificateText:
                             + lines[first + 1:], first + 1)
         for line in ("c rat 0.5", "c quad 5 0.5 1", "c quad 5 1 1e0"):
             self._raises_at(lines[:1] + [line] + lines[2:], 2)
+
+    def test_zero_denominator_names_the_token(self):
+        lines = _certificate_lines()
+        first = lines.index("derivation 1 pdeg 1") + 1
+        head = lines[first].rsplit(" ", 1)[0]
+        for number, line in ((2, "c rat 1/0"), (2, "c quad 5 1 3/0"),
+                             (first + 1, f"{head} 7/0")):
+            text = "\n".join(lines[:number - 1] + [line] + lines[number:])
+            with pytest.raises(ValueError) as info:
+                certificate_from_text(text + "\n")
+            token = line.split()[-1]
+            assert str(info.value) == (f"line {number}: zero denominator "
+                                       f"in {token!r}")
 
     def test_integers_in_ascii_digits(self):
         """d, pdeg and the term indices as parse_integer reads them:

@@ -20,7 +20,13 @@ from freearr.linalg import (
 )
 from freearr.scalars import IntOps, InvariantError, QuadElem, QuadOps
 
-from conftest import det3_cols, normal_form, same_field_vector, to_field
+from conftest import (
+    det3_cols,
+    kernel_by_back_reduction,
+    normal_form,
+    same_field_vector,
+    to_field,
+)
 
 # The engine's first prime: the largest prime below 2**62.
 P0 = sympy.prevprime(2 ** 62)
@@ -144,6 +150,57 @@ class TestIntegerEngine:
         assert nullspace([], 2, IntOps) == [(1, 0), (0, 1)]
         assert nullspace([[0, 0]], 2, IntOps) == [(1, 0), (0, 1)]
         assert nullspace([], 0, IntOps) == []
+
+
+class TestKernelByBackSubstitution:
+    """_kernel_mod reads each kernel vector off a row echelon form that is
+    not reduced; it equals the kernel of the fully reduced echelon
+    (conftest.kernel_by_back_reduction)."""
+
+    @staticmethod
+    def _systems(rng, p):
+        """Seeded random integer systems mod p, with zero rows, repeated
+        and combined rows, full rank, rank 0 and no columns."""
+        yield [], 0
+        yield [[0] * 4, [p, 2 * p, 0, -p]], 4          # rank 0
+        yield [[1, 0, 0], [2, 1, 0], [0, 5, 1]], 3      # full rank
+        for _ in range(80):
+            m, n = rng.randint(0, 7), rng.randint(1, 9)
+            rows = [[rng.choice((0, 0, rng.randint(-9, 9), rng.randrange(p)))
+                     for _ in range(n)] for _ in range(m)]
+            if rows and rng.random() < 0.5:
+                a, b = rng.choice(rows), rng.choice(rows)
+                rows.append([x + rng.randint(1, 4) * y for x, y in zip(a, b)])
+            if rng.random() < 0.3:
+                rows.insert(rng.randint(0, len(rows)), [0] * n)
+            yield rows, n
+
+    @pytest.mark.parametrize("p", [3, 7, P0], ids=["3", "7", "2^62-57"])
+    def test_equals_the_reduced_echelon_kernel(self, p):
+        rng = random.Random(p % 1000)
+        h = (lambda x: x % p)
+        ranks = set()
+        for rows, n in self._systems(rng, p):
+            kernel = linalg._kernel_mod(rows, n, h, p)
+            assert kernel == kernel_by_back_reduction(rows, n, h, p)
+            for v in kernel:
+                assert all(sum(row[j] * x for j, x in v.items()) % p == 0
+                           for row in rows)
+                assert all(0 < x < p for x in v.values())
+            ranks.add(n - len(kernel))
+        assert {0, 3} <= ranks and len(ranks) > 4
+
+    def test_quadratic_rows_under_each_ring_map(self):
+        rng, ops = random.Random(8), QuadOps(5)
+        p = next(q for q in linalg._primes() if ops.maps(q))
+        hs, _ = ops.maps(p)
+        for _ in range(30):
+            m, n = rng.randint(1, 5), rng.randint(1, 7)
+            rows = [[(rng.randint(-3, 3), rng.randint(-2, 2))
+                     for _ in range(n)] for _ in range(m)]
+            for h in hs:
+                assert linalg._kernel_mod(rows, n, h, p) == \
+                    kernel_by_back_reduction(rows, n, h, p)
 
 
 class TestSuppliedKernel:

@@ -367,6 +367,16 @@ class TestDomains:
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rational(text)
 
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/00"])
+    def test_zero_denominator_names_the_token(self, text):
+        """A zero denominator is a ValueError naming the token, not
+        Fraction's ZeroDivisionError and its repr."""
+        for read in (parse_rational, lambda s: read_scalars(["rat", s]),
+                     lambda s: read_scalars(["quad", "5", "1", s])):
+            with pytest.raises(ValueError) as info:
+                read(text)
+            assert str(info.value) == f"zero denominator in {text!r}"
+
     def test_quad_field_is_cached_and_validated(self):
         assert quad_field(5) is quad_field(5)
         with pytest.raises(ValueError):
