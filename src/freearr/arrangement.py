@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count, islice
+from itertools import combinations, count
 from math import gcd, isqrt
 
 from . import linalg
@@ -225,8 +225,10 @@ def validated(ops, ring_columns, keys, scales) -> Arrangement:
 def _has_rank3(cols, ops=IntOps) -> bool:
     """Rank 3 test for pairwise non-proportional columns over the ring of
     ops: some column is off the point c_1 x c_2 of the first two."""
-    n = len(cols)
-    return n > 2 and len(_through(ops, cols[0], cols[1], cols, 2)) < n - 2
+    if len(cols) < 3:
+        return False
+    p = linalg.ring_cross(ops, cols[0], cols[1])
+    return any(not ops.is_zero(linalg.ring_dot(ops, p, c)) for c in cols[2:])
 
 
 @dataclass(frozen=True)
@@ -361,55 +363,52 @@ class IntersectionLattice:
                 raise ArrangementError(f"pair {key} not covered")
 
 
-def _through(ops, u, v, cols, start) -> list:
-    """The k >= start with cols[k] through the point p = u x v, by p . c_k
-    = 0 written in integers; over Z[sqrt d] both coordinates vanish."""
-    out = []
-    if ops.parts == 1:
-        (u0, u1, u2), (v0, v1, v2) = u, v
-        a, b, c = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
-        for k, (x, y, z) in enumerate(cols[start:], start):
-            if not a * x + b * y + c * z:
-                out.append(k)
-        return out
-    d, ((a, e), (b, f), (c, g)) = ops.d, linalg.ring_cross(ops, u, v)
-    for k, ((x, x_), (y, y_), (z, z_)) in enumerate(cols[start:], start):
-        if not (a * x + b * y + c * z + d * (e * x_ + f * y_ + g * z_)
-                or a * x_ + b * y_ + c * z_ + e * x + f * y + g * z):
-            out.append(k)
-    return out
-
-
 def _compute_lattice(ops, cols) -> IntersectionLattice:
     """Rank-2 flats of pairwise non-proportional columns over the ring of
     ops; the lattice derives its incidences from them when read.
 
-    The first pair (i, j) of a flat in lexicographic order is its point;
-    one _through call finds its other members, all after j, and a double
-    point (about 70% of flats) is appended with no members list or marks.
+    Row i keys each later line j not yet in a flat with i by the point
+    c_i x c_j: over Z its primitive form signed to a positive first nonzero
+    entry, over Z[sqrt d] its line_key.  Row i and each group of equal keys
+    form one flat, and the groups come out in order of first j, so flats
+    are in order of their first pair in lexicographic order.  On packed
+    family columns (moduli) the keys of j and k are equal exactly when
+    (c_i x c_j) x (c_i x c_k) = det(c_i, c_j, c_k) c_i vanishes, and
+    _packed's bound covers that determinant, so the keys are exact.
 
-    The scan checks itself: each pair it visits lies in an earlier flat or
-    starts one, and a pair of a new flat that is already marked raises
-    InvariantError, so each pair lies in exactly one flat of two or more
-    lines, all that validate checks of a listing.  A flat's first pair is
-    never visited again, so it is left unmarked.
+    The scan checks itself: each pair (j, k) of a row's group is marked,
+    and one already marked raises InvariantError.  A pair is grouped in the
+    row of its first member unless an earlier flat holds it, so each pair
+    lies in exactly one flat of two or more lines, all that validate checks
+    of a listing.
     """
-    n = len(cols)
-    assigned = [[False] * n for _ in range(n)]
+    n, quad = len(cols), ops.parts == 2
+    assigned = [[False] * (n + 1) for _ in range(n + 1)]    # by labels
     flats = []
-    for i, (u, marks) in enumerate(zip(cols, assigned)):
-        for j in range(i + 1, n):
+    for i, (u, marks) in enumerate(zip(cols, assigned[1:]), start=1):
+        u0, u1, u2 = u
+        groups = {}
+        for j, v in enumerate(cols[i:], start=i + 1):
             if marks[j]:
                 continue
-            rest = _through(ops, u, cols[j], cols, j + 1)
-            if not rest:
-                flats.append(frozenset((i + 1, j + 1)))
-                continue
-            members = [i, j, *rest]
-            flats.append(frozenset(m + 1 for m in members))
-            for m, b in islice(combinations(members, 2), 1, None):
+            if quad:
+                key = line_key(ops, linalg.ring_cross(ops, u, v))
+            else:
+                v0, v1, v2 = v
+                a, b, c = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2,
+                           u0 * v1 - u1 * v0)
+                g = gcd(a, b, c) if (a or b or c) > 0 else -gcd(a, b, c)
+                key = a // g, b // g, c // g
+            members = groups.get(key)
+            if members:
+                members.append(j)
+            else:
+                groups[key] = [i, j]
+        for members in groups.values():
+            flats.append(frozenset(members))
+            for m, b in combinations(members[1:], 2):
                 if assigned[m][b]:
-                    raise InvariantError(f"pair {(m + 1, b + 1)} in two flats")
+                    raise InvariantError(f"pair {(m, b)} in two flats")
                 assigned[m][b] = True
     return IntersectionLattice(n, tuple(flats))
 
@@ -439,11 +438,10 @@ class CharPoly:
         s = isqrt(disc)
         if s * s != disc:
             return None
-        e = (-b - s) // 2
-        f = (-b + s) // 2
-        if e + f != -b or e * f != c or e < 0:
+        e = (-b - s) // 2       # exact: s and b have one parity
+        if e < 0:
             return None
-        return tuple(sorted((1, e, f)))
+        return tuple(sorted((1, e, e + s)))
 
     def reduced(self):
         """Coefficients (c, b, 1) of chi(x)/(x-1), monic quadratic."""

@@ -389,7 +389,7 @@ def _lifts(ops, frame, p: int, lead=None):
         theta = {}
         for b, d, point, lines, pi in blocks:
             q = _product(ops, {j - b: x for j, x in g.items()
-                               if 0 <= j - b < comb(d + 2, 2)}, d,
+                               if 0 <= j - b < len(monomials(d))}, d,
                          pi, len(lines))
             for c, a in enumerate(point):
                 linalg.add_multiple(ops, theta, a, {c * size + i: x

@@ -6,8 +6,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations, repeat
-from math import lcm, prod
+from itertools import accumulate, combinations, count, repeat
+from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -81,6 +81,14 @@ def h3() -> am.Arrangement:
     for v in ((1, s * tau, t * (tau - 1)) for s in (1, -1) for t in (1, -1)):
         cols += [v[i:] + v[:i] for i in range(3)]
     return am.build(cols)
+
+
+def fault_keys(monkeypatch, fault):
+    """Make each lattice scan from now on divide its k-th key (1-based)
+    by fault(k, g), g the key's content: every key, inline over Z and by
+    line_key over Z[sqrt d], takes its content from arrangement.gcd."""
+    calls = count(1)
+    monkeypatch.setattr(am, "gcd", lambda *v: fault(next(calls), gcd(*v)))
 
 
 def quadratic_root(coeffs) -> QuadElem:

@@ -22,6 +22,7 @@ from conftest import (
     aut_order_by_full_scan,
     boolean3,
     det3_cols,
+    fault_keys,
     h3,
     monomial,
     near_pencil,
@@ -268,47 +269,59 @@ class TestLattice:
                 assert total == n - 1
 
     @staticmethod
-    def assert_refuses_line_3_missing(arr, monkeypatch):
-        """A collinearity test that misses line 3 on the pencil's point
-        p = c_1 x c_2 of near_pencil(5) leaves (1, 2, 4) as the first flat;
-        the flat of (1, 3) then holds 4 again, and the scan refuses the
-        pair (1, 4)."""
-        first_two, through = arr.ring_columns[:2], am._through
-
-        def missing_line_3(ops, u, v, cols, start):
-            found = through(ops, u, v, cols, start)
-            return [k for k in found if (u, v) != first_two or k != 2]
-
-        monkeypatch.setattr(am, "_through", missing_line_3)
-        with pytest.raises(InvariantError, match=r"pair \(1, 4\) in two flats"):
-            arr.lattice()
-
-    def test_pair_in_two_flats_raises(self, monkeypatch):
-        self.assert_refuses_line_3_missing(near_pencil(5), monkeypatch)
-
-    def test_pair_in_two_flats_raises_over_a_quadratic_field(self,
-                                                             monkeypatch):
-        """The same fault on the Z[sqrt d] branch: near_pencil(5) with its
-        columns scaled by 1 - sqrt 5, 2 + sqrt 5, ... over Q(sqrt 5)."""
+    def over_q_sqrt5(arr):
+        """arr with its columns scaled by 1 - sqrt 5, 2 + sqrt 5, ... over
+        Q(sqrt 5), so that every nonzero ring entry is irrational."""
         cols = [tuple(QuadElem(5, k, (-1) ** k) * x for x in c)
-                for k, c in enumerate(near_pencil(5).columns, start=1)]
+                for k, c in enumerate(arr.columns, start=1)]
         arr = am.build(cols)
         assert arr.ops is quad_field(5)
         assert all(x[1] for c in arr.ring_columns for x in c if x != (0, 0))
-        self.assert_refuses_line_3_missing(arr, monkeypatch)
+        return arr
+
+    @staticmethod
+    def assert_refuses_line_2_split(arr, monkeypatch):
+        """A key that splits a point raises: negating the first key of
+        near_pencil(5), that of c_1 x c_2, splits line 2 off the pencil's
+        point, so row 1 marks (3, 4) in its flat {1, 3, 4} and row 2
+        groups 3 and 4 again."""
+        fault_keys(monkeypatch, lambda k, g: -g if k == 1 else g)
+        with pytest.raises(InvariantError, match=r"pair \(3, 4\) in two"):
+            arr.lattice()
+
+    def test_pair_in_two_flats_raises(self, monkeypatch):
+        self.assert_refuses_line_2_split(near_pencil(5), monkeypatch)
+
+    def test_pair_in_two_flats_raises_over_a_quadratic_field(self,
+                                                             monkeypatch):
+        """The same fault in line_key, the key over Z[sqrt d]."""
+        self.assert_refuses_line_2_split(self.over_q_sqrt5(near_pencil(5)),
+                                         monkeypatch)
+
+    @pytest.mark.parametrize("quad", [False, True])
+    def test_merged_points_raise(self, quad, monkeypatch):
+        """A key that merges two points raises: on the braid arrangement,
+        a content far above the entries floors keys 6 and 7, row 2's of
+        c_2 x c_3 and c_2 x c_5, to zero, so row 2 groups 3 with 5, whose
+        pair the flat {1, 3, 5} of row 1 holds."""
+        arr = rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                   (1, -1, 0), (1, 0, -1), (0, 1, -1))
+        arr = self.over_q_sqrt5(arr) if quad else arr
+        fault_keys(monkeypatch, lambda k, g: 1 << 64 if k in (6, 7) else g)
+        with pytest.raises(InvariantError, match=r"pair \(3, 5\) in two"):
+            arr.lattice()
 
     @pytest.mark.parametrize("at", [3, QuadElem(5, Fraction(3, 2),
                                                 Fraction(1, 2))])
-    def test_one_kernel_call_per_flat(self, at, monkeypatch):
-        """The scan finds each flat's members with one _through call and
-        never dots one column at a time."""
+    def test_one_key_per_pair_outside_earlier_flats(self, at, monkeypatch):
+        """Row i keys each pair (i, j) in no earlier flat once, so the scan
+        computes sum(|X| - 1) keys over the flats X, and dots no column."""
         arr = mod.specialize(mod.family_15(), at).arrangement
-        calls, dots, through = [], [], am._through
-        monkeypatch.setattr(am, "_through",
-                            lambda *args: calls.append(args) or through(*args))
+        keys, dots = [], []
+        fault_keys(monkeypatch, lambda k, g: keys.append(k) or g)
         monkeypatch.setattr(linalg, "ring_dot", lambda *args: dots.append(args))
         lat = arr.lattice()
-        assert (len(calls), dots) == (len(lat.flats), [])
+        assert (len(keys), dots) == (sum(len(f) - 1 for f in lat.flats), [])
 
     def test_validate_checks_listings_only(self, monkeypatch):
         calls = []

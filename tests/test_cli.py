@@ -173,6 +173,18 @@ class TestFree:
             "verdict": "NotFree", "reason": "GradedDimensionMismatch",
             "detail": [3, 8, 9]}
 
+    def test_near_pencil_with_the_transversal_first(self, tmp_path):
+        """The bytes of free, and report's verdict, on a near pencil of 6
+        lines whose transversal is column 1."""
+        p = tmp_path / "np6.fam"
+        p.write_text("0; 0; 1\n1; 0; 0\n0; 1; 0\n1; -1; 0\n1; -2; 0\n"
+                     "1; -3; 0\n")
+        assert run("free", str(p)) == (
+            0, "Free with exponents [1, 1, 4]\nSaito constant: rat 1/6\n", "")
+        code, out, _ = run("report", str(p))
+        assert code == 0
+        assert "Freeness: Free exponents [1, 1, 4]\n" in out
+
     def test_certificate_flag(self, boolean_file):
         code, out, _ = run("free", boolean_file, "--certificate")
         assert code == 0

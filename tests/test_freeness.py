@@ -196,10 +196,18 @@ class TestDecideFreeness:
         assert verdict.reason == "ChiDoesNotSplit"
 
     def test_near_pencils_free(self):
-        for n in (4, 5, 6):
-            verdict = decide_freeness(near_pencil(n))
-            assert isinstance(verdict, Free)
-            assert verdict.exponents == (1, 1, n - 2)
+        """With the transversal last and first: a first transversal puts
+        first the two-point frame's block of degree p - (n - 2), below -2
+        for n >= 6 at p = 1, which the lifts must read as empty."""
+        for n in range(4, 10):
+            last = near_pencil(n)
+            for arr in (last, am.build([last.columns[-1],
+                                        *last.columns[:-1]])):
+                verdict = decide_freeness(arr, use_cache=False)
+                assert isinstance(verdict, Free)
+                assert verdict.exponents == (1, 1, n - 2)
+                cert = verdict.certificate
+                assert saito_check(arr, *cert.derivations) == cert.constant
 
     def test_graded_dimension_mismatch(self):
         arr = rational_arrangement((0, 1, 0), (1, -2, 1), (1, 0, 0),

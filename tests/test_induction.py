@@ -27,7 +27,9 @@ from freearr.induction import (
 
 from conftest import (
     boolean3,
+    _cross,
     candidate_additions_over_the_field,
+    fault_keys,
     grid,
     h3,
     monomial,
@@ -289,22 +291,41 @@ class TestCandidateAdditions:
     def test_a_point_missing_from_a_dual_line_raises(self, make,
                                                      monkeypatch):
         """The lines through the flats' points are the lattice scan of
-        the points, so its pair-coverage check holds for them: a
-        collinearity test that drops one point from the first line of
-        three or more points leaves a pair of that line in two flats."""
+        the points, so its pair-coverage check holds for them.  Points 1
+        to s are the flats on line 1, s >= 4 here; negating the first key
+        splits point 2 off that line, so row 1 marks (3, 4) and row 2
+        groups points 3 and 4 again."""
         arr = make()
-        arr.lattice()
-        through, dropped = am._through, []
-
-        def missing_one(ops, u, v, cols, start):
-            found = through(ops, u, v, cols, start)
-            if len(found) > 1 and not dropped:
-                dropped.append(found.pop(0))
-            return found
-        monkeypatch.setattr(am, "_through", missing_one)
-        with pytest.raises(InvariantError, match="in two flats"):
+        assert len(arr.lattice().per_hyperplane[0]) >= 4
+        fault_keys(monkeypatch, lambda k, g: -g if k == 1 else g)
+        with pytest.raises(InvariantError, match=r"pair \(3, 4\) in two"):
             candidate_additions(arr, range(2, arr.n + 1))
-        assert dropped
+
+    def test_dual_scan_of_30_lines_keys_each_pair_at_most_once(
+            self, monkeypatch):
+        """A work bound, counted rather than timed: the dual scan of the
+        F points of 30 random lines computes one key per pair of points in
+        no earlier flat, at most F(F - 1)/2 (a kernel that dots each flat's
+        point with every later column does about F^3/6 products)."""
+        rng, cols = random.Random(30), []
+        while len(cols) < 30:
+            col = tuple(rng.randint(-9, 9) for _ in range(3))
+            if any(col) and all(any(_cross(col, c)) for c in cols):
+                cols.append(col)
+        arr = rational_arrangement(*cols)
+        keys, duals, scan = [], [], induction._compute_lattice
+
+        def counted(ops, points):
+            with monkeypatch.context() as m:
+                fault_keys(m, lambda k, g: keys.append(k) or g)
+                duals.append(scan(ops, points))
+            return duals[-1]
+        monkeypatch.setattr(induction, "_compute_lattice", counted)
+        candidate_additions(arr, {2})
+        f = len(arr.lattice().flats)
+        assert f > 400
+        assert len(keys) == sum(len(x) - 1 for x in duals[0].flats)
+        assert len(keys) <= f * (f - 1) // 2
 
 
 class TestRecursivelyFree:
