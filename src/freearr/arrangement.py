@@ -111,31 +111,19 @@ class Arrangement:
 
     Immutable after construction; build through :func:`build`.  It is its
     columns as build cleared them (clear_column): the ring columns, their
-    line keys and one scale (g, den) per column, so that field column i is
-    g/den times ring column i.  The lattice, the solver, the Saito check,
-    state keys, deletions and addition candidates read these; the field
-    columns are made from them on first read of columns.
+    distinct line keys and one scale (g, den) per column, so that field
+    column i is g/den times ring column i.  The lattice, the solver, the
+    Saito check, state keys, deletions and addition candidates read these.
     """
 
-    __slots__ = ("ops", "ring_columns", "keys", "scales", "_columns",
-                 "_lattice")
+    __slots__ = ("ops", "ring_columns", "keys", "scales", "_lattice")
 
     def __init__(self, ops, ring_columns, keys, scales):
         self.ops = ops
         self.ring_columns = tuple(ring_columns)
         self.keys = tuple(keys)
         self.scales = tuple(scales)
-        self._columns = self._lattice = None
-
-    @property
-    def columns(self) -> tuple:
-        if self._columns is None:
-            ops = self.ops
-            self._columns = tuple(
-                tuple([ops.from_coords(ops.ints(ops.scale(x, g)), den)
-                       for x in col])
-                for col, (g, den) in zip(self.ring_columns, self.scales))
-        return self._columns
+        self._lattice = None
 
     @property
     def n(self) -> int:
@@ -163,14 +151,21 @@ def build(columns, ops=None) -> Arrangement:
 
     Each entry is coerced by ops.field, so ints and Fractions may stand in
     any field.  The default field is that of the first entry that is not
-    rational, else QQ.  The columns are cleared and keyed once (_cleared)
-    and checked by validated, as specialize's are.
+    rational, else QQ.  The columns are cleared and keyed once (_cleared);
+    the lexicographically first pair of columns of one line raises
+    ProportionalColumnsError, and rank below 3 NotEssentialError.
     """
     cols = [tuple(c) for c in columns]
     if ops is None:
         ops = next((domain_of(x) for c in cols for x in c
                     if not isinstance(x, (int, Fraction))), QQ)
-    return validated(ops, *_cleared(ops, cols, 1))
+    ring_columns, keys, scales = _cleared(ops, cols, 1)
+    pair = first_equal_pair(keys)
+    if pair:
+        raise ProportionalColumnsError(*pair)
+    if not _has_rank3(ring_columns, ops):
+        raise NotEssentialError()
+    return Arrangement(ops, ring_columns, keys, scales)
 
 
 def _cleared(ops, cols, first) -> tuple:
@@ -209,19 +204,6 @@ def first_equal_pair(keys):
     return min(pairs, default=None)
 
 
-def validated(ops, ring_columns, keys, scales) -> Arrangement:
-    """The arrangement over ops of the given primitive integral columns,
-    with their line keys and (g, den) scales (see Arrangement); the
-    lexicographically first pair of columns of one line raises
-    ProportionalColumnsError, and rank below 3 NotEssentialError."""
-    pair = first_equal_pair(keys)
-    if pair:
-        raise ProportionalColumnsError(*pair)
-    if not _has_rank3(ring_columns, ops):
-        raise NotEssentialError()
-    return Arrangement(ops, ring_columns, keys, scales)
-
-
 def _has_rank3(cols, ops=IntOps) -> bool:
     """Rank 3 test for pairwise non-proportional columns over the ring of
     ops: some column is off the point c_1 x c_2 of the first two."""
@@ -242,10 +224,6 @@ class IntersectionLattice:
 
     n: int
     flats: tuple
-
-    def multiplicities(self) -> tuple:
-        """Sorted multiset of flat multiplicities."""
-        return tuple(sorted(len(f) for f in self.flats))
 
     @cached_property
     def per_hyperplane(self) -> tuple:
@@ -500,10 +478,14 @@ def delete(arr: Arrangement, h: int):
 
 def add(arr: Arrangement, col) -> Arrangement:
     """arr with col added as hyperplane n + 1: col alone is coerced, checked,
-    cleared and keyed, as build does column n + 1; arr's columns are kept."""
-    new = _cleared(arr.ops, [tuple(col)], arr.n + 1)
-    return validated(arr.ops, *(list(xs) + ys for xs, ys in zip(
-        (arr.ring_columns, arr.keys, arr.scales), new)))
+    cleared and keyed, as build does column n + 1; arr's columns are kept.
+    arr's keys are distinct and its rank 3, so of build's checks only col's
+    key against arr's is left: line i of arr raises (i, n + 1)."""
+    (ring,), (key,), (scale,) = _cleared(arr.ops, [tuple(col)], arr.n + 1)
+    if key in arr.keys:
+        raise ProportionalColumnsError(arr.keys.index(key) + 1, arr.n + 1)
+    return Arrangement(arr.ops, arr.ring_columns + (ring,), arr.keys + (key,),
+                       arr.scales + (scale,))
 
 
 def deletion_is_essential(arr: Arrangement, h: int) -> bool:

@@ -12,9 +12,9 @@ after the positionals, as ``--opt value`` or ``--opt=value``, the last one
 given wins, an option takes the next token whatever it starts with (``--at
 -1/2``), ``--`` ends the options, and integers are read as in family files.
 
-Exit codes: 0 success, 1 validation/input error (usage errors and Ctrl-C
+Exit codes: 0 success, 1 input error (a CliError or ArrangementError; Ctrl-C
 too), 2 an Unknown recursive-freeness search (recfree, report), 3 internal
-error.
+error: any other exception.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arrangement import (
+    ArrangementError,
     aut_order,
     deletion_is_essential,
     format_lattice,
@@ -33,6 +34,7 @@ from .arrangement import (
 )
 from .freeness import Free, certificate_to_text, decide_freeness
 from .induction import (
+    SearchBoundError,
     abe_pair_check,
     chain_from_text,
     chain_to_text,
@@ -155,11 +157,23 @@ def indfree(source, at=None):
               f"{list(step.exponents)}, |A^H|={step.restriction_size})")
 
 
+def _rf_search(arr, max_n, max_states):
+    """recursively_free, max_n |A| + 1 by default; a refused bound exits 1."""
+    try:
+        return recursively_free(arr, arr.n + 1 if max_n is None else max_n,
+                                max_states)
+    except SearchBoundError as exc:
+        raise CliError(str(exc)) from None
+
+
 def recfree(source, at=None, max_n=None, max_states=10000, replay=None):
     """Search for or refute a recursive-freeness chain; exit 2 if Unknown."""
     arr = _arrangement_for(source, at)
     if replay is not None:
-        moves = chain_from_text(_read(replay))
+        try:
+            moves = chain_from_text(_read(replay))
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
         try:
             final = replay_chain(arr, moves)
         except ValueError as exc:
@@ -167,8 +181,7 @@ def recfree(source, at=None, max_n=None, max_states=10000, replay=None):
         print(f"Chain verified: {len(moves)} moves, final state has "
               f"{final.n} hyperplanes and is inductively free")
         return
-    report = recursively_free(arr, max_n=arr.n + 1 if max_n is None else max_n,
-                              max_states=max_states)
+    report = _rf_search(arr, max_n, max_states)
     print(f"Verdict: {report.verdict}")
     print(f"States explored: {report.explored}")
     print(f"Reason: {report.reason}")
@@ -285,8 +298,7 @@ def report(source, at=None, fmt="text", max_n=None,
     lat = arr.lattice()
     chi_poly = arr.char_poly()
     verdict = decide_freeness(arr)
-    rf = recursively_free(arr, max_n=arr.n + 1 if max_n is None else max_n,
-                          max_states=max_states)
+    rf = _rf_search(arr, max_n, max_states)
     order, _ = aut_order(lat)
     payload = {
         "input": fam.name,
@@ -464,7 +476,7 @@ def main(argv=None):
     try:
         code = _run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
-    except ValueError as exc:  # CliError, ArrangementError and bad input
+    except (CliError, ArrangementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION
     except KeyboardInterrupt:  # as click's Abort: a new line, exit 1
@@ -473,7 +485,7 @@ def main(argv=None):
     except BrokenPipeError:  # the reader closed stdout: exit 1 quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_VALIDATION
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a program fault
         print(f"internal error: {exc!r}", file=sys.stderr)
         code = EXIT_INTERNAL
     sys.exit(code)

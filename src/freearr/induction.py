@@ -216,6 +216,10 @@ class RFSearchReport:
     expansions: tuple = ()
 
 
+class SearchBoundError(ValueError):
+    """recursively_free refuses a max_n below |A| or a max_states below 1."""
+
+
 def recursively_free(arr: Arrangement, max_n: int,
                      max_states: int = 10000) -> RFSearchReport:
     """Bounded bidirectional search for a recursive-freeness chain.
@@ -228,9 +232,9 @@ def recursively_free(arr: Arrangement, max_n: int,
     is RF with an empty chain exactly when it is inductively free.
     """
     if max_n < arr.n:
-        raise ValueError(f"max_n = {max_n} is below |A| = {arr.n}")
+        raise SearchBoundError(f"max_n = {max_n} is below |A| = {arr.n}")
     if max_states < 1:
-        raise ValueError(f"max_states = {max_states} explores no state")
+        raise SearchBoundError(f"max_states = {max_states} explores no state")
     # States are keyed by coordinates, not by lattice: freeness is not known
     # to be combinatorial (Terao's problem).
     start_key = state_key(arr)

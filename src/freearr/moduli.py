@@ -48,7 +48,6 @@ from .arrangement import (
     lattice_iso,
     line_key,
     primitive,
-    validated,
 )
 from .linalg import ring_cross, ring_dot
 from .scalars import (
@@ -211,11 +210,12 @@ def specialize(f: Family, omega) -> SpecializationResult:
     Only the columns that depend on t are evaluated, to integral images
     (_integral_images), and keyed (line_key) by their primitive forms; the
     others are as Family.fixed keeps them, with irrational parts 0 over
-    Q(sqrt d).  Vanishing and merging are read off the keys, and the kept
-    columns go to the validation step of build (arrangement.validated) as
-    forms with keys and scales (g, den): the image is g times its form, and
-    den its denominator.  Degenerate outcomes are reported as data, never as
-    errors.  Whether the lattice is still generic is asked by vL_membership.
+    Q(sqrt d).  Vanishing and merging are read off the keys, so the kept
+    columns, one per key, are distinct: the arrangement holds their forms,
+    keys and scales (g, den), the image being g times its form and den its
+    denominator, and is None when their rank is below 3.  Degenerate
+    outcomes are data, never errors.  Whether the lattice is still generic
+    is asked by vL_membership.
     """
     omega = domain_of(omega).field(omega)
     ops, images, dens = _integral_images(
@@ -239,11 +239,10 @@ def specialize(f: Family, omega) -> SpecializationResult:
         groups.setdefault(key, (ring, (g, den), []))[2].append(label)
     merges = tuple(tuple(ls) for *_, ls in groups.values() if len(ls) > 1)
     count = len(groups)
-    try:
-        arr = validated(ops, [ring for ring, _, _ in groups.values()],
-                        list(groups), [s for _, s, _ in groups.values()])
-    except ValueError:
-        arr = None
+    forms = [ring for ring, _, _ in groups.values()]
+    arr = (Arrangement(ops, forms, list(groups),
+                       [s for _, s, _ in groups.values()])
+           if _has_rank3(forms, ops) else None)
     return SpecializationResult(omega, count, arr, tuple(dropped), merges)
 
 

@@ -32,6 +32,15 @@ def rational_arrangement(*cols) -> am.Arrangement:
     return am.build([tuple(Fraction(x) for x in c) for c in cols], QQ)
 
 
+def field_columns(arr: am.Arrangement) -> tuple:
+    """The columns of arr over its field: ring column i times g/den, for
+    (g, den) the scale of column i."""
+    ops = arr.ops
+    return tuple(tuple([ops.from_coords(ops.ints(ops.scale(x, g)), den)
+                        for x in col])
+                 for col, (g, den) in zip(arr.ring_columns, arr.scales))
+
+
 def boolean3() -> am.Arrangement:
     return rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -356,7 +365,7 @@ def defining_polynomial(arr: am.Arrangement) -> HPoly:
     """Q = product of the defining linear forms."""
     out = HPoly(0, {(0, 0, 0): arr.ops.field(1)})
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for alpha in arr.columns:
+    for alpha in field_columns(arr):
         lin = HPoly(1, {e[i]: alpha[i] for i in range(3) if alpha[i]})
         out = poly_mul(out, lin)
     return out
@@ -407,7 +416,8 @@ def saito_by_coefficients(arr: am.Arrangement, th1, th2, th3):
     if not det:
         return None
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    forms = [_cleared([HPoly(1, dict(zip(units, a)))]) for a in arr.columns]
+    forms = [_cleared([HPoly(1, dict(zip(units, a)))])
+             for a in field_columns(arr)]
     q = reduce(poly_mul, (form for _, (form,) in forms))
     den, scale = (prod(k for k, _ in x) for x in (ths, forms))
     m0, q0 = next(iter(q.coeffs.items()))
@@ -546,7 +556,8 @@ def candidate_additions_over_the_field(arr: am.Arrangement, targets):
     if not targets:
         return [], True
     flats = arr.lattice().flats
-    points = [_cross(arr.columns[a - 1], arr.columns[b - 1])
+    cols = field_columns(arr)
+    points = [_cross(cols[a - 1], cols[b - 1])
               for a, b, *_ in map(sorted, flats)]
     ops = arr.ops
     lines = {}
@@ -556,7 +567,7 @@ def candidate_additions_over_the_field(arr: am.Arrangement, targets):
             lines.setdefault(am.line_key(ops, am.clear_column(ops, line)[1]),
                              (line, set()))[1].update((i, j))
     existing = {am.line_key(ops, am.clear_column(ops, col)[1])
-                for col in arr.columns}
+                for col in cols}
 
     def normal(line):
         lead = next(x for x in line if x)
@@ -587,7 +598,7 @@ def whitney_char_poly(arr: am.Arrangement):
     (-1)^|S| x^(3 - rank(S)).  Exponential in n; used only at desk scale.
     Returns coefficients (c0, c1, c2, c3) ascending.
     """
-    cols = [tuple(int(x) for x in _clear(c)) for c in arr.columns]
+    cols = [tuple(int(x) for x in _clear(c)) for c in field_columns(arr)]
     coeffs = [0, 0, 0, 0]
     n = arr.n
     for size in range(n + 1):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from freearr import cli as cli_mod
-from freearr import induction, moduli
+from freearr import freeness, induction, linalg, moduli
 from freearr.freeness import (
     certificate_from_text,
     certificate_to_text,
@@ -18,14 +18,15 @@ from freearr.freeness import (
 from freearr.moduli import family_13, specialize
 from freearr.scalars import scalar_to_text
 
-from conftest import ASYMMETRIC20, grid
+from conftest import ASYMMETRIC20, field_columns, grid
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
 BOOLEAN_FAMILY = "1; 0; 0\n0; 1; 0\n0; 0; 1\n"
 NEAR_PENCIL5_FAMILY = "1; 0; 0\n0; 1; 0\n1; -1; 0\n1; -2; 0\n0; 0; 1\n"
 GENERIC8_FAMILY = "".join(f"1; {k}; {k * k}\n" for k in range(8))
-GRID8_FAMILY = "".join(f"{a}; {b}; {c}\n" for a, b, c in grid(8).columns)
+GRID8_FAMILY = "".join(f"{a}; {b}; {c}\n"
+                       for a, b, c in field_columns(grid(8)))
 MALFORMED_MOVES = [
     "add rat 1/0 rat 1 rat 1", "add rat x rat 1 rat 1", "delete x",
     "add quad 0 1 1 rat 1 rat 1", "add quad 5 1/0 0 rat 1 rat 1",
@@ -243,6 +244,26 @@ class TestFree:
         code, out, _ = run(*args)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, module, name", [
+        ("free", freeness, "_lifts"), ("free", linalg, "ring_dot"),
+        ("recfree", induction, "inductively_free"),
+        ("report", induction, "inductively_free")],
+        ids=["free-_lifts", "free-ring_dot", "recfree-search",
+             "report-search"])
+    def test_a_value_error_of_the_program_exits_three(self, monkeypatch,
+                                                      command, module, name):
+        """Only the package's input errors exit 1: a ValueError raised by
+        the solver, by the rank test of specialize or inside the
+        recursive-freeness search is an internal error, neither bad input,
+        a rank drop nor a refused search bound."""
+        def fault(*args, **kwargs):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(freeness, "_VERDICT_CACHE", {})
+        monkeypatch.setattr(module, name, fault)
+        assert run(command, "paper13", "--at", "3") == (
+            3, "", "internal error: ValueError('injected fault')\n")
 
 
 class TestVerifyAndIso:

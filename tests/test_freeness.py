@@ -42,6 +42,7 @@ from conftest import (
     HPoly,
     boolean3,
     defining_polynomial,
+    field_columns,
     grid,
     h3,
     hpolys,
@@ -91,9 +92,9 @@ class TestGradedDimensions:
     def test_dim_invariant_under_column_scaling(self):
         arr = near_pencil(5)
         scaled = am.build(
-            [tuple(Fraction(3, 2) * x for x in arr.columns[0])]
-            + [tuple(Fraction(-2) * x for x in arr.columns[1])]
-            + list(arr.columns[2:]), QQ)
+            [tuple(Fraction(3, 2) * x for x in field_columns(arr)[0])]
+            + [tuple(Fraction(-2) * x for x in field_columns(arr)[1])]
+            + list(field_columns(arr)[2:]), QQ)
         for p in range(4):
             assert derivation_space_dim(arr, p) == derivation_space_dim(
                 scaled, p)
@@ -103,7 +104,7 @@ class TestGradedDimensions:
         # act by the transpose-inverse of a unimodular matrix on columns
         mat = ((1, 1, 0), (0, 1, 0), (1, 0, 1))
         cols = [tuple(sum(mat[i][j] * c[j] for j in range(3))
-                      for i in range(3)) for c in arr.columns]
+                      for i in range(3)) for c in field_columns(arr)]
         moved = am.build([tuple(Fraction(x) for x in c) for c in cols], QQ)
         for p in range(4):
             assert derivation_space_dim(arr, p) == derivation_space_dim(
@@ -129,7 +130,7 @@ def _grid2_forgery():
     arr = grid(2)
     q_x1 = reduce(poly_mul, (HPoly(1, {m: a for m, a in zip(
         ((1, 0, 0), (0, 1, 0), (0, 0, 1)), alpha) if a})
-        for alpha in arr.columns if alpha != (1, 0, 0)))
+        for alpha in field_columns(arr) if alpha != (1, 0, 0)))
     return arr, (euler_derivation(arr),
                  to_derivation(QQ, (HPoly(7), q_x1, HPoly(7)), 7),
                  Derivation(0, 1, {2: 1}))
@@ -201,8 +202,8 @@ class TestDecideFreeness:
         for n >= 6 at p = 1, which the lifts must read as empty."""
         for n in range(4, 10):
             last = near_pencil(n)
-            for arr in (last, am.build([last.columns[-1],
-                                        *last.columns[:-1]])):
+            for arr in (last, am.build([field_columns(last)[-1],
+                                        *field_columns(last)[:-1]])):
                 verdict = decide_freeness(arr, use_cache=False)
                 assert isinstance(verdict, Free)
                 assert verdict.exponents == (1, 1, n - 2)
@@ -241,7 +242,7 @@ class TestDecideFreeness:
     def test_cached_constant_fits_permuted_rescaled_input(self, a15):
         decide_freeness(a15)
         rng = random.Random(3)
-        cols = list(a15.columns)
+        cols = list(field_columns(a15))
         rng.shuffle(cols)
         scales = [Fraction(rng.choice((-3, 2, 5)), rng.randint(1, 4))
                   for _ in cols]
@@ -280,8 +281,8 @@ class TestDecideFreeness:
 
     @staticmethod
     def _doubled(arr):
-        return am.build([tuple(2 * x for x in arr.columns[0]),
-                         *arr.columns[1:]], arr.ops)
+        return am.build([tuple(2 * x for x in field_columns(arr)[0]),
+                         *field_columns(arr)[1:]], arr.ops)
 
     def test_cached_constant_fits_rescaled_input(self, a13, monkeypatch):
         """A hit on rescaled columns reports saito_check on them, once."""
@@ -540,7 +541,7 @@ class TestRowBuilder:
 
     @pytest.mark.parametrize("arr", [
         grid(3), mod.specialize(mod.family_13(), 3).arrangement,
-        *(_quad_image(grid(3).columns, d) for d in (2, 5, -3))],
+        *(_quad_image(field_columns(grid(3)), d) for d in (2, 5, -3))],
         ids=["grid12", "a13", "grid12-sqrt2", "grid12-sqrt5", "grid12-sqrt-3"])
     def test_two_point_rows_are_full_rows_on_the_lift(self, arr):
         # For g the unit vector of an unknown, theta = (pi_Q g1) P +
@@ -1353,7 +1354,7 @@ def _nonfree_cases():
     degree beyond theta_E, so those 200 are not free."""
     cases = [(arr, arr.char_poly().exponents()[1], _mdr(arr))
              for arr in _nonfree_split()]
-    pool = grid(5).columns
+    pool = field_columns(grid(5))
     rng = random.Random(16)
     drawn = 0
     while drawn < 200:
@@ -1538,15 +1539,15 @@ class TestIntegralSaito:
         rng = random.Random(12)
         scaled = am.build([tuple(Fraction(rng.choice((-3, 2, 5)),
                                           rng.randint(1, 6)) * x for x in c)
-                           for c in near_pencil(6).columns], QQ)
+                           for c in field_columns(near_pencil(6))], QQ)
         quad = _paper_quad_points()[0]
         # irrational factors give ring columns that are not rational
         # multiples of quad's
         root5 = QuadElem(5, 0, 1)
         factors = [(1 + root5) / 2, 1 + root5, Fraction(-3, 5), 2 * root5]
         lams = [factors[i % 4] for i in range(quad.n)]
-        rescaled = am.build([tuple(lam * x for x in c)
-                             for lam, c in zip(lams, quad.columns)], quad.ops)
+        rescaled = am.build([tuple(lam * x for x in c) for lam, c in zip(
+            lams, field_columns(quad))], quad.ops)
         assert rescaled.ring_columns != quad.ring_columns
         assert sum(s != (1, 1) for s in rescaled.scales) == 9
         cert = decide_freeness(quad, use_cache=False).certificate
@@ -1654,7 +1655,7 @@ class TestEvaluationChecks:
 
     @pytest.mark.parametrize("d", [-3, -1, 5])
     def test_membership_matches_horner_over_quadratic_rings(self, d):
-        arr = _quad_image(grid(2).columns, d)
+        arr = _quad_image(field_columns(grid(2)), d)
         self._tangent_matches_horner(arr, _degrees(arr))
 
     @pytest.mark.parametrize("p", [0, 1])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from freearr import arrangement as am
+from freearr import linalg
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
 from freearr.induction import inductively_free
@@ -25,6 +26,7 @@ from freearr.scalars import (
 from conftest import (
     candidate_polys_over_zt,
     det3_cols,
+    field_columns,
     format_family,
     generic_flats_over_zt,
     quadratic_root,
@@ -212,7 +214,8 @@ class TestSpecialize:
         assert spec.merges == ((1, 4, 7), (2, 5))
         assert spec.count == 3
         # each group keeps its first column as evaluated, unscaled
-        assert spec.arrangement.columns == ((3, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert field_columns(spec.arrangement) == (
+            (3, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_all_columns_merge_or_vanish(self):
         # degenerate specializations are data: one or no column left
@@ -230,6 +233,16 @@ class TestSpecialize:
         assert spec.dropped == (1, 2, 3)
         assert not mod.vL_membership(
             vanished, mod.generic_lattice(vanished), 0)
+
+    def test_a_fault_in_the_rank_test_reaches_the_caller(self, monkeypatch):
+        # specialize catches nothing: only a rank below 3 gives None
+        def fault(*args):
+            raise ValueError("injected fault")
+
+        f = mod.family_13()
+        monkeypatch.setattr(linalg, "ring_dot", fault)
+        with pytest.raises(ValueError, match="^injected fault$"):
+            mod.specialize(f, 3)
 
     def test_generic_lattice_needs_three_columns(self):
         with pytest.raises(am.NotEssentialError):
@@ -256,7 +269,8 @@ def no_specialization(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the family was specialized")
 
-    for name in ("specialize", "validated", "lattice_iso"):
+    for name in ("specialize", "Arrangement", "_compute_lattice",
+                 "lattice_iso"):
         monkeypatch.setattr(mod, name, forbidden)
 
 
@@ -638,7 +652,7 @@ def outcome(spec):
     if arr is None:
         return spec.count, spec.dropped, spec.merges, None, None
     return (spec.count, spec.dropped, spec.merges, arr.ops.name,
-            typed(arr.columns))
+            typed(field_columns(arr)))
 
 
 def random_value(rng):
@@ -682,7 +696,7 @@ class TestIntegralSpecialization:
             format_family(f), omega)
         if spec.arrangement is not None:
             arr = spec.arrangement
-            built = am.build(arr.columns, arr.ops)
+            built = am.build(field_columns(arr), arr.ops)
             assert (arr.ring_columns, arr.keys) == (built.ring_columns,
                                                     built.keys)
 
@@ -797,7 +811,8 @@ def eager_columns(f, omega, firsts):
 
 
 class TestDeferredFieldColumns:
-    """specialize makes its field columns on first read of columns."""
+    """specialize makes no field column: the ring columns and scales it
+    keeps give those of the eager evaluation."""
 
     @pytest.mark.parametrize("f, omega, firsts", [
         (mod.family_13(), 3, range(13)),
@@ -808,10 +823,9 @@ class TestDeferredFieldColumns:
     def test_columns_equal_the_eager_ones(self, f, omega, firsts):
         arr = mod.specialize(f, omega).arrangement
         assert arr.n == len(firsts)
-        assert type(arr.columns) is tuple
-        assert all(type(col) is tuple for col in arr.columns)
-        assert typed(arr.columns) == eager_columns(f, omega, firsts)
-        assert arr.columns is arr.columns
+        assert type(field_columns(arr)) is tuple
+        assert all(type(col) is tuple for col in field_columns(arr))
+        assert typed(field_columns(arr)) == eager_columns(f, omega, firsts)
 
     def test_membership_path_makes_no_field_scalar(self, monkeypatch):
         def forbidden(*args):
@@ -830,7 +844,7 @@ class TestDeferredFieldColumns:
                 arr.lattice()
             mod.vL_membership(f, generic, omega)
         with pytest.raises(AssertionError, match="field scalar"):
-            mod.specialize(f, 3).arrangement.columns
+            field_columns(mod.specialize(f, 3).arrangement)
 
     @pytest.mark.parametrize("f, omega", [
         (mod.family_13(), 3),
@@ -850,7 +864,7 @@ class TestDeferredFieldColumns:
         assert sub.scales == arr.scales[1:]
         inductively_free(arr)
         monkeypatch.undo()
-        assert sub.columns == arr.columns[1:]
+        assert field_columns(sub) == field_columns(arr)[1:]
 
 
 class TestVLMembership:

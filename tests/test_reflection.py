@@ -18,7 +18,7 @@ from freearr.freeness import Free, decide_freeness, saito_check
 from freearr.induction import inductively_free, recursively_free, replay_chain
 from freearr.scalars import QuadElem
 
-from conftest import aut_order_by_full_scan, h3, monomial
+from conftest import aut_order_by_full_scan, field_columns, h3, monomial
 
 # name: (arrangement, n, field, exponents, IF, RF moves, |Aut| or None);
 # aut_order on G(6,6,3) takes seconds, so its |Aut| is left out
@@ -101,7 +101,7 @@ def test_permuted_scaled_copy_hits_with_its_own_constant(make, unit,
     monkeypatch.setattr(fr, "_VERDICT_CACHE", {})
     arr = make()
     rng = random.Random(7)
-    cols = list(arr.columns)
+    cols = list(field_columns(arr))
     rng.shuffle(cols)
     scales = [(unit, 2, Fraction(-3, 5))[i % 3] for i in range(len(cols))]
     moved = am.build([tuple(s * x for x in c) for s, c in zip(scales, cols)],

@@ -13,6 +13,8 @@ import pytest
 
 import freearr
 
+from conftest import field_columns
+
 SRC = Path(freearr.__file__).parent
 TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
 
@@ -26,6 +28,19 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_sources_parse_with_the_oldest_promised_grammar():
+    """pyproject.toml promises requires-python >= 3.10: every module parses
+    with that version's grammar, which refuses except* and later syntax."""
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject)[1])
+    assert minor == 10
+    for path in sorted(SRC.rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, minor))
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, minor))
 
 
 def test_benchmark_traced_names_exist():
@@ -200,10 +215,11 @@ def test_families_are_validated_by_packed_line_keys(monkeypatch):
 
 def test_one_same_line_test_and_one_factorization_path():
     """line_key is the one proportionality test, first_equal_pair the one
-    search for the first equal pair, and factor_low_degree factors the
-    squarefree part: the primitive ℤ[t] columns and Yun's decomposition are
-    gone, and only the pair scan of the minors takes polynomial gcds."""
-    assert _readers("first_equal_pair") == ["arrangement.py:validated",
+    search for the first equal pair, run where columns arrive (build and
+    Family), and factor_low_degree factors the squarefree part: the
+    primitive ℤ[t] columns and Yun's decomposition are gone, and only the
+    pair scan of the minors takes polynomial gcds."""
+    assert _readers("first_equal_pair") == ["arrangement.py:build",
                                             "moduli.py:__post_init__"]
     assert _readers("poly_gcd") == ["moduli.py:_candidate_polys"]
     found = [f"{path.relative_to(SRC)}:{node.name}"
@@ -406,31 +422,33 @@ def test_one_object_per_field():
 
 
 def test_specialize_clears_each_column_once(monkeypatch):
-    """specialize hands its primitive images and line keys to the
-    validation step build uses, and neither builds nor clears again."""
+    """specialize makes the Arrangement of its primitive images and line
+    keys itself: it neither builds nor clears again, and of build's checks
+    runs only the rank test, once, since its keys are distinct."""
     from fractions import Fraction
 
     from freearr import arrangement, moduli
     from freearr.scalars import QuadElem
 
+    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
+    members = ((moduli.family_13(), 3), (moduli.family_15(), omega),
+               (moduli.family_13(), 0))
     calls = []
-    for name in ("build", "clear_column", "validated"):
+    for name in ("build", "_cleared", "clear_column", "first_equal_pair",
+                 "_has_rank3"):
         def spy(*args, name=name, real=getattr(arrangement, name)):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(arrangement, name, spy)
         if hasattr(moduli, name):
             monkeypatch.setattr(moduli, name, spy)
-    omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    specs = [moduli.specialize(fam, at) for fam, at in (
-        (moduli.family_13(), 3), (moduli.family_15(), omega),
-        (moduli.family_13(), 0))]
-    assert calls == ["validated"] * 3
+    specs = [moduli.specialize(fam, at) for fam, at in members]
+    assert calls == ["_has_rank3"] * 3
     assert specs[2].count < 13      # CountDrops at 0
     monkeypatch.undo()
     for spec in specs:
         arr = spec.arrangement
-        built = arrangement.build(arr.columns, arr.ops)
+        built = arrangement.build(field_columns(arr), arr.ops)
         assert (arr.ring_columns, arr.keys) == (built.ring_columns,
                                                 built.keys)
 
@@ -493,8 +511,9 @@ def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
     arrs = [moduli.specialize(moduli.family_13(), 3).arrangement,
             moduli.specialize(moduli.family_15(), omega).arrangement]
-    moved = [arrangement.build([tuple(2 * x for x in arr.columns[0]),
-                                *arr.columns[1:]], arr.ops) for arr in arrs]
+    moved = [arrangement.build([tuple(2 * x for x in cols[0]), *cols[1:]],
+                               arr.ops)
+             for arr, cols in zip(arrs, map(field_columns, arrs))]
     for arr in arrs:
         arr.char_poly()         # the lattice, cached, and chi
     monkeypatch.setattr(freeness, "_VERDICT_CACHE", {})
