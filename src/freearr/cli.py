@@ -34,6 +34,7 @@ from .arrangement import (
 )
 from .freeness import Free, certificate_to_text, decide_freeness
 from .induction import (
+    ChainError,
     SearchBoundError,
     abe_pair_check,
     chain_from_text,
@@ -46,6 +47,7 @@ from .induction import (
 from .moduli import (
     BUILTIN_FAMILIES,
     Family,
+    FamilyError,
     degeneracy_set,
     parse_family_text,
     specialize,
@@ -76,7 +78,7 @@ def _load_family(source: str) -> Family:
     text = _read(source)
     try:
         return parse_family_text(text, name=source)
-    except ValueError as exc:
+    except FamilyError as exc:
         raise CliError(f"{source}: {exc}") from None
 
 
@@ -172,11 +174,11 @@ def recfree(source, at=None, max_n=None, max_states=10000, replay=None):
     if replay is not None:
         try:
             moves = chain_from_text(_read(replay))
-        except ValueError as exc:
+        except ChainError as exc:
             raise CliError(str(exc)) from None
         try:
             final = replay_chain(arr, moves)
-        except ValueError as exc:
+        except (ChainError, ArrangementError) as exc:
             raise CliError(f"chain verification failed: {exc}") from None
         print(f"Chain verified: {len(moves)} moves, final state has "
               f"{final.n} hyperplanes and is inductively free")

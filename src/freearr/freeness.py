@@ -180,8 +180,9 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int,
     coefficients of s^t r^(p-t).
     For z known zeros of F, u at s = 0 and v at r = 0 (zeros), only the
     first ceil(w/2) and last floor(w/2) of rows u..p - v are written,
-    w = p + 1 - z (_dh_system); a miscounted zero only drops rows, and the
-    lifts of the larger kernel fail the membership pass.
+    w = p + 1 - z (_dh_system), and prods are read at those rows only; a
+    miscounted zero only drops rows, and the lifts of the larger kernel
+    fail the membership pass.
     """
     i0, j, k = _axes(ops, alpha)
     add, mul, is_zero = ops.add, ops.mul, ops.is_zero
@@ -191,6 +192,8 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int,
     w = p + 1 - z
     rows = {t: [ops.zero] * width for t in (
         *range(u, u + (w + 1) // 2), *range(p - v - w // 2 + 1, p - v + 1))}
+    written = list(rows)    # ascending; below[t] of them are below row t
+    below = list(accumulate((t in rows for t in range(p + 1)), initial=0))
     for block, scalar, lines, prods in blocks:
         d = p - len(lines)
         if d < 0:
@@ -204,9 +207,9 @@ def _hyperplane_rows(ops, alpha, blocks, p: int, width: int,
         scaled = [mul(scalar, x) for x in lead[:d + 1]]     # a alpha_i0^e
         for col, (r, _, b) in zip(range(block, block + comb(d + 2, 2)),
                                   _places(d, i0)):      # those of f_1
-            x = scaled[r]                               # r = b + c = d - a
-            for t, y in enumerate(prods[d - r], start=b):
-                if t in rows and not is_zero(y):
+            x, ys = scaled[r], prods[d - r]             # r = b + c = d - a
+            for i in range(below[b], below[b + len(ys)]):  # written rows
+                if not is_zero(y := ys[(t := written[i]) - b]):
                     rows[t][col] = mul(x, y)
     return list(rows.values())
 

@@ -306,24 +306,28 @@ def recursively_free(arr: Arrangement, max_n: int,
         expansions=tuple(expansions))
 
 
+class ChainError(ValueError):
+    """A chain that cannot be read, or whose moves or end state fail."""
+
+
 def replay_chain(arr: Arrangement, moves) -> Arrangement:
     """Re-execute a recursive-freeness chain, re-verifying every move.
 
     Each move must satisfy the Addition-Deletion bookkeeping against the
     state it is applied to, and the final state must be inductively free.
-    Returns the final arrangement; raises ValueError on any violation.
+    Returns the final arrangement; raises ChainError on any violation.
     """
     state = arr
     for idx, move in enumerate(moves, start=1):
         exps = state.char_poly().exponents()
         if exps is None:
-            raise ValueError(
+            raise ChainError(
                 f"move {idx}: characteristic polynomial does not split")
         if move.action == "delete":
             h = move.payload[0]
             s, _ = restriction_profile(state, h)
             if s not in _fitting_sizes(exps):
-                raise ValueError(
+                raise ChainError(
                     f"move {idx}: deleting {h} breaks the exponent "
                     f"bookkeeping (|A^H| = {s}, exponents {exps})")
             state, _ = delete(state, h)
@@ -331,13 +335,13 @@ def replay_chain(arr: Arrangement, moves) -> Arrangement:
             state = add(state, move.payload)
             s, _ = restriction_profile(state, state.n)
             if s not in _fitting_sizes(exps):
-                raise ValueError(
+                raise ChainError(
                     f"move {idx}: the added hyperplane has restriction "
                     f"size {s}, incompatible with exponents {exps}")
         else:
-            raise ValueError(f"move {idx}: unknown action {move.action!r}")
+            raise ChainError(f"move {idx}: unknown action {move.action!r}")
     if inductively_free(state) is None:
-        raise ValueError("final state of the chain is not inductively free")
+        raise ChainError("final state of the chain is not inductively free")
     return state
 
 
@@ -352,7 +356,7 @@ def chain_to_text(moves) -> str:
 
 def chain_from_text(text: str) -> tuple:
     """The moves chain_to_text wrote, '#' starting a comment; a malformed
-    line raises ValueError naming it.  replay_chain checks the moves."""
+    line raises ChainError naming it.  replay_chain checks the moves."""
     moves = []
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -369,7 +373,7 @@ def chain_from_text(text: str) -> tuple:
             else:
                 raise ValueError("unrecognized move")
         except ValueError as exc:
-            raise ValueError(f"chain line {ln}: cannot read {line!r}: "
+            raise ChainError(f"chain line {ln}: cannot read {line!r}: "
                              f"{exc}") from None
         moves.append(Move(action, payload))
     return tuple(moves)

@@ -30,12 +30,15 @@ digits; the polynomial is constant exactly when |value| < 2^(k-1), since
 for degree D >= 1 the top term exceeds the others by more than 2^(kD)/2.
 The bound covers the cross products, so two packed columns have equal line
 keys exactly when the columns are proportional over Q(t): Family is
-validated by them, and keeps what specialize needs of the constant ones.
+validated by them and keeps tables of its constant columns for specialize.
+These never vanish and no two merge, so when they alone have rank 3, so
+has every member, and specialize runs no rank test.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .arrangement import (
@@ -65,11 +68,18 @@ COUNT_DROPS = "CountDrops"
 LATTICE_CHANGES = "LatticeChanges"
 
 
+class FamilyError(ValueError):
+    """A family that cannot be read or is not a valid family."""
+
+
 @dataclass(frozen=True)
 class Family:
     """3xn matrix over Z[t]; columns are the covectors of the family.  Its
     packing is (k, packed columns), and fixed[j] is (g, form, line key) if
-    column j + 1 is constant in t, its own packing g times form, else None."""
+    column j + 1 is constant in t, its own packing g times form, else None;
+    paired is fixed over Z[sqrt d] for every d, each x as (x, 0), made on
+    first read.  spans says whether the constant columns alone have rank 3,
+    and so every member (module docstring)."""
 
     name: str
     columns: tuple  # tuple of 3-tuples of IntPoly
@@ -78,20 +88,27 @@ class Family:
     def n(self) -> int:
         return len(self.columns)
 
+    @cached_property
+    def paired(self) -> tuple:
+        return tuple([x and (x[0], tuple([(v, 0) for v in x[1]]),
+                             tuple([w for v in x[2] for w in (v, 0)]))
+                      for x in self.fixed])
+
     def __post_init__(self):
         for j, col in enumerate(self.columns, start=1):
             if len(col) != 3 or not all(isinstance(p, IntPoly) for p in col):
-                raise ValueError(f"column {j} is not three IntPoly entries")
+                raise FamilyError(f"column {j} is not three IntPoly entries")
             if not any(col):
-                raise ValueError(f"column {j} is identically zero")
+                raise FamilyError(f"column {j} is identically zero")
         k, packed = _packed(self)
         pair = first_equal_pair(keys := [line_key(IntOps, c) for c in packed])
         if pair:
-            raise ValueError("columns {} and {} are identically "
-                             "proportional".format(*pair))
+            raise FamilyError("columns {} and {} are identically "
+                              "proportional".format(*pair))
         self.__dict__.update(packing=(k, packed), fixed=tuple([
             (*primitive(IntOps, c), key) if all(p.degree < 1 for p in col)
             else None for col, c, key in zip(self.columns, packed, keys)]))
+        self.__dict__["spans"] = _has_rank3([x[1] for x in self.fixed if x])
 
 
 def _cols(*columns):
@@ -169,68 +186,49 @@ class SpecializationResult:
     merges: tuple                 # tuples of 1-based labels that coincide
 
 
-def _integral_images(columns, omega):
-    """(ops, images, dens): columns[i] at omega is images[i] / dens[i].
-
-    omega is written x / y with y a positive integer and x an integer, or
-    an (a, b) pair of Z[sqrt d] when omega is in Q(sqrt d).  Each entry p
-    of a column whose largest degree is D is evaluated homogeneously, as
-    the sum of p_k x^k y^(D - k), so images[i] is an integral column over
-    ops and dens[i] = y^D.
-    """
-    ops = domain_of(omega)
-    y, (x,) = clear(ops, [omega])
-    y_ring, quad = ops.scale(ops.one, y), ops.parts == 2
-    x_pow, y_pow = [ops.one], [ops.one]
-    terms = {}  # D -> the coordinate lists of x^k y^(D - k), k = 0..D
-    images, dens = [], []
-    for col in columns:
-        top = max(len(p.coeffs) for p in col) - 1
-        if top not in terms:
-            while len(x_pow) <= top:
-                x_pow.append(ops.mul(x_pow[-1], x))
-                y_pow.append(ops.mul(y_pow[-1], y_ring))
-            ts = [ops.mul(x_pow[k], y_pow[top - k]) for k in range(top + 1)]
-            terms[top] = list(zip(*ts)) if quad else [ts]
-        coords = terms[top]
-        if quad:
-            images.append(tuple([(sum(map(mul, p.coeffs, coords[0])),
-                                  sum(map(mul, p.coeffs, coords[1])))
-                                 for p in col]))
-        else:
-            images.append(tuple([sum(map(mul, p.coeffs, coords[0]))
-                                 for p in col]))
-        dens.append(y ** top)
-    return ops, images, dens
-
-
 def specialize(f: Family, omega) -> SpecializationResult:
     """Evaluate the family at omega and build the specialized arrangement.
 
-    Only the columns that depend on t are evaluated, to integral images
-    (_integral_images), and keyed (line_key) by their primitive forms; the
-    others are as Family.fixed keeps them, with irrational parts 0 over
-    Q(sqrt d).  Vanishing and merging are read off the keys, so the kept
-    columns, one per key, are distinct: the arrangement holds their forms,
-    keys and scales (g, den), the image being g times its form and den its
-    denominator, and is None when their rank is below 3.  Degenerate
-    outcomes are data, never errors.  Whether the lattice is still generic
-    is asked by vL_membership.
+    omega is written x / y with y a positive integer and x an integer, or
+    an (a, b) pair of Z[sqrt d] when omega is in Q(sqrt d).  Only the
+    columns that depend on t are evaluated: an entry p of a column whose
+    largest degree is D as the sum of p_k x^k y^(D - k), from one table of
+    these powers per D, to an integral image of denominator y^D, keyed
+    (line_key) by its primitive form.  The constant columns are read, with
+    their keys, from the family's tables for the ring of omega
+    (Family.fixed over Q, Family.paired over Q(sqrt d)).  Vanishing and
+    merging are read off the keys, so the kept columns, one per key, are
+    distinct: the arrangement holds their forms, keys and scales (g, den),
+    the image being g times its form and den its denominator.  It is None
+    when their rank is below 3, which is tested only when the constant
+    columns do not span (Family.spans).  Degenerate outcomes are data,
+    never errors.  Whether the lattice is still generic is asked by
+    vL_membership.
     """
-    omega = domain_of(omega).field(omega)
-    ops, images, dens = _integral_images(
-        [col for col, fixed in zip(f.columns, f.fixed) if not fixed], omega)
-    evaluated, quad = zip(images, dens), ops.parts == 2
+    ops = domain_of(omega)
+    omega, quad = ops.field(omega), ops.parts == 2
+    y, (x,) = clear(ops, [omega])
+    x_pow = [ops.one]
+    terms = {}  # D -> the coordinate lists of x^k y^(D - k), k = 0..D
     dropped = []
     groups: dict = {}  # line key -> (form, scale, labels), by first label
-    for label, fixed in enumerate(f.fixed, start=1):
+    for label, (col, fixed) in enumerate(zip(
+            f.columns, f.paired if quad else f.fixed), start=1):
         if fixed:
             (g, ring, key), den = fixed, 1
-            if quad:
-                ring = tuple([(x, 0) for x in ring])
-                key = tuple([y for x in key for y in (x, 0)])
         else:
-            image, den = next(evaluated)
+            top = max(len(p.coeffs) for p in col) - 1
+            if top not in terms:
+                while len(x_pow) <= top:
+                    x_pow.append(ops.mul(x_pow[-1], x))
+                ts = [ops.scale(x_pow[k], y ** (top - k))
+                      for k in range(top + 1)]
+                terms[top] = list(zip(*ts)) if quad else ts
+            coords, den = terms[top], y ** top
+            image = tuple([(sum(map(mul, p.coeffs, coords[0])),
+                            sum(map(mul, p.coeffs, coords[1]))) for p in col]
+                          if quad else [sum(map(mul, p.coeffs, coords))
+                                        for p in col])
             if all(map(ops.is_zero, image)):
                 dropped.append(label)
                 continue
@@ -238,12 +236,12 @@ def specialize(f: Family, omega) -> SpecializationResult:
             key = line_key(ops, ring)
         groups.setdefault(key, (ring, (g, den), []))[2].append(label)
     merges = tuple(tuple(ls) for *_, ls in groups.values() if len(ls) > 1)
-    count = len(groups)
     forms = [ring for ring, _, _ in groups.values()]
     arr = (Arrangement(ops, forms, list(groups),
                        [s for _, s, _ in groups.values()])
-           if _has_rank3(forms, ops) else None)
-    return SpecializationResult(omega, count, arr, tuple(dropped), merges)
+           if f.spans or _has_rank3(forms, ops) else None)
+    return SpecializationResult(omega, len(groups), arr, tuple(dropped),
+                                merges)
 
 
 @dataclass(frozen=True)
@@ -352,14 +350,14 @@ def parse_family_text(text: str, name: str = "file") -> Family:
             continue
         parts = line.split(";")
         if len(parts) != 3:
-            raise ValueError(
+            raise FamilyError(
                 f"line {ln}: expected three ';'-separated coefficient lists")
         try:
             col = tuple(
                 IntPoly(map(parse_integer, part.split())) for part in parts)
         except ValueError as exc:
-            raise ValueError(f"line {ln}: {exc}") from None
+            raise FamilyError(f"line {ln}: {exc}") from None
         cols.append(col)
     if not cols:
-        raise ValueError("no columns found")
+        raise FamilyError("no columns found")
     return Family(name, tuple(cols))

@@ -254,9 +254,9 @@ class TestFree:
     def test_a_value_error_of_the_program_exits_three(self, monkeypatch,
                                                       command, module, name):
         """Only the package's input errors exit 1: a ValueError raised by
-        the solver, by the rank test of specialize or inside the
-        recursive-freeness search is an internal error, neither bad input,
-        a rank drop nor a refused search bound."""
+        the solver, by the rank test of a family's constant columns or
+        inside the recursive-freeness search is an internal error, neither
+        bad input, a rank drop nor a refused search bound."""
         def fault(*args, **kwargs):
             raise ValueError("injected fault")
 
@@ -264,6 +264,45 @@ class TestFree:
         monkeypatch.setattr(module, name, fault)
         assert run(command, "paper13", "--at", "3") == (
             3, "", "internal error: ValueError('injected fault')\n")
+
+    @pytest.mark.parametrize("module, name, args", [
+        (induction, "inductively_free",
+         ("recfree", "paper15", "--at", "-1", "--replay", "chain.txt")),
+        (moduli, "_packed", ("chi", "fam5.fam", "--at", "2"))],
+        ids=["replay", "family-file"])
+    def test_a_value_error_in_a_reader_exits_three(self, monkeypatch,
+                                                   tmp_path, module, name,
+                                                   args):
+        """The chain replay and the family reader raise their own input
+        errors (ChainError, FamilyError), so a ValueError of the program
+        inside them is an internal error, not a refused chain or file."""
+        def fault(*args, **kwargs):
+            raise ValueError("injected fault")
+
+        monkeypatch.chdir(tmp_path)
+        Path("chain.txt").write_text("add rat 1 rat -1/2 rat -1/2\n")
+        Path("fam5.fam").write_text(NEAR_PENCIL5_FAMILY)
+        assert run(*args)[0] == 0
+        monkeypatch.setattr(module, name, fault)
+        assert run(*args) == (
+            3, "", "internal error: ValueError('injected fault')\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1; 0; 0\n0; 1\n", "line 2: expected three ';'-separated "
+         "coefficient lists"),
+        ("1; 0; 0\n0; x; 1\n", "line 2: invalid literal for int() with "
+         "base 10: 'x'"),
+        ("# nothing\n\n", "no columns found"),
+        ("1; 0; 0\n0; 0 0; 0\n", "column 2 is identically zero"),
+        ("1; 0; 0\n0 1; 1; 0\n0 2; 2; 0\n", "columns 2 and 3 are "
+         "identically proportional")],
+        ids=["parts", "integer", "empty", "zero", "proportional"])
+    def test_a_bad_family_file_exits_one(self, tmp_path, monkeypatch, text,
+                                         message):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.fam").write_text(text)
+        assert run("chi", "bad.fam", "--at", "2") == (
+            1, "", f"error: bad.fam: {message}\n")
 
 
 class TestVerifyAndIso:
@@ -427,6 +466,24 @@ class TestInductionCommands:
                              "--replay", str(chain))
         assert (code, out) == (1, "")
         assert err == f"error: chain verification failed: {message}\n"
+
+    @pytest.mark.parametrize("source, chain, message", [
+        ("paper13", "", "final state of the chain is not inductively free"),
+        ("paper13", "delete 1\n", "move 1: deleting 1 breaks the exponent "
+         "bookkeeping (|A^H| = 6, exponents (1, 6, 6))"),
+        ("generic4.fam", "delete 1\n", "move 1: characteristic polynomial "
+         "does not split"),
+        ("paper13", "delete 99\n", "no hyperplane labeled 99")],
+        ids=["not-if", "bookkeeping", "no-split", "label"])
+    def test_recfree_replay_refusals_exit_one(self, tmp_path, monkeypatch,
+                                              source, chain, message):
+        """Each refusal of replay_chain (a ChainError or ArrangementError)
+        is a refused chain: exit 1 with its message."""
+        monkeypatch.chdir(tmp_path)
+        Path("generic4.fam").write_text("1; 0; 0\n0; 1; 0\n0; 0; 1\n1; 1; 1\n")
+        Path("chain.txt").write_text(chain)
+        assert run("recfree", source, "--at", "3", "--replay", "chain.txt") \
+            == (1, "", f"error: chain verification failed: {message}\n")
 
     def test_indfree_chain_lines(self):
         code, out, _ = run("indfree", "paper13", "--at", "2")

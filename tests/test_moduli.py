@@ -235,11 +235,16 @@ class TestSpecialize:
             vanished, mod.generic_lattice(vanished), 0)
 
     def test_a_fault_in_the_rank_test_reaches_the_caller(self, monkeypatch):
-        # specialize catches nothing: only a rank below 3 gives None
+        # specialize catches nothing: only a rank below 3 gives None.  The
+        # constant columns lie in the plane z = 0, so each member's rank is
+        # tested (Family.spans)
         def fault(*args):
             raise ValueError("injected fault")
 
-        f = mod.family_13()
+        t = mod._T
+        f = mod.Family("plane", mod._cols(
+            (1, 0, 0), (0, 1, 0), (1, 1, 0), (t, 1, 1), (1, t, 1)))
+        assert not f.spans
         monkeypatch.setattr(linalg, "ring_dot", fault)
         with pytest.raises(ValueError, match="^injected fault$"):
             mod.specialize(f, 3)
@@ -801,13 +806,141 @@ class TestIntegralSpecialization:
                 self.assert_agrees(f, omega)
 
 
+QUADRATIC_LOCI = (poly(-2, 0, 1), poly(3, 0, 1), poly(-1, -1, 1),
+                  poly(1, 0, 1), poly(-3, 0, 2))
+
+
+def tabled_family(rng, spans):
+    """Constant columns, at least three if spans and otherwise in the plane
+    z = 0, and up to three columns that depend on t, each of one kind at
+    the roots of one m, linear or an irreducible quadratic: s c + m w
+    merges with the constant column c, wherever the shuffle puts it,
+    m (w + t w') vanishes, and a free column has random entries of degree
+    <= 2.  An integer change of coordinates then mixes the entries.  None
+    if the columns are not a family."""
+    t = mod._T
+
+    def vector(plane=False):
+        while True:
+            v = [rng.randint(-3, 3) for _ in range(2)]
+            v.append(0 if plane else rng.randint(-3, 3))
+            if any(v):
+                return [poly(x) for x in v]
+
+    k = rng.randint(3, 5) if spans else rng.randint(0, 4)
+    consts = [vector(not spans) for _ in range(k)]
+    m = (poly(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5
+         else rng.choice(QUADRATIC_LOCI))
+    cols = list(consts)
+    for kind in rng.sample(("merge", "merge", "vanish", "free"),
+                           rng.randint(1, 3)):
+        w = vector()
+        if kind == "merge" and consts:
+            s = rng.choice((1, -2, 3))
+            cols.append([s * x + m * y for x, y in zip(rng.choice(consts), w)])
+        elif kind == "vanish":
+            cols.append([m * (x + t * y) for x, y in zip(w, vector())])
+        else:
+            cols.append([IntPoly(rng.randint(-2, 2) for _ in range(3))
+                         for _ in range(3)])
+    rng.shuffle(cols)
+    mat = [[0] * 3] * 3
+    while not det3_cols(*mat):
+        mat = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+    try:
+        return mod.Family("tabled", tuple(
+            tuple(sum((a * e for a, e in zip(row, col)), IntPoly())
+                  for row in mat) for col in cols))
+    except ValueError:
+        return None
+
+
+def first_labels(spec, n):
+    """The label of the first column of each group, in group order."""
+    later = {label for group in spec.merges for label in group[1:]}
+    return [label for label in range(1, n + 1)
+            if label not in later and label not in spec.dropped]
+
+
+class TestFamilyTables:
+    """specialize reads each constant column, with its key, from a table
+    its Family made once, and tests the rank only when the constant
+    columns do not span (Family.spans); it agrees with field arithmetic
+    (field_specialize) all the same."""
+
+    def test_random_families_against_field_arithmetic(self, monkeypatch):
+        rng = random.Random(1406049)
+        fams = []
+        while len(fams) < 40:
+            fams += filter(None, [tabled_family(rng, len(fams) % 2 == 0)])
+        real, rank_tests, seen = mod._has_rank3, [], set()
+        monkeypatch.setattr(mod, "_has_rank3",
+                            lambda *args: rank_tests.append(1) or real(*args))
+        for f in fams:
+            consts = [tuple(p(0) for p in col)
+                      for col, fixed in zip(f.columns, f.fixed) if fixed]
+            assert f.spans == any(det3_cols(*cs)
+                                  for cs in combinations(consts, 3))
+            rep = mod.degeneracy_set(f)
+            roots = [quadratic_root(q) for q in rep.quadratic]
+            values = (list(rep.rational) + roots
+                      + [QuadElem(r.d, r.a, -r.b) for r in roots]
+                      + [random_value(rng) for _ in range(3)])
+            for omega in values:
+                rank_tests.clear()
+                spec = mod.specialize(f, omega)
+                assert outcome(spec) == field_specialize(f, omega), (
+                    format_family(f), omega)
+                assert len(rank_tests) == (not f.spans)
+                seen.add((f.spans, spec.arrangement is None))
+                seen.update("dropped" for _ in spec.dropped)
+                for first, *rest in spec.merges:
+                    constant = [f.fixed[label - 1] is not None
+                                for label in rest]
+                    if f.fixed[first - 1] and not all(constant):
+                        seen.add("after a constant column")
+                    if not f.fixed[first - 1] and any(constant):
+                        seen.add("before a constant column")
+                arr = spec.arrangement
+                if arr is None:
+                    continue
+                # the constant columns are the table's own forms and keys
+                table = f.paired if arr.ops.parts == 2 else f.fixed
+                for i, label in enumerate(first_labels(spec, f.n)):
+                    if table[label - 1]:
+                        _, form, key = table[label - 1]
+                        assert arr.ring_columns[i] is form
+                        assert arr.keys[i] is key
+        assert seen == {(True, False), (False, False), (False, True),
+                        "dropped", "after a constant column",
+                        "before a constant column"}
+
+    def test_the_pair_layout_is_made_on_first_read(self):
+        """Rational members read Family.fixed, and Family.paired is made
+        by the first member over some Q(sqrt d) and kept for every d."""
+        f = mod.family_13()
+        for omega in (3, 0, Fraction(5, 7)):
+            mod.specialize(f, omega)
+        assert "paired" not in vars(f)
+        members = [mod.specialize(f, omega).arrangement
+                   for omega in (QuadElem(5, 1, 1), QuadElem(-3, 2, 1))]
+        table = vars(f)["paired"]
+        assert table[:6] == tuple(
+            (g, tuple((x, 0) for x in form), tuple(
+                y for x in key for y in (x, 0)))
+            for g, form, key in f.fixed[:6])
+        assert table[6:] == (None,) * 7
+        for arr in members:
+            assert arr.n == 13
+            assert all(arr.ring_columns[j] is table[j][1]
+                       and arr.keys[j] is table[j][2] for j in range(6))
+
+
 def eager_columns(f, omega, firsts):
     """The field columns of the given (0-based) columns of f at omega, each
-    integral image over its denominator, made at once."""
-    ops, images, dens = mod._integral_images(f.columns,
-                                             domain_of(omega).field(omega))
-    return typed(tuple(ops.from_coords(ops.ints(x), dens[i])
-                       for x in images[i]) for i in firsts)
+    entry evaluated in the field, made at once."""
+    omega = domain_of(omega).field(omega)
+    return typed(tuple(p(omega) for p in f.columns[i]) for i in firsts)
 
 
 class TestDeferredFieldColumns:
