@@ -17,6 +17,7 @@ from math import gcd, isqrt
 
 from . import linalg
 from .scalars import (
+    InputError,
     IntOps,
     InvariantError,
     MixedFieldError,
@@ -27,7 +28,7 @@ from .scalars import (
 )
 
 
-class ArrangementError(ValueError):
+class ArrangementError(InputError):
     pass
 
 
@@ -641,8 +642,8 @@ def parse_lattice_listing(text: str) -> IntersectionLattice:
                    if body else [])
             if len(set(row)) < len(row):
                 twice = max(row, key=row.count)
-                raise ValueError(f"flat {twice} listed twice")
-        except ValueError as exc:
+                raise InputError(f"flat {twice} listed twice")
+        except InputError as exc:
             raise ArrangementError(f"line {lineno}: {exc}") from None
         rows.append(row)
     flats: dict[int, set] = {}    # members, in order of first appearance

@@ -12,9 +12,9 @@ after the positionals, as ``--opt value`` or ``--opt=value``, the last one
 given wins, an option takes the next token whatever it starts with (``--at
 -1/2``), ``--`` ends the options, and integers are read as in family files.
 
-Exit codes: 0 success, 1 input error (a CliError or ArrangementError; Ctrl-C
-too), 2 an Unknown recursive-freeness search (recfree, report), 3 internal
-error: any other exception.
+Exit codes: 0 success, 1 input error (a scalars.InputError, which the
+readers raise; Ctrl-C too), 2 an Unknown recursive-freeness search (recfree,
+report), 3 internal error: any other exception.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from . import __version__
 from .arrangement import (
-    ArrangementError,
     aut_order,
     deletion_is_essential,
     format_lattice,
@@ -34,8 +33,6 @@ from .arrangement import (
 )
 from .freeness import Free, certificate_to_text, decide_freeness
 from .induction import (
-    ChainError,
-    SearchBoundError,
     abe_pair_check,
     chain_from_text,
     chain_to_text,
@@ -47,28 +44,24 @@ from .induction import (
 from .moduli import (
     BUILTIN_FAMILIES,
     Family,
-    FamilyError,
     degeneracy_set,
     parse_family_text,
     specialize,
 )
-from .scalars import IntPoly, parse_integer, read_scalars, scalar_to_text
+from .scalars import (InputError, IntPoly, parse_integer, read_scalars,
+                      scalar_to_text)
 
 EXIT_VALIDATION = 1
 EXIT_UNKNOWN = 2
 EXIT_INTERNAL = 3
 
 
-class CliError(ValueError):
-    """A usage or input error: exit 1."""
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _load_family(source: str) -> Family:
@@ -78,8 +71,8 @@ def _load_family(source: str) -> Family:
     text = _read(source)
     try:
         return parse_family_text(text, name=source)
-    except FamilyError as exc:
-        raise CliError(f"{source}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{source}: {exc}") from None
 
 
 def _parse_at(text: str):
@@ -89,10 +82,10 @@ def _parse_at(text: str):
         omega, *rest = read_scalars(
             tokens if tokens[:1] in (["quad"], ["rat"]) else ["rat", *tokens])
         if rest:
-            raise ValueError("expected one scalar")
+            raise InputError("expected one scalar")
         return omega
-    except ValueError as exc:
-        raise CliError(f"bad --at value {text!r}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"bad --at value {text!r}: {exc}") from None
 
 
 def _member(source: str, at: str | None):
@@ -101,14 +94,14 @@ def _member(source: str, at: str | None):
     constant = None not in fam.fixed
     if at is None:
         if not constant:
-            raise CliError(
+            raise InputError(
                 f"{source} depends on the parameter t; give --at")
         omega = Fraction(0)
     else:
         omega = _parse_at(at)
     spec = specialize(fam, omega)
     if spec.arrangement is None:
-        raise CliError(
+        raise InputError(
             f"specialization at {omega} has rank below 3 "
             f"(count {spec.count}); not a rank-3 arrangement")
     return fam, omega, spec, constant
@@ -161,25 +154,19 @@ def indfree(source, at=None):
 
 def _rf_search(arr, max_n, max_states):
     """recursively_free, max_n |A| + 1 by default; a refused bound exits 1."""
-    try:
-        return recursively_free(arr, arr.n + 1 if max_n is None else max_n,
-                                max_states)
-    except SearchBoundError as exc:
-        raise CliError(str(exc)) from None
+    return recursively_free(arr, arr.n + 1 if max_n is None else max_n,
+                            max_states)
 
 
 def recfree(source, at=None, max_n=None, max_states=10000, replay=None):
     """Search for or refute a recursive-freeness chain; exit 2 if Unknown."""
     arr = _arrangement_for(source, at)
     if replay is not None:
-        try:
-            moves = chain_from_text(_read(replay))
-        except ChainError as exc:
-            raise CliError(str(exc)) from None
+        moves = chain_from_text(_read(replay))
         try:
             final = replay_chain(arr, moves)
-        except (ChainError, ArrangementError) as exc:
-            raise CliError(f"chain verification failed: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"chain verification failed: {exc}") from None
         print(f"Chain verified: {len(moves)} moves, final state has "
               f"{final.n} hyperplanes and is inductively free")
         return
@@ -227,7 +214,7 @@ def moduli_cmd(source, fmt="text"):
     """Degeneracy report of a one-parameter family."""
     fam = _load_family(source)
     if None not in fam.fixed:
-        raise CliError(f"{source} is constant; no parameter to degenerate")
+        raise InputError(f"{source} is constant; no parameter to degenerate")
     payload = _degeneracy_payload(fam)
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -397,15 +384,15 @@ def _parse(options, args, interspersed=True):
             name, eq, value = tok.partition("=")
             name = name if name.startswith("--") else tok[:2]
             if name not in flags:
-                raise CliError(f"No such option '{name}'.")
+                raise InputError(f"No such option '{name}'.")
             if flags[name][2] is bool:
                 if eq:
-                    raise CliError(f"Option '{name}' does not take a value.")
+                    raise InputError(f"Option '{name}' does not take a value.")
                 value = True
             elif not eq:
                 value = next(args, None)
                 if value is None:
-                    raise CliError(f"Option '{name}' requires an argument.")
+                    raise InputError(f"Option '{name}' requires an argument.")
             given[flags[name]] = value
     return given, positionals
 
@@ -443,10 +430,10 @@ def _run(args) -> int:
               else f"freearr, version {__version__}")
         return 0
     if not args:
-        raise CliError("Missing command.")
+        raise InputError("Missing command.")
     name, *args = args
     if name not in COMMANDS:
-        raise CliError(f"No such command '{name}'.")
+        raise InputError(f"No such command '{name}'.")
     fn, positionals, options = COMMANDS[name]
     given, args = _parse(options, args)
     if _HELP in given:
@@ -457,20 +444,20 @@ def _run(args) -> int:
         if kind is int:
             try:
                 text = parse_integer(text)
-            except ValueError:
-                raise CliError(f"Invalid value for '{flag}': {text!r} is "
-                               "not a valid integer.") from None
+            except InputError:
+                raise InputError(f"Invalid value for '{flag}': {text!r} is "
+                                 "not a valid integer.") from None
         elif isinstance(kind, tuple) and text not in kind:
-            raise CliError(f"Invalid value for '{flag}': {text!r} is not "
-                           f"one of {', '.join(map(repr, kind))}.")
+            raise InputError(f"Invalid value for '{flag}': {text!r} is not "
+                             f"one of {', '.join(map(repr, kind))}.")
         values[param] = text
     if len(args) < len(positionals):
-        raise CliError(
+        raise InputError(
             f"Missing argument '{positionals[len(args)].upper()}'.")
     extra = args[len(positionals):]
     if extra:
-        raise CliError(f"Got unexpected extra argument{'s' * (len(extra) > 1)}"
-                       f" ({' '.join(extra)})")
+        raise InputError("Got unexpected extra argument"
+                         f"{'s' * (len(extra) > 1)} ({' '.join(extra)})")
     return fn(**values, **dict(zip(positionals, args))) or 0
 
 
@@ -478,7 +465,7 @@ def main(argv=None):
     try:
         code = _run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
-    except (CliError, ArrangementError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION
     except KeyboardInterrupt:  # as click's Abort: a new line, exit 1

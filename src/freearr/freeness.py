@@ -52,11 +52,11 @@ from math import comb, prod
 
 from . import linalg
 from .arrangement import Arrangement
-from .scalars import (QQ, InvariantError, clear, domain_of, parse_integer,
-                      read_scalars, scalar_to_text)
+from .scalars import (QQ, InputError, InvariantError, clear, domain_of,
+                      parse_integer, read_scalars, scalar_to_text)
 
 
-class DegreeMismatchError(ValueError):
+class DegreeMismatchError(InputError):
     """Saito check on degrees that do not fit n or the terms."""
 
 
@@ -652,10 +652,10 @@ def _decide_freeness_impl(arr: Arrangement):
 # -- certificate serialization -------------------------------------------
 
 def _one_scalar(toks):
-    """The scalar that toks hold; other tokens raise ValueError."""
+    """The scalar that toks hold; other tokens raise InputError."""
     xs = read_scalars(toks)
     if len(xs) != 1:
-        raise ValueError(f"expected one scalar, not {' '.join(toks)!r}")
+        raise InputError(f"expected one scalar, not {' '.join(toks)!r}")
     return xs[0]
 
 
@@ -677,11 +677,11 @@ def certificate_to_text(cert: SaitoCertificate) -> str:
 def certificate_from_text(text: str) -> SaitoCertificate:
     """The certificate certificate_to_text wrote, each derivation cleared
     once (scalars.clear); malformed text, or a term outside the field of
-    c, raises ValueError naming its line."""
+    c, raises InputError naming its line."""
     lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     if not lines or lines[0][1] != ["saito-certificate"]:
-        raise ValueError("not a saito certificate")
+        raise InputError("not a saito certificate")
     constant, derivs = None, []
     for i, parts in lines[1:]:
         try:
@@ -691,29 +691,32 @@ def certificate_from_text(text: str) -> SaitoCertificate:
                     1:3] == [str(len(derivs) + 1), "pdeg"]:
                 derivs.append((parse_integer(parts[3]), {}))
                 if derivs[-1][0] < 0:
-                    raise ValueError(f"negative pdeg {parts[3]}")
+                    raise InputError(f"negative pdeg {parts[3]}")
             elif parts[0] == "term" and derivs:
+                if len(parts) < 2:
+                    raise InputError("not enough values to unpack "
+                                     "(expected at least 1, got 0)")
                 c, *m = map(parse_integer, parts[1:5])
                 pdeg, terms = derivs[-1]
                 if c not in (1, 2, 3) or len(m) != 3 or min(m) < 0 \
                         or sum(m) != pdeg:
-                    raise ValueError(f"no term {parts[1:5]} in a derivation "
+                    raise InputError(f"no term {parts[1:5]} in a derivation "
                                      f"of pdeg {pdeg}")
                 if (c - 1, tuple(m)) in terms:
-                    raise ValueError(f"term {parts[1:5]} repeats line "
+                    raise InputError(f"term {parts[1:5]} repeats line "
                                      f"{terms[c - 1, tuple(m)][0]}")
                 terms[c - 1, tuple(m)] = i, _one_scalar(parts[5:])
             elif parts != ["end"] or i != lines[-1][0]:
-                raise ValueError(f"unexpected {' '.join(parts)!r}")
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"line {i}: {exc}") from None
+                raise InputError(f"unexpected {' '.join(parts)!r}")
+        except InputError as exc:
+            raise InputError(f"line {i}: {exc}") from None
     if lines[-1][1] != ["end"] or constant is None or len(derivs) != 3:
-        raise ValueError(f"line {lines[-1][0]}: a certificate ends after a "
+        raise InputError(f"line {lines[-1][0]}: a certificate ends after a "
                          f"c line and three derivations")
     ops, ths = domain_of(constant), []
     for i, x in (t for _, terms in derivs for t in terms.values()):
         if domain_of(x).name not in (ops.name, QQ.name):
-            raise ValueError(f"line {i}: a term outside {ops.name}, the "
+            raise InputError(f"line {i}: a term outside {ops.name}, the "
                              f"field of c")
     for pdeg, terms in derivs:
         den, ring = clear(ops, [x for _, x in terms.values()])

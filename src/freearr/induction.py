@@ -33,7 +33,7 @@ from .arrangement import (
 )
 from .freeness import Free, decide_freeness, state_key
 from .linalg import ring_cross
-from .scalars import parse_integer, read_scalars, scalar_to_text
+from .scalars import InputError, parse_integer, read_scalars, scalar_to_text
 
 
 def _fitting_sizes(exps) -> tuple:
@@ -216,10 +216,6 @@ class RFSearchReport:
     expansions: tuple = ()
 
 
-class SearchBoundError(ValueError):
-    """recursively_free refuses a max_n below |A| or a max_states below 1."""
-
-
 def recursively_free(arr: Arrangement, max_n: int,
                      max_states: int = 10000) -> RFSearchReport:
     """Bounded bidirectional search for a recursive-freeness chain.
@@ -229,12 +225,13 @@ def recursively_free(arr: Arrangement, max_n: int,
     state.  NotRF is reported only when the search exhausts with every
     addition candidate set provably complete and no addition blocked by
     max_n; otherwise Unknown.  The input is explored first, so the verdict
-    is RF with an empty chain exactly when it is inductively free.
+    is RF with an empty chain exactly when it is inductively free.  A
+    max_n below |A| or a max_states below 1 raises InputError.
     """
     if max_n < arr.n:
-        raise SearchBoundError(f"max_n = {max_n} is below |A| = {arr.n}")
+        raise InputError(f"max_n = {max_n} is below |A| = {arr.n}")
     if max_states < 1:
-        raise SearchBoundError(f"max_states = {max_states} explores no state")
+        raise InputError(f"max_states = {max_states} explores no state")
     # States are keyed by coordinates, not by lattice: freeness is not known
     # to be combinatorial (Terao's problem).
     start_key = state_key(arr)
@@ -306,28 +303,24 @@ def recursively_free(arr: Arrangement, max_n: int,
         expansions=tuple(expansions))
 
 
-class ChainError(ValueError):
-    """A chain that cannot be read, or whose moves or end state fail."""
-
-
 def replay_chain(arr: Arrangement, moves) -> Arrangement:
     """Re-execute a recursive-freeness chain, re-verifying every move.
 
     Each move must satisfy the Addition-Deletion bookkeeping against the
     state it is applied to, and the final state must be inductively free.
-    Returns the final arrangement; raises ChainError on any violation.
+    Returns the final arrangement; raises InputError on any violation.
     """
     state = arr
     for idx, move in enumerate(moves, start=1):
         exps = state.char_poly().exponents()
         if exps is None:
-            raise ChainError(
+            raise InputError(
                 f"move {idx}: characteristic polynomial does not split")
         if move.action == "delete":
             h = move.payload[0]
             s, _ = restriction_profile(state, h)
             if s not in _fitting_sizes(exps):
-                raise ChainError(
+                raise InputError(
                     f"move {idx}: deleting {h} breaks the exponent "
                     f"bookkeeping (|A^H| = {s}, exponents {exps})")
             state, _ = delete(state, h)
@@ -335,13 +328,13 @@ def replay_chain(arr: Arrangement, moves) -> Arrangement:
             state = add(state, move.payload)
             s, _ = restriction_profile(state, state.n)
             if s not in _fitting_sizes(exps):
-                raise ChainError(
+                raise InputError(
                     f"move {idx}: the added hyperplane has restriction "
                     f"size {s}, incompatible with exponents {exps}")
         else:
-            raise ChainError(f"move {idx}: unknown action {move.action!r}")
+            raise InputError(f"move {idx}: unknown action {move.action!r}")
     if inductively_free(state) is None:
-        raise ChainError("final state of the chain is not inductively free")
+        raise InputError("final state of the chain is not inductively free")
     return state
 
 
@@ -356,7 +349,7 @@ def chain_to_text(moves) -> str:
 
 def chain_from_text(text: str) -> tuple:
     """The moves chain_to_text wrote, '#' starting a comment; a malformed
-    line raises ChainError naming it.  replay_chain checks the moves."""
+    line raises InputError naming it.  replay_chain checks the moves."""
     moves = []
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -369,11 +362,11 @@ def chain_from_text(text: str) -> tuple:
             elif action == "add":
                 payload = tuple(read_scalars(toks))
                 if len(payload) != 3:
-                    raise ValueError("expected three scalars")
+                    raise InputError("expected three scalars")
             else:
-                raise ValueError("unrecognized move")
-        except ValueError as exc:
-            raise ChainError(f"chain line {ln}: cannot read {line!r}: "
+                raise InputError("unrecognized move")
+        except InputError as exc:
+            raise InputError(f"chain line {ln}: cannot read {line!r}: "
                              f"{exc}") from None
         moves.append(Move(action, payload))
     return tuple(moves)

@@ -54,6 +54,7 @@ from .arrangement import (
 )
 from .linalg import ring_cross, ring_dot
 from .scalars import (
+    InputError,
     IntOps,
     IntPoly,
     clear,
@@ -68,10 +69,6 @@ COUNT_DROPS = "CountDrops"
 LATTICE_CHANGES = "LatticeChanges"
 
 
-class FamilyError(ValueError):
-    """A family that cannot be read or is not a valid family."""
-
-
 @dataclass(frozen=True)
 class Family:
     """3xn matrix over Z[t]; columns are the covectors of the family.  Its
@@ -79,7 +76,7 @@ class Family:
     column j + 1 is constant in t, its own packing g times form, else None;
     paired is fixed over Z[sqrt d] for every d, each x as (x, 0), made on
     first read.  spans says whether the constant columns alone have rank 3,
-    and so every member (module docstring)."""
+    and so every member (module docstring); a bad family raises InputError."""
 
     name: str
     columns: tuple  # tuple of 3-tuples of IntPoly
@@ -97,14 +94,14 @@ class Family:
     def __post_init__(self):
         for j, col in enumerate(self.columns, start=1):
             if len(col) != 3 or not all(isinstance(p, IntPoly) for p in col):
-                raise FamilyError(f"column {j} is not three IntPoly entries")
+                raise InputError(f"column {j} is not three IntPoly entries")
             if not any(col):
-                raise FamilyError(f"column {j} is identically zero")
+                raise InputError(f"column {j} is identically zero")
         k, packed = _packed(self)
         pair = first_equal_pair(keys := [line_key(IntOps, c) for c in packed])
         if pair:
-            raise FamilyError("columns {} and {} are identically "
-                              "proportional".format(*pair))
+            raise InputError("columns {} and {} are identically "
+                             "proportional".format(*pair))
         self.__dict__.update(packing=(k, packed), fixed=tuple([
             (*primitive(IntOps, c), key) if all(p.degree < 1 for p in col)
             else None for col, c, key in zip(self.columns, packed, keys)]))
@@ -350,14 +347,14 @@ def parse_family_text(text: str, name: str = "file") -> Family:
             continue
         parts = line.split(";")
         if len(parts) != 3:
-            raise FamilyError(
+            raise InputError(
                 f"line {ln}: expected three ';'-separated coefficient lists")
         try:
             col = tuple(
                 IntPoly(map(parse_integer, part.split())) for part in parts)
-        except ValueError as exc:
-            raise FamilyError(f"line {ln}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"line {ln}: {exc}") from None
         cols.append(col)
     if not cols:
-        raise FamilyError("no columns found")
+        raise InputError("no columns found")
     return Family(name, tuple(cols))

@@ -7,6 +7,9 @@ anywhere; integer coefficients are arbitrary precision.
 A field is one ops object, QQ = IntOps or quad_field(d): its name, its
 elements (field) and its ring Z or Z[sqrt d], on which the solver and the
 lattice scan compute; clear takes field elements into the ring.
+
+Text readers refuse malformed input with InputError, the package's one
+input-error class: the command line exits 1 for it and nothing else.
 """
 from __future__ import annotations
 
@@ -28,6 +31,10 @@ class ZeroPolynomial(ValueError):
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed; this is a bug, not bad input."""
+
+
+class InputError(ValueError):
+    """An input from outside the program is malformed or refused."""
 
 
 class MixedFieldError(TypeError):
@@ -691,9 +698,9 @@ class QuadOps:
 
     def __init__(self, d: int):
         if abs(d) >= 1 << 40:
-            raise ValueError(f"d = {d} must be below 2**40 in absolute value")
+            raise InputError(f"d = {d} must be below 2**40 in absolute value")
         if d in (0, 1) or not is_squarefree(d):
-            raise ValueError(f"d = {d} must be squarefree and not 0 or 1")
+            raise InputError(f"d = {d} must be squarefree and not 0 or 1")
         self.d = d
         self.name = f"QQ(sqrt {d})"
 
@@ -814,24 +821,27 @@ _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def parse_integer(tok: str) -> int:
-    """tok, an integer in ASCII digits; what int refuses raises its own
-    error, and the underscores and other digits it accepts are refused."""
-    n = int(tok)
+    """tok, an integer in ASCII digits; what int refuses (with its text)
+    and the underscores and other digits it accepts raise InputError."""
+    try:
+        n = int(tok)
+    except ValueError as exc:  # int's own refusal, the digit limit too
+        raise InputError(str(exc)) from None
     if not _INTEGER.fullmatch(tok):
-        raise ValueError(f"not an integer: {tok!r}")
+        raise InputError(f"not an integer: {tok!r}")
     return n
 
 
 def parse_rational(s: str) -> Fraction:
     """The rational written as an integer or a/b in ASCII digits, b
-    nonzero; anything else raises ValueError naming s."""
+    nonzero; anything else raises InputError naming s."""
     m = _RAT_RE.match(s.strip())
     if not m:
-        raise ValueError(f"not a rational number: {s!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+        raise InputError(f"not a rational number: {s!r}")
+    num = parse_integer(m.group(1))
+    den = parse_integer(m.group(2)) if m.group(2) else 1
     if not den:
-        raise ValueError(f"zero denominator in {s!r}")
+        raise InputError(f"zero denominator in {s!r}")
     return Fraction(num, den)
 
 
@@ -845,7 +855,7 @@ def scalar_to_text(x) -> str:
 
 def read_scalars(tokens) -> list:
     """The scalars that scalar_to_text wrote, one after another, as the
-    tokens; a bad value, a zero denominator too, raises ValueError."""
+    tokens; a bad value, a zero denominator too, raises InputError."""
     out, i = [], 0
     while i < len(tokens):
         if tokens[i] == "rat" and i + 1 < len(tokens):
@@ -857,5 +867,5 @@ def read_scalars(tokens) -> list:
                                 parse_rational(tokens[i + 3])))
             i += 4
         else:
-            raise ValueError(f"bad scalar near {tokens[i]!r}")
+            raise InputError(f"bad scalar near {tokens[i]!r}")
     return out

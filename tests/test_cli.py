@@ -8,15 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from freearr import arrangement, freeness, induction, linalg, moduli
 from freearr import cli as cli_mod
-from freearr import freeness, induction, linalg, moduli
 from freearr.freeness import (
     certificate_from_text,
     certificate_to_text,
     saito_check,
 )
 from freearr.moduli import family_13, specialize
-from freearr.scalars import scalar_to_text
+from freearr.scalars import InputError, scalar_to_text
 
 from conftest import ASYMMETRIC20, field_columns, grid
 
@@ -35,6 +35,11 @@ MALFORMED_MOVES = [
     "add quad 5 0.5 1 rat 1 rat 1", "add rat \u0661 rat 1 rat 1",
     "add quad 1_3 1 1 rat 1 rat 1", "delete \u0661", "add rat 1 rat 2",
     "rotate 1"]
+DIGITS = "7" * 5000     # past int's default limit of 4300 digits
+try:
+    int(DIGITS)
+except ValueError as exc:
+    DIGIT_LIMIT = str(exc)  # int's own text, which the readers keep
 
 
 def run(*args):
@@ -121,12 +126,18 @@ class TestChiAndLattice:
         assert "Fraction(" not in err
 
     def test_non_squarefree_quad_at_value(self):
-        code, _, err = run("chi", "paper13", "--at", "quad 12 1 1")
-        assert code == 1
-        assert "bad --at" in err
+        for d in (12, 4):
+            assert run("chi", "paper13", "--at", f"quad {d} 1 1") == (
+                1, "", f"error: bad --at value 'quad {d} 1 1': d = {d} must "
+                       "be squarefree and not 0 or 1\n")
+
+    def test_at_value_past_the_digit_limit(self):
+        at = "1/" + DIGITS
+        assert run("chi", "paper13", "--at", at) == (
+            1, "", f"error: bad --at value {at!r}: {DIGIT_LIMIT}\n")
 
     @pytest.mark.parametrize("d", [10000000000000061, -(1 << 41) - 1,
-                                   1 << 40])
+                                   1 << 40, (1 << 40) + 1])
     def test_quad_at_value_with_a_huge_d_fails_fast(self, d):
         """|d| >= 2^40 is refused before any trial division."""
         start = time.perf_counter()
@@ -268,14 +279,23 @@ class TestFree:
     @pytest.mark.parametrize("module, name, args", [
         (induction, "inductively_free",
          ("recfree", "paper15", "--at", "-1", "--replay", "chain.txt")),
-        (moduli, "_packed", ("chi", "fam5.fam", "--at", "2"))],
-        ids=["replay", "family-file"])
+        (moduli, "_packed", ("chi", "fam5.fam", "--at", "2")),
+        (induction, "read_scalars",
+         ("recfree", "paper15", "--at", "-1", "--replay", "chain.txt")),
+        (moduli, "parse_integer", ("chi", "fam5.fam", "--at", "2")),
+        (cli_mod, "read_scalars", ("chi", "paper13", "--at", "3")),
+        (cli_mod, "parse_integer",
+         ("recfree", "paper15", "--at", "-1", "--max-n", "16")),
+        (arrangement, "parse_integer",
+         ("verify", "paper13", str(DATA / "paper13.lattice"), "--at", "3"))],
+        ids=["replay", "family-file", "chain-reader", "family-reader",
+             "at", "max-n", "listing"])
     def test_a_value_error_in_a_reader_exits_three(self, monkeypatch,
                                                    tmp_path, module, name,
                                                    args):
-        """The chain replay and the family reader raise their own input
-        errors (ChainError, FamilyError), so a ValueError of the program
-        inside them is an internal error, not a refused chain or file."""
+        """The readers and the chain replay refuse input with InputError
+        alone, so a ValueError of the program inside them is an internal
+        error, not a refused chain, file, listing or option."""
         def fault(*args, **kwargs):
             raise ValueError("injected fault")
 
@@ -295,14 +315,32 @@ class TestFree:
         ("# nothing\n\n", "no columns found"),
         ("1; 0; 0\n0; 0 0; 0\n", "column 2 is identically zero"),
         ("1; 0; 0\n0 1; 1; 0\n0 2; 2; 0\n", "columns 2 and 3 are "
-         "identically proportional")],
-        ids=["parts", "integer", "empty", "zero", "proportional"])
+         "identically proportional"),
+        (f"1; 0; 0\n0; 1; 0\n0; 0; {DIGITS}\n", f"line 3: {DIGIT_LIMIT}")],
+        ids=["parts", "integer", "empty", "zero", "proportional", "digits"])
     def test_a_bad_family_file_exits_one(self, tmp_path, monkeypatch, text,
                                          message):
         monkeypatch.chdir(tmp_path)
         Path("bad.fam").write_text(text)
         assert run("chi", "bad.fam", "--at", "2") == (
             1, "", f"error: bad.fam: {message}\n")
+
+    @pytest.mark.parametrize("args, name, position", [
+        (("chi", "bad.fam"), "bad.fam", 8),
+        (("verify", "paper13", "bad.lattice", "--at", "3"), "bad.lattice", 4),
+        (("recfree", "paper13", "--at", "3", "--replay", "bad.chain"),
+         "bad.chain", 9)], ids=["family", "listing", "chain"])
+    def test_a_file_not_in_utf8_exits_one(self, tmp_path, monkeypatch, args,
+                                          name, position):
+        """A file that does not decode is refused as one that cannot be
+        read, not reported as an internal error."""
+        monkeypatch.chdir(tmp_path)
+        Path("bad.fam").write_bytes(b"1; 0; 0\n\xff\n")
+        Path("bad.lattice").write_bytes(b"[1]\n\xff\n")
+        Path("bad.chain").write_bytes(b"delete 1\n\xff\n")
+        assert run(*args) == (
+            1, "", f"error: cannot read {name}: 'utf-8' codec can't decode "
+                   f"byte 0xff in position {position}: invalid start byte\n")
 
 
 class TestVerifyAndIso:
@@ -338,9 +376,15 @@ class TestVerifyAndIso:
 
     def test_malformed_listing_is_refused(self, tmp_path):
         listing = tmp_path / "bad.lattice"
-        listing.write_text("[1, 2]\n[1, 3]\n[1, 2, 3]\n")
-        code, out, err = run("verify", "paper13", str(listing), "--at", "3")
-        assert (code, out, err) == (1, "", "error: pair (1, 3) covered twice\n")
+        for text, message in (
+                ("[1, 2]\n[1, 3]\n[1, 2, 3]\n", "pair (1, 3) covered twice"),
+                ("[1, x]\n", "line 1: invalid literal for int() with base "
+                 "10: 'x'"),
+                ("[1, 1]\n", "line 1: flat 1 listed twice"),
+                ("1, 2\n", "line 1: expected a [..] list")):
+            listing.write_text(text)
+            assert run("verify", "paper13", str(listing), "--at", "3") == (
+                1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("text, flat", [
         ("[1]\n[2, 3]\n[2, 3]\n", 1), ("[1, 2, 4]\n[1, 3]\n[2, 3]\n", 4)])
@@ -449,7 +493,7 @@ class TestInductionCommands:
     @pytest.mark.parametrize("move", MALFORMED_MOVES)
     def test_chain_reader_names_the_malformed_line(self, move):
         """The library refuses each malformed move that --replay does."""
-        with pytest.raises(ValueError, match="^chain line 3: cannot read "):
+        with pytest.raises(InputError, match="^chain line 3: cannot read "):
             induction.chain_from_text(f"# a chain\ndelete 1\n{move}\n")
 
     @pytest.mark.parametrize("move, message", [
@@ -477,8 +521,8 @@ class TestInductionCommands:
         ids=["not-if", "bookkeeping", "no-split", "label"])
     def test_recfree_replay_refusals_exit_one(self, tmp_path, monkeypatch,
                                               source, chain, message):
-        """Each refusal of replay_chain (a ChainError or ArrangementError)
-        is a refused chain: exit 1 with its message."""
+        """Each refusal of replay_chain (an InputError, ArrangementError
+        among them) is a refused chain: exit 1 with its message."""
         monkeypatch.chdir(tmp_path)
         Path("generic4.fam").write_text("1; 0; 0\n0; 1; 0\n0; 0; 1\n1; 1; 1\n")
         Path("chain.txt").write_text(chain)

@@ -30,6 +30,7 @@ from freearr.freeness import (
 from freearr.induction import inductively_free
 from freearr.scalars import (
     QQ,
+    InputError,
     IntOps,
     InvariantError,
     QuadElem,
@@ -1902,22 +1903,50 @@ def _certificate_lines():
 
 
 class TestCertificateText:
-    """Malformed certificate text raises ValueError naming its line."""
+    """Malformed certificate text raises InputError naming its line."""
 
     @staticmethod
     def _raises_at(lines, number):
-        with pytest.raises(ValueError, match=rf"^line {number}: "):
+        with pytest.raises(InputError, match=rf"^line {number}: "):
             certificate_from_text("\n".join(lines) + "\n")
 
     def test_first_line_not_the_header(self):
         lines = _certificate_lines()
-        with pytest.raises(ValueError, match="^not a saito certificate$"):
+        with pytest.raises(InputError, match="^not a saito certificate$"):
             certificate_from_text("\n".join(["saito certificate"]
                                              + lines[1:]) + "\n")
 
     def test_term_before_any_derivation(self):
         lines = _certificate_lines()
         self._raises_at(lines[:2] + ["term 1 1 0 0 rat 1"] + lines[2:], 3)
+
+    @pytest.mark.parametrize("line, message", [
+        ("term", "not enough values to unpack (expected at least 1, got 0)"),
+        ("term 1 1 0", "no term ['1', '1', '0'] in a derivation of pdeg 1"),
+        ("term 1 1 0 0", "expected one scalar, not ''")],
+        ids=["bare", "short", "no-scalar"])
+    def test_a_short_term_line(self, line, message):
+        lines = _certificate_lines()
+        first = lines.index("derivation 1 pdeg 1") + 1
+        with pytest.raises(InputError) as info:
+            certificate_from_text("\n".join(
+                lines[:first] + [line] + lines[first + 1:]) + "\n")
+        assert str(info.value) == f"line {first + 1}: {message}"
+
+    @pytest.mark.parametrize("error", [ValueError, IndexError])
+    def test_a_fault_in_the_reader_reaches_the_caller(self, monkeypatch,
+                                                      error):
+        """The reader prefixes a line number to InputError alone: an error
+        of the program raised inside it is not a malformed line."""
+        fault = error("injected fault")
+
+        def read(tokens):
+            raise fault
+        text = certificate_to_text(decide_freeness(near_pencil(5)).certificate)
+        monkeypatch.setattr(fr, "read_scalars", read)
+        with pytest.raises(error) as info:
+            certificate_from_text(text)
+        assert info.value is fault
 
     def test_component_four(self):
         lines = _certificate_lines()

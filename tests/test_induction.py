@@ -8,7 +8,7 @@ from freearr import arrangement as am
 from freearr import induction
 from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness
-from freearr.scalars import InvariantError, QuadElem
+from freearr.scalars import InputError, InvariantError, QuadElem
 from freearr.induction import (
     Expansion,
     IFCertificate,
@@ -401,7 +401,7 @@ class TestRecursivelyFree:
         assert rep.reason == "addition moves blocked by max_n = 15"
 
     def test_zero_state_budget(self, a13):
-        with pytest.raises(ValueError, match="^max_states = 0 explores no "
+        with pytest.raises(InputError, match="^max_states = 0 explores no "
                            "state$"):
             recursively_free(a13, max_n=14, max_states=0)
         # a budget of one explores the input and no more
@@ -411,7 +411,7 @@ class TestRecursivelyFree:
         assert rep.reason == "state budget 1 exhausted"
 
     def test_max_n_below_n_rejected(self, a13):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             recursively_free(a13, max_n=12)
 
 
@@ -422,7 +422,7 @@ class TestReplayChain:
         assert final.n == 4
 
     def test_invalid_chain_rejected(self, a13):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             replay_chain(a13, [Move("delete", (1,))])
 
     def test_addition_move(self):
@@ -437,25 +437,25 @@ class TestReplayChain:
 
     def test_move_on_a_non_split_state(self):
         g4 = rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-        with pytest.raises(ValueError, match="^move 1: characteristic "
+        with pytest.raises(InputError, match="^move 1: characteristic "
                            "polynomial does not split$"):
             replay_chain(g4, [Move("delete", (4,))])
 
     def test_addition_of_a_misfitting_size(self):
         a15 = mod.specialize(mod.family_15(), -1).arrangement
-        with pytest.raises(ValueError, match=r"^move 1: the added hyperplane "
+        with pytest.raises(InputError, match=r"^move 1: the added hyperplane "
                            r"has restriction size 14, incompatible with "
                            r"exponents \(1, 7, 7\)$"):
             replay_chain(a15, [Move("add", tuple(map(Fraction, (1, 2, 7))))])
 
     def test_unknown_action(self):
-        with pytest.raises(ValueError,
+        with pytest.raises(InputError,
                            match="^move 2: unknown action 'rotate'$"):
             replay_chain(near_pencil(5), [Move("delete", (4,)),
                                           Move("rotate", (1,))])
 
     def test_empty_chain_on_a_non_if_input(self, a13):
-        with pytest.raises(ValueError, match="^final state of the chain is "
+        with pytest.raises(InputError, match="^final state of the chain is "
                            "not inductively free$"):
             replay_chain(a13, [])
 

@@ -14,6 +14,7 @@ from freearr.freeness import Free, decide_freeness
 from freearr.induction import inductively_free
 from freearr.linalg import ring_cross
 from freearr.scalars import (
+    InputError,
     IntOps,
     IntPoly,
     QuadElem,
@@ -50,7 +51,7 @@ class TestFamilies:
         assert f.columns[11] == (poly(1, -3), poly(1, -3, 1), poly(0, -1))
 
     def test_validation_rejects_proportional_columns(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             mod.Family("bad", mod._cols((1, 0, 0), (2, 0, 0)))
 
     def test_validation_checks_the_shape_of_each_column(self):
@@ -64,15 +65,15 @@ class TestFamilies:
                         ((e1, (0, 1, t), e3), 2),
                         ((e1, e2, (poly(1), 1, t)), 3),
                         ((e1, e2, (t, poly(1), 2.0)), 3)):
-            with pytest.raises(ValueError,
+            with pytest.raises(InputError,
                                match=f"^column {j} is not three IntPoly "
                                      "entries$"):
                 mod.Family("bad", cols)
-        with pytest.raises(ValueError, match="^column 2 is identically "
+        with pytest.raises(InputError, match="^column 2 is identically "
                            "zero$"):
             mod.Family("bad", (e1, mod._cols((0, 0, 0))[0], e3))
         # the file parser keeps its own line-numbered messages
-        with pytest.raises(ValueError, match="^line 2: expected three "):
+        with pytest.raises(InputError, match="^line 2: expected three "):
             mod.parse_family_text("1; 0; 0\n0; 1\n0; 0; 1\n")
 
     def test_proportional_pair_by_a_factor_of_t_or_minus_one(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from freearr import scalars
 from freearr.scalars import (
+    InputError,
     IntOps,
     IntPoly,
     MixedFieldError,
@@ -21,6 +22,7 @@ from freearr.scalars import (
     clear,
     domain_of,
     factor_low_degree,
+    parse_integer,
     parse_rational,
     poly,
     poly_gcd,
@@ -364,8 +366,22 @@ class TestDomains:
     @pytest.mark.parametrize("text", ["\u0661", "1/\u0662", "\uff17",
                                       "0.5", "1e0", "1_000", "1/2\n3"])
     def test_parse_rational_takes_ascii_integers_and_fractions(self, text):
-        with pytest.raises(ValueError, match="not a rational number"):
+        with pytest.raises(InputError, match="not a rational number"):
             parse_rational(text)
+
+    @pytest.mark.parametrize("read, text", [
+        (parse_integer, "x"), (parse_integer, ""),
+        (parse_integer, "7" * 5000), (parse_rational, "7" * 5000),
+        (parse_rational, "1/" + "7" * 5000)],
+        ids=["letter", "empty", "digits", "numerator", "denominator"])
+    def test_int_refusals_keep_their_text(self, read, text):
+        """What int refuses, its limit of 4300 digits too, is an
+        InputError with int's own text."""
+        with pytest.raises(ValueError) as expected:
+            int(text.rpartition("/")[2])
+        with pytest.raises(InputError) as info:
+            read(text)
+        assert str(info.value) == str(expected.value)
 
     @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/00"])
     def test_zero_denominator_names_the_token(self, text):
@@ -373,7 +389,7 @@ class TestDomains:
         Fraction's ZeroDivisionError and its repr."""
         for read in (parse_rational, lambda s: read_scalars(["rat", s]),
                      lambda s: read_scalars(["quad", "5", "1", s])):
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(InputError) as info:
                 read(text)
             assert str(info.value) == f"zero denominator in {text!r}"
 
@@ -388,11 +404,11 @@ class TestDomains:
 
     @pytest.mark.parametrize("d", [0, 1, 4, 12, -8])
     def test_quad_ops_check_d(self, d):
-        with pytest.raises(ValueError, match="must be squarefree"):
+        with pytest.raises(InputError, match="must be squarefree"):
             QuadOps(d)
-        with pytest.raises(ValueError, match="must be squarefree"):
+        with pytest.raises(InputError, match="must be squarefree"):
             quad_field(d)
-        with pytest.raises(ValueError, match="must be squarefree"):
+        with pytest.raises(InputError, match="must be squarefree"):
             QuadElem(d, 1, 1)
 
     def test_one_object_per_field(self):
@@ -471,6 +487,6 @@ class TestScalarText:
         (["quad", "12", "1", "1"], "d = 12 must be squarefree"),
     ])
     def test_malformed_tokens_raise_value_error(self, tokens, message):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(InputError) as exc:
             read_scalars(tokens)
         assert str(exc.value).startswith(message)

@@ -140,6 +140,42 @@ def test_a_report_does_not_load_click():
     assert proc.stdout.endswith("exit 0 False\n")
 
 
+def _handlers(node, scope="<module>"):
+    """(scope, the names an except clause catches) for each clause under
+    node, scope the innermost function holding it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if isinstance(node, ast.ExceptHandler):
+        caught = getattr(node.type, "elts", [node.type])
+        yield scope, [ast.unparse(t) for t in caught if t is not None]
+    for child in ast.iter_child_nodes(node):
+        yield from _handlers(child, scope)
+
+
+def test_one_input_error_class():
+    """Bad input is told from a program fault by one class,
+    scalars.InputError: no other ValueError class stands for it, cli.main
+    exits 1 for it alone (besides Ctrl-C and a closed stdout), and no
+    reader catches every ValueError; parse_integer catches int's own."""
+    classes, caught = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        classes.update((node.name, [ast.unparse(b) for b in node.bases])
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.ClassDef))
+        caught += [(f"{path.relative_to(SRC)}:{scope}", names)
+                   for scope, names in _handlers(tree)]
+    assert not {"CliError", "FamilyError", "ChainError",
+                "SearchBoundError"} & set(classes)
+    assert sorted(name for name, bases in classes.items()
+                  if "ValueError" in bases) == ["InputError", "ZeroPolynomial"]
+    assert [names for where, names in caught if where == "cli.py:main"] == [
+        ["InputError"], ["KeyboardInterrupt"], ["BrokenPipeError"],
+        ["Exception"]]
+    assert [where for where, names in caught if "ValueError" in names] == [
+        "scalars.py:parse_integer"]
+
+
 def test_only_candidate_additions_reads_normal_column():
     """line_key is the one test of "same line"; normal_column is only the
     form in which candidate additions are reported."""
