@@ -44,6 +44,7 @@ from .induction import (
 from .moduli import (
     BUILTIN_FAMILIES,
     Family,
+    builtin_family,
     degeneracy_set,
     parse_family_text,
     specialize,
@@ -65,9 +66,8 @@ def _read(path: str) -> str:
 
 
 def _load_family(source: str) -> Family:
-    maker = BUILTIN_FAMILIES.get(source)
-    if maker is not None:
-        return maker()
+    if source in BUILTIN_FAMILIES:
+        return builtin_family(source)
     text = _read(source)
     try:
         return parse_family_text(text, name=source)
@@ -79,6 +79,8 @@ def _parse_at(text: str):
     """The scalar text of --at, where a rational may omit its 'rat' tag."""
     tokens = text.split()
     try:
+        if not tokens:
+            raise InputError("empty")
         omega, *rest = read_scalars(
             tokens if tokens[:1] in (["quad"], ["rat"]) else ["rat", *tokens])
         if rest:

@@ -593,8 +593,8 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
     module, so a cached Saito basis is the caller's too, and a Free hit
     re-checks Saito's whole criterion on the caller's own columns
     (saito_check) and reports the constant found there; a basis that fails
-    there raises InvariantError.  The cache keeps the latest
-    _VERDICT_CACHE_SIZE verdicts.
+    there, or whose pdegs do not fit, raises InvariantError.  The cache
+    keeps the latest _VERDICT_CACHE_SIZE verdicts.
     """
     if not use_cache:
         return _decide_freeness_impl(arr)
@@ -609,7 +609,11 @@ def decide_freeness(arr: Arrangement, use_cache: bool = True):
     if isinstance(verdict, NotFree):
         return verdict
     cert = verdict.certificate
-    c = saito_check(arr, *cert.derivations)
+    try:
+        c = saito_check(arr, *cert.derivations)
+    except DegreeMismatchError as exc:
+        raise InvariantError(f"a cached Saito basis does not fit an "
+                             f"arrangement of the same lines: {exc}") from None
     if c is None:
         raise InvariantError("a cached Saito basis fails on an arrangement "
                              "of the same lines")
@@ -694,8 +698,8 @@ def certificate_from_text(text: str) -> SaitoCertificate:
                     raise InputError(f"negative pdeg {parts[3]}")
             elif parts[0] == "term" and derivs:
                 if len(parts) < 2:
-                    raise InputError("not enough values to unpack "
-                                     "(expected at least 1, got 0)")
+                    raise InputError("a term needs a component, three "
+                                     "exponents and a scalar")
                 c, *m = map(parse_integer, parts[1:5])
                 pdeg, terms = derivs[-1]
                 if c not in (1, 2, 3) or len(m) != 3 or min(m) < 0 \

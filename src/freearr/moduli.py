@@ -36,6 +36,7 @@ has every member, and specialize runs no rank test.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,7 +62,6 @@ from .scalars import (
     domain_of,
     factor_low_degree,
     parse_integer,
-    poly,
     poly_gcd,
 )
 
@@ -106,42 +106,6 @@ class Family:
             (*primitive(IntOps, c), key) if all(p.degree < 1 for p in col)
             else None for col, c, key in zip(self.columns, packed, keys)]))
         self.__dict__["spans"] = _has_rank3([x[1] for x in self.fixed if x])
-
-
-def _cols(*columns):
-    out = []
-    for col in columns:
-        out.append(tuple(
-            e if isinstance(e, IntPoly) else poly(e) for e in col))
-    return tuple(out)
-
-
-_T = poly(0, 1)
-
-
-def family_13() -> Family:
-    """The 13-line family: 30 triple points generically, aut order 18."""
-    t = _T
-    return Family("paper13", _cols(
-        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (0, 1, -1), (1, 1, -1),
-        (1, 0, -1 * t), (0, 1, -1 * t), (1, 1, -1 * t), (1, 1, -1 * t - 1),
-        (t, 1, -1 * t), (1, 1 - t, -1), (t - 1, t, -1 * (t * t)),
-    ))
-
-
-def family_15() -> Family:
-    """The 15-line family: 39 rank-2 flats generically, aut order 48."""
-    t = _T
-    return Family("paper15", _cols(
-        (1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, t, 1), (0, 1, 0),
-        (2, 1, 1), (t + 1, t, 1), (t + 1, 1, 1), (2 * t, t, 1),
-        (1, 1 - t, 1), (1 - 3 * t, t * t - 3 * t + 1, -1 * t),
-        (3 * t - 1, t, t), (1 - 3 * t, -1 * (t * t), -1 * t),
-        (3 * t - 1, 2 * t - 1, t),
-    ))
-
-
-BUILTIN_FAMILIES = {"paper13": family_13, "paper15": family_15}
 
 
 def _packed(f: Family):
@@ -337,7 +301,8 @@ def vL_membership(f: Family, lattice: IntersectionLattice, omega) -> bool:
 # ---------------------------------------------------------------------------
 # Family file format: one line per column, three semicolon-separated integer
 # coefficient lists in ascending degree, e.g. "1 -3; 0 1; 0 0 -1" for the
-# column (1-3t, t, -t^2).  Blank lines and #-comments are ignored.
+# column (1-3t, t, -t^2).  Blank lines and #-comments are ignored.  The
+# paper's families are such files, data/paper13.fam and data/paper15.fam.
 
 def parse_family_text(text: str, name: str = "file") -> Family:
     cols = []
@@ -358,3 +323,15 @@ def parse_family_text(text: str, name: str = "file") -> Family:
     if not cols:
         raise InputError("no columns found")
     return Family(name, tuple(cols))
+
+
+BUILTIN_FAMILIES = ("paper13", "paper15")
+
+
+def builtin_family(name: str) -> Family:
+    """The paper's family paper13 or paper15, read from its file.  A
+    missing file is a broken install, not bad input, so its OSError is
+    left as it is."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.fam")
+    with open(path, encoding="utf-8") as fh:
+        return parse_family_text(fh.read(), name)

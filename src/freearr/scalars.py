@@ -78,7 +78,9 @@ def is_squarefree(n: int) -> bool:
 
 
 class IntPoly:
-    """Univariate polynomial with integer coefficients, stored ascending."""
+    """Univariate polynomial with integer coefficients, stored ascending:
+    the entries of a family and the loci read off them.  It does no
+    arithmetic; the helpers below work on coefficient lists."""
 
     __slots__ = ("coeffs",)
 
@@ -93,78 +95,16 @@ class IntPoly:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, QuadElem)):
-            return self.degree < 1 and self.leading == other
         return NotImplemented
 
     def __hash__(self):
-        # a constant equals, so hashes as, its int
-        return hash(self.leading if self.degree < 1 else self.coeffs)
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
-
-    def _lift(self, other, op) -> IntPoly:
-        """op on the coefficient lists of self and other, an IntPoly or an
-        int; NotImplemented for anything else."""
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return IntPoly(op(self.coeffs, other.coeffs))
-
-    def __add__(self, other) -> IntPoly:
-        return self._lift(other, lambda a, b: _sub(a, [-c for c in b]))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> IntPoly:
-        return self._lift(other, _sub)
-
-    def __rsub__(self, other) -> IntPoly:
-        return self._lift(other, lambda a, b: _sub(b, a))
-
-    def __mul__(self, other) -> IntPoly:
-        return self._lift(other, _mul)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> IntPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __call__(self, x):
-        """Horner evaluation at x, which may live in any Q-algebra."""
-        if not self.coeffs:
-            return 0 * x if not isinstance(x, (int, Fraction)) else x * 0
-        acc = self.coeffs[-1] + 0 * x  # coerce into the algebra of x
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    @property
-    def content(self) -> int:
-        return gcd(*self.coeffs)
+        return hash(self.coeffs)
 
     def primitive(self) -> IntPoly:
         """Primitive part with positive leading coefficient; 0 stays 0."""
@@ -191,11 +131,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self})"
-
-
-def poly(*coeffs) -> IntPoly:
-    """IntPoly from ascending coefficients: poly(-1, 1) is t - 1."""
-    return IntPoly(coeffs)
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:

@@ -11,6 +11,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
+import sympy
 
 from freearr import arrangement as am
 from freearr import freeness as fr
@@ -21,9 +22,9 @@ from freearr.linalg import add_multiple, det3, echelon, rank
 from freearr.scalars import (
     QQ,
     IntOps,
+    IntPoly,
     QuadElem,
     clear,
-    poly_gcd,
     squarefree_decompose,
 )
 
@@ -183,6 +184,53 @@ def triple_check(arr: am.Arrangement, h: int) -> TripleVerdict:
     return verdict
 
 
+# -- polynomials in Z[t]: IntPolys from coefficients or sympy, which does the
+# arithmetic --------------------------------------------------------------
+
+T = sympy.Symbol("t")
+
+
+def poly(*coeffs) -> IntPoly:
+    """IntPoly from ascending coefficients: poly(-1, 1) is t - 1."""
+    return IntPoly(coeffs)
+
+
+def zt(e) -> IntPoly:
+    """The IntPoly of an int, or of a sympy expression or Poly in T with
+    integer coefficients."""
+    return IntPoly(sympy.Poly(e, T, domain="ZZ").all_coeffs()[::-1])
+
+
+def sym(p: IntPoly) -> sympy.Poly:
+    """p as a sympy Poly in T over ZZ."""
+    return sympy.Poly.from_list(p.coeffs[::-1] or [0], T, domain="ZZ")
+
+
+def columns(*cols) -> tuple:
+    """Family columns of IntPolys from columns whose entries are ints or
+    sympy polynomials in T."""
+    return tuple(tuple(zt(e) for e in col) for col in cols)
+
+
+def family(name: str, *cols) -> mod.Family:
+    return mod.Family(name, columns(*cols))
+
+
+def member(name: str, omega) -> am.Arrangement:
+    """The member at omega of the paper's family name, paper13 or
+    paper15."""
+    return mod.specialize(mod.builtin_family(name), omega).arrangement
+
+
+def evaluate(p: IntPoly, x):
+    """p at x by Horner, in the field of x: an int, a Fraction or a
+    QuadElem."""
+    acc = 0 * x
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def format_family(f: mod.Family) -> str:
     """The family file text that moduli.parse_family_text reads."""
     lines = []
@@ -192,35 +240,32 @@ def format_family(f: mod.Family) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- the family scans over IntPoly minors that packed integers replaced ----
+# -- the family scans over Z[t] minors that packed integers replaced --------
 
 def candidate_polys_over_zt(f: mod.Family) -> dict:
-    """moduli._candidate_polys with every minor an IntPoly."""
-    cols = f.columns
+    """moduli._candidate_polys with every minor a sympy Poly."""
+    cols = [tuple(map(sym, col)) for col in f.columns]
     out = {}
     for i in range(f.n):
         for j in range(i + 1, f.n):
             p0, p1, p2 = _cross(cols[i], cols[j])
-            minors = [m for m in (p0, p1, p2) if m]
-            g = minors[0]
-            for m in minors[1:]:
-                g = poly_gcd(g, m)
-            if g.degree > 0:
-                out[g.primitive()] = True
+            g = reduce(sympy.gcd, [m for m in (p0, p1, p2) if m])
+            if g.degree() > 0:
+                out[zt(g).primitive()] = True
             # det(c_i, c_j, c_k) = (c_i x c_j) . c_k
             for x, y, z in cols[j + 1:]:
                 det = p0 * x + p1 * y + p2 * z
-                if det.degree > 0:
-                    out.setdefault(det.primitive(), False)
+                if det.degree() > 0:
+                    out.setdefault(zt(det).primitive(), False)
     return out
 
 
 def generic_flats_over_zt(f: mod.Family) -> tuple:
-    """The flats of moduli.generic_lattice from IntPoly minors, in the
-    order of the lattice scan: the first pair of a flat is crossed, and
-    each later column whose determinant with it is the zero polynomial
-    joins the flat."""
-    cols, n = f.columns, f.n
+    """The flats of moduli.generic_lattice from sympy minors, in the order
+    of the lattice scan: the first pair of a flat is crossed, and each
+    later column whose determinant with it is the zero polynomial joins the
+    flat."""
+    cols, n = [tuple(map(sym, col)) for col in f.columns], f.n
     covered, flats = set(), []
     for i, j in combinations(range(n), 2):
         if (i, j) in covered:
@@ -665,9 +710,9 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def a13():
     """The 13-line family specialized at the generic rational value 3."""
-    return mod.specialize(mod.family_13(), 3).arrangement
+    return member("paper13", 3)
 
 
 @pytest.fixture(scope="session")
 def a15():
-    return mod.specialize(mod.family_15(), 3).arrangement
+    return member("paper15", 3)

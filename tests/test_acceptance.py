@@ -38,12 +38,12 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
 @pytest.fixture(scope="module")
 def f13():
-    return mod.family_13()
+    return mod.builtin_family("paper13")
 
 
 @pytest.fixture(scope="module")
 def f15():
-    return mod.family_15()
+    return mod.builtin_family("paper15")
 
 
 def test_criterion_01_lattice_and_chi_of_the_13_line_arrangement(a13):

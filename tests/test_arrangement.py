@@ -15,20 +15,24 @@ from freearr import linalg
 from freearr import moduli as mod
 from freearr.freeness import Free, NotFree, decide_freeness, state_key
 from freearr.induction import candidate_additions
-from freearr.scalars import InvariantError, QQ, poly, quad_field, QuadElem
+from freearr.scalars import InvariantError, QQ, quad_field, QuadElem
 
 from conftest import (
     ASYMMETRIC20,
+    T,
     aut_order_by_full_scan,
     boolean3,
     det3_cols,
+    family,
     fault_keys,
     field_columns,
     h3,
+    member,
     monomial,
     near_pencil,
     quadratic_root,
     rational_arrangement,
+    sym,
     whitney_char_poly,
 )
 
@@ -246,13 +250,13 @@ class TestLattice:
     def test_pair_coverage_and_degree_identity(self, small_corpus):
         """Scanned lattices over Q, Q(sqrt -3), Q(i) and Q(sqrt 5), and on
         packed family columns, pass the listing check and its oracle."""
-        point = mod.specialize(mod.family_15(), QuadElem(5, Fraction(3, 2),
-                                                         Fraction(1, 2)))
+        point = mod.specialize(mod.builtin_family("paper15"),
+                               QuadElem(5, Fraction(3, 2), Fraction(1, 2)))
         lats = [arr.lattice() for arr in small_corpus]
         lats += [monomial(r, k).lattice() for r in (3, 4) for k in (0, 1)]
         lats += [point.arrangement.lattice()]
-        lats += [mod.generic_lattice(f)
-                 for f in (mod.family_13(), mod.family_15())]
+        lats += [mod.generic_lattice(mod.builtin_family(name))
+                 for name in ("paper13", "paper15")]
         for lat in lats:
             lat.validate()
             seen = {}
@@ -317,7 +321,7 @@ class TestLattice:
     def test_one_key_per_pair_outside_earlier_flats(self, at, monkeypatch):
         """Row i keys each pair (i, j) in no earlier flat once, so the scan
         computes sum(|X| - 1) keys over the flats X, and dots no column."""
-        arr = mod.specialize(mod.family_15(), at).arrangement
+        arr = member("paper15", at)
         keys, dots = [], []
         fault_keys(monkeypatch, lambda k, g: keys.append(k) or g)
         monkeypatch.setattr(linalg, "ring_dot", lambda *args: dots.append(args))
@@ -331,7 +335,7 @@ class TestLattice:
                             lambda lat, *labels: calls.append(lat)
                             or check(lat, *labels))
         lat = near_pencil(5).lattice()
-        mod.generic_lattice(mod.family_13())
+        mod.generic_lattice(mod.builtin_family("paper13"))
         assert calls == []
         am.parse_lattice_listing(am.format_lattice(lat))
         assert len(calls) == 1
@@ -346,9 +350,9 @@ class TestLattice:
         g4 = rational_arrangement((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
         assert decide_freeness(g4, use_cache=False) == NotFree(
             "ChiDoesNotSplit")
-        a13 = mod.specialize(mod.family_13(), 3).arrangement
+        a13 = member("paper13", 3)
         assert candidate_additions(a13, {7}) == ([], True)
-        a15 = mod.specialize(mod.family_15(), -1).arrangement
+        a15 = member("paper15", -1)
         cands, complete = candidate_additions(a15, {8})
         assert (len(cands), cands[0], complete) == (
             6, (1, Fraction(-1, 2), Fraction(-1, 2)), True)
@@ -460,11 +464,11 @@ class TestDeleteRestrict:
         rng = random.Random(21)
         if field == "QQ":
             sources = [*small_corpus[:8],
-                       mod.specialize(mod.family_13(), 3).arrangement]
+                       member("paper13", 3)]
         else:
             omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-            sources = [mod.specialize(mod.family_15(), omega).arrangement,
-                       mod.specialize(mod.family_13(), omega).arrangement]
+            sources = [member("paper15", omega),
+                       member("paper13", omega)]
 
         def scalar():
             while not (a := Fraction(rng.randint(-5, 5), rng.randint(1, 4))):
@@ -497,7 +501,7 @@ class TestDeleteRestrict:
         column cleared alone: its field columns, ring columns, keys and
         lattice are build's on the parent's columns and the new one, and a
         bad column raises build's error, numbered n + 1."""
-        arr = mod.specialize(mod.family_15(), omega).arrangement
+        arr = member("paper15", omega)
         r = QuadElem(5, 0, 1)
         added = 0
         for col in candidate_additions(arr, range(arr.n + 2))[0] + [
@@ -774,9 +778,7 @@ class TestOtherDomains:
         assert len(arr.lattice().flats) == 6
 
     def test_generic_family_lattice(self):
-        one, zero, t = poly(1), poly(), poly(0, 1)
-        fam = mod.Family("g4", ((one, zero, zero), (zero, one, zero),
-                                (zero, zero, one), (one, t, one)))
+        fam = family("g4", (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, T, 1))
         lat = mod.generic_lattice(fam)
         assert len(lat.flats) == 6
         assert am.char_poly(lat.n, lat.flats).exponents() is None
@@ -805,16 +807,14 @@ def reference_scan(cols):
 def tt0_family():
     """(1,0,0), (0,1,0), (t,t,0) share a point although their cross
     products (0,0,1) and (0,0,t) differ in Z[t]."""
-    one, zero, t = poly(1), poly(), poly(0, 1)
-    return mod.Family("tt0", ((one, zero, zero), (zero, one, zero),
-                              (t, t, zero), (zero, zero, one), (one, t, one)))
+    return family("tt0", (1, 0, 0), (0, 1, 0), (T, T, 0), (0, 0, 1),
+                  (1, T, 1))
 
 
 def paper_quadratic_members():
     """paper13 at 3 + sqrt 2 and paper15 at a root of t^2 - 3t + 1."""
-    return [mod.specialize(mod.family_13(), QuadElem(2, 3, 1)).arrangement,
-            mod.specialize(mod.family_15(),
-                           quadratic_root((1, -3, 1))).arrangement]
+    return [member("paper13", QuadElem(2, 3, 1)),
+            member("paper15", quadratic_root((1, -3, 1)))]
 
 
 def rescaled(arr, rng):
@@ -896,6 +896,8 @@ class TestReferenceScan:
         assert multiple >= 10
 
     def test_generic_family_lattices(self):
-        for f in (mod.family_13(), mod.family_15(), tt0_family()):
-            self.assert_matches(mod.generic_lattice(f), f.columns)
+        for f in (mod.builtin_family("paper13"),
+                  mod.builtin_family("paper15"), tt0_family()):
+            self.assert_matches(mod.generic_lattice(f), [
+                tuple(map(sym, col)) for col in f.columns])
         assert mod.generic_lattice(tt0_family()).flats[0] == {1, 2, 3}

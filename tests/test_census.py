@@ -43,7 +43,7 @@ def verdict(arr):
 
 
 def test_census_of_a13():
-    family = mod.family_13()
+    family = mod.builtin_family("paper13")
     a13, a5 = (mod.specialize(family, t).arrangement for t in (3, 5))
     counts, pairs, rank3 = Counter(), Counter(), 0
     for (s, sub), (_, other) in zip(subsets(a13), subsets(a5)):

@@ -15,10 +15,9 @@ from freearr.freeness import (
     certificate_to_text,
     saito_check,
 )
-from freearr.moduli import family_13, specialize
 from freearr.scalars import InputError, scalar_to_text
 
-from conftest import ASYMMETRIC20, field_columns, grid
+from conftest import ASYMMETRIC20, field_columns, grid, member
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "freearr" / "data"
 
@@ -87,6 +86,12 @@ class TestChiAndLattice:
         code, _, err = run("chi", "paper13", "--at", "quad 5 x")
         assert code == 1
         assert "bad --at" in err
+
+    @pytest.mark.parametrize("at", ["", "  "])
+    def test_empty_at_value_is_refused_as_empty(self, at):
+        """Not as a bad 'rat' tag, which the user never typed."""
+        assert run("chi", "paper13", "--at", at) == (
+            1, "", f"error: bad --at value {at!r}: empty\n")
 
     @pytest.mark.parametrize("at", ["\u0661", "quad 5 \u0661 1",
                                     "quad 5 1 1/\u0662", "0.5", "1e0"])
@@ -208,7 +213,7 @@ class TestFree:
         text = out[out.index("saito-certificate\n"):]
         cert = certificate_from_text(text)
         assert certificate_to_text(cert) == text
-        arr = specialize(family_13(), 3).arrangement
+        arr = member("paper13", 3)
         assert saito_check(arr, *cert.derivations) == cert.constant
 
     def test_edited_constant_fails_the_check(self):
@@ -221,7 +226,7 @@ class TestFree:
         assert lines[1] == "c " + scalar_to_text(cert.constant)
         lines[1] = "c " + scalar_to_text(2 * cert.constant)
         forged = certificate_from_text("\n".join(lines) + "\n")
-        arr = specialize(family_13(), 3).arrangement
+        arr = member("paper13", 3)
         assert forged.derivations == cert.derivations
         assert saito_check(arr, *forged.derivations) == cert.constant \
             != forged.constant
@@ -663,6 +668,29 @@ class TestModuliCommand:
                        "  t = 1: CountDrops\n"
                        "  t = 2: LatticeChanges\n"
                        "  roots of t^2 - t + 1: CountDrops\n")
+
+    @pytest.mark.parametrize("name, n", [("paper13", 13), ("paper15", 15)])
+    def test_builtins_are_read_as_family_files(self, name, n):
+        """A built-in name reads data/<name>.fam as a user's file is read:
+        the report differs only in the name."""
+        code, out, _ = run("moduli", name)
+        assert code == 0
+        head = f"Degeneracy set of {name} ({n} columns):\n"
+        assert out.startswith(head)
+        path = DATA / f"{name}.fam"
+        assert run("moduli", str(path)) == (0, out.replace(
+            head, f"Degeneracy set of {path} ({n} columns):\n"), "")
+
+    def test_a_missing_builtin_file_is_a_program_fault(self, monkeypatch,
+                                                       tmp_path):
+        """A built-in's file is part of the install: without it the
+        command exits 3, where a user's missing file exits 1."""
+        monkeypatch.setattr(moduli, "__file__", str(tmp_path / "moduli.py"))
+        code, out, err = run("moduli", "paper13")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: FileNotFoundError(")
+        code, _, err = run("moduli", str(tmp_path / "data" / "paper13.fam"))
+        assert code == 1 and err.startswith("error: cannot read ")
 
     def test_unresolved_factor_in_moduli_and_report_text(self, tmp_path):
         """Both commands print the degeneracy set by one function, so the

@@ -10,6 +10,7 @@ from math import comb, prod
 import pytest
 
 from freearr import arrangement as am
+from freearr import cli
 from freearr import freeness as fr
 from freearr import linalg
 from freearr import moduli as mod
@@ -50,6 +51,7 @@ from conftest import (
     hyperplane_rows_by_tables,
     is_member,
     linear_product,
+    member,
     modulo_by_euler_rows,
     monomial,
     near_pencil,
@@ -340,6 +342,37 @@ class TestDecideFreeness:
         with pytest.raises(InvariantError, match="cached Saito basis"):
             decide_freeness(self._doubled(a13) if moved else a13)
 
+    def test_hit_on_a_cached_basis_of_misfit_pdegs_raises(
+            self, a13, monkeypatch, capsys):
+        """theta_3 replaced by x1 theta_3, of pdeg 7: the pdegs of the
+        cached basis sum to 14, not n = 13.  The degree check's error is
+        the program's fault at a hit, not bad input: the command line
+        exits 3."""
+        self._checks_on(monkeypatch)
+        impl = fr._decide_freeness_impl
+
+        def misfit(arr):
+            v = impl(arr)
+            th_e, th2, th3 = v.certificate.derivations
+            vec = fr._shifts(th3.vec, th3.pdeg, th3.pdeg + 1)[0]
+            return Free(v.exponents, SaitoCertificate(
+                (th_e, th2, Derivation(th3.pdeg + 1, th3.den, vec)),
+                v.certificate.constant))
+        monkeypatch.setattr(fr, "_decide_freeness_impl", misfit)
+        decide_freeness(a13)
+        with pytest.raises(InvariantError) as info:
+            decide_freeness(a13)
+        assert str(info.value).startswith(
+            "a cached Saito basis does not fit an arrangement of the same "
+            "lines: pdegs (1, 6, 7)")
+        assert not isinstance(info.value, InputError)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["free", "paper13", "--at", "3"])
+        assert exit_info.value.code == 3
+        assert capsys.readouterr().err.startswith(
+            "internal error: InvariantError('a cached Saito basis does not "
+            "fit")
+
     def test_certificate_round_trip(self, a13):
         arr = near_pencil(6)
         verdict = decide_freeness(arr)
@@ -521,8 +554,8 @@ def _generic_lines():
 
 def _paper_quad_points():
     omega5 = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    return (mod.specialize(mod.family_15(), omega5).arrangement,
-            mod.specialize(mod.family_13(), QuadElem(-1, 2, 1)).arrangement)
+    return (member("paper15", omega5),
+            member("paper13", QuadElem(-1, 2, 1)))
 
 
 class TestRowBuilder:
@@ -541,7 +574,7 @@ class TestRowBuilder:
             assert rows == _old_constraint_rows(ops, cols, p)
 
     @pytest.mark.parametrize("arr", [
-        grid(3), mod.specialize(mod.family_13(), 3).arrangement,
+        grid(3), member("paper13", 3),
         *(_quad_image(field_columns(grid(3)), d) for d in (2, 5, -3))],
         ids=["grid12", "a13", "grid12-sqrt2", "grid12-sqrt5", "grid12-sqrt-3"])
     def test_two_point_rows_are_full_rows_on_the_lift(self, arr):
@@ -615,7 +648,7 @@ class TestClosedFormsAgainstTables:
     those of the tables they replaced (conftest)."""
 
     @pytest.mark.parametrize("arr", [
-        mod.specialize(mod.family_13(), 3).arrangement,
+        member("paper13", 3),
         _paper_quad_points()[0], grid(5), near_pencil(6), monomial(4, 3)],
         ids=["a13", "a15-sqrt5", "grid20", "near-pencil6", "monomial4-i"])
     def test_rows_restrict_each_product_once(self, arr):
@@ -773,7 +806,7 @@ class TestColumnTables:
             assert table.cache_info().maxsize == fr._TABLE_CACHE_SIZE
 
     @pytest.mark.parametrize("arr", [
-        mod.specialize(mod.family_13(), 3).arrangement,
+        member("paper13", 3),
         *_paper_quad_points(), grid(5), h3(), monomial(4, 1),
         near_pencil(7)],
         ids=["a13", "a15-sqrt5", "a13-i", "grid20", "h3", "monomial4-1",
@@ -788,7 +821,7 @@ class TestColumnTables:
                 linear_product(ops, lines)
 
     @pytest.mark.parametrize("arr", [
-        mod.specialize(mod.family_13(), 3).arrangement,
+        member("paper13", 3),
         _paper_quad_points()[0], grid(6)], ids=["a13", "a15-sqrt5", "grid24"])
     def test_each_restricted_product_is_built_once_per_frame(
             self, arr, monkeypatch):
@@ -911,7 +944,7 @@ class TestDHSolve:
         assert widths and set(widths) == {comb(3, 2) + comb(10, 2)}
 
     @pytest.mark.parametrize("arr", [
-        mod.specialize(mod.family_13(), 3).arrangement,
+        member("paper13", 3),
         _paper_quad_points()[0], grid(8)], ids=["a13", "sqrt5", "grid32"])
     def test_full_system_is_never_built(self, arr, monkeypatch):
         widths, solved = [], []
@@ -978,7 +1011,7 @@ class TestDHSolve:
         assert derivation_space_dim(arr, e3) == comb(e3 + 1, 2) + shifts + 1
 
     @pytest.mark.parametrize("arr", [
-        mod.specialize(mod.family_13(), 3).arrangement,
+        member("paper13", 3),
         _paper_quad_points()[0]], ids=["a13", "sqrt5"])
     def test_frame_without_a_line_raises(self, arr, monkeypatch):
         monkeypatch.setattr(fr, "_two_point_frame", _short_frame)
@@ -1011,7 +1044,7 @@ class TestDHSolve:
         # a miscounted zero drops rows (or writes rows the kernel already
         # satisfies): the kernel can only grow, and a grown kernel's lifts
         # fail the membership pass, so no other answer is reached
-        arrs = [mod.specialize(mod.family_13(), 3).arrangement,
+        arrs = [member("paper13", 3),
                 _paper_quad_points()[0], *_nonfree_split()]
         honest = [_answer(arr) for arr in arrs]
         assert InvariantError not in honest
@@ -1061,7 +1094,7 @@ class TestKeptRows:
 
     def test_kept_and_full_rows_have_one_nullspace(self, small_corpus, a13,
                                                    a15):
-        fam13, fam15 = mod.family_13(), mod.family_15()
+        fam13, fam15 = map(mod.builtin_family, ("paper13", "paper15"))
         arrs = [*(arr for arr, _, _ in _nonfree_cases()),
                 *_free_inputs(small_corpus, a13, a15),
                 *(monomial(r, k) for r, k in ((3, 0), (3, 1), (4, 0),
@@ -1083,7 +1116,7 @@ class TestKeptRows:
         assert kept_rows < full_rows / 2
 
     @pytest.mark.parametrize("arr,counts", [
-        (mod.specialize(mod.family_13(), 3).arrangement, {6: (16, 28)}),
+        (member("paper13", 3), {6: (16, 28)}),
         (grid(8), {15: (57, 128), 16: (65, 136)})], ids=["a13", "grid32"])
     def test_kept_row_totals(self, arr, counts):
         # (kept, full) rows at e2 and e3: a change that writes full blocks
@@ -1592,8 +1625,7 @@ def _passes(ops, alpha, vec, p: int) -> bool:
 
 
 def _evaluation_points():
-    return [*_paper_quad_points(), mod.specialize(mod.family_13(), 3)
-            .arrangement, mod.specialize(mod.family_15(), 3).arrangement]
+    return [*_paper_quad_points(), member("paper13", 3), member("paper15", 3)]
 
 
 def _saito_trials(arr, rng, rounds: int):
@@ -1702,7 +1734,7 @@ class TestEvaluationChecks:
         return {**vec, 0: ops.add(vec.get(0, ops.zero), ops.one)}
 
     @pytest.mark.parametrize("arr", [
-        mod.specialize(mod.family_13(), 3).arrangement,
+        member("paper13", 3),
         _paper_quad_points()[0]], ids=["a13", "sqrt5"])
     def test_a_stack_with_a_non_member_fails(self, arr):
         # one call on members and a non-member of one degree, in any place
@@ -1730,7 +1762,7 @@ class TestEvaluationChecks:
                                        [(p, vec) for vec in stack])
 
     @pytest.mark.parametrize("arr", [
-        mod.specialize(mod.family_13(), 3).arrangement,
+        member("paper13", 3),
         _paper_quad_points()[0]], ids=["a13", "sqrt5"])
     def test_a_non_member_and_its_shifted_negative_fail(self, arr):
         # theta_0 = -2^s theta_1 would cancel in a stack whose base were
@@ -1921,7 +1953,7 @@ class TestCertificateText:
         self._raises_at(lines[:2] + ["term 1 1 0 0 rat 1"] + lines[2:], 3)
 
     @pytest.mark.parametrize("line, message", [
-        ("term", "not enough values to unpack (expected at least 1, got 0)"),
+        ("term", "a term needs a component, three exponents and a scalar"),
         ("term 1 1 0", "no term ['1', '1', '0'] in a derivation of pdeg 1"),
         ("term 1 1 0 0", "expected one scalar, not ''")],
         ids=["bare", "short", "no-scalar"])

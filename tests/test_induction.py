@@ -33,6 +33,7 @@ from conftest import (
     field_columns,
     grid,
     h3,
+    member,
     monomial,
     near_pencil,
     rational_arrangement,
@@ -258,7 +259,7 @@ class TestCandidateAdditions:
         """Same candidates, byte for byte and as field scalars, and the same
         completeness as crossing field columns, for every target size and
         for the sizes that fit the exponents, as the RF search asks."""
-        f15 = mod.family_15()
+        f15 = mod.builtin_family("paper15")
         arrs = [a13, a15, mod.specialize(f15, -1).arrangement,
                 mod.specialize(f15, QuadElem(5, Fraction(3, 2),
                                              Fraction(1, 2))).arrangement,
@@ -288,7 +289,7 @@ class TestCandidateAdditions:
         assert found > 100
 
     @pytest.mark.parametrize("make", [
-        lambda: mod.specialize(mod.family_13(), 3).arrangement, h3])
+        lambda: member("paper13", 3), h3])
     def test_a_point_missing_from_a_dual_line_raises(self, make,
                                                      monkeypatch):
         """The lines through the flats' points are the lattice scan of
@@ -349,7 +350,7 @@ class TestRecursivelyFree:
     def test_paper15_at_minus_one_is_rf_by_one_addition(self):
         # t = -1 keeps the generic lattice of the 15-line family, yet one
         # addition reaches an inductively free arrangement
-        f15 = mod.family_15()
+        f15 = mod.builtin_family("paper15")
         assert mod.vL_membership(f15, mod.generic_lattice(f15), -1)
         arr = mod.specialize(f15, -1).arrangement
         rep = recursively_free(arr, max_n=16)
@@ -364,7 +365,7 @@ class TestRecursivelyFree:
         # a grown state is its parent's ring columns, keys and scales and
         # one cleared column: an Arrangement keeps no field columns, so no
         # state the search explores, nor the replay, can read them
-        arr = mod.specialize(mod.family_15(), -1).arrangement
+        arr = member("paper15", -1)
         cut = mod.specialize(mod.parse_family_text(
             "1; 0; 0\n0; 1; 0\n0; 0; 1\n1; 1; 0\n1; 0; 1\n"
             "1; 0; -1\n0; 1; 1\n0; 1; -1\n"), 0).arrangement
@@ -405,7 +406,7 @@ class TestRecursivelyFree:
                            "state$"):
             recursively_free(a13, max_n=14, max_states=0)
         # a budget of one explores the input and no more
-        p15 = mod.specialize(mod.family_15(), -1).arrangement
+        p15 = member("paper15", -1)
         rep = recursively_free(p15, max_n=16, max_states=1)
         assert (rep.verdict, rep.explored) == ("Unknown", 1)
         assert rep.reason == "state budget 1 exhausted"
@@ -442,7 +443,7 @@ class TestReplayChain:
             replay_chain(g4, [Move("delete", (4,))])
 
     def test_addition_of_a_misfitting_size(self):
-        a15 = mod.specialize(mod.family_15(), -1).arrangement
+        a15 = member("paper15", -1)
         with pytest.raises(InputError, match=r"^move 1: the added hyperplane "
                            r"has restriction size 14, incompatible with "
                            r"exponents \(1, 7, 7\)$"):
@@ -464,7 +465,7 @@ class TestChainText:
     """chain_to_text and chain_from_text, beside Move and replay_chain."""
 
     def test_paper15_at_minus_one_chain(self):
-        arr = mod.specialize(mod.family_15(), -1).arrangement
+        arr = member("paper15", -1)
         chain = recursively_free(arr, max_n=16).chain
         text = chain_to_text(chain)
         assert text == "add rat 1 rat -1/2 rat -1/2\n"

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freearr import freeness, linalg, moduli
+from freearr import freeness, linalg
 from freearr.arrangement import clear_column
 from freearr.linalg import (
     det3,
@@ -23,6 +23,7 @@ from freearr.scalars import IntOps, InvariantError, QuadElem, QuadOps
 from conftest import (
     det3_cols,
     kernel_by_back_reduction,
+    member,
     normal_form,
     same_field_vector,
     to_field,
@@ -398,7 +399,7 @@ class TestPaperCertificate:
         # paper15 at t = (3 + sqrt 5)/2, a root of t^2 - 3t + 1: the
         # certificate text is fixed, whatever engine solves the systems.
         omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-        arr = moduli.specialize(moduli.family_15(), omega).arrangement
+        arr = member("paper15", omega)
         verdict = freeness.decide_freeness(arr, use_cache=False)
         assert verdict.exponents == (1, 5, 9)
         text = freeness.certificate_to_text(verdict.certificate)

@@ -13,12 +13,12 @@ import pytest
 
 from freearr import arrangement as am
 from freearr import freeness as fr
-from freearr import moduli as mod
 from freearr.freeness import Free, decide_freeness, saito_check
 from freearr.induction import inductively_free, recursively_free, replay_chain
 from freearr.scalars import QuadElem
 
-from conftest import aut_order_by_full_scan, field_columns, h3, monomial
+from conftest import (aut_order_by_full_scan, field_columns, h3, member,
+                      monomial)
 
 # name: (arrangement, n, field, exponents, IF, RF moves, |Aut| or None);
 # aut_order on G(6,6,3) takes seconds, so its |Aut| is left out
@@ -68,7 +68,7 @@ def test_conjugate_paper15_points_have_conjugate_constants(a, constant):
     both points; the Saito constants are conjugate too."""
     constants = []
     for b in (Fraction(1, 2), Fraction(-1, 2)):
-        arr = mod.specialize(mod.family_15(), QuadElem(5, a, b)).arrangement
+        arr = member("paper15", QuadElem(5, a, b))
         verdict = decide_freeness(arr, use_cache=False)
         assert isinstance(verdict, Free) and verdict.exponents == (1, 5, 9)
         assert inductively_free(arr) is not None

@@ -13,7 +13,7 @@ import pytest
 
 import freearr
 
-from conftest import field_columns
+from conftest import T, family, field_columns, member
 
 SRC = Path(freearr.__file__).parent
 TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
@@ -95,7 +95,7 @@ def test_degeneracy_sets_do_not_load_sympy():
     code = (
         "import sys\n"
         "from freearr import cli, moduli\n"
-        "moduli.degeneracy_set(moduli.family_13())\n"
+        "moduli.degeneracy_set(moduli.builtin_family('paper13'))\n"
         "try:\n"
         "    cli.main(['moduli', 'paper15'])\n"
         "except SystemExit as exc:\n"
@@ -197,33 +197,29 @@ def test_quadratic_specialization_does_no_field_multiplication(monkeypatch):
             calls.append(name)
             return method(*args)
         monkeypatch.setattr(QuadElem, name, spy)
-    spec = moduli.specialize(moduli.family_15(), omega)
+    spec = moduli.specialize(moduli.builtin_family("paper15"), omega)
     assert calls == []
     assert spec.count == 15 and spec.arrangement.n == 15
     # the spies do see field arithmetic
     assert omega * omega == 3 * omega - 1 and calls == ["__mul__", "__rmul__"]
 
 
-def test_family_scans_do_no_polynomial_arithmetic(monkeypatch):
+def test_family_scans_do_no_polynomial_arithmetic():
     """degeneracy_set and generic_lattice compute every minor on packed
-    integers; IntPoly arithmetic only builds families."""
-    from freearr import moduli
+    integers, and families are read from text: IntPoly has no arithmetic,
+    no evaluation and no content, and the paper's families are data, not
+    literals in moduli."""
+    from freearr import moduli, scalars
     from freearr.scalars import IntPoly
 
-    f = moduli.family_15()
-    calls = []
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
-                 "__rsub__", "__neg__"):
-        def spy(*args, name=name, method=getattr(IntPoly, name)):
-            calls.append(name)
-            return method(*args)
-        monkeypatch.setattr(IntPoly, name, spy)
-    rep = moduli.degeneracy_set(f)
-    lat = moduli.generic_lattice(f)
-    assert calls == []
-    assert len(rep.rational) == 3 and len(lat.flats) == 39
-    # the spies do see polynomial arithmetic
-    assert -moduli.poly(1, 1) == moduli.poly(-1, -1) and calls == ["__neg__"]
+    assert [name for name in (
+        "__neg__", "_lift", "__add__", "__radd__", "__sub__", "__rsub__",
+        "__mul__", "__rmul__", "__pow__", "__call__", "content", "leading")
+        if hasattr(IntPoly(), name)] == []
+    assert [name for mod, name in (
+        (moduli, "_cols"), (moduli, "_T"), (moduli, "family_13"),
+        (moduli, "family_15"), (moduli, "poly"), (scalars, "poly"))
+        if hasattr(mod, name)] == []
 
 
 def test_families_are_validated_by_packed_line_keys(monkeypatch):
@@ -231,7 +227,7 @@ def test_families_are_validated_by_packed_line_keys(monkeypatch):
     polynomial gcd and divides no polynomials."""
     from freearr import moduli, scalars
 
-    cols = moduli.family_15().columns
+    cols = moduli.builtin_family("paper15").columns
     calls = []
     for mod, name in ((scalars, "_gcd"), (scalars, "poly_gcd"),
                       (scalars, "_quotient"), (moduli, "poly_gcd"),
@@ -360,8 +356,8 @@ def test_complements_come_from_the_lifts_alone(monkeypatch):
             return real(*args)
         monkeypatch.setattr(freeness, name, record)
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
-                moduli.specialize(moduli.family_15(), omega).arrangement,
+    for arr in (member("paper13", 3),
+                member("paper15", omega),
                 grid(8)):
         del vectors[:], calls[:]
         verdict = freeness.decide_freeness(arr, use_cache=False)
@@ -400,8 +396,8 @@ def test_saito_step_builds_no_euler_row_and_one_frame(monkeypatch):
             return real(*args)
         monkeypatch.setattr(freeness, name, spy)
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
-                moduli.specialize(moduli.family_15(), omega).arrangement):
+    for arr in (member("paper13", 3),
+                member("paper15", omega)):
         del calls[:]
         verdict = freeness.decide_freeness(arr, use_cache=False)
         euler = freeness.euler_derivation(arr).vec
@@ -470,10 +466,11 @@ def test_specialize_clears_each_column_once(monkeypatch):
     from freearr.scalars import QuadElem
 
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    t, a13 = moduli._T, moduli.family_13()
-    plane = moduli.Family("plane", moduli._cols(
-        (1, 0, 0), (0, 1, 0), (1, 1, 0), (t, 1, 1), (1, t, 1)))
-    members = ((a13, 3), (moduli.family_15(), omega), (a13, 0), (plane, 3))
+    a13 = moduli.builtin_family("paper13")
+    plane = family("plane", (1, 0, 0), (0, 1, 0), (1, 1, 0), (T, 1, 1),
+                   (1, T, 1))
+    members = ((a13, 3), (moduli.builtin_family("paper15"), omega), (a13, 0),
+               (plane, 3))
     assert [fam.spans for fam, _ in members] == [True, True, True, False]
     calls = []
     for name in ("build", "_cleared", "clear_column", "first_equal_pair",
@@ -504,11 +501,11 @@ def test_specialize_keys_only_the_t_dependent_columns(monkeypatch):
     from freearr import moduli
     from freearr.scalars import QuadElem
 
-    constant = moduli.Family("constant", moduli._cols(
-        (2, 0, 0), (-3, 6, 0), (0, -4, 0), (-5, 10, 15)))
-    cases = [(moduli.family_13(), 3, 7),
-             (moduli.family_15(), QuadElem(5, Fraction(3, 2), Fraction(1, 2)),
-              9),
+    constant = family("constant", (2, 0, 0), (-3, 6, 0), (0, -4, 0),
+                      (-5, 10, 15))
+    cases = [(moduli.builtin_family("paper13"), 3, 7),
+             (moduli.builtin_family("paper15"),
+              QuadElem(5, Fraction(3, 2), Fraction(1, 2)), 9),
              (constant, 0, 0), (constant, QuadElem(-3, 0, 1), 0)]
     real, calls = moduli.line_key, []
     monkeypatch.setattr(moduli, "line_key",
@@ -529,13 +526,13 @@ def test_family_scans_read_the_kept_packing(monkeypatch):
     def forbidden(f):
         raise AssertionError("a family was packed again")
 
-    fams = [moduli.family_13(), moduli.family_15()]
+    fams = [moduli.builtin_family("paper13"), moduli.builtin_family("paper15")]
     monkeypatch.setattr(moduli, "_packed", forbidden)
     for fam in fams:
         moduli.degeneracy_set(fam)
         moduli.generic_lattice(fam)
     with pytest.raises(AssertionError, match="packed again"):
-        moduli.family_13()
+        moduli.builtin_family("paper13")
 
 
 def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
@@ -551,8 +548,8 @@ def test_no_field_arithmetic_before_the_saito_check(monkeypatch):
 
     assert not hasattr(freeness, "_key_and_lead")
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    arrs = [moduli.specialize(moduli.family_13(), 3).arrangement,
-            moduli.specialize(moduli.family_15(), omega).arrangement]
+    arrs = [member("paper13", 3),
+            member("paper15", omega)]
     moved = [arrangement.build([tuple(2 * x for x in cols[0]), *cols[1:]],
                                arr.ops)
              for arr, cols in zip(arrs, map(field_columns, arrs))]
@@ -594,7 +591,7 @@ def test_candidate_pairs_are_crossed_in_integers(monkeypatch):
     from freearr import arrangement, induction, moduli
     from freearr.scalars import QuadElem
 
-    arr = moduli.specialize(moduli.family_13(), 3).arrangement
+    arr = member("paper13", 3)
     arr.lattice()
     calls, on = [], [True]
     for cls in (Fraction, QuadElem):
@@ -630,7 +627,7 @@ def test_candidate_lines_are_one_lattice_scan_of_the_points(monkeypatch):
     F + (those lines) crosses, where crossing every pair makes F + F(F-1)/2."""
     from freearr import induction, moduli
 
-    arr = moduli.specialize(moduli.family_15(), 3).arrangement
+    arr = member("paper15", 3)
     flats = arr.lattice().flats
     f = len(flats)
     scans, crosses = [], []
@@ -710,8 +707,8 @@ def test_only_the_constant_becomes_a_field_element(monkeypatch):
             return calls[-1]
         monkeypatch.setattr(cls, "from_coords", wrap(spy))
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
-                moduli.specialize(moduli.family_15(), omega).arrangement):
+    for arr in (member("paper13", 3),
+                member("paper15", omega)):
         del calls[:]
         verdict = freeness.decide_freeness(arr, use_cache=False)
         assert calls == [verdict.certificate.constant]
@@ -727,8 +724,8 @@ def test_no_horner_step_and_no_polynomial_product_in_saito_check():
     from freearr.scalars import QuadElem
 
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    arrs = [moduli.specialize(moduli.family_13(), 3).arrangement,
-            moduli.specialize(moduli.family_15(), omega).arrangement]
+    arrs = [member("paper13", 3),
+            member("paper15", omega)]
     calls, depth = [], [0]    # (callee, caller, inside the Saito step)
 
     def profile(frame, event, arg):
@@ -772,8 +769,8 @@ def test_saito_check_evaluates_at_one_point(monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, name, spy)
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    for arr in (moduli.specialize(moduli.family_13(), 3).arrangement,
-                moduli.specialize(moduli.family_15(), omega).arrangement):
+    for arr in (member("paper13", 3),
+                member("paper15", omega)):
         ths = freeness.decide_freeness(arr, use_cache=False).certificate \
             .derivations
         del calls[:]
@@ -822,10 +819,9 @@ def test_each_solve_makes_one_membership_call(monkeypatch):
     nonfree = arrangement.build([(-2, -2, 1), (2, 0, -1), (2, 1, -1),
                                  (-2, 2, 0), (-1, -2, -1), (-2, 2, 1),
                                  (0, 2, 0)], QQ)
-    for arr, exps in ((moduli.specialize(moduli.family_13(), 3).arrangement,
+    for arr, exps in ((member("paper13", 3),
                        (1, 6, 6)),
-                      (moduli.specialize(moduli.family_15(), omega)
-                       .arrangement, (1, 5, 9)), (nonfree, None)):
+                      (member("paper15", omega), (1, 5, 9)), (nonfree, None)):
         del calls[:], lifts[:]
         verdict = freeness.decide_freeness(arr, use_cache=False)
         assert lifts and len(calls) == 1 and calls[0][:len(lifts)] == lifts
@@ -856,7 +852,7 @@ def test_quadratic_elements_have_fraction_parts(monkeypatch):
         return make(cls, d, a, b)
     monkeypatch.setattr(QuadElem, "_make", classmethod(spy))
     omega = QuadElem(5, Fraction(3, 2), Fraction(1, 2))
-    arr = moduli.specialize(moduli.family_15(), omega).arrangement
+    arr = member("paper15", omega)
     verdict = freeness.decide_freeness(arr, use_cache=False)
     cands, _ = induction.candidate_additions(arr, range(2, arr.n + 1))
     assert verdict.exponents == (1, 5, 9) and cands
